@@ -11,9 +11,7 @@
 //! no dependency on either engine type.
 
 use croupier::{Descriptor, DescriptorBatch, View, DESCRIPTOR_WIRE_BYTES, UDP_IP_HEADER_BYTES};
-use croupier_simulator::{
-    Context, NatClass, NodeId, Protocol, PssNode, RetryPolicy, TimerKey, WireSize,
-};
+use croupier_simulator::{Context, NatClass, NodeId, Protocol, PssNode, TimerKey, WireSize};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 
@@ -191,7 +189,7 @@ impl Protocol for CyclonNode {
         });
         sent.push(self.own_descriptor());
         ctx.send(target, CyclonMessage::Request(sent));
-        let policy = RetryPolicy::for_round_period(ctx.round_period());
+        let policy = ctx.retry_policy();
         ctx.set_timer(policy.backoff(0), TimerKey::new(self.exchange_seq));
     }
 
@@ -229,7 +227,7 @@ impl Protocol for CyclonNode {
             Some(p) if p.seq == key.as_u64() => (p.peer, p.attempt + 1, p.sent.clone()),
             _ => return,
         };
-        let policy = RetryPolicy::for_round_period(ctx.round_period());
+        let policy = ctx.retry_policy();
         if policy.exhausted(next_attempt) {
             self.pending = None;
             self.abandoned_exchanges += 1;

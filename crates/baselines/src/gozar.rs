@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use croupier::{Descriptor, DescriptorBatch, View, DESCRIPTOR_WIRE_BYTES, UDP_IP_HEADER_BYTES};
 use croupier_simulator::{
-    Context, InlineVec, NatClass, NodeId, Protocol, PssNode, RetryPolicy, TimerKey, WireSize,
+    Context, InlineVec, NatClass, NodeId, Protocol, PssNode, TimerKey, WireSize,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -478,7 +478,7 @@ impl GozarNode {
             ),
             None => ctx.send(target, request),
         }
-        let policy = RetryPolicy::for_round_period(ctx.round_period());
+        let policy = ctx.retry_policy();
         ctx.set_timer(policy.backoff(0), TimerKey::new(self.exchange_seq));
     }
 
@@ -591,7 +591,7 @@ impl Protocol for GozarNode {
         if let Some(relay) = prior_relay {
             *self.relay_suspect.entry(relay).or_insert(0) += 1;
         }
-        let policy = RetryPolicy::for_round_period(ctx.round_period());
+        let policy = ctx.retry_policy();
         if policy.exhausted(next_attempt) {
             self.pending = None;
             self.abandoned_exchanges += 1;

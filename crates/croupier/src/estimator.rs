@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use croupier_simulator::{InlineVec, NatClass, NodeId};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Serialized size of one piggy-backed estimate, in bytes: two bytes of node identifier,
@@ -91,10 +91,40 @@ impl EstimateRecord {
     }
 }
 
+/// Mask of a birth stamp: the same 24 bits an [`EstimateRecord`] gives its age, so every
+/// age a record can carry fits a stamp.
+const STAMP_MASK: u64 = RECORD_AGE_MAX as u64;
+
+/// One cached neighbour estimate: 16 bytes, the origin identifier (low 40 bits) packed
+/// with the node-local round the estimate was *born* in (high 24 bits, modulo 2²⁴) next
+/// to the ratio. Storing the birth round instead of an age means a round passing changes
+/// no entry: the age is `current round − stamp` whenever somebody asks. Modular stamps
+/// are unambiguous because no cached age ever exceeds [`RECORD_AGE_MAX`] (see
+/// `RatioEstimator::max_cached_age`).
 #[derive(Clone, Copy, Debug)]
 struct CachedEstimate {
+    packed: u64,
     ratio: f64,
-    age: u32,
+}
+
+impl CachedEstimate {
+    /// An estimate by `origin` that is `age` rounds old in local round `round`.
+    fn new(origin: NodeId, ratio: f64, age: u32, round: u64) -> Self {
+        let stamp = round.wrapping_sub(age as u64) & STAMP_MASK;
+        CachedEstimate {
+            packed: origin.as_u64() | (stamp << ORIGIN_BITS),
+            ratio,
+        }
+    }
+
+    fn origin(self) -> NodeId {
+        NodeId::new(self.packed & ORIGIN_MASK)
+    }
+
+    /// Rounds elapsed since the estimate was produced, as of local round `round`.
+    fn age(self, round: u64) -> u32 {
+        (round.wrapping_sub(self.packed >> ORIGIN_BITS) & STAMP_MASK) as u32
+    }
 }
 
 /// The per-node state of the distributed ratio-estimation algorithm.
@@ -125,16 +155,23 @@ pub struct RatioEstimator {
     current_public_hits: u32,
     current_private_hits: u32,
     history: VecDeque<(u32, u32)>,
+    /// Sums of the public and private hits in `history`, kept in step with every push
+    /// and pop so the local estimate costs one division per round, not an α-entry fold.
+    window_public_hits: u64,
+    window_private_hits: u64,
     local_estimate: Option<f64>,
+    /// Rounds this estimator has advanced through; cache stamps are relative to it.
+    round: u64,
     // Sorted by origin id. Ascending-id iteration keeps whole simulation runs bit-for-bit
     // reproducible for a fixed seed (this replaced a BTreeMap with the same iteration
-    // order); a flat sorted vector additionally makes the per-round cache maintenance
+    // order); a flat sorted vector additionally makes the cache maintenance
     // allocation-free once its capacity has warmed up, where the tree allocated and freed
     // a node per insert/expiry.
-    neighbour_estimates: Vec<(NodeId, CachedEstimate)>,
-    // Recycled staging buffer for `share`, so assembling the piggy-backed payload does not
-    // allocate in steady state.
-    share_scratch: Vec<EstimateRecord>,
+    neighbour_estimates: Vec<CachedEstimate>,
+    /// No cached estimate expires before this round (a lower bound: replacing the oldest
+    /// entry with a fresher record leaves it early, never late). Until it is due
+    /// `advance_round` does not look at the cache.
+    next_expiry: u64,
 }
 
 impl RatioEstimator {
@@ -153,9 +190,12 @@ impl RatioEstimator {
             current_public_hits: 0,
             current_private_hits: 0,
             history: VecDeque::with_capacity(alpha + 1),
+            window_public_hits: 0,
+            window_private_hits: 0,
             local_estimate: None,
+            round: 0,
             neighbour_estimates: Vec::new(),
-            share_scratch: Vec::new(),
+            next_expiry: u64::MAX,
         }
     }
 
@@ -176,18 +216,39 @@ impl RatioEstimator {
         }
     }
 
+    /// The oldest age a cached estimate may reach: `γ`, bounded by the largest age a
+    /// record can carry. A larger `γ` still admits every record; it differs from the bound
+    /// only for an estimate that has aged 2²⁴ rounds since its croupier produced it.
+    fn max_cached_age(&self) -> u32 {
+        self.gamma.min(RECORD_AGE_MAX)
+    }
+
     /// Advances the estimator by one gossip round, following the order of Algorithm 2:
     /// cached neighbour estimates age (and expire after `γ` rounds), the local estimate is
     /// recomputed from the hit history of the last `α` rounds, and the current round's hit
     /// counters are pushed into the history.
     pub fn advance_round(&mut self) {
-        // Age and expire neighbour estimates (in place; the sorted order is unaffected).
-        for (_, cached) in self.neighbour_estimates.iter_mut() {
-            cached.age = cached.age.saturating_add(1);
+        // Ages are derived from the round counter, so aging is this increment; the cache
+        // is walked only in a round where something can expire, and `retain` moves
+        // nothing before the first entry it drops.
+        self.round += 1;
+        if self.round >= self.next_expiry {
+            let (round, max_age) = (self.round, self.max_cached_age());
+            let mut oldest = 0;
+            self.neighbour_estimates.retain(|cached| {
+                let age = cached.age(round);
+                let live = age <= max_age;
+                if live {
+                    oldest = oldest.max(age);
+                }
+                live
+            });
+            self.next_expiry = if self.neighbour_estimates.is_empty() {
+                u64::MAX
+            } else {
+                round + (max_age - oldest) as u64 + 1
+            };
         }
-        let gamma = self.gamma;
-        self.neighbour_estimates
-            .retain(|(_, cached)| cached.age <= gamma);
 
         // Croupiers recompute their local estimate from the hit history (equation 6,
         // evaluated before the current round's counters are appended, as in Algorithm 2).
@@ -200,8 +261,13 @@ impl RatioEstimator {
         // Append the current round's counters and trim the window to α rounds.
         self.history
             .push_back((self.current_public_hits, self.current_private_hits));
+        self.window_public_hits += self.current_public_hits as u64;
+        self.window_private_hits += self.current_private_hits as u64;
         while self.history.len() > self.alpha {
-            self.history.pop_front();
+            if let Some((public, private)) = self.history.pop_front() {
+                self.window_public_hits -= public as u64;
+                self.window_private_hits -= private as u64;
+            }
         }
         self.current_public_hits = 0;
         self.current_private_hits = 0;
@@ -210,14 +276,11 @@ impl RatioEstimator {
     /// The ratio of public hits to total hits over the current history window (the paper's
     /// `CalcHitsRatio`), or `None` if no request has been received in the window.
     pub fn hits_ratio(&self) -> Option<f64> {
-        let (public, private) = self.history.iter().fold((0u64, 0u64), |(p, v), (cu, cv)| {
-            (p + *cu as u64, v + *cv as u64)
-        });
-        let total = public + private;
+        let total = self.window_public_hits + self.window_private_hits;
         if total == 0 {
             None
         } else {
-            Some(public as f64 / total as f64)
+            Some(self.window_public_hits as f64 / total as f64)
         }
     }
 
@@ -230,28 +293,30 @@ impl RatioEstimator {
     /// Ingests ratio estimates received from a peer, keeping for every origin the freshest
     /// record and discarding records older than `γ` or produced by `self_node`.
     pub fn ingest(&mut self, records: &[EstimateRecord], self_node: NodeId) {
+        let (round, max_age) = (self.round, self.max_cached_age());
         for record in records {
-            if record.origin() == self_node || record.age() > self.gamma {
+            if record.origin() == self_node || record.age() > max_age {
                 continue;
             }
             if !record.ratio.is_finite() || !(0.0..=1.0).contains(&record.ratio) {
                 continue;
             }
-            let fresh = CachedEstimate {
-                ratio: record.ratio,
-                age: record.age(),
-            };
+            let fresh = CachedEstimate::new(record.origin(), record.ratio, record.age(), round);
             match self
                 .neighbour_estimates
-                .binary_search_by_key(&record.origin(), |(origin, _)| *origin)
+                .binary_search_by_key(&record.origin(), |cached| cached.origin())
             {
                 Ok(i) => {
-                    if self.neighbour_estimates[i].1.age > record.age() {
-                        self.neighbour_estimates[i].1 = fresh;
+                    if self.neighbour_estimates[i].age(round) <= record.age() {
+                        continue;
                     }
+                    self.neighbour_estimates[i] = fresh;
                 }
-                Err(i) => self.neighbour_estimates.insert(i, (record.origin(), fresh)),
+                Err(i) => self.neighbour_estimates.insert(i, fresh),
             }
+            self.next_expiry = self
+                .next_expiry
+                .min(round + (max_age - record.age()) as u64 + 1);
         }
     }
 
@@ -259,21 +324,39 @@ impl RatioEstimator {
     /// node's own estimate (fresh, age zero) if it has one — the payload piggy-backed on a
     /// shuffle message.
     ///
-    /// Staged through a recycled scratch buffer and returned inline, so assembling the
-    /// payload allocates nothing in steady state. The full cache is shuffled before
-    /// truncation (not a partial draw) deliberately: it consumes the node's random stream
-    /// exactly as the original `Vec`-returning implementation did, keeping every seeded
-    /// run bit-identical across the change.
+    /// The choice is a partial Fisher–Yates shuffle over cache *positions*: step `i` draws
+    /// one position from `i..len`, and only the few positions a draw has displaced are
+    /// remembered (inline), so the cost is `min(count, len)` random numbers and as many
+    /// cache reads whatever the cache's size, with no copy of the cache and no allocation.
+    /// The result is a uniformly random subset in uniformly random order.
     pub fn share(&mut self, count: usize, self_node: NodeId, rng: &mut SmallRng) -> EstimateBatch {
-        self.share_scratch.clear();
-        self.share_scratch.extend(
-            self.neighbour_estimates.iter().map(|(origin, cached)| {
-                EstimateRecord::with_age(*origin, cached.ratio, cached.age)
-            }),
-        );
-        self.share_scratch.shuffle(rng);
-        self.share_scratch.truncate(count);
-        let mut records: EstimateBatch = self.share_scratch.iter().copied().collect();
+        let len = self.neighbour_estimates.len();
+        let mut records = EstimateBatch::new();
+        // `(position, the position whose entry now stands there)` for every position a
+        // swap has touched; any other position still holds its own entry.
+        let mut displaced: InlineVec<(usize, usize), ESTIMATE_INLINE_CAPACITY> = InlineVec::new();
+        for i in 0..count.min(len) {
+            let j = rng.gen_range(i..len);
+            // Position `i` is never drawn again; whatever stands there moves to `j`, and
+            // what stood at `j` is picked.
+            let moved = displaced
+                .iter()
+                .find(|(at, _)| *at == i)
+                .map_or(i, |(_, standing)| *standing);
+            let picked = match displaced.iter_mut().find(|(at, _)| *at == j) {
+                Some((_, standing)) => std::mem::replace(standing, moved),
+                None => {
+                    displaced.push((j, moved));
+                    j
+                }
+            };
+            let cached = self.neighbour_estimates[picked];
+            records.push(EstimateRecord::with_age(
+                cached.origin(),
+                cached.ratio,
+                cached.age(self.round),
+            ));
+        }
         if let Some(own) = self.local_estimate {
             if self.class.is_public() {
                 records.push(EstimateRecord::new(self_node, own));
@@ -287,7 +370,7 @@ impl RatioEstimator {
     ///
     /// Returns `None` while the node has not collected any estimate yet.
     pub fn estimate(&self) -> Option<f64> {
-        let mut sum: f64 = self.neighbour_estimates.iter().map(|(_, c)| c.ratio).sum();
+        let mut sum: f64 = self.neighbour_estimates.iter().map(|c| c.ratio).sum();
         let mut count = self.neighbour_estimates.len();
         if self.class.is_public() {
             if let Some(own) = self.local_estimate {
@@ -316,11 +399,21 @@ impl RatioEstimator {
     pub fn gamma(&self) -> u32 {
         self.gamma
     }
+
+    /// The cache as records, in ascending origin order.
+    #[cfg(test)]
+    fn contents(&self) -> Vec<EstimateRecord> {
+        self.neighbour_estimates
+            .iter()
+            .map(|c| EstimateRecord::with_age(c.origin(), c.ratio, c.age(self.round)))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator_reference::ReferenceEstimator;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -500,5 +593,207 @@ mod tests {
         assert_eq!(est.alpha(), 25);
         assert_eq!(est.gamma(), 50);
         assert_eq!(est.class(), NatClass::Public);
+    }
+
+    #[test]
+    fn cache_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<CachedEstimate>(), 16);
+    }
+
+    fn bits(records: &[EstimateRecord]) -> Vec<(u64, u64, u32)> {
+        records
+            .iter()
+            .map(|r| (r.origin().as_u64(), r.ratio.to_bits(), r.age()))
+            .collect()
+    }
+
+    /// One random batch as a peer could send it: ages on both sides of `γ`, repeated
+    /// origins, the node's own id and unusable ratios.
+    fn random_batch(rng: &mut SmallRng, gamma: u32, origins: u64) -> Vec<EstimateRecord> {
+        (0..rng.gen_range(0..=ESTIMATE_INLINE_CAPACITY))
+            .map(|_| {
+                let ratio = match rng.gen_range(0..12) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => -0.25,
+                    3 => 1.5,
+                    _ => rng.gen_range(0.0..=1.0),
+                };
+                let age = rng.gen_range(0..=gamma.min(1_000) + 5);
+                EstimateRecord::with_age(NodeId::new(rng.gen_range(0..origins)), ratio, age)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stamped_cache_matches_the_reference_on_random_traces() {
+        let me = NodeId::new(0);
+        for (seed, class, alpha, gamma, origins) in [
+            (1, NatClass::Public, 3, 0, 6),
+            (2, NatClass::Private, 1, 1, 8),
+            (3, NatClass::Public, 5, 7, 40),
+            (4, NatClass::Private, 25, 50, 300),
+            (5, NatClass::Public, 25, 50, 2_000),
+            (6, NatClass::Public, 4, u32::MAX, 30),
+        ] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut fast = RatioEstimator::new(class, alpha, gamma);
+            let mut slow = ReferenceEstimator::new(class, alpha, gamma);
+            for step in 0..3_000 {
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let batch = random_batch(&mut rng, gamma, origins);
+                        fast.ingest(&batch, me);
+                        slow.ingest(&batch, me);
+                    }
+                    5..=6 => {
+                        let sender = if rng.gen_bool(0.2) {
+                            NatClass::Public
+                        } else {
+                            NatClass::Private
+                        };
+                        fast.record_request(sender);
+                        slow.record_request(sender);
+                    }
+                    7..=8 => {
+                        fast.advance_round();
+                        slow.advance_round();
+                    }
+                    // An idle stretch that can outlast the whole cache.
+                    _ => {
+                        for _ in 0..rng.gen_range(0..=gamma.min(60) + 3) {
+                            fast.advance_round();
+                            slow.advance_round();
+                        }
+                    }
+                }
+                let at = format!("seed {seed}, step {step}");
+                assert_eq!(
+                    fast.estimate().map(f64::to_bits),
+                    slow.estimate().map(f64::to_bits),
+                    "{at}"
+                );
+                assert_eq!(fast.cached_count(), slow.cached_count(), "{at}");
+                assert_eq!(fast.local_estimate(), slow.local_estimate(), "{at}");
+                assert_eq!(fast.hits_ratio(), slow.hits_ratio(), "{at}");
+                assert_eq!(bits(&fast.contents()), bits(&slow.contents()), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_idle_cache_is_not_walked_until_something_can_expire() {
+        let mut est = RatioEstimator::new(NatClass::Private, 5, 10);
+        est.ingest(
+            &[
+                EstimateRecord::with_age(NodeId::new(1), 0.4, 3),
+                EstimateRecord::with_age(NodeId::new(2), 0.6, 8),
+            ],
+            NodeId::new(0),
+        );
+        assert_eq!(est.next_expiry, 3, "the age-8 record outlives round 2");
+        est.advance_round();
+        est.advance_round();
+        assert_eq!(est.cached_count(), 2);
+        est.advance_round();
+        assert_eq!(bits(&est.contents()), vec![(1, 0.4f64.to_bits(), 6)]);
+        assert_eq!(est.next_expiry, 8);
+        for _ in 0..5 {
+            est.advance_round();
+        }
+        assert_eq!(est.cached_count(), 0);
+        assert_eq!(est.next_expiry, u64::MAX);
+    }
+
+    /// A cache of `n` estimates aged over a few rounds, with a local estimate when public.
+    fn warmed(class: NatClass, n: u64) -> RatioEstimator {
+        let mut est = RatioEstimator::new(class, 5, 50);
+        est.record_request(NatClass::Private);
+        est.advance_round();
+        for i in 1..=n {
+            est.ingest(
+                &[EstimateRecord::with_age(
+                    NodeId::new(i),
+                    0.5,
+                    (i % 7) as u32,
+                )],
+                NodeId::new(0),
+            );
+        }
+        est.advance_round();
+        est
+    }
+
+    #[test]
+    fn share_draws_one_number_per_shared_record() {
+        for (n, count) in [
+            (0, 10),
+            (1, 10),
+            (7, 10),
+            (10, 10),
+            (11, 10),
+            (500, 10),
+            (30, 0),
+        ] {
+            let mut est = warmed(NatClass::Public, n);
+            let mut rng = SmallRng::seed_from_u64(n + 17);
+            let mut twin = rng.clone();
+            let shared = est.share(count, NodeId::new(0), &mut rng);
+            let k = count.min(n as usize);
+            for i in 0..k {
+                twin.gen_range(i..n as usize);
+            }
+            assert_eq!(rng, twin, "{n} cached, {count} asked");
+
+            let (own, cached) = shared.split_last().expect("a croupier's own estimate");
+            assert_eq!((own.origin(), own.age()), (NodeId::new(0), 0));
+            assert_eq!(cached.len(), k);
+            let all = bits(&est.contents());
+            let mut seen = bits(cached);
+            assert!(
+                seen.iter().all(|r| all.contains(r)),
+                "ages and ratios as cached"
+            );
+            seen.sort_unstable();
+            seen.dedup_by_key(|r| r.0);
+            assert_eq!(seen.len(), k, "no origin twice");
+        }
+    }
+
+    #[test]
+    fn share_includes_every_origin_equally_often_in_every_slot() {
+        const N: usize = 40;
+        const K: usize = 10;
+        const DRAWS: usize = 24_000;
+        // Upper 0.1 % point of chi-squared with N − 1 = 39 degrees of freedom.
+        const CHI2_BOUND: f64 = 72.06;
+        let mut est = warmed(NatClass::Private, N as u64);
+        let mut rng = rng();
+        let mut included = [0u32; N];
+        let mut first = [0u32; N];
+        for _ in 0..DRAWS {
+            let shared = est.share(K, NodeId::new(0), &mut rng);
+            assert_eq!(shared.len(), K);
+            for record in shared.iter() {
+                included[record.origin().as_u64() as usize - 1] += 1;
+            }
+            first[shared[0].origin().as_u64() as usize - 1] += 1;
+        }
+        let chi2 = |observed: &[u32], expected: f64| -> f64 {
+            observed
+                .iter()
+                .map(|&o| (o as f64 - expected).powi(2) / expected)
+                .sum()
+        };
+        // A k-subset includes each origin with probability p = k/n. The inclusion counts
+        // covary like multinomial counts whose variances are scaled by (1 − p)·n/(n − 1),
+        // so Pearson's statistic divided by that factor is chi-squared with n − 1 degrees
+        // of freedom.
+        let p = K as f64 / N as f64;
+        let scale = (1.0 - p) * N as f64 / (N - 1) as f64;
+        let inclusion = chi2(&included, DRAWS as f64 * p) / scale;
+        assert!(inclusion < CHI2_BOUND, "inclusion chi-squared {inclusion}");
+        let leading = chi2(&first, DRAWS as f64 / N as f64);
+        assert!(leading < CHI2_BOUND, "first-slot chi-squared {leading}");
     }
 }

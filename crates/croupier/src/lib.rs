@@ -73,6 +73,8 @@
 pub mod config;
 pub mod descriptor;
 pub mod estimator;
+#[cfg(test)]
+mod estimator_reference;
 pub mod messages;
 pub mod nat_identification;
 pub mod protocol;

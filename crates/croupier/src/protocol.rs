@@ -5,7 +5,7 @@
 //! observations go through that one object, and no engine type appears anywhere in this
 //! crate.
 
-use croupier_simulator::{Context, NatClass, NodeId, Protocol, PssNode, RetryPolicy, TimerKey};
+use croupier_simulator::{Context, NatClass, NodeId, Protocol, PssNode, TimerKey};
 use rand::rngs::SmallRng;
 
 use crate::config::{CroupierConfig, MergePolicy, SelectionPolicy};
@@ -364,7 +364,7 @@ impl Protocol for CroupierNode {
         });
 
         ctx.send(target, CroupierMessage::ShuffleRequest(request));
-        let policy = RetryPolicy::for_round_period(ctx.round_period());
+        let policy = ctx.retry_policy();
         ctx.set_timer(policy.backoff(0), TimerKey::new(self.shuffle_seq));
     }
 
@@ -393,7 +393,7 @@ impl Protocol for CroupierNode {
             ),
             _ => return,
         };
-        let policy = RetryPolicy::for_round_period(ctx.round_period());
+        let policy = ctx.retry_policy();
         if policy.exhausted(next_attempt) {
             self.pending = None;
             self.abandoned_exchanges += 1;
@@ -469,7 +469,7 @@ impl PssNode for CroupierNode {
 mod tests {
     use super::*;
     use croupier_nat::NatTopologyBuilder;
-    use croupier_simulator::{Simulation, SimulationConfig, WireSize};
+    use croupier_simulator::{RetryPolicy, Simulation, SimulationConfig, WireSize};
 
     /// Builds a simulation of `n_public` + `n_private` Croupier nodes behind a NAT topology.
     fn build_sim(

@@ -514,6 +514,9 @@ impl<P: Protocol> Simulation<P> {
                     node,
                     now: self.now,
                     round_period: self.cfg.round_period,
+                    // A message is executed at its delivery instant, so a reply can
+                    // follow its request by the two latencies alone.
+                    reply_horizon: SimDuration::ZERO,
                     rng: &mut slot.rng,
                     bootstrap: &self.bootstrap,
                 },

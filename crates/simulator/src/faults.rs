@@ -498,6 +498,18 @@ impl RetryPolicy {
         }
     }
 
+    /// The same schedule on a transport whose replies cannot be executed earlier than
+    /// `horizon` after the request was sent: every timeout is pushed out by the horizon
+    /// (`base` and `cap` both grow by it), the retransmission budget is unchanged. A
+    /// zero horizon returns the schedule as it is.
+    pub(crate) fn after_reply_horizon(self, horizon: SimDuration) -> Self {
+        RetryPolicy {
+            base: self.base + horizon,
+            cap: self.cap + horizon,
+            ..self
+        }
+    }
+
     /// The timeout armed after `attempt` transmissions have already happened
     /// (`attempt = 0` is the initial send): `base * 2^attempt`, capped.
     pub fn backoff(&self, attempt: u32) -> SimDuration {

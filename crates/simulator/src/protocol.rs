@@ -8,6 +8,7 @@
 
 use rand::rngs::SmallRng;
 
+use crate::faults::RetryPolicy;
 use crate::time::{SimDuration, SimTime};
 use crate::transport::Transport;
 use crate::types::{NatClass, NodeId};
@@ -101,6 +102,15 @@ impl<'a, M> Context<'a, M> {
     /// The gossip round period configured on the engine.
     pub fn round_period(&self) -> SimDuration {
         self.transport.round_period()
+    }
+
+    /// The timeout/retry schedule for a request sent now: the shared
+    /// [`RetryPolicy::for_round_period`] schedule, shifted past the transport's
+    /// [reply horizon](Transport::reply_horizon) so no retransmission is armed before
+    /// a reply can exist.
+    pub fn retry_policy(&self) -> RetryPolicy {
+        RetryPolicy::for_round_period(self.transport.round_period())
+            .after_reply_horizon(self.transport.reply_horizon())
     }
 
     /// The node's private random number generator.
@@ -240,6 +250,7 @@ mod tests {
             node: NodeId::new(1),
             now: SimTime::from_millis(10),
             round_period: SimDuration::from_secs(1),
+            reply_horizon: SimDuration::ZERO,
             rng: &mut rng,
             bootstrap: &bootstrap,
         });
@@ -265,6 +276,36 @@ mod tests {
     }
 
     #[test]
+    fn retry_policy_follows_the_transports_reply_horizon() {
+        let bootstrap = BootstrapRegistry::new();
+        let period = SimDuration::from_secs(1);
+        let policy_at = |reply_horizon| {
+            let mut rng = SmallRng::seed_from_u64(5);
+            let mut transport: SimTransport<'_, TestMsg> = SimTransport::new(ContextParams {
+                node: NodeId::new(1),
+                now: SimTime::ZERO,
+                round_period: period,
+                reply_horizon,
+                rng: &mut rng,
+                bootstrap: &bootstrap,
+            });
+            Context::new(&mut transport).retry_policy()
+        };
+        assert_eq!(
+            policy_at(SimDuration::ZERO),
+            RetryPolicy::for_round_period(period)
+        );
+        let sharded = policy_at(period.saturating_mul(2));
+        assert_eq!(sharded.backoff(0), SimDuration::from_millis(2_500));
+        assert_eq!(
+            sharded.backoff(1),
+            SimDuration::from_millis(4_000),
+            "capped at 2·period + horizon"
+        );
+        assert!(sharded.exhausted(3) && !sharded.exhausted(2));
+    }
+
+    #[test]
     fn bootstrap_sample_excludes_self() {
         let mut bootstrap = BootstrapRegistry::new();
         bootstrap.register(NodeId::new(1));
@@ -274,6 +315,7 @@ mod tests {
             node: NodeId::new(1),
             now: SimTime::ZERO,
             round_period: SimDuration::from_secs(1),
+            reply_horizon: SimDuration::ZERO,
             rng: &mut rng,
             bootstrap: &bootstrap,
         });

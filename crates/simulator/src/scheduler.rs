@@ -51,6 +51,22 @@ pub mod reference;
 const WHEEL_SLOTS: u64 = 8_000;
 /// Words of the occupancy bitmap (64 slots per word; exact because `64 | WHEEL_SLOTS`).
 const WHEEL_WORDS: usize = (WHEEL_SLOTS / 64) as usize;
+/// Capacity a near-wheel bucket gets on its first push while the queue is dense (more
+/// than [`DENSE_QUEUE_LEN`] events in flight); in a sparse queue it starts at std's four.
+///
+/// A bucket's load is the number of events one shard schedules for one millisecond, about
+/// Poisson with mean `in-flight events / the 1-2.5 s they are spread over`. A lossless
+/// sharded Croupier run keeps one `Round` and one (stale) retry `Timer` per node in flight
+/// off the barrier tick: mean 2 at 1 000 nodes, which overflows four slots on 5 % of bucket
+/// visits but eight on 0.02 %. Starting at four, 130 buckets per ten rounds were still
+/// doubling 4 -> 8 after 200 rounds (`tests/alloc_counter.rs` pins that tail); starting at
+/// eight skips the doubling.
+const DENSE_BUCKET_CAPACITY: usize = 8;
+/// Below this many events in flight the mean bucket load is under 0.5, where four slots
+/// overflow as rarely as eight do at mean 2, and a run that small (a 25-node matrix cell
+/// builds 24 queues and touches most buckets of each once) pays for every byte of the
+/// first allocation in page faults: eight slots everywhere cost it a third more time.
+const DENSE_QUEUE_LEN: usize = 500;
 
 /// A priority queue of [`ScheduledEvent`]s ordered by execution time, with deterministic
 /// FIFO tie-breaking for events scheduled at the same instant.
@@ -178,7 +194,11 @@ impl<M> EventQueue<M> {
         // `tick >= cursor`, so the subtraction is exact.
         if tick - self.cursor < WHEEL_SLOTS {
             let idx = (tick % WHEEL_SLOTS) as usize;
-            self.slots[idx].push_back(scheduled);
+            let bucket = &mut self.slots[idx];
+            if bucket.capacity() == 0 && self.len > DENSE_QUEUE_LEN {
+                bucket.reserve_exact(DENSE_BUCKET_CAPACITY);
+            }
+            bucket.push_back(scheduled);
             self.set_bit(idx);
         } else {
             self.far.entry(tick).or_default().push(scheduled);

@@ -43,7 +43,10 @@
 //! The quantisation is observable: a message is never executed in the phase it was sent in
 //! (its delivery is clamped to the next round barrier if its sampled latency lands
 //! earlier), and the delivery filter is consulted at the barrier rather than at the exact
-//! delivery instant. Runs are therefore deterministic and *statistically* equivalent to the
+//! delivery instant. A reply therefore trails its request by up to two round periods, which
+//! the engine reports to protocols as its
+//! [reply horizon](crate::Transport::reply_horizon) so their retry timers wait that much
+//! longer. Runs are therefore deterministic and *statistically* equivalent to the
 //! event engine, but not bit-identical to it — `tests/determinism.rs` pins down exactly the
 //! guarantee that holds: sharded runs are bit-identical to each other across worker counts.
 
@@ -175,6 +178,9 @@ impl<P: Protocol> Shard<P> {
                     node: state.id,
                     now: at,
                     round_period: env.cfg.round_period,
+                    // A request executes no earlier than the next barrier and its reply
+                    // no earlier than the barrier after that.
+                    reply_horizon: env.cfg.round_period.saturating_mul(2),
                     rng: &mut state.rng,
                     bootstrap: env.bootstrap,
                 },

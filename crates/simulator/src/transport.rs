@@ -58,6 +58,16 @@ pub trait Transport<M> {
 
     /// Messages queued so far (used by tests driving a protocol without an engine).
     fn outbox(&self) -> &[Outgoing<M>];
+
+    /// How long this transport itself can keep the reply to a message sent now from
+    /// being executed, on top of the network latencies. Zero (the default) wherever a
+    /// message is executed the instant it arrives; an engine that executes messages only
+    /// at fixed barriers reports the two barriers a request and its reply wait for, so
+    /// that retry timers cannot fire before a reply can exist (see
+    /// [`Context::retry_policy`](crate::Context::retry_policy)).
+    fn reply_horizon(&self) -> SimDuration {
+        SimDuration::ZERO
+    }
 }
 
 /// The inputs a [`SimTransport`] needs for one callback invocation.
@@ -72,6 +82,9 @@ pub struct ContextParams<'a> {
     pub now: SimTime,
     /// The gossip round period configured on the engine.
     pub round_period: SimDuration,
+    /// The engine's reply horizon (see [`Transport::reply_horizon`]): zero on the event
+    /// engine, two round periods on the sharded engine.
+    pub reply_horizon: SimDuration,
     /// The node's private random stream.
     pub rng: &'a mut SmallRng,
     /// The shared bootstrap service.
@@ -88,6 +101,7 @@ pub struct SimTransport<'a, M> {
     node: NodeId,
     now: SimTime,
     round_period: SimDuration,
+    reply_horizon: SimDuration,
     rng: &'a mut SmallRng,
     bootstrap: &'a BootstrapRegistry,
     outbox: Vec<Outgoing<M>>,
@@ -115,6 +129,7 @@ impl<'a, M> SimTransport<'a, M> {
             node: params.node,
             now: params.now,
             round_period: params.round_period,
+            reply_horizon: params.reply_horizon,
             rng: params.rng,
             bootstrap: params.bootstrap,
             outbox,
@@ -160,6 +175,10 @@ impl<M> Transport<M> for SimTransport<'_, M> {
     fn outbox(&self) -> &[Outgoing<M>] {
         &self.outbox
     }
+
+    fn reply_horizon(&self) -> SimDuration {
+        self.reply_horizon
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +205,7 @@ mod tests {
             node: NodeId::new(4),
             now: SimTime::from_millis(25),
             round_period: SimDuration::from_secs(2),
+            reply_horizon: SimDuration::ZERO,
             rng: &mut rng,
             bootstrap: &bootstrap,
         });
@@ -216,6 +236,7 @@ mod tests {
                 node: NodeId::new(1),
                 now: SimTime::ZERO,
                 round_period: SimDuration::from_secs(1),
+                reply_horizon: SimDuration::ZERO,
                 rng: &mut rng,
                 bootstrap: &bootstrap,
             },
@@ -238,6 +259,7 @@ mod tests {
             node: NodeId::new(1),
             now: SimTime::from_millis(5),
             round_period: SimDuration::from_secs(1),
+            reply_horizon: SimDuration::ZERO,
             rng: &mut rng,
             bootstrap: &bootstrap,
         });

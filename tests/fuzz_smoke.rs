@@ -77,6 +77,7 @@ fn harvest<P: Protocol>(mut node: P, seed: u64) -> Vec<P::Message> {
         node: NodeId::new(0),
         now: SimTime::ZERO,
         round_period: SimDuration::from_secs(1),
+        reply_horizon: SimDuration::ZERO,
         rng: &mut rng,
         bootstrap: &bootstrap,
     });
