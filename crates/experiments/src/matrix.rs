@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use croupier_metrics::{indegree_gini, indegree_histogram, indegree_stats, IndegreeStats};
 
-use crate::output::{json_number, json_string, Scale};
+use crate::output::{Json, Scale};
 use crate::protocols::{run_kind, ProtocolConfigs, ProtocolKind};
 use crate::runner::{ExperimentParams, RoundSample};
 use crate::scenario::ScenarioScript;
@@ -181,125 +181,59 @@ impl ScenarioReport {
     /// [`FigureData::to_json`](crate::output::FigureData::to_json), because the offline
     /// build has no `serde_json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"rounds\": {},", self.rounds);
-        let _ = writeln!(out, "  \"initial_nodes\": {},", self.initial_nodes);
-        let _ = writeln!(
-            out,
-            "  \"disruption_round\": {},",
-            match self.disruption_round {
-                Some(round) => round.to_string(),
-                None => String::from("null"),
-            }
-        );
-        let _ = writeln!(
-            out,
-            "  \"recovery_threshold\": {},",
-            json_number(self.recovery_threshold)
-        );
-        let _ = writeln!(out, "  \"fault_tier\": {},", self.fault_tier);
-        let _ = writeln!(out, "  \"all_recovered\": {},", self.all_recovered());
-        let _ = writeln!(out, "  \"croupier_gini_ok\": {},", self.croupier_gini_ok());
-        if self.cells.is_empty() {
-            out.push_str("  \"cells\": []\n");
-        } else {
-            out.push_str("  \"cells\": [\n");
-            for (i, cell) in self.cells.iter().enumerate() {
-                out.push_str("    {\n");
-                let _ = writeln!(out, "      \"protocol\": {},", json_string(&cell.protocol));
-                let _ = writeln!(out, "      \"recovered\": {},", cell.recovered);
-                let _ = writeln!(
-                    out,
-                    "      \"final_largest_component\": {},",
-                    json_number(cell.final_largest_component)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"min_largest_component\": {},",
-                    json_number(cell.min_largest_component)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"partition_round\": {},",
-                    match cell.partition_round {
-                        Some(round) => round.to_string(),
-                        None => String::from("null"),
-                    }
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"recovery_round\": {},",
-                    match cell.recovery_round {
-                        Some(round) => round.to_string(),
-                        None => String::from("null"),
-                    }
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"final_estimation_error\": {},",
-                    json_number(cell.final_estimation_error)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"indegree\": {{\"min\": {}, \"max\": {}, \"mean\": {}, \"std_dev\": {}}},",
-                    cell.indegree.min,
-                    cell.indegree.max,
-                    json_number(cell.indegree.mean),
-                    json_number(cell.indegree.std_dev)
-                );
-                out.push_str("      \"indegree_histogram\": [");
-                for (j, (degree, count)) in cell.indegree_histogram.iter().enumerate() {
-                    let comma = if j + 1 < cell.indegree_histogram.len() {
-                        ", "
-                    } else {
-                        ""
-                    };
-                    let _ = write!(out, "[{degree}, {count}]{comma}");
-                }
-                out.push_str("],\n");
-                let _ = writeln!(
-                    out,
-                    "      \"blocked_messages\": {},",
-                    cell.blocked_messages
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"stale_binding_failures\": {},",
-                    cell.stale_binding_failures
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"final_indegree_gini\": {},",
-                    json_number(cell.final_indegree_gini)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"clean_indegree_gini\": {},",
-                    json_number(cell.clean_indegree_gini)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"gini_degradation\": {},",
-                    json_number(cell.gini_degradation())
-                );
-                let _ = writeln!(out, "      \"fault_injected\": {},", cell.fault_injected);
-                let _ = writeln!(out, "      \"fault_drops\": {},", cell.fault_drops);
-                let _ = writeln!(out, "      \"retries_fired\": {},", cell.retries_fired);
-                let _ = writeln!(
-                    out,
-                    "      \"exchanges_abandoned\": {},",
-                    cell.exchanges_abandoned
-                );
-                let _ = writeln!(out, "      \"node_count\": {}", cell.node_count);
-                let comma = if i + 1 < self.cells.len() { "," } else { "" };
-                let _ = writeln!(out, "    }}{comma}");
-            }
-            out.push_str("  ]\n");
-        }
-        out.push('}');
-        out
+        let cells = self.cells.iter().map(|cell| {
+            let histogram = cell.indegree_histogram.iter();
+            Json::Object(vec![
+                ("protocol", cell.protocol.as_str().into()),
+                ("recovered", cell.recovered.into()),
+                (
+                    "final_largest_component",
+                    cell.final_largest_component.into(),
+                ),
+                ("min_largest_component", cell.min_largest_component.into()),
+                ("partition_round", cell.partition_round.into()),
+                ("recovery_round", cell.recovery_round.into()),
+                ("final_estimation_error", cell.final_estimation_error.into()),
+                (
+                    "indegree",
+                    Json::inline_object(vec![
+                        ("min", cell.indegree.min.into()),
+                        ("max", cell.indegree.max.into()),
+                        ("mean", cell.indegree.mean.into()),
+                        ("std_dev", cell.indegree.std_dev.into()),
+                    ]),
+                ),
+                (
+                    "indegree_histogram",
+                    Json::inline_array(
+                        histogram.map(|&(degree, count)| Json::array([degree, count])),
+                    ),
+                ),
+                ("blocked_messages", cell.blocked_messages.into()),
+                ("stale_binding_failures", cell.stale_binding_failures.into()),
+                ("final_indegree_gini", cell.final_indegree_gini.into()),
+                ("clean_indegree_gini", cell.clean_indegree_gini.into()),
+                ("gini_degradation", cell.gini_degradation().into()),
+                ("fault_injected", cell.fault_injected.into()),
+                ("fault_drops", cell.fault_drops.into()),
+                ("retries_fired", cell.retries_fired.into()),
+                ("exchanges_abandoned", cell.exchanges_abandoned.into()),
+                ("node_count", cell.node_count.into()),
+            ])
+        });
+        Json::Object(vec![
+            ("scenario", self.scenario.as_str().into()),
+            ("seed", self.seed.into()),
+            ("rounds", self.rounds.into()),
+            ("initial_nodes", self.initial_nodes.into()),
+            ("disruption_round", self.disruption_round.into()),
+            ("recovery_threshold", self.recovery_threshold.into()),
+            ("fault_tier", self.fault_tier.into()),
+            ("all_recovered", self.all_recovered().into()),
+            ("croupier_gini_ok", self.croupier_gini_ok().into()),
+            ("cells", Json::array(cells)),
+        ])
+        .render()
     }
 
     /// Renders a one-line-per-cell summary table for the terminal.
@@ -594,117 +528,66 @@ impl WorkloadScenarioReport {
     /// Serialises the report as pretty-printed JSON (hand-emitted, like
     /// [`ScenarioReport::to_json`], because the offline build has no `serde_json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"rounds\": {},", self.rounds);
-        let _ = writeln!(out, "  \"initial_nodes\": {},", self.initial_nodes);
-        let _ = writeln!(out, "  \"workload\": {{");
-        let _ = writeln!(out, "    \"publishers\": {},", self.spec.publishers);
-        let _ = writeln!(
-            out,
-            "    \"chunks_per_round\": {},",
-            json_number(self.spec.chunks_per_round)
-        );
-        let _ = writeln!(out, "    \"start_round\": {},", self.spec.start_round);
-        let _ = writeln!(out, "    \"publish_rounds\": {},", self.spec.publish_rounds);
-        let _ = writeln!(out, "    \"fanout\": {},", self.spec.fanout);
-        let _ = writeln!(
-            out,
-            "    \"coverage_rounds\": {},",
-            self.spec.coverage_rounds
-        );
-        let _ = writeln!(out, "    \"chunk_bytes\": {},", self.spec.chunk_bytes);
-        let _ = writeln!(
-            out,
-            "    \"slo\": {{\"min_coverage\": {}, \"max_p95_latency_rounds\": {}, \"max_p95_regression_rounds\": {}}}",
-            json_number(self.spec.slo.min_coverage),
-            json_number(self.spec.slo.max_p95_latency_rounds),
-            json_number(self.spec.slo.max_p95_regression_rounds)
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"croupier_slo_ok\": {},", self.croupier_slo_ok());
-        if self.cells.is_empty() {
-            out.push_str("  \"cells\": []\n");
-        } else {
-            out.push_str("  \"cells\": [\n");
-            for (i, cell) in self.cells.iter().enumerate() {
-                out.push_str("    {\n");
-                let _ = writeln!(out, "      \"protocol\": {},", json_string(&cell.protocol));
-                let _ = writeln!(
-                    out,
-                    "      \"slo_pass\": {},",
-                    cell.meets_slo(&self.spec.slo)
-                );
-                for (label, report) in [("report", &cell.report), ("control", &cell.control)] {
-                    let _ = writeln!(out, "      \"{label}\": {{");
-                    let _ = writeln!(
-                        out,
-                        "        \"chunks_published\": {},",
-                        report.chunks_published
-                    );
-                    let _ = writeln!(out, "        \"chunks_sealed\": {},", report.chunks_sealed);
-                    let _ = writeln!(
-                        out,
-                        "        \"coverage\": {},",
-                        json_number(report.coverage)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"min_chunk_coverage\": {},",
-                        json_number(report.min_chunk_coverage)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"latency_p50\": {},",
-                        json_number(report.latency_p50)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"latency_p95\": {},",
-                        json_number(report.latency_p95)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"latency_p99\": {},",
-                        json_number(report.latency_p99)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"duplicate_factor\": {},",
-                        json_number(report.duplicate_factor)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"unique_deliveries\": {},",
-                        report.unique_deliveries
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"total_deliveries\": {},",
-                        report.total_deliveries
-                    );
-                    let _ = writeln!(out, "        \"nat_blocked\": {},", report.nat_blocked);
-                    let _ = writeln!(out, "        \"fault_dropped\": {},", report.fault_dropped);
-                    let _ = writeln!(
-                        out,
-                        "        \"public_serve_share\": {}",
-                        json_number(report.public_serve_share)
-                    );
-                    let _ = writeln!(out, "      }},");
-                }
-                let _ = writeln!(
-                    out,
-                    "      \"p95_regression\": {}",
-                    json_number(cell.p95_regression())
-                );
-                let comma = if i + 1 < self.cells.len() { "," } else { "" };
-                let _ = writeln!(out, "    }}{comma}");
-            }
-            out.push_str("  ]\n");
-        }
-        out.push('}');
-        out
+        let spec = &self.spec;
+        let delivery = |report: &WorkloadReport| {
+            Json::Object(vec![
+                ("chunks_published", report.chunks_published.into()),
+                ("chunks_sealed", report.chunks_sealed.into()),
+                ("coverage", report.coverage.into()),
+                ("min_chunk_coverage", report.min_chunk_coverage.into()),
+                ("latency_p50", report.latency_p50.into()),
+                ("latency_p95", report.latency_p95.into()),
+                ("latency_p99", report.latency_p99.into()),
+                ("duplicate_factor", report.duplicate_factor.into()),
+                ("unique_deliveries", report.unique_deliveries.into()),
+                ("total_deliveries", report.total_deliveries.into()),
+                ("nat_blocked", report.nat_blocked.into()),
+                ("fault_dropped", report.fault_dropped.into()),
+                ("public_serve_share", report.public_serve_share.into()),
+            ])
+        };
+        let cells = self.cells.iter().map(|cell| {
+            Json::Object(vec![
+                ("protocol", cell.protocol.as_str().into()),
+                ("slo_pass", cell.meets_slo(&spec.slo).into()),
+                ("report", delivery(&cell.report)),
+                ("control", delivery(&cell.control)),
+                ("p95_regression", cell.p95_regression().into()),
+            ])
+        });
+        let slo = Json::inline_object(vec![
+            ("min_coverage", spec.slo.min_coverage.into()),
+            (
+                "max_p95_latency_rounds",
+                spec.slo.max_p95_latency_rounds.into(),
+            ),
+            (
+                "max_p95_regression_rounds",
+                spec.slo.max_p95_regression_rounds.into(),
+            ),
+        ]);
+        Json::Object(vec![
+            ("scenario", self.scenario.as_str().into()),
+            ("seed", self.seed.into()),
+            ("rounds", self.rounds.into()),
+            ("initial_nodes", self.initial_nodes.into()),
+            (
+                "workload",
+                Json::Object(vec![
+                    ("publishers", spec.publishers.into()),
+                    ("chunks_per_round", spec.chunks_per_round.into()),
+                    ("start_round", spec.start_round.into()),
+                    ("publish_rounds", spec.publish_rounds.into()),
+                    ("fanout", spec.fanout.into()),
+                    ("coverage_rounds", spec.coverage_rounds.into()),
+                    ("chunk_bytes", spec.chunk_bytes.into()),
+                    ("slo", slo),
+                ]),
+            ),
+            ("croupier_slo_ok", self.croupier_slo_ok().into()),
+            ("cells", Json::array(cells)),
+        ])
+        .render()
     }
 
     /// Renders a one-line-per-cell summary table for the terminal.

@@ -249,45 +249,134 @@ impl FigureData {
     /// and values match; only whitespace differs), so downstream plotting scripts are
     /// unaffected.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"id\": {},", json_string(&self.id));
-        let _ = writeln!(out, "  \"title\": {},", json_string(&self.title));
-        let _ = writeln!(out, "  \"x_label\": {},", json_string(&self.x_label));
-        let _ = writeln!(out, "  \"y_label\": {},", json_string(&self.y_label));
-        if self.series.is_empty() {
-            out.push_str("  \"series\": []\n");
-        } else {
-            out.push_str("  \"series\": [\n");
-            for (i, series) in self.series.iter().enumerate() {
-                out.push_str("    {\n");
-                let _ = writeln!(out, "      \"label\": {},", json_string(&series.label));
-                if series.points.is_empty() {
-                    out.push_str("      \"points\": []\n");
-                } else {
-                    out.push_str("      \"points\": [\n");
-                    for (j, (x, y)) in series.points.iter().enumerate() {
-                        let comma = if j + 1 < series.points.len() { "," } else { "" };
-                        let _ = writeln!(
-                            out,
-                            "        [{}, {}]{comma}",
-                            json_number(*x),
-                            json_number(*y)
-                        );
-                    }
-                    out.push_str("      ]\n");
-                }
-                let comma = if i + 1 < self.series.len() { "," } else { "" };
-                let _ = writeln!(out, "    }}{comma}");
-            }
-            out.push_str("  ]\n");
-        }
-        out.push('}');
+        let series = self.series.iter().map(|series| {
+            let points = series.points.iter();
+            Json::Object(vec![
+                ("label", series.label.as_str().into()),
+                (
+                    "points",
+                    Json::array(points.map(|&(x, y)| Json::inline_array([x, y]))),
+                ),
+            ])
+        });
+        Json::Object(vec![
+            ("id", self.id.as_str().into()),
+            ("title", self.title.as_str().into()),
+            ("x_label", self.x_label.as_str().into()),
+            ("y_label", self.y_label.as_str().into()),
+            ("series", Json::array(series)),
+        ])
+        .render()
+    }
+}
+
+/// A JSON document under construction: the one writer behind every `to_json` of this
+/// crate. Objects and arrays print one member per line at two more spaces of indent
+/// (`[]` when empty) unless wrapped in [`Json::Inline`].
+pub(crate) enum Json {
+    /// A scalar, already in JSON syntax.
+    Scalar(String),
+    /// An object, fields in the given order.
+    Object(Vec<(&'static str, Json)>),
+    /// An array.
+    Array(Vec<Json>),
+    /// The wrapped value with all of its members on one line, `", "`-separated.
+    Inline(Box<Json>),
+}
+
+impl Json {
+    pub(crate) fn array<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Array(items.into_iter().map(Into::into).collect())
+    }
+
+    pub(crate) fn inline_array<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Inline(Box::new(Json::array(items)))
+    }
+
+    pub(crate) fn inline_object(fields: Vec<(&'static str, Json)>) -> Json {
+        Json::Inline(Box::new(Json::Object(fields)))
+    }
+
+    /// The document as text, without a trailing newline.
+    pub(crate) fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0, false);
         out
+    }
+
+    fn write(&self, out: &mut String, indent: usize, inline: bool) {
+        type Members<'a> = Vec<(Option<&'a str>, &'a Json)>;
+        let (brackets, members): ([char; 2], Members<'_>) = match self {
+            Json::Scalar(text) => return out.push_str(text),
+            Json::Inline(value) => return value.write(out, indent, true),
+            Json::Object(fields) => (
+                ['{', '}'],
+                fields.iter().map(|(key, v)| (Some(*key), v)).collect(),
+            ),
+            Json::Array(items) => (['[', ']'], items.iter().map(|v| (None, v)).collect()),
+        };
+        let newline = |out: &mut String, indent: usize| {
+            if !inline {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', indent));
+            }
+        };
+        out.push(brackets[0]);
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push_str(if inline { ", " } else { "," });
+            }
+            newline(out, indent + 2);
+            if let Some(key) = key {
+                let _ = write!(out, "\"{key}\": ");
+            }
+            value.write(out, indent + 2, inline);
+        }
+        if !members.is_empty() {
+            newline(out, indent);
+        }
+        out.push(brackets[1]);
+    }
+}
+
+impl From<&str> for Json {
+    fn from(text: &str) -> Json {
+        Json::Scalar(json_string(text))
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Scalar(json_number(v))
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Scalar(v.to_string())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Scalar(v.to_string())
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Scalar(v.to_string())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or_else(|| Json::Scalar(String::from("null")), Into::into)
     }
 }
 
 /// Quotes and escapes `text` as a JSON string literal.
-pub(crate) fn json_string(text: &str) -> String {
+fn json_string(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     out.push('"');
     for c in text.chars() {
@@ -308,7 +397,7 @@ pub(crate) fn json_string(text: &str) -> String {
 }
 
 /// Formats a float as a JSON number (JSON has no NaN/Infinity; they become null).
-pub(crate) fn json_number(v: f64) -> String {
+fn json_number(v: f64) -> String {
     if v.is_finite() {
         // Keep integral values readable (`5.0` not `5`): serde_json prints `5.0` for
         // f64 too, and plotting scripts treat both the same.
@@ -419,6 +508,36 @@ mod tests {
             let closes = json.matches(close).count();
             assert_eq!(opens, closes, "unbalanced {open}{close} in {json}");
         }
+    }
+
+    #[test]
+    fn json_writer_lays_out_nested_inline_and_empty_members() {
+        let doc = Json::Object(vec![
+            ("name", "a\"b".into()),
+            ("round", None::<u64>.into()),
+            ("ok", true.into()),
+            ("empty", Json::array(Vec::<u64>::new())),
+            ("pairs", Json::array([Json::inline_array([1.0, f64::NAN])])),
+            (
+                "stats",
+                Json::inline_object(vec![("min", 1usize.into()), ("mean", 2.5.into())]),
+            ),
+            ("nested", Json::Object(vec![("k", Some(7u64).into())])),
+        ]);
+        let expected = r#"{
+  "name": "a\"b",
+  "round": null,
+  "ok": true,
+  "empty": [],
+  "pairs": [
+    [1.0, null]
+  ],
+  "stats": {"min": 1, "mean": 2.5},
+  "nested": {
+    "k": 7
+  }
+}"#;
+        assert_eq!(doc.render(), expected);
     }
 
     #[test]

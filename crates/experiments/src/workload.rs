@@ -397,9 +397,14 @@ impl WorkloadExecutor {
     }
 
     /// Judges one transfer attempt in request direction `from → to`: NAT filter first,
-    /// then the fault plane (mirroring the engines' delivery choke point). Returns `true`
-    /// when the chunk gets through; a block or drop is charged to the requester. The
-    /// caller records the successful bytes against whichever side actually serves them.
+    /// then the fault plane. Returns `true` when the chunk gets through; a block or drop
+    /// is charged to the requester. The caller records the successful bytes against
+    /// whichever side actually serves them.
+    ///
+    /// Deliberately not the engines' delivery plane (`croupier-simulator`'s
+    /// `delivery.rs`): a transfer asks whether a request *could* reach `to`, so nothing
+    /// is sent (no `on_send`, no loss model), the NAT verdict precedes the plane and the
+    /// plane can only drop. Sharing the engines' code would make it branch on its caller.
     fn admit(
         &mut self,
         state: &mut WorkloadState,

@@ -5,15 +5,17 @@ use rand::Rng;
 
 use crate::arena::NodeArena;
 use crate::bootstrap::BootstrapRegistry;
+use crate::delivery::Delivery;
 use crate::engine_api::{HookOps, RoundHook};
 use crate::event::Event;
 use crate::faults::{FaultPlane, FaultReport};
 use crate::latency::{KingLatencyModel, LatencyModel};
 use crate::loss::{LossModel, NoLoss};
-use crate::network::{DeliveryFilter, DeliveryVerdict, OpenInternet};
+use crate::network::DeliveryFilter;
 use crate::protocol::{Context, Outgoing, Protocol, PssNode, TimerRequest, WireSize};
 use crate::rng::{Seed, Stream};
 use crate::scheduler::EventQueue;
+use crate::sharded::next_round_delay;
 use crate::time::{SimDuration, SimTime};
 use crate::traffic::TrafficLedger;
 use crate::transport::{ContextParams, SimTransport};
@@ -156,23 +158,22 @@ pub struct Simulation<P: Protocol> {
     nodes: NodeArena<NodeSlot<P>>,
     latency: Box<dyn LatencyModel>,
     loss: Box<dyn LossModel>,
-    filter: Box<dyn DeliveryFilter>,
+    /// Filter, fault plane, loss/NAT statistics and the traffic ledger (both sides: this
+    /// engine has one thread, so receivers are charged to the same ledger).
+    delivery: Delivery,
     bootstrap: BootstrapRegistry,
-    traffic: TrafficLedger,
     latency_rng: SmallRng,
     loss_rng: SmallRng,
     sched_rng: SmallRng,
+    /// The executor's half of the statistics: `delivered`, and `destination_gone` for
+    /// destinations that died while the message was in flight.
     stats: NetworkStats,
     /// Recycled effect buffers threaded through every protocol callback (see
     /// [`Context::with_buffers`]); their capacity persists across events, so the
     /// per-event effect collection allocates nothing in steady state.
     outbox_buf: Vec<Outgoing<P::Message>>,
     timers_buf: Vec<TimerRequest>,
-    /// Fault-injection plane, if installed; judged per outgoing message in event order
-    /// (which is already canonical for this engine).
-    faults: Option<FaultPlane>,
-    /// Round-barrier hook, if installed; `None` keeps [`run_until`](Self::run_until) on
-    /// the original barrier-free hot loop.
+    /// Round-barrier hook, if installed.
     hook: Option<Box<dyn RoundHook>>,
     /// The protocol's peer-sampling rule, captured (monomorphised where `P: PssNode`
     /// holds) by [`set_sampled_round_hook`](Self::set_sampled_round_hook) so the
@@ -193,16 +194,14 @@ impl<P: Protocol> Simulation<P> {
             nodes: NodeArena::new(),
             latency: Box::new(KingLatencyModel::new()),
             loss: Box::new(NoLoss),
-            filter: Box::new(OpenInternet),
+            delivery: Delivery::new(),
             bootstrap: BootstrapRegistry::new(),
-            traffic: TrafficLedger::new(),
             latency_rng: cfg.seed.stream_rng(Stream::Latency),
             loss_rng: cfg.seed.stream_rng(Stream::Loss),
             sched_rng: cfg.seed.stream_rng(Stream::Scheduling),
             stats: NetworkStats::default(),
             outbox_buf: Vec::new(),
             timers_buf: Vec::new(),
-            faults: None,
             hook: None,
             hook_sampler: None,
             barriers_fired: 0,
@@ -221,24 +220,21 @@ impl<P: Protocol> Simulation<P> {
 
     /// Replaces the delivery filter (NAT/firewall emulation).
     pub fn set_delivery_filter(&mut self, filter: impl DeliveryFilter + 'static) {
-        self.filter = Box::new(filter);
+        self.delivery.set_filter(filter);
     }
 
     /// Installs a [`FaultPlane`] on the delivery path. The engine judges every outgoing
     /// message against the plane (after the loss model) in event order; an inactive plane
-    /// costs one atomic load per effect batch.
+    /// costs one atomic load per message.
     pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.faults = Some(plane);
+        self.delivery.set_fault_plane(plane);
     }
 
     /// The fault plane's injection counters ([`FaultReport::default`] when no plane is
     /// installed). The protocol-side recovery counters stay zero here; the experiment
     /// driver fills them from the nodes.
     pub fn fault_report(&self) -> FaultReport {
-        self.faults
-            .as_ref()
-            .map(FaultPlane::report)
-            .unwrap_or_default()
+        self.delivery.fault_report()
     }
 
     /// Installs a [`RoundHook`] invoked at every future round barrier (the instants
@@ -262,7 +258,9 @@ impl<P: Protocol> Simulation<P> {
 
     /// Message delivery statistics.
     pub fn network_stats(&self) -> NetworkStats {
-        self.stats
+        let mut stats = self.delivery.stats();
+        stats.merge(self.stats);
+        stats
     }
 
     /// The bootstrap registry.
@@ -278,19 +276,19 @@ impl<P: Protocol> Simulation<P> {
 
     /// The traffic ledger (bytes and messages per node).
     pub fn traffic(&self) -> &TrafficLedger {
-        &self.traffic
+        &self.delivery.ledger
     }
 
     /// Mutable access to the traffic ledger, e.g. to reset the measurement window once the
     /// overlay reaches steady state.
     pub fn traffic_mut(&mut self) -> &mut TrafficLedger {
-        &mut self.traffic
+        &mut self.delivery.ledger
     }
 
     /// Merges the traffic ledger into `out` (cleared first, map capacity retained).
     pub fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        out.reset_window(self.traffic.window_start());
-        out.merge_from(&self.traffic);
+        out.reset_window(self.traffic().window_start());
+        out.merge_from(self.traffic());
     }
 
     /// Number of live nodes.
@@ -353,7 +351,7 @@ impl<P: Protocol> Simulation<P> {
             joined_at: self.now,
         };
         self.nodes.insert(slot_index(id), slot);
-        self.filter.on_node_added(id);
+        self.delivery.node_added(id);
         self.execute(id, |proto, ctx| proto.on_start(ctx));
         let phase = if self.cfg.random_phase {
             let period_ms = self.cfg.round_period.as_millis().max(1);
@@ -372,41 +370,27 @@ impl<P: Protocol> Simulation<P> {
     pub fn remove_node(&mut self, id: NodeId) -> Option<P> {
         let slot = self.nodes.remove(slot_index(id))?;
         self.bootstrap.unregister(id);
-        self.filter.on_node_removed(id);
+        self.delivery.node_removed(id);
         Some(slot.proto)
     }
 
     /// Runs the simulation until the virtual clock reaches `deadline`.
+    ///
+    /// With a [`RoundHook`] installed the event loop is split at every barrier instant
+    /// `n * round_period <= deadline`: the hook fires *before* any event scheduled at or
+    /// after the barrier instant dispatches — the same observation point as the sharded
+    /// engine's phase barrier, where events at exactly the window edge belong to the next
+    /// phase. Without a hook no barrier is ever due.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.hook.is_some() {
-            self.run_until_with_barriers(deadline);
-            return;
-        }
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let scheduled = self.queue.pop().expect("peeked event must exist");
-            self.now = scheduled.at;
-            self.dispatch(scheduled.event);
-        }
-        if deadline > self.now {
-            self.now = deadline;
-        }
-    }
-
-    /// [`run_until`](Self::run_until) with an installed [`RoundHook`]: the event loop is
-    /// split at every barrier instant `n * round_period <= deadline`. The hook fires
-    /// *before* any event scheduled at or after the barrier instant dispatches — the same
-    /// observation point as the sharded engine's phase barrier, where events at exactly
-    /// the window edge belong to the next phase.
-    fn run_until_with_barriers(&mut self, deadline: SimTime) {
         let period = self.cfg.round_period.as_millis().max(1);
         loop {
+            let next_event = self.queue.peek_time();
             let barrier =
                 SimTime::from_millis(self.barriers_fired.saturating_add(1).saturating_mul(period));
-            let next_event = self.queue.peek_time();
-            if barrier <= deadline && next_event.is_none_or(|at| barrier <= at) {
+            if self.hook.is_some()
+                && barrier <= deadline
+                && next_event.is_none_or(|at| barrier <= at)
+            {
                 if barrier > self.now {
                     self.now = barrier;
                 }
@@ -449,7 +433,7 @@ impl<P: Protocol> Simulation<P> {
             Event::Round { node } => {
                 if self.nodes.contains(slot_index(node)) {
                     self.execute(node, |proto, ctx| proto.on_round(ctx));
-                    let next = self.next_round_delay();
+                    let next = next_round_delay(&self.cfg, &mut self.sched_rng);
                     self.queue.schedule(self.now + next, Event::Round { node });
                 }
             }
@@ -461,37 +445,13 @@ impl<P: Protocol> Simulation<P> {
             Event::Deliver { from, to, msg } => {
                 if !self.nodes.contains(slot_index(to)) {
                     self.stats.destination_gone += 1;
-                    self.traffic.record_dropped(from);
-                    return;
-                }
-                match self.filter.can_deliver(from, to, self.now) {
-                    DeliveryVerdict::Deliver => {
-                        self.stats.delivered += 1;
-                        self.traffic.record_received(to, msg.wire_size());
-                        self.execute(to, |proto, ctx| proto.on_message(from, msg, ctx));
-                    }
-                    DeliveryVerdict::BlockedByNat => {
-                        self.stats.blocked_by_nat += 1;
-                        self.traffic.record_dropped(from);
-                    }
-                    DeliveryVerdict::NoSuchDestination => {
-                        self.stats.destination_gone += 1;
-                        self.traffic.record_dropped(from);
-                    }
+                    self.delivery.ledger.record_dropped(from);
+                } else if self.delivery.arrive(from, to, self.now).is_delivered() {
+                    self.stats.delivered += 1;
+                    self.delivery.ledger.record_received(to, msg.wire_size());
+                    self.execute(to, |proto, ctx| proto.on_message(from, msg, ctx));
                 }
             }
-        }
-    }
-
-    fn next_round_delay(&mut self) -> SimDuration {
-        let period = self.cfg.round_period.as_millis() as f64;
-        if self.cfg.round_jitter > 0.0 {
-            let jitter = self
-                .sched_rng
-                .gen_range(-self.cfg.round_jitter..self.cfg.round_jitter);
-            SimDuration::from_millis_f64((period * (1.0 + jitter)).max(1.0))
-        } else {
-            self.cfg.round_period
         }
     }
 
@@ -540,32 +500,17 @@ impl<P: Protocol> Simulation<P> {
         outgoing: &mut Vec<Outgoing<P::Message>>,
         timers: &mut Vec<TimerRequest>,
     ) {
-        let mut session = self.faults.as_ref().and_then(FaultPlane::begin);
         for Outgoing { to, mut msg } in outgoing.drain(..) {
-            self.traffic.record_sent(from, msg.wire_size());
-            self.filter.on_send(from, to, self.now);
-            if self.loss.drops(from, to, &mut self.loss_rng) {
-                self.stats.lost += 1;
-                self.traffic.record_dropped(from);
+            let lost = self.loss.drops(from, to, &mut self.loss_rng);
+            let wire = msg.wire_size();
+            let Some(departure) = self
+                .delivery
+                .depart(from, to, self.now, wire, lost, &mut msg)
+            else {
                 continue;
-            }
-            let mut extra_delay = SimDuration::ZERO;
-            let mut duplicate = false;
-            if let Some(session) = session.as_mut() {
-                let decision = session.judge(from, to);
-                if decision.drop {
-                    self.stats.lost += 1;
-                    self.traffic.record_dropped(from);
-                    continue;
-                }
-                if decision.corrupt {
-                    msg.fault_mutate(session.rng());
-                }
-                extra_delay = decision.extra_delay;
-                duplicate = decision.duplicate;
-            }
+            };
             let latency = self.latency.sample(from, to, &mut self.latency_rng);
-            if duplicate {
+            if departure.duplicate {
                 // The copy travels at the base latency; the original may additionally be
                 // delayed by a reordering spike.
                 self.queue.schedule(
@@ -578,7 +523,7 @@ impl<P: Protocol> Simulation<P> {
                 );
             }
             self.queue.schedule(
-                self.now + latency + extra_delay,
+                self.now + latency + departure.extra_delay,
                 Event::Deliver { from, to, msg },
             );
         }
@@ -621,12 +566,11 @@ impl<P: Protocol> HookOps for Simulation<P> {
     }
 
     fn record_transfer(&mut self, from: NodeId, to: NodeId, bytes: usize) {
-        self.traffic.record_sent(from, bytes);
-        self.traffic.record_received(to, bytes);
+        self.delivery.record_transfer(from, to, bytes);
     }
 
     fn record_blocked(&mut self, from: NodeId) {
-        self.traffic.record_dropped(from);
+        self.delivery.ledger.record_dropped(from);
     }
 }
 
@@ -714,7 +658,7 @@ impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
     }
 
     fn traffic_snapshot(&self) -> TrafficLedger {
-        self.traffic.clone()
+        self.traffic().clone()
     }
 
     fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
@@ -722,8 +666,7 @@ impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
     }
 
     fn reset_traffic_window(&mut self) {
-        let now = self.now;
-        self.traffic.reset_window(now);
+        self.delivery.ledger.reset_window(self.now);
     }
 
     fn draw_sample(&mut self, node: NodeId) -> Option<NodeId>

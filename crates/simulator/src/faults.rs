@@ -25,10 +25,11 @@
 //!
 //! # Cost when disabled
 //!
-//! The plane is shared state behind an `Arc`; engines hold an `Option<FaultPlane>` and
-//! call [`FaultPlane::begin`] once per effect batch. With no profile installed that is a
-//! single relaxed atomic load — the hot path stays branch-predictable and the
-//! `microbench_engine` `fault_plane_inactive` row guards the overhead.
+//! The plane is shared state behind an `Arc`; each engine's delivery plane holds an
+//! `Option<FaultPlane>` and calls [`FaultPlane::begin`] for every message that survived
+//! the loss model. With no profile installed that is a single relaxed atomic load — the
+//! hot path stays branch-predictable and the `microbench_engine` `fault_plane_inactive`
+//! row guards the overhead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -259,7 +260,7 @@ struct PlaneState {
 /// The plane is a cloneable handle over shared state (like
 /// [`NatTopology`](https://docs.rs/croupier-nat)'s): the engine holds one clone on its
 /// delivery path, the scenario executor holds another and flips profiles mid-run at round
-/// barriers. Fresh planes are inactive and cost one atomic load per effect batch; they
+/// barriers. Fresh planes are inactive and cost one atomic load per message; they
 /// activate when a profile is installed and deactivate again on [`clear`](Self::clear).
 ///
 /// # Examples
@@ -352,9 +353,8 @@ impl FaultPlane {
         self.state.lock().expect("fault plane poisoned").report
     }
 
-    /// Opens a judging session for one canonical-order batch of messages, or `None` when
-    /// the plane is inactive. The session holds the plane lock; engines call this once
-    /// per effect batch, never per message.
+    /// Opens a judging session for one or more messages in canonical order, or `None`
+    /// when the plane is inactive. The session holds the plane lock.
     pub fn begin(&self) -> Option<FaultSession<'_>> {
         if !self.is_active() {
             return None;

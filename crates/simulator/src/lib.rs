@@ -82,6 +82,7 @@
 
 pub mod arena;
 pub mod bootstrap;
+mod delivery;
 pub mod engine;
 pub mod engine_api;
 pub mod event;

@@ -57,13 +57,14 @@ use rand::Rng;
 
 use crate::arena::NodeArena;
 use crate::bootstrap::BootstrapRegistry;
+use crate::delivery::Delivery;
 use crate::engine::{NetworkStats, SimulationConfig};
 use crate::engine_api::{HookOps, RoundHook, SimulationEngine};
 use crate::event::Event;
 use crate::faults::{FaultPlane, FaultReport};
 use crate::latency::{KingLatencyModel, LatencyModel};
 use crate::loss::{LossModel, NoLoss};
-use crate::network::{DeliveryFilter, DeliveryVerdict, OpenInternet};
+use crate::network::DeliveryFilter;
 use crate::protocol::{Context, Outgoing, Protocol, PssNode, TimerRequest, WireSize};
 use crate::rng::Stream;
 use crate::scheduler::EventQueue;
@@ -133,7 +134,9 @@ struct PhaseEnv<'a> {
     loss: &'a (dyn LossModel + Sync),
 }
 
-fn next_round_delay(cfg: &SimulationConfig, rng: &mut SmallRng) -> SimDuration {
+/// The delay to a node's next round: the period, skewed by the configured jitter drawn
+/// from the scheduling stream `rng` (shared with the event engine).
+pub(crate) fn next_round_delay(cfg: &SimulationConfig, rng: &mut SmallRng) -> SimDuration {
     let period = cfg.round_period.as_millis() as f64;
     if cfg.round_jitter > 0.0 {
         let jitter = rng.gen_range(-cfg.round_jitter..cfg.round_jitter);
@@ -332,12 +335,10 @@ pub struct ShardedSimulation<P: Protocol> {
     shards: Vec<Shard<P>>,
     latency: Box<dyn LatencyModel + Send + Sync>,
     loss: Box<dyn LossModel + Send + Sync>,
-    filter: Box<dyn DeliveryFilter>,
+    /// Filter, fault plane, loss/NAT statistics and the sender-side traffic ledger, all
+    /// touched only at the barrier, in canonical order.
+    delivery: Delivery,
     bootstrap: BootstrapRegistry,
-    /// Sender-side traffic counters, written at the barrier in canonical order.
-    barrier_traffic: TrafficLedger,
-    /// Loss/NAT statistics, written at the barrier in canonical order.
-    barrier_stats: NetworkStats,
     /// Recycled barrier batch: the per-phase canonical-order merge of every shard's
     /// outboxes. Drained by [`merge_batch`](Self::merge_batch) with its capacity
     /// retained, so the barrier allocates nothing once the per-phase message volume has
@@ -362,9 +363,6 @@ pub struct ShardedSimulation<P: Protocol> {
     /// holds) by [`set_sampled_round_hook`](Self::set_sampled_round_hook) so the
     /// `P: Protocol`-only barrier loop can serve [`HookOps::draw_sample`].
     hook_sampler: Option<fn(&mut P, &mut SmallRng) -> Option<NodeId>>,
-    /// Fault-injection plane, if installed; judged during the barrier's sequential
-    /// canonical-order pass, so injected faults are worker-count independent too.
-    faults: Option<FaultPlane>,
 }
 
 impl<P: Protocol + Send> ShardedSimulation<P>
@@ -382,10 +380,8 @@ where
             shards: (0..workers).map(|_| Shard::new(workers as u64)).collect(),
             latency: Box::new(KingLatencyModel::new()),
             loss: Box::new(NoLoss),
-            filter: Box::new(OpenInternet),
+            delivery: Delivery::new(),
             bootstrap: BootstrapRegistry::new(),
-            barrier_traffic: TrafficLedger::new(),
-            barrier_stats: NetworkStats::default(),
             merge_buf: Vec::new(),
             heap_buf: Vec::new(),
             delivery_bufs: (0..workers).map(|_| Vec::new()).collect(),
@@ -393,7 +389,6 @@ where
             node_ids_valid: Cell::new(false),
             hook: None,
             hook_sampler: None,
-            faults: None,
         }
     }
 
@@ -412,7 +407,7 @@ where
     /// Replaces the delivery filter. The filter runs on the coordinating thread only, at
     /// the round barriers, in the canonical merge order.
     pub fn set_delivery_filter(&mut self, filter: impl DeliveryFilter + 'static) {
-        self.filter = Box::new(filter);
+        self.delivery.set_filter(filter);
     }
 
     /// Installs a [`RoundHook`] invoked at every future phase barrier, on the
@@ -427,16 +422,13 @@ where
     /// canonical-order pass, which keeps fault injection bit-identical across worker
     /// counts.
     pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.faults = Some(plane);
+        self.delivery.set_fault_plane(plane);
     }
 
     /// The fault plane's injection counters ([`FaultReport::default`] when no plane is
     /// installed).
     pub fn fault_report(&self) -> FaultReport {
-        self.faults
-            .as_ref()
-            .map(FaultPlane::report)
-            .unwrap_or_default()
+        self.delivery.fault_report()
     }
 
     /// The engine configuration.
@@ -456,7 +448,7 @@ where
 
     /// Aggregated message delivery statistics across the barrier and all shards.
     pub fn network_stats(&self) -> NetworkStats {
-        let mut stats = self.barrier_stats;
+        let mut stats = self.delivery.stats();
         for shard in &self.shards {
             stats.merge(shard.stats);
         }
@@ -486,8 +478,8 @@ where
     /// repeatedly (the experiment driver's overhead windows) keep one ledger alive and
     /// pay zero allocations per sample in steady state.
     pub fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        out.reset_window(self.barrier_traffic.window_start());
-        out.merge_from(&self.barrier_traffic);
+        out.reset_window(self.delivery.ledger.window_start());
+        out.merge_from(&self.delivery.ledger);
         for shard in &self.shards {
             out.merge_from(&shard.traffic);
         }
@@ -496,7 +488,7 @@ where
     /// Clears all traffic counters and restarts the measurement window at the current time.
     pub fn reset_traffic_window(&mut self) {
         let now = self.now;
-        self.barrier_traffic.reset_window(now);
+        self.delivery.ledger.reset_window(now);
         for shard in &mut self.shards {
             shard.traffic.reset_window(now);
         }
@@ -601,7 +593,7 @@ where
             !self.shards[shard_idx].nodes.contains(local),
             "node {id} is already part of the simulation"
         );
-        self.filter.on_node_added(id);
+        self.delivery.node_added(id);
         let seed = self.cfg.seed;
         let state = NodeState {
             id,
@@ -654,7 +646,7 @@ where
         let state = self.shards[shard].nodes.remove(local)?;
         self.node_ids_valid.set(false);
         self.bootstrap.unregister(id);
-        self.filter.on_node_removed(id);
+        self.delivery.node_removed(id);
         Some(state.proto)
     }
 
@@ -774,13 +766,13 @@ where
         self.heap_buf = heap.into_vec();
     }
 
-    /// The barrier: walks `batch` (already in canonical order) once, performing
-    /// sender-side accounting and filtering, then schedules surviving deliveries no
-    /// earlier than `earliest` — partitioned by destination shard, in parallel when the
-    /// batch is large. Drains `batch` in place so its capacity is reused phase after
-    /// phase.
+    /// The barrier: walks `batch` (already in canonical order) once, passing every
+    /// message through the [delivery plane](crate::delivery), then schedules surviving
+    /// deliveries no earlier than `earliest` — partitioned by destination shard, in
+    /// parallel when the batch is large. Drains `batch` in place so its capacity is
+    /// reused phase after phase.
     ///
-    /// The accounting/filter pass is sequential by design: the delivery filter and the
+    /// The delivery-plane pass is sequential by design: filter, fault plane and
     /// sender-side ledger are stateful, and processing them in canonical order is what
     /// makes runs bit-identical across worker counts. Queue insertion, by contrast, is
     /// freely partitionable — each staged list holds one destination shard's deliveries
@@ -790,71 +782,39 @@ where
     fn merge_batch(&mut self, batch: &mut Vec<PendingMessage<P::Message>>, earliest: SimTime) {
         let stride = self.shards.len() as u64;
         let mut staged = std::mem::take(&mut self.delivery_bufs);
-        // One fault session per barrier: the plane is judged message by message in the
-        // same canonical order as the filter, so its RNG draws — and therefore every
-        // injected fault — are identical for any worker-thread count.
-        let mut session = self.faults.as_ref().and_then(FaultPlane::begin);
+        // Filter and fault plane see the messages in the canonical order, so every
+        // verdict and every fault draw is identical for any worker-thread count.
         for mut message in batch.drain(..) {
-            self.barrier_traffic.record_sent(message.from, message.wire);
-            self.filter
-                .on_send(message.from, message.to, message.sent_at);
-            if message.lost {
-                self.barrier_stats.lost += 1;
-                self.barrier_traffic.record_dropped(message.from);
+            let PendingMessage { from, to, .. } = message;
+            let Some(departure) = self.delivery.depart(
+                from,
+                to,
+                message.sent_at,
+                message.wire,
+                message.lost,
+                &mut message.msg,
+            ) else {
                 continue;
-            }
-            let mut extra_delay = SimDuration::ZERO;
-            let mut duplicate = false;
-            if let Some(session) = session.as_mut() {
-                let decision = session.judge(message.from, message.to);
-                if decision.drop {
-                    self.barrier_stats.lost += 1;
-                    self.barrier_traffic.record_dropped(message.from);
-                    continue;
-                }
-                if decision.corrupt {
-                    message.msg.fault_mutate(session.rng());
-                }
-                extra_delay = decision.extra_delay;
-                duplicate = decision.duplicate;
-            }
+            };
             let exec_at = message.deliver_at.max(earliest);
             // NAT verdicts are per-message, judged once at the undelayed delivery
             // instant; a reorder spike shifts when the datagram arrives, not whether
             // the mapping that admits it exists.
-            match self.filter.can_deliver(message.from, message.to, exec_at) {
-                DeliveryVerdict::Deliver => {
-                    let dst = (message.to.as_u64() % stride) as usize;
-                    if duplicate {
-                        // The duplicate travels at the base latency; only the original
-                        // can additionally be held back by a reordering spike.
-                        staged[dst].push((
-                            exec_at,
-                            Event::Deliver {
-                                from: message.from,
-                                to: message.to,
-                                msg: message.msg.clone(),
-                            },
-                        ));
-                    }
-                    staged[dst].push((
-                        exec_at + extra_delay,
-                        Event::Deliver {
-                            from: message.from,
-                            to: message.to,
-                            msg: message.msg,
-                        },
-                    ));
-                }
-                DeliveryVerdict::BlockedByNat => {
-                    self.barrier_stats.blocked_by_nat += 1;
-                    self.barrier_traffic.record_dropped(message.from);
-                }
-                DeliveryVerdict::NoSuchDestination => {
-                    self.barrier_stats.destination_gone += 1;
-                    self.barrier_traffic.record_dropped(message.from);
-                }
+            if !self.delivery.arrive(from, to, exec_at).is_delivered() {
+                continue;
             }
+            let stage = &mut staged[(to.as_u64() % stride) as usize];
+            if departure.duplicate {
+                // The duplicate travels at the base latency; only the original can
+                // additionally be held back by a reordering spike.
+                let msg = message.msg.clone();
+                stage.push((exec_at, Event::Deliver { from, to, msg }));
+            }
+            let msg = message.msg;
+            stage.push((
+                exec_at + departure.extra_delay,
+                Event::Deliver { from, to, msg },
+            ));
         }
         let total: usize = staged.iter().map(Vec::len).sum();
         if self.shards.len() > 1 && total >= PARALLEL_INSERT_THRESHOLD {
@@ -928,12 +888,11 @@ where
     fn record_transfer(&mut self, from: NodeId, to: NodeId, bytes: usize) {
         // Both sides go to the barrier ledger: the snapshot merge is a commutative sum
         // over all ledgers, so which ledger holds a counter is unobservable.
-        self.barrier_traffic.record_sent(from, bytes);
-        self.barrier_traffic.record_received(to, bytes);
+        self.delivery.record_transfer(from, to, bytes);
     }
 
     fn record_blocked(&mut self, from: NodeId) {
-        self.barrier_traffic.record_dropped(from);
+        self.delivery.ledger.record_dropped(from);
     }
 }
 

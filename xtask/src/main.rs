@@ -54,16 +54,17 @@
 //!   before pushing: `fmt`, `clippy` (deny warnings), `doc` (deny warnings),
 //!   `public-api` (snapshot diff), `test` (release build + workspace tests), `bench`
 //!   (guarded benches run `BENCH_RUNS` times, merged best-of-N through
-//!   `bench-compare`), a `scenario-matrix` smoke run of the clean-network scenarios at
-//!   tiny scale, a `fault-matrix` smoke run of the fault-injection tier (`lossy_10`,
-//!   `burst_loss`, `dup_reorder`) at tiny scale, a `workload-matrix` smoke run of the
-//!   streaming-dissemination tier (`reboot_storm`, `mobility_wave`, `lossy_10`) at tiny
-//!   scale, and `huge-smoke` (the ignored million-node `scale_smoke` test, the same
-//!   command the CI job runs).
+//!   `bench-compare`), `scenario-matrix` (the clean-network scenarios), `fault-matrix`
+//!   (the fault-injection tier: `lossy_10`, `burst_loss`, `dup_reorder`) and
+//!   `workload-matrix` (the streaming-dissemination tier: `reboot_storm`,
+//!   `mobility_wave`, `lossy_10`), all three at `quick`, the scale CI gates them at,
+//!   `e2e-bench` (the unit tests and the `--smoke` run of the separate `e2e_bench/`
+//!   workspace, which compiles against the public API of every crate), and `huge-smoke`
+//!   (the ignored million-node `scale_smoke` test, the same command the CI job runs).
 //!   All steps run even when an earlier one fails; the summary lists every verdict.
 //!
 //!   ```text
-//!   cargo run -p xtask -- ci-local [--skip bench,scenario-matrix,workload-matrix,huge-smoke]
+//!   cargo run -p xtask -- ci-local [--skip bench,scenario-matrix,e2e-bench,huge-smoke]
 //!   ```
 
 use std::fmt::Write as _;
@@ -794,7 +795,7 @@ fn run_command(program: &str, args: &[&str], envs: &[(&str, &str)]) -> bool {
 
 /// The CI jobs `ci-local` mirrors, in run order. `huge-smoke` is the million-node tier
 /// (the long pole by far — skip it with `--skip huge-smoke` when iterating).
-const CI_STEPS: [&str; 10] = [
+const CI_STEPS: [&str; 11] = [
     "fmt",
     "clippy",
     "doc",
@@ -804,6 +805,7 @@ const CI_STEPS: [&str; 10] = [
     "scenario-matrix",
     "fault-matrix",
     "workload-matrix",
+    "e2e-bench",
     "huge-smoke",
 ];
 
@@ -818,6 +820,13 @@ const FAULT_SCENARIOS: &str = "lossy_10,burst_loss,dup_reorder";
 
 /// The scenarios the `workload-matrix` step streams a dissemination workload under.
 const WORKLOAD_SCENARIOS: &str = "reboot_storm,mobility_wave,lossy_10";
+
+/// The arguments of a `ci-local` matrix step: the scale CI gates at (the tiny tier's 25
+/// nodes are too few for the fault tier's Gini-degradation gate), the step's scenarios
+/// and its report directory.
+fn matrix_step_args(scenarios: &str, out: &str) -> [String; 6] {
+    ["--scale", "quick", "--scenarios", scenarios, "--out", out].map(String::from)
+}
 
 /// Parses `ci-local`'s arguments: the set of steps to skip.
 fn parse_ci_local_args(mut argv: impl Iterator<Item = String>) -> Result<Vec<String>, String> {
@@ -921,39 +930,39 @@ fn ci_local_step(step: &str) -> bool {
             }
         }
         "public-api" => public_api_gate(false) == ExitCode::SUCCESS,
-        "scenario-matrix" => run_scenario_matrix(
-            &[
-                "--scale",
-                "tiny",
-                "--scenarios",
-                CLEAN_SCENARIOS,
-                "--out",
-                "target/scenario-json",
-            ]
-            .map(String::from),
-        ),
-        "fault-matrix" => run_scenario_matrix(
-            &[
-                "--scale",
-                "tiny",
-                "--scenarios",
-                FAULT_SCENARIOS,
-                "--out",
-                "target/scenario-json",
-            ]
-            .map(String::from),
-        ),
-        "workload-matrix" => run_workload_matrix(
-            &[
-                "--scale",
-                "tiny",
-                "--scenarios",
-                WORKLOAD_SCENARIOS,
-                "--out",
-                "target/workload-json",
-            ]
-            .map(String::from),
-        ),
+        "scenario-matrix" => {
+            run_scenario_matrix(&matrix_step_args(CLEAN_SCENARIOS, "target/scenario-json"))
+        }
+        "fault-matrix" => {
+            run_scenario_matrix(&matrix_step_args(FAULT_SCENARIOS, "target/scenario-json"))
+        }
+        "workload-matrix" => run_workload_matrix(&matrix_step_args(
+            WORKLOAD_SCENARIOS,
+            "target/workload-json",
+        )),
+        "e2e-bench" => {
+            // Nothing else builds the benchmark package: it is a workspace of its own.
+            let manifest = "e2e_bench/Cargo.toml";
+            run_command(
+                &cargo,
+                &["test", "--offline", "--manifest-path", manifest],
+                &[],
+            ) && run_command(
+                &cargo,
+                &[
+                    "run",
+                    "--release",
+                    "--offline",
+                    "--manifest-path",
+                    manifest,
+                    "--bin",
+                    "e2e",
+                    "--",
+                    "--smoke",
+                ],
+                &[],
+            )
+        }
         "huge-smoke" => run_command(
             &cargo,
             &[
