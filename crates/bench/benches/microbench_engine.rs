@@ -1,27 +1,24 @@
-//! Engine-level benchmarks: gossip-round throughput of the sharded phase-parallel engine
-//! across worker-thread counts at 10k and 100k nodes, plus targeted hot-path variants.
+//! Engine-level benchmarks: targeted hot-path variants of the sharded phase-parallel
+//! engine, the workload hook and the scheduler.
 //!
-//! Each `engine/*` benchmark drives a full Croupier deployment (20 % public, NAT topology
-//! attached) and times `run_for_rounds(1)`, i.e. one complete phase of every node's gossip
-//! round plus message delivery and the barrier merge. Comparing `threads_1` against
-//! `threads_4` on a multi-core machine shows the sharding speedup;
+//! Each `engine/*` benchmark drives a full 10k-node Croupier deployment (20 % public, NAT
+//! topology attached) on one worker and times `run_for_rounds(1)`, i.e. one complete
+//! phase of every node's gossip round plus message delivery and the barrier merge.
 //! `BENCH_microbench_engine.json` (emitted by the criterion shim) feeds the CI
 //! `bench-regression` job.
-//!
-//! PR 4 added two guarded variants for its hot paths:
 //!
 //! * `queue/*` — pure scheduler throughput: a fixed schedule/pop churn on the bucketed
 //!   time-wheel and on the retained reference heap, so a regression in either structure
 //!   (or an accidental divergence in their relative cost) is caught directly;
 //! * `engine/payload_heavy` — an oversized shuffle configuration (view 20, subsets of 16,
 //!   20 piggy-backed estimates) that pushes the descriptor lists past their inline
-//!   capacity, guarding the `InlineVec` heap-spill path.
+//!   capacity, guarding the `InlineVec` heap-spill path;
+//! * `engine/fault_plane_inactive` — the installed-but-idle fault plane every run carries.
 //!
-//! Thread counts beyond the machine's core count cannot speed anything up — on a
-//! single-core container every `threads_*` row measures the same serial work plus
-//! scheduling overhead, so judge scaling only on hardware with at least as many cores as
-//! the largest thread count (the committed `ci/bench-baseline/` numbers record whatever
-//! machine produced them; see the workflow comment for the `--update` refresh flow).
+//! Plain round throughput and worker scaling are not timed here: a criterion row sees
+//! only the first few dozen rounds of a cold deployment. The repo benchmark's
+//! `croupier_steady` / `cyclon_nat_wide` workloads and its `simulator.thread_speedup_2`
+//! probe (`e2e_bench/`) carry engine cost over long horizons instead.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -79,16 +76,13 @@ fn live_bytes() -> i64 {
     LIVE_BYTES.with(|c| c.get())
 }
 
-fn build_sim_with(
-    nodes: u64,
-    threads: usize,
-    config: CroupierConfig,
-) -> ShardedSimulation<CroupierNode> {
+/// A warmed single-worker deployment of `nodes` Croupier nodes.
+fn build_sim_with(nodes: u64, config: CroupierConfig) -> ShardedSimulation<CroupierNode> {
     let topology = NatTopologyBuilder::new(0xE17).build();
     let mut sim = ShardedSimulation::new(
         SimulationConfig::default()
             .with_seed(0xE17)
-            .with_engine_threads(threads),
+            .with_engine_threads(1),
     );
     sim.set_delivery_filter(topology.clone());
     for i in 0..nodes {
@@ -109,42 +103,30 @@ fn build_sim_with(
     sim
 }
 
-fn build_sim(nodes: u64, threads: usize) -> ShardedSimulation<CroupierNode> {
-    build_sim_with(nodes, threads, CroupierConfig::default())
+fn build_sim(nodes: u64) -> ShardedSimulation<CroupierNode> {
+    build_sim_with(nodes, CroupierConfig::default())
 }
 
 fn bench_round_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
-    // A 100k-node round takes on the order of a second; a larger budget keeps the minimum
-    // (the regression gate's metric) based on several iterations rather than one or two.
     group.measurement_time(Duration::from_secs(6));
-    for &nodes in &[10_000u64, 100_000] {
-        for &threads in &[1usize, 2, 4, 8] {
-            let mut sim = build_sim(nodes, threads);
-            group.bench_function(format!("{}k_nodes/threads_{threads}", nodes / 1_000), |b| {
-                b.iter(|| sim.run_for_rounds(1))
-            });
-        }
-    }
     // Payload-heavy: oversized subsets spill the inline payload lists to the heap; the
     // spill path must stay within a constant factor of the inline path.
     let heavy = CroupierConfig::default()
         .with_view_size(20)
         .with_shuffle_size(16)
         .with_estimate_share_size(20);
-    let mut sim = build_sim_with(10_000, 1, heavy);
+    let mut sim = build_sim_with(10_000, heavy);
     group.bench_function("payload_heavy/10k_nodes/threads_1", |b| {
         b.iter(|| sim.run_for_rounds(1))
     });
     // Fault plane installed but never activated — the configuration every experiment run
     // now carries. The disabled path is one atomic load per delivery flush, so this row
-    // guards that path against regressions relative to its own baseline. Its absolute
-    // number is NOT comparable against `10k_nodes/threads_1`: it runs after the 100k
-    // rows, whose allocator churn inflates everything that follows. The ≤3 % overhead
-    // claim in DESIGN.md §15.6 is established by the interleaved A/B in
-    // `examples/fault_overhead_check.rs` instead.
-    let mut sim = build_sim(10_000, 1);
+    // guards that path against regressions relative to its own baseline. The ≤3 %
+    // overhead claim in DESIGN.md §15.6 is established by the interleaved A/B in
+    // `examples/fault_overhead_check.rs`, not by this row's absolute number.
+    let mut sim = build_sim(10_000);
     sim.set_fault_plane(FaultPlane::new(Seed::new(0xE17)));
     group.bench_function("fault_plane_inactive/10k_nodes/threads_1", |b| {
         b.iter(|| sim.run_for_rounds(1))
@@ -159,7 +141,7 @@ fn bench_round_throughput(c: &mut Criterion) {
 fn report_bytes_per_node(_c: &mut Criterion) {
     for &nodes in &[10_000u64, 100_000] {
         let before = live_bytes();
-        let sim = build_sim(nodes, 1);
+        let sim = build_sim(nodes);
         let per_node = (live_bytes() - before).max(0) as f64 / nodes as f64;
         record_informational(
             format!("engine/{}k_nodes/bytes_per_node", nodes / 1_000),
@@ -202,8 +184,7 @@ macro_rules! queue_churn {
 /// One gossip round of a 10k-node deployment with a continuously publishing
 /// dissemination stream riding the round barriers: measures the workload engine's
 /// per-round cost (publish, sampled push fan-out, anti-entropy pull, chunk sealing) on
-/// top of the gossip itself. Compare against `engine/10k_nodes/threads_1` to see the
-/// workload plane's overhead.
+/// top of the gossip itself.
 fn bench_workload_steady_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload");
     group.sample_size(10);

@@ -82,8 +82,9 @@ impl Scale {
         }
     }
 
-    /// Whether runs at this scale track the largest component incrementally instead of
-    /// rebuilding the full CSR graph on every sample (see
+    /// Whether runs at this scale read the largest component off one union-find pass
+    /// over the snapshot's edges instead of building the full CSR graph on every sample
+    /// (see
     /// [`ExperimentParams::incremental_components`](crate::runner::ExperimentParams::incremental_components)).
     pub fn incremental_components(self) -> bool {
         matches!(self, Scale::Huge)
@@ -91,8 +92,8 @@ impl Scale {
 
     /// Whether runs at this scale track the in-degree distribution incrementally (see
     /// [`ExperimentParams::incremental_indegree`](crate::runner::ExperimentParams::incremental_indegree)).
-    /// Follows [`incremental_components`](Self::incremental_components): both trackers
-    /// feed off the same snapshot edge delta.
+    /// Follows [`incremental_components`](Self::incremental_components): both serve the
+    /// tier that cannot afford the CSR pipeline per sample.
     pub fn incremental_indegree(self) -> bool {
         self.incremental_components()
     }
@@ -101,8 +102,8 @@ impl Scale {
     /// simulation on (see
     /// [`ExperimentParams::metrics_workers`](crate::runner::ExperimentParams::metrics_workers)).
     /// Only the million-node tier overlaps: its per-sample analysis is expensive enough
-    /// to hide whole simulation rounds behind, while at the paper scales the synchronous
-    /// path keeps runs trivially comparable to the published figures.
+    /// to hide whole simulation rounds behind, while at the paper scales analysing on the
+    /// driver thread keeps runs trivially comparable to the published figures.
     pub fn metrics_workers(self) -> usize {
         match self {
             Scale::Tiny | Scale::Quick | Scale::Paper | Scale::Large => 0,

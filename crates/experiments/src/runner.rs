@@ -65,18 +65,16 @@ pub struct ExperimentParams {
     /// If `Some(k)`, graph metrics (path length, clustering, components) are computed each
     /// sample using `k` BFS sources; if `None` they are skipped (estimation-only runs).
     pub graph_metric_sources: Option<usize>,
-    /// Track the largest connected component incrementally (union-find over snapshot
-    /// edge deltas) instead of — or, when combined with
+    /// Track the largest connected component with a union-find over the snapshot's edge
+    /// list instead of — or, when combined with
     /// [`graph_metric_sources`](Self::graph_metric_sources), alongside — the per-sample
-    /// CSR + BFS pipeline. The incremental value is bit-identical to the CSR one; at the
-    /// million-node tier it is what keeps per-sample metrics cost proportional to the
-    /// overlay's churn rather than its size.
+    /// CSR + BFS pipeline. The value is bit-identical to the CSR one; at the million-node
+    /// tier it is what populates the connectivity series without a CSR build per sample.
     pub incremental_components: bool,
     /// Track the in-degree distribution incrementally (dense rank-indexed counts patched
     /// from snapshot edge deltas) and report its Gini coefficient on every sample in
-    /// [`RoundSample::indegree_gini`]. Like
-    /// [`incremental_components`](Self::incremental_components), the fast path costs
-    /// O(delta) per sample instead of O(edges) and is bit-identical to the full recount.
+    /// [`RoundSample::indegree_gini`]. The fast path costs O(delta) per sample instead of
+    /// O(edges) and is bit-identical to the full recount.
     pub incremental_indegree: bool,
     /// Number of metrics worker threads the driver overlaps full-graph analysis with the
     /// simulation on. `0` (the default) analyses every sample synchronously on the driver
@@ -175,8 +173,7 @@ impl ExperimentParams {
         self
     }
 
-    /// Enables incremental largest-component tracking (union-find over snapshot edge
-    /// deltas). Populates [`RoundSample::largest_component`] on every sample without
+    /// Enables union-find largest-component tracking. Populates [`RoundSample::largest_component`] on every sample without
     /// requiring a full CSR + BFS pass, so it composes with — but does not require —
     /// [`with_graph_metrics`](Self::with_graph_metrics).
     pub fn with_incremental_components(mut self) -> Self {
@@ -317,11 +314,11 @@ pub struct RunOutput {
     /// (blocks attributable to a scripted gateway reboot), and class counts as the NAT
     /// environment — not the join schedule — sees them.
     pub nat_stats: TopologyStats,
-    /// `(full rebuilds, sublinear updates)` of the incremental connectivity structure,
-    /// when [`ExperimentParams::incremental_components`] was enabled. Sublinear updates
-    /// (delta-only unions plus certified forest repairs) cost O(nodes + delta) instead
-    /// of O(edges); scale tests use this to assert the per-sample metrics path stayed
-    /// sublinear: in a healthy overlay almost every sample repairs, not rebuilds.
+    /// `(full union passes, additions-only updates)` of the connectivity structure, when
+    /// [`ExperimentParams::incremental_components`] was enabled; the two sum to the
+    /// sample count. A shuffling overlay removes edges every round, so a live run reads
+    /// `(samples, 0)` or close to it: the value of the structure is that each pass skips
+    /// the CSR build, not that passes are avoided.
     pub incremental_component_updates: Option<(u64, u64)>,
     /// `(full rebuilds, delta fast-path updates)` of the incremental in-degree tracker,
     /// when [`ExperimentParams::incremental_indegree`] was enabled. In a steady overlay
@@ -364,7 +361,7 @@ impl RunOutput {
 /// analysis can run anywhere: the incremental trackers have consumed the snapshot's edge
 /// delta, the true ratio is read from the live bookkeeping, and the BFS sources are
 /// pre-drawn from the metric RNG (so the analysis stage consumes no randomness and the
-/// overlapped run stays bit-identical to the synchronous one).
+/// run is bit-identical wherever the analysis executes).
 #[derive(Clone, Debug, Default)]
 struct SamplePrep {
     round: u64,
@@ -449,7 +446,7 @@ struct Driver<P: Protocol + PssNode, E: SimulationEngine<P>> {
     /// Reusable metrics pipeline: one CSR overlay graph per sample shared by all graph
     /// metrics, with BFS fanned out over the engine's worker-thread count.
     metrics: MetricsContext,
-    /// Incremental largest-component tracker, fed by the snapshot's edge deltas when
+    /// Union-find largest-component tracker, fed every captured snapshot when
     /// [`ExperimentParams::incremental_components`] is set.
     components: IncrementalComponents,
     /// Incremental in-degree tracker, fed by the same edge deltas when
@@ -457,8 +454,6 @@ struct Driver<P: Protocol + PssNode, E: SimulationEngine<P>> {
     indegree: IncrementalIndegree,
     /// Per-sample metrics timing, accumulated in sample order.
     metrics_timing: Vec<SampleMetricsTiming>,
-    /// Reusable BFS source buffer recycled through [`SamplePrep`].
-    sources_scratch: Vec<u32>,
     /// Reusable traffic ledger refilled in place by the overhead-window sampling, instead
     /// of cloning the engine's whole per-node map per sample.
     traffic_scratch: croupier_simulator::TrafficLedger,
@@ -540,7 +535,6 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             components: IncrementalComponents::new(),
             indegree: IncrementalIndegree::new(),
             metrics_timing: Vec::new(),
-            sources_scratch: Vec::new(),
             traffic_scratch: croupier_simulator::TrafficLedger::new(),
             workload_state,
             _protocol: PhantomData,
@@ -622,8 +616,8 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
 
     /// The driver-thread half of one sample: captures the snapshot, feeds the
     /// incremental trackers their edge delta (which must happen before the *next*
-    /// capture invalidates it) and pre-draws the BFS sources, consuming the metric RNG
-    /// in exactly the order the synchronous path would.
+    /// capture invalidates it) and pre-draws the BFS sources, so the metric RNG is
+    /// consumed in sample order whatever the analysis stage does.
     fn prepare_sample(&mut self, round: u64, mut sources: Vec<u32>) -> SamplePrep {
         let capture_start = Instant::now();
         self.sample_snapshot
@@ -643,8 +637,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         let graph_metrics = self.params.graph_metric_sources.is_some();
         if let Some(count) = self.params.graph_metric_sources {
             // The CSR vertex set is exactly the captured node set, so drawing against
-            // the snapshot count is bit-identical to the inline draw against the built
-            // graph that the synchronous pipeline used to perform.
+            // the snapshot count is bit-identical to drawing against the built graph.
             draw_path_sources(
                 self.sample_snapshot.node_count(),
                 count,
@@ -664,22 +657,6 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             graph_metrics,
             sources,
         }
-    }
-
-    /// Synchronous sampling: prepare and analyse back to back on the driver thread.
-    fn sample(&mut self, round: u64) -> RoundSample {
-        let sources = std::mem::take(&mut self.sources_scratch);
-        let prep = self.prepare_sample(round, sources);
-        let analysis_start = Instant::now();
-        let sample = analyze_sample(&prep, &self.sample_snapshot, &mut self.metrics);
-        self.metrics_timing.push(SampleMetricsTiming {
-            round,
-            capture_ns: prep.capture_ns,
-            analysis_ns: analysis_start.elapsed().as_nanos() as u64,
-            offloaded: false,
-        });
-        self.sources_scratch = prep.sources;
-        sample
     }
 
     /// Runs the main phase: joins, rounds, churn, sampling.
@@ -711,36 +688,11 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             schedule.extend(script.flash_crowd_joins(self.params.total_nodes(), round_ms));
         }
         let events = schedule.events().to_vec();
-        let mut next_event = 0usize;
 
         let mut samples = Vec::new();
         let mut overhead = None;
-
-        let metrics_overlap = if self.params.metrics_workers == 0 {
-            for round in 1..=self.params.rounds {
-                self.step_round(
-                    round,
-                    round_ms,
-                    &events,
-                    &mut next_event,
-                    &mut overhead,
-                    make_node,
-                );
-                if round % self.params.sample_every == 0 {
-                    samples.push(self.sample(round));
-                }
-            }
-            None
-        } else {
-            Some(self.run_overlapped(
-                round_ms,
-                &events,
-                &mut next_event,
-                &mut overhead,
-                make_node,
-                &mut samples,
-            ))
-        };
+        let metrics_overlap =
+            self.run_rounds(round_ms, &events, &mut overhead, make_node, &mut samples);
 
         let mut final_snapshot =
             OverlaySnapshot::capture(&self.sim, self.params.min_rounds_for_metrics);
@@ -788,8 +740,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
     }
 
     /// Advances the simulation by one gossip round: join events up to the round
-    /// boundary, the round itself, then churn and overhead-window bookkeeping. Shared by
-    /// the synchronous and the overlapped run loops.
+    /// boundary, the round itself, then churn and overhead-window bookkeeping.
     fn step_round<F>(
         &mut self,
         round: u64,
@@ -832,38 +783,40 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         }
     }
 
-    /// The overlapped run loop: the driver thread simulates and prepares samples while a
-    /// pool of metrics workers analyses already-captured snapshots.
+    /// The run loop: the driver thread simulates and prepares samples while a pool of
+    /// [`metrics_workers`](ExperimentParams::metrics_workers) threads analyses
+    /// already-captured snapshots. With zero workers the pool degenerates to the driver
+    /// thread itself, which analyses each sample in place before the next round.
     ///
     /// Soundness hinges on the split in [`prepare_sample`](Self::prepare_sample): the
     /// capture and both incremental trackers stay on the driver thread (an edge delta is
     /// only valid between *consecutive* captures, so its consumers can never skip a
     /// snapshot), and the metric RNG is fully consumed during prepare. What a worker
     /// receives is a pure function of its job, so joining results by sample index makes
-    /// the run bit-identical to the synchronous loop for any worker count.
-    fn run_overlapped<F>(
+    /// the run bit-identical for any worker count, zero included.
+    fn run_rounds<F>(
         &mut self,
         round_ms: u64,
         events: &[JoinEvent],
-        next_event: &mut usize,
         overhead: &mut Option<OverheadReport>,
         make_node: &mut F,
         samples: &mut Vec<RoundSample>,
-    ) -> MetricsOverlapReport
+    ) -> Option<MetricsOverlapReport>
     where
         F: FnMut(NodeId, NatClass, &NatTopology) -> P,
     {
-        /// Books a finished job: records its sample and timing, returns the job so its
-        /// buffers can be recycled.
+        /// Books a finished job: records its sample and timing under the job's index,
+        /// returns the job so its buffers can be recycled.
         fn settle(
             done: MetricsJob,
             sample: RoundSample,
             elapsed_ns: u64,
-            ordered: &mut [Option<(RoundSample, SampleMetricsTiming)>],
+            settled: &mut Vec<(usize, RoundSample, SampleMetricsTiming)>,
             analysis_ns: &mut u64,
         ) -> MetricsJob {
             *analysis_ns += elapsed_ns;
-            ordered[done.index] = Some((
+            settled.push((
+                done.index,
                 sample,
                 SampleMetricsTiming {
                     round: done.prep.round,
@@ -884,12 +837,12 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         } else {
             1
         };
-        let expected = (self.params.rounds / self.params.sample_every) as usize;
-        let mut ordered: Vec<Option<(RoundSample, SampleMetricsTiming)>> =
-            (0..expected).map(|_| None).collect();
+        // Offloaded results in completion order; joined by index after the loop.
+        let mut settled = Vec::new();
         let mut analysis_ns = 0u64;
         let mut blocked_ns = 0u64;
-        let mut offloaded = 0u64;
+        let mut offloaded = 0usize;
+        let mut next_event = 0usize;
 
         std::thread::scope(|scope| {
             let (job_tx, job_rx) = mpsc::channel::<MetricsJob>();
@@ -922,9 +875,15 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             // fills the spare, so in steady state the driver never waits.
             let mut pool: Vec<MetricsJob> = (0..=workers).map(|_| MetricsJob::default()).collect();
             let mut in_flight = 0usize;
-            let mut sample_index = 0usize;
             for round in 1..=self.params.rounds {
-                self.step_round(round, round_ms, events, next_event, overhead, make_node);
+                self.step_round(
+                    round,
+                    round_ms,
+                    events,
+                    &mut next_event,
+                    overhead,
+                    make_node,
+                );
                 if round % self.params.sample_every != 0 {
                     continue;
                 }
@@ -936,7 +895,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
                         done,
                         sample,
                         elapsed_ns,
-                        &mut ordered,
+                        &mut settled,
                         &mut analysis_ns,
                     ));
                 }
@@ -948,17 +907,34 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
                             result_rx.recv().expect("metrics workers alive");
                         blocked_ns += wait.elapsed().as_nanos() as u64;
                         in_flight -= 1;
-                        settle(done, sample, elapsed_ns, &mut ordered, &mut analysis_ns)
+                        settle(done, sample, elapsed_ns, &mut settled, &mut analysis_ns)
                     }
                 };
                 let sources = std::mem::take(&mut job.prep.sources);
                 job.prep = self.prepare_sample(round, sources);
-                job.index = sample_index;
-                sample_index += 1;
-                job.snapshot.copy_observations_from(&self.sample_snapshot);
-                job_tx.send(job).expect("metrics workers alive");
-                in_flight += 1;
-                offloaded += 1;
+                if workers == 0 {
+                    // Nobody to hand the job to: analyse the live snapshot right here,
+                    // in sample order, and keep the job for its source buffer.
+                    let start = Instant::now();
+                    samples.push(analyze_sample(
+                        &job.prep,
+                        &self.sample_snapshot,
+                        &mut self.metrics,
+                    ));
+                    self.metrics_timing.push(SampleMetricsTiming {
+                        round,
+                        capture_ns: job.prep.capture_ns,
+                        analysis_ns: start.elapsed().as_nanos() as u64,
+                        offloaded: false,
+                    });
+                    pool.push(job);
+                } else {
+                    job.index = offloaded;
+                    offloaded += 1;
+                    job.snapshot.copy_observations_from(&self.sample_snapshot);
+                    job_tx.send(job).expect("metrics workers alive");
+                    in_flight += 1;
+                }
             }
             drop(job_tx);
             while in_flight > 0 {
@@ -966,19 +942,19 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
                 let (done, sample, elapsed_ns) = result_rx.recv().expect("metrics workers alive");
                 blocked_ns += wait.elapsed().as_nanos() as u64;
                 in_flight -= 1;
-                settle(done, sample, elapsed_ns, &mut ordered, &mut analysis_ns);
+                settle(done, sample, elapsed_ns, &mut settled, &mut analysis_ns);
             }
         });
 
-        for slot in ordered {
-            let (sample, timing) = slot.expect("every dispatched sample is joined");
+        settled.sort_unstable_by_key(|(index, ..)| *index);
+        for (_, sample, timing) in settled {
             samples.push(sample);
             self.metrics_timing.push(timing);
         }
         let hidden = analysis_ns - blocked_ns.min(analysis_ns);
-        MetricsOverlapReport {
+        (workers > 0).then(|| MetricsOverlapReport {
             workers,
-            offloaded_samples: offloaded,
+            offloaded_samples: offloaded as u64,
             analysis_ns,
             blocked_ns,
             overlap_ratio: if analysis_ns == 0 {
@@ -986,7 +962,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             } else {
                 hidden as f64 / analysis_ns as f64
             },
-        }
+        })
     }
 
     /// Fails `fraction` of the live nodes at a single instant and returns the fraction of
@@ -1147,10 +1123,10 @@ mod tests {
         );
         let (rebuilds, fast) = out.incremental_component_updates.unwrap();
         assert!(rebuilds >= 1, "the first sample always rebuilds");
-        assert!(
-            fast > 0,
-            "a stable overlay must take the delta fast path ({rebuilds} rebuilds, {fast} fast)"
-        );
+        // A shuffling overlay removes edges between any two samples, so how many take
+        // the additions-only shortcut is the traffic's business; every sample takes one
+        // path or the other.
+        assert_eq!(rebuilds + fast, out.samples.len() as u64);
     }
 
     #[test]

@@ -20,10 +20,8 @@
 
 use croupier_simulator::NodeId;
 
+use crate::ranks::{RankTable, NO_RANK};
 use crate::snapshot::OverlaySnapshot;
-
-/// Marker for "id not observed in this sample" in the stamped lookup table.
-const NO_RANK: u32 = u32::MAX;
 
 /// An undirected overlay graph in compressed-sparse-row form, with reusable build buffers.
 ///
@@ -44,29 +42,15 @@ const NO_RANK: u32 = u32::MAX;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CsrGraph {
-    /// Rank → node id, ascending.
-    ids: Vec<NodeId>,
+    /// Rank ↔ node id: ranks are positions in the ascending list of observed ids.
+    ranks: RankTable,
     /// Row start offsets into `neighbours`; `offsets.len() == node_count() + 1`.
     offsets: Vec<u32>,
     /// Concatenated adjacency rows of dense ranks; sorted and deduped per row.
     neighbours: Vec<u32>,
-    /// Id-indexed rank table, valid where `lookup_stamp[id] == stamp`. Used only when the
-    /// id space is dense (`dense_lookup`); sparse snapshots binary-search `ids` instead.
-    lookup: Vec<u32>,
-    lookup_stamp: Vec<u32>,
-    stamp: u32,
-    /// Whether the current sample's ids were dense enough for the O(1) lookup table.
-    dense_lookup: bool,
     /// Per-row write cursors used while filling `neighbours`.
     cursor: Vec<u32>,
 }
-
-/// A sample is treated as dense when the id range is at most this many times the node
-/// count (plus slack for tiny snapshots). Engine captures always qualify — ids are arena
-/// slots assigned from zero, and even heavy churn replaces the population a handful of
-/// times per run — while hand-built snapshots with huge ids fall back to binary search
-/// rather than allocating an id-range-sized table.
-const DENSE_RANGE_FACTOR: u64 = 32;
 
 impl CsrGraph {
     /// Creates an empty graph with no buffers allocated yet.
@@ -85,43 +69,8 @@ impl CsrGraph {
 
     /// Rebuilds the graph from `snapshot`, reusing every internal buffer.
     pub fn rebuild(&mut self, snapshot: &OverlaySnapshot) {
-        self.ids.clear();
-        self.ids.extend(snapshot.nodes.iter().map(|n| n.id));
-        // `capture` sorts observations by id; tolerate hand-built snapshots that do not.
-        if !self.ids.windows(2).all(|w| w[0] < w[1]) {
-            self.ids.sort_unstable();
-            self.ids.dedup();
-        }
-        let n = self.ids.len();
-
-        // Stamp a fresh id → rank epoch. The table is sized by the engine-reported dense
-        // id bound (ids double as arena slot indices), falling back to the largest
-        // observed id for snapshots assembled by hand.
-        let bound = snapshot.id_upper_bound().max(
-            self.ids
-                .last()
-                .map_or(0, |id| id.as_u64().saturating_add(1)),
-        );
-        self.dense_lookup = bound <= (n as u64).saturating_mul(DENSE_RANGE_FACTOR) + 1024;
-        if self.dense_lookup {
-            let bound = bound as usize;
-            if self.lookup.len() < bound {
-                self.lookup.resize(bound, NO_RANK);
-                self.lookup_stamp.resize(bound, 0);
-            }
-            self.stamp = match self.stamp.checked_add(1) {
-                Some(next) => next,
-                None => {
-                    self.lookup_stamp.fill(0);
-                    1
-                }
-            };
-            for (rank, id) in self.ids.iter().enumerate() {
-                let slot = id.as_u64() as usize;
-                self.lookup[slot] = rank as u32;
-                self.lookup_stamp[slot] = self.stamp;
-            }
-        }
+        self.ranks.rebuild(snapshot);
+        let n = self.ranks.ids().len();
 
         // Pass 1: count row degrees (duplicates included; they are removed per row below).
         self.offsets.clear();
@@ -186,28 +135,18 @@ impl CsrGraph {
     /// The dense rank of `id` in this sample, if the node was observed.
     #[inline]
     pub fn rank_of(&self, id: NodeId) -> Option<u32> {
-        if self.dense_lookup {
-            let slot = id.as_u64() as usize;
-            if slot < self.lookup.len() && self.lookup_stamp[slot] == self.stamp {
-                Some(self.lookup[slot])
-            } else {
-                None
-            }
-        } else {
-            // Sparse ids: ranks are positions in the sorted id list.
-            self.ids.binary_search(&id).ok().map(|rank| rank as u32)
-        }
+        self.ranks.rank_of(id)
     }
 
     /// The node id at dense rank `rank`.
     #[inline]
     pub fn id_of(&self, rank: u32) -> NodeId {
-        self.ids[rank as usize]
+        self.ranks.ids()[rank as usize]
     }
 
     /// Number of vertices.
     pub fn node_count(&self) -> usize {
-        self.ids.len()
+        self.ranks.ids().len()
     }
 
     /// Number of undirected edges.
@@ -224,7 +163,7 @@ impl CsrGraph {
 
     /// All vertices in ascending id order (equals ascending rank order).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ids.iter().copied()
+        self.ranks.ids().iter().copied()
     }
 }
 
@@ -298,7 +237,11 @@ mod tests {
         let g = CsrGraph::from_snapshot(&snapshot(&[5, huge], &[(5, huge), (huge, 5)]));
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 1);
-        assert!(g.lookup.is_empty(), "sparse build must not size the table");
+        assert_eq!(
+            g.ranks.lookup_len(),
+            0,
+            "sparse build must not size the table"
+        );
         assert_eq!(g.rank_of(NodeId::new(5)), Some(0));
         assert_eq!(g.rank_of(NodeId::new(huge)), Some(1));
         assert_eq!(g.rank_of(NodeId::new(6)), None);

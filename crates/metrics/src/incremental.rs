@@ -1,27 +1,23 @@
-//! Incremental largest-component tracking for high-frequency sampling loops.
+//! Largest-component tracking for high-frequency sampling loops, without the CSR build.
 //!
-//! The CSR pipeline ([`MetricsContext`](crate::context::MetricsContext)) rebuilds the
-//! whole undirected graph and sweeps it with BFS on every sample — O(V + E) per sample
-//! regardless of how little the overlay changed. Between consecutive samples of a
-//! steady-state run, however, only a few percent of view entries turn over, so the work
-//! that actually needs doing is proportional to the **edge delta**, not the graph.
+//! The CSR pipeline ([`MetricsContext`](crate::context::MetricsContext)) sorts and
+//! scatters the whole undirected graph and sweeps it with BFS on every sample.
+//! [`IncrementalComponents`] answers the one question the sampling loop asks —
+//! how large is the biggest component — from a union-find over the observed nodes:
 //!
-//! [`IncrementalComponents`] maintains a union-find forest over the observed nodes and
-//! consumes the capture-to-capture diff recorded by
-//! [`OverlaySnapshot::enable_delta_tracking`]:
+//! * When the snapshot carries a capture-to-capture diff (see
+//!   [`OverlaySnapshot::enable_delta_tracking`]) with unchanged membership and **no
+//!   removed edge**, the previous partition is still exact and the added edges are pure
+//!   unions — O(α) each, idempotent, order-independent. This is the only shortcut a
+//!   union-find supports natively.
+//! * Every other update is one union pass over the snapshot's directed edge list: no
+//!   sort, no scatter, no adjacency, no traversal.
 //!
-//! * **Added edges** are pure unions — O(α) each, idempotent, order-independent.
-//! * **Removed edges** that still exist in the other direction, or that were never part
-//!   of the union forest (cycle edges), cannot change connectivity and are skipped.
-//! * When *forest* edges disappear the structure attempts an O(V + Δ) **repair**: it
-//!   re-unions the surviving forest edges plus the added edges, and accepts the result
-//!   when that subgraph already spans every observed node in one component — a
-//!   certificate that the full graph (a superset) does too. Gossip overlays are
-//!   connected in steady state, so the repair almost always certifies even though a
-//!   shuffling overlay turns over a large fraction of its edges between samples.
-//! * Only when the certificate fails — or membership changes, which invalidates the
-//!   rank space — does the structure fall back to a full rebuild: a single union pass
-//!   over the snapshot's directed edge list (no sort, no scatter, no BFS).
+//! A shuffling overlay swaps view entries every round, so a live run presents removed
+//! edges on practically every sample and takes the union pass; the shortcut serves
+//! grow-only phases and staged snapshots. Nothing is recorded to survive a removal:
+//! spanning-forest bookkeeping measured 12x the cost of the plain pass on a live 8k-node
+//! overlay and never saved one (DESIGN.md §12.2).
 //!
 //! # Equivalence with the CSR reference
 //!
@@ -34,25 +30,18 @@
 //! operands — and therefore the one floating-point division — are **bit-identical** to
 //! the CSR + BFS path, which `tests/property_tests.rs` pins down under randomized churn.
 
-use croupier_simulator::{FastHashSet, NodeId};
+use croupier_simulator::NodeId;
 
+use crate::ranks::RankTable;
 use crate::snapshot::OverlaySnapshot;
 
-/// Marker for "id not observed in this sample" in the stamped lookup table.
-const NO_RANK: u32 = u32::MAX;
-
-/// Same dense-id heuristic as [`CsrGraph`](crate::graph::CsrGraph): engine captures
-/// qualify for the O(1) id → rank table, hand-built snapshots with huge ids binary-search.
-const DENSE_RANGE_FACTOR: u64 = 32;
-
-/// A union-find connectivity structure that updates from snapshot edge deltas instead of
-/// rebuilding per sample. See the module documentation for the algorithm and the
-/// equivalence argument.
+/// A union-find connectivity structure fed one snapshot per sample. See the module
+/// documentation for the algorithm and the equivalence argument.
 ///
 /// The structure tracks **one** snapshot instance: feed it the same
 /// delta-tracking-enabled [`OverlaySnapshot`] on every sample (the experiment driver's
 /// pattern). Handing it unrelated snapshots is safe — any capture without a valid delta,
-/// or with membership changes, triggers a full rebuild — but forfeits the fast path.
+/// with membership changes or with removed edges is recomputed from its edge list.
 ///
 /// # Examples
 ///
@@ -77,36 +66,18 @@ const DENSE_RANGE_FACTOR: u64 = 32;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalComponents {
-    /// Rank → node id, ascending (the same rank space as [`CsrGraph`]).
-    ids: Vec<NodeId>,
+    /// The observed nodes' rank space (the same as [`CsrGraph`](crate::graph::CsrGraph)'s).
+    ranks: RankTable,
     /// Union-find parent per rank.
     parent: Vec<u32>,
     /// Component size at each root rank.
     size: Vec<u32>,
     /// Size of the largest component (monotone under unions; recomputed on rebuild).
     largest: u32,
-    /// Canonical `(min rank, max rank)` pairs (packed) of the edges whose union call
-    /// actually merged two components. Removing any *other* edge cannot split a
-    /// component, so only forest-edge removals force a rebuild.
-    forest: FastHashSet<u64>,
-    /// Id-indexed rank table, valid where `lookup_stamp[id] == stamp` (dense path only).
-    lookup: Vec<u32>,
-    lookup_stamp: Vec<u32>,
-    stamp: u32,
-    dense_lookup: bool,
-    /// Whether the union-find state describes the previous capture of the tracked
-    /// snapshot (fast-path precondition).
-    synced: bool,
-    /// Number of full rebuilds performed (diagnostics; sublinearity tests).
+    /// Number of full union passes performed (diagnostics).
     rebuilds: u64,
-    /// Number of delta-only updates performed (diagnostics; sublinearity tests).
-    fast_updates: u64,
-    /// Number of forest-repair updates performed (diagnostics; sublinearity tests).
-    repairs: u64,
-    /// Scratch: surviving forest edges during a repair.
-    forest_scratch: Vec<u64>,
-    /// Scratch: packed rank pairs of forest edges removed by the current delta.
-    removed_scratch: FastHashSet<u64>,
+    /// Number of additions-only updates performed (diagnostics).
+    sublinear_updates: u64,
 }
 
 impl IncrementalComponents {
@@ -116,19 +87,23 @@ impl IncrementalComponents {
         IncrementalComponents::default()
     }
 
-    /// Brings the structure in sync with `snapshot`, by delta replay when the snapshot
-    /// carries a usable diff and by full rebuild otherwise.
+    /// Brings the structure in sync with `snapshot`: by unioning the added edges when the
+    /// snapshot's delta is valid, membership is unchanged and nothing was removed, and by
+    /// one union pass over all edges otherwise.
     pub fn update(&mut self, snapshot: &OverlaySnapshot) {
-        let fast = self.synced
-            && match snapshot.edge_delta() {
-                Some(delta) => !delta.membership_changed && self.apply_delta(snapshot),
-                None => false,
-            };
-        if !fast {
-            self.rebuild(snapshot);
-            self.rebuilds += 1;
+        match snapshot.edge_delta() {
+            // The first update has no partition of the previous capture to extend.
+            Some(delta)
+                if self.rebuilds > 0 && !delta.membership_changed && delta.removed.is_empty() =>
+            {
+                self.union_edges(delta.added);
+                self.sublinear_updates += 1;
+            }
+            _ => {
+                self.rebuild(snapshot);
+                self.rebuilds += 1;
+            }
         }
-        self.synced = true;
     }
 
     /// Fraction of observed nodes inside the largest connected component (0.0 for an
@@ -136,10 +111,10 @@ impl IncrementalComponents {
     /// [`MetricsContext::largest_component_fraction`](crate::context::MetricsContext::largest_component_fraction)
     /// on the same snapshot.
     pub fn largest_component_fraction(&self) -> f64 {
-        if self.ids.is_empty() {
+        if self.parent.is_empty() {
             return 0.0;
         }
-        self.largest as f64 / self.ids.len() as f64
+        self.largest as f64 / self.parent.len() as f64
     }
 
     /// Number of connected components among the observed nodes.
@@ -149,145 +124,45 @@ impl IncrementalComponents {
             .count()
     }
 
-    /// Full rebuilds performed so far (the first `update` always counts one).
+    /// Full union passes performed so far (the first `update` always counts one).
     pub fn rebuild_count(&self) -> u64 {
         self.rebuilds
     }
 
-    /// Delta-only updates performed so far.
-    pub fn fast_update_count(&self) -> u64 {
-        self.fast_updates
-    }
-
-    /// Forest-repair updates performed so far (removed forest edges, but the surviving
-    /// forest plus the added edges still spanned everything in one component).
-    pub fn repair_count(&self) -> u64 {
-        self.repairs
-    }
-
-    /// Updates avoiding the full edge scan: delta-only fast updates plus certified
-    /// repairs, both with cost independent of the total edge count.
+    /// Updates that avoided the full edge scan: additions-only deltas, whose cost is
+    /// independent of the total edge count.
     pub fn sublinear_update_count(&self) -> u64 {
-        self.fast_updates + self.repairs
+        self.sublinear_updates
     }
 
-    /// Attempts the delta-only and repair paths. Returns `false` (leaving the state
-    /// stale but rank-consistent, since membership is unchanged) when removed forest
-    /// edges broke the spanning certificate, in which case the caller rebuilds.
-    fn apply_delta(&mut self, snapshot: &OverlaySnapshot) -> bool {
-        let delta = snapshot.edge_delta().expect("caller checked the delta");
-        // Removals first: decide which undirected edges actually left the graph *and*
-        // carried the forest. A directed removal `a → b` leaves the undirected edge
-        // intact while `b → a` is still present in the new capture, and removing a
-        // cycle edge cannot change the partition at all.
-        let mut removed_forest = std::mem::take(&mut self.removed_scratch);
-        removed_forest.clear();
-        for &(a, b) in delta.removed {
-            let (Some(ra), Some(rb)) = (self.rank_of(a), self.rank_of(b)) else {
-                // Endpoint not observed: the edge was dropped from the old graph too
-                // (membership is unchanged), so nothing can have existed to remove.
-                continue;
-            };
-            if ra == rb {
-                continue; // self-loops never enter the graph
-            }
-            if snapshot.has_directed_edge(b, a) || snapshot.has_directed_edge(a, b) {
-                continue; // the undirected edge survives via the other direction
-            }
-            let key = pack_pair(ra, rb);
-            if self.forest.contains(&key) {
-                removed_forest.insert(key);
-            }
-        }
-        let ok = if removed_forest.is_empty() {
-            for &(a, b) in delta.added {
-                let (Some(ra), Some(rb)) = (self.rank_of(a), self.rank_of(b)) else {
-                    continue;
-                };
-                if ra != rb {
-                    self.union(ra, rb);
-                }
-            }
-            self.fast_updates += 1;
-            true
-        } else if self.repair(snapshot, &removed_forest) {
-            self.repairs += 1;
-            true
-        } else {
-            false
-        };
-        self.removed_scratch = removed_forest;
-        ok
-    }
-
-    /// Re-unions the surviving forest edges plus the delta's added edges — O(V + Δ),
-    /// independent of the total edge count — and accepts the result iff that subgraph
-    /// spans all observed nodes in one component. The subgraph only uses edges present
-    /// in the new capture, and the full graph is a superset of it, so a spanning
-    /// subgraph proves the full graph's largest component is also everything: the
-    /// answer `n / n` is exact and bit-identical to the CSR + BFS sweep.
-    fn repair(&mut self, snapshot: &OverlaySnapshot, removed_forest: &FastHashSet<u64>) -> bool {
-        let delta = snapshot.edge_delta().expect("caller checked the delta");
-        let mut survivors = std::mem::take(&mut self.forest_scratch);
-        survivors.clear();
-        survivors.extend(
-            self.forest
-                .iter()
-                .copied()
-                .filter(|key| !removed_forest.contains(key)),
-        );
-        self.reset_partition();
-        for &key in &survivors {
-            self.union((key >> 32) as u32, key as u32);
-        }
-        self.forest_scratch = survivors;
-        for &(a, b) in delta.added {
-            let (Some(ra), Some(rb)) = (self.rank_of(a), self.rank_of(b)) else {
-                continue;
-            };
-            if ra != rb {
-                self.union(ra, rb);
-            }
-        }
-        !self.ids.is_empty() && self.largest as usize == self.ids.len()
-    }
-
-    /// Rebuilds the union-find state from scratch: one pass over the snapshot's directed
+    /// Recomputes the partition from scratch: one pass over the snapshot's directed
     /// edges, unioning every resolvable pair. No adjacency is materialised and no
-    /// traversal runs, so a rebuild is considerably cheaper than a CSR build + BFS even
-    /// when the fast path never fires.
+    /// traversal runs, so this is considerably cheaper than a CSR build + BFS.
     fn rebuild(&mut self, snapshot: &OverlaySnapshot) {
-        self.ids.clear();
-        self.ids.extend(snapshot.nodes.iter().map(|n| n.id));
-        if !self.ids.windows(2).all(|w| w[0] < w[1]) {
-            self.ids.sort_unstable();
-            self.ids.dedup();
-        }
-        self.restamp_lookup(snapshot);
-        self.reset_partition();
-        for &(a, b) in &snapshot.edges {
-            if a == b {
-                continue;
-            }
-            if let (Some(ra), Some(rb)) = (self.rank_of(a), self.rank_of(b)) {
-                self.union(ra, rb);
-            }
-        }
-    }
-
-    /// Resets the partition to `n` singletons, emptying the forest.
-    fn reset_partition(&mut self) {
-        let n = self.ids.len();
+        self.ranks.rebuild(snapshot);
+        let n = self.ranks.ids().len();
         self.parent.clear();
         self.parent.extend(0..n as u32);
         self.size.clear();
         self.size.resize(n, 1);
-        self.forest.clear();
         self.largest = if n == 0 { 0 } else { 1 };
+        self.union_edges(&snapshot.edges);
     }
 
-    /// Unions the components of two distinct ranks (by size, with path compression),
-    /// recording the edge in the forest set when it merged two components.
+    /// Unions the endpoints of every edge whose two ends are observed; self-loops and
+    /// edges touching unobserved nodes never enter the graph.
+    fn union_edges(&mut self, edges: &[(NodeId, NodeId)]) {
+        for &(a, b) in edges {
+            if a == b {
+                continue;
+            }
+            if let (Some(ra), Some(rb)) = (self.ranks.rank_of(a), self.ranks.rank_of(b)) {
+                self.union(ra, rb);
+            }
+        }
+    }
+
+    /// Unions the components of two ranks (by size, with path halving).
     fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
@@ -301,7 +176,6 @@ impl IncrementalComponents {
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
         self.largest = self.largest.max(self.size[big as usize]);
-        self.forest.insert(pack_pair(a, b));
     }
 
     /// Root of `v`'s component, halving the path as it walks.
@@ -313,59 +187,6 @@ impl IncrementalComponents {
         }
         v
     }
-
-    /// Stamps a fresh id → rank epoch, mirroring [`CsrGraph`]'s dense/sparse split.
-    fn restamp_lookup(&mut self, snapshot: &OverlaySnapshot) {
-        let n = self.ids.len();
-        let bound = snapshot.id_upper_bound().max(
-            self.ids
-                .last()
-                .map_or(0, |id| id.as_u64().saturating_add(1)),
-        );
-        self.dense_lookup = bound <= (n as u64).saturating_mul(DENSE_RANGE_FACTOR) + 1024;
-        if !self.dense_lookup {
-            return;
-        }
-        let bound = bound as usize;
-        if self.lookup.len() < bound {
-            self.lookup.resize(bound, NO_RANK);
-            self.lookup_stamp.resize(bound, 0);
-        }
-        self.stamp = match self.stamp.checked_add(1) {
-            Some(next) => next,
-            None => {
-                self.lookup_stamp.fill(0);
-                1
-            }
-        };
-        for (rank, id) in self.ids.iter().enumerate() {
-            let slot = id.as_u64() as usize;
-            self.lookup[slot] = rank as u32;
-            self.lookup_stamp[slot] = self.stamp;
-        }
-    }
-
-    /// The dense rank of `id` in the current sample, if observed.
-    #[inline]
-    fn rank_of(&self, id: NodeId) -> Option<u32> {
-        if self.dense_lookup {
-            let slot = id.as_u64() as usize;
-            if slot < self.lookup.len() && self.lookup_stamp[slot] == self.stamp {
-                Some(self.lookup[slot])
-            } else {
-                None
-            }
-        } else {
-            self.ids.binary_search(&id).ok().map(|rank| rank as u32)
-        }
-    }
-}
-
-/// Packs a rank pair into an orientation-free `u64` set key.
-#[inline]
-fn pack_pair(a: u32, b: u32) -> u64 {
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    ((lo as u64) << 32) | hi as u64
 }
 
 #[cfg(test)]
@@ -424,7 +245,70 @@ mod tests {
         inc.update(&s);
         inc.update(&s);
         assert_eq!(inc.rebuild_count(), 2);
-        assert_eq!(inc.fast_update_count(), 0);
+        assert_eq!(inc.sublinear_update_count(), 0);
+    }
+
+    /// A delta-tracked snapshot primed with `edges`, already fed to a fresh structure.
+    fn tracked(nodes: &[u64], edges: &[(u64, u64)]) -> (OverlaySnapshot, IncrementalComponents) {
+        let mut s = OverlaySnapshot::default();
+        s.enable_delta_tracking();
+        restage(&mut s, nodes, edges);
+        let mut inc = IncrementalComponents::new();
+        inc.update(&s);
+        (s, inc)
+    }
+
+    fn restage(s: &mut OverlaySnapshot, nodes: &[u64], edges: &[(u64, u64)]) {
+        let staged = snapshot(nodes, edges);
+        s.replace_from_parts(staged.nodes, staged.edges);
+    }
+
+    fn assert_matches_csr(inc: &IncrementalComponents, s: &OverlaySnapshot) {
+        assert_eq!(
+            inc.largest_component_fraction().to_bits(),
+            largest_component_fraction(s).to_bits()
+        );
+    }
+
+    #[test]
+    fn additions_only_delta_takes_the_shortcut() {
+        let nodes = [1, 2, 3, 4, 5, 6];
+        let (mut s, mut inc) = tracked(&nodes, &[(1, 2), (3, 4)]);
+        // Gains a bridge, a reverse duplicate, a self-loop and a dangling edge.
+        restage(
+            &mut s,
+            &nodes,
+            &[(1, 2), (3, 4), (2, 3), (2, 1), (5, 5), (6, 42)],
+        );
+        inc.update(&s);
+        assert_eq!((inc.rebuild_count(), inc.sublinear_update_count()), (1, 1));
+        assert_eq!(inc.component_count(), 3);
+        assert!((inc.largest_component_fraction() - 4.0 / 6.0).abs() < 1e-12);
+        assert_matches_csr(&inc, &s);
+    }
+
+    #[test]
+    fn removing_a_bridge_rebuilds_and_reports_the_split() {
+        let nodes = [1, 2, 3, 4];
+        let (mut s, mut inc) = tracked(&nodes, &[(1, 2), (2, 3), (3, 4)]);
+        assert_eq!(inc.largest_component_fraction(), 1.0);
+        restage(&mut s, &nodes, &[(1, 2), (3, 4)]);
+        inc.update(&s);
+        assert_eq!((inc.rebuild_count(), inc.sublinear_update_count()), (2, 0));
+        assert_eq!(inc.component_count(), 2);
+        assert_eq!(inc.largest_component_fraction(), 0.5);
+        assert_matches_csr(&inc, &s);
+    }
+
+    #[test]
+    fn membership_change_rebuilds() {
+        let (mut s, mut inc) = tracked(&[1, 2, 3], &[(1, 2)]);
+        // Additions only, but node 4 is new: the rank space is stale.
+        restage(&mut s, &[1, 2, 3, 4], &[(1, 2), (3, 4)]);
+        inc.update(&s);
+        assert_eq!((inc.rebuild_count(), inc.sublinear_update_count()), (2, 0));
+        assert_eq!(inc.component_count(), 2);
+        assert_matches_csr(&inc, &s);
     }
 
     #[test]

@@ -27,14 +27,8 @@
 use croupier_simulator::NodeId;
 use serde::{Deserialize, Serialize};
 
+use crate::ranks::{is_dense, RankTable, NO_RANK};
 use crate::snapshot::OverlaySnapshot;
-
-/// Marker for "id not observed in this sample" in the stamped lookup table.
-const NO_RANK: u32 = u32::MAX;
-
-/// Same dense-id heuristic as [`CsrGraph`](crate::graph::CsrGraph): engine captures
-/// qualify for the O(1) id → rank table, hand-built snapshots with huge ids binary-search.
-const DENSE_RANGE_FACTOR: u64 = 32;
 
 /// Summary statistics of an in-degree distribution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -103,7 +97,7 @@ impl RankIndex {
     fn build(snapshot: &OverlaySnapshot) -> Self {
         let n = snapshot.nodes.len();
         let bound = snapshot.id_upper_bound();
-        if bound <= (n as u64).saturating_mul(DENSE_RANGE_FACTOR) + 1024 {
+        if is_dense(n, bound) {
             let mut slots = vec![NO_RANK; bound as usize];
             for (rank, node) in snapshot.nodes.iter().enumerate() {
                 slots[node.id.as_u64() as usize] = rank as u32;
@@ -254,15 +248,10 @@ fn gini_from_degree_counts(pairs: impl Iterator<Item = (usize, usize)>) -> f64 {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalIndegree {
-    /// Rank → node id, ascending (the same rank space as [`CsrGraph`](crate::graph::CsrGraph)).
-    ids: Vec<NodeId>,
+    /// The observed nodes' rank space (the same as [`CsrGraph`](crate::graph::CsrGraph)'s).
+    ranks: RankTable,
     /// Rank → in-degree, element-for-element equal to [`indegree_distribution`].
     counts: Vec<u32>,
-    /// Id-indexed rank table, valid where `lookup_stamp[id] == stamp` (dense path only).
-    lookup: Vec<u32>,
-    lookup_stamp: Vec<u32>,
-    stamp: u32,
-    dense_lookup: bool,
     /// Whether the counts describe the previous capture of the tracked snapshot
     /// (fast-path precondition).
     synced: bool,
@@ -299,7 +288,7 @@ impl IncrementalIndegree {
 
     /// Number of tracked nodes.
     pub fn node_count(&self) -> usize {
-        self.ids.len()
+        self.ranks.ids().len()
     }
 
     /// The tracked in-degrees in rank (ascending id) order.
@@ -354,15 +343,16 @@ impl IncrementalIndegree {
     /// O(Δ) update: every removed directed edge decrements its target's count, every
     /// added one increments it. Sources need not be observed (matching the reference:
     /// only the *target* must be live) and membership is unchanged, so the delta is an
-    /// exact multiset diff over a stable rank space — no repair step is ever needed,
-    /// unlike connectivity, because in-degree is a per-node sum, not a global property.
+    /// exact multiset diff over a stable rank space — removals replay as readily as
+    /// additions, unlike connectivity, because in-degree is a per-node sum, not a global
+    /// property.
     fn apply_delta(&mut self, snapshot: &OverlaySnapshot) {
         let delta = snapshot.edge_delta().expect("caller checked the delta");
         for &(from, to) in delta.removed {
             if from == to {
                 continue;
             }
-            if let Some(rank) = self.rank_of(to) {
+            if let Some(rank) = self.ranks.rank_of(to) {
                 self.counts[rank as usize] -= 1;
             }
         }
@@ -370,7 +360,7 @@ impl IncrementalIndegree {
             if from == to {
                 continue;
             }
-            if let Some(rank) = self.rank_of(to) {
+            if let Some(rank) = self.ranks.rank_of(to) {
                 self.counts[rank as usize] += 1;
             }
         }
@@ -378,70 +368,16 @@ impl IncrementalIndegree {
 
     /// Full recount: one pass over the snapshot's directed edges.
     fn rebuild(&mut self, snapshot: &OverlaySnapshot) {
-        self.ids.clear();
-        self.ids.extend(snapshot.nodes.iter().map(|n| n.id));
-        if !self.ids.windows(2).all(|w| w[0] < w[1]) {
-            self.ids.sort_unstable();
-            self.ids.dedup();
-        }
-        self.restamp_lookup(snapshot);
+        self.ranks.rebuild(snapshot);
         self.counts.clear();
-        self.counts.resize(self.ids.len(), 0);
+        self.counts.resize(self.ranks.ids().len(), 0);
         for &(from, to) in &snapshot.edges {
             if from == to {
                 continue;
             }
-            if let Some(rank) = self.rank_of(to) {
+            if let Some(rank) = self.ranks.rank_of(to) {
                 self.counts[rank as usize] += 1;
             }
-        }
-    }
-
-    /// Stamps a fresh id → rank epoch, mirroring
-    /// [`IncrementalComponents`](crate::incremental::IncrementalComponents)' dense/sparse
-    /// split.
-    fn restamp_lookup(&mut self, snapshot: &OverlaySnapshot) {
-        let n = self.ids.len();
-        let bound = snapshot.id_upper_bound().max(
-            self.ids
-                .last()
-                .map_or(0, |id| id.as_u64().saturating_add(1)),
-        );
-        self.dense_lookup = bound <= (n as u64).saturating_mul(DENSE_RANGE_FACTOR) + 1024;
-        if !self.dense_lookup {
-            return;
-        }
-        let bound = bound as usize;
-        if self.lookup.len() < bound {
-            self.lookup.resize(bound, NO_RANK);
-            self.lookup_stamp.resize(bound, 0);
-        }
-        self.stamp = match self.stamp.checked_add(1) {
-            Some(next) => next,
-            None => {
-                self.lookup_stamp.fill(0);
-                1
-            }
-        };
-        for (rank, id) in self.ids.iter().enumerate() {
-            let slot = id.as_u64() as usize;
-            self.lookup[slot] = rank as u32;
-            self.lookup_stamp[slot] = self.stamp;
-        }
-    }
-
-    /// The dense rank of `id` in the current sample, if observed.
-    #[inline]
-    fn rank_of(&self, id: NodeId) -> Option<u32> {
-        if self.dense_lookup {
-            let slot = id.as_u64() as usize;
-            if slot < self.lookup.len() && self.lookup_stamp[slot] == self.stamp {
-                Some(self.lookup[slot])
-            } else {
-                None
-            }
-        } else {
-            self.ids.binary_search(&id).ok().map(|rank| rank as u32)
         }
     }
 }

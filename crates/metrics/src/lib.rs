@@ -31,14 +31,17 @@
 //!
 //! ## Incremental trackers
 //!
-//! The million-node tier cannot afford to recount anything from the full edge list every
-//! sample, so the in-degree family ([`IncrementalIndegree`]) and the largest-component
-//! metric ([`IncrementalComponents`]) maintain their state from snapshot **edge deltas**
-//! (enable with [`OverlaySnapshot::enable_delta_tracking`]) and fall back to a full
-//! rebuild whenever membership changes or no valid delta is available. Both are
-//! property-tested bit-identical to the full recount; both expose
-//! `rebuild_count`/`fast_update_count` so callers can assert the fast path actually
-//! fired. A hand-built snapshot exercises the same code paths as an engine capture:
+//! The million-node tier cannot afford the CSR pipeline every sample. The in-degree
+//! family ([`IncrementalIndegree`]) maintains its state from snapshot **edge deltas**
+//! (enable with [`OverlaySnapshot::enable_delta_tracking`]) and falls back to a full
+//! rebuild whenever membership changes or no valid delta is available. The
+//! largest-component metric ([`IncrementalComponents`]) is a union-find that replays a
+//! delta only when it removed nothing — a live shuffling overlay practically never
+//! presents one — and otherwise runs one union pass over the edge list, with no sort,
+//! scatter or traversal. Both are property-tested bit-identical to the full recount and
+//! both count their full and delta-only updates (`rebuild_count`, and
+//! `fast_update_count` / `sublinear_update_count`) so callers can see which path
+//! ran. A hand-built snapshot exercises the same code paths as an engine capture:
 //!
 //! ```
 //! use croupier_metrics::snapshot::{NodeObservation, OverlaySnapshot};
@@ -79,6 +82,7 @@ pub mod incremental;
 pub mod indegree;
 pub mod overhead;
 pub mod paths;
+mod ranks;
 pub mod reference;
 pub mod snapshot;
 

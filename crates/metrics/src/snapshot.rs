@@ -217,12 +217,6 @@ impl OverlaySnapshot {
         }
     }
 
-    /// Returns `true` if the directed edge `a → b` is present in the current capture
-    /// (binary search over the sorted edge list).
-    pub fn has_directed_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.edges.binary_search(&(a, b)).is_ok()
-    }
-
     /// Two-pointer multiset diff of the sorted `prev_edges`/`edges` lists into
     /// `added_edges`/`removed_edges`.
     fn diff_edges(&mut self) {

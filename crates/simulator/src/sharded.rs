@@ -5,9 +5,9 @@
 //! ("phases"), nodes are striped over `engine_threads` shards (`shard = id mod S`,
 //! stored densely at `id div S` in each shard's [`NodeArena`]), and every phase runs all
 //! shards in parallel on scoped worker threads. Messages never cross shard boundaries
-//! mid-phase: workers buffer them in per-`(src-shard, dst-shard)` outboxes and sort each
-//! outbox into the canonical order — `(send time, sender id, per-sender sequence
-//! number)` — before the barrier. At the barrier the coordinator k-way merges the
+//! mid-phase: every worker buffers them in its shard's one outbox and sorts it into the
+//! canonical order — `(send time, sender id, per-sender sequence number)` — before the
+//! barrier. At the barrier the coordinator k-way merges the
 //! pre-sorted runs, runs the delivery filter and sender-side traffic accounting over
 //! them sequentially in canonical order, and stages the survivors per destination shard;
 //! each shard then inserts its own staged deliveries into its own event queue (in
@@ -101,15 +101,15 @@ struct PendingMessage<M> {
     wire: usize,
 }
 
-/// One shard: a stripe of nodes, their event queue, and this phase's outboxes.
+/// One shard: a stripe of nodes, their event queue, and this phase's outbox.
 struct Shard<P: Protocol> {
     /// Total number of shards (the stripe modulus).
     stride: u64,
     nodes: NodeArena<NodeState<P>>,
     queue: EventQueue<P::Message>,
-    /// Outgoing messages buffered during the current phase, bucketed by destination shard.
-    /// Drained (capacity retained) at every round barrier.
-    outboxes: Vec<Vec<PendingMessage<P::Message>>>,
+    /// Outgoing messages buffered during the current phase. Drained (capacity retained)
+    /// at every round barrier.
+    outbox: Vec<PendingMessage<P::Message>>,
     /// Recycled effect buffers threaded through every protocol callback on this shard
     /// (see [`Context::with_buffers`]); capacity persists across events.
     ctx_outbox: Vec<Outgoing<P::Message>>,
@@ -152,7 +152,7 @@ impl<P: Protocol> Shard<P> {
             stride,
             nodes: NodeArena::new(),
             queue: EventQueue::new(),
-            outboxes: (0..stride).map(|_| Vec::new()).collect(),
+            outbox: Vec::new(),
             ctx_outbox: Vec::new(),
             ctx_timers: Vec::new(),
             traffic: TrafficLedger::new(),
@@ -163,8 +163,8 @@ impl<P: Protocol> Shard<P> {
     /// Runs `callback` on one node and converts its effects: timers go straight into this
     /// shard's queue (they are node-local), messages become [`PendingMessage`]s — with
     /// loss and latency already sampled from the node's private network stream — pushed
-    /// directly into the destination shard's outbox bucket. The context's effect buffers
-    /// come from the shard's pool, so steady-state execution allocates nothing.
+    /// into the shard's outbox. The context's effect buffers come from the shard's pool,
+    /// so steady-state execution allocates nothing.
     fn execute<F>(&mut self, local: usize, at: SimTime, env: &PhaseEnv<'_>, callback: F)
     where
         F: FnOnce(&mut P, &mut Context<'_, P::Message>),
@@ -199,7 +199,6 @@ impl<P: Protocol> Shard<P> {
             self.queue
                 .schedule(at + delay, Event::Timer { node: id, key });
         }
-        let stride = self.stride;
         let state = self.nodes.get_mut(local).expect("node still live");
         for Outgoing { to, msg } in outgoing.drain(..) {
             let wire = msg.wire_size();
@@ -211,8 +210,7 @@ impl<P: Protocol> Shard<P> {
             } else {
                 at + env.latency.sample_shared(id, to, &mut state.net_rng)
             };
-            let dst = (to.as_u64() % stride) as usize;
-            self.outboxes[dst].push(PendingMessage {
+            self.outbox.push(PendingMessage {
                 from: id,
                 to,
                 msg,
@@ -269,17 +267,14 @@ impl<P: Protocol> Shard<P> {
                 }
             }
         }
-        // Sort this phase's outboxes into *descending* canonical order on the worker:
-        // the barrier then k-way merges `S²` pre-sorted runs instead of sorting the
-        // whole batch on the coordinating thread. The sort — the dominant barrier cost
-        // at 100k nodes — thus parallelises with the phase itself. Descending order
-        // lets the merge consume each run by `Vec::pop` (cheapest possible by-value
-        // cursor, and no per-barrier iterator allocation).
-        for outbox in &mut self.outboxes {
-            outbox.sort_unstable_by(|a, b| {
-                (b.sent_at, b.from, b.seq).cmp(&(a.sent_at, a.from, a.seq))
-            });
-        }
+        // Sort this phase's outbox into *descending* canonical order on the worker: the
+        // barrier then k-way merges `S` pre-sorted runs instead of sorting the whole
+        // batch on the coordinating thread. The sort — the dominant barrier cost at 100k
+        // nodes — thus parallelises with the phase itself. Descending order lets the
+        // merge consume each run by `Vec::pop` (cheapest possible by-value cursor, and no
+        // per-barrier iterator allocation).
+        self.outbox
+            .sort_unstable_by_key(|m| std::cmp::Reverse((m.sent_at, m.from, m.seq)));
     }
 }
 
@@ -340,12 +335,11 @@ pub struct ShardedSimulation<P: Protocol> {
     delivery: Delivery,
     bootstrap: BootstrapRegistry,
     /// Recycled barrier batch: the per-phase canonical-order merge of every shard's
-    /// outboxes. Drained by [`merge_batch`](Self::merge_batch) with its capacity
+    /// outbox. Drained by [`merge_batch`](Self::merge_batch) with its capacity
     /// retained, so the barrier allocates nothing once the per-phase message volume has
     /// peaked.
     merge_buf: Vec<PendingMessage<P::Message>>,
-    /// Recycled backing store for the k-way merge's head heap (one entry per
-    /// `(src, dst)` outbox run).
+    /// Recycled backing store for the k-way merge's head heap (one entry per shard).
     heap_buf: Vec<std::cmp::Reverse<(SimTime, NodeId, u64, usize)>>,
     /// Recycled per-destination-shard staging lists for the barrier's partitioned queue
     /// insertion: the sequential filter pass appends surviving deliveries here in
@@ -617,17 +611,12 @@ where
             };
             self.shards[shard_idx].execute(local, now, &env, |proto, ctx| proto.on_start(ctx));
         }
-        // `on_start`'s messages landed in the joining node's shard outboxes; merge them
-        // immediately so they are delivered like any other send. The outboxes are
-        // bucketed by destination, so concatenation interleaves the node's sequence
-        // numbers — restore the canonical order with an explicit (tiny) sort.
-        let mut batch = std::mem::take(&mut self.merge_buf);
-        for outbox in &mut self.shards[shard_idx].outboxes {
-            batch.append(outbox);
-        }
-        batch.sort_unstable_by_key(|m| (m.sent_at, m.from, m.seq));
+        // `on_start`'s messages are alone in the shard's outbox (barriers drain it) and
+        // already canonical — one sender, one instant, ascending sequence numbers — so
+        // merge them immediately and they are delivered like any other send.
+        let mut batch = std::mem::take(&mut self.shards[shard_idx].outbox);
         self.merge_batch(&mut batch, now);
-        self.merge_buf = batch;
+        self.shards[shard_idx].outbox = batch;
         let shard = &mut self.shards[shard_idx];
         let state = shard.nodes.get_mut(local).expect("node just inserted");
         let phase = if cfg.random_phase {
@@ -734,29 +723,28 @@ where
         }
     }
 
-    /// Collects every shard's outboxes into `batch` in the canonical
-    /// `(send time, sender, sequence)` order by k-way merging the `S²` runs the workers
+    /// Collects every shard's outbox into `batch` in the canonical
+    /// `(send time, sender, sequence)` order by k-way merging the `S` runs the workers
     /// pre-sorted (descending) at the end of [`Shard::run_phase`]. The keys are globally
     /// unique (the per-sender sequence number breaks same-instant ties), so merging
-    /// sorted runs yields exactly the order the old full coordinator-side sort produced
-    /// — at O(n log S²) comparisons instead of O(n log n), with the O(n log n) part done
+    /// sorted runs yields exactly the order a full coordinator-side sort would produce
+    /// — at O(n log S) comparisons instead of O(n log n), with the O(n log n) part done
     /// in parallel on the workers. The runs being descending, each run's head is its
     /// `last()` element and advancing is `Vec::pop`, so the merge is allocation-free
     /// (the heap's backing store is recycled in `heap_buf`).
     fn gather_sorted(&mut self, batch: &mut Vec<PendingMessage<P::Message>>) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        let stride = self.shards.len();
         let mut heads = std::mem::take(&mut self.heap_buf);
         heads.clear();
-        for idx in 0..stride * stride {
-            if let Some(m) = self.shards[idx / stride].outboxes[idx % stride].last() {
+        for (idx, shard) in self.shards.iter().enumerate() {
+            if let Some(m) = shard.outbox.last() {
                 heads.push(Reverse((m.sent_at, m.from, m.seq, idx)));
             }
         }
         let mut heap = BinaryHeap::from(heads);
         while let Some(Reverse((_, _, _, idx))) = heap.pop() {
-            let run = &mut self.shards[idx / stride].outboxes[idx % stride];
+            let run = &mut self.shards[idx].outbox;
             let message = run.pop().expect("a heap entry implies a run head");
             if let Some(m) = run.last() {
                 heap.push(Reverse((m.sent_at, m.from, m.seq, idx)));
@@ -1028,6 +1016,8 @@ mod tests {
         rounds: u64,
         received: Vec<(NodeId, u32)>,
         timer_fired: bool,
+        /// Peers `on_start` sends to, one message each, numbered in list order.
+        greet: Vec<NodeId>,
     }
 
     impl Ring {
@@ -1037,6 +1027,7 @@ mod tests {
                 rounds: 0,
                 received: Vec::new(),
                 timer_fired: false,
+                greet: Vec::new(),
             }
         }
     }
@@ -1055,6 +1046,9 @@ mod tests {
 
         fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
             ctx.set_timer(SimDuration::from_millis(10), TimerKey::new(1));
+            for (k, peer) in self.greet.iter().enumerate() {
+                ctx.send(*peer, Counter(k as u32));
+            }
         }
 
         fn on_round(&mut self, ctx: &mut Context<'_, Self::Message>) {
@@ -1151,6 +1145,47 @@ mod tests {
         assert_eq!(one, two, "1 vs 2 workers diverged");
         assert_eq!(one, four, "1 vs 4 workers diverged");
         assert!(one.1.delivered > 0);
+    }
+
+    #[test]
+    fn on_start_sends_across_shards_are_judged_and_delivered_in_sequence_order() {
+        use crate::network::DeliveryVerdict;
+        use std::rc::Rc;
+
+        /// Logs the order in which the barrier judges messages.
+        struct Recorder(Rc<RefCell<Vec<(NodeId, NodeId)>>>);
+        impl DeliveryFilter for Recorder {
+            fn on_send(&mut self, from: NodeId, to: NodeId, _now: SimTime) {
+                self.0.borrow_mut().push((from, to));
+            }
+            fn can_deliver(&mut self, _: NodeId, _: NodeId, _: SimTime) -> DeliveryVerdict {
+                DeliveryVerdict::Deliver
+            }
+        }
+
+        let greeter = NodeId::new(9);
+        // Peers 0..4 stripe onto four (two, one) different shards; each is greeted twice.
+        let greet: Vec<NodeId> = (0..8).map(|k| NodeId::new(k % 4)).collect();
+        let run = |threads: usize| {
+            let mut sim = ring_sim(8, threads);
+            let judged = Rc::new(RefCell::new(Vec::new()));
+            sim.set_delivery_filter(Recorder(Rc::clone(&judged)));
+            let mut node = Ring::new(8);
+            node.greet = greet.clone();
+            sim.add_node(greeter, node);
+            let at_join = judged.borrow().clone();
+            sim.run_for_rounds(2);
+            (at_join, fingerprint(&sim))
+        };
+        let one = run(1);
+        let expected: Vec<_> = greet.iter().map(|to| (greeter, *to)).collect();
+        assert_eq!(one.0, expected, "judged out of send order");
+        for (id, _, received) in &one.1 .0[..4] {
+            let k = *id as u32;
+            assert_eq!(received[..2], [(greeter, k), (greeter, k + 4)]);
+        }
+        assert_eq!(one, run(2), "1 vs 2 workers diverged");
+        assert_eq!(one, run(4), "1 vs 4 workers diverged");
     }
 
     #[test]

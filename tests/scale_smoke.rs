@@ -85,13 +85,13 @@ fn croupier_100k_nodes_on_the_sharded_engine() {
     );
 }
 
-/// The million-node tier: 1M nodes, 20 % public, eight worker threads and incremental
+/// The million-node tier: 1M nodes, 20 % public, eight worker threads and union-find
 /// connectivity sampling. Beyond what the 100k smoke covers, this exercises the packed
 /// descriptor/estimate layouts and the u32 NAT mapping tables at a population where the
-/// unpacked layouts would not fit in CI memory, and asserts the per-sample metrics kept
-/// to the sublinear incremental tiers instead of falling back to full edge scans — for
-/// connectivity and the in-degree family alike — while the snapshot analysis overlapped
-/// with the simulation on the two `Scale::Huge` metrics workers.
+/// unpacked layouts would not fit in CI memory, and asserts that every sample's largest
+/// component came from the union-find tracker without the CSR pipeline, that the
+/// in-degree family rode its O(delta) fast path, and that the snapshot analysis
+/// overlapped with the simulation on the two `Scale::Huge` metrics workers.
 #[test]
 #[ignore = "million-node run; executed by the CI huge-smoke job"]
 fn croupier_one_million_nodes_on_the_sharded_engine() {
@@ -117,16 +117,17 @@ fn croupier_one_million_nodes_on_the_sharded_engine() {
         out.final_true_ratio
     );
     assert!(
-        last.largest_component.is_some(),
-        "incremental sampling populates the component metric without the CSR pipeline"
+        params.graph_metric_sources.is_none()
+            && out.samples.iter().all(|s| s.largest_component.is_some()),
+        "the union-find tracker populates the component metric without the CSR pipeline"
     );
     let (rebuilds, sublinear) = out
         .incremental_component_updates
         .expect("incremental diagnostics are reported");
-    assert!(
-        sublinear >= rebuilds,
-        "per-sample connectivity must stay on the sublinear tiers \
-         ({rebuilds} rebuilds vs {sublinear} sublinear updates)"
+    assert_eq!(
+        rebuilds + sublinear,
+        out.samples.len() as u64,
+        "every sample updates the tracker exactly once"
     );
     assert!(
         out.traffic.total_messages_sent() > 1_000_000,

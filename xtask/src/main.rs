@@ -367,33 +367,6 @@ fn render_table(target: &str, verdicts: &[(String, Verdict)]) -> String {
     out
 }
 
-/// Renders the informational worker-scaling summary of an engine report: for each node
-/// count with both a `threads_8` and a `threads_4` row, the ratio of their throughputs.
-/// On hardware with eight or more cores the partitioned barrier merge should push this
-/// well above 1.0; on fewer cores it honestly reports ~1.0 (never gated).
-fn render_scaling(target: &str, current: &[Entry]) -> String {
-    let mut out = String::new();
-    for entry in current {
-        let Some(group) = entry.name.strip_suffix("/threads_8") else {
-            continue;
-        };
-        let four = format!("{group}/threads_4");
-        let Some(four) = current.iter().find(|c| c.name == four) else {
-            continue;
-        };
-        if four.ops_per_sec <= 0.0 || entry.ops_per_sec <= 0.0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "  scaling   {target}::{group} threads_8 vs threads_4: {:.2}x ops/sec \
-             (informational)",
-            entry.ops_per_sec / four.ops_per_sec
-        );
-    }
-    out
-}
-
 struct Args {
     baseline: PathBuf,
     current: PathBuf,
@@ -530,7 +503,6 @@ fn bench_compare(args: &Args) -> Result<GateOutcome, String> {
         let verdicts = compare(&baseline, &current, args.threshold, args.metric);
         print!("{}", render_table(target, &verdicts));
         print!("{}", render_spread(target, &spread, runs.len()));
-        print!("{}", render_scaling(target, &current));
         gate(target, &verdicts, &mut outcome);
     }
     Ok(outcome)
@@ -1247,23 +1219,6 @@ mod tests {
         let entries = parse_report(line);
         assert_eq!(entries[0].samples, 1, "pre-field baselines stay gated");
         assert!(!entries[0].is_informational());
-    }
-
-    #[test]
-    fn scaling_summary_pairs_threads_8_with_threads_4() {
-        let current = vec![
-            entry("engine/10k_nodes/threads_4", 200.0),
-            entry("engine/10k_nodes/threads_8", 100.0),
-            entry("engine/100k_nodes/threads_8", 50.0), // no threads_4 partner: skipped
-            entry("queue/wheel/depth_100k", 10.0),      // not a threads_8 row: skipped
-        ];
-        let summary = render_scaling("microbench_engine", &current);
-        assert_eq!(summary.lines().count(), 1, "{summary}");
-        assert!(
-            summary.contains("microbench_engine::engine/10k_nodes threads_8 vs threads_4: 2.00x"),
-            "{summary}"
-        );
-        assert!(summary.contains("informational"), "{summary}");
     }
 
     #[test]
