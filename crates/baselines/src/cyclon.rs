@@ -7,11 +7,12 @@
 //! Croupier is designed to avoid.
 //!
 //! Like every protocol in the workspace, Cyclon interacts with its host only through the
-//! [`Context`] facade over the [`Transport`](croupier_simulator::Transport) seam; it has
-//! no dependency on either engine type.
+//! [`Context`] it is handed; it has no dependency on either engine type.
 
 use croupier::{Descriptor, DescriptorBatch, View, DESCRIPTOR_WIRE_BYTES, UDP_IP_HEADER_BYTES};
-use croupier_simulator::{Context, NatClass, NodeId, Protocol, PssNode, TimerKey, WireSize};
+use croupier_simulator::{
+    Context, ExchangeTracker, NatClass, NodeId, Protocol, PssNode, Retry, TimerKey, WireSize,
+};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 
@@ -61,24 +62,13 @@ impl WireSize for CyclonMessage {
     }
 }
 
-/// Bookkeeping for the exchange currently in flight: the peer, the subset we sent it (the
-/// swapper's eviction candidates), and the retry state. `seq` doubles as the retry-timer
-/// key so timers from superseded exchanges are recognisably stale.
-#[derive(Clone, Debug)]
-struct PendingExchange {
-    peer: NodeId,
-    sent: DescriptorBatch,
-    seq: u64,
-    attempt: u32,
-}
-
 /// A node running the Cyclon protocol.
 ///
 /// # Examples
 ///
 /// ```
 /// use croupier_baselines::{BaselineConfig, CyclonNode};
-/// use croupier_simulator::{NatClass, NodeId, PssNode, Simulation, SimulationConfig};
+/// use croupier_simulator::{NodeId, PssNode, Simulation, SimulationConfig, SimulationEngine};
 ///
 /// let mut sim = Simulation::new(SimulationConfig::default().with_seed(5));
 /// for i in 0..20u64 {
@@ -94,12 +84,11 @@ pub struct CyclonNode {
     id: NodeId,
     config: BaselineConfig,
     view: View,
-    pending: Option<PendingExchange>,
+    /// The exchange in flight; the subset it sent (without our own descriptor) is the
+    /// swapper's eviction candidates when the response arrives.
+    exchange: ExchangeTracker<DescriptorBatch>,
     rounds: u64,
     exchanges_completed: u64,
-    exchange_seq: u64,
-    retries_fired: u64,
-    abandoned_exchanges: u64,
 }
 
 impl CyclonNode {
@@ -114,12 +103,9 @@ impl CyclonNode {
         CyclonNode {
             id,
             view: View::new(config.view_size),
-            pending: None,
+            exchange: ExchangeTracker::default(),
             rounds: 0,
             exchanges_completed: 0,
-            exchange_seq: 0,
-            retries_fired: 0,
-            abandoned_exchanges: 0,
             config,
         }
     }
@@ -176,21 +162,9 @@ impl Protocol for CyclonNode {
         let mut sent = self
             .view
             .random_subset(self.config.shuffle_size.saturating_sub(1), ctx.rng());
-        if self.pending.is_some() {
-            // The previous exchange is still unanswered; starting a new one discards it.
-            self.abandoned_exchanges += 1;
-        }
-        self.exchange_seq += 1;
-        self.pending = Some(PendingExchange {
-            peer: target,
-            sent: sent.clone(),
-            seq: self.exchange_seq,
-            attempt: 0,
-        });
+        self.exchange.begin(target, sent.clone(), ctx);
         sent.push(self.own_descriptor());
         ctx.send(target, CyclonMessage::Request(sent));
-        let policy = ctx.retry_policy();
-        ctx.set_timer(policy.backoff(0), TimerKey::new(self.exchange_seq));
     }
 
     fn on_message(
@@ -207,40 +181,19 @@ impl Protocol for CyclonNode {
             }
             CyclonMessage::Response(received) => {
                 self.exchanges_completed += 1;
-                let sent = match self.pending.take() {
-                    Some(pending) if pending.peer == from => pending.sent,
-                    other => {
-                        self.pending = other;
-                        DescriptorBatch::new()
-                    }
-                };
+                let sent = self.exchange.complete_with(from).unwrap_or_default();
                 self.view.apply_exchange_swapper(&sent, &received, self.id);
             }
         }
     }
 
-    /// Retry timer for the in-flight exchange: resend the same subset with capped
-    /// exponential backoff, abandon once the budget is spent. Stale timers (their `seq`
-    /// no longer matches the pending exchange) are ignored.
+    /// Retry timer for the in-flight exchange: resend the same subset.
     fn on_timer(&mut self, key: TimerKey, ctx: &mut Context<'_, Self::Message>) {
-        let (peer, next_attempt, sent) = match self.pending.as_ref() {
-            Some(p) if p.seq == key.as_u64() => (p.peer, p.attempt + 1, p.sent.clone()),
-            _ => return,
-        };
-        let policy = ctx.retry_policy();
-        if policy.exhausted(next_attempt) {
-            self.pending = None;
-            self.abandoned_exchanges += 1;
-            return;
+        if let Retry::Resend { peer, sent } = self.exchange.on_timer(key, ctx) {
+            let mut resend = sent.clone();
+            resend.push(self.own_descriptor());
+            ctx.send(peer, CyclonMessage::Request(resend));
         }
-        if let Some(p) = self.pending.as_mut() {
-            p.attempt = next_attempt;
-        }
-        let mut resend = sent;
-        resend.push(self.own_descriptor());
-        self.retries_fired += 1;
-        ctx.send(peer, CyclonMessage::Request(resend));
-        ctx.set_timer(policy.backoff(next_attempt), key);
     }
 }
 
@@ -269,18 +222,18 @@ impl PssNode for CyclonNode {
     }
 
     fn retries_fired(&self) -> u64 {
-        self.retries_fired
+        self.exchange.retries_fired()
     }
 
     fn exchanges_abandoned(&self) -> u64 {
-        self.abandoned_exchanges
+        self.exchange.exchanges_abandoned()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use croupier_simulator::{Simulation, SimulationConfig};
+    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
     use std::collections::HashMap;
 
     fn build_sim(n: u64, seed: u64) -> Simulation<CyclonNode> {

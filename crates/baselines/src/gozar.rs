@@ -14,15 +14,15 @@
 //! private nodes and larger descriptors — the overhead gap measured in Fig. 7(a) of the
 //! Croupier paper.
 //!
-//! All relay and keep-alive traffic is emitted through the engine-agnostic
-//! [`Context`]/[`Transport`](croupier_simulator::Transport)
-//! seam, so the same state machine runs unchanged on both engines.
+//! All relay and keep-alive traffic is emitted through the engine-agnostic [`Context`],
+//! so the same state machine runs unchanged on both engines.
 
 use std::collections::HashMap;
 
 use croupier::{Descriptor, DescriptorBatch, View, DESCRIPTOR_WIRE_BYTES, UDP_IP_HEADER_BYTES};
 use croupier_simulator::{
-    Context, InlineVec, NatClass, NodeId, Protocol, PssNode, TimerKey, WireSize,
+    Context, ExchangeTracker, InlineVec, NatClass, NodeId, Protocol, PssNode, Retry, TimerKey,
+    WireSize,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -194,18 +194,6 @@ impl WireSize for GozarMessage {
 /// from relay selection (until it shows signs of life again).
 const RELAY_SUSPECT_STRIKES: u32 = 2;
 
-/// Bookkeeping for the exchange currently in flight: the peer, the subset we sent (the
-/// swapper's eviction candidates), the relay the request travelled through (`None` for
-/// direct sends), and the retry state. `seq` doubles as the retry-timer key.
-#[derive(Clone, Debug)]
-struct PendingExchange {
-    peer: NodeId,
-    sent: DescriptorBatch,
-    relay: Option<NodeId>,
-    seq: u64,
-    attempt: u32,
-}
-
 /// A node running the Gozar protocol.
 ///
 /// See the crate-level documentation for the comparison setup shared with the other
@@ -225,14 +213,13 @@ pub struct GozarNode {
     /// Timeout strikes against relays we routed requests through; a relay at
     /// [`RELAY_SUSPECT_STRIKES`] is treated as dead until it sends us anything.
     relay_suspect: HashMap<NodeId, u32>,
-    pending: Option<PendingExchange>,
+    /// The exchange in flight: the subset we sent (the swapper's eviction candidates) and
+    /// the relay the request last travelled through (`None` for direct sends).
+    exchange: ExchangeTracker<(DescriptorBatch, Option<NodeId>)>,
     rounds: u64,
     messages_relayed: u64,
     exchanges_completed: u64,
     unreachable_targets: u64,
-    exchange_seq: u64,
-    retries_fired: u64,
-    abandoned_exchanges: u64,
 }
 
 impl GozarNode {
@@ -251,14 +238,11 @@ impl GozarNode {
             my_relays: RelayList::new(),
             relay_last_ack: HashMap::new(),
             relay_suspect: HashMap::new(),
-            pending: None,
+            exchange: ExchangeTracker::default(),
             rounds: 0,
             messages_relayed: 0,
             exchanges_completed: 0,
             unreachable_targets: 0,
-            exchange_seq: 0,
-            retries_fired: 0,
-            abandoned_exchanges: 0,
             config,
         }
     }
@@ -384,27 +368,25 @@ impl GozarNode {
         }
     }
 
-    /// Returns `true` if `relay` has accumulated enough timeout strikes to be treated as
-    /// dead for relay selection.
-    fn is_suspected(&self, relay: NodeId) -> bool {
-        self.relay_suspect.get(&relay).copied().unwrap_or(0) >= RELAY_SUSPECT_STRIKES
-    }
-
-    /// Picks a relay for `target`, preferring relays that are neither suspected dead nor
-    /// the one a just-timed-out request went through (`avoid`). Falls back to suspected
-    /// relays — a possibly-dead path beats no path — but never returns `avoid` unless it
-    /// is the only relay advertised.
+    /// Picks a relay for `target`, preferring relays that are neither suspected dead
+    /// (at [`RELAY_SUSPECT_STRIKES`]) nor the one a just-timed-out request went through
+    /// (`avoid`). Falls back to suspected relays — a possibly-dead path beats no path —
+    /// but never returns `avoid` unless it is the only relay advertised. Takes the two
+    /// tables rather than `&self` so a retry can reroute while it holds its exchange.
     fn choose_relay(
-        &self,
+        relay_cache: &HashMap<NodeId, RelayList>,
+        relay_suspect: &HashMap<NodeId, u32>,
         target: NodeId,
         avoid: Option<NodeId>,
         rng: &mut SmallRng,
     ) -> Option<NodeId> {
-        let relays = self.relay_cache.get(&target)?;
+        let relays = relay_cache.get(&target)?;
+        let suspected =
+            |r: &NodeId| relay_suspect.get(r).copied().unwrap_or(0) >= RELAY_SUSPECT_STRIKES;
         let healthy: Vec<NodeId> = relays
             .iter()
             .copied()
-            .filter(|r| Some(*r) != avoid && !self.is_suspected(*r))
+            .filter(|r| Some(*r) != avoid && !suspected(r))
             .collect();
         if let Some(relay) = healthy.choose(rng) {
             return Some(*relay);
@@ -420,7 +402,7 @@ impl GozarNode {
             .or_else(|| avoid.filter(|r| relays.contains(r)))
     }
 
-    /// Builds the shuffle request for the pending exchange's `sent` subset.
+    /// Builds the shuffle request for the exchange's `sent` subset.
     fn build_request(&self, sent: &[Descriptor]) -> GozarMessage {
         let mut entries = self.entries_from(sent);
         entries.push(self.own_entry());
@@ -432,54 +414,56 @@ impl GozarNode {
         }
     }
 
+    /// Sends `msg` to `dest`, through `relay` if there is one.
+    fn send_via(
+        relay: Option<NodeId>,
+        dest: NodeId,
+        msg: GozarMessage,
+        ctx: &mut Context<'_, GozarMessage>,
+    ) {
+        match relay {
+            Some(relay) => ctx.send(
+                relay,
+                GozarMessage::Relayed {
+                    dest,
+                    inner: Box::new(msg),
+                },
+            ),
+            None => ctx.send(dest, msg),
+        }
+    }
+
     fn send_request(&mut self, target: NodeId, ctx: &mut Context<'_, GozarMessage>) {
         let sent = self
             .view
             .random_subset(self.config.shuffle_size.saturating_sub(1), ctx.rng());
         let request = self.build_request(&sent);
-        if self.pending.is_some() {
-            // The previous exchange is still unanswered; starting a new one discards it.
-            self.abandoned_exchanges += 1;
-        }
         let target_is_private = self
             .view
             .get(target)
             .map(|d| d.class().is_private())
             .unwrap_or_else(|| self.relay_cache.contains_key(&target));
-        let route = if target_is_private {
-            match self.choose_relay(target, None, ctx.rng()) {
-                Some(relay) => Some(Some(relay)),
-                None => {
-                    // No relay known for the target: the exchange cannot be carried out.
-                    self.unreachable_targets += 1;
-                    self.pending = None;
-                    return;
-                }
+        let relay = if target_is_private {
+            let relay = Self::choose_relay(
+                &self.relay_cache,
+                &self.relay_suspect,
+                target,
+                None,
+                ctx.rng(),
+            );
+            if relay.is_none() {
+                // No relay known for the target: the exchange cannot be carried out (and
+                // an unanswered previous one is discarded all the same).
+                self.unreachable_targets += 1;
+                self.exchange.abandon();
+                return;
             }
+            relay
         } else {
-            Some(None)
+            None
         };
-        let relay = route.expect("unroutable targets returned above");
-        self.exchange_seq += 1;
-        self.pending = Some(PendingExchange {
-            peer: target,
-            sent,
-            relay,
-            seq: self.exchange_seq,
-            attempt: 0,
-        });
-        match relay {
-            Some(relay) => ctx.send(
-                relay,
-                GozarMessage::Relayed {
-                    dest: target,
-                    inner: Box::new(request),
-                },
-            ),
-            None => ctx.send(target, request),
-        }
-        let policy = ctx.retry_policy();
-        ctx.set_timer(policy.backoff(0), TimerKey::new(self.exchange_seq));
+        self.exchange.begin(target, (sent, relay), ctx);
+        Self::send_via(relay, target, request, ctx);
     }
 
     fn handle_request(
@@ -559,10 +543,8 @@ impl Protocol for GozarNode {
             } => self.handle_request(initiator, initiator_class, initiator_relays, entries, ctx),
             GozarMessage::ShuffleResponse { entries } => {
                 self.exchanges_completed += 1;
-                let sent = match self.pending.take() {
-                    Some(pending) => pending.sent,
-                    None => DescriptorBatch::new(),
-                };
+                // The response may arrive through a relay, so it is not matched by peer.
+                let (sent, _) = self.exchange.complete().unwrap_or_default();
                 self.absorb_entries(&entries, &sent);
             }
             GozarMessage::Relayed { dest, inner } => {
@@ -584,50 +566,34 @@ impl Protocol for GozarNode {
     /// strike against the relay that carried it; the retry fails over to an alternate
     /// relay, so one dead relay cannot starve a private target's exchanges.
     fn on_timer(&mut self, key: TimerKey, ctx: &mut Context<'_, Self::Message>) {
-        let (peer, next_attempt, sent, prior_relay) = match self.pending.as_ref() {
-            Some(p) if p.seq == key.as_u64() => (p.peer, p.attempt + 1, p.sent.clone(), p.relay),
-            _ => return,
-        };
-        if let Some(relay) = prior_relay {
-            *self.relay_suspect.entry(relay).or_insert(0) += 1;
-        }
-        let policy = ctx.retry_policy();
-        if policy.exhausted(next_attempt) {
-            self.pending = None;
-            self.abandoned_exchanges += 1;
-            return;
-        }
-        let relay = if prior_relay.is_some() {
-            match self.choose_relay(peer, prior_relay, ctx.rng()) {
-                Some(alternate) => Some(alternate),
-                None => {
-                    // The target's advertised relays evaporated from the cache.
-                    self.unreachable_targets += 1;
-                    self.pending = None;
-                    self.abandoned_exchanges += 1;
-                    return;
+        match self.exchange.on_timer(key, ctx) {
+            Retry::Stale | Retry::GaveUp((_, None)) => {}
+            Retry::GaveUp((_, Some(relay))) => *self.relay_suspect.entry(relay).or_insert(0) += 1,
+            Retry::Resend {
+                peer,
+                sent: (sent, relay),
+            } => {
+                let sent = sent.clone();
+                if let Some(prior) = *relay {
+                    *self.relay_suspect.entry(prior).or_insert(0) += 1;
+                    let alternate = Self::choose_relay(
+                        &self.relay_cache,
+                        &self.relay_suspect,
+                        peer,
+                        Some(prior),
+                        ctx.rng(),
+                    );
+                    *relay = Some(alternate.expect(
+                        "a relayed exchange exists only for a target with a non-empty \
+                         relay_cache entry, entries are never removed, and choose_relay \
+                         falls back to the prior relay itself",
+                    ));
                 }
+                let relay = *relay;
+                let request = self.build_request(&sent);
+                Self::send_via(relay, peer, request, ctx);
             }
-        } else {
-            None
-        };
-        if let Some(p) = self.pending.as_mut() {
-            p.attempt = next_attempt;
-            p.relay = relay;
         }
-        let request = self.build_request(&sent);
-        self.retries_fired += 1;
-        match relay {
-            Some(relay) => ctx.send(
-                relay,
-                GozarMessage::Relayed {
-                    dest: peer,
-                    inner: Box::new(request),
-                },
-            ),
-            None => ctx.send(peer, request),
-        }
-        ctx.set_timer(policy.backoff(next_attempt), key);
     }
 }
 
@@ -655,11 +621,11 @@ impl PssNode for GozarNode {
     }
 
     fn retries_fired(&self) -> u64 {
-        self.retries_fired
+        self.exchange.retries_fired()
     }
 
     fn exchanges_abandoned(&self) -> u64 {
-        self.abandoned_exchanges
+        self.exchange.exchanges_abandoned()
     }
 }
 
@@ -667,7 +633,7 @@ impl PssNode for GozarNode {
 mod tests {
     use super::*;
     use croupier_nat::NatTopologyBuilder;
-    use croupier_simulator::{Simulation, SimulationConfig};
+    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
 
     fn build_sim(n_public: u64, n_private: u64, seed: u64) -> Simulation<GozarNode> {
         let topology = NatTopologyBuilder::new(seed).build();

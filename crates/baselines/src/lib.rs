@@ -19,8 +19,7 @@
 //!
 //! All three implement the simulator's [`Protocol`](croupier_simulator::Protocol) and
 //! [`PssNode`](croupier_simulator::PssNode) traits against the engine-agnostic
-//! [`Context`](croupier_simulator::Context)/[`Transport`](croupier_simulator::Transport)
-//! seam, use the same view size, shuffle length,
+//! [`Context`](croupier_simulator::Context), use the same view size, shuffle length,
 //! selection (tail) and merge (swapper) policies as the Croupier implementation, and account
 //! message sizes with the same conventions, so the evaluation crate can compare the four
 //! systems under identical conditions — exactly the setup of §VII-A of the paper.
@@ -37,3 +36,17 @@ pub use config::BaselineConfig;
 pub use cyclon::{CyclonMessage, CyclonNode};
 pub use gozar::{GozarMessage, GozarNode};
 pub use nylon::{NylonMessage, NylonNode};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Per-node state is what `peak_rss_mb` is made of at 100k nodes and beyond: a field
+    /// added to a node shows up there times the population.
+    #[test]
+    fn node_state_stays_compact() {
+        assert!(std::mem::size_of::<CyclonNode>() <= 240);
+        assert!(std::mem::size_of::<GozarNode>() <= 472);
+        assert!(std::mem::size_of::<NylonNode>() <= 384);
+    }
+}

@@ -14,8 +14,7 @@
 //! Private nodes also pay keep-alive traffic towards their RVPs to keep NAT mappings open.
 //!
 //! Hole-punch routing, punching and keep-alives all go through the engine-agnostic
-//! [`Context`]/[`Transport`](croupier_simulator::Transport)
-//! seam, so the same state machine runs unchanged on both engines.
+//! [`Context`], so the same state machine runs unchanged on both engines.
 
 use std::collections::HashMap;
 
@@ -531,7 +530,7 @@ impl PssNode for NylonNode {
 mod tests {
     use super::*;
     use croupier_nat::NatTopologyBuilder;
-    use croupier_simulator::{Simulation, SimulationConfig};
+    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
 
     fn build_sim(n_public: u64, n_private: u64, seed: u64) -> Simulation<NylonNode> {
         let topology = NatTopologyBuilder::new(seed).build();
@@ -616,11 +615,13 @@ mod tests {
 
     #[test]
     fn lost_exchanges_expire_and_are_counted_abandoned() {
-        use croupier_simulator::BernoulliLoss;
+        use croupier_simulator::{FaultPlane, FaultProfile};
         // Total loss: every shuffle and punch wait goes unanswered, so the patience
         // windows must expire them instead of letting the pending maps grow forever.
         let mut sim = build_sim(5, 20, 9);
-        sim.set_loss_model(BernoulliLoss::new(1.0));
+        let plane = FaultPlane::new(sim.config().seed);
+        plane.set_default_profile(FaultProfile::lossy(1.0));
+        sim.set_fault_plane(plane);
         sim.run_for_rounds(30);
         let abandoned: u64 = sim.nodes().map(|(_, n)| n.exchanges_abandoned()).sum();
         assert!(abandoned > 0, "expiry should count abandoned exchanges");

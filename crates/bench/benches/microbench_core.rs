@@ -7,7 +7,7 @@ use croupier::{
     View,
 };
 use croupier_nat::NatTopologyBuilder;
-use croupier_simulator::{NatClass, NodeId, Simulation, SimulationConfig};
+use croupier_simulator::{NatClass, NodeId, Simulation, SimulationConfig, SimulationEngine};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 

@@ -33,6 +33,7 @@ use croupier_simulator::scheduler::reference::ReferenceEventQueue;
 use croupier_simulator::scheduler::EventQueue;
 use croupier_simulator::{
     FaultPlane, NatClass, NodeId, Seed, ShardedSimulation, SimTime, SimulationConfig,
+    SimulationEngine,
 };
 
 /// Fraction of public nodes, matching the paper's default ratio.

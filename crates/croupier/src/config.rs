@@ -62,13 +62,6 @@ pub struct CroupierConfig {
     pub selection: SelectionPolicy,
     /// View merge policy (paper: swapper).
     pub merge: MergePolicy,
-    /// If `true`, a node whose public view becomes empty asks the bootstrap server for new
-    /// public nodes in its next round. Enabled by default: a node that joined before any
-    /// public node was registered (or whose whole public view died) would otherwise remain
-    /// isolated forever, which no deployment would accept. The catastrophic-failure
-    /// experiment measures connectivity immediately after the failure, before any
-    /// re-bootstrap can take effect, so the resilience results are unaffected.
-    pub rebootstrap_on_empty: bool,
 }
 
 impl Default for CroupierConfig {
@@ -82,7 +75,6 @@ impl Default for CroupierConfig {
             bootstrap_size: 10,
             selection: SelectionPolicy::Tail,
             merge: MergePolicy::Swapper,
-            rebootstrap_on_empty: true,
         }
     }
 }
@@ -147,12 +139,6 @@ impl CroupierConfig {
         self.merge = merge;
         self
     }
-
-    /// Enables or disables re-bootstrapping when the public view runs empty.
-    pub fn with_rebootstrap_on_empty(mut self, enabled: bool) -> Self {
-        self.rebootstrap_on_empty = enabled;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +155,6 @@ mod tests {
         assert_eq!(c.estimate_share_size, 10);
         assert_eq!(c.selection, SelectionPolicy::Tail);
         assert_eq!(c.merge, MergePolicy::Swapper);
-        assert!(c.rebootstrap_on_empty);
         c.validate();
     }
 
@@ -182,8 +167,7 @@ mod tests {
             .with_neighbour_history(250)
             .with_estimate_share_size(5)
             .with_selection(SelectionPolicy::Random)
-            .with_merge(MergePolicy::Healer)
-            .with_rebootstrap_on_empty(false);
+            .with_merge(MergePolicy::Healer);
         assert_eq!(c.view_size, 20);
         assert_eq!(c.shuffle_size, 8);
         assert_eq!(c.local_history, 100);
@@ -191,7 +175,6 @@ mod tests {
         assert_eq!(c.estimate_share_size, 5);
         assert_eq!(c.selection, SelectionPolicy::Random);
         assert_eq!(c.merge, MergePolicy::Healer);
-        assert!(!c.rebootstrap_on_empty);
         c.validate();
     }
 

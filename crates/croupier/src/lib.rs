@@ -25,22 +25,22 @@
 //! (§V) in [`nat_identification`], which classifies a node as public or private with three
 //! messages and no STUN server.
 //!
-//! The protocol logic is transport-agnostic: [`CroupierNode`] implements the
+//! The protocol logic is engine-agnostic: [`CroupierNode`] implements the
 //! [`Protocol`](croupier_simulator::Protocol) trait of `croupier-simulator` and talks to
-//! the outside world exclusively through the
-//! [`Context`](croupier_simulator::Context) facade over the
-//! [`Transport`](croupier_simulator::Transport) seam — it never names an engine type. The
-//! deterministic discrete-event engine drives it in all tests, examples and benchmarks,
-//! exactly as the original implementation was driven by the Kompics simulator; any other
-//! [`Transport`](croupier_simulator::Transport) implementation (the sharded engine, or a
-//! real socket layer) can host the identical protocol code.
+//! the outside world exclusively through the [`Context`](croupier_simulator::Context) it
+//! is handed — it never names an engine type. The deterministic discrete-event engine
+//! drives it in all tests, examples and benchmarks, exactly as the original implementation
+//! was driven by the Kompics simulator; the sharded engine hosts the identical protocol
+//! code.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use croupier::{CroupierConfig, CroupierNode};
 //! use croupier_nat::NatTopologyBuilder;
-//! use croupier_simulator::{NatClass, NodeId, PssNode, Simulation, SimulationConfig};
+//! use croupier_simulator::{
+//!     NatClass, NodeId, PssNode, Simulation, SimulationConfig, SimulationEngine,
+//! };
 //!
 //! let config = CroupierConfig::default();
 //! let topology = NatTopologyBuilder::new(1).build();

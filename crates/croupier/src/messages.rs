@@ -189,6 +189,8 @@ mod tests {
             "ShufflePayload grew to {} bytes",
             std::mem::size_of::<ShufflePayload>()
         );
+        // Per-node state times the population is `peak_rss_mb` at 100k nodes and beyond.
+        assert!(std::mem::size_of::<crate::CroupierNode>() <= 512);
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl Protocol for NatIdentificationNode {
 mod tests {
     use super::*;
     use croupier_nat::{FilteringPolicy, NatTopology, NatTopologyBuilder};
-    use croupier_simulator::{Simulation, SimulationConfig};
+    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
 
     /// Builds a world with `n_helpers` established public nodes plus one client with the
     /// given profile, runs the protocol to completion and returns the client's conclusion.

@@ -1,11 +1,12 @@
 //! The Croupier node state machine (Algorithm 2 of the paper).
 //!
-//! The state machine is written against the [`Context`] facade over the simulator's
-//! [`Transport`](croupier_simulator::Transport) seam: sends, timers and address
-//! observations go through that one object, and no engine type appears anywhere in this
+//! The state machine is written against the simulator's [`Context`]: sends, timers and
+//! randomness go through that one object, and no engine type appears anywhere in this
 //! crate.
 
-use croupier_simulator::{Context, NatClass, NodeId, Protocol, PssNode, TimerKey};
+use croupier_simulator::{
+    Context, ExchangeTracker, NatClass, NodeId, Protocol, PssNode, Retry, TimerKey,
+};
 use rand::rngs::SmallRng;
 
 use crate::config::{CroupierConfig, MergePolicy, SelectionPolicy};
@@ -14,21 +15,6 @@ use crate::estimator::RatioEstimator;
 use crate::messages::{CroupierMessage, ShufflePayload};
 use crate::sampler::sample_from_views;
 use crate::view::View;
-
-/// Bookkeeping for the shuffle request currently in flight, needed by the swapper merge
-/// policy when the response arrives. The subsets are stored inline, so replacing the
-/// pending exchange every round costs no allocation.
-#[derive(Clone, Debug)]
-struct PendingShuffle {
-    peer: NodeId,
-    sent_public: DescriptorBatch,
-    sent_private: DescriptorBatch,
-    /// Monotonic exchange number; doubles as the retry-timer key so timers from
-    /// superseded exchanges are recognisably stale.
-    seq: u64,
-    /// Requests sent so far minus one (the initial send is attempt zero).
-    attempt: u32,
-}
 
 /// Upper bound on recycled payload boxes kept per node. One box circulates per exchange
 /// in steady state (a request's box comes back as a response, a croupier rewrites the
@@ -58,7 +44,10 @@ pub struct CroupierNode {
     public_view: View,
     private_view: View,
     estimator: RatioEstimator,
-    pending: Option<PendingShuffle>,
+    /// The shuffle request in flight; what it sent from the public and the private view
+    /// are the swapper merge's eviction candidates when the response arrives. The subsets
+    /// are stored inline, so replacing the exchange every round costs no allocation.
+    exchange: ExchangeTracker<(DescriptorBatch, DescriptorBatch)>,
     /// Recycled shuffle-payload boxes (see [`ShufflePayload`] for the discipline).
     /// Boxes are stored as boxes on purpose: they are handed to [`CroupierMessage`]
     /// verbatim, so recycling never re-allocates the payload.
@@ -67,10 +56,6 @@ pub struct CroupierNode {
     rounds: u64,
     shuffles_received: u64,
     responses_received: u64,
-    /// Exchange counter feeding [`PendingShuffle::seq`].
-    shuffle_seq: u64,
-    retries_fired: u64,
-    abandoned_exchanges: u64,
 }
 
 impl CroupierNode {
@@ -88,14 +73,11 @@ impl CroupierNode {
             public_view: View::new(config.view_size),
             private_view: View::new(config.view_size),
             estimator,
-            pending: None,
+            exchange: ExchangeTracker::default(),
             payload_pool: Vec::new(),
             rounds: 0,
             shuffles_received: 0,
             responses_received: 0,
-            shuffle_seq: 0,
-            retries_fired: 0,
-            abandoned_exchanges: 0,
             config,
         }
     }
@@ -244,6 +226,30 @@ impl CroupierNode {
         }
     }
 
+    /// Sends `peer` a shuffle request carrying the given subsets, this node's own
+    /// descriptor and freshly drawn estimates.
+    fn send_request(
+        &mut self,
+        peer: NodeId,
+        sent_public: DescriptorBatch,
+        sent_private: DescriptorBatch,
+        ctx: &mut Context<'_, CroupierMessage>,
+    ) {
+        let estimates = self
+            .estimator
+            .share(self.config.estimate_share_size, self.id, ctx.rng());
+        let mut request = self.take_payload();
+        request.sender_class = self.class;
+        request.public_descriptors = sent_public;
+        request.private_descriptors = sent_private;
+        request.estimates = estimates;
+        match self.class {
+            NatClass::Public => request.public_descriptors.push(self.own_descriptor()),
+            NatClass::Private => request.private_descriptors.push(self.own_descriptor()),
+        }
+        ctx.send(peer, CroupierMessage::ShuffleRequest(request));
+    }
+
     fn handle_request(
         &mut self,
         from: NodeId,
@@ -287,15 +293,9 @@ impl CroupierNode {
 
     fn handle_response(&mut self, from: NodeId, payload: Box<ShufflePayload>) {
         self.responses_received += 1;
-        let (sent_public, sent_private) = match self.pending.take() {
-            Some(pending) if pending.peer == from => (pending.sent_public, pending.sent_private),
-            other => {
-                // Either an unexpected response or one from a previous round; merge it
-                // anyway but without swapper eviction candidates.
-                self.pending = other;
-                (DescriptorBatch::new(), DescriptorBatch::new())
-            }
-        };
+        // An unexpected response, or one from a previous round, is merged anyway but
+        // without swapper eviction candidates.
+        let (sent_public, sent_private) = self.exchange.complete_with(from).unwrap_or_default();
         let (received_public, received_private) = self.split_by_class(&payload);
         self.merge(
             &sent_public,
@@ -322,9 +322,11 @@ impl Protocol for CroupierNode {
         self.estimator.advance_round();
 
         if self.public_view.is_empty() {
-            if self.config.rebootstrap_on_empty {
-                self.bootstrap(ctx);
-            }
+            // A node that joined before any public node was registered (or whose whole
+            // public view died) asks the bootstrap server again rather than staying
+            // isolated forever. The catastrophic-failure experiment measures connectivity
+            // right after the failure, before a re-bootstrap can take effect.
+            self.bootstrap(ctx);
             return;
         }
         let Some(target) = self.select_target(ctx.rng()) else {
@@ -334,38 +336,9 @@ impl Protocol for CroupierNode {
         let (public_budget, private_budget) = self.shuffle_budgets();
         let sent_public = self.public_view.random_subset(public_budget, ctx.rng());
         let sent_private = self.private_view.random_subset(private_budget, ctx.rng());
-        let estimates = self
-            .estimator
-            .share(self.config.estimate_share_size, self.id, ctx.rng());
-
-        let mut request = self.take_payload();
-        request.sender_class = self.class;
-        request.public_descriptors = sent_public.clone();
-        request.private_descriptors = sent_private.clone();
-        request.estimates = estimates;
-        match self.class {
-            NatClass::Public => request.public_descriptors.push(self.own_descriptor()),
-            NatClass::Private => request.private_descriptors.push(self.own_descriptor()),
-        }
-
-        if self.pending.is_some() {
-            // The previous exchange is still unanswered and its retry budget has not run
-            // out yet; starting a new one silently discards it, so account for it here
-            // rather than leaking it without trace.
-            self.abandoned_exchanges += 1;
-        }
-        self.shuffle_seq += 1;
-        self.pending = Some(PendingShuffle {
-            peer: target,
-            sent_public,
-            sent_private,
-            seq: self.shuffle_seq,
-            attempt: 0,
-        });
-
-        ctx.send(target, CroupierMessage::ShuffleRequest(request));
-        let policy = ctx.retry_policy();
-        ctx.set_timer(policy.backoff(0), TimerKey::new(self.shuffle_seq));
+        self.exchange
+            .begin(target, (sent_public.clone(), sent_private.clone()), ctx);
+        self.send_request(target, sent_public, sent_private, ctx);
     }
 
     fn on_message(
@@ -380,45 +353,14 @@ impl Protocol for CroupierNode {
         }
     }
 
-    /// Retry timer for the in-flight shuffle: resend the same subsets with capped
-    /// exponential backoff, and abandon the exchange once the budget is spent. Timers
-    /// from superseded exchanges (their `seq` no longer matches) are ignored.
+    /// Retry timer for the in-flight shuffle: resend the same subsets (the swapper
+    /// bookkeeping must keep describing what the peer would actually receive) with fresh
+    /// estimates.
     fn on_timer(&mut self, key: TimerKey, ctx: &mut Context<'_, Self::Message>) {
-        let (peer, next_attempt, sent_public, sent_private) = match self.pending.as_ref() {
-            Some(p) if p.seq == key.as_u64() => (
-                p.peer,
-                p.attempt + 1,
-                p.sent_public.clone(),
-                p.sent_private.clone(),
-            ),
-            _ => return,
-        };
-        let policy = ctx.retry_policy();
-        if policy.exhausted(next_attempt) {
-            self.pending = None;
-            self.abandoned_exchanges += 1;
-            return;
+        if let Retry::Resend { peer, sent } = self.exchange.on_timer(key, ctx) {
+            let (sent_public, sent_private) = sent.clone();
+            self.send_request(peer, sent_public, sent_private, ctx);
         }
-        if let Some(p) = self.pending.as_mut() {
-            p.attempt = next_attempt;
-        }
-        // Same subsets as the original request (the swapper bookkeeping must keep
-        // describing what the peer would actually receive), fresh estimates.
-        let estimates = self
-            .estimator
-            .share(self.config.estimate_share_size, self.id, ctx.rng());
-        let mut request = self.take_payload();
-        request.sender_class = self.class;
-        request.public_descriptors = sent_public;
-        request.private_descriptors = sent_private;
-        request.estimates = estimates;
-        match self.class {
-            NatClass::Public => request.public_descriptors.push(self.own_descriptor()),
-            NatClass::Private => request.private_descriptors.push(self.own_descriptor()),
-        }
-        self.retries_fired += 1;
-        ctx.send(peer, CroupierMessage::ShuffleRequest(request));
-        ctx.set_timer(policy.backoff(next_attempt), key);
     }
 }
 
@@ -457,11 +399,11 @@ impl PssNode for CroupierNode {
     }
 
     fn retries_fired(&self) -> u64 {
-        self.retries_fired
+        self.exchange.retries_fired()
     }
 
     fn exchanges_abandoned(&self) -> u64 {
-        self.abandoned_exchanges
+        self.exchange.exchanges_abandoned()
     }
 }
 
@@ -469,7 +411,10 @@ impl PssNode for CroupierNode {
 mod tests {
     use super::*;
     use croupier_nat::NatTopologyBuilder;
-    use croupier_simulator::{RetryPolicy, Simulation, SimulationConfig, WireSize};
+    use croupier_simulator::{
+        FaultPlane, FaultProfile, RetryPolicy, Simulation, SimulationConfig, SimulationEngine,
+        WireSize,
+    };
 
     /// Builds a simulation of `n_public` + `n_private` Croupier nodes behind a NAT topology.
     fn build_sim(
@@ -495,6 +440,13 @@ mod tests {
             sim.add_node(id, CroupierNode::new(id, class, config.clone()));
         }
         sim
+    }
+
+    /// A fault plane on `sim`'s seed that drops every message with probability `p`.
+    fn lossy_plane(sim: &Simulation<CroupierNode>, p: f64) -> FaultPlane {
+        let plane = FaultPlane::new(sim.config().seed);
+        plane.set_default_profile(FaultProfile::lossy(p));
+        plane
     }
 
     #[test]
@@ -662,9 +614,8 @@ mod tests {
 
     #[test]
     fn timeouts_fire_retries_and_abandon_unanswered_exchanges() {
-        use croupier_simulator::BernoulliLoss;
         let mut sim = build_sim(5, 20, CroupierConfig::default(), 11);
-        sim.set_loss_model(BernoulliLoss::new(1.0));
+        sim.set_fault_plane(lossy_plane(&sim, 1.0));
         sim.run_for_rounds(10);
         let mut retries = 0;
         let mut abandoned = 0;
@@ -684,9 +635,8 @@ mod tests {
 
     #[test]
     fn retries_recover_exchanges_under_heavy_loss() {
-        use croupier_simulator::BernoulliLoss;
         let mut sim = build_sim(5, 20, CroupierConfig::default(), 12);
-        sim.set_loss_model(BernoulliLoss::new(0.4));
+        sim.set_fault_plane(lossy_plane(&sim, 0.4));
         sim.run_for_rounds(40);
         let mut responses = 0;
         let mut retries = 0;

@@ -403,7 +403,7 @@ impl WorkloadExecutor {
     ///
     /// Deliberately not the engines' delivery plane (`croupier-simulator`'s
     /// `delivery.rs`): a transfer asks whether a request *could* reach `to`, so nothing
-    /// is sent (no `on_send`, no loss model), the NAT verdict precedes the plane and the
+    /// is sent (no `on_send`), the NAT verdict precedes the plane and the
     /// plane can only drop. Sharing the engines' code would make it branch on its caller.
     fn admit(
         &mut self,

@@ -16,9 +16,6 @@
 //!   [`DeliveryFilter`](croupier_simulator::DeliveryFilter) so the engine consults it for
 //!   every packet, and [`AddressInfo`] so protocols can observe source addresses the way a
 //!   real UDP socket would.
-//! * [`traversal`] — feasibility rules and cost helpers for the NAT-traversal techniques the
-//!   baseline protocols rely on (relaying for Gozar, hole-punching for Nylon), plus
-//!   keep-alive interval calculations.
 //!
 //! The emulation is deliberately behavioural: protocols can only observe reachability,
 //! source addresses and mapping expiry — exactly the observables a deployed protocol has —
@@ -62,7 +59,6 @@ pub mod filtering;
 pub mod gateway;
 pub mod mapping;
 pub mod topology;
-pub mod traversal;
 
 pub use address::{Endpoint, Ip};
 pub use dynamics::{AppliedEvent, GatewayProfile, NatDynamicsEvent};
@@ -70,4 +66,3 @@ pub use filtering::FilteringPolicy;
 pub use gateway::{Binding, NatGateway, NatGatewayConfig};
 pub use mapping::{ExternalMapping, MappingPolicy, PoolingBehavior};
 pub use topology::{AddressInfo, NatProfile, NatTopology, NatTopologyBuilder, TopologyStats};
-pub use traversal::{hole_punch_feasible, keepalive_interval, relay_feasible, TraversalCost};

@@ -7,12 +7,11 @@
 //!
 //! 1. [`depart`](Delivery::depart), at the send instant: the sender's ledger is charged,
 //!    the filter hears `on_send` (so a NAT binding is created or refreshed even for a
-//!    message that dies right after), then the loss model's bit — drawn by the caller
-//!    from its own RNG stream — and after it the fault plane's [`judge`] may drop the
-//!    message (either way it counts as `lost` and as a ledger drop). A *corrupt* verdict
-//!    mutates the payload through [`WireSize::fault_mutate`] on the plane's own stream.
-//!    A survivor leaves with the plane's [`FaultDecision`]: the reordering delay and the
-//!    duplicate flag the caller applies when it queues the delivery.
+//!    message that dies right after), then the fault plane's [`judge`] — the only way a
+//!    message is lost — may drop it (counted as `lost` and as a ledger drop). A *corrupt*
+//!    verdict mutates the payload through [`WireSize::fault_mutate`] on the plane's own
+//!    stream. A survivor leaves with the plane's [`FaultDecision`]: the reordering delay
+//!    and the duplicate flag the caller applies when it queues the delivery.
 //! 2. [`arrive`](Delivery::arrive), at the delivery instant: the filter's `can_deliver`
 //!    verdict; `BlockedByNat` and `NoSuchDestination` count into their [`NetworkStats`]
 //!    counter and as a ledger drop of the sender.
@@ -21,7 +20,7 @@
 //! refreshed the sender's binding but never reaches `can_deliver`.
 //!
 //! What stays with the engines is everything that differs between them: which RNG stream
-//! the loss bit and the latency come from, where a surviving delivery is queued, and the
+//! the latency comes from, where a surviving delivery is queued, and the
 //! executor's half of the accounting — whoever runs the delivery (`Simulation::dispatch`,
 //! a shard's phase loop) checks that the destination is still alive and counts
 //! `delivered` and the receiver's ledger side. The event engine calls *depart* when a
@@ -99,8 +98,8 @@ impl Delivery {
     }
 
     /// Step 1 of the judgment for a message of `wire` bytes that `from` sent to `to` at
-    /// `sent_at`; `lost` is the loss model's verdict. Returns `None` when the message
-    /// died (already accounted), else what the fault plane asks of the delivery.
+    /// `sent_at`. Returns `None` when the message died (already accounted), else what
+    /// the fault plane asks of the delivery.
     ///
     /// An inactive or absent plane costs one atomic load here; an active one is locked
     /// for this one message.
@@ -111,15 +110,12 @@ impl Delivery {
         to: NodeId,
         sent_at: SimTime,
         wire: usize,
-        lost: bool,
         msg: &mut M,
     ) -> Option<FaultDecision> {
         self.ledger.record_sent(from, wire);
         self.filter.on_send(from, to, sent_at);
         let mut decision = FaultDecision::default();
-        if lost {
-            decision.drop = true;
-        } else if let Some(mut session) = self.faults.as_ref().and_then(FaultPlane::begin) {
+        if let Some(mut session) = self.faults.as_ref().and_then(FaultPlane::begin) {
             decision = session.judge(from, to);
             if decision.corrupt {
                 msg.fault_mutate(session.rng());
@@ -218,34 +214,10 @@ mod tests {
         (delivery, plane)
     }
 
-    /// Departs `count` unlost messages A → B and returns which of them survived.
+    /// Departs `count` messages A → B and returns which of them survived.
     fn survivors(delivery: &mut Delivery, count: usize) -> Vec<bool> {
-        let mut depart = || delivery.depart(A, B, T, 40, false, &mut Payload::default());
+        let mut depart = || delivery.depart(A, B, T, 40, &mut Payload::default());
         (0..count).map(|_| depart().is_some()).collect()
-    }
-
-    #[test]
-    fn a_lost_message_is_charged_and_dropped_without_a_fault_draw() {
-        let (mut lossy, plane) = with_plane(FaultProfile::lossy(0.5));
-        for _ in 0..7 {
-            assert_eq!(
-                lossy.depart(A, B, T, 40, true, &mut Payload::default()),
-                None
-            );
-        }
-        assert_eq!(lossy.stats().lost, 7);
-        assert_eq!(lossy.stats().total(), 7);
-        let a = lossy.ledger.node_or_default(A);
-        assert_eq!(
-            (a.messages_sent, a.bytes_sent, a.messages_dropped),
-            (7, 280, 7)
-        );
-        assert_eq!(plane.report().total_injected(), 0);
-        // The plane's stream has not moved: the next verdicts equal a fresh twin's.
-        let (mut twin, _) = with_plane(FaultProfile::lossy(0.5));
-        let verdicts = survivors(&mut lossy, 64);
-        assert_eq!(verdicts, survivors(&mut twin, 64));
-        assert!(verdicts.contains(&true) && verdicts.contains(&false));
     }
 
     #[test]
@@ -253,8 +225,13 @@ mod tests {
         let (mut delivery, plane) = with_plane(FaultProfile::lossy(1.0));
         assert_eq!(survivors(&mut delivery, 3), [false; 3]);
         assert_eq!(delivery.stats().lost, 3);
+        assert_eq!(delivery.stats().total(), 3);
         assert_eq!(plane.report().injected_drops, 3);
-        assert_eq!(delivery.ledger.node_or_default(A).messages_dropped, 3);
+        let a = delivery.ledger.node_or_default(A);
+        assert_eq!(
+            (a.messages_sent, a.bytes_sent, a.messages_dropped),
+            (3, 120, 3)
+        );
     }
 
     #[test]
@@ -266,7 +243,7 @@ mod tests {
                 .with_reorder(1.0, spike),
         );
         let departure = delivery
-            .depart(A, B, T, 40, false, &mut Payload::default())
+            .depart(A, B, T, 40, &mut Payload::default())
             .expect("the profile drops nothing");
         assert_eq!((departure.extra_delay, departure.duplicate), (spike, true));
         assert_eq!(
@@ -305,7 +282,7 @@ mod tests {
         plane.set_default_profile(FaultProfile::default().with_corrupt(1.0));
         delivery.set_fault_plane(plane.clone());
         let mut msg = Payload::default();
-        let departure = delivery.depart(A, NATTED, T, 40, false, &mut msg);
+        let departure = delivery.depart(A, NATTED, T, 40, &mut msg);
         assert!(departure.is_some_and(|d| d.corrupt) && msg.corrupted);
         assert_eq!(*log.borrow(), [("on_send", A, NATTED, T)], "no verdict yet");
         let later = SimTime::from_millis(30);

@@ -6,19 +6,19 @@ use rand::Rng;
 use crate::arena::NodeArena;
 use crate::bootstrap::BootstrapRegistry;
 use crate::delivery::Delivery;
-use crate::engine_api::{HookOps, RoundHook};
+use crate::engine_api::{HookOps, RoundHook, SimulationEngine};
 use crate::event::Event;
 use crate::faults::{FaultPlane, FaultReport};
 use crate::latency::{KingLatencyModel, LatencyModel};
-use crate::loss::{LossModel, NoLoss};
 use crate::network::DeliveryFilter;
-use crate::protocol::{Context, Outgoing, Protocol, PssNode, TimerRequest, WireSize};
+use crate::protocol::{
+    Context, ContextParams, Outgoing, Protocol, PssNode, TimerRequest, WireSize,
+};
 use crate::rng::{Seed, Stream};
 use crate::scheduler::EventQueue;
 use crate::sharded::next_round_delay;
 use crate::time::{SimDuration, SimTime};
 use crate::traffic::TrafficLedger;
-use crate::transport::{ContextParams, SimTransport};
 use crate::types::NodeId;
 
 /// Configuration of a simulation run.
@@ -109,7 +109,7 @@ impl SimulationConfig {
 pub struct NetworkStats {
     /// Messages delivered to their destination.
     pub delivered: u64,
-    /// Messages dropped by the loss model.
+    /// Messages dropped by the fault plane.
     pub lost: u64,
     /// Messages filtered by a NAT or firewall.
     pub blocked_by_nat: u64,
@@ -157,13 +157,11 @@ pub struct Simulation<P: Protocol> {
     queue: EventQueue<P::Message>,
     nodes: NodeArena<NodeSlot<P>>,
     latency: Box<dyn LatencyModel>,
-    loss: Box<dyn LossModel>,
     /// Filter, fault plane, loss/NAT statistics and the traffic ledger (both sides: this
     /// engine has one thread, so receivers are charged to the same ledger).
     delivery: Delivery,
     bootstrap: BootstrapRegistry,
     latency_rng: SmallRng,
-    loss_rng: SmallRng,
     sched_rng: SmallRng,
     /// The executor's half of the statistics: `delivered`, and `destination_gone` for
     /// destinations that died while the message was in flight.
@@ -176,7 +174,7 @@ pub struct Simulation<P: Protocol> {
     /// Round-barrier hook, if installed.
     hook: Option<Box<dyn RoundHook>>,
     /// The protocol's peer-sampling rule, captured (monomorphised where `P: PssNode`
-    /// holds) by [`set_sampled_round_hook`](Self::set_sampled_round_hook) so the
+    /// holds) by [`set_sampled_round_hook`](SimulationEngine::set_sampled_round_hook) so the
     /// `P: Protocol`-only barrier loop can serve [`HookOps::draw_sample`].
     hook_sampler: Option<fn(&mut P, &mut SmallRng) -> Option<NodeId>>,
     /// Index of the last barrier handed to the hook (barrier `n` fires at `n * period`).
@@ -184,8 +182,9 @@ pub struct Simulation<P: Protocol> {
 }
 
 impl<P: Protocol> Simulation<P> {
-    /// Creates an engine with the given configuration, a King-like latency model, no message
-    /// loss and no NAT filtering. Use the `set_*` methods to replace the network models.
+    /// Creates an engine with the given configuration, a King-like latency model, no fault
+    /// plane and no NAT filtering. Use the [`SimulationEngine`] `set_*` methods to replace
+    /// the network models.
     pub fn new(cfg: SimulationConfig) -> Self {
         Simulation {
             cfg,
@@ -193,11 +192,9 @@ impl<P: Protocol> Simulation<P> {
             queue: EventQueue::new(),
             nodes: NodeArena::new(),
             latency: Box::new(KingLatencyModel::new()),
-            loss: Box::new(NoLoss),
             delivery: Delivery::new(),
             bootstrap: BootstrapRegistry::new(),
             latency_rng: cfg.seed.stream_rng(Stream::Latency),
-            loss_rng: cfg.seed.stream_rng(Stream::Loss),
             sched_rng: cfg.seed.stream_rng(Stream::Scheduling),
             stats: NetworkStats::default(),
             outbox_buf: Vec::new(),
@@ -208,102 +205,14 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Replaces the latency model.
-    pub fn set_latency_model(&mut self, model: impl LatencyModel + 'static) {
-        self.latency = Box::new(model);
-    }
-
-    /// Replaces the loss model.
-    pub fn set_loss_model(&mut self, model: impl LossModel + 'static) {
-        self.loss = Box::new(model);
-    }
-
-    /// Replaces the delivery filter (NAT/firewall emulation).
-    pub fn set_delivery_filter(&mut self, filter: impl DeliveryFilter + 'static) {
-        self.delivery.set_filter(filter);
-    }
-
-    /// Installs a [`FaultPlane`] on the delivery path. The engine judges every outgoing
-    /// message against the plane (after the loss model) in event order; an inactive plane
-    /// costs one atomic load per message.
-    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.delivery.set_fault_plane(plane);
-    }
-
-    /// The fault plane's injection counters ([`FaultReport::default`] when no plane is
-    /// installed). The protocol-side recovery counters stay zero here; the experiment
-    /// driver fills them from the nodes.
-    pub fn fault_report(&self) -> FaultReport {
-        self.delivery.fault_report()
-    }
-
-    /// Installs a [`RoundHook`] invoked at every future round barrier (the instants
-    /// `n * round_period`); barriers at or before the current instant never fire.
-    pub fn set_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        let period = self.cfg.round_period.as_millis().max(1);
-        self.barriers_fired = self.now.as_millis() / period;
-        self.hook = Some(hook);
-        self.hook_sampler = None;
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.cfg
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Message delivery statistics.
-    pub fn network_stats(&self) -> NetworkStats {
-        let mut stats = self.delivery.stats();
-        stats.merge(self.stats);
-        stats
-    }
-
     /// The bootstrap registry.
     pub fn bootstrap(&self) -> &BootstrapRegistry {
         &self.bootstrap
     }
 
-    /// Registers `node` with the bootstrap server so joiners can discover it. Typically
-    /// called for public nodes only.
-    pub fn register_public(&mut self, node: NodeId) {
-        self.bootstrap.register(node);
-    }
-
     /// The traffic ledger (bytes and messages per node).
     pub fn traffic(&self) -> &TrafficLedger {
         &self.delivery.ledger
-    }
-
-    /// Mutable access to the traffic ledger, e.g. to reset the measurement window once the
-    /// overlay reaches steady state.
-    pub fn traffic_mut(&mut self) -> &mut TrafficLedger {
-        &mut self.delivery.ledger
-    }
-
-    /// Merges the traffic ledger into `out` (cleared first, map capacity retained).
-    pub fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        out.reset_window(self.traffic().window_start());
-        out.merge_from(self.traffic());
-    }
-
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` when the simulation holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Returns `true` if `node` is currently alive.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.nodes.contains(slot_index(node))
     }
 
     /// Identifiers of all live nodes, in ascending id order.
@@ -316,13 +225,6 @@ impl<P: Protocol> Simulation<P> {
         self.nodes.get(slot_index(node)).map(|slot| &slot.proto)
     }
 
-    /// Exclusive access to the protocol instance of `node`.
-    pub fn node_mut(&mut self, node: NodeId) -> Option<&mut P> {
-        self.nodes
-            .get_mut(slot_index(node))
-            .map(|slot| &mut slot.proto)
-    }
-
     /// Iterates over `(id, protocol)` pairs of all live nodes, in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         self.nodes.iter().map(|(_, slot)| (slot.id, &slot.proto))
@@ -333,13 +235,209 @@ impl<P: Protocol> Simulation<P> {
         self.nodes.get(slot_index(node)).map(|slot| slot.joined_at)
     }
 
-    /// Adds a node running `proto`, invoking its [`Protocol::on_start`] callback and
-    /// scheduling its periodic rounds.
+    fn dispatch(&mut self, event: Event<P::Message>) {
+        match event {
+            Event::Round { node } => {
+                if self.nodes.contains(slot_index(node)) {
+                    self.execute(node, |proto, ctx| proto.on_round(ctx));
+                    let next = next_round_delay(&self.cfg, &mut self.sched_rng);
+                    self.queue.schedule(self.now + next, Event::Round { node });
+                }
+            }
+            Event::Timer { node, key } => {
+                if self.nodes.contains(slot_index(node)) {
+                    self.execute(node, |proto, ctx| proto.on_timer(key, ctx));
+                }
+            }
+            Event::Deliver { from, to, msg } => {
+                if !self.nodes.contains(slot_index(to)) {
+                    self.stats.destination_gone += 1;
+                    self.delivery.ledger.record_dropped(from);
+                } else if self.delivery.arrive(from, to, self.now).is_delivered() {
+                    self.stats.delivered += 1;
+                    self.delivery.ledger.record_received(to, msg.wire_size());
+                    self.execute(to, |proto, ctx| proto.on_message(from, msg, ctx));
+                }
+            }
+        }
+    }
+
+    /// Runs `callback` on the protocol instance of `node` with a [`Context`] collecting
+    /// into the engine's recycled effect buffers, then applies the side effects
+    /// (messages, timers) the callback produced.
+    fn execute<F>(&mut self, node: NodeId, callback: F)
+    where
+        F: FnOnce(&mut P, &mut Context<'_, P::Message>),
+    {
+        let outbox_buf = std::mem::take(&mut self.outbox_buf);
+        let timers_buf = std::mem::take(&mut self.timers_buf);
+        let (mut outgoing, mut timers) = {
+            let slot = self
+                .nodes
+                .get_mut(slot_index(node))
+                .expect("execute() requires a live node");
+            let mut ctx = Context::with_buffers(
+                ContextParams {
+                    node,
+                    now: self.now,
+                    round_period: self.cfg.round_period,
+                    // A message is executed at its delivery instant, so a reply can
+                    // follow its request by the two latencies alone.
+                    reply_horizon: SimDuration::ZERO,
+                    rng: &mut slot.rng,
+                    bootstrap: &self.bootstrap,
+                },
+                outbox_buf,
+                timers_buf,
+            );
+            callback(&mut slot.proto, &mut ctx);
+            ctx.into_effects()
+        };
+        self.apply_effects(node, &mut outgoing, &mut timers);
+        self.outbox_buf = outgoing;
+        self.timers_buf = timers;
+    }
+
+    /// Drains the effect buffers into the network and the event queue; the emptied buffers
+    /// keep their capacity and return to the engine's pool.
+    fn apply_effects(
+        &mut self,
+        from: NodeId,
+        outgoing: &mut Vec<Outgoing<P::Message>>,
+        timers: &mut Vec<TimerRequest>,
+    ) {
+        for Outgoing { to, mut msg } in outgoing.drain(..) {
+            let wire = msg.wire_size();
+            let Some(departure) = self.delivery.depart(from, to, self.now, wire, &mut msg) else {
+                continue;
+            };
+            let latency = self.latency.sample(from, to, &mut self.latency_rng);
+            if departure.duplicate {
+                // The copy travels at the base latency; the original may additionally be
+                // delayed by a reordering spike.
+                self.queue.schedule(
+                    self.now + latency,
+                    Event::Deliver {
+                        from,
+                        to,
+                        msg: msg.clone(),
+                    },
+                );
+            }
+            self.queue.schedule(
+                self.now + latency + departure.extra_delay,
+                Event::Deliver { from, to, msg },
+            );
+        }
+        for TimerRequest { delay, key } in timers.drain(..) {
+            self.queue
+                .schedule(self.now + delay, Event::Timer { node: from, key });
+        }
+    }
+}
+
+impl<P: PssNode> Simulation<P> {
+    /// Draws a peer sample from `node` using the node's own random stream, following the
+    /// protocol's sampling rule.
+    pub fn sample_from(&mut self, node: NodeId) -> Option<NodeId> {
+        let slot = self.nodes.get_mut(slot_index(node))?;
+        slot.proto.draw_sample(&mut slot.rng)
+    }
+}
+
+impl<P: Protocol> HookOps for Simulation<P> {
+    fn draw_sample(&mut self, node: NodeId) -> Option<NodeId> {
+        let sampler = self.hook_sampler?;
+        let slot = self.nodes.get_mut(slot_index(node))?;
+        sampler(&mut slot.proto, &mut slot.rng)
+    }
+
+    fn is_live(&self, node: NodeId) -> bool {
+        self.contains(node)
+    }
+
+    fn live_node_ids_into(&self, out: &mut Vec<NodeId>) {
+        out.extend(self.nodes.iter().map(|(_, slot)| slot.id));
+    }
+
+    fn record_transfer(&mut self, from: NodeId, to: NodeId, bytes: usize) {
+        self.delivery.record_transfer(from, to, bytes);
+    }
+
+    fn record_blocked(&mut self, from: NodeId) {
+        self.delivery.ledger.record_dropped(from);
+    }
+}
+
+impl<P: Protocol> SimulationEngine<P> for Simulation<P> {
+    fn from_config(cfg: SimulationConfig) -> Self {
+        Simulation::new(cfg)
+    }
+
+    fn set_latency_model<L: LatencyModel + Send + Sync + 'static>(&mut self, model: L) {
+        self.latency = Box::new(model);
+    }
+
+    fn set_delivery_filter<D: DeliveryFilter + 'static>(&mut self, filter: D) {
+        self.delivery.set_filter(filter);
+    }
+
+    /// Barriers at or before the current instant never fire.
+    fn set_round_hook(&mut self, hook: Box<dyn RoundHook>) {
+        let period = self.cfg.round_period.as_millis().max(1);
+        self.barriers_fired = self.now.as_millis() / period;
+        self.hook = Some(hook);
+        self.hook_sampler = None;
+    }
+
+    fn set_sampled_round_hook(&mut self, hook: Box<dyn RoundHook>)
+    where
+        P: PssNode,
+    {
+        self.set_round_hook(hook);
+        self.hook_sampler = Some(P::draw_sample);
+    }
+
+    /// The engine judges every outgoing message against the plane in event order; an
+    /// inactive plane costs one atomic load per message.
+    fn set_fault_plane(&mut self, plane: FaultPlane) {
+        self.delivery.set_fault_plane(plane);
+    }
+
+    /// The protocol-side recovery counters stay zero here; the experiment driver fills
+    /// them from the nodes.
+    fn fault_report(&self) -> FaultReport {
+        self.delivery.fault_report()
+    }
+
+    fn config(&self) -> &SimulationConfig {
+        &self.cfg
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn contains(&self, node: NodeId) -> bool {
+        self.nodes.contains(slot_index(node))
+    }
+
+    /// Typically called for public nodes only.
+    fn register_public(&mut self, node: NodeId) {
+        self.bootstrap.register(node);
+    }
+
+    /// Invokes the node's [`Protocol::on_start`] callback and schedules its periodic
+    /// rounds.
     ///
     /// # Panics
     ///
     /// Panics if a node with the same identifier is already present.
-    pub fn add_node(&mut self, id: NodeId, proto: P) {
+    fn add_node(&mut self, id: NodeId, proto: P) {
         assert!(
             !self.nodes.contains(slot_index(id)),
             "node {id} is already part of the simulation"
@@ -363,25 +461,21 @@ impl<P: Protocol> Simulation<P> {
             .schedule(self.now + phase, Event::Round { node: id });
     }
 
-    /// Removes a node (crash or departure), returning its protocol state.
-    ///
-    /// In-flight messages addressed to the node are silently dropped when they arrive, which
-    /// models a crash: no goodbye messages are sent.
-    pub fn remove_node(&mut self, id: NodeId) -> Option<P> {
+    /// In-flight messages addressed to the node are silently dropped when they arrive,
+    /// which models a crash: no goodbye messages are sent.
+    fn remove_node(&mut self, id: NodeId) -> Option<P> {
         let slot = self.nodes.remove(slot_index(id))?;
         self.bootstrap.unregister(id);
         self.delivery.node_removed(id);
         Some(slot.proto)
     }
 
-    /// Runs the simulation until the virtual clock reaches `deadline`.
-    ///
     /// With a [`RoundHook`] installed the event loop is split at every barrier instant
     /// `n * round_period <= deadline`: the hook fires *before* any event scheduled at or
     /// after the barrier instant dispatches — the same observation point as the sharded
     /// engine's phase barrier, where events at exactly the window edge belong to the next
     /// phase. Without a hook no barrier is ever due.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    fn run_until(&mut self, deadline: SimTime) {
         let period = self.cfg.round_period.as_millis().max(1);
         loop {
             let next_event = self.queue.peek_time();
@@ -417,231 +511,6 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Runs the simulation for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now + span;
-        self.run_until(deadline);
-    }
-
-    /// Runs the simulation for `rounds` gossip periods from the current instant.
-    pub fn run_for_rounds(&mut self, rounds: u64) {
-        self.run_for(self.cfg.round_period.saturating_mul(rounds));
-    }
-
-    fn dispatch(&mut self, event: Event<P::Message>) {
-        match event {
-            Event::Round { node } => {
-                if self.nodes.contains(slot_index(node)) {
-                    self.execute(node, |proto, ctx| proto.on_round(ctx));
-                    let next = next_round_delay(&self.cfg, &mut self.sched_rng);
-                    self.queue.schedule(self.now + next, Event::Round { node });
-                }
-            }
-            Event::Timer { node, key } => {
-                if self.nodes.contains(slot_index(node)) {
-                    self.execute(node, |proto, ctx| proto.on_timer(key, ctx));
-                }
-            }
-            Event::Deliver { from, to, msg } => {
-                if !self.nodes.contains(slot_index(to)) {
-                    self.stats.destination_gone += 1;
-                    self.delivery.ledger.record_dropped(from);
-                } else if self.delivery.arrive(from, to, self.now).is_delivered() {
-                    self.stats.delivered += 1;
-                    self.delivery.ledger.record_received(to, msg.wire_size());
-                    self.execute(to, |proto, ctx| proto.on_message(from, msg, ctx));
-                }
-            }
-        }
-    }
-
-    /// Runs `callback` on the protocol instance of `node` with a [`Context`] backed by the
-    /// engine's recycled effect buffers, then applies the side effects (messages, timers)
-    /// the callback produced.
-    fn execute<F>(&mut self, node: NodeId, callback: F)
-    where
-        F: FnOnce(&mut P, &mut Context<'_, P::Message>),
-    {
-        let outbox_buf = std::mem::take(&mut self.outbox_buf);
-        let timers_buf = std::mem::take(&mut self.timers_buf);
-        let (mut outgoing, mut timers) = {
-            let slot = self
-                .nodes
-                .get_mut(slot_index(node))
-                .expect("execute() requires a live node");
-            let mut transport = SimTransport::with_buffers(
-                ContextParams {
-                    node,
-                    now: self.now,
-                    round_period: self.cfg.round_period,
-                    // A message is executed at its delivery instant, so a reply can
-                    // follow its request by the two latencies alone.
-                    reply_horizon: SimDuration::ZERO,
-                    rng: &mut slot.rng,
-                    bootstrap: &self.bootstrap,
-                },
-                outbox_buf,
-                timers_buf,
-            );
-            let mut ctx = Context::new(&mut transport);
-            callback(&mut slot.proto, &mut ctx);
-            transport.into_effects()
-        };
-        self.apply_effects(node, &mut outgoing, &mut timers);
-        self.outbox_buf = outgoing;
-        self.timers_buf = timers;
-    }
-
-    /// Drains the effect buffers into the network and the event queue; the emptied buffers
-    /// keep their capacity and return to the engine's pool.
-    fn apply_effects(
-        &mut self,
-        from: NodeId,
-        outgoing: &mut Vec<Outgoing<P::Message>>,
-        timers: &mut Vec<TimerRequest>,
-    ) {
-        for Outgoing { to, mut msg } in outgoing.drain(..) {
-            let lost = self.loss.drops(from, to, &mut self.loss_rng);
-            let wire = msg.wire_size();
-            let Some(departure) = self
-                .delivery
-                .depart(from, to, self.now, wire, lost, &mut msg)
-            else {
-                continue;
-            };
-            let latency = self.latency.sample(from, to, &mut self.latency_rng);
-            if departure.duplicate {
-                // The copy travels at the base latency; the original may additionally be
-                // delayed by a reordering spike.
-                self.queue.schedule(
-                    self.now + latency,
-                    Event::Deliver {
-                        from,
-                        to,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            self.queue.schedule(
-                self.now + latency + departure.extra_delay,
-                Event::Deliver { from, to, msg },
-            );
-        }
-        for TimerRequest { delay, key } in timers.drain(..) {
-            self.queue
-                .schedule(self.now + delay, Event::Timer { node: from, key });
-        }
-    }
-}
-
-impl<P: PssNode> Simulation<P> {
-    /// Draws a peer sample from `node` using the node's own random stream, following the
-    /// protocol's sampling rule.
-    pub fn sample_from(&mut self, node: NodeId) -> Option<NodeId> {
-        let slot = self.nodes.get_mut(slot_index(node))?;
-        slot.proto.draw_sample(&mut slot.rng)
-    }
-
-    /// Installs a [`RoundHook`] like [`set_round_hook`](Self::set_round_hook) and captures
-    /// the protocol's sampling rule so the hook's [`HookOps::draw_sample`] calls work.
-    pub fn set_sampled_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        self.set_round_hook(hook);
-        self.hook_sampler = Some(P::draw_sample);
-    }
-}
-
-impl<P: Protocol> HookOps for Simulation<P> {
-    fn draw_sample(&mut self, node: NodeId) -> Option<NodeId> {
-        let sampler = self.hook_sampler?;
-        let slot = self.nodes.get_mut(slot_index(node))?;
-        sampler(&mut slot.proto, &mut slot.rng)
-    }
-
-    fn is_live(&self, node: NodeId) -> bool {
-        self.contains(node)
-    }
-
-    fn live_node_ids_into(&self, out: &mut Vec<NodeId>) {
-        out.extend(self.nodes.iter().map(|(_, slot)| slot.id));
-    }
-
-    fn record_transfer(&mut self, from: NodeId, to: NodeId, bytes: usize) {
-        self.delivery.record_transfer(from, to, bytes);
-    }
-
-    fn record_blocked(&mut self, from: NodeId) {
-        self.delivery.ledger.record_dropped(from);
-    }
-}
-
-impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
-    fn from_config(cfg: SimulationConfig) -> Self {
-        Simulation::new(cfg)
-    }
-
-    fn set_latency_model<L: LatencyModel + Send + Sync + 'static>(&mut self, model: L) {
-        Simulation::set_latency_model(self, model);
-    }
-
-    fn set_loss_model<L: LossModel + Send + Sync + 'static>(&mut self, model: L) {
-        Simulation::set_loss_model(self, model);
-    }
-
-    fn set_delivery_filter<D: DeliveryFilter + 'static>(&mut self, filter: D) {
-        Simulation::set_delivery_filter(self, filter);
-    }
-
-    fn set_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        Simulation::set_round_hook(self, hook);
-    }
-
-    fn set_sampled_round_hook(&mut self, hook: Box<dyn RoundHook>)
-    where
-        P: PssNode,
-    {
-        Simulation::set_sampled_round_hook(self, hook);
-    }
-
-    fn set_fault_plane(&mut self, plane: FaultPlane) {
-        Simulation::set_fault_plane(self, plane);
-    }
-
-    fn fault_report(&self) -> FaultReport {
-        Simulation::fault_report(self)
-    }
-
-    fn config(&self) -> &SimulationConfig {
-        Simulation::config(self)
-    }
-
-    fn now(&self) -> SimTime {
-        Simulation::now(self)
-    }
-
-    fn len(&self) -> usize {
-        Simulation::len(self)
-    }
-
-    fn contains(&self, node: NodeId) -> bool {
-        Simulation::contains(self, node)
-    }
-
-    fn register_public(&mut self, node: NodeId) {
-        Simulation::register_public(self, node);
-    }
-
-    fn add_node(&mut self, id: NodeId, proto: P) {
-        Simulation::add_node(self, id, proto);
-    }
-
-    fn remove_node(&mut self, id: NodeId) -> Option<P> {
-        Simulation::remove_node(self, id)
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        Simulation::run_until(self, deadline);
-    }
-
     fn for_each_node(&self, f: &mut dyn FnMut(NodeId, &P)) {
         for (id, proto) in self.nodes() {
             f(id, proto);
@@ -654,7 +523,9 @@ impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
     }
 
     fn network_stats(&self) -> NetworkStats {
-        Simulation::network_stats(self)
+        let mut stats = self.delivery.stats();
+        stats.merge(self.stats);
+        stats
     }
 
     fn traffic_snapshot(&self) -> TrafficLedger {
@@ -662,7 +533,8 @@ impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
     }
 
     fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        Simulation::traffic_snapshot_into(self, out);
+        out.reset_window(self.traffic().window_start());
+        out.merge_from(self.traffic());
     }
 
     fn reset_traffic_window(&mut self) {
@@ -681,7 +553,6 @@ impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
 mod tests {
     use super::*;
     use crate::latency::ConstantLatency;
-    use crate::loss::BernoulliLoss;
     use crate::protocol::TimerKey;
     use crate::types::NatClass;
 
@@ -901,6 +772,7 @@ mod tests {
 
     #[test]
     fn loss_model_drops_messages() {
+        use crate::faults::FaultProfile;
         let mut sim = Simulation::new(
             SimulationConfig::default()
                 .with_seed(4)
@@ -908,7 +780,9 @@ mod tests {
                 .with_random_phase(false),
         );
         sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(1)));
-        sim.set_loss_model(BernoulliLoss::new(1.0));
+        let plane = FaultPlane::new(Seed::new(4));
+        plane.set_default_profile(FaultProfile::lossy(1.0));
+        sim.set_fault_plane(plane);
         sim.add_node(NodeId::new(1), Buddy::new(Some(NodeId::new(2))));
         sim.add_node(NodeId::new(2), Buddy::new(None));
         sim.run_for(SimDuration::from_secs(5));

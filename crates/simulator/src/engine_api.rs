@@ -8,15 +8,13 @@
 //! state split across shards and has no single borrow to hand out.
 //!
 //! This trait is the *driver-facing* half of the engine seam. The *protocol-facing* half
-//! is [`Transport`](crate::Transport): both engines hand protocol callbacks a
-//! [`Context`](crate::Context) built over their own transport implementation, so protocol
-//! crates depend on neither engine type. See DESIGN.md §13 for the seam's determinism
-//! argument.
+//! is [`Context`](crate::Context): both engines hand every protocol callback the same
+//! concrete effect collector, so protocol crates depend on neither engine type. See
+//! DESIGN.md §13 for the seam's determinism argument.
 
 use crate::engine::{NetworkStats, SimulationConfig};
 use crate::faults::{FaultPlane, FaultReport};
 use crate::latency::LatencyModel;
-use crate::loss::LossModel;
 use crate::network::DeliveryFilter;
 use crate::protocol::{Protocol, PssNode};
 use crate::time::{SimDuration, SimTime};
@@ -154,10 +152,6 @@ pub trait SimulationEngine<P: Protocol> {
     /// Replaces the latency model. `Send + Sync` is required because the sharded engine
     /// samples latencies from its worker threads.
     fn set_latency_model<L: LatencyModel + Send + Sync + 'static>(&mut self, model: L);
-
-    /// Replaces the loss model. `Send + Sync` is required because the sharded engine makes
-    /// loss decisions from its worker threads.
-    fn set_loss_model<L: LossModel + Send + Sync + 'static>(&mut self, model: L);
 
     /// Replaces the delivery filter (NAT/firewall emulation). Both engines consult the
     /// filter from the coordinating thread only, so `Send`/`Sync` are not needed.

@@ -26,10 +26,10 @@
 //! # Cost when disabled
 //!
 //! The plane is shared state behind an `Arc`; each engine's delivery plane holds an
-//! `Option<FaultPlane>` and calls [`FaultPlane::begin`] for every message that survived
-//! the loss model. With no profile installed that is a single relaxed atomic load — the
-//! hot path stays branch-predictable and the `microbench_engine` `fault_plane_inactive`
-//! row guards the overhead.
+//! `Option<FaultPlane>` and calls [`FaultPlane::begin`] for every message. With no
+//! profile installed that is a single relaxed atomic load — the hot path stays
+//! branch-predictable and the `microbench_engine` `fault_plane_inactive` row guards the
+//! overhead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -87,8 +87,9 @@ impl BurstLoss {
 
 /// A fault profile: the per-message fault probabilities applied to a link.
 ///
-/// The default profile injects nothing. Profiles compose with the independent loss model:
-/// a message must survive both to be delivered.
+/// The default profile injects nothing. The plane is the only way a message is lost:
+/// `lossy(p)` as the default profile is uniform loss, per-node
+/// [`set_link_profile`](FaultPlane::set_link_profile) overrides bias it by class.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultProfile {
     /// Independent per-message drop probability.

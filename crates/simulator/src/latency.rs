@@ -77,41 +77,6 @@ impl LatencyModel for ConstantLatency {
     }
 }
 
-/// Latency drawn uniformly at random from a closed interval, independently per message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UniformLatency {
-    min_ms: u64,
-    max_ms: u64,
-}
-
-impl UniformLatency {
-    /// Creates a model sampling uniformly from `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min > max`.
-    pub fn new(min: SimDuration, max: SimDuration) -> Self {
-        assert!(
-            min.as_millis() <= max.as_millis(),
-            "uniform latency interval must satisfy min <= max"
-        );
-        UniformLatency {
-            min_ms: min.as_millis(),
-            max_ms: max.as_millis(),
-        }
-    }
-}
-
-impl LatencyModel for UniformLatency {
-    fn sample(&mut self, _from: NodeId, _to: NodeId, rng: &mut SmallRng) -> SimDuration {
-        SimDuration::from_millis(rng.gen_range(self.min_ms..=self.max_ms))
-    }
-
-    fn sample_shared(&self, _from: NodeId, _to: NodeId, rng: &mut SmallRng) -> SimDuration {
-        SimDuration::from_millis(rng.gen_range(self.min_ms..=self.max_ms))
-    }
-}
-
 /// Synthetic King-data-set-like latency model.
 ///
 /// Every node is lazily assigned a point in a two-dimensional virtual coordinate space plus
@@ -143,12 +108,6 @@ impl KingLatencyModel {
             floor_ms: 2.0,
             coords: HashMap::new(),
         }
-    }
-
-    /// Overrides the side length of the coordinate plane (larger = higher typical latency).
-    pub fn with_plane_side_ms(mut self, side: f64) -> Self {
-        self.plane_side_ms = side;
-        self
     }
 
     /// Overrides the per-message jitter fraction.
@@ -240,22 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_latency_stays_in_bounds() {
-        let mut m = UniformLatency::new(SimDuration::from_millis(5), SimDuration::from_millis(15));
-        let mut r = rng();
-        for _ in 0..200 {
-            let d = m.sample(NodeId::new(0), NodeId::new(1), &mut r).as_millis();
-            assert!((5..=15).contains(&d));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "min <= max")]
-    fn uniform_latency_rejects_inverted_interval() {
-        UniformLatency::new(SimDuration::from_millis(10), SimDuration::from_millis(5));
-    }
-
-    #[test]
     fn king_latency_is_positive_and_bounded() {
         let mut m = KingLatencyModel::new();
         let mut r = rng();
@@ -343,13 +286,6 @@ mod tests {
             m.sample_shared(NodeId::new(0), NodeId::new(1), &mut r),
             SimDuration::from_millis(7)
         );
-        let u = UniformLatency::new(SimDuration::from_millis(5), SimDuration::from_millis(15));
-        for _ in 0..100 {
-            let d = u
-                .sample_shared(NodeId::new(0), NodeId::new(1), &mut r)
-                .as_millis();
-            assert!((5..=15).contains(&d));
-        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * a [`ShardedSimulation`] engine executing the same protocols phase-parallel over
 //!   multiple worker threads (see the [`sharded`] module for the execution model), behind
 //!   the common [`SimulationEngine`] trait,
-//! * pluggable [`LatencyModel`]s (constant, uniform, and a synthetic King-data-set-like
-//!   model), [`LossModel`]s and [`DeliveryFilter`]s (the NAT emulation in `croupier-nat`
-//!   implements the latter),
+//! * pluggable [`LatencyModel`]s (constant and a synthetic King-data-set-like model) and
+//!   [`DeliveryFilter`]s (the NAT emulation in `croupier-nat` implements the latter), plus
+//!   a [`FaultPlane`] — the one way a message is lost, duplicated, delayed or corrupted,
 //! * a [`BootstrapRegistry`] emulating the bootstrap server that hands joining nodes a set
 //!   of public nodes, and
 //! * a [`TrafficLedger`] that accounts every byte sent and received per node, which the
@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use croupier_simulator::{
-//!     Context, NodeId, Protocol, Simulation, SimulationConfig, WireSize,
+//!     Context, NodeId, Protocol, Simulation, SimulationConfig, SimulationEngine, WireSize,
 //! };
 //!
 //! /// A toy protocol: every round each node pings a random bootstrap node.
@@ -86,11 +86,11 @@ mod delivery;
 pub mod engine;
 pub mod engine_api;
 pub mod event;
+pub mod exchange;
 pub mod fasthash;
 pub mod faults;
 pub mod inline;
 pub mod latency;
-pub mod loss;
 pub mod network;
 pub mod protocol;
 pub mod rng;
@@ -98,25 +98,23 @@ pub mod scheduler;
 pub mod sharded;
 pub mod time;
 pub mod traffic;
-pub mod transport;
 pub mod types;
 
 pub use bootstrap::BootstrapRegistry;
 pub use engine::{NetworkStats, Simulation, SimulationConfig};
 pub use engine_api::{CompositeRoundHook, HookOps, RoundHook, SimulationEngine};
+pub use exchange::{ExchangeTracker, Retry};
 pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet};
 pub use faults::{
     BurstLoss, FaultDecision, FaultPlane, FaultProfile, FaultReport, FaultSession, RetryPolicy,
     FAULT_RNG_STREAM,
 };
 pub use inline::InlineVec;
-pub use latency::{ConstantLatency, KingLatencyModel, LatencyModel, UniformLatency};
-pub use loss::{BernoulliLoss, LossModel, NoLoss};
+pub use latency::{ConstantLatency, KingLatencyModel, LatencyModel};
 pub use network::{DeliveryFilter, DeliveryVerdict, OpenInternet};
-pub use protocol::{Context, Protocol, PssNode, TimerKey, WireSize};
+pub use protocol::{Context, ContextParams, Protocol, PssNode, TimerKey, WireSize};
 pub use rng::Seed;
 pub use sharded::ShardedSimulation;
 pub use time::{SimDuration, SimTime};
 pub use traffic::{NodeTraffic, TrafficLedger};
-pub use transport::{ContextParams, SimTransport, Transport};
 pub use types::{NatClass, NodeId};

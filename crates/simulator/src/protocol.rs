@@ -8,9 +8,9 @@
 
 use rand::rngs::SmallRng;
 
+use crate::bootstrap::BootstrapRegistry;
 use crate::faults::RetryPolicy;
 use crate::time::{SimDuration, SimTime};
-use crate::transport::Transport;
 use crate::types::{NatClass, NodeId};
 
 /// Identifies a timer set by a protocol so the protocol can tell its timers apart.
@@ -70,72 +70,125 @@ pub struct TimerRequest {
     pub key: TimerKey,
 }
 
-/// The execution context given to every protocol callback.
+/// The inputs a [`Context`] needs for one callback invocation.
 ///
-/// A thin facade over the [`Transport`] seam: every capability it exposes — identity,
-/// clock, the node's private random stream, sending, timers, bootstrap sampling — is
-/// forwarded verbatim to the underlying transport. Protocols therefore compile against
-/// the trait alone and run unchanged on any transport implementation; the engines back it
-/// with [`SimTransport`](crate::SimTransport), which records effects into recycled
-/// buffers. The facade adds no state and draws no randomness of its own, which is what
-/// makes the seam provably behavior-preserving (see DESIGN.md §13).
+/// Bundling them in a struct (instead of six same-typed positional arguments) makes the
+/// construction sites self-describing and removes the arg-order foot-gun from protocol
+/// unit tests.
+pub struct ContextParams<'a> {
+    /// Identity of the node the callback runs on.
+    pub node: NodeId,
+    /// Current simulated time.
+    pub now: SimTime,
+    /// The gossip round period configured on the engine.
+    pub round_period: SimDuration,
+    /// How long the engine itself can keep the reply to a message sent now from being
+    /// executed, on top of the network latencies. Zero on the event engine, which
+    /// executes a message the instant it arrives; two round periods on the sharded
+    /// engine, where a request and its reply each wait for a barrier (see
+    /// [`Context::retry_policy`]).
+    pub reply_horizon: SimDuration,
+    /// The node's private random stream.
+    pub rng: &'a mut SmallRng,
+    /// The shared bootstrap service.
+    pub bootstrap: &'a BootstrapRegistry,
+}
+
+/// The execution context given to every protocol callback, and the collector of the
+/// callback's effects.
+///
+/// Everything a callback may do to the outside world — read its identity and the clock,
+/// draw from the node's private random stream, send, arm timers, sample the bootstrap
+/// service — goes through this one concrete object, so no engine type appears in a
+/// protocol crate. Sends and timers are recorded into two buffers the engine owns and
+/// recycles: [`into_effects`](Context::into_effects) hands them back, the engine drains
+/// them, and the next callback reuses the retained capacity — zero allocations per event
+/// in steady state (pinned by `tests/alloc_counter.rs`). The context draws no randomness
+/// of its own (see DESIGN.md §13).
 pub struct Context<'a, M> {
-    transport: &'a mut dyn Transport<M>,
+    params: ContextParams<'a>,
+    outbox: Vec<Outgoing<M>>,
+    timers: Vec<TimerRequest>,
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Wraps a transport for the duration of one protocol callback.
-    pub fn new(transport: &'a mut dyn Transport<M>) -> Self {
-        Context { transport }
+    /// Creates a context with fresh effect buffers. Used by protocol unit tests; the
+    /// engines recycle their buffers through [`Context::with_buffers`] instead.
+    pub fn new(params: ContextParams<'a>) -> Self {
+        Context::with_buffers(params, Vec::new(), Vec::new())
+    }
+
+    /// Creates a context that collects effects into caller-provided buffers.
+    ///
+    /// The buffers are cleared here, so passing a dirty buffer is harmless.
+    pub fn with_buffers(
+        params: ContextParams<'a>,
+        mut outbox: Vec<Outgoing<M>>,
+        mut timers: Vec<TimerRequest>,
+    ) -> Self {
+        outbox.clear();
+        timers.clear();
+        Context {
+            params,
+            outbox,
+            timers,
+        }
+    }
+
+    /// Consumes the context, returning queued messages and timer requests.
+    pub fn into_effects(self) -> (Vec<Outgoing<M>>, Vec<TimerRequest>) {
+        (self.outbox, self.timers)
     }
 
     /// Identity of the node executing the callback.
     pub fn node_id(&self) -> NodeId {
-        self.transport.node_id()
+        self.params.node
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.transport.now()
+        self.params.now
     }
 
     /// The gossip round period configured on the engine.
     pub fn round_period(&self) -> SimDuration {
-        self.transport.round_period()
+        self.params.round_period
     }
 
     /// The timeout/retry schedule for a request sent now: the shared
-    /// [`RetryPolicy::for_round_period`] schedule, shifted past the transport's
-    /// [reply horizon](Transport::reply_horizon) so no retransmission is armed before
+    /// [`RetryPolicy::for_round_period`] schedule, shifted past the engine's
+    /// [reply horizon](ContextParams::reply_horizon) so no retransmission is armed before
     /// a reply can exist.
     pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::for_round_period(self.transport.round_period())
-            .after_reply_horizon(self.transport.reply_horizon())
+        RetryPolicy::for_round_period(self.params.round_period)
+            .after_reply_horizon(self.params.reply_horizon)
     }
 
     /// The node's private random number generator.
     pub fn rng(&mut self) -> &mut SmallRng {
-        self.transport.rng()
+        self.params.rng
     }
 
     /// Queues `msg` for sending to `to`.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.transport.send(to, msg);
+        self.outbox.push(Outgoing { to, msg });
     }
 
     /// Requests a timer that fires after `delay`, identified by `key`.
     pub fn set_timer(&mut self, delay: SimDuration, key: TimerKey) {
-        self.transport.set_timer(delay, key);
+        self.timers.push(TimerRequest { delay, key });
     }
 
     /// Samples up to `count` public nodes from the bootstrap server, excluding the caller.
     pub fn bootstrap_sample(&mut self, count: usize) -> Vec<NodeId> {
-        self.transport.bootstrap_sample(count)
+        self.params
+            .bootstrap
+            .sample_excluding(count, self.params.node, self.params.rng)
     }
 
     /// Messages queued so far (used by tests driving a protocol without the engine).
     pub fn outbox(&self) -> &[Outgoing<M>] {
-        self.transport.outbox()
+        &self.outbox
     }
 }
 
@@ -229,8 +282,6 @@ pub fn random_subset<T: Clone>(items: &[T], count: usize, rng: &mut SmallRng) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bootstrap::BootstrapRegistry;
-    use crate::transport::{ContextParams, SimTransport};
     use rand::SeedableRng;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -242,27 +293,33 @@ mod tests {
         }
     }
 
+    fn params<'a>(
+        node: u64,
+        rng: &'a mut SmallRng,
+        bootstrap: &'a BootstrapRegistry,
+    ) -> ContextParams<'a> {
+        ContextParams {
+            node: NodeId::new(node),
+            now: SimTime::from_millis(10),
+            round_period: SimDuration::from_secs(1),
+            reply_horizon: SimDuration::ZERO,
+            rng,
+            bootstrap,
+        }
+    }
+
     #[test]
     fn context_collects_messages_and_timers() {
         let bootstrap = BootstrapRegistry::new();
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut transport: SimTransport<'_, TestMsg> = SimTransport::new(ContextParams {
-            node: NodeId::new(1),
-            now: SimTime::from_millis(10),
-            round_period: SimDuration::from_secs(1),
-            reply_horizon: SimDuration::ZERO,
-            rng: &mut rng,
-            bootstrap: &bootstrap,
-        });
-        {
-            let mut ctx = Context::new(&mut transport);
-            ctx.send(NodeId::new(2), TestMsg(7));
-            ctx.set_timer(SimDuration::from_millis(100), TimerKey::new(3));
-            assert_eq!(ctx.node_id(), NodeId::new(1));
-            assert_eq!(ctx.now(), SimTime::from_millis(10));
-            assert_eq!(ctx.round_period(), SimDuration::from_secs(1));
-        }
-        let (outbox, timers) = transport.into_effects();
+        let mut ctx: Context<'_, TestMsg> = Context::new(params(1, &mut rng, &bootstrap));
+        ctx.send(NodeId::new(2), TestMsg(7));
+        ctx.set_timer(SimDuration::from_millis(100), TimerKey::new(3));
+        assert_eq!(ctx.node_id(), NodeId::new(1));
+        assert_eq!(ctx.now(), SimTime::from_millis(10));
+        assert_eq!(ctx.round_period(), SimDuration::from_secs(1));
+        assert_eq!(ctx.outbox().len(), 1);
+        let (outbox, timers) = ctx.into_effects();
         assert_eq!(outbox.len(), 1);
         assert_eq!(outbox[0].to, NodeId::new(2));
         assert_eq!(outbox[0].msg, TestMsg(7));
@@ -276,20 +333,33 @@ mod tests {
     }
 
     #[test]
+    fn with_buffers_clears_dirty_buffers_and_keeps_capacity() {
+        let bootstrap = BootstrapRegistry::new();
+        let mut rng = SmallRng::seed_from_u64(10);
+        let mut dirty_out: Vec<Outgoing<TestMsg>> = Vec::with_capacity(16);
+        dirty_out.push(Outgoing {
+            to: NodeId::new(1),
+            msg: TestMsg(0),
+        });
+        let dirty_timers: Vec<TimerRequest> = Vec::with_capacity(8);
+        let ctx = Context::with_buffers(params(1, &mut rng, &bootstrap), dirty_out, dirty_timers);
+        let (outbox, timers) = ctx.into_effects();
+        assert!(outbox.is_empty(), "dirty buffer must be cleared");
+        assert!(outbox.capacity() >= 16, "capacity must be retained");
+        assert!(timers.is_empty());
+    }
+
+    #[test]
     fn retry_policy_follows_the_transports_reply_horizon() {
         let bootstrap = BootstrapRegistry::new();
         let period = SimDuration::from_secs(1);
         let policy_at = |reply_horizon| {
             let mut rng = SmallRng::seed_from_u64(5);
-            let mut transport: SimTransport<'_, TestMsg> = SimTransport::new(ContextParams {
-                node: NodeId::new(1),
-                now: SimTime::ZERO,
-                round_period: period,
+            Context::<TestMsg>::new(ContextParams {
                 reply_horizon,
-                rng: &mut rng,
-                bootstrap: &bootstrap,
-            });
-            Context::new(&mut transport).retry_policy()
+                ..params(1, &mut rng, &bootstrap)
+            })
+            .retry_policy()
         };
         assert_eq!(
             policy_at(SimDuration::ZERO),
@@ -311,15 +381,7 @@ mod tests {
         bootstrap.register(NodeId::new(1));
         bootstrap.register(NodeId::new(2));
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut transport: SimTransport<'_, TestMsg> = SimTransport::new(ContextParams {
-            node: NodeId::new(1),
-            now: SimTime::ZERO,
-            round_period: SimDuration::from_secs(1),
-            reply_horizon: SimDuration::ZERO,
-            rng: &mut rng,
-            bootstrap: &bootstrap,
-        });
-        let mut ctx = Context::new(&mut transport);
+        let mut ctx: Context<'_, TestMsg> = Context::new(params(1, &mut rng, &bootstrap));
         let sample = ctx.bootstrap_sample(5);
         assert_eq!(sample, vec![NodeId::new(2)]);
     }

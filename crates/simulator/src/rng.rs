@@ -32,8 +32,6 @@ pub struct Seed(u64);
 pub enum Stream {
     /// Network latency sampling.
     Latency,
-    /// Message loss decisions.
-    Loss,
     /// Round phase jitter and clock skew.
     Scheduling,
     /// Bootstrap server sampling.
@@ -48,7 +46,6 @@ impl Stream {
     fn tag(self) -> u64 {
         match self {
             Stream::Latency => 0x4c41_5445,
-            Stream::Loss => 0x4c4f_5353,
             Stream::Scheduling => 0x5343_4845,
             Stream::Bootstrap => 0x424f_4f54,
             Stream::Workload => 0x574f_524b,
@@ -154,7 +151,7 @@ mod tests {
     fn different_streams_are_independent() {
         let s = Seed::new(1);
         let a: u64 = s.stream_rng(Stream::Latency).gen();
-        let b: u64 = s.stream_rng(Stream::Loss).gen();
+        let b: u64 = s.stream_rng(Stream::Scheduling).gen();
         assert_ne!(a, b);
     }
 

@@ -24,11 +24,11 @@
 //!   different nodes are independent (effects are buffered until the barrier), so the order
 //!   in which a worker interleaves *different* nodes is invisible.
 //! * **Randomness** is per-node: protocol draws come from the node's own stream (as in the
-//!   event engine), and latency/loss draws come from a dedicated per-node network stream
+//!   event engine), and latency draws come from a dedicated per-node network stream
 //!   ([`Seed::node_stream_rng`](crate::rng::Seed::node_stream_rng)) consumed in the node's
-//!   own emission order. The models' [`sample_shared`](LatencyModel::sample_shared) /
-//!   [`drops_shared`](LossModel::drops_shared) paths are `&self` and derive any per-node
-//!   state by hashing ids, never lazily from a shared stream.
+//!   own emission order. The model's [`sample_shared`](LatencyModel::sample_shared) path
+//!   is `&self` and derives any per-node state by hashing ids, never lazily from a shared
+//!   stream.
 //! * **Same-node event ordering** is `(time, insertion order)` in the shard queue, and every
 //!   insertion affecting one node happens at a globally fixed point: barrier merges insert
 //!   in canonical order, and a node's own callbacks insert its timers/rounds in callback
@@ -45,8 +45,8 @@
 //! earlier), and the delivery filter is consulted at the barrier rather than at the exact
 //! delivery instant. A reply therefore trails its request by up to two round periods, which
 //! the engine reports to protocols as its
-//! [reply horizon](crate::Transport::reply_horizon) so their retry timers wait that much
-//! longer. Runs are therefore deterministic and *statistically* equivalent to the
+//! [reply horizon](crate::ContextParams::reply_horizon) so their retry timers wait that
+//! much longer. Runs are therefore deterministic and *statistically* equivalent to the
 //! event engine, but not bit-identical to it — `tests/determinism.rs` pins down exactly the
 //! guarantee that holds: sharded runs are bit-identical to each other across worker counts.
 
@@ -63,14 +63,14 @@ use crate::engine_api::{HookOps, RoundHook, SimulationEngine};
 use crate::event::Event;
 use crate::faults::{FaultPlane, FaultReport};
 use crate::latency::{KingLatencyModel, LatencyModel};
-use crate::loss::{LossModel, NoLoss};
 use crate::network::DeliveryFilter;
-use crate::protocol::{Context, Outgoing, Protocol, PssNode, TimerRequest, WireSize};
+use crate::protocol::{
+    Context, ContextParams, Outgoing, Protocol, PssNode, TimerRequest, WireSize,
+};
 use crate::rng::Stream;
 use crate::scheduler::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::traffic::TrafficLedger;
-use crate::transport::{ContextParams, SimTransport};
 use crate::types::NodeId;
 
 /// Per-node state owned by a shard.
@@ -79,7 +79,7 @@ struct NodeState<P> {
     proto: P,
     /// The node's protocol stream (same derivation as in the event engine).
     rng: SmallRng,
-    /// The node's latency/loss stream, consumed once per emitted message.
+    /// The node's latency stream, consumed once per emitted message.
     net_rng: SmallRng,
     /// The node's round-phase and clock-skew stream.
     sched_rng: SmallRng,
@@ -97,7 +97,6 @@ struct PendingMessage<M> {
     sent_at: SimTime,
     deliver_at: SimTime,
     seq: u64,
-    lost: bool,
     wire: usize,
 }
 
@@ -125,13 +124,12 @@ fn local_index(node: NodeId, stride: u64) -> usize {
 }
 
 /// The read-only environment every worker shares during a phase: the configuration, the
-/// bootstrap registry and the network models (consulted only through their `*_shared`,
-/// order-independent paths).
+/// bootstrap registry and the latency model (consulted only through its `sample_shared`,
+/// order-independent path).
 struct PhaseEnv<'a> {
     cfg: &'a SimulationConfig,
     bootstrap: &'a BootstrapRegistry,
     latency: &'a (dyn LatencyModel + Sync),
-    loss: &'a (dyn LossModel + Sync),
 }
 
 /// The delay to a node's next round: the period, skewed by the configured jitter drawn
@@ -162,7 +160,7 @@ impl<P: Protocol> Shard<P> {
 
     /// Runs `callback` on one node and converts its effects: timers go straight into this
     /// shard's queue (they are node-local), messages become [`PendingMessage`]s — with
-    /// loss and latency already sampled from the node's private network stream — pushed
+    /// the latency already sampled from the node's private network stream — pushed
     /// into the shard's outbox. The context's effect buffers come from the shard's pool,
     /// so steady-state execution allocates nothing.
     fn execute<F>(&mut self, local: usize, at: SimTime, env: &PhaseEnv<'_>, callback: F)
@@ -176,7 +174,7 @@ impl<P: Protocol> Shard<P> {
                 .nodes
                 .get_mut(local)
                 .expect("execute() requires a live node");
-            let mut transport = SimTransport::with_buffers(
+            let mut ctx = Context::with_buffers(
                 ContextParams {
                     node: state.id,
                     now: at,
@@ -190,9 +188,8 @@ impl<P: Protocol> Shard<P> {
                 outbox_buf,
                 timers_buf,
             );
-            let mut ctx = Context::new(&mut transport);
             callback(&mut state.proto, &mut ctx);
-            let (outgoing, timers) = transport.into_effects();
+            let (outgoing, timers) = ctx.into_effects();
             (state.id, outgoing, timers)
         };
         for TimerRequest { delay, key } in timers.drain(..) {
@@ -204,12 +201,7 @@ impl<P: Protocol> Shard<P> {
             let wire = msg.wire_size();
             let seq = state.msg_seq;
             state.msg_seq += 1;
-            let lost = env.loss.drops_shared(id, to, &mut state.net_rng);
-            let deliver_at = if lost {
-                at
-            } else {
-                at + env.latency.sample_shared(id, to, &mut state.net_rng)
-            };
+            let deliver_at = at + env.latency.sample_shared(id, to, &mut state.net_rng);
             self.outbox.push(PendingMessage {
                 from: id,
                 to,
@@ -217,7 +209,6 @@ impl<P: Protocol> Shard<P> {
                 sent_at: at,
                 deliver_at,
                 seq,
-                lost,
                 wire,
             });
         }
@@ -329,7 +320,6 @@ pub struct ShardedSimulation<P: Protocol> {
     next_phase: u64,
     shards: Vec<Shard<P>>,
     latency: Box<dyn LatencyModel + Send + Sync>,
-    loss: Box<dyn LossModel + Send + Sync>,
     /// Filter, fault plane, loss/NAT statistics and the sender-side traffic ledger, all
     /// touched only at the barrier, in canonical order.
     delivery: Delivery,
@@ -354,7 +344,7 @@ pub struct ShardedSimulation<P: Protocol> {
     /// phase's canonical merge, so its effects are worker-count independent.
     hook: Option<Box<dyn RoundHook>>,
     /// The protocol's peer-sampling rule, captured (monomorphised where `P: PssNode`
-    /// holds) by [`set_sampled_round_hook`](Self::set_sampled_round_hook) so the
+    /// holds) by [`set_sampled_round_hook`](SimulationEngine::set_sampled_round_hook) so the
     /// `P: Protocol`-only barrier loop can serve [`HookOps::draw_sample`].
     hook_sampler: Option<fn(&mut P, &mut SmallRng) -> Option<NodeId>>,
 }
@@ -364,7 +354,7 @@ where
     P::Message: Send,
 {
     /// Creates a sharded engine with `cfg.engine_threads` worker shards (at least one), a
-    /// King-like latency model, no message loss and no NAT filtering.
+    /// King-like latency model, no fault plane and no NAT filtering.
     pub fn new(cfg: SimulationConfig) -> Self {
         let workers = cfg.engine_threads.max(1);
         ShardedSimulation {
@@ -373,7 +363,6 @@ where
             next_phase: 0,
             shards: (0..workers).map(|_| Shard::new(workers as u64)).collect(),
             latency: Box::new(KingLatencyModel::new()),
-            loss: Box::new(NoLoss),
             delivery: Delivery::new(),
             bootstrap: BootstrapRegistry::new(),
             merge_buf: Vec::new(),
@@ -386,67 +375,9 @@ where
         }
     }
 
-    /// Replaces the latency model; workers sample it concurrently through
-    /// [`LatencyModel::sample_shared`].
-    pub fn set_latency_model(&mut self, model: impl LatencyModel + Send + Sync + 'static) {
-        self.latency = Box::new(model);
-    }
-
-    /// Replaces the loss model; workers consult it concurrently through
-    /// [`LossModel::drops_shared`].
-    pub fn set_loss_model(&mut self, model: impl LossModel + Send + Sync + 'static) {
-        self.loss = Box::new(model);
-    }
-
-    /// Replaces the delivery filter. The filter runs on the coordinating thread only, at
-    /// the round barriers, in the canonical merge order.
-    pub fn set_delivery_filter(&mut self, filter: impl DeliveryFilter + 'static) {
-        self.delivery.set_filter(filter);
-    }
-
-    /// Installs a [`RoundHook`] invoked at every future phase barrier, on the
-    /// coordinating thread, after the phase's canonical cross-shard merge. Phases that
-    /// already ran never replay their barriers.
-    pub fn set_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        self.hook = Some(hook);
-        self.hook_sampler = None;
-    }
-
-    /// Installs a [`FaultPlane`] judged per message during the barrier's sequential
-    /// canonical-order pass, which keeps fault injection bit-identical across worker
-    /// counts.
-    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.delivery.set_fault_plane(plane);
-    }
-
-    /// The fault plane's injection counters ([`FaultReport::default`] when no plane is
-    /// installed).
-    pub fn fault_report(&self) -> FaultReport {
-        self.delivery.fault_report()
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.cfg
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Number of worker shards (= worker threads) the engine runs with.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Aggregated message delivery statistics across the barrier and all shards.
-    pub fn network_stats(&self) -> NetworkStats {
-        let mut stats = self.delivery.stats();
-        for shard in &self.shards {
-            stats.merge(shard.stats);
-        }
-        stats
     }
 
     /// The bootstrap registry.
@@ -454,59 +385,24 @@ where
         &self.bootstrap
     }
 
-    /// Registers `node` with the bootstrap server so joiners can discover it.
+    /// [`SimulationEngine::register_public`], callable without the trait in scope.
     pub fn register_public(&mut self, node: NodeId) {
-        self.bootstrap.register(node);
+        SimulationEngine::register_public(self, node);
     }
 
-    /// A merged copy of the per-node traffic ledger (barrier-side sender counters plus
-    /// every shard's receiver counters).
-    pub fn traffic_snapshot(&self) -> TrafficLedger {
-        let mut merged = TrafficLedger::new();
-        self.traffic_snapshot_into(&mut merged);
-        merged
+    /// [`SimulationEngine::add_node`], callable without the trait in scope.
+    pub fn add_node(&mut self, id: NodeId, proto: P) {
+        SimulationEngine::add_node(self, id, proto);
     }
 
-    /// Merges the per-node traffic ledger into `out` (cleared first), reusing `out`'s map
-    /// capacity instead of cloning a fresh ledger per call — callers that sample traffic
-    /// repeatedly (the experiment driver's overhead windows) keep one ledger alive and
-    /// pay zero allocations per sample in steady state.
-    pub fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        out.reset_window(self.delivery.ledger.window_start());
-        out.merge_from(&self.delivery.ledger);
-        for shard in &self.shards {
-            out.merge_from(&shard.traffic);
-        }
-    }
-
-    /// Clears all traffic counters and restarts the measurement window at the current time.
-    pub fn reset_traffic_window(&mut self) {
-        let now = self.now;
-        self.delivery.ledger.reset_window(now);
-        for shard in &mut self.shards {
-            shard.traffic.reset_window(now);
-        }
-    }
-
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.nodes.len()).sum()
-    }
-
-    /// Returns `true` when the simulation holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// [`SimulationEngine::run_for_rounds`], callable without the trait in scope.
+    pub fn run_for_rounds(&mut self, rounds: u64) {
+        SimulationEngine::run_for_rounds(self, rounds);
     }
 
     fn locate(&self, node: NodeId) -> (usize, usize) {
         let stride = self.shards.len() as u64;
         ((node.as_u64() % stride) as usize, local_index(node, stride))
-    }
-
-    /// Returns `true` if `node` is currently alive.
-    pub fn contains(&self, node: NodeId) -> bool {
-        let (shard, local) = self.locate(node);
-        self.shards[shard].nodes.contains(local)
     }
 
     /// Identifiers of all live nodes, in ascending id order.
@@ -553,15 +449,6 @@ where
         self.shards[shard].nodes.get(local).map(|s| &s.proto)
     }
 
-    /// Exclusive access to the protocol instance of `node`.
-    pub fn node_mut(&mut self, node: NodeId) -> Option<&mut P> {
-        let (shard, local) = self.locate(node);
-        self.shards[shard]
-            .nodes
-            .get_mut(local)
-            .map(|s| &mut s.proto)
-    }
-
     /// Iterates over `(id, protocol)` pairs of all live nodes, shard by shard.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         self.shards
@@ -575,70 +462,6 @@ where
         self.shards[shard].nodes.get(local).map(|s| s.joined_at)
     }
 
-    /// Adds a node running `proto`, invoking its [`Protocol::on_start`] callback and
-    /// scheduling its periodic rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node with the same identifier is already present.
-    pub fn add_node(&mut self, id: NodeId, proto: P) {
-        let (shard_idx, local) = self.locate(id);
-        assert!(
-            !self.shards[shard_idx].nodes.contains(local),
-            "node {id} is already part of the simulation"
-        );
-        self.delivery.node_added(id);
-        let seed = self.cfg.seed;
-        let state = NodeState {
-            id,
-            proto,
-            rng: seed.node_rng(id),
-            net_rng: seed.node_stream_rng(id, Stream::Latency),
-            sched_rng: seed.node_stream_rng(id, Stream::Scheduling),
-            joined_at: self.now,
-            msg_seq: 0,
-        };
-        self.shards[shard_idx].nodes.insert(local, state);
-        self.node_ids_valid.set(false);
-        let now = self.now;
-        let cfg = self.cfg;
-        {
-            let env = PhaseEnv {
-                cfg: &cfg,
-                bootstrap: &self.bootstrap,
-                latency: self.latency.as_ref(),
-                loss: self.loss.as_ref(),
-            };
-            self.shards[shard_idx].execute(local, now, &env, |proto, ctx| proto.on_start(ctx));
-        }
-        // `on_start`'s messages are alone in the shard's outbox (barriers drain it) and
-        // already canonical — one sender, one instant, ascending sequence numbers — so
-        // merge them immediately and they are delivered like any other send.
-        let mut batch = std::mem::take(&mut self.shards[shard_idx].outbox);
-        self.merge_batch(&mut batch, now);
-        self.shards[shard_idx].outbox = batch;
-        let shard = &mut self.shards[shard_idx];
-        let state = shard.nodes.get_mut(local).expect("node just inserted");
-        let phase = if cfg.random_phase {
-            let period_ms = cfg.round_period.as_millis().max(1);
-            SimDuration::from_millis(state.sched_rng.gen_range(0..period_ms))
-        } else {
-            cfg.round_period
-        };
-        shard.queue.schedule(now + phase, Event::Round { node: id });
-    }
-
-    /// Removes a node (crash or departure), returning its protocol state. In-flight
-    /// messages addressed to the node are dropped when their delivery fires.
-    pub fn remove_node(&mut self, id: NodeId) -> Option<P> {
-        let (shard, local) = self.locate(id);
-        let state = self.shards[shard].nodes.remove(local)?;
-        self.node_ids_valid.set(false);
-        self.bootstrap.unregister(id);
-        self.delivery.node_removed(id);
-        Some(state.proto)
-    }
-
     fn period_ms(&self) -> u64 {
         self.cfg.round_period.as_millis().max(1)
     }
@@ -646,40 +469,6 @@ where
     /// End of phase `p`, i.e. the instant `(p + 1) * round_period`.
     fn phase_end(&self, phase: u64) -> SimTime {
         SimTime::from_millis(self.period_ms().saturating_mul(phase + 1))
-    }
-
-    /// Runs the simulation until the virtual clock reaches `deadline`, executing every
-    /// phase whose window closes at or before it.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            let window_end = self.phase_end(self.next_phase);
-            if window_end > deadline {
-                break;
-            }
-            if self.hook.is_none() && self.shards.iter().all(|s| s.queue.is_empty()) {
-                // Nothing queued anywhere (and rounds self-perpetuate, so nothing ever
-                // will be until a node is added): skip ahead instead of spinning phases.
-                // With a hook installed the phases must still run one by one, because
-                // every barrier owes the hook a callback.
-                self.next_phase = deadline.as_millis() / self.period_ms();
-                break;
-            }
-            self.run_one_phase();
-        }
-        if deadline > self.now {
-            self.now = deadline;
-        }
-    }
-
-    /// Runs the simulation for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now + span;
-        self.run_until(deadline);
-    }
-
-    /// Runs the simulation for `rounds` gossip periods from the current instant.
-    pub fn run_for_rounds(&mut self, rounds: u64) {
-        self.run_for(self.cfg.round_period.saturating_mul(rounds));
     }
 
     /// Executes one phase: all shards in parallel, then the barrier merge.
@@ -692,7 +481,6 @@ where
                 cfg: &cfg,
                 bootstrap: &self.bootstrap,
                 latency: self.latency.as_ref(),
-                loss: self.loss.as_ref(),
             };
             let shards = &mut self.shards;
             if shards.len() == 1 {
@@ -774,14 +562,10 @@ where
         // verdict and every fault draw is identical for any worker-thread count.
         for mut message in batch.drain(..) {
             let PendingMessage { from, to, .. } = message;
-            let Some(departure) = self.delivery.depart(
-                from,
-                to,
-                message.sent_at,
-                message.wire,
-                message.lost,
-                &mut message.msg,
-            ) else {
+            let Some(departure) =
+                self.delivery
+                    .depart(from, to, message.sent_at, message.wire, &mut message.msg)
+            else {
                 continue;
             };
             let exec_at = message.deliver_at.max(earliest);
@@ -845,13 +629,6 @@ where
         let state = self.shards[shard].nodes.get_mut(local)?;
         state.proto.draw_sample(&mut state.rng)
     }
-
-    /// Installs a [`RoundHook`] like [`set_round_hook`](Self::set_round_hook) and captures
-    /// the protocol's sampling rule so the hook's [`HookOps::draw_sample`] calls work.
-    pub fn set_sampled_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        self.set_round_hook(hook);
-        self.hook_sampler = Some(P::draw_sample);
-    }
 }
 
 impl<P: Protocol + Send> HookOps for ShardedSimulation<P>
@@ -892,67 +669,145 @@ where
         ShardedSimulation::new(cfg)
     }
 
+    /// Workers sample the model concurrently through [`LatencyModel::sample_shared`].
     fn set_latency_model<L: LatencyModel + Send + Sync + 'static>(&mut self, model: L) {
-        ShardedSimulation::set_latency_model(self, model);
+        self.latency = Box::new(model);
     }
 
-    fn set_loss_model<L: LossModel + Send + Sync + 'static>(&mut self, model: L) {
-        ShardedSimulation::set_loss_model(self, model);
-    }
-
+    /// The filter runs on the coordinating thread only, at the round barriers, in the
+    /// canonical merge order.
     fn set_delivery_filter<D: DeliveryFilter + 'static>(&mut self, filter: D) {
-        ShardedSimulation::set_delivery_filter(self, filter);
+        self.delivery.set_filter(filter);
     }
 
+    /// The hook runs on the coordinating thread, after each phase's canonical cross-shard
+    /// merge. Phases that already ran never replay their barriers.
     fn set_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        ShardedSimulation::set_round_hook(self, hook);
+        self.hook = Some(hook);
+        self.hook_sampler = None;
     }
 
     fn set_sampled_round_hook(&mut self, hook: Box<dyn RoundHook>)
     where
         P: PssNode,
     {
-        ShardedSimulation::set_sampled_round_hook(self, hook);
+        self.set_round_hook(hook);
+        self.hook_sampler = Some(P::draw_sample);
     }
 
+    /// The plane is judged per message during the barrier's sequential canonical-order
+    /// pass, which keeps fault injection bit-identical across worker counts.
     fn set_fault_plane(&mut self, plane: FaultPlane) {
-        ShardedSimulation::set_fault_plane(self, plane);
+        self.delivery.set_fault_plane(plane);
     }
 
     fn fault_report(&self) -> FaultReport {
-        ShardedSimulation::fault_report(self)
+        self.delivery.fault_report()
     }
 
     fn config(&self) -> &SimulationConfig {
-        ShardedSimulation::config(self)
+        &self.cfg
     }
 
     fn now(&self) -> SimTime {
-        ShardedSimulation::now(self)
+        self.now
     }
 
     fn len(&self) -> usize {
-        ShardedSimulation::len(self)
+        self.shards.iter().map(|s| s.nodes.len()).sum()
     }
 
     fn contains(&self, node: NodeId) -> bool {
-        ShardedSimulation::contains(self, node)
+        let (shard, local) = self.locate(node);
+        self.shards[shard].nodes.contains(local)
     }
 
     fn register_public(&mut self, node: NodeId) {
-        ShardedSimulation::register_public(self, node);
+        self.bootstrap.register(node);
     }
 
+    /// Invokes the node's [`Protocol::on_start`] callback and schedules its periodic
+    /// rounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node with the same identifier is already present.
     fn add_node(&mut self, id: NodeId, proto: P) {
-        ShardedSimulation::add_node(self, id, proto);
+        let (shard_idx, local) = self.locate(id);
+        assert!(
+            !self.shards[shard_idx].nodes.contains(local),
+            "node {id} is already part of the simulation"
+        );
+        self.delivery.node_added(id);
+        let seed = self.cfg.seed;
+        let state = NodeState {
+            id,
+            proto,
+            rng: seed.node_rng(id),
+            net_rng: seed.node_stream_rng(id, Stream::Latency),
+            sched_rng: seed.node_stream_rng(id, Stream::Scheduling),
+            joined_at: self.now,
+            msg_seq: 0,
+        };
+        self.shards[shard_idx].nodes.insert(local, state);
+        self.node_ids_valid.set(false);
+        let now = self.now;
+        let cfg = self.cfg;
+        {
+            let env = PhaseEnv {
+                cfg: &cfg,
+                bootstrap: &self.bootstrap,
+                latency: self.latency.as_ref(),
+            };
+            self.shards[shard_idx].execute(local, now, &env, |proto, ctx| proto.on_start(ctx));
+        }
+        // `on_start`'s messages are alone in the shard's outbox (barriers drain it) and
+        // already canonical — one sender, one instant, ascending sequence numbers — so
+        // merge them immediately and they are delivered like any other send.
+        let mut batch = std::mem::take(&mut self.shards[shard_idx].outbox);
+        self.merge_batch(&mut batch, now);
+        self.shards[shard_idx].outbox = batch;
+        let shard = &mut self.shards[shard_idx];
+        let state = shard.nodes.get_mut(local).expect("node just inserted");
+        let phase = if cfg.random_phase {
+            let period_ms = cfg.round_period.as_millis().max(1);
+            SimDuration::from_millis(state.sched_rng.gen_range(0..period_ms))
+        } else {
+            cfg.round_period
+        };
+        shard.queue.schedule(now + phase, Event::Round { node: id });
     }
 
+    /// In-flight messages addressed to the node are dropped when their delivery fires.
     fn remove_node(&mut self, id: NodeId) -> Option<P> {
-        ShardedSimulation::remove_node(self, id)
+        let (shard, local) = self.locate(id);
+        let state = self.shards[shard].nodes.remove(local)?;
+        self.node_ids_valid.set(false);
+        self.bootstrap.unregister(id);
+        self.delivery.node_removed(id);
+        Some(state.proto)
     }
 
+    /// Executes every phase whose window closes at or before `deadline`.
     fn run_until(&mut self, deadline: SimTime) {
-        ShardedSimulation::run_until(self, deadline);
+        loop {
+            let window_end = self.phase_end(self.next_phase);
+            if window_end > deadline {
+                break;
+            }
+            if self.hook.is_none() && self.shards.iter().all(|s| s.queue.is_empty()) {
+                // Nothing queued anywhere (and rounds self-perpetuate, so nothing ever
+                // will be until a node is added): skip ahead instead of spinning phases.
+                // With a hook installed the phases must still run one by one, because
+                // every barrier owes the hook a callback.
+                self.next_phase = deadline.as_millis() / self.period_ms();
+                break;
+            }
+            self.run_one_phase();
+        }
+        if deadline > self.now {
+            self.now = deadline;
+        }
     }
 
     fn for_each_node(&self, f: &mut dyn FnMut(NodeId, &P)) {
@@ -978,20 +833,36 @@ where
             .unwrap_or(0)
     }
 
+    /// Aggregated across the barrier and all shards.
     fn network_stats(&self) -> NetworkStats {
-        ShardedSimulation::network_stats(self)
+        let mut stats = self.delivery.stats();
+        for shard in &self.shards {
+            stats.merge(shard.stats);
+        }
+        stats
     }
 
+    /// Barrier-side sender counters plus every shard's receiver counters.
     fn traffic_snapshot(&self) -> TrafficLedger {
-        ShardedSimulation::traffic_snapshot(self)
+        let mut merged = TrafficLedger::new();
+        self.traffic_snapshot_into(&mut merged);
+        merged
     }
 
     fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        ShardedSimulation::traffic_snapshot_into(self, out);
+        out.reset_window(self.delivery.ledger.window_start());
+        out.merge_from(&self.delivery.ledger);
+        for shard in &self.shards {
+            out.merge_from(&shard.traffic);
+        }
     }
 
     fn reset_traffic_window(&mut self) {
-        ShardedSimulation::reset_traffic_window(self);
+        let now = self.now;
+        self.delivery.ledger.reset_window(now);
+        for shard in &mut self.shards {
+            shard.traffic.reset_window(now);
+        }
     }
 
     fn draw_sample(&mut self, node: NodeId) -> Option<NodeId>
@@ -1006,7 +877,6 @@ where
 mod tests {
     use super::*;
     use crate::latency::ConstantLatency;
-    use crate::loss::BernoulliLoss;
     use crate::protocol::TimerKey;
     use crate::types::NatClass;
 
@@ -1255,13 +1125,15 @@ mod tests {
 
     #[test]
     fn bit_identity_holds_with_default_king_latency_and_loss() {
+        use crate::faults::FaultProfile;
         let run = |threads: usize| {
-            let mut sim = ShardedSimulation::new(
-                SimulationConfig::default()
-                    .with_seed(23)
-                    .with_engine_threads(threads),
-            );
-            sim.set_loss_model(BernoulliLoss::new(0.2));
+            let cfg = SimulationConfig::default()
+                .with_seed(23)
+                .with_engine_threads(threads);
+            let mut sim = ShardedSimulation::new(cfg);
+            let plane = FaultPlane::new(cfg.seed);
+            plane.set_default_profile(FaultProfile::lossy(0.2));
+            sim.set_fault_plane(plane);
             for i in 0..10 {
                 sim.add_node(NodeId::new(i), Ring::new(10));
             }
@@ -1271,7 +1143,7 @@ mod tests {
         let a = run(1);
         let b = run(3);
         assert_eq!(a, b);
-        assert!(a.1.lost > 0, "a 20% loss model should drop something");
+        assert!(a.1.lost > 0, "a 20% lossy plane should drop something");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_nat::NatTopologyBuilder;
+use croupier_suite::simulator::SimulationEngine;
 use croupier_suite::simulator::{
     FaultPlane, NatClass, NodeId, Seed, ShardedSimulation, SimulationConfig,
 };

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use croupier::{NatIdentificationConfig, NatIdentificationNode};
 use croupier_nat::{AddressInfo, FilteringPolicy, NatGatewayConfig, NatTopologyBuilder};
-use croupier_simulator::{NodeId, SimDuration, Simulation, SimulationConfig};
+use croupier_simulator::{NodeId, SimDuration, Simulation, SimulationConfig, SimulationEngine};
 
 /// A named gateway profile: the label printed per row and the topology setup for the node
 /// under test.

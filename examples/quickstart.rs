@@ -7,7 +7,9 @@
 
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_nat::NatTopologyBuilder;
-use croupier_simulator::{NatClass, NodeId, PssNode, Simulation, SimulationConfig};
+use croupier_simulator::{
+    NatClass, NodeId, PssNode, Simulation, SimulationConfig, SimulationEngine,
+};
 
 fn main() {
     // 20 % of the nodes are publicly reachable, the rest sit behind NATs — the ratio the

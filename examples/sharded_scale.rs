@@ -11,6 +11,7 @@
 
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_nat::NatTopologyBuilder;
+use croupier_simulator::SimulationEngine;
 use croupier_simulator::{
     NatClass, NodeId, PssNode, ShardedSimulation, SimulationConfig, TrafficLedger,
 };

@@ -33,6 +33,7 @@ use croupier::{CroupierConfig, CroupierNode};
 use croupier_simulator::event::Event;
 use croupier_simulator::latency::ConstantLatency;
 use croupier_simulator::scheduler::EventQueue;
+use croupier_simulator::SimulationEngine;
 use croupier_simulator::{
     NatClass, NodeId, ShardedSimulation, SimDuration, SimTime, Simulation, SimulationConfig,
 };

@@ -3,15 +3,15 @@
 //! The delivery plane (`crates/simulator/src/delivery.rs`) and the engines' executors
 //! split the accounting between them: the plane counts `lost`, `blocked_by_nat` and the
 //! filter's `NoSuchDestination`, the executor counts `delivered` and destinations that
-//! died in flight. This test drives all of those outcomes at once — a loss model, a fault
-//! profile (drops, reordering spikes, corruption; no duplication, which would deliver one
-//! send twice), a `NatTopology` filter and nodes removed mid-run — then lets the network
-//! drain and checks that nothing was counted twice or not at all.
+//! died in flight. This test drives all of those outcomes at once — a fault profile
+//! (drops, reordering spikes, corruption; no duplication, which would deliver one send
+//! twice), a `NatTopology` filter and nodes removed mid-run — then lets the network drain
+//! and checks that nothing was counted twice or not at all.
 
 use croupier_nat::NatTopologyBuilder;
 use croupier_simulator::{
-    BernoulliLoss, Context, FaultPlane, FaultProfile, NatClass, NodeId, Protocol, Seed,
-    ShardedSimulation, SimDuration, Simulation, SimulationConfig, SimulationEngine, WireSize,
+    Context, FaultPlane, FaultProfile, NatClass, NodeId, Protocol, Seed, ShardedSimulation,
+    SimDuration, Simulation, SimulationConfig, SimulationEngine, WireSize,
 };
 use rand::Rng;
 
@@ -74,7 +74,6 @@ fn assert_every_message_is_accounted_once<E: SimulationEngine<Chatter>>(threads:
             .with_seed(11)
             .with_engine_threads(threads),
     );
-    sim.set_loss_model(BernoulliLoss::new(0.1));
     sim.set_delivery_filter(topology.clone());
     sim.set_fault_plane(plane);
     for i in 0..NODES {

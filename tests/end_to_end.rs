@@ -9,6 +9,7 @@ use croupier_suite::croupier::{
     CroupierConfig, CroupierNode, NatIdentificationConfig, NatIdentificationNode,
 };
 use croupier_suite::nat::{AddressInfo, FilteringPolicy, NatTopologyBuilder};
+use croupier_suite::simulator::SimulationEngine;
 use croupier_suite::simulator::{
     NatClass, NodeId, PssNode, SimDuration, Simulation, SimulationConfig,
 };

@@ -19,7 +19,7 @@ use croupier_suite::experiments::runner::ExperimentParams;
 use croupier_suite::experiments::scenario::{FaultEvent, ScenarioScript};
 use croupier_suite::simulator::{
     BootstrapRegistry, Context, ContextParams, FaultProfile, NatClass, NodeId, Protocol,
-    SimDuration, SimTime, SimTransport, WireSize,
+    SimDuration, SimTime, WireSize,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,14 +66,14 @@ fn all_protocols_survive_a_fully_corrupting_network() {
 }
 
 /// Runs a freshly bootstrapped `node` for one start + one round against a scratch
-/// transport and returns every message it tried to send.
+/// context and returns every message it tried to send.
 fn harvest<P: Protocol>(mut node: P, seed: u64) -> Vec<P::Message> {
     let mut bootstrap = BootstrapRegistry::new();
     for i in 1..=5u64 {
         bootstrap.register(NodeId::new(i));
     }
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut transport: SimTransport<'_, P::Message> = SimTransport::new(ContextParams {
+    let mut ctx = Context::new(ContextParams {
         node: NodeId::new(0),
         now: SimTime::ZERO,
         round_period: SimDuration::from_secs(1),
@@ -81,12 +81,9 @@ fn harvest<P: Protocol>(mut node: P, seed: u64) -> Vec<P::Message> {
         rng: &mut rng,
         bootstrap: &bootstrap,
     });
-    {
-        let mut ctx = Context::new(&mut transport);
-        node.on_start(&mut ctx);
-        node.on_round(&mut ctx);
-    }
-    let (outbox, _) = transport.into_effects();
+    node.on_start(&mut ctx);
+    node.on_round(&mut ctx);
+    let (outbox, _) = ctx.into_effects();
     outbox.into_iter().map(|out| out.msg).collect()
 }
 

@@ -8,6 +8,7 @@
 use croupier::{CroupierConfig, CroupierMessage, CroupierNode};
 use croupier_baselines::{BaselineConfig, CyclonMessage, CyclonNode, GozarMessage, GozarNode};
 use croupier_nat::NatTopologyBuilder;
+use croupier_simulator::SimulationEngine;
 use croupier_simulator::{
     Context, NatClass, NodeId, Protocol, PssNode, ShardedSimulation, SimulationConfig, TimerKey,
 };

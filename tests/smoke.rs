@@ -6,6 +6,7 @@
 use croupier_suite::croupier::{CroupierConfig, CroupierNode};
 use croupier_suite::metrics::{largest_component_fraction, OverlaySnapshot};
 use croupier_suite::nat::NatTopologyBuilder;
+use croupier_suite::simulator::SimulationEngine;
 use croupier_suite::simulator::{NatClass, NodeId, PssNode, Simulation, SimulationConfig};
 
 const N_PUBLIC: u64 = 13;

@@ -52,15 +52,17 @@
 //!
 //! * `ci-local` — mirrors every CI job offline so contributors can reproduce CI failures
 //!   before pushing: `fmt`, `clippy` (deny warnings), `doc` (deny warnings),
-//!   `public-api` (snapshot diff), `test` (release build + workspace tests), `bench`
-//!   (guarded benches run `BENCH_RUNS` times, merged best-of-N through
+//!   `public-api` (snapshot diff), `test` (release build + workspace tests + the
+//!   `quickstart` example), `bench` (guarded benches run `BENCH_RUNS` times, merged best-of-N through
 //!   `bench-compare`), `scenario-matrix` (the clean-network scenarios), `fault-matrix`
 //!   (the fault-injection tier: `lossy_10`, `burst_loss`, `dup_reorder`) and
 //!   `workload-matrix` (the streaming-dissemination tier: `reboot_storm`,
 //!   `mobility_wave`, `lossy_10`), all three at `quick`, the scale CI gates them at,
 //!   `e2e-bench` (the unit tests and the `--smoke` run of the separate `e2e_bench/`
-//!   workspace, which compiles against the public API of every crate), and `huge-smoke`
-//!   (the ignored million-node `scale_smoke` test, the same command the CI job runs).
+//!   workspace, which compiles against the public API of every crate), `scale-smoke` (the
+//!   ignored 100k-node `scale_smoke` test plus the `sharded_scale` example) and
+//!   `huge-smoke` (the ignored million-node `scale_smoke` test), each the same commands
+//!   the CI job runs.
 //!   All steps run even when an earlier one fails; the summary lists every verdict.
 //!
 //!   ```text
@@ -383,7 +385,7 @@ const USAGE: &str = "usage: xtask bench-compare --baseline <dir> --current <dir>
                      xtask public-api [--update]\n\
                      xtask ci-local [--skip \
                      fmt,clippy,doc,public-api,test,bench,scenario-matrix,fault-matrix,\
-                     workload-matrix,huge-smoke]";
+                     workload-matrix,e2e-bench,scale-smoke,huge-smoke]";
 
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut baseline = None;
@@ -767,7 +769,7 @@ fn run_command(program: &str, args: &[&str], envs: &[(&str, &str)]) -> bool {
 
 /// The CI jobs `ci-local` mirrors, in run order. `huge-smoke` is the million-node tier
 /// (the long pole by far — skip it with `--skip huge-smoke` when iterating).
-const CI_STEPS: [&str; 11] = [
+const CI_STEPS: [&str; 12] = [
     "fmt",
     "clippy",
     "doc",
@@ -778,6 +780,7 @@ const CI_STEPS: [&str; 11] = [
     "fault-matrix",
     "workload-matrix",
     "e2e-bench",
+    "scale-smoke",
     "huge-smoke",
 ];
 
@@ -828,6 +831,24 @@ fn parse_ci_local_args(mut argv: impl Iterator<Item = String>) -> Result<Vec<Str
     Ok(skip)
 }
 
+/// Runs the ignored `scale_smoke` test whose name matches `filter`.
+fn run_scale_smoke(cargo: &str, filter: &str) -> bool {
+    run_command(
+        cargo,
+        &[
+            "test",
+            "--release",
+            "--test",
+            "scale_smoke",
+            "--",
+            "--ignored",
+            "--nocapture",
+            filter,
+        ],
+        &[],
+    )
+}
+
 /// Runs one `ci-local` step; returns `true` on success.
 fn ci_local_step(step: &str) -> bool {
     let cargo = cargo_bin();
@@ -853,6 +874,11 @@ fn ci_local_step(step: &str) -> bool {
         "test" => {
             run_command(&cargo, &["build", "--release", "--workspace"], &[])
                 && run_command(&cargo, &["test", "-q", "--workspace"], &[])
+                && run_command(
+                    &cargo,
+                    &["run", "--release", "--example", "quickstart"],
+                    &[],
+                )
         }
         "bench" => {
             // Each guarded target runs `BENCH_RUNS` times into run<N>/ subdirectories,
@@ -906,7 +932,7 @@ fn ci_local_step(step: &str) -> bool {
             run_scenario_matrix(&matrix_step_args(CLEAN_SCENARIOS, "target/scenario-json"))
         }
         "fault-matrix" => {
-            run_scenario_matrix(&matrix_step_args(FAULT_SCENARIOS, "target/scenario-json"))
+            run_scenario_matrix(&matrix_step_args(FAULT_SCENARIOS, "target/fault-json"))
         }
         "workload-matrix" => run_workload_matrix(&matrix_step_args(
             WORKLOAD_SCENARIOS,
@@ -935,20 +961,23 @@ fn ci_local_step(step: &str) -> bool {
                 &[],
             )
         }
-        "huge-smoke" => run_command(
-            &cargo,
-            &[
-                "test",
-                "--release",
-                "--test",
-                "scale_smoke",
-                "--",
-                "--ignored",
-                "--nocapture",
-                "croupier_one_million",
-            ],
-            &[],
-        ),
+        "scale-smoke" => {
+            run_scale_smoke(&cargo, "croupier_100k")
+                && run_command(
+                    &cargo,
+                    &[
+                        "run",
+                        "--release",
+                        "--example",
+                        "sharded_scale",
+                        "--",
+                        "5000",
+                        "4",
+                    ],
+                    &[],
+                )
+        }
+        "huge-smoke" => run_scale_smoke(&cargo, "croupier_one_million"),
         other => {
             eprintln!("unknown ci-local step '{other}'");
             false
