@@ -13,132 +13,22 @@
 //! p95 regression bound against the no-dynamics control — the CI `workload-matrix`
 //! job's gate.
 
-use std::env;
-use std::path::PathBuf;
-use std::process::ExitCode;
+use croupier_experiments::matrix::{run_workload_matrix, WORKLOAD_TIER_NAMES};
 
-use croupier_experiments::matrix::{matrix_rounds, run_workload_matrix, WORKLOAD_TIER_NAMES};
-use croupier_experiments::output::Scale;
-use croupier_experiments::protocols::ProtocolKind;
-use croupier_experiments::scenario::ScenarioScript;
+#[path = "shared/matrix_cli.rs"]
+mod matrix_cli;
 
 const USAGE: &str = "usage: workload_matrix [--scale tiny|quick|paper|large|huge] [--seed N] \
                      [--out DIR] [--protocols a,b] [--scenarios x,y]\n\
                      scenarios: reboot_storm mobility_wave lossy_10 (default: all three); \
                      any scenario_matrix name is accepted";
 
-struct Args {
-    scale: Scale,
-    seed: u64,
-    out: PathBuf,
-    protocols: Vec<ProtocolKind>,
-    scenario_names: Vec<String>,
-}
-
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        scale: Scale::Tiny,
-        seed: 42,
-        out: PathBuf::from("target/workload-json"),
-        protocols: ProtocolKind::ALL.to_vec(),
-        scenario_names: WORKLOAD_TIER_NAMES.iter().map(|s| s.to_string()).collect(),
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let value = argv.next().ok_or("--scale requires a value")?;
-                args.scale =
-                    Scale::parse(&value).ok_or_else(|| format!("unknown scale '{value}'"))?;
-            }
-            "--seed" => {
-                args.seed = argv
-                    .next()
-                    .ok_or("--seed requires a value")?
-                    .parse()
-                    .map_err(|_| String::from("--seed must be an integer"))?;
-            }
-            "--out" => {
-                args.out = PathBuf::from(argv.next().ok_or("--out requires a value")?);
-            }
-            "--protocols" => {
-                let value = argv.next().ok_or("--protocols requires a value")?;
-                args.protocols = value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|name| {
-                        ProtocolKind::parse(name)
-                            .ok_or_else(|| format!("unknown protocol '{name}'"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--scenarios" => {
-                let value = argv.next().ok_or("--scenarios requires a value")?;
-                args.scenario_names = value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect();
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    if args.protocols.is_empty() {
-        return Err(String::from("no protocols selected"));
-    }
-    if args.scenario_names.is_empty() {
-        return Err(String::from("no scenarios selected"));
-    }
-    Ok(args)
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args(env::args().skip(1)) {
-        Ok(args) => args,
-        Err(err) => {
-            eprintln!("{err}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rounds = matrix_rounds(args.scale);
-    let mut scenarios = Vec::new();
-    for name in &args.scenario_names {
-        match ScenarioScript::by_name(name, rounds) {
-            Some(script) => scenarios.push(script),
-            None => {
-                eprintln!("unknown scenario '{name}'\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(err) = std::fs::create_dir_all(&args.out) {
-        eprintln!("cannot create {}: {err}", args.out.display());
-        return ExitCode::FAILURE;
-    }
-    let reports = run_workload_matrix(&scenarios, &args.protocols, args.scale, args.seed);
-    let mut all_ok = true;
-    for report in &reports {
-        print!("{}", report.render_table());
-        let path = args.out.join(format!("SCENARIO_{}.json", report.scenario));
-        if let Err(err) = std::fs::write(&path, report.to_json()) {
-            eprintln!("cannot write {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("  wrote {}", path.display());
-        if !report.croupier_slo_ok() {
-            eprintln!(
-                "  GATE: croupier missed a delivery SLO in '{}'",
-                report.scenario
-            );
-            all_ok = false;
-        }
-    }
-    if all_ok {
-        println!("workload-matrix: croupier met every delivery SLO");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("workload-matrix: at least one SLO gate failed");
-        ExitCode::FAILURE
-    }
+matrix_cli::matrix_main! {
+    usage: USAGE,
+    out: "target/workload-json",
+    scenarios: WORKLOAD_TIER_NAMES,
+    run: run_workload_matrix,
+    gates: [croupier_slo_ok => "croupier missed a delivery SLO"],
+    pass: "workload-matrix: croupier met every delivery SLO",
+    fail: "workload-matrix: at least one SLO gate failed",
 }

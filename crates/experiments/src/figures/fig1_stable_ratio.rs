@@ -29,7 +29,7 @@ pub fn params(scale: Scale, seed: u64) -> ExperimentParams {
 }
 
 /// The first round at which a series' value drops below `threshold` and never rises above
-/// it again — the convergence criterion used in §VII-B of the paper to compare history
+/// it again — the convergence test used in §VII-B of the paper to compare history
 /// windows ("it takes roughly 100 rounds longer for the largest history windows to converge
 /// on good estimates compared to the smallest").
 ///

@@ -3,7 +3,7 @@
 //! Workload generators and experiment runners that regenerate every figure of the Croupier
 //! paper's evaluation (§VII). Each figure has a dedicated module under [`figures`] returning
 //! a [`FigureData`] with the same series the paper plots; the `figures` binary prints them
-//! as tables and the `croupier-bench` crate wraps them in Criterion benchmarks.
+//! as tables.
 //!
 //! The mapping between paper figures and modules is listed in `DESIGN.md` (per-experiment
 //! index) and the measured outcomes are recorded in `EXPERIMENTS.md`.

@@ -477,7 +477,8 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         let seed = Seed::new(params.seed);
         // Every run carries an (initially inactive) fault plane: scripts activate it
         // through fault actions, and the disabled-path overhead is a single relaxed
-        // atomic load per delivery (guarded by the `fault_plane_inactive` bench row).
+        // atomic load per delivery (measured by the benchmark's
+        // `simulator.fault_inactive_ns` probe).
         let fault_plane = croupier_simulator::FaultPlane::new(seed);
         sim.set_fault_plane(fault_plane.clone());
         let mut workload_state = None;
@@ -586,17 +587,22 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         self.churn_carry -= replacements as f64;
         for _ in 0..replacements {
             // Keep the public/private ratio stable by replacing a node with a new node of
-            // the same class, chosen proportionally to the class sizes.
-            let public_fraction = self.alive_public.len() as f64
-                / (self.alive_public.len() + self.alive_private.len()).max(1) as f64;
-            let class = if self.workload_rng.gen_range(0.0..1.0) < public_fraction {
-                NatClass::Public
-            } else {
-                NatClass::Private
-            };
+            // the same class.
+            let class = self.draw_class();
             if self.remove_random_node(class).is_some() {
                 self.add_node(class, make_node);
             }
+        }
+    }
+
+    /// Draws a class with probability proportional to its share of the live nodes.
+    fn draw_class(&mut self) -> NatClass {
+        let public_fraction = self.alive_public.len() as f64
+            / (self.alive_public.len() + self.alive_private.len()).max(1) as f64;
+        if self.workload_rng.gen_range(0.0..1.0) < public_fraction {
+            NatClass::Public
+        } else {
+            NatClass::Private
         }
     }
 
@@ -772,11 +778,10 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
                 self.sim.reset_traffic_window();
             } else if round == end {
                 let window_secs = (end - start) as f64;
-                let classes = self.all_classes.clone();
                 self.sim.traffic_snapshot_into(&mut self.traffic_scratch);
                 *overhead = Some(class_overhead(
                     &self.traffic_scratch,
-                    |id| classes.get(&id).copied(),
+                    |id| self.all_classes.get(&id).copied(),
                     window_secs,
                 ));
             }
@@ -971,13 +976,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         let alive: usize = self.alive_public.len() + self.alive_private.len();
         let to_fail = ((alive as f64) * fraction).round() as usize;
         for _ in 0..to_fail {
-            let public_fraction = self.alive_public.len() as f64
-                / (self.alive_public.len() + self.alive_private.len()).max(1) as f64;
-            let class = if self.workload_rng.gen_range(0.0..1.0) < public_fraction {
-                NatClass::Public
-            } else {
-                NatClass::Private
-            };
+            let class = self.draw_class();
             if self.remove_random_node(class).is_none() {
                 // The chosen class ran out of nodes; fail one of the other class instead.
                 let _ = self.remove_random_node(class.opposite());

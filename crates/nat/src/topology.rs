@@ -245,6 +245,23 @@ impl std::fmt::Debug for NatTopology {
     }
 }
 
+/// The selection every fraction-driven [`NatDynamicsEvent`] shares: one uniform variate
+/// per candidate in the given (ascending id) order, `mutate` on each candidate whose
+/// variate falls under `fraction`. The mutation's `bool` is dropped: a selected node that
+/// no longer qualifies is a no-op.
+fn mutate_selected(
+    candidates: Vec<NodeId>,
+    fraction: f64,
+    rng: &mut SmallRng,
+    mutate: impl Fn(NodeId) -> bool,
+) {
+    for node in candidates {
+        if rng.gen_range(0.0..1.0) < fraction {
+            mutate(node);
+        }
+    }
+}
+
 impl NatTopology {
     /// Registers `node` as a public node with its own globally reachable address.
     pub fn add_public_node(&self, node: NodeId) {
@@ -580,52 +597,40 @@ impl NatTopology {
     ) -> AppliedEvent {
         match *event {
             NatDynamicsEvent::GatewayRebootStorm { fraction } => {
-                for node in self.private_node_ids() {
-                    if rng.gen_range(0.0..1.0) < fraction {
-                        self.reboot_gateway_of(node, now);
-                    }
-                }
+                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
+                    self.reboot_gateway_of(node, now)
+                });
                 AppliedEvent::done()
             }
             NatDynamicsEvent::MobilityWave { fraction } => {
-                for node in self.private_node_ids() {
-                    if rng.gen_range(0.0..1.0) < fraction {
-                        self.migrate_node(node);
-                    }
-                }
+                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
+                    self.migrate_node(node)
+                });
                 AppliedEvent::done()
             }
             NatDynamicsEvent::ProfileUpgrade { fraction } => {
-                for node in self.private_node_ids() {
-                    if rng.gen_range(0.0..1.0) < fraction {
-                        self.promote_to_public(node);
-                    }
-                }
+                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
+                    self.promote_to_public(node)
+                });
                 AppliedEvent::done()
             }
             NatDynamicsEvent::ProfileDowngrade { fraction } => {
-                for node in self.public_node_ids() {
-                    if rng.gen_range(0.0..1.0) < fraction {
-                        self.demote_to_private(node);
-                    }
-                }
+                mutate_selected(self.public_node_ids(), fraction, rng, |node| {
+                    self.demote_to_private(node)
+                });
                 AppliedEvent::done()
             }
             NatDynamicsEvent::FilteringShift { fraction, policy } => {
-                for node in self.private_node_ids() {
-                    if rng.gen_range(0.0..1.0) < fraction {
-                        self.set_filtering_of(node, policy);
-                    }
-                }
+                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
+                    self.set_filtering_of(node, policy)
+                });
                 AppliedEvent::done()
             }
             NatDynamicsEvent::GatewayReconfig { fraction, profile } => {
                 let config = profile.config(&self.default_gateway_config());
-                for node in self.private_node_ids() {
-                    if rng.gen_range(0.0..1.0) < fraction {
-                        self.reconfigure_gateway_of(node, config);
-                    }
-                }
+                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
+                    self.reconfigure_gateway_of(node, config)
+                });
                 AppliedEvent::done()
             }
             NatDynamicsEvent::CgnConsolidation {

@@ -1,0 +1,365 @@
+//! Differential oracle for the NAT layer's two load-bearing invariants.
+//!
+//! [`NatGateway`] answers every inbound-filtering query in O(1) from *newest-binding*
+//! indexes, which is sound only because "expiry is monotone in the refresh time" and
+//! because the indexes are cleared or rebuilt wherever the exact table changes under
+//! them. The first test drives seeded random traces through the gateway and through a
+//! deliberately naive model — one `Vec` of entries, a linear scan and a timestamp
+//! comparison on every lookup, no indexes, no purging — and demands identical verdicts,
+//! identical external-endpoint liveness and the sharing pattern the mapping policy
+//! prescribes after every step.
+//!
+//! The address-dependent index additionally relies on [`NatTopology`] never handing an
+//! address to a second owner; the second test pins that over random topology dynamics.
+//!
+//! What the traces hold fixed, because the gateway's contract does: a remote keeps its
+//! address for a whole trace (re-addressing is the topology's business, test two), the
+//! clock queries, purges and reboots read is monotone (only outbound packets may carry an
+//! older timestamp, which `record_outbound` documents as never shortening a mapping), and
+//! the mapping timeout survives reconfiguration.
+
+use std::collections::HashMap;
+
+use croupier_nat::topology::GatewayId;
+use croupier_nat::{
+    AddressInfo, Endpoint, FilteringPolicy, Ip, MappingPolicy, NatDynamicsEvent, NatGateway,
+    NatGatewayConfig, NatTopologyBuilder, PoolingBehavior,
+};
+use croupier_simulator::{NatClass, NodeId, SimDuration, SimTime};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// One row of the naive table: `internal` sent to `remote` (observed at `remote_ip`),
+/// most recently at `last_outbound`. `last_mapped` is the same maximum restricted to
+/// packets since the last reconfiguration, which tears external mappings down but keeps
+/// the filtering state.
+struct Entry {
+    internal: NodeId,
+    remote: NodeId,
+    remote_ip: Ip,
+    last_outbound: SimTime,
+    last_mapped: Option<SimTime>,
+}
+
+struct NaiveGateway {
+    config: NatGatewayConfig,
+    entries: Vec<Entry>,
+}
+
+impl NaiveGateway {
+    fn fresh(&self, refreshed: SimTime, now: SimTime) -> bool {
+        now.saturating_since(refreshed) <= self.config.mapping_timeout
+    }
+
+    fn record_outbound(&mut self, internal: NodeId, remote: NodeId, remote_ip: Ip, now: SimTime) {
+        let found = self
+            .entries
+            .iter_mut()
+            .find(|e| e.internal == internal && e.remote == remote);
+        match found {
+            Some(entry) => {
+                entry.remote_ip = remote_ip;
+                entry.last_outbound = entry.last_outbound.max(now);
+                entry.last_mapped = Some(entry.last_mapped.map_or(now, |at| at.max(now)));
+            }
+            None => self.entries.push(Entry {
+                internal,
+                remote,
+                remote_ip,
+                last_outbound: now,
+                last_mapped: Some(now),
+            }),
+        }
+    }
+
+    fn accepts_inbound(&self, internal: NodeId, from: NodeId, from_ip: Ip, now: SimTime) -> bool {
+        if self.config.upnp_enabled {
+            return true;
+        }
+        self.entries.iter().any(|e| {
+            e.internal == internal
+                && self.fresh(e.last_outbound, now)
+                && match self.config.filtering {
+                    FilteringPolicy::EndpointIndependent => true,
+                    FilteringPolicy::AddressDependent => e.remote_ip == from_ip,
+                    FilteringPolicy::AddressAndPortDependent => e.remote == from,
+                    policy => panic!("the model does not know filtering policy {policy}"),
+                }
+        })
+    }
+
+    /// Whether the mapping policy puts two flows of `internal` on one external endpoint.
+    fn same_mapping(&self, a: (NodeId, Ip), b: (NodeId, Ip)) -> bool {
+        match self.config.mapping {
+            MappingPolicy::EndpointIndependent => true,
+            MappingPolicy::AddressDependent => a.1 == b.1,
+            MappingPolicy::AddressAndPortDependent => a.0 == b.0,
+            policy => panic!("the model does not know mapping policy {policy}"),
+        }
+    }
+
+    fn has_endpoint(&self, internal: NodeId, remote: NodeId, remote_ip: Ip, now: SimTime) -> bool {
+        self.entries.iter().any(|e| {
+            e.internal == internal
+                && self.same_mapping((e.remote, e.remote_ip), (remote, remote_ip))
+                && e.last_mapped.is_some_and(|at| self.fresh(at, now))
+        })
+    }
+
+    fn set_config(&mut self, config: NatGatewayConfig) {
+        self.config = config;
+        for entry in &mut self.entries {
+            entry.last_mapped = None;
+        }
+    }
+}
+
+#[derive(Debug)]
+enum Op {
+    Outbound {
+        internal: NodeId,
+        remote: NodeId,
+        at: SimTime,
+    },
+    Purge,
+    Reboot,
+    SetFiltering(FilteringPolicy),
+    SetConfig(NatGatewayConfig),
+    RemoveInternal(NodeId),
+}
+
+const INTERNALS: [NodeId; 3] = [NodeId::new(1), NodeId::new(2), NodeId::new(3)];
+const REMOTES: [NodeId; 5] = [
+    NodeId::new(10),
+    NodeId::new(11),
+    NodeId::new(12),
+    NodeId::new(13),
+    NodeId::new(14),
+];
+const POOL: u8 = 3;
+const TRACES: u64 = 216;
+const STEPS: usize = 450;
+
+/// Five remotes on three addresses, so address-dependent policies see both "same address,
+/// other node" and "other address".
+fn ip_of(remote: NodeId) -> Ip {
+    Ip::public(50 + (remote.as_u64() as u32 - 10) * 3 / 5)
+}
+
+fn pick<T: Copy>(rng: &mut SmallRng, items: &[T]) -> T {
+    items[rng.gen_range(0..items.len())]
+}
+
+fn random_config(rng: &mut SmallRng, timeout: SimDuration) -> NatGatewayConfig {
+    NatGatewayConfig::with_filtering(pick(rng, &FilteringPolicy::ALL))
+        .mapping(pick(rng, &MappingPolicy::ALL))
+        .mapping_timeout(timeout)
+        .pool(
+            POOL,
+            pick(rng, &[PoolingBehavior::Paired, PoolingBehavior::Arbitrary]),
+        )
+        .hairpin(rng.gen_bool(0.5))
+        .port_preservation(rng.gen_bool(0.5))
+        .port_parity(rng.gen_bool(0.5))
+        .upnp(rng.gen_bool(0.1))
+}
+
+/// Draws the next operation. Every third trace never purges or reboots, so the gateway's
+/// own every-256-operations purge gets to fire against a model that never purges.
+fn random_op(rng: &mut SmallRng, housekeeping: bool, now: SimTime, timeout: SimDuration) -> Op {
+    match rng.gen_range(0..100) {
+        0..=2 if housekeeping => Op::Purge,
+        3..=5 if housekeeping => Op::Reboot,
+        6..=13 => Op::SetFiltering(pick(rng, &FilteringPolicy::ALL)),
+        14..=18 => Op::SetConfig(random_config(rng, timeout)),
+        19..=21 => Op::RemoveInternal(pick(rng, &INTERNALS)),
+        _ => {
+            // One packet in five carries a timestamp from the past.
+            let lag = if rng.gen_bool(0.2) {
+                rng.gen_range(0..=2 * timeout.as_millis())
+            } else {
+                0
+            };
+            Op::Outbound {
+                internal: pick(rng, &INTERNALS),
+                remote: pick(rng, &REMOTES),
+                at: SimTime::from_millis(now.as_millis().saturating_sub(lag)),
+            }
+        }
+    }
+}
+
+#[test]
+fn gateway_agrees_with_a_naive_table_walk_on_the_full_policy_grid() {
+    let mut grid = Vec::new();
+    for filtering in FilteringPolicy::ALL {
+        for mapping in MappingPolicy::ALL {
+            for pooling in [PoolingBehavior::Paired, PoolingBehavior::Arbitrary] {
+                grid.push((filtering, mapping, pooling));
+            }
+        }
+    }
+    for trace in 0..TRACES {
+        let mut rng = SmallRng::seed_from_u64(0xD1FF ^ trace);
+        let (filtering, mapping, pooling) = grid[trace as usize % grid.len()];
+        let timeout = SimDuration::from_secs(pick(&mut rng, &[10, 30, 60]));
+        let config = NatGatewayConfig::with_filtering(filtering)
+            .mapping(mapping)
+            .mapping_timeout(timeout)
+            .pool(POOL, pooling);
+        let pool = (0..POOL as u32).map(|i| Ip::public(100 + i)).collect();
+        let mut real = NatGateway::with_pool(pool, config);
+        let mut naive = NaiveGateway {
+            config,
+            entries: Vec::new(),
+        };
+        let mut now = SimTime::ZERO;
+        for step in 0..STEPS {
+            // Mostly second-scale steps, now and then a leap past the timeout.
+            let advance = if rng.gen_bool(0.03) {
+                timeout.as_millis() + rng.gen_range(1..=timeout.as_millis())
+            } else {
+                rng.gen_range(0..=3_000)
+            };
+            now = now.saturating_add(SimDuration::from_millis(advance));
+            let op = random_op(&mut rng, trace % 3 != 0, now, timeout);
+            match op {
+                Op::Outbound {
+                    internal,
+                    remote,
+                    at,
+                } => {
+                    real.record_outbound(internal, remote, ip_of(remote), at);
+                    naive.record_outbound(internal, remote, ip_of(remote), at);
+                }
+                // Purging bounds memory and must never change an answer: the model
+                // ignores it.
+                Op::Purge => real.purge_expired(now),
+                Op::Reboot => {
+                    real.reboot(now);
+                    naive.entries.clear();
+                }
+                Op::SetFiltering(policy) => {
+                    real.set_filtering(policy);
+                    naive.config.filtering = policy;
+                }
+                Op::SetConfig(config) => {
+                    real.set_config(config);
+                    naive.set_config(config);
+                }
+                Op::RemoveInternal(internal) => {
+                    real.remove_internal(internal);
+                    naive.entries.retain(|e| e.internal != internal);
+                }
+            }
+            let context = |what: &str| {
+                format!(
+                    "{what}: trace {trace} step {step} at {now:?} after {op:?}, config {:?}",
+                    naive.config
+                )
+            };
+            // Every flow with a live external endpoint: (internal, remote, remote ip).
+            let mut live: Vec<((NodeId, NodeId, Ip), Endpoint)> = Vec::new();
+            for internal in INTERNALS {
+                for remote in REMOTES {
+                    // The sender's own address and, as a stranger, its neighbour's.
+                    for from_ip in [ip_of(remote), ip_of(REMOTES[(step + 1) % REMOTES.len()])] {
+                        assert_eq!(
+                            real.accepts_inbound(internal, remote, from_ip, now),
+                            naive.accepts_inbound(internal, remote, from_ip, now),
+                            "{}",
+                            context(&format!("verdict {internal}<-{remote}@{from_ip}"))
+                        );
+                    }
+                    let endpoint = real.external_endpoint(internal, remote, ip_of(remote), now);
+                    assert_eq!(
+                        endpoint.is_some(),
+                        naive.has_endpoint(internal, remote, ip_of(remote), now),
+                        "{}",
+                        context(&format!("endpoint liveness {internal}->{remote}"))
+                    );
+                    if let Some(endpoint) = endpoint {
+                        live.push(((internal, remote, ip_of(remote)), endpoint));
+                    }
+                }
+            }
+            for (i, (a, a_endpoint)) in live.iter().enumerate() {
+                for (b, b_endpoint) in &live[i + 1..] {
+                    assert_eq!(
+                        a_endpoint == b_endpoint,
+                        a.0 == b.0 && naive.same_mapping((a.1, a.2), (b.1, b.2)),
+                        "{}",
+                        context(&format!("sharing {a:?} vs {b:?}"))
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Who an address belongs to: a public node, or a gateway's pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Owner {
+    Node(NodeId),
+    Gateway(GatewayId),
+}
+
+#[test]
+fn an_address_never_passes_to_a_second_owner() {
+    for trace in 0..40u64 {
+        let mut rng = SmallRng::seed_from_u64(0x1B ^ trace);
+        let topology = NatTopologyBuilder::new(trace).build();
+        let mut owners: HashMap<Ip, Owner> = HashMap::new();
+        let mut next_id = 0u64;
+        for step in 0..300u64 {
+            let nodes = topology.node_ids();
+            let node = match nodes.len() {
+                0 => NodeId::new(0),
+                len => nodes[rng.gen_range(0..len)],
+            };
+            match rng.gen_range(0..100) {
+                0..=29 => {
+                    let class = if rng.gen_bool(0.3) {
+                        NatClass::Public
+                    } else {
+                        NatClass::Private
+                    };
+                    topology.add_node(NodeId::new(next_id), class);
+                    next_id += 1;
+                }
+                30..=54 => {
+                    topology.migrate_node(node);
+                }
+                55..=69 => {
+                    topology.promote_to_public(node);
+                }
+                70..=84 => {
+                    topology.demote_to_private(node);
+                }
+                85..=92 => topology.remove_node(node),
+                _ => {
+                    let event = NatDynamicsEvent::CgnConsolidation {
+                        fraction: 0.3,
+                        pool_size: rng.gen_range(1..=4),
+                    };
+                    let now = SimTime::from_secs(step);
+                    topology.apply(&event, step, now, &mut rng);
+                }
+            }
+            for node in topology.node_ids() {
+                let ip = topology
+                    .observed_ip(node)
+                    .expect("live nodes have an address");
+                let owner = match topology.gateway_of(node) {
+                    Some(gateway) => Owner::Gateway(gateway),
+                    None => Owner::Node(node),
+                };
+                let first = *owners.entry(ip).or_insert(owner);
+                assert_eq!(
+                    first, owner,
+                    "trace {trace} step {step}: {ip} passed from {first:?} to {owner:?}"
+                );
+            }
+        }
+    }
+}

@@ -28,8 +28,8 @@
 //! The plane is shared state behind an `Arc`; each engine's delivery plane holds an
 //! `Option<FaultPlane>` and calls [`FaultPlane::begin`] for every message. With no
 //! profile installed that is a single relaxed atomic load — the hot path stays
-//! branch-predictable and the `microbench_engine` `fault_plane_inactive` row guards the
-//! overhead.
+//! branch-predictable and the benchmark's `simulator.fault_inactive_ns` probe measures
+//! the overhead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -5,9 +5,8 @@
 //! Two identical 10k-node croupier deployments run in strict alternation, one with an
 //! inactive plane and one without, so clock drift, allocator state and cache effects
 //! hit both sides equally. This interleaved A/B is the basis of the "≤ 3 % when
-//! disabled" claim in DESIGN.md §15.6; the `engine/fault_plane_inactive` bench row
-//! guards the same path against regressions but runs late in its bench group, so its
-//! absolute number is not comparable against `engine/10k_nodes/threads_1` directly.
+//! disabled" claim in DESIGN.md §15.6; the benchmark's `simulator.fault_inactive_ns`
+//! probe (`e2e_bench/`) times the same path in isolation, per judged message.
 //!
 //! ```text
 //! cargo run --release --example fault_overhead_check

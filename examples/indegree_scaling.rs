@@ -10,10 +10,11 @@
 //! capture `k`, re-targets the given fraction of edges to form capture `k + 1`, then
 //! times the O(E) full recount (histogram + stats + Gini) against the O(Δ) incremental
 //! update of the same family — and asserts the two Gini coefficients are bit-identical,
-//! which is the invariant `tests/property_tests.rs` pins at small scale. The measured
-//! ratio at 10k/100k nodes is gated in `ci/bench-baseline/BENCH_microbench_metrics.json`
-//! (`indegree/*` rows); this example exists so the 1M-node point stays reproducible
-//! without putting a minutes-long row in the gated bench suite.
+//! which is the invariant `tests/property_tests.rs` pins at small scale. On a live run
+//! the benchmark's traced `metrics_every_round` workload reports the same pair as
+//! `metrics.gini_ms` against `metrics.incr_indegree_ms` (and how often the fast path
+//! fired, `metrics.incr_indegree_fast_share`); this example exists so the 1M-node point
+//! stays reproducible without a minutes-long benchmark workload.
 
 use std::time::Instant;
 
