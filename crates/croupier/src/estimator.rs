@@ -628,16 +628,20 @@ mod tests {
     #[test]
     fn stamped_cache_matches_the_reference_on_random_traces() {
         let me = NodeId::new(0);
-        for (seed, class, alpha, gamma, origins) in [
-            (1, NatClass::Public, 3, 0, 6),
-            (2, NatClass::Private, 1, 1, 8),
-            (3, NatClass::Public, 5, 7, 40),
-            (4, NatClass::Private, 25, 50, 300),
-            (5, NatClass::Public, 25, 50, 2_000),
-            (6, NatClass::Public, 4, u32::MAX, 30),
+        for (seed, class, alpha, gamma, origins, start_round) in [
+            (1, NatClass::Public, 3, 0, 6, 0),
+            (2, NatClass::Private, 1, 1, 8, 0),
+            (3, NatClass::Public, 5, 7, 40, 0),
+            (4, NatClass::Private, 25, 50, 300, 0),
+            (5, NatClass::Public, 25, 50, 2_000, 0),
+            (6, NatClass::Public, 4, u32::MAX, 30, 0),
+            // The 24-bit birth stamps wrap fifty rounds into the trace.
+            (7, NatClass::Public, 25, 50, 300, STAMP_MASK - 49),
         ] {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut fast = RatioEstimator::new(class, alpha, gamma);
+            // The reference stores ages, not stamps: it has no round counter to start.
+            fast.round = start_round;
             let mut slow = ReferenceEstimator::new(class, alpha, gamma);
             for step in 0..3_000 {
                 match rng.gen_range(0..10) {

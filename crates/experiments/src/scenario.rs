@@ -587,10 +587,10 @@ impl ScenarioScript {
     }
 
     /// A firmware wave turning half the gateways "symmetric"
-    /// ([`GatewayProfile::Symmetric`]: address-and-port-dependent mapping *and*
-    /// filtering, no hairpinning, no port preservation), then a partial rollback to
-    /// full-cone an eighth of the run later — the RFC-4787 fidelity stress: observed
-    /// endpoints stop transferring between peers mid-run.
+    /// ([`GatewayProfile::Symmetric`]: address-and-port-dependent filtering, no
+    /// hairpinning), then a partial rollback to full-cone (endpoint-independent
+    /// filtering, hairpinning on) an eighth of the run later — mid-run, a reply path opens
+    /// only to the exact peer a node contacted.
     pub fn symmetric_shift(rounds: u64) -> Self {
         let mid = Self::mid(rounds);
         ScenarioScript::new("symmetric_shift")
@@ -611,8 +611,8 @@ impl ScenarioScript {
     }
 
     /// An ISP consolidation: 40 % of the private nodes are moved behind one shared
-    /// carrier-grade NAT with a four-address pool (paired pooling, address-dependent on
-    /// both axes, hairpinning on so consolidated customers still reach each other).
+    /// carrier-grade NAT with a four-address pool (address-dependent filtering,
+    /// hairpinning on so consolidated customers still reach each other).
     pub fn cgn_migration(rounds: u64) -> Self {
         ScenarioScript::new("cgn_migration").at(
             Self::mid(rounds),

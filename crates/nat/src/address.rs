@@ -1,8 +1,8 @@
-//! IP addresses and endpoints as seen by the NAT emulation.
+//! IP addresses as seen by the NAT emulation.
 //!
 //! The simulation does not route real packets, but the NAT-type identification protocol
 //! (§V of the paper) compares the *local* IP address of a node with the source address a
-//! remote peer observes. These light-weight address types give the emulation enough
+//! remote peer observes. This light-weight address type gives the emulation enough
 //! structure to reproduce that comparison faithfully.
 
 use std::fmt;
@@ -76,40 +76,6 @@ impl fmt::Display for Ip {
     }
 }
 
-/// An (address, port) pair.
-///
-/// # Examples
-///
-/// ```
-/// use croupier_nat::{Endpoint, Ip};
-///
-/// let ep = Endpoint::new(Ip::public(1), 5000);
-/// assert_eq!(ep.port, 5000);
-/// assert_eq!(format!("{ep}"), "0.0.0.2:5000");
-/// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
-pub struct Endpoint {
-    /// The IP address.
-    pub ip: Ip,
-    /// The UDP port.
-    pub port: u16,
-}
-
-impl Endpoint {
-    /// Creates an endpoint.
-    pub const fn new(ip: Ip, port: u16) -> Self {
-        Endpoint { ip, port }
-    }
-}
-
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.ip, self.port)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,14 +100,6 @@ mod tests {
     fn display_renders_dotted_quad() {
         assert_eq!(Ip::from_raw(0x01020304).to_string(), "1.2.3.4");
         assert_eq!(Ip::private(0).to_string(), "192.168.0.0");
-    }
-
-    #[test]
-    fn endpoint_display_and_ordering() {
-        let a = Endpoint::new(Ip::public(1), 80);
-        let b = Endpoint::new(Ip::public(1), 443);
-        assert!(a < b);
-        assert_eq!(a.to_string(), "0.0.0.2:80");
     }
 
     #[test]

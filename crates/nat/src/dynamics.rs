@@ -57,9 +57,8 @@ pub enum NatDynamicsEvent {
     },
     /// Replaces the whole configuration of each private node's gateway independently with
     /// probability `fraction` by the named [`GatewayProfile`] (firmware swap or CPE
-    /// replacement): mapping *and* filtering policy, hairpinning, port
-    /// preservation/parity and pool size all change at once, while the gateway's exact
-    /// binding table survives the reconfig.
+    /// replacement): filtering policy, hairpinning and pool size all change at once,
+    /// while the gateway's exact binding table survives the reconfig.
     GatewayReconfig {
         /// Probability that any one private node's gateway is reconfigured.
         fraction: f64,
@@ -69,8 +68,8 @@ pub enum NatDynamicsEvent {
     /// Consolidates each private node independently with probability `fraction` behind
     /// one newly created shared carrier-grade gateway
     /// ([`NatGatewayConfig::carrier_grade`]) with `pool_size` external addresses — an ISP
-    /// moving customers behind a CGN. Consolidated nodes share the gateway's pool and its
-    /// port space; hairpinning stays on so they can still reach each other.
+    /// moving customers behind a CGN. Consolidated nodes share the gateway's pool;
+    /// hairpinning stays on so they can still reach each other.
     CgnConsolidation {
         /// Probability that any one private node is moved behind the shared CGN.
         fraction: f64,
@@ -106,14 +105,13 @@ pub enum NatDynamicsEvent {
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GatewayProfile {
-    /// [`NatGatewayConfig::full_cone`]: endpoint-independent mapping and filtering,
-    /// hairpinning, port preservation.
+    /// [`NatGatewayConfig::full_cone`]: endpoint-independent filtering, hairpinning on.
     FullCone,
-    /// [`NatGatewayConfig::symmetric`]: address-and-port-dependent on both axes, no
-    /// hairpinning, no port preservation, parity kept.
+    /// [`NatGatewayConfig::symmetric`]: address-and-port-dependent filtering, no
+    /// hairpinning.
     Symmetric,
-    /// [`NatGatewayConfig::carrier_grade`] with a 4-address pool: address-dependent on
-    /// both axes, paired pooling, hairpinning on, no port preservation.
+    /// [`NatGatewayConfig::carrier_grade`] with a 4-address pool: address-dependent
+    /// filtering, hairpinning on.
     CarrierGrade,
 }
 
@@ -156,7 +154,6 @@ impl AppliedEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{MappingPolicy, PoolingBehavior};
     use croupier_simulator::SimDuration;
 
     #[test]
@@ -164,16 +161,16 @@ mod tests {
         let base = NatGatewayConfig::default().mapping_timeout(SimDuration::from_secs(17));
         let fc = GatewayProfile::FullCone.config(&base);
         assert_eq!(fc.filtering, FilteringPolicy::EndpointIndependent);
-        assert_eq!(fc.mapping, MappingPolicy::EndpointIndependent);
-        assert!(fc.hairpinning && fc.port_preservation);
+        assert!(fc.hairpinning);
+        assert_eq!(fc.pool_size, 1);
         let sym = GatewayProfile::Symmetric.config(&base);
         assert_eq!(sym.filtering, FilteringPolicy::AddressAndPortDependent);
-        assert_eq!(sym.mapping, MappingPolicy::AddressAndPortDependent);
-        assert!(!sym.hairpinning && !sym.port_preservation && sym.port_parity);
+        assert!(!sym.hairpinning);
+        assert_eq!(sym.pool_size, 1);
         let cgn = GatewayProfile::CarrierGrade.config(&base);
-        assert_eq!(cgn.mapping, MappingPolicy::AddressDependent);
+        assert_eq!(cgn.filtering, FilteringPolicy::AddressDependent);
+        assert!(cgn.hairpinning);
         assert_eq!(cgn.pool_size, 4);
-        assert_eq!(cgn.pooling, PoolingBehavior::Paired);
         // All profiles inherit the deployment-wide timeout, nothing else, from the base.
         for cfg in [fc, sym, cgn] {
             assert_eq!(cfg.mapping_timeout, SimDuration::from_secs(17));

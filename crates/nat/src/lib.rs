@@ -7,10 +7,12 @@
 //! Network Address Translation gateways. This crate provides the substrate that makes such
 //! networks observable to the simulated protocols:
 //!
-//! * [`NatGateway`] — a NAT device with a public IP, a UDP mapping (binding) table with a
-//!   configurable expiry timeout, a [`FilteringPolicy`] (endpoint-independent,
-//!   address-dependent or address-and-port-dependent, following the NATCracker
-//!   classification cited by the paper), and optional UPnP IGD support.
+//! * [`NatGateway`] — a NAT device with a pool of public IPs (one by default, each
+//!   internal host paired with one of them), a UDP binding table that only outbound
+//!   traffic refreshes and that expires after a configurable timeout, a
+//!   [`FilteringPolicy`] (endpoint-independent, address-dependent or
+//!   address-and-port-dependent, following the NATCracker classification cited by the
+//!   paper), hairpinning on or off, and optional UPnP IGD support.
 //! * [`NatTopology`] — the assignment of every node to either a public address or a private
 //!   address behind a gateway. It implements the simulator's
 //!   [`DeliveryFilter`](croupier_simulator::DeliveryFilter) so the engine consults it for
@@ -18,9 +20,11 @@
 //!   real UDP socket would.
 //!
 //! The emulation is deliberately behavioural: protocols can only observe reachability,
-//! source addresses and mapping expiry — exactly the observables a deployed protocol has —
+//! source addresses and binding expiry — exactly the observables a deployed protocol has —
 //! so substituting it for real NAT devices preserves the phenomena the paper studies
-//! (biased views, partition under failure, traversal overhead).
+//! (biased views, partition under failure, traversal overhead). Messages are addressed by
+//! `NodeId`, never by an external `(ip, port)`, so the gateway keeps no external-endpoint
+//! mapping table: nothing could observe it.
 //!
 //! ## Example
 //!
@@ -57,12 +61,10 @@ pub mod address;
 pub mod dynamics;
 pub mod filtering;
 pub mod gateway;
-pub mod mapping;
 pub mod topology;
 
-pub use address::{Endpoint, Ip};
+pub use address::Ip;
 pub use dynamics::{AppliedEvent, GatewayProfile, NatDynamicsEvent};
 pub use filtering::FilteringPolicy;
 pub use gateway::{Binding, NatGateway, NatGatewayConfig};
-pub use mapping::{ExternalMapping, MappingPolicy, PoolingBehavior};
 pub use topology::{AddressInfo, NatProfile, NatTopology, NatTopologyBuilder, TopologyStats};

@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::address::{Endpoint, Ip};
+use crate::address::Ip;
 use crate::dynamics::{AppliedEvent, NatDynamicsEvent};
 use crate::filtering::FilteringPolicy;
 use crate::gateway::{NatGateway, NatGatewayConfig};
@@ -374,34 +374,6 @@ impl NatTopology {
         match self.gateway_of(node) {
             Some(gateway) => self.reconfigure_gateway(gateway, config),
             None => false,
-        }
-    }
-
-    /// The external endpoint a peer observes on packets from `node` towards `remote` at
-    /// `now`: the node's own address for public nodes (port = the node's internal source
-    /// port), the gateway's live mapping for private ones — `None` if the node is
-    /// unknown, or private with no live mapping towards `remote` (nothing was sent, or
-    /// the mapping expired). Under endpoint-*dependent* mapping policies the answer
-    /// genuinely varies with `remote`, which is exactly what a STUN-style observer
-    /// cannot see from a single vantage point.
-    pub fn external_endpoint(
-        &self,
-        node: NodeId,
-        remote: NodeId,
-        now: SimTime,
-    ) -> Option<Endpoint> {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        match inner.profile(node)? {
-            NatProfile::Public { ip } => Some(Endpoint::new(
-                *ip,
-                crate::mapping::internal_source_port(node.as_u64() as u32),
-            )),
-            NatProfile::Private { gateway, .. } => {
-                let remote_ip = inner.observed_ip(remote)?;
-                inner
-                    .gateway(*gateway)?
-                    .external_endpoint(node, remote, remote_ip, now)
-            }
         }
     }
 

@@ -1,16 +1,14 @@
 //! RFC 4787 conformance matrix for the NAT emulation.
 //!
-//! Every combination of mapping policy × filtering policy × hairpinning × port
-//! preservation is driven through the same traffic pattern and checked against the
-//! behaviour RFC 4787 prescribes for that combination. Targeted tests below the matrix
-//! cover the requirements that need a specific traffic shape: port collision fallback,
-//! port parity (REQ-5), asymmetric refresh (REQ-6), IP pooling (REQ-2) and the scripted
+//! Every combination of filtering policy × hairpinning is driven through the same traffic
+//! pattern and checked against the behaviour RFC 4787 prescribes for that combination.
+//! Targeted tests below the matrix cover the requirements that need a specific traffic
+//! shape: asymmetric refresh (REQ-6), paired IP pooling (REQ-2) and the scripted
 //! gateway-profile dynamics that reach these behaviours from scenario scripts.
 
-use croupier_nat::mapping::internal_source_port;
 use croupier_nat::{
-    AddressInfo, FilteringPolicy, GatewayProfile, Ip, MappingPolicy, NatDynamicsEvent, NatGateway,
-    NatGatewayConfig, NatTopologyBuilder, PoolingBehavior,
+    AddressInfo, FilteringPolicy, GatewayProfile, Ip, NatDynamicsEvent, NatGateway,
+    NatGatewayConfig, NatTopologyBuilder,
 };
 use croupier_simulator::{DeliveryFilter, DeliveryVerdict, NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;
@@ -22,74 +20,16 @@ fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms)
 }
 
-/// The full 3 × 3 × 2 × 2 behaviour matrix, one assertion set per combination.
+/// The full 3 × 2 behaviour matrix, one assertion set per combination.
 #[test]
 fn rfc4787_conformance_matrix() {
-    for mapping in MappingPolicy::ALL {
-        for filtering in FilteringPolicy::ALL {
-            for hairpin in [true, false] {
-                for preservation in [true, false] {
-                    let config = NatGatewayConfig::with_filtering(filtering)
-                        .mapping(mapping)
-                        .hairpin(hairpin)
-                        .port_preservation(preservation);
-                    let combo = format!(
-                        "mapping={mapping} filtering={filtering} \
-                         hairpin={hairpin} preservation={preservation}"
-                    );
-                    check_mapping_axis(config, &combo);
-                    check_filtering_axis(config, &combo);
-                    check_hairpin_axis(config, &combo);
-                }
-            }
+    for filtering in FilteringPolicy::ALL {
+        for hairpin in [true, false] {
+            let config = NatGatewayConfig::with_filtering(filtering).hairpin(hairpin);
+            let combo = format!("filtering={filtering} hairpin={hairpin}");
+            check_filtering_axis(config, &combo);
+            check_hairpin_axis(config, &combo);
         }
-    }
-}
-
-/// RFC 4787 §4.1: how many distinct external endpoints do flows from one internal
-/// source to several destinations get?
-fn check_mapping_axis(config: NatGatewayConfig, combo: &str) {
-    let mut gw = NatGateway::new(Ip::public(1), config);
-    let internal = NodeId::new(1);
-    // Three remotes: a, b on distinct IPs; b2 on b's IP but a different port (node).
-    let (a, a_ip) = (NodeId::new(10), Ip::public(10));
-    let (b, b_ip) = (NodeId::new(11), Ip::public(11));
-    let b2 = NodeId::new(12);
-
-    gw.record_outbound(internal, a, a_ip, T0);
-    gw.record_outbound(internal, b, b_ip, T0);
-    gw.record_outbound(internal, b2, b_ip, T0);
-    let now = t(10);
-    let ep_a = gw.external_endpoint(internal, a, a_ip, now).expect(combo);
-    let ep_b = gw.external_endpoint(internal, b, b_ip, now).expect(combo);
-    let ep_b2 = gw.external_endpoint(internal, b2, b_ip, now).expect(combo);
-
-    match config.mapping {
-        MappingPolicy::EndpointIndependent => {
-            assert_eq!(ep_a, ep_b, "EI mapping must reuse the endpoint: {combo}");
-            assert_eq!(ep_b, ep_b2, "EI mapping must reuse the endpoint: {combo}");
-            assert_eq!(gw.mapping_count(), 1, "{combo}");
-        }
-        MappingPolicy::AddressDependent => {
-            assert_ne!(ep_a, ep_b, "AD mapping: distinct remote IPs: {combo}");
-            assert_eq!(ep_b, ep_b2, "AD mapping: same remote IP: {combo}");
-            assert_eq!(gw.mapping_count(), 2, "{combo}");
-        }
-        MappingPolicy::AddressAndPortDependent => {
-            assert_ne!(ep_a, ep_b, "APD mapping: distinct remotes: {combo}");
-            assert_ne!(ep_b, ep_b2, "APD mapping: distinct remote ports: {combo}");
-            assert_eq!(gw.mapping_count(), 3, "{combo}");
-        }
-        _ => unreachable!("matrix iterates MappingPolicy::ALL"),
-    }
-
-    if config.port_preservation {
-        // The first flow finds its preferred port free.
-        assert_eq!(
-            ep_a.port,
-            internal_source_port(1),
-            "preservation keeps the internal port when free: {combo}"
-        );
     }
 }
 
@@ -152,164 +92,61 @@ fn check_hairpin_axis(config: NatGatewayConfig, combo: &str) {
     }
 }
 
-/// Two internals whose preferred external ports collide: the first keeps its port, the
-/// second falls back to the deterministic scan and gets a distinct one.
+/// RFC 4787 REQ-6: only outbound traffic refreshes a binding; a peer talking *at* the
+/// binding does not keep it alive.
 #[test]
-fn port_preservation_collision_falls_back_to_scan() {
-    let mut gw = NatGateway::new(Ip::public(1), NatGatewayConfig::default());
-    // 64517 ≡ 5 (mod 64512), so both internals prefer the same external port.
-    let (first, second) = (NodeId::new(5), NodeId::new(64517));
-    let want = internal_source_port(5);
-    assert_eq!(want, internal_source_port(64517));
-
-    let (remote, remote_ip) = (NodeId::new(100), Ip::public(100));
-    gw.record_outbound(first, remote, remote_ip, T0);
-    gw.record_outbound(second, remote, remote_ip, T0);
-    let ep_first = gw
-        .external_endpoint(first, remote, remote_ip, t(1))
-        .unwrap();
-    let ep_second = gw
-        .external_endpoint(second, remote, remote_ip, t(1))
-        .unwrap();
-    assert_eq!(ep_first.port, want, "first claimant keeps its port");
-    assert_ne!(ep_second.port, want, "loser of the collision is rehomed");
-    assert_ne!(ep_first, ep_second);
-}
-
-/// RFC 4787 REQ-5 refinement: a non-preserved external port keeps the internal port's
-/// parity when `port_parity` is set.
-#[test]
-fn port_parity_is_preserved_on_reassignment() {
-    let config = NatGatewayConfig::default()
-        .port_preservation(false)
-        .port_parity(true);
-    let mut gw = NatGateway::new(Ip::public(1), config);
-    let (remote, remote_ip) = (NodeId::new(100), Ip::public(100));
-    for raw in [4u64, 5, 6, 7] {
-        let internal = NodeId::new(raw);
-        gw.record_outbound(internal, remote, remote_ip, T0);
-        let ep = gw
-            .external_endpoint(internal, remote, remote_ip, t(1))
-            .unwrap();
-        assert_eq!(
-            ep.port % 2,
-            internal_source_port(raw as u32) % 2,
-            "external port parity must match internal port parity for node {raw}"
-        );
-    }
-}
-
-/// RFC 4787 REQ-6: only outbound traffic refreshes a mapping; a peer talking *at* the
-/// mapping does not keep it alive.
-#[test]
-fn mapping_refresh_is_asymmetric() {
+fn binding_refresh_is_asymmetric() {
     let config = NatGatewayConfig::default().mapping_timeout(SimDuration::from_secs(60));
     let mut gw = NatGateway::new(Ip::public(1), config);
     let internal = NodeId::new(1);
     let (remote, remote_ip) = (NodeId::new(10), Ip::public(10));
     gw.record_outbound(internal, remote, remote_ip, T0);
 
-    // Inbound checks just before expiry succeed but must not extend the mapping.
-    let almost = t(59_000);
-    assert!(gw.accepts_inbound(internal, remote, remote_ip, almost));
-    assert!(gw
-        .external_endpoint(internal, remote, remote_ip, almost)
-        .is_some());
-    let after = t(61_000);
+    // Inbound checks just before expiry succeed but must not extend the binding.
+    assert!(gw.accepts_inbound(internal, remote, remote_ip, t(59_000)));
     assert!(
-        !gw.accepts_inbound(internal, remote, remote_ip, after),
-        "inbound traffic must not have refreshed the mapping"
+        !gw.accepts_inbound(internal, remote, remote_ip, t(61_000)),
+        "inbound traffic must not have refreshed the binding"
     );
-    assert!(gw
-        .external_endpoint(internal, remote, remote_ip, after)
-        .is_none());
 
     // Outbound traffic does refresh...
     gw.record_outbound(internal, remote, remote_ip, T0);
     gw.record_outbound(internal, remote, remote_ip, t(50_000));
-    assert!(gw
-        .external_endpoint(internal, remote, remote_ip, t(100_000))
-        .is_some());
+    assert!(gw.accepts_inbound(internal, remote, remote_ip, t(100_000)));
     // ...and an out-of-order older timestamp never shortens the lifetime.
     gw.record_outbound(internal, remote, remote_ip, t(10_000));
-    assert!(gw
-        .external_endpoint(internal, remote, remote_ip, t(100_000))
-        .is_some());
+    assert!(gw.accepts_inbound(internal, remote, remote_ip, t(100_000)));
 }
 
-/// RFC 4787 REQ-2: with a pool of external addresses, "paired" pooling keeps all of one
-/// internal host's mappings on one address; "arbitrary" pooling does not.
+/// RFC 4787 REQ-2: with a pool of external addresses, every internal host is paired with
+/// one pool address — all its packets surface from it, whatever the destination — and
+/// different hosts spread over the pool.
 #[test]
-fn ip_pooling_paired_vs_arbitrary() {
+fn ip_pooling_is_paired() {
+    let config = NatGatewayConfig::default().pool(4);
     let pool: Vec<Ip> = (1..=4).map(Ip::public).collect();
-    let internal = NodeId::new(1);
-    let flows = [
-        (NodeId::new(10), Ip::public(10)),
-        (NodeId::new(11), Ip::public(11)),
-        (NodeId::new(12), Ip::public(12)),
-    ];
-
-    // Address-dependent mapping so each flow allocates its own mapping entry.
-    let base = NatGatewayConfig::default().mapping(MappingPolicy::AddressDependent);
-
-    let mut paired = NatGateway::with_pool(pool.clone(), base.pool(4, PoolingBehavior::Paired));
-    for (remote, ip) in flows {
-        paired.record_outbound(internal, remote, ip, T0);
-    }
-    let paired_ips: Vec<Ip> = flows
-        .iter()
-        .map(|(remote, ip)| {
-            paired
-                .external_endpoint(internal, *remote, *ip, t(1))
-                .unwrap()
-                .ip
-        })
+    let gw = NatGateway::with_pool(pool.clone(), config);
+    let mut used: Vec<Ip> = (0..8)
+        .map(|raw| gw.external_ip_for(NodeId::new(raw)))
         .collect();
-    assert!(
-        paired_ips.iter().all(|ip| *ip == paired_ips[0]),
-        "paired pooling must keep one host on one address, got {paired_ips:?}"
-    );
+    assert!(used.iter().all(|ip| pool.contains(ip)));
+    used.sort_unstable();
+    used.dedup();
+    assert_eq!(used, pool, "hosts must spread over the whole pool");
 
-    let mut arbitrary = NatGateway::with_pool(pool, base.pool(4, PoolingBehavior::Arbitrary));
-    for (remote, ip) in flows {
-        arbitrary.record_outbound(internal, remote, ip, T0);
-    }
-    let arbitrary_ips: Vec<Ip> = flows
-        .iter()
-        .map(|(remote, ip)| {
-            arbitrary
-                .external_endpoint(internal, *remote, *ip, t(1))
-                .unwrap()
-                .ip
-        })
-        .collect();
-    assert!(
-        arbitrary_ips.iter().any(|ip| *ip != arbitrary_ips[0]),
-        "arbitrary pooling must spread one host's flows across the pool"
-    );
-}
-
-/// A gateway reboot wipes the external mapping table along with the bindings.
-#[test]
-fn reboot_clears_mappings_and_frees_ports() {
-    let mut gw = NatGateway::new(Ip::public(1), NatGatewayConfig::default());
-    let internal = NodeId::new(1);
-    let (remote, remote_ip) = (NodeId::new(10), Ip::public(10));
-    gw.record_outbound(internal, remote, remote_ip, T0);
-    assert_eq!(gw.mapping_count(), 1);
-    gw.reboot(t(5));
-    assert_eq!(gw.mapping_count(), 0);
-    assert!(gw
-        .external_endpoint(internal, remote, remote_ip, t(10))
-        .is_none());
-    // The freed port is reusable immediately.
-    gw.record_outbound(internal, remote, remote_ip, t(10));
-    assert_eq!(
-        gw.external_endpoint(internal, remote, remote_ip, t(11))
-            .unwrap()
-            .port,
-        internal_source_port(1)
-    );
+    // The topology reports the paired address as the observed source, and traffic does
+    // not move it.
+    let topology = NatTopologyBuilder::new(7).build();
+    let shared = topology.add_shared_gateway(config);
+    let (host, r1, r2) = (NodeId::new(1), NodeId::new(10), NodeId::new(11));
+    assert!(topology.add_private_node_behind(host, shared));
+    topology.add_public_node(r1);
+    topology.add_public_node(r2);
+    let paired = topology.observed_ip(host).expect("observed IP");
+    let mut filter = topology.clone();
+    filter.on_send(host, r1, T0);
+    filter.on_send(host, r2, t(1));
+    assert_eq!(topology.observed_ip(host), Some(paired));
 }
 
 /// The scripted CGN consolidation event moves the selected nodes behind one shared
@@ -361,8 +198,7 @@ fn cgn_consolidation_event_builds_a_shared_pool_gateway() {
 }
 
 /// The scripted gateway-reconfig event switches the selected nodes' gateways to the
-/// requested profile; under the symmetric profile, distinct destinations then observe
-/// distinct external endpoints.
+/// requested profile.
 #[test]
 fn gateway_reconfig_event_switches_profiles() {
     let topology = NatTopologyBuilder::new(7).build();
@@ -382,17 +218,7 @@ fn gateway_reconfig_event_switches_profiles() {
     let mut filter = topology.clone();
     filter.on_send(node, r1, t(2_000));
     filter.on_send(node, r2, t(2_000));
-    let ep1 = topology
-        .external_endpoint(node, r1, t(2_010))
-        .expect("mapping to r1");
-    let ep2 = topology
-        .external_endpoint(node, r2, t(2_010))
-        .expect("mapping to r2");
-    assert_ne!(
-        ep1, ep2,
-        "symmetric profile must allocate per-destination endpoints"
-    );
-    // And the symmetric profile filters address-and-port-dependently: r2's reply passes,
+    // The symmetric profile filters address-and-port-dependently: r2's reply passes,
     // a never-contacted node's does not.
     assert_eq!(
         filter.can_deliver(r2, node, t(2_020)),

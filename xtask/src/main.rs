@@ -29,6 +29,16 @@
 //!   cargo run -p xtask -- public-api [--update]
 //!   ```
 //!
+//! * `loc` — the one definition of "non-test lines" for size claims in PR texts: per
+//!   crate, over the tracked `*.rs` files, total lines / lines before the first
+//!   `#[cfg(test)]` (files under a `tests/` directory count none) / of those, the ones
+//!   that are neither blank nor `//` comments; `e2e_bench/` and `vendor/` are listed but
+//!   kept out of the workspace sum. Not a CI step.
+//!
+//!   ```text
+//!   cargo run -p xtask -- loc
+//!   ```
+//!
 //! * `ci-local` — mirrors every CI job offline so contributors can reproduce CI failures
 //!   before pushing: `fmt`, `clippy` (deny warnings), `doc` (deny warnings),
 //!   `public-api` (snapshot diff), `test` (release build + workspace tests + the
@@ -53,6 +63,7 @@ use std::process::{Command, ExitCode};
 const USAGE: &str = "usage: xtask scenario-matrix [scenario_matrix args...]\n\
                      xtask workload-matrix [workload_matrix args...]\n\
                      xtask public-api [--update]\n\
+                     xtask loc\n\
                      xtask ci-local [--skip \
                      fmt,clippy,doc,public-api,test,scenario-matrix,fault-matrix,\
                      workload-matrix,e2e-bench,scale-smoke,huge-smoke]";
@@ -253,6 +264,61 @@ fn public_api_gate(update: bool) -> ExitCode {
         );
         ExitCode::FAILURE
     }
+}
+
+/// Line counts of one source text: total, non-test (before the first `#[cfg(test)]`) and
+/// the non-test lines that are neither blank nor `//` comments.
+fn loc_of(text: &str) -> [usize; 3] {
+    let non_test = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+    let (mut lines, mut code) = (0, 0);
+    for line in non_test.map(str::trim) {
+        lines += 1;
+        code += usize::from(!line.is_empty() && !line.starts_with("//"));
+    }
+    [text.lines().count(), lines, code]
+}
+
+/// The group a tracked file is counted under: `crates/<name>`, else its top directory.
+fn loc_group(path: &str) -> &str {
+    let depth = if path.starts_with("crates/") { 2 } else { 1 };
+    match path.match_indices('/').nth(depth - 1) {
+        Some((end, _)) => &path[..end],
+        None => path,
+    }
+}
+
+/// `xtask loc`: prints the per-group counts of [`loc_of`] over `git ls-files '*.rs'`.
+fn loc_report() -> ExitCode {
+    let listing = match Command::new("git").args(["ls-files", "*.rs"]).output() {
+        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).into_owned(),
+        _ => {
+            eprintln!("cannot run `git ls-files`");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut groups = std::collections::BTreeMap::<&str, [usize; 3]>::new();
+    for path in listing.lines() {
+        let Ok(text) = std::fs::read_to_string(path) else {
+            continue; // deleted in the working tree, not yet in the index
+        };
+        let mut counts = loc_of(&text);
+        if path.split('/').any(|dir| dir == "tests") {
+            counts[1..].fill(0);
+        }
+        let sums = groups.entry(loc_group(path)).or_default();
+        (0..3).for_each(|i| sums[i] += counts[i]);
+    }
+    let mut workspace = [0; 3];
+    println!("{:<22}{:>8}{:>10}{:>10}", "", "total", "non-test", "code");
+    for (group, sums) in &groups {
+        println!("{group:<22}{:>8}{:>10}{:>10}", sums[0], sums[1], sums[2]);
+        if !["e2e_bench", "vendor"].contains(group) {
+            (0..3).for_each(|i| workspace[i] += sums[i]);
+        }
+    }
+    let [total, non_test, code] = workspace;
+    println!("{:<22}{total:>8}{non_test:>10}{code:>10}", "workspace");
+    ExitCode::SUCCESS
 }
 
 /// Runs one external command, streaming its output; returns `true` on exit code 0.
@@ -480,6 +546,7 @@ fn main() -> ExitCode {
             }
             public_api_gate(update)
         }
+        Some("loc") => loc_report(),
         Some("scenario-matrix") => {
             // Thin forwarding wrapper so CI and contributors share one entry point.
             let extra: Vec<String> = argv.collect();
@@ -573,19 +640,28 @@ mod tests {
             Some(String::from("pub const fn as_u32(self) -> u32"))
         );
         assert_eq!(
-            public_item_of("pub const FIRST_NAT_PORT: u16 = 1024;"),
-            Some(String::from("pub const FIRST_NAT_PORT: u16 = 1024;"))
+            public_item_of("pub const UDP_IP_HEADER_BYTES: usize = 28;"),
+            Some(String::from("pub const UDP_IP_HEADER_BYTES: usize = 28;"))
         );
         assert_eq!(
-            public_item_of("pub use mapping::{MappingPolicy, PoolingBehavior};"),
+            public_item_of("pub use gateway::{Binding, NatGateway, NatGatewayConfig};"),
             Some(String::from(
-                "pub use mapping::{MappingPolicy, PoolingBehavior};"
+                "pub use gateway::{Binding, NatGateway, NatGatewayConfig};"
             ))
         );
         assert_eq!(
-            public_item_of("pub struct Endpoint {"),
-            Some(String::from("pub struct Endpoint"))
+            public_item_of("pub struct NatGatewayConfig {"),
+            Some(String::from("pub struct NatGatewayConfig"))
         );
+    }
+
+    #[test]
+    fn loc_counts_stop_at_the_test_module_and_group_by_crate() {
+        let text = "//! doc\n\nfn a() {}\n    // note\n#[cfg(test)]\nmod tests {}\n";
+        assert_eq!(loc_of(text), [6, 4, 1]);
+        assert_eq!(loc_group("crates/nat/src/gateway.rs"), "crates/nat");
+        assert_eq!(loc_group("xtask/src/main.rs"), "xtask");
+        assert_eq!(loc_group("build.rs"), "build.rs");
     }
 
     #[test]
