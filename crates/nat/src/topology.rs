@@ -3,7 +3,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use croupier_simulator::{DeliveryFilter, DeliveryVerdict, NatClass, NodeId, SimDuration, SimTime};
+use croupier_simulator::{
+    BatchLink, DeliveryFilter, DeliveryVerdict, NatClass, NodeId, SimDuration, SimTime,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -112,9 +114,156 @@ struct Inner {
     offline: Vec<bool>,
     /// Number of `true` entries in `offline`.
     offline_count: usize,
+    /// Recycled scratch of [`DeliveryFilter::judge_batch`]: the resolved gateway
+    /// operations of the batch.
+    batch_ops: Vec<LinkOps>,
+}
+
+/// What one link of a batch asks of which gateways, resolved from the node tables (which
+/// no link of the batch changes) before any gateway state is touched. 16 bytes a link.
+#[derive(Clone, Copy)]
+struct LinkOps {
+    /// Index of the gateway that records the outbound packet: the online sender's, or
+    /// [`NO_GATEWAY`] for a public or offline sender.
+    sender_gateway: u32,
+    /// Index of the gateway that filters the inbound packet, or [`NO_GATEWAY`] when no
+    /// gateway has a say in the verdict.
+    receiver_gateway: u32,
+    /// The destination's observed address, which the sender's gateway binds towards.
+    to_ip: Ip,
+    /// The sender's observed address, which the receiver's gateway filters on.
+    from_ip: Ip,
+}
+
+/// Gateway indexes fit `u32` with room to spare: a gateway owns at least one public
+/// address, and those come out of a 32-bit space that ends below the private range.
+const NO_GATEWAY: u32 = u32::MAX;
+
+impl LinkOps {
+    /// A link that asks nothing of any gateway.
+    const NONE: LinkOps = LinkOps {
+        sender_gateway: NO_GATEWAY,
+        receiver_gateway: NO_GATEWAY,
+        to_ip: Ip::from_raw(0),
+        from_ip: Ip::from_raw(0),
+    };
+}
+
+/// The blocked-message counters one gateway range adds up over a batch.
+#[derive(Clone, Copy, Default)]
+struct BlockTally {
+    blocked: u64,
+    hairpin: u64,
+    stale: u64,
+}
+
+impl std::ops::AddAssign for BlockTally {
+    fn add_assign(&mut self, other: BlockTally) {
+        self.blocked += other.blocked;
+        self.hairpin += other.hairpin;
+        self.stale += other.stale;
+    }
+}
+
+/// Applies, in batch order, every gateway operation of the batch that falls on
+/// `gateways` — the contiguous range that starts at gateway index `base` — and reports
+/// the index of every link one of them refused to `refuse`. A gateway's operations are
+/// all in one range, so the ranges can run concurrently and each gateway still sees
+/// exactly the per-message sequence: a link's `record_outbound` before its inbound
+/// check, links in order.
+fn judge_gateway_range(
+    gateways: &mut [NatGateway],
+    base: usize,
+    links: &[BatchLink],
+    ops: &[LinkOps],
+    mut refuse: impl FnMut(usize),
+) -> BlockTally {
+    let owned = base as u32..(base + gateways.len()) as u32;
+    let mut tally = BlockTally::default();
+    for (k, (link, op)) in links.iter().zip(ops).enumerate() {
+        if owned.contains(&op.sender_gateway) {
+            gateways[op.sender_gateway as usize - base].record_outbound(
+                link.from,
+                link.to,
+                op.to_ip,
+                link.sent_at,
+            );
+        }
+        if owned.contains(&op.receiver_gateway) {
+            let gw = &gateways[op.receiver_gateway as usize - base];
+            // Hairpinning (RFC 4787 REQ-9), as in `can_deliver`: a sender behind the
+            // receiver's own gateway passes only a hairpin-capable one, through the
+            // normal filter.
+            if op.sender_gateway == op.receiver_gateway && !gw.hairpinning() {
+                tally.hairpin += 1;
+            } else if gw.accepts_inbound(link.to, link.from, op.from_ip, link.arrive_at) {
+                continue;
+            } else if gw.rebooted_within_timeout(link.arrive_at) {
+                tally.stale += 1;
+            }
+            tally.blocked += 1;
+            refuse(k);
+        }
+    }
+    tally
+}
+
+/// Runs every job, the first on the calling thread and each of the others on a scoped
+/// thread of its own, and returns their results in job order.
+fn on_threads<T: Send>(mut jobs: impl Iterator<Item = impl FnOnce() -> T + Send>) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let own = jobs.next();
+        let spawned: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+        let own = own.map(|job| job());
+        let spawned = spawned
+            .into_iter()
+            .map(|job| job.join().expect("a batch worker panicked"));
+        own.into_iter().chain(spawned).collect()
+    })
 }
 
 impl Inner {
+    /// Resolves a range of a batch: writes each link's gateway operations and every
+    /// verdict no gateway has a say in — an unknown destination, an offline endpoint
+    /// (returned as a count: those are blocked messages), a public destination, a link
+    /// that wants none. The rest read `Deliver` until a gateway refuses them. Read-only,
+    /// so ranges of one batch resolve concurrently.
+    fn resolve_links(
+        &self,
+        links: &[BatchLink],
+        ops: &mut [LinkOps],
+        verdicts: &mut [DeliveryVerdict],
+    ) -> u64 {
+        let mut offline_blocked = 0;
+        for ((link, slot), verdict) in links.iter().zip(ops).zip(verdicts) {
+            let sender_offline = self.is_offline(link.from);
+            let mut op = LinkOps::NONE;
+            // An offline sender's packets never leave its network (see `on_send`).
+            if let (false, Some(NatProfile::Private { gateway, .. })) =
+                (sender_offline, self.profile(link.from))
+            {
+                op.sender_gateway = gateway.0 as u32;
+                op.to_ip = self.observed_ip(link.to).unwrap_or_default();
+            }
+            *verdict = match self.profile(link.to) {
+                _ if !link.wants_verdict => DeliveryVerdict::Deliver,
+                None => DeliveryVerdict::NoSuchDestination,
+                Some(_) if sender_offline || self.is_offline(link.to) => {
+                    offline_blocked += 1;
+                    DeliveryVerdict::BlockedByNat
+                }
+                Some(NatProfile::Public { .. }) => DeliveryVerdict::Deliver,
+                Some(NatProfile::Private { gateway, .. }) => {
+                    op.receiver_gateway = gateway.0 as u32;
+                    op.from_ip = self.observed_ip(link.from).unwrap_or_default();
+                    DeliveryVerdict::Deliver
+                }
+            };
+            *slot = op;
+        }
+        offline_blocked
+    }
+
     fn allocate_public_ip(&mut self) -> Ip {
         let ip = Ip::public(self.next_public_ip);
         self.next_public_ip += 1;
@@ -894,6 +1043,72 @@ impl DeliveryFilter for NatTopology {
         }
     }
 
+    /// The per-message sequence with its two halves pulled apart: what a link asks of
+    /// which gateway depends only on the node tables, which no link changes, and what a
+    /// gateway answers depends only on the operations that reached *that* gateway, in
+    /// order. So the batch is resolved first (read-only, split over link ranges), then
+    /// every worker owns a contiguous range of gateways and walks the whole batch
+    /// applying the operations that fall on its range. One lock per batch instead of two
+    /// per message; with one worker both steps run on the calling thread over one range.
+    fn judge_batch(
+        &mut self,
+        links: &[BatchLink],
+        verdicts: &mut Vec<DeliveryVerdict>,
+        workers: usize,
+    ) {
+        let mut guard = self.inner.lock().expect("NAT topology lock poisoned");
+        let inner = &mut *guard;
+        // Both are overwritten link by link below; only growth writes twice.
+        let mut ops = std::mem::take(&mut inner.batch_ops);
+        ops.resize(links.len(), LinkOps::NONE);
+        verdicts.resize(links.len(), DeliveryVerdict::Deliver);
+        let mut tally = BlockTally::default();
+        // A worker without a gateway or a link of its own would only cost its spawn.
+        let workers = workers.min(inner.gateways.len()).min(links.len());
+        if workers <= 1 {
+            tally.blocked = inner.resolve_links(links, &mut ops, verdicts);
+            tally += judge_gateway_range(&mut inner.gateways, 0, links, &ops, |k| {
+                verdicts[k] = DeliveryVerdict::BlockedByNat;
+            });
+        } else {
+            let per_worker = links.len().div_ceil(workers);
+            let tables: &Inner = inner;
+            let offline_blocked = on_threads(
+                links
+                    .chunks(per_worker)
+                    .zip(ops.chunks_mut(per_worker))
+                    .zip(verdicts.chunks_mut(per_worker))
+                    .map(|((links, ops), verdicts)| {
+                        move || tables.resolve_links(links, ops, verdicts)
+                    }),
+            );
+            tally.blocked = offline_blocked.into_iter().sum();
+            let per_worker = inner.gateways.len().div_ceil(workers);
+            let ops = ops.as_slice();
+            let judged = on_threads(inner.gateways.chunks_mut(per_worker).enumerate().map(
+                |(w, gateways)| {
+                    move || {
+                        let mut blocked = Vec::new();
+                        let base = w * per_worker;
+                        let tally =
+                            judge_gateway_range(gateways, base, links, ops, |k| blocked.push(k));
+                        (tally, blocked)
+                    }
+                },
+            ));
+            for (range_tally, blocked) in judged {
+                tally += range_tally;
+                for k in blocked {
+                    verdicts[k] = DeliveryVerdict::BlockedByNat;
+                }
+            }
+        }
+        inner.blocked_messages += tally.blocked;
+        inner.hairpin_blocked += tally.hairpin;
+        inner.stale_binding_failures += tally.stale;
+        inner.batch_ops = ops;
+    }
+
     fn on_node_removed(&mut self, node: NodeId) {
         self.remove_node(node);
     }
@@ -976,6 +1191,7 @@ impl NatTopologyBuilder {
                 hairpin_blocked: 0,
                 offline: Vec::new(),
                 offline_count: 0,
+                batch_ops: Vec::new(),
             })),
         }
     }

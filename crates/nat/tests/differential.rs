@@ -11,6 +11,11 @@
 //! The address-dependent index additionally relies on [`NatTopology`] never handing an
 //! address to a second owner; the second test pins that over random topology dynamics.
 //!
+//! The third test is the oracle for [`NatTopology`]'s `judge_batch` override, which
+//! judges a batch per gateway range on worker threads: a twin driven message by message
+//! through `on_send`/`can_deliver` must return the same verdicts and end in the same
+//! state, for every worker count.
+//!
 //! What the traces hold fixed, because the gateway's contract does: a remote keeps its
 //! address for a whole trace (re-addressing is the topology's business, test two), the
 //! clock queries, purges and reboots read is monotone (only outbound packets may carry an
@@ -21,10 +26,12 @@ use std::collections::HashMap;
 
 use croupier_nat::topology::GatewayId;
 use croupier_nat::{
-    AddressInfo, FilteringPolicy, Ip, NatDynamicsEvent, NatGateway, NatGatewayConfig,
+    AddressInfo, FilteringPolicy, Ip, NatDynamicsEvent, NatGateway, NatGatewayConfig, NatTopology,
     NatTopologyBuilder,
 };
-use croupier_simulator::{NatClass, NodeId, SimDuration, SimTime};
+use croupier_simulator::{
+    BatchLink, DeliveryFilter, DeliveryVerdict, NatClass, NodeId, SimDuration, SimTime,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -296,4 +303,146 @@ fn an_address_never_passes_to_a_second_owner() {
             }
         }
     }
+}
+
+/// Ids the batch traces draw endpoints from: 0–4 public, 5–16 private behind their own
+/// gateways (policy mix), 17–20 behind a shared hairpinning gateway, 21–24 behind a
+/// shared gateway that does not hairpin, 25 behind UPnP, 26–27 never registered.
+const BATCH_IDS: u64 = 28;
+const BATCH_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+fn batch_topology(seed: u64, rng: &mut SmallRng) -> (NatTopology, [GatewayId; 2]) {
+    let topology = NatTopologyBuilder::new(seed)
+        .filtering_mix(&FilteringPolicy::ALL.map(|policy| (policy, 1.0)))
+        .mapping_timeout(BATCH_TIMEOUT)
+        .build();
+    for id in 0..17 {
+        let class = if id < 5 {
+            NatClass::Public
+        } else {
+            NatClass::Private
+        };
+        topology.add_node(NodeId::new(id), class);
+    }
+    let shared = [true, false].map(|hairpin| {
+        let config = NatGatewayConfig::with_filtering(pick(rng, &FilteringPolicy::ALL))
+            .mapping_timeout(BATCH_TIMEOUT)
+            .pool(2)
+            .hairpin(hairpin);
+        topology.add_shared_gateway(config)
+    });
+    for id in 17..25 {
+        assert!(topology.add_private_node_behind(NodeId::new(id), shared[(id > 20) as usize]));
+    }
+    topology.add_upnp_node(NodeId::new(25));
+    (topology, shared)
+}
+
+/// One topology change between two batches, applied to both twins.
+fn batch_dynamics(
+    topology: &NatTopology,
+    shared: [GatewayId; 2],
+    now: SimTime,
+    rng: &mut SmallRng,
+) {
+    let node = NodeId::new(rng.gen_range(0..BATCH_IDS));
+    match rng.gen_range(0..100) {
+        0..=19 => drop(topology.reboot_gateway_of(node, now)),
+        20..=29 => drop(topology.migrate_node(node)),
+        30..=37 => drop(topology.promote_to_public(node)),
+        38..=45 => drop(topology.demote_to_private(node)),
+        46..=63 => drop(topology.set_offline(node, !topology.is_offline(node))),
+        64..=73 => drop(topology.set_filtering_of(node, pick(rng, &FilteringPolicy::ALL))),
+        74..=83 => drop(topology.move_node_behind(node, pick(rng, &shared))),
+        84..=86 => topology.remove_node(node),
+        _ => {}
+    }
+}
+
+fn random_batch(now: SimTime, rng: &mut SmallRng) -> Vec<BatchLink> {
+    // Empty, fewer links than workers, and enough to overflow the 256-operation purge
+    // cadence of a busy gateway several times over a trace.
+    let len = pick(rng, &[0, 1, 2, 9, 60, 400]);
+    let mut links: Vec<BatchLink> = (0..len)
+        .map(|_| {
+            let sent_at = now + SimDuration::from_millis(rng.gen_range(0..1_000));
+            let flight = if rng.gen_bool(0.05) {
+                2 * BATCH_TIMEOUT.as_millis()
+            } else {
+                rng.gen_range(1..800)
+            };
+            BatchLink {
+                from: NodeId::new(rng.gen_range(0..BATCH_IDS)),
+                to: NodeId::new(rng.gen_range(0..BATCH_IDS)),
+                sent_at,
+                arrive_at: sent_at + SimDuration::from_millis(flight),
+                wants_verdict: rng.gen_bool(0.9),
+            }
+        })
+        .collect();
+    // One link in twenty is a self-send: behind a hairpinning gateway its own `on_send`
+    // is what opens the path its `can_deliver` asks about.
+    for link in links.iter_mut().step_by(20) {
+        link.to = link.from;
+    }
+    links.sort_by_key(|link| link.sent_at);
+    links
+}
+
+#[test]
+fn judge_batch_equals_the_per_message_sequence_for_every_worker_count() {
+    let (mut hairpin_refusals, mut stale_bindings) = (0, 0);
+    for trace in 0..10u64 {
+        for workers in [1usize, 2, 3, 5, 64] {
+            let mut rng = SmallRng::seed_from_u64(0xBA7C ^ trace);
+            let (sequential, shared) = batch_topology(trace, &mut rng.clone());
+            let (batched, _) = batch_topology(trace, &mut rng);
+            let (mut one_by_one, mut in_batches) = (sequential.clone(), batched.clone());
+            let mut verdicts = Vec::new();
+            let mut now = SimTime::ZERO;
+            for batch in 0..40 {
+                let leap = if rng.gen_bool(0.05) { 25_000 } else { 1_000 };
+                now += SimDuration::from_millis(leap);
+                for _ in 0..rng.gen_range(0..4) {
+                    batch_dynamics(&sequential, shared, now, &mut rng.clone());
+                    batch_dynamics(&batched, shared, now, &mut rng);
+                }
+                let links = random_batch(now, &mut rng);
+                let expected: Vec<DeliveryVerdict> = links
+                    .iter()
+                    .map(|link| {
+                        one_by_one.on_send(link.from, link.to, link.sent_at);
+                        if link.wants_verdict {
+                            one_by_one.can_deliver(link.from, link.to, link.arrive_at)
+                        } else {
+                            DeliveryVerdict::Deliver
+                        }
+                    })
+                    .collect();
+                in_batches.judge_batch(&links, &mut verdicts, workers);
+                let context = format!("trace {trace}, {workers} workers, batch {batch}");
+                assert_eq!(verdicts, expected, "verdicts: {context}");
+                assert_eq!(batched.stats(), sequential.stats(), "stats: {context}");
+            }
+            // Equal state, not just equal answers so far: every pair, now and later.
+            for at in [now, now + BATCH_TIMEOUT] {
+                for from in (0..BATCH_IDS).map(NodeId::new) {
+                    for to in (0..BATCH_IDS).map(NodeId::new) {
+                        assert_eq!(
+                            in_batches.can_deliver(from, to, at),
+                            one_by_one.can_deliver(from, to, at),
+                            "probe {from}->{to} at {at:?}: trace {trace}, {workers} workers"
+                        );
+                    }
+                }
+            }
+            assert_eq!(batched.stats(), sequential.stats());
+            hairpin_refusals += batched.stats().hairpin_blocked;
+            stale_bindings += batched.stats().stale_binding_failures;
+        }
+    }
+    assert!(
+        hairpin_refusals > 100 && stale_bindings > 100,
+        "the traces must exercise both: {hairpin_refusals} / {stale_bindings}"
+    );
 }

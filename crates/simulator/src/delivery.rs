@@ -25,15 +25,23 @@
 //! a shard's phase loop) checks that the destination is still alive and counts
 //! `delivered` and the receiver's ledger side. The event engine calls *depart* when a
 //! callback's effects are applied and *arrive* when the `Deliver` event fires (so both
-//! copies of a duplicate get their own verdict); the sharded engine calls both back to
-//! back per message in the barrier's canonical-order pass (one verdict, at the undelayed
-//! delivery instant, covers the duplicate too).
+//! copies of a duplicate get their own verdict). The sharded engine judges a whole round
+//! barrier at once: it [`stage`](Delivery::stage)s every message of the canonical merge
+//! (the plane's judgment, sequential), has the filter judge the staged links together
+//! ([`judge_staged`](Delivery::judge_staged), which is where a filter with partitioned
+//! state uses threads) and reads each [`outcome`](Delivery::outcome) back (the
+//! accounting, sequential). That is the same judgment — plane before NAT verdict,
+//! `on_send` even for a message the plane drops, one verdict at the undelayed delivery
+//! instant covering the duplicate too — regrouped: plane and filter share no state, so
+//! judging all faults first and all links second draws and decides exactly what the
+//! per-message interleaving would. The sender's *sent* side is the one thing the batch
+//! leaves to its caller: a shard charges it where the message is emitted.
 //!
 //! [`judge`]: crate::faults::FaultSession::judge
 
 use crate::engine::NetworkStats;
 use crate::faults::{FaultDecision, FaultPlane, FaultReport};
-use crate::network::{DeliveryFilter, DeliveryVerdict, OpenInternet};
+use crate::network::{BatchLink, DeliveryFilter, DeliveryVerdict, OpenInternet};
 use crate::protocol::WireSize;
 use crate::time::SimTime;
 use crate::traffic::TrafficLedger;
@@ -47,6 +55,15 @@ pub(crate) struct Delivery {
     /// (the event engine its receivers, both engines their hooks' transfers).
     pub(crate) ledger: TrafficLedger,
     stats: NetworkStats,
+    /// The sharded barrier's batch — every staged message's link, which is also where the
+    /// barrier keeps who sent what to whom and when — and the filter's verdict per link;
+    /// recycled, so a barrier allocates nothing once the batch size has peaked.
+    links: Vec<BatchLink>,
+    verdicts: Vec<DeliveryVerdict>,
+    /// The plane's decision per link of that batch, from the first link that drew a
+    /// non-default one: empty — every link at the default — whenever the plane is
+    /// inactive or injected nothing.
+    decisions: Vec<FaultDecision>,
 }
 
 impl Delivery {
@@ -57,6 +74,9 @@ impl Delivery {
             faults: None,
             ledger: TrafficLedger::new(),
             stats: NetworkStats::default(),
+            links: Vec::new(),
+            verdicts: Vec::new(),
+            decisions: Vec::new(),
         }
     }
 
@@ -140,6 +160,63 @@ impl Delivery {
         }
         self.ledger.record_dropped(from);
         verdict
+    }
+
+    /// Opens a new batch: forgets the previous one, keeps its buffers.
+    pub(crate) fn begin_batch(&mut self) {
+        self.links.clear();
+        self.decisions.clear();
+    }
+
+    /// Adds the next message, in canonical order, to the open batch: the fault plane
+    /// judges it now, on its own stream (a *corrupt* decision mutates `msg` in place, a
+    /// *drop* clears the link's `wants_verdict`), and the link is kept for
+    /// [`judge_staged`](Self::judge_staged). Nothing is counted yet.
+    ///
+    /// An inactive or absent plane costs one atomic load here; an active one is locked
+    /// for this one message.
+    #[inline]
+    pub(crate) fn stage<M: WireSize>(&mut self, mut link: BatchLink, msg: &mut M) {
+        if let Some(mut session) = self.faults.as_ref().and_then(FaultPlane::begin) {
+            let decision = session.judge(link.from, link.to);
+            if decision.corrupt {
+                msg.fault_mutate(session.rng());
+            }
+            link.wants_verdict &= !decision.drop;
+            if !self.decisions.is_empty() || decision != FaultDecision::default() {
+                self.decisions
+                    .resize(self.links.len(), FaultDecision::default());
+                self.decisions.push(decision);
+            }
+        }
+        self.links.push(link);
+    }
+
+    /// Hands the staged batch to the filter, whole, to judge on up to `workers` threads.
+    pub(crate) fn judge_staged(&mut self, workers: usize) {
+        self.filter
+            .judge_batch(&self.links, &mut self.verdicts, workers);
+    }
+
+    /// What became of message `k` of the judged batch, accounting for it on the way:
+    /// `None` when it died — dropped by the plane (`lost`) or refused by the filter
+    /// (`blocked_by_nat` / `destination_gone`), either way a ledger drop of its sender —
+    /// else its link and what the plane asks of its delivery. Call once per message.
+    #[inline]
+    pub(crate) fn outcome(&mut self, k: usize) -> Option<(BatchLink, FaultDecision)> {
+        let link = self.links[k];
+        let decision = self.decisions.get(k).copied().unwrap_or_default();
+        if decision.drop {
+            self.stats.lost += 1;
+        } else {
+            match self.verdicts[k] {
+                DeliveryVerdict::Deliver => return Some((link, decision)),
+                DeliveryVerdict::BlockedByNat => self.stats.blocked_by_nat += 1,
+                DeliveryVerdict::NoSuchDestination => self.stats.destination_gone += 1,
+            }
+        }
+        self.ledger.record_dropped(link.from);
+        None
     }
 }
 
@@ -292,6 +369,64 @@ mod tests {
         );
         assert_eq!(log.borrow()[1], ("can_deliver", A, NATTED, later));
         assert_eq!(plane.report().corruptions, 1);
+    }
+
+    #[test]
+    fn the_batch_is_the_per_message_sequence_with_the_plane_judged_first() {
+        const DOOMED: NodeId = NodeId::new(5);
+        let (mut delivery, log) = scripted();
+        let plane = FaultPlane::new(Seed::new(9));
+        plane.set_link_profile(DOOMED, FaultProfile::lossy(1.0));
+        plane.set_link_profile(B, FaultProfile::default().with_duplicate(1.0));
+        delivery.set_fault_plane(plane);
+        let at = |k: usize, ms: u64| SimTime::from_millis(ms + k as u64);
+        delivery.begin_batch();
+        for (k, to) in [B, DOOMED, NATTED, NOWHERE].into_iter().enumerate() {
+            let link = BatchLink {
+                from: A,
+                to,
+                sent_at: at(k, 5),
+                arrive_at: at(k, 100),
+                wants_verdict: true,
+            };
+            delivery.stage(link, &mut Payload::default());
+        }
+        assert!(log.borrow().is_empty(), "staging asks the filter nothing");
+        delivery.judge_staged(3);
+        assert_eq!(
+            *log.borrow(),
+            [
+                ("on_send", A, B, at(0, 5)),
+                // One verdict, at the undelayed instant, although the plane duplicates it.
+                ("can_deliver", A, B, at(0, 100)),
+                // Dropped by the plane: it left its sender and never arrived.
+                ("on_send", A, DOOMED, at(1, 5)),
+                ("on_send", A, NATTED, at(2, 5)),
+                ("can_deliver", A, NATTED, at(2, 100)),
+                ("on_send", A, NOWHERE, at(3, 5)),
+                ("can_deliver", A, NOWHERE, at(3, 100)),
+            ]
+        );
+        assert_eq!(
+            delivery.stats().total(),
+            0,
+            "nothing is counted before outcomes"
+        );
+        let (link, departure) = delivery.outcome(0).expect("A -> B is delivered");
+        assert_eq!((link.to, link.arrive_at), (B, at(0, 100)));
+        assert!(departure.duplicate);
+        assert!((1..4).all(|k| delivery.outcome(k).is_none()));
+        let stats = delivery.stats();
+        assert_eq!(
+            (stats.lost, stats.blocked_by_nat, stats.destination_gone),
+            (1, 1, 1)
+        );
+        let a = delivery.ledger.node_or_default(A);
+        assert_eq!(
+            (a.messages_sent, a.messages_dropped),
+            (0, 3),
+            "drops are charged here, the send where the message was emitted"
+        );
     }
 
     #[test]

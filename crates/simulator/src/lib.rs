@@ -111,7 +111,7 @@ pub use faults::{
 };
 pub use inline::InlineVec;
 pub use latency::{ConstantLatency, KingLatencyModel, LatencyModel};
-pub use network::{DeliveryFilter, DeliveryVerdict, OpenInternet};
+pub use network::{BatchLink, DeliveryFilter, DeliveryVerdict, OpenInternet};
 pub use protocol::{Context, ContextParams, Protocol, PssNode, TimerKey, WireSize};
 pub use rng::Seed;
 pub use sharded::ShardedSimulation;

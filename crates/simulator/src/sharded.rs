@@ -7,13 +7,15 @@
 //! shards in parallel on scoped worker threads. Messages never cross shard boundaries
 //! mid-phase: every worker buffers them in its shard's one outbox and sorts it into the
 //! canonical order — `(send time, sender id, per-sender sequence number)` — before the
-//! barrier. At the barrier the coordinator k-way merges the
-//! pre-sorted runs, runs the delivery filter and sender-side traffic accounting over
-//! them sequentially in canonical order, and stages the survivors per destination shard;
-//! each shard then inserts its own staged deliveries into its own event queue (in
-//! parallel for large batches). Only the stateful filter/accounting pass is inherently
-//! sequential — the sort and the insertion, which dominated the old single-threaded
-//! barrier at 100k nodes, now scale with the worker count.
+//! barrier. At the barrier the coordinator k-way merges the pre-sorted runs, has the
+//! delivery plane (`delivery.rs`) judge the merged batch — the fault plane
+//! sequentially, then the delivery filter over the whole batch, which a filter with
+//! partitioned state (`croupier-nat`: one table per gateway) splits over worker threads
+//! — and stages the survivors per destination shard; each shard then inserts its own
+//! staged deliveries into its own event queue (in parallel for large batches). What
+//! stays on one thread is the k-way merge, the fault plane's draws (one stream, consumed
+//! in canonical order) and the drop accounting and staging pass over the verdicts; the
+//! sort, the filter and the insertion scale with the worker count.
 //!
 //! # Determinism across worker counts
 //!
@@ -33,10 +35,15 @@
 //!   insertion affecting one node happens at a globally fixed point: barrier merges insert
 //!   in canonical order, and a node's own callbacks insert its timers/rounds in callback
 //!   order. Neither depends on how nodes are distributed over shards.
-//! * **Cross-shard mutation** (delivery filter, sender-side ledger, loss/NAT statistics) is
-//!   confined to the single-threaded barrier and processed in the canonical merge order;
-//!   receiver-side counters live in per-shard ledgers and are commutative sums, merged on
-//!   demand.
+//! * **Cross-shard mutation** happens at the barrier, over the canonical merge order.
+//!   Fault draws and the loss/NAT statistics are single-threaded there. The delivery
+//!   filter sees the whole batch in that order
+//!   ([`DeliveryFilter::judge_batch`]); its contract is the per-message
+//!   `on_send`/`can_deliver` sequence, so however many threads it uses — the engine
+//!   offers it `min(shards, available cores)` — the verdicts are those of the sequence.
+//!   Traffic counters live in per-shard ledgers (a sender's bytes are charged where the
+//!   message is emitted, a receiver's where it executes) and are commutative sums,
+//!   merged on demand.
 //!
 //! # Differences from the event engine
 //!
@@ -63,7 +70,7 @@ use crate::engine_api::{HookOps, RoundHook, SimulationEngine};
 use crate::event::Event;
 use crate::faults::{FaultPlane, FaultReport};
 use crate::latency::{KingLatencyModel, LatencyModel};
-use crate::network::DeliveryFilter;
+use crate::network::{BatchLink, DeliveryFilter};
 use crate::protocol::{
     Context, ContextParams, Outgoing, Protocol, PssNode, TimerRequest, WireSize,
 };
@@ -97,7 +104,27 @@ struct PendingMessage<M> {
     sent_at: SimTime,
     deliver_at: SimTime,
     seq: u64,
-    wire: usize,
+}
+
+/// Moves `message` from a shard outbox into the barrier batch: its link is staged with
+/// the delivery plane (delivery no earlier than `earliest`; NAT verdicts are judged
+/// once, at this undelayed instant — a reorder spike shifts when the datagram arrives,
+/// not whether the mapping that admits it exists), its payload joins `payloads`.
+fn stage_message<M: WireSize>(
+    delivery: &mut Delivery,
+    payloads: &mut Vec<M>,
+    mut message: PendingMessage<M>,
+    earliest: SimTime,
+) {
+    let link = BatchLink {
+        from: message.from,
+        to: message.to,
+        sent_at: message.sent_at,
+        arrive_at: message.deliver_at.max(earliest),
+        wants_verdict: true,
+    };
+    delivery.stage(link, &mut message.msg);
+    payloads.push(message.msg);
 }
 
 /// One shard: a stripe of nodes, their event queue, and this phase's outbox.
@@ -113,7 +140,7 @@ struct Shard<P: Protocol> {
     /// (see [`Context::with_buffers`]); capacity persists across events.
     ctx_outbox: Vec<Outgoing<P::Message>>,
     ctx_timers: Vec<TimerRequest>,
-    /// Receiver-side traffic counters (received bytes, drops charged at delivery time).
+    /// What this shard's nodes sent and received, and drops charged at delivery time.
     traffic: TrafficLedger,
     /// Receiver-side delivery statistics.
     stats: NetworkStats,
@@ -198,7 +225,9 @@ impl<P: Protocol> Shard<P> {
         }
         let state = self.nodes.get_mut(local).expect("node still live");
         for Outgoing { to, msg } in outgoing.drain(..) {
-            let wire = msg.wire_size();
+            // Charged here, where the sender's entry is hot and the work is parallel; the
+            // window cannot be reset between a send and its barrier.
+            self.traffic.record_sent(id, msg.wire_size());
             let seq = state.msg_seq;
             state.msg_seq += 1;
             let deliver_at = at + env.latency.sample_shared(id, to, &mut state.net_rng);
@@ -209,7 +238,6 @@ impl<P: Protocol> Shard<P> {
                 sent_at: at,
                 deliver_at,
                 seq,
-                wire,
             });
         }
         self.ctx_outbox = outgoing;
@@ -320,15 +348,18 @@ pub struct ShardedSimulation<P: Protocol> {
     next_phase: u64,
     shards: Vec<Shard<P>>,
     latency: Box<dyn LatencyModel + Send + Sync>,
-    /// Filter, fault plane, loss/NAT statistics and the sender-side traffic ledger, all
+    /// Filter, fault plane, loss/NAT statistics and the ledger of barrier-side drops, all
     /// touched only at the barrier, in canonical order.
     delivery: Delivery,
+    /// Threads the barrier offers the delivery filter for a large batch: one per shard,
+    /// capped at the cores there are, since every extra filter worker rescans the batch.
+    barrier_workers: usize,
     bootstrap: BootstrapRegistry,
-    /// Recycled barrier batch: the per-phase canonical-order merge of every shard's
-    /// outbox. Drained by [`merge_batch`](Self::merge_batch) with its capacity
-    /// retained, so the barrier allocates nothing once the per-phase message volume has
-    /// peaked.
-    merge_buf: Vec<PendingMessage<P::Message>>,
+    /// Recycled payloads of the barrier batch, in the canonical merge order of every
+    /// shard's outbox (the delivery plane holds the links, index for index). Drained by
+    /// [`merge_batch`](Self::merge_batch) with its capacity retained, so the barrier
+    /// allocates nothing once the per-phase message volume has peaked.
+    merge_buf: Vec<P::Message>,
     /// Recycled backing store for the k-way merge's head heap (one entry per shard).
     heap_buf: Vec<std::cmp::Reverse<(SimTime, NodeId, u64, usize)>>,
     /// Recycled per-destination-shard staging lists for the barrier's partitioned queue
@@ -357,6 +388,7 @@ where
     /// King-like latency model, no fault plane and no NAT filtering.
     pub fn new(cfg: SimulationConfig) -> Self {
         let workers = cfg.engine_threads.max(1);
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
         ShardedSimulation {
             cfg,
             now: SimTime::ZERO,
@@ -364,6 +396,7 @@ where
             shards: (0..workers).map(|_| Shard::new(workers as u64)).collect(),
             latency: Box::new(KingLatencyModel::new()),
             delivery: Delivery::new(),
+            barrier_workers: workers.min(cores),
             bootstrap: BootstrapRegistry::new(),
             merge_buf: Vec::new(),
             heap_buf: Vec::new(),
@@ -494,14 +527,12 @@ where
                 });
             }
         }
-        let mut batch = std::mem::take(&mut self.merge_buf);
-        self.gather_sorted(&mut batch);
+        self.gather_sorted(window_end);
         self.next_phase = phase + 1;
         if window_end > self.now {
             self.now = window_end;
         }
-        self.merge_batch(&mut batch, window_end);
-        self.merge_buf = batch;
+        self.merge_batch();
         // Take/restore so the hook can borrow the engine as `&mut dyn HookOps`.
         if let Some(mut hook) = self.hook.take() {
             // After the canonical merge: the hook observes every effect of the closing
@@ -511,16 +542,18 @@ where
         }
     }
 
-    /// Collects every shard's outbox into `batch` in the canonical
-    /// `(send time, sender, sequence)` order by k-way merging the `S` runs the workers
-    /// pre-sorted (descending) at the end of [`Shard::run_phase`]. The keys are globally
-    /// unique (the per-sender sequence number breaks same-instant ties), so merging
-    /// sorted runs yields exactly the order a full coordinator-side sort would produce
-    /// — at O(n log S) comparisons instead of O(n log n), with the O(n log n) part done
-    /// in parallel on the workers. The runs being descending, each run's head is its
-    /// `last()` element and advancing is `Vec::pop`, so the merge is allocation-free
-    /// (the heap's backing store is recycled in `heap_buf`).
-    fn gather_sorted(&mut self, batch: &mut Vec<PendingMessage<P::Message>>) {
+    /// Stages every shard's outbox as the barrier batch (deliveries no earlier than
+    /// `earliest`) in the canonical `(send time, sender, sequence)` order by k-way
+    /// merging the `S` runs the workers pre-sorted (descending) at the end of
+    /// [`Shard::run_phase`]. The keys are globally unique (the per-sender sequence
+    /// number breaks same-instant ties), so merging sorted runs yields exactly the order
+    /// a full coordinator-side sort would produce — at O(n log S) comparisons instead of
+    /// O(n log n), with the O(n log n) part done in parallel on the workers. The runs
+    /// being descending, each run's head is its `last()` element and advancing is
+    /// `Vec::pop`, so the merge is allocation-free (the heap's backing store is recycled
+    /// in `heap_buf`). The fault plane judges each message as it is staged: its draws
+    /// are one stream consumed in this order, which is what keeps them sequential.
+    fn gather_sorted(&mut self, earliest: SimTime) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let mut heads = std::mem::take(&mut self.heap_buf);
@@ -531,65 +564,68 @@ where
             }
         }
         let mut heap = BinaryHeap::from(heads);
+        self.delivery.begin_batch();
         while let Some(Reverse((_, _, _, idx))) = heap.pop() {
             let run = &mut self.shards[idx].outbox;
             let message = run.pop().expect("a heap entry implies a run head");
             if let Some(m) = run.last() {
                 heap.push(Reverse((m.sent_at, m.from, m.seq, idx)));
             }
-            batch.push(message);
+            stage_message(&mut self.delivery, &mut self.merge_buf, message, earliest);
         }
         self.heap_buf = heap.into_vec();
     }
 
-    /// The barrier: walks `batch` (already in canonical order) once, passing every
-    /// message through the [delivery plane](crate::delivery), then schedules surviving
-    /// deliveries no earlier than `earliest` — partitioned by destination shard, in
-    /// parallel when the batch is large. Drains `batch` in place so its capacity is
-    /// reused phase after phase.
+    /// The barrier: judges the staged batch and schedules the surviving deliveries —
+    /// partitioned by destination shard, in parallel when the batch is large. Drains
+    /// `merge_buf` in place so its capacity is reused phase after phase.
     ///
-    /// The delivery-plane pass is sequential by design: filter, fault plane and
-    /// sender-side ledger are stateful, and processing them in canonical order is what
-    /// makes runs bit-identical across worker counts. Queue insertion, by contrast, is
-    /// freely partitionable — each staged list holds one destination shard's deliveries
-    /// in canonical relative order, and scheduling them list-order into that shard's
-    /// queue reproduces the exact `(time, insertion order)` tie-breaking of a sequential
+    /// The judgment is the [delivery plane](crate::delivery)'s: the fault draws happened
+    /// at staging; here the filter gets the whole batch (on
+    /// [`barrier_workers`](Self::barrier_workers) threads when the batch pays for them),
+    /// then one sequential pass reads each outcome back, which counts the drops, and
+    /// stages the survivors. Canonical order in, per-message outcomes out: that is what
+    /// makes runs bit-identical across worker counts. Queue insertion is freely
+    /// partitionable — each staged list holds one destination shard's deliveries in
+    /// canonical relative order, and scheduling them list-order into that shard's queue
+    /// reproduces the exact `(time, insertion order)` tie-breaking of a sequential
     /// interleaved insertion, because messages for different shards never share a queue.
-    fn merge_batch(&mut self, batch: &mut Vec<PendingMessage<P::Message>>, earliest: SimTime) {
+    fn merge_batch(&mut self) {
+        if self.merge_buf.is_empty() {
+            return;
+        }
         let stride = self.shards.len() as u64;
         let mut staged = std::mem::take(&mut self.delivery_bufs);
-        // Filter and fault plane see the messages in the canonical order, so every
-        // verdict and every fault draw is identical for any worker-thread count.
-        for mut message in batch.drain(..) {
-            let PendingMessage { from, to, .. } = message;
-            let Some(departure) =
-                self.delivery
-                    .depart(from, to, message.sent_at, message.wire, &mut message.msg)
-            else {
+        let workers = if self.merge_buf.len() >= PARALLEL_BARRIER_THRESHOLD {
+            self.barrier_workers
+        } else {
+            1
+        };
+        self.delivery.judge_staged(workers);
+        for (k, msg) in self.merge_buf.drain(..).enumerate() {
+            let Some((link, departure)) = self.delivery.outcome(k) else {
                 continue;
             };
-            let exec_at = message.deliver_at.max(earliest);
-            // NAT verdicts are per-message, judged once at the undelayed delivery
-            // instant; a reorder spike shifts when the datagram arrives, not whether
-            // the mapping that admits it exists.
-            if !self.delivery.arrive(from, to, exec_at).is_delivered() {
-                continue;
-            }
+            let BatchLink {
+                from,
+                to,
+                arrive_at,
+                ..
+            } = link;
             let stage = &mut staged[(to.as_u64() % stride) as usize];
             if departure.duplicate {
                 // The duplicate travels at the base latency; only the original can
                 // additionally be held back by a reordering spike.
-                let msg = message.msg.clone();
-                stage.push((exec_at, Event::Deliver { from, to, msg }));
+                let msg = msg.clone();
+                stage.push((arrive_at, Event::Deliver { from, to, msg }));
             }
-            let msg = message.msg;
             stage.push((
-                exec_at + departure.extra_delay,
+                arrive_at + departure.extra_delay,
                 Event::Deliver { from, to, msg },
             ));
         }
         let total: usize = staged.iter().map(Vec::len).sum();
-        if self.shards.len() > 1 && total >= PARALLEL_INSERT_THRESHOLD {
+        if self.shards.len() > 1 && total >= PARALLEL_BARRIER_THRESHOLD {
             std::thread::scope(|scope| {
                 for (shard, stage) in self.shards.iter_mut().zip(staged.iter_mut()) {
                     if !stage.is_empty() {
@@ -612,11 +648,15 @@ where
     }
 }
 
-/// Smallest per-barrier delivery count for which the partitioned queue insertion spawns
-/// worker threads; smaller batches insert inline, since a thread spawn costs more than
-/// scheduling a few thousand heap entries. The choice only affects wall-clock, never
-/// outcomes: both paths insert identical per-queue sequences.
-const PARALLEL_INSERT_THRESHOLD: usize = 4096;
+/// Smallest per-barrier message count for which the barrier's two partitionable steps —
+/// the filter's batch judgment and the queue insertion — use worker threads; smaller
+/// batches stay on the coordinating thread, since spawning the scoped threads costs more
+/// than judging or scheduling a few thousand messages. Measured on the NAT filter's
+/// batch (2 cores): one thread wins through 4k links and ties at 8k, two take 0.6–0.7x
+/// the time from 16k up. The choice only affects wall-clock, never outcomes: the
+/// filter's verdicts and every per-queue insertion sequence are the same on both sides
+/// of it.
+const PARALLEL_BARRIER_THRESHOLD: usize = 16_384;
 
 impl<P: PssNode + Send> ShardedSimulation<P>
 where
@@ -674,8 +714,9 @@ where
         self.latency = Box::new(model);
     }
 
-    /// The filter runs on the coordinating thread only, at the round barriers, in the
-    /// canonical merge order.
+    /// The filter is consulted at the round barriers only, one
+    /// [`judge_batch`](DeliveryFilter::judge_batch) per canonical merge (and one per
+    /// join, for the `on_start` sends).
     fn set_delivery_filter<D: DeliveryFilter + 'static>(&mut self, filter: D) {
         self.delivery.set_filter(filter);
     }
@@ -695,8 +736,9 @@ where
         self.hook_sampler = Some(P::draw_sample);
     }
 
-    /// The plane is judged per message during the barrier's sequential canonical-order
-    /// pass, which keeps fault injection bit-identical across worker counts.
+    /// The plane is judged per message in the barrier's sequential canonical-order pass,
+    /// ahead of the filter's batch, which keeps fault injection bit-identical across
+    /// worker counts.
     fn set_fault_plane(&mut self, plane: FaultPlane) {
         self.delivery.set_fault_plane(plane);
     }
@@ -764,9 +806,11 @@ where
         // `on_start`'s messages are alone in the shard's outbox (barriers drain it) and
         // already canonical — one sender, one instant, ascending sequence numbers — so
         // merge them immediately and they are delivered like any other send.
-        let mut batch = std::mem::take(&mut self.shards[shard_idx].outbox);
-        self.merge_batch(&mut batch, now);
-        self.shards[shard_idx].outbox = batch;
+        self.delivery.begin_batch();
+        for message in self.shards[shard_idx].outbox.drain(..) {
+            stage_message(&mut self.delivery, &mut self.merge_buf, message, now);
+        }
+        self.merge_batch();
         let shard = &mut self.shards[shard_idx];
         let state = shard.nodes.get_mut(local).expect("node just inserted");
         let phase = if cfg.random_phase {
@@ -842,7 +886,7 @@ where
         stats
     }
 
-    /// Barrier-side sender counters plus every shard's receiver counters.
+    /// Barrier-side drops and hook transfers plus every shard's sent/received counters.
     fn traffic_snapshot(&self) -> TrafficLedger {
         let mut merged = TrafficLedger::new();
         self.traffic_snapshot_into(&mut merged);

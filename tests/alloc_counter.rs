@@ -15,8 +15,11 @@
 //!   collision peaks — amortised-O(1) pool growth, not per-event allocation — which the
 //!   *amortised-tail* test pins separately under the realistic King + jitter
 //!   configuration with a small bound.
-//! * All runs use the open-Internet delivery filter: NAT emulation keeps per-flow binding
-//!   state whose churn is protocol-level bookkeeping, not message-plane work.
+//! * All runs but one use the open-Internet delivery filter: NAT emulation keeps per-flow
+//!   binding state whose churn is protocol-level bookkeeping, not message-plane work. The
+//!   exception installs a `NatTopology` of public nodes only — no gateway, so no binding
+//!   — which leaves exactly the barrier's batch scratch (links, verdicts, the topology's
+//!   resolved operations) to be caught if a round fails to recycle it.
 //! * All runs use `engine_threads = 1`: the counter is a thread-local `Cell`, so it can
 //!   only observe the measuring thread, and the single-worker sharded path runs inline on
 //!   it. The multi-worker path executes the *same* `Shard::execute`/barrier code on scoped
@@ -137,6 +140,34 @@ fn sharded_engine_steady_state_round_allocates_nothing() {
         allocs, 0,
         "sharded message plane allocated {allocs} times during a steady-state round \
          ({delivered} deliveries)"
+    );
+}
+
+#[test]
+fn sharded_barrier_recycles_its_batch_scratch_under_a_nat_filter() {
+    // The protocol keeps the usual class mix (and with it the other tests' periodic
+    // timeline); the network behind it is all public.
+    let topology = croupier_nat::NatTopologyBuilder::new(1).build();
+    for i in 0..NODES {
+        topology.add_public_node(NodeId::new(i));
+    }
+    let mut sim = ShardedSimulation::new(periodic_config(1));
+    sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(150)));
+    sim.set_delivery_filter(topology.clone());
+    populate(&mut sim);
+    sim.run_for_rounds(WARMUP_ROUNDS);
+    let delivered_before = sim.network_stats().delivered;
+
+    let (allocs, ()) = allocations_during(|| sim.run_for_rounds(1));
+
+    let delivered = sim.network_stats().delivered - delivered_before;
+    assert!(
+        delivered >= NODES && topology.stats().blocked_messages == 0,
+        "the measured round must be a real round: only {delivered} deliveries"
+    );
+    assert_eq!(
+        allocs, 0,
+        "the barrier allocated {allocs} times judging a steady-state round's batch"
     );
 }
 

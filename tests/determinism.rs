@@ -93,7 +93,7 @@ fn sharded_runs_are_bit_identical_across_thread_counts() {
         run_kind(ProtocolKind::Croupier, &params, &configs)
     };
     let one = run(1);
-    for threads in [2usize, 4, 8] {
+    for threads in [2usize, 3, 4, 8] {
         let other = run(threads);
         assert_eq!(
             one.samples, other.samples,
@@ -107,6 +107,39 @@ fn sharded_runs_are_bit_identical_across_thread_counts() {
             one.traffic, other.traffic,
             "1 vs {threads} threads: traffic ledgers diverged"
         );
+    }
+}
+
+/// The worker-count pins above run 40 nodes, whose barriers the engine judges inline. Here
+/// every barrier carries more messages than the engine's parallel threshold, so on a
+/// host with more than one core the multi-shard runs have `NatTopology` judge each batch
+/// per gateway range on worker threads while the one-shard run judges the same batches
+/// on the calling thread: equal output is the override's contract seen end to end.
+#[test]
+fn barriers_judged_on_worker_threads_are_bit_identical_to_inline_ones() {
+    let configs = ProtocolConfigs::default();
+    let run = |threads: usize| {
+        let mut params = ExperimentParams::default()
+            .with_seed(0xB16B)
+            .with_population(1_800, 7_200)
+            .with_rounds(6)
+            .with_sample_every(3)
+            .with_engine_threads(threads);
+        // Everyone is in by round two; a request and a reply a node a round is 18 000
+        // messages a barrier, past the engine's 16 384.
+        params.public_interarrival_ms = 2_000.0 / 1_800.0;
+        params.private_interarrival_ms = 2_000.0 / 7_200.0;
+        // NAT-oblivious, so its shuffles do run into closed gateways.
+        run_kind(ProtocolKind::Cyclon, &params, &configs)
+    };
+    let inline = run(1);
+    assert!(inline.nat_stats.blocked_messages > 0, "NATs must block");
+    for threads in [2usize, 3] {
+        let threaded = run(threads);
+        assert_eq!(inline.samples, threaded.samples, "{threads} shards");
+        assert_eq!(inline.final_snapshot, threaded.final_snapshot);
+        assert_eq!(inline.traffic, threaded.traffic, "{threads} shards");
+        assert_eq!(inline.nat_stats, threaded.nat_stats, "{threads} shards");
     }
 }
 
@@ -169,9 +202,10 @@ fn scripted_nat_dynamics_runs_are_bit_identical_across_thread_counts() {
     };
     let one = run(1);
     let two = run(2);
+    let three = run(3);
     let four = run(4);
     let eight = run(8);
-    for (label, other) in [("2", &two), ("4", &four), ("8", &eight)] {
+    for (label, other) in [("2", &two), ("3", &three), ("4", &four), ("8", &eight)] {
         assert_eq!(
             one.samples, other.samples,
             "1 vs {label} threads: scripted samples diverged"
@@ -239,7 +273,7 @@ fn fault_injected_runs_are_bit_identical_across_thread_counts() {
         run(0, 0).fault_report.retries_fired > 0,
         "injected loss must trigger timeout retries"
     );
-    for threads in [2usize, 4, 8] {
+    for threads in [2usize, 3, 4, 8] {
         let other = run(threads, 0);
         assert_eq!(
             one.samples, other.samples,

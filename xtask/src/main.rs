@@ -39,6 +39,18 @@
 //!   cargo run -p xtask -- loc
 //!   ```
 //!
+//! * `pairs` — the measurement behind a speed claim (choosing-metrics §8): runs the
+//!   already-built `e2e_bench/target/release/e2e` of two checkouts alternately, `--pairs`
+//!   times per workload with a fresh seed per pair and the side that goes first
+//!   alternating, and prints per end-to-end metric both medians with their quartiles,
+//!   how many pairs the change won and any failed operations. It times nothing itself
+//!   and is not a CI step.
+//!
+//!   ```text
+//!   cargo run -p xtask -- pairs --parent /root/scratch/parent --change . \
+//!       [--workload cyclon_nat_wide] [--pairs 10]
+//!   ```
+//!
 //! * `ci-local` — mirrors every CI job offline so contributors can reproduce CI failures
 //!   before pushing: `fmt`, `clippy` (deny warnings), `doc` (deny warnings),
 //!   `public-api` (snapshot diff), `test` (release build + workspace tests + the
@@ -64,6 +76,8 @@ const USAGE: &str = "usage: xtask scenario-matrix [scenario_matrix args...]\n\
                      xtask workload-matrix [workload_matrix args...]\n\
                      xtask public-api [--update]\n\
                      xtask loc\n\
+                     xtask pairs --parent <dir> --change <dir> [--workload <name>]... \
+                     [--pairs 10]\n\
                      xtask ci-local [--skip \
                      fmt,clippy,doc,public-api,test,scenario-matrix,fault-matrix,\
                      workload-matrix,e2e-bench,scale-smoke,huge-smoke]";
@@ -321,6 +335,103 @@ fn loc_report() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The number that follows `key` in a line of the benchmark's JSON (NaN if none does).
+fn number_after(line: &str, key: &str) -> f64 {
+    let rest = line.split(key).nth(1).unwrap_or("");
+    let number = rest.split([',', '}']).next().unwrap_or("");
+    number.trim().parse().unwrap_or(f64::NAN)
+}
+
+/// Median and quartiles (linear interpolation) of a non-empty series.
+fn median_and_quartiles(values: &[f64]) -> [f64; 3] {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [0.5, 0.25, 0.75].map(|p| {
+        let at = p * (sorted.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+    })
+}
+
+/// The names between `"<key>": "` and the closing quote, wherever `text` has them.
+fn quoted_after<'a>(text: &'a str, key: &str) -> Vec<&'a str> {
+    let opening = format!("\"{key}\": \"");
+    let entries = text.split(&opening).skip(1);
+    entries.filter_map(|e| e.split('"').next()).collect()
+}
+
+/// The `pairs` command; see the module documentation.
+fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
+    let (mut dirs, mut workloads, mut pairs) = ([None, None], Vec::new(), 10);
+    while let Some(flag) = argv.next() {
+        let value = argv.next().ok_or(format!("{flag} needs a value"))?;
+        match flag.as_str() {
+            "--parent" => dirs[0] = Some(value),
+            "--change" => dirs[1] = Some(value),
+            "--workload" => workloads.push(value),
+            "--pairs" => pairs = value.parse().map_err(|_| format!("bad count '{value}'"))?,
+            _ => return Err(format!("unknown argument '{flag}'")),
+        }
+    }
+    let ([Some(parent), Some(change)], 1..) = (dirs, pairs) else {
+        return Err(String::from("pairs needs --parent, --change and a pair"));
+    };
+    // What the change's `BENCHMARK.json` declares: the workloads, then per end-to-end
+    // metric its name and whether higher is better.
+    let declared = std::fs::read_to_string(Path::new(&change).join("BENCHMARK.json"))
+        .map_err(|err| format!("cannot read the change's BENCHMARK.json: {err}"))?;
+    let (head, tail) = declared
+        .split_once("\"end_to_end\"")
+        .unwrap_or((&declared, ""));
+    let end_to_end = tail.split("\"per_layer\"").next().unwrap_or("");
+    let metrics = quoted_after(end_to_end, "name");
+    let better = quoted_after(end_to_end, "better");
+    if workloads.is_empty() {
+        workloads = quoted_after(head, "name")
+            .into_iter()
+            .map(String::from)
+            .collect();
+    }
+    for workload in &workloads {
+        // Per side (parent, change) and pair: failed operations, then the metrics.
+        let mut runs = [Vec::new(), Vec::new()];
+        for pair in 0..pairs {
+            for turn in 0..2 {
+                let side = (pair + turn) % 2; // who goes first alternates
+                let dir = [&parent, &change][side];
+                let seed = (100 + pair).to_string();
+                let output = Command::new(Path::new(dir).join("e2e_bench/target/release/e2e"))
+                    .current_dir(dir)
+                    .args(["--workload", workload, "--seconds", "20", "--trace", "0"])
+                    .args(["--seed", &seed])
+                    .output()
+                    .map_err(|err| format!("cannot run the e2e binary built in {dir}: {err}"))?;
+                let stdout = String::from_utf8_lossy(&output.stdout);
+                let line = stdout.lines().last().filter(|_| output.status.success());
+                let line = line.ok_or(format!("{dir}: {workload} seed {seed} failed"))?;
+                let value = |name: &&str| number_after(line, &format!("\"{name}\": {{\"value\": "));
+                let mut run = vec![number_after(line, "\"failed\": ")];
+                run.extend(metrics.iter().map(value));
+                runs[side].push(run);
+            }
+        }
+        println!("{workload}, {pairs} pairs: parent median [q1, q3] -> change median [q1, q3]");
+        for (m, name) in ["failed"].iter().chain(&metrics).enumerate() {
+            let column = |side: usize| runs[side].iter().map(|run| run[m]).collect::<Vec<_>>();
+            let (old, new) = (column(0), column(1));
+            let higher = m > 0 && better.get(m - 1) == Some(&"higher");
+            let sign = if higher { -1.0 } else { 1.0 };
+            let won = |(o, n): &(&f64, &f64)| sign * (*n - *o) < 0.0;
+            let wins = old.iter().zip(&new).filter(won).count();
+            let [m0, a0, b0] = median_and_quartiles(&old);
+            let [m1, a1, b1] = median_and_quartiles(&new);
+            let ratio = m1 / m0;
+            println!("  {name}: {m0:.3} [{a0:.3}, {b0:.3}] -> {m1:.3} [{a1:.3}, {b1:.3}], {ratio:.3}x, won {wins}/{pairs}");
+        }
+    }
+    Ok(())
+}
+
 /// Runs one external command, streaming its output; returns `true` on exit code 0.
 fn run_command(program: &str, args: &[&str], envs: &[(&str, &str)]) -> bool {
     println!("$ {program} {}", args.join(" "));
@@ -547,6 +658,13 @@ fn main() -> ExitCode {
             public_api_gate(update)
         }
         Some("loc") => loc_report(),
+        Some("pairs") => match pairs(argv) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(err) => {
+                eprintln!("{err}\n{USAGE}");
+                ExitCode::FAILURE
+            }
+        },
         Some("scenario-matrix") => {
             // Thin forwarding wrapper so CI and contributors share one entry point.
             let extra: Vec<String> = argv.collect();
@@ -585,6 +703,22 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pairs_reads_result_lines_and_the_benchmark_declaration() {
+        let line = r#"{"correct": true, "attempted": 14, "failed": 2, "metrics": {"wall_s": {"value": 3.5, "unit": "s"}, "cpu_s": {"value": 5, "unit": "s"}}}"#;
+        assert_eq!(number_after(line, "\"failed\": "), 2.0);
+        assert_eq!(number_after(line, "\"wall_s\": {\"value\": "), 3.5);
+        assert!(number_after(line, "\"absent\": ").is_nan());
+        let declared = r#""end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "x", "better": "higher"}]"#;
+        assert_eq!(quoted_after(declared, "name"), ["wall_s", "x"]);
+        assert_eq!(quoted_after(declared, "better"), ["lower", "higher"]);
+        assert_eq!(
+            median_and_quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]),
+            [3.0, 2.0, 4.0]
+        );
+        assert_eq!(median_and_quartiles(&[1.0, 2.0]), [1.5, 1.25, 1.75]);
+    }
 
     #[test]
     fn ci_local_args_accept_known_steps_only() {
