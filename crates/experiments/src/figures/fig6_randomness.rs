@@ -10,6 +10,7 @@
 use croupier_metrics::indegree_histogram;
 
 use crate::output::{FigureData, Scale, Series};
+use crate::pool::run_all;
 use crate::protocols::{run_kind, ProtocolConfigs, ProtocolKind};
 use crate::runner::{ExperimentParams, RunOutput};
 
@@ -34,24 +35,13 @@ pub fn params(scale: Scale, kind: ProtocolKind, seed: u64) -> ExperimentParams {
         .with_graph_metrics(32)
 }
 
-/// Runs all four protocols (in parallel threads) and returns their outputs keyed by
-/// protocol.
+/// Runs all four protocols (side by side, as far as the host's cores allow) and returns
+/// their outputs keyed by protocol.
 pub fn run_protocols(scale: Scale) -> Vec<(ProtocolKind, RunOutput)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ProtocolKind::ALL
-            .into_iter()
-            .map(|kind| {
-                scope.spawn(move || {
-                    let configs = ProtocolConfigs::default();
-                    let output = run_kind(kind, &params(scale, kind, 0xF166), &configs);
-                    (kind, output)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment thread panicked"))
-            .collect()
+    let runs = ProtocolKind::ALL.map(|kind| (kind, params(scale, kind, 0xF166)));
+    let threads = runs[0].1.engine_threads;
+    run_all(runs.into(), threads, |(kind, params)| {
+        (kind, run_kind(kind, &params, &ProtocolConfigs::default()))
     })
 }
 

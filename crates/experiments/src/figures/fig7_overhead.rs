@@ -10,6 +10,7 @@ use croupier::CroupierConfig;
 use croupier_metrics::OverheadReport;
 
 use crate::output::{FigureData, Scale, Series};
+use crate::pool::run_all;
 use crate::protocols::{run_kind, ProtocolConfigs, ProtocolKind};
 use crate::runner::ExperimentParams;
 
@@ -48,24 +49,15 @@ pub fn croupier_config() -> CroupierConfig {
 
 /// Measures the per-class overhead of every protocol.
 pub fn measure(scale: Scale) -> Vec<(ProtocolKind, OverheadReport)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ProtocolKind::ALL
-            .into_iter()
-            .map(|kind| {
-                scope.spawn(move || {
-                    let configs = ProtocolConfigs {
-                        croupier: croupier_config(),
-                        ..ProtocolConfigs::default()
-                    };
-                    let output = run_kind(kind, &params(scale, kind, 0xF167), &configs);
-                    (kind, output.overhead.expect("overhead window configured"))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment thread panicked"))
-            .collect()
+    let runs = ProtocolKind::ALL.map(|kind| (kind, params(scale, kind, 0xF167)));
+    let threads = runs[0].1.engine_threads;
+    run_all(runs.into(), threads, |(kind, params)| {
+        let configs = ProtocolConfigs {
+            croupier: croupier_config(),
+            ..ProtocolConfigs::default()
+        };
+        let output = run_kind(kind, &params, &configs);
+        (kind, output.overhead.expect("overhead window configured"))
     })
 }
 

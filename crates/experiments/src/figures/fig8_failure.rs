@@ -7,6 +7,7 @@
 //! Nylon, whose relay/rendezvous infrastructure dies with the failed nodes.
 
 use crate::output::{FigureData, Scale, Series};
+use crate::pool::run_all;
 use crate::protocols::{run_failure_kind, ProtocolConfigs, ProtocolKind};
 use crate::runner::ExperimentParams;
 
@@ -52,39 +53,25 @@ pub fn run(scale: Scale) -> Vec<FigureData> {
         "biggest cluster size (% of survivors)",
     );
 
-    let results: Vec<(ProtocolKind, Vec<(f64, f64)>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ProtocolKind::ALL
-            .into_iter()
-            .map(|kind| {
-                let fractions = fractions.clone();
-                scope.spawn(move || {
-                    let configs = ProtocolConfigs::default();
-                    let points: Vec<(f64, f64)> = fractions
-                        .iter()
-                        .map(|fraction| {
-                            let connected = run_failure_kind(
-                                kind,
-                                &params(scale, kind, 0xF168),
-                                &configs,
-                                *fraction,
-                            );
-                            (fraction * 100.0, connected * 100.0)
-                        })
-                        .collect();
-                    (kind, points)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment thread panicked"))
-            .collect()
+    // One flat (protocol, fraction) list: a slow protocol's fractions spread over the
+    // pool instead of queueing behind each other.
+    let runs = ProtocolKind::ALL
+        .into_iter()
+        .flat_map(|kind| fractions.iter().map(move |&fraction| (kind, fraction)))
+        .collect();
+    let threads = params(scale, ProtocolKind::ALL[0], 0xF168).engine_threads;
+    let connected = run_all(runs, threads, |(kind, fraction)| {
+        let params = params(scale, kind, 0xF168);
+        run_failure_kind(kind, &params, &ProtocolConfigs::default(), fraction)
     });
 
-    for (kind, points) in results {
+    for (kind, connected) in ProtocolKind::ALL
+        .iter()
+        .zip(connected.chunks(fractions.len()))
+    {
         let mut series = Series::new(kind.name());
-        for (x, y) in points {
-            series.push(x, y);
+        for (fraction, connected) in fractions.iter().zip(connected) {
+            series.push(fraction * 100.0, connected * 100.0);
         }
         figure.series.push(series);
     }

@@ -16,6 +16,7 @@ pub mod fig8_failure;
 use croupier::CroupierConfig;
 
 use crate::output::{FigureData, Series};
+use crate::pool::run_all;
 use crate::runner::{run_pss, ExperimentParams, RunOutput};
 
 /// A labelled Croupier run: the label appears in figure legends.
@@ -25,26 +26,16 @@ pub(crate) struct LabelledRun {
     pub config: CroupierConfig,
 }
 
-/// Runs a set of labelled Croupier experiments in parallel threads and returns the outputs
-/// in input order.
+/// Runs a set of labelled Croupier experiments on the crate's pool and returns the
+/// outputs in input order.
 pub(crate) fn run_labelled(runs: Vec<LabelledRun>) -> Vec<(String, RunOutput)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = runs
-            .into_iter()
-            .map(|run| {
-                scope.spawn(move || {
-                    let config = run.config.clone();
-                    let output = run_pss(&run.params, move |id, class, _| {
-                        croupier::CroupierNode::new(id, class, config.clone())
-                    });
-                    (run.label, output)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment thread panicked"))
-            .collect()
+    let threads = runs.iter().map(|run| run.params.engine_threads).max();
+    run_all(runs, threads.unwrap_or(0), |run| {
+        let config = run.config;
+        let output = run_pss(&run.params, move |id, class, _| {
+            croupier::CroupierNode::new(id, class, config.clone())
+        });
+        (run.label, output)
     })
 }
 

@@ -78,6 +78,7 @@
 pub mod figures;
 pub mod matrix;
 pub mod output;
+mod pool;
 pub mod protocols;
 pub mod runner;
 pub mod scenario;

@@ -12,12 +12,19 @@
 //! `SCENARIO_<name>.json` artifacts the CI `scenario-matrix` job uploads; the gate is
 //! [`ScenarioReport::all_recovered`] — every protocol must end the run with its overlay
 //! connected again.
+//!
+//! [`run_matrix`] and [`run_workload_matrix`] hand their simulations to the crate's pool
+//! (`pool::run_all`) as one flat list, each reduced to its report on the worker that ran
+//! it; the workload tier's no-dynamics control is simulated once per protocol, not once
+//! per cell. [`run_cell`] and [`run_workload_cell`] are the single-cell entry points and
+//! the oracle the flat matrices are tested against.
 
 use std::fmt::Write as _;
 
 use croupier_metrics::{indegree_gini, indegree_histogram, indegree_stats, IndegreeStats};
 
 use crate::output::{Json, Scale};
+use crate::pool::run_all;
 use crate::protocols::{run_kind, ProtocolConfigs, ProtocolKind};
 use crate::runner::{ExperimentParams, RoundSample};
 use crate::scenario::ScenarioScript;
@@ -331,6 +338,17 @@ pub fn cell_params(kind: ProtocolKind, scale: Scale, seed: u64, rounds: u64) -> 
         .with_engine_threads(scale.engine_threads())
 }
 
+/// The script one cell runs. NAT-oblivious cells run all-public (see [`cell_params`]);
+/// their flash crowds must join all-public too, or the burst would smuggle in exactly the
+/// NATed nodes the cell excludes.
+fn cell_script(script: &ScenarioScript, kind: ProtocolKind) -> ScenarioScript {
+    if kind.is_nat_aware() {
+        script.clone()
+    } else {
+        script.with_public_flash_crowds()
+    }
+}
+
 /// Runs one scenario × protocol cell.
 pub fn run_cell(
     script: &ScenarioScript,
@@ -339,14 +357,7 @@ pub fn run_cell(
     seed: u64,
     rounds: u64,
 ) -> CellReport {
-    // NAT-oblivious cells run all-public (see cell_params); their flash crowds must
-    // join all-public too, or the burst would smuggle in exactly the NATed nodes the
-    // cell excludes.
-    let cell_script = if kind.is_nat_aware() {
-        script.clone()
-    } else {
-        script.with_public_flash_crowds()
-    };
+    let cell_script = cell_script(script, kind);
     let params = cell_params(kind, scale, seed, rounds).with_scenario(cell_script.clone());
     let out = run_kind(kind, &params, &ProtocolConfigs::default());
     let final_indegree_gini = indegree_gini(&out.final_snapshot);
@@ -389,7 +400,8 @@ pub fn run_cell(
     }
 }
 
-/// Runs the full matrix: every script in `scenarios` × every protocol in `protocols`.
+/// Runs the full matrix: every script in `scenarios` × every protocol in `protocols`,
+/// the cells as one flat list on the crate's pool.
 pub fn run_matrix(
     scenarios: &[ScenarioScript],
     protocols: &[ProtocolKind],
@@ -397,6 +409,14 @@ pub fn run_matrix(
     seed: u64,
 ) -> Vec<ScenarioReport> {
     let rounds = matrix_rounds(scale);
+    let cells = scenarios
+        .iter()
+        .flat_map(|script| protocols.iter().map(move |&kind| (script, kind)))
+        .collect();
+    let mut cells = run_all(cells, scale.engine_threads(), |(script, kind)| {
+        run_cell(script, kind, scale, seed, rounds)
+    })
+    .into_iter();
     scenarios
         .iter()
         .map(|script| ScenarioReport {
@@ -407,10 +427,7 @@ pub fn run_matrix(
             disruption_round: script.first_disruption_round(),
             recovery_threshold: recovery_threshold_for(script),
             fault_tier: script.has_fault_actions(),
-            cells: protocols
-                .iter()
-                .map(|&kind| run_cell(script, kind, scale, seed, rounds))
-                .collect(),
+            cells: cells.by_ref().take(protocols.len()).collect(),
         })
         .collect()
 }
@@ -626,6 +643,20 @@ impl WorkloadScenarioReport {
     }
 }
 
+/// One workload-tier simulation — under `script`'s dynamics or, with `None`, the
+/// no-dynamics control — reduced to the stream's delivery report on the spot.
+fn run_workload_once(
+    kind: ProtocolKind,
+    script: Option<&ScenarioScript>,
+    mut params: ExperimentParams,
+) -> WorkloadReport {
+    if let Some(script) = script {
+        params = params.with_scenario(cell_script(script, kind));
+    }
+    let out = run_kind(kind, &params, &ProtocolConfigs::default());
+    out.workload.expect("workload was configured")
+}
+
 /// Runs one workload-tier cell: the scenario run with the stream riding it, plus the
 /// no-dynamics control (same seed and workload, no script) the regression SLO compares
 /// against.
@@ -637,28 +668,18 @@ pub fn run_workload_cell(
     rounds: u64,
     spec: WorkloadSpec,
 ) -> WorkloadCellReport {
-    // Same all-public rule for NAT-oblivious cells as the connectivity matrix.
-    let cell_script = if kind.is_nat_aware() {
-        script.clone()
-    } else {
-        script.with_public_flash_crowds()
-    };
-    let params = cell_params(kind, scale, seed, rounds)
-        .with_scenario(cell_script)
-        .with_workload(spec);
-    let out = run_kind(kind, &params, &ProtocolConfigs::default());
-    let control_params = cell_params(kind, scale, seed, rounds).with_workload(spec);
-    let control_out = run_kind(kind, &control_params, &ProtocolConfigs::default());
+    let params = cell_params(kind, scale, seed, rounds).with_workload(spec);
     WorkloadCellReport {
         protocol: kind.name().to_string(),
-        report: out.workload.expect("workload was configured"),
-        control: control_out.workload.expect("workload was configured"),
+        report: run_workload_once(kind, Some(script), params.clone()),
+        control: run_workload_once(kind, None, params),
     }
 }
 
 /// Runs the workload tier: every script in `scenarios` × every protocol in `protocols`,
 /// each cell carrying the scale's canned dissemination stream
-/// ([`matrix_workload_spec`]).
+/// ([`matrix_workload_spec`]) — one flat list on the crate's pool: a control per
+/// protocol (no script in it, so every scenario shares it), then the scenario runs.
 pub fn run_workload_matrix(
     scenarios: &[ScenarioScript],
     protocols: &[ProtocolKind],
@@ -667,6 +688,17 @@ pub fn run_workload_matrix(
 ) -> Vec<WorkloadScenarioReport> {
     let rounds = matrix_rounds(scale);
     let spec = matrix_workload_spec(scale);
+    let controls = protocols.iter().map(|&kind| (kind, None));
+    let cells = scenarios
+        .iter()
+        .flat_map(|script| protocols.iter().map(move |&kind| (kind, Some(script))));
+    let runs = controls.chain(cells).collect();
+    let mut reports = run_all(runs, scale.engine_threads(), |(kind, script)| {
+        let params = cell_params(kind, scale, seed, rounds).with_workload(spec);
+        run_workload_once(kind, script, params)
+    })
+    .into_iter();
+    let controls: Vec<WorkloadReport> = reports.by_ref().take(protocols.len()).collect();
     scenarios
         .iter()
         .map(|script| WorkloadScenarioReport {
@@ -677,7 +709,12 @@ pub fn run_workload_matrix(
             spec,
             cells: protocols
                 .iter()
-                .map(|&kind| run_workload_cell(script, kind, scale, seed, rounds, spec))
+                .zip(&controls)
+                .map(|(kind, control)| WorkloadCellReport {
+                    protocol: kind.name().to_string(),
+                    report: reports.next().expect("one report per listed run"),
+                    control: control.clone(),
+                })
                 .collect(),
         })
         .collect()
@@ -975,5 +1012,61 @@ mod tests {
             cell.meets_slo(&spec.slo),
             "tiny croupier cell misses its SLO: {cell:?}"
         );
+    }
+
+    #[test]
+    fn the_flat_matrix_equals_its_cells() {
+        let (scale, seed) = (Scale::Tiny, 11);
+        let rounds = matrix_rounds(scale);
+        // One clean-network script and one of the fault tier, whose cells add a control.
+        let scripts = [
+            ScenarioScript::reboot_storm(rounds),
+            ScenarioScript::lossy_10(rounds),
+        ];
+        let reports = run_matrix(&scripts, &ProtocolKind::ALL, scale, seed);
+        assert_eq!(reports.len(), scripts.len());
+        for (report, script) in reports.iter().zip(&scripts) {
+            assert_eq!(report.scenario, script.name());
+            assert_eq!(report.fault_tier, script.has_fault_actions());
+            let cells: Vec<CellReport> = ProtocolKind::ALL
+                .iter()
+                .map(|&kind| run_cell(script, kind, scale, seed, rounds))
+                .collect();
+            assert_eq!(report.cells, cells, "scenario {}", report.scenario);
+        }
+        let lossy = &reports[1].cells;
+        assert!(
+            lossy
+                .iter()
+                .all(|c| c.clean_indegree_gini != c.final_indegree_gini),
+            "every fault-tier cell carries its own control's Gini: {lossy:?}"
+        );
+    }
+
+    #[test]
+    fn the_flat_workload_matrix_equals_its_cells() {
+        let (scale, seed) = (Scale::Tiny, 11);
+        let rounds = matrix_rounds(scale);
+        let spec = matrix_workload_spec(scale);
+        let scripts: Vec<ScenarioScript> = WORKLOAD_TIER_NAMES
+            .iter()
+            .map(|name| ScenarioScript::by_name(name, rounds).expect("a canned script"))
+            .collect();
+        let reports = run_workload_matrix(&scripts, &ProtocolKind::ALL, scale, seed);
+        let composed: Vec<WorkloadScenarioReport> = scripts
+            .iter()
+            .map(|script| WorkloadScenarioReport {
+                scenario: script.name().to_string(),
+                seed,
+                rounds,
+                initial_nodes: scale.nodes(MATRIX_PAPER_NODES),
+                spec,
+                cells: ProtocolKind::ALL
+                    .iter()
+                    .map(|&kind| run_workload_cell(script, kind, scale, seed, rounds, spec))
+                    .collect(),
+            })
+            .collect();
+        assert_eq!(reports, composed);
     }
 }

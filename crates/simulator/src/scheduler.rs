@@ -1,4 +1,5 @@
-//! The event queue at the heart of the discrete-event engine: a bucketed time-wheel.
+//! The event queue at the heart of the discrete-event engine: a time-wheel over one
+//! event store.
 //!
 //! Through PR 3 the queue was a global `BinaryHeap` — `O(log n)` per operation with poor
 //! cache locality once millions of deliveries are in flight. The engines' workload is
@@ -17,6 +18,15 @@
 //! a time, so advancing virtual time costs `O(slots/64)` per window rotation, amortised
 //! `O(1)` per event.
 //!
+//! # One store
+//!
+//! Every near-wheel event lives in one `Vec` of cells: a bucket is a `(head, tail)` pair
+//! of cell indices, its FIFO a chain through the cells, and a popped event's cell goes
+//! onto a free list the next schedule takes from. The store's length is the *high-water
+//! count of events in flight* (what dslab's single event heap costs), where a buffer per
+//! bucket cost the sum of every bucket's own high-water mark: 66 MB of a 1 000-node
+//! run's 133 MB for a few thousand events in flight (ISSUE 23).
+//!
 //! # Ordering contract
 //!
 //! Pop order is **bit-identical** to the retained heap implementation
@@ -27,7 +37,7 @@
 //! most recently popped event (which no engine does — delays are non-negative) is treated
 //! as scheduling at the current instant rather than re-sorting the past.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::event::{Event, ScheduledEvent};
 use crate::time::SimTime;
@@ -40,33 +50,31 @@ pub mod reference;
 /// second, so in steady state every delivery and round lands in the near wheel and the far
 /// wheel stays empty — the hot path never touches the ordered map.
 ///
-/// The count is deliberately **not** a power of two: it is divisible by 64 (whole
-/// occupancy-bitmap words) and by 1 000 (the default round period in ms). The sharded
-/// engine clamps most deliveries to the round barrier at `(phase + 1) * period`, a huge
-/// same-tick burst every phase; with `1000 | WHEEL_SLOTS` those bursts always map to the
-/// same 8 buckets, whose once-grown capacity is then reused every cycle. A power-of-two
-/// wheel would smear the barrier tick over `WHEEL_SLOTS / gcd(period, WHEEL_SLOTS)`
-/// different buckets, retaining a burst-sized buffer in each. `tick % WHEEL_SLOTS` with a
-/// constant divisor compiles to a multiply-shift, so nothing is lost over a mask.
+/// The count is divisible by 64 (whole occupancy-bitmap words) and need not be a power of
+/// two: `tick % WHEEL_SLOTS` with a constant divisor compiles to a multiply-shift. Being a
+/// multiple of the 1 000 ms round period no longer matters for memory — the sharded
+/// barrier's same-tick burst reuses the store's cells whichever bucket it lands in.
 const WHEEL_SLOTS: u64 = 8_000;
 /// Words of the occupancy bitmap (64 slots per word; exact because `64 | WHEEL_SLOTS`).
 const WHEEL_WORDS: usize = (WHEEL_SLOTS / 64) as usize;
-/// Capacity a near-wheel bucket gets on its first push while the queue is dense (more
-/// than [`DENSE_QUEUE_LEN`] events in flight); in a sparse queue it starts at std's four.
-///
-/// A bucket's load is the number of events one shard schedules for one millisecond, about
-/// Poisson with mean `in-flight events / the 1-2.5 s they are spread over`. A lossless
-/// sharded Croupier run keeps one `Round` and one (stale) retry `Timer` per node in flight
-/// off the barrier tick: mean 2 at 1 000 nodes, which overflows four slots on 5 % of bucket
-/// visits but eight on 0.02 %. Starting at four, 130 buckets per ten rounds were still
-/// doubling 4 -> 8 after 200 rounds (`tests/alloc_counter.rs` pins that tail); starting at
-/// eight skips the doubling.
-const DENSE_BUCKET_CAPACITY: usize = 8;
-/// Below this many events in flight the mean bucket load is under 0.5, where four slots
-/// overflow as rarely as eight do at mean 2, and a run that small (a 25-node matrix cell
-/// builds 24 queues and touches most buckets of each once) pays for every byte of the
-/// first allocation in page faults: eight slots everywhere cost it a third more time.
-const DENSE_QUEUE_LEN: usize = 500;
+/// The "no cell" link: end of a chain, an empty bucket, an empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One cell of the event store: on a bucket's chain while `event` is `Some`, on the free
+/// list while it is `None`; `next` links either chain.
+#[derive(Debug)]
+struct Cell<M> {
+    event: Option<ScheduledEvent<M>>,
+    next: u32,
+}
+
+/// A near-wheel bucket: the first and last cell of its FIFO chain, both [`NIL`] when the
+/// bucket is empty.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
 
 /// A priority queue of [`ScheduledEvent`]s ordered by execution time, with deterministic
 /// FIFO tie-breaking for events scheduled at the same instant.
@@ -86,12 +94,16 @@ const DENSE_QUEUE_LEN: usize = 500;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<M> {
-    /// The near wheel: one FIFO bucket per millisecond tick of the sliding window
+    /// The event store: every near-wheel event, queued or popped and free. It grows only
+    /// when every cell is queued, so the steady-state hot path allocates nothing.
+    cells: Vec<Cell<M>>,
+    /// Head of the free list through `cells` (most recently popped first), or [`NIL`].
+    free: u32,
+    /// The near wheel: one FIFO chain per millisecond tick of the sliding window
     /// `[cursor, cursor + WHEEL_SLOTS)`, indexed by `tick % WHEEL_SLOTS`. Each bucket
     /// holds events of exactly one in-window tick (older occupants were popped before the
-    /// cursor moved past them), and buckets keep their allocation when drained, so the
-    /// steady-state hot path allocates nothing.
-    slots: Box<[VecDeque<ScheduledEvent<M>>]>,
+    /// cursor moved past them).
+    slots: Box<[Bucket]>,
     /// One bit per slot: set iff the bucket holds unpopped events.
     occupied: Box<[u64; WHEEL_WORDS]>,
     /// The tick currently being drained; the window slides with it. Never moves backwards.
@@ -109,8 +121,14 @@ pub struct EventQueue<M> {
 impl<M> EventQueue<M> {
     /// Creates an empty queue.
     pub fn new() -> Self {
+        let empty = Bucket {
+            head: NIL,
+            tail: NIL,
+        };
         EventQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            cells: Vec::new(),
+            free: NIL,
+            slots: vec![empty; WHEEL_SLOTS as usize].into_boxed_slice(),
             occupied: Box::new([0; WHEEL_WORDS]),
             cursor: 0,
             far: BTreeMap::new(),
@@ -120,14 +138,28 @@ impl<M> EventQueue<M> {
         }
     }
 
-    #[inline]
-    fn set_bit(&mut self, idx: usize) {
-        self.occupied[idx / 64] |= 1u64 << (idx % 64);
-    }
-
-    #[inline]
-    fn clear_bit(&mut self, idx: usize) {
-        self.occupied[idx / 64] &= !(1u64 << (idx % 64));
+    /// Appends `scheduled` to the chain of near-wheel bucket `idx`, in a recycled cell
+    /// when one is free.
+    fn push_near(&mut self, idx: usize, scheduled: ScheduledEvent<M>) {
+        if self.free == NIL {
+            assert!(self.cells.len() < NIL as usize, "event store is full");
+            self.free = self.cells.len() as u32;
+            self.cells.push(Cell {
+                event: None,
+                next: NIL,
+            });
+        }
+        let cell = self.free;
+        let taken = &mut self.cells[cell as usize];
+        self.free = std::mem::replace(&mut taken.next, NIL);
+        taken.event = Some(scheduled);
+        let tail = std::mem::replace(&mut self.slots[idx].tail, cell);
+        if tail == NIL {
+            self.slots[idx].head = cell;
+            self.occupied[idx / 64] |= 1u64 << (idx % 64);
+        } else {
+            self.cells[tail as usize].next = cell;
+        }
     }
 
     /// Number of slots between the cursor slot and the next occupied slot, scanning the
@@ -165,10 +197,10 @@ impl<M> EventQueue<M> {
             if tick - self.cursor >= WHEEL_SLOTS {
                 break;
             }
-            let events = entry.remove();
             let idx = (tick % WHEEL_SLOTS) as usize;
-            self.slots[idx].extend(events);
-            self.set_bit(idx);
+            for scheduled in entry.remove() {
+                self.push_near(idx, scheduled);
+            }
         }
     }
 
@@ -193,13 +225,7 @@ impl<M> EventQueue<M> {
         let scheduled = ScheduledEvent { at, seq, event };
         // `tick >= cursor`, so the subtraction is exact.
         if tick - self.cursor < WHEEL_SLOTS {
-            let idx = (tick % WHEEL_SLOTS) as usize;
-            let bucket = &mut self.slots[idx];
-            if bucket.capacity() == 0 && self.len > DENSE_QUEUE_LEN {
-                bucket.reserve_exact(DENSE_BUCKET_CAPACITY);
-            }
-            bucket.push_back(scheduled);
-            self.set_bit(idx);
+            self.push_near((tick % WHEEL_SLOTS) as usize, scheduled);
         } else {
             self.far.entry(tick).or_default().push(scheduled);
         }
@@ -212,12 +238,18 @@ impl<M> EventQueue<M> {
         }
         loop {
             let idx = (self.cursor % WHEEL_SLOTS) as usize;
-            if let Some(event) = self.slots[idx].pop_front() {
-                if self.slots[idx].is_empty() {
-                    self.clear_bit(idx);
+            let cell = self.slots[idx].head;
+            if cell != NIL {
+                // Unlink the bucket's first cell and hand it to the free list.
+                let freed = &mut self.cells[cell as usize];
+                self.slots[idx].head = std::mem::replace(&mut freed.next, self.free);
+                self.free = cell;
+                if self.slots[idx].head == NIL {
+                    self.slots[idx].tail = NIL;
+                    self.occupied[idx / 64] &= !(1u64 << (idx % 64));
                 }
                 self.len -= 1;
-                return Some(event);
+                return freed.event.take();
             }
             // The cursor bucket is drained: slide to the next occupied bucket, or jump to
             // the earliest far tick when the near wheel is exhausted. Either move widens
@@ -244,13 +276,11 @@ impl<M> EventQueue<M> {
             return None;
         }
         if let Some(distance) = self.next_occupied_distance() {
-            let idx = ((self.cursor + distance) % WHEEL_SLOTS) as usize;
-            let near = self.slots[idx].front().map(|event| event.at);
             // Near events always precede far events: every near tick is inside the
             // window, every far tick beyond it.
-            if near.is_some() {
-                return near;
-            }
+            let idx = ((self.cursor + distance) % WHEEL_SLOTS) as usize;
+            let head = &self.cells[self.slots[idx].head as usize];
+            return head.event.as_ref().map(|event| event.at);
         }
         self.far
             .values()
@@ -389,6 +419,22 @@ mod tests {
         assert_eq!(q.pop().unwrap().event.target(), NodeId::new(2));
     }
 
+    #[test]
+    fn a_far_event_is_in_its_bucket_before_a_direct_push_can_reach_the_tick() {
+        let mut q = EventQueue::new();
+        let tick = WHEEL_SLOTS + 100;
+        // Beyond the horizon while the cursor is at 0: waits in the far map.
+        q.schedule(SimTime::from_millis(tick), round(1));
+        q.schedule(SimTime::from_millis(200), round(0));
+        // Popping tick 200 slides the horizon over `tick`, still most of a window away;
+        // the far event must move now, because from here on the tick takes direct pushes.
+        assert_eq!(q.pop().unwrap().event.target(), NodeId::new(0));
+        q.schedule(SimTime::from_millis(tick), round(2));
+        assert_eq!(q.pop().unwrap().event.target(), NodeId::new(1));
+        assert_eq!(q.pop().unwrap().event.target(), NodeId::new(2));
+        assert!(q.pop().is_none());
+    }
+
     /// Drives the wheel and the reference heap through an identical randomized workload of
     /// schedules and pops — same-tick bursts, far-future timers, pop runs that force
     /// window rotations — and asserts bit-identical pop sequences.
@@ -477,7 +523,7 @@ mod tests {
     #[test]
     fn steady_state_reuses_bucket_allocations() {
         // Simulates the engine's steady state: schedule/pop churn inside one window. After
-        // warm-up the buckets retain capacity, so the wheel performs no allocation — the
+        // warm-up popped cells are recycled, so the wheel performs no allocation — the
         // allocation-counter integration test asserts this end-to-end; here we just check
         // the queue stays correct over many window rotations.
         let mut q = EventQueue::new();
@@ -499,5 +545,80 @@ mod tests {
         assert_eq!(expected, 50_000);
         assert_eq!(q.scheduled_total(), 50_000);
         assert!(q.is_empty());
+    }
+
+    /// Near-wheel events in flight: everything queued that is not waiting in the far map.
+    fn near_in_flight(q: &EventQueue<u32>) -> usize {
+        q.len() - q.far.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// The memory contract of the one-store layout: the store's size is the most
+    /// near-wheel events that were ever queued at one instant, no matter how many buckets
+    /// the churn has visited (here every one of them, dozens of times over).
+    #[test]
+    fn store_holds_exactly_the_high_water_of_events_in_flight() {
+        const MAX_QUEUED: usize = 300;
+        let mut rng = SmallRng::seed_from_u64(0x510B);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let (mut now, mut payload, mut high_water, mut migrations) = (0u64, 0u32, 0usize, 0u32);
+        // The backlog swings between nearly empty and nearly `MAX_QUEUED`.
+        let mut draining = false;
+        while now < 40 * WHEEL_SLOTS {
+            let room = MAX_QUEUED - q.len();
+            draining = if draining { q.len() > 20 } else { room < 12 };
+            let (delay, burst) = match rng.gen_range(0..10u32) {
+                // Same-tick burst close to the cursor.
+                0..=3 => (rng.gen_range(0..40u64), rng.gen_range(1..=12)),
+                // Scattered over the window.
+                4..=7 => (rng.gen_range(0..WHEEL_SLOTS), 1),
+                // Beyond the horizon: waits in the far map, enters the store on migration.
+                _ => (rng.gen_range(WHEEL_SLOTS..3 * WHEEL_SLOTS), 2),
+            };
+            for _ in 0..burst.min(room) {
+                q.schedule(SimTime::from_millis(now + delay), round(u64::from(payload)));
+                payload += 1;
+            }
+            high_water = high_water.max(near_in_flight(&q));
+            let pops = if draining { 4..=8 } else { 0..=2 };
+            for _ in 0..rng.gen_range(pops) {
+                let far_before = q.far.len();
+                let Some(ev) = q.pop() else { break };
+                now = ev.at.as_millis();
+                migrations += u32::from(q.far.len() < far_before);
+                // A migration fills the store before the popped event's cell is freed.
+                high_water = high_water.max(near_in_flight(&q) + 1);
+            }
+        }
+        assert!(migrations > 100, "the churn must cross the far wheel");
+        assert!(high_water <= MAX_QUEUED);
+        assert_eq!(q.cells.len(), high_water);
+        while q.pop().is_some() {}
+        assert_eq!(
+            q.cells.len(),
+            high_water,
+            "draining frees cells, never adds any"
+        );
+    }
+
+    #[test]
+    fn a_drained_queue_refills_without_growing() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        // A 600-event burst on one tick (the sharded barrier's shape) plus a spread.
+        for i in 0..1_000u64 {
+            let at = if i < 600 { 1_000 } else { i };
+            q.schedule(SimTime::from_millis(at), round(i));
+        }
+        while q.pop().is_some() {}
+        let (cells, capacity) = (q.cells.len(), q.cells.capacity());
+        assert_eq!(cells, 1_000);
+        // The refill lands on entirely different buckets and in a different shape.
+        for i in 0..1_000u64 {
+            q.schedule(SimTime::from_millis(5_000 + 7 * i), round(i));
+        }
+        assert_eq!((q.cells.len(), q.cells.capacity()), (cells, capacity));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|ev| ev.event.target().as_u64())
+            .collect();
+        assert_eq!(order, (0..1_000).collect::<Vec<_>>());
     }
 }

@@ -63,7 +63,8 @@
 //!   ignored 100k-node `scale_smoke` test plus the `sharded_scale` example) and
 //!   `huge-smoke` (the ignored million-node `scale_smoke` test), each the same commands
 //!   the CI job runs.
-//!   All steps run even when an earlier one fails; the summary lists every verdict.
+//!   All steps run even when an earlier one fails; the summary lists every verdict and
+//!   the wall seconds the step took.
 //!
 //!   ```text
 //!   cargo run -p xtask -- ci-local [--skip scenario-matrix,e2e-bench,huge-smoke]
@@ -71,6 +72,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
+use std::time::Instant;
 
 const USAGE: &str = "usage: xtask scenario-matrix [scenario_matrix args...]\n\
                      xtask workload-matrix [workload_matrix args...]\n\
@@ -620,21 +622,23 @@ fn ci_local_step(step: &str) -> bool {
 }
 
 fn ci_local(skip: &[String]) -> ExitCode {
-    let mut results: Vec<(&str, &str)> = Vec::new();
+    // Per step: its verdict and the wall seconds it took.
+    let mut results: Vec<(&str, &str, f64)> = Vec::new();
     for step in CI_STEPS {
         if skip.iter().any(|s| s == step) {
-            results.push((step, "skipped"));
+            results.push((step, "skipped", 0.0));
             continue;
         }
         println!("==> ci-local: {step}");
+        let started = Instant::now();
         let verdict = if ci_local_step(step) { "ok" } else { "FAILED" };
-        results.push((step, verdict));
+        results.push((step, verdict, started.elapsed().as_secs_f64()));
     }
     println!("\nci-local summary:");
-    for (step, verdict) in &results {
-        println!("  {step:<16} {verdict}");
+    for (step, verdict, seconds) in &results {
+        println!("  {step:<16} {verdict:<8} {seconds:>7.1} s");
     }
-    if results.iter().any(|(_, v)| *v == "FAILED") {
+    if results.iter().any(|(_, v, _)| *v == "FAILED") {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
