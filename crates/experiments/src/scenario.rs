@@ -804,10 +804,7 @@ impl ScenarioExecutor {
                 // One uniform variate per node in ascending id order — the same
                 // selection discipline as `NatTopology::apply`, so the draw sequence
                 // depends only on the script and the population.
-                let mut nodes = self.topology.public_node_ids();
-                nodes.extend(self.topology.private_node_ids());
-                nodes.sort_unstable();
-                for node in nodes {
+                for node in self.topology.node_ids() {
                     if self.rng.gen_bool(fraction) {
                         if let Some(plane) = &self.fault_plane {
                             plane.set_link_profile(node, profile);

@@ -123,7 +123,7 @@ impl NatGatewayConfig {
 /// from 32 to 24 bytes. At the 1M-node tier every private node owns a gateway and a
 /// steady-state table holds tens of bindings, so the mapping tables are one of the
 /// largest per-node allocations in the NAT layer; the same `u32` packing also lets the
-/// table keys collapse to single `u64`s (see `pair_key`/`ip_key`), which hash faster
+/// table keys collapse to single `u64`s (see `pair_key`/`index_key`), which hash faster
 /// than tuple keys on the per-message filter path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Binding {
@@ -191,35 +191,46 @@ fn pair_key(internal: u32, remote: u32) -> u64 {
     ((internal as u64) << 32) | remote as u64
 }
 
-/// Packs an `(internal, remote ip)` pair into the address-dependent index's `u64` key.
-#[inline]
-fn ip_key(internal: u32, ip: Ip) -> u64 {
-    ((internal as u64) << 32) | ip.as_u32() as u64
+impl NatGatewayConfig {
+    /// The newest-binding index key the configured filtering policy files a binding of
+    /// `internal` towards `remote_ip` under: the internal host alone
+    /// (endpoint-independent), the host and the remote address (address-dependent), or
+    /// none — the exact table decides (address-and-port-dependent). The host is the high
+    /// half of either key.
+    #[inline]
+    fn index_key(&self, internal: u32, remote_ip: Ip) -> Option<u64> {
+        let remote = match self.filtering {
+            FilteringPolicy::EndpointIndependent => 0,
+            FilteringPolicy::AddressDependent => remote_ip.as_u32(),
+            FilteringPolicy::AddressAndPortDependent => return None,
+        };
+        Some(pair_key(internal, remote))
+    }
 }
 
 /// How many mapping-table operations a gateway absorbs between opportunistic purges of
 /// expired bindings. Purging is a memory bound, not a correctness mechanism (expiry is
 /// checked against timestamps on every query), so the cadence only trades table size
-/// against purge work. Per-gateway counters replaced a global sweep over every gateway in
-/// the topology, which at 100k nodes (one gateway per private node) dominated the
-/// barrier's per-message cost.
+/// against purge work. The counter is per gateway because a sweep over every gateway in
+/// the topology dominates the barrier's per-message cost at 100k nodes (one gateway per
+/// private node).
 const PURGE_EVERY_OPS: u32 = 256;
 
 /// A NAT gateway: a public IP address plus a mapping table shared by the private nodes that
 /// sit behind it.
 ///
 /// Inbound-filtering decisions are O(1) for every policy: besides the exact
-/// `(internal, remote)` table, the gateway maintains *newest-binding* indexes — the most
-/// recent refresh time per internal node and per `(internal, remote ip)` pair. "Some
-/// unexpired binding exists" is equivalent to "the newest such binding is unexpired"
-/// because expiry is monotone in the refresh time, so the
-/// endpoint-independent/address-dependent policies query one index entry instead of
-/// scanning the table. The address-dependent index additionally relies on addresses
-/// never being *reused*, which [`NatTopology`](crate::NatTopology) guarantees (IPs are
-/// allocated monotonically, even across scripted profile changes and node migrations —
-/// a node that moves or is promoted gets a fresh address, so an index entry keyed on an
-/// old observed IP can only ever go stale and expire, never silently authorise a
-/// different peer).
+/// `(internal, remote)` table, the gateway maintains a *newest-binding* index — the most
+/// recent refresh time per internal node or per `(internal, remote ip)` pair, whichever
+/// the configured policy asks about. "Some unexpired binding exists" is equivalent to
+/// "the newest such binding is unexpired" because expiry is monotone in the refresh
+/// time, so the endpoint-independent/address-dependent policies query one index entry
+/// instead of scanning the table. The address-dependent index additionally relies on
+/// addresses never being *reused*, which [`NatTopology`](crate::NatTopology) guarantees
+/// (IPs are allocated monotonically, even across scripted profile changes and node
+/// migrations — a node that moves or is promoted gets a fresh address, so an index entry
+/// keyed on an old observed IP can only ever go stale and expire, never silently
+/// authorise a different peer).
 ///
 /// # Examples
 ///
@@ -247,11 +258,9 @@ pub struct NatGateway {
     config: NatGatewayConfig,
     /// Exact-match table, keyed by `pair_key`.
     bindings: FastHashMap<u64, Binding>,
-    /// Newest refresh time per internal node (endpoint-independent fast path).
-    newest_per_internal: FastHashMap<u32, SimTime>,
-    /// Newest refresh time per `(internal, remote ip)` (address-dependent fast path),
-    /// keyed by `ip_key`.
-    newest_per_remote_ip: FastHashMap<u64, SimTime>,
+    /// Newest refresh time per [`index_key`](NatGatewayConfig::index_key) of the
+    /// configured policy, and of no other: a policy change rebuilds it.
+    newest: FastHashMap<u64, SimTime>,
     ops_since_purge: u32,
     /// Time of the most recent [`reboot`](Self::reboot), if any.
     last_reboot: Option<SimTime>,
@@ -274,8 +283,7 @@ impl NatGateway {
             external_ips: pool,
             config,
             bindings: FastHashMap::default(),
-            newest_per_internal: FastHashMap::default(),
-            newest_per_remote_ip: FastHashMap::default(),
+            newest: FastHashMap::default(),
             ops_since_purge: 0,
             last_reboot: None,
         }
@@ -346,19 +354,9 @@ impl NatGateway {
         entry.last_refreshed = entry.last_refreshed.max(now);
         // Maintain the newest-binding index the configured policy queries (monotone max,
         // so the same never-shortens rule applies).
-        match self.config.filtering {
-            FilteringPolicy::EndpointIndependent => {
-                let newest = self.newest_per_internal.entry(internal).or_insert(now);
-                *newest = (*newest).max(now);
-            }
-            FilteringPolicy::AddressDependent => {
-                let newest = self
-                    .newest_per_remote_ip
-                    .entry(ip_key(internal, remote_ip))
-                    .or_insert(now);
-                *newest = (*newest).max(now);
-            }
-            FilteringPolicy::AddressAndPortDependent => {}
+        if let Some(key) = self.config.index_key(internal, remote_ip) {
+            let newest = self.newest.entry(key).or_insert(now);
+            *newest = (*newest).max(now);
         }
         self.ops_since_purge += 1;
         if self.ops_since_purge >= PURGE_EVERY_OPS {
@@ -382,19 +380,12 @@ impl NatGateway {
         let timeout = self.config.mapping_timeout;
         let fresh = |refreshed: &SimTime| now.saturating_since(*refreshed) <= timeout;
         let internal = id32(internal);
-        match self.config.filtering {
-            FilteringPolicy::EndpointIndependent => {
-                self.newest_per_internal.get(&internal).is_some_and(fresh)
-            }
-            FilteringPolicy::AddressDependent => self
-                .newest_per_remote_ip
-                .get(&ip_key(internal, from_ip))
-                .is_some_and(fresh),
-            FilteringPolicy::AddressAndPortDependent => self
+        match self.config.index_key(internal, from_ip) {
+            Some(key) => self.newest.get(&key).is_some_and(fresh),
+            None => self
                 .bindings
                 .get(&pair_key(internal, id32(from)))
-                .map(|b| !b.is_expired(now, timeout))
-                .unwrap_or(false),
+                .is_some_and(|b| !b.is_expired(now, timeout)),
         }
     }
 
@@ -404,24 +395,22 @@ impl NatGateway {
         let timeout = self.config.mapping_timeout;
         self.bindings.retain(|_, b| !b.is_expired(now, timeout));
         let fresh = |refreshed: &SimTime| now.saturating_since(*refreshed) <= timeout;
-        self.newest_per_internal.retain(|_, t| fresh(t));
-        self.newest_per_remote_ip.retain(|_, t| fresh(t));
+        self.newest.retain(|_, t| fresh(t));
         self.ops_since_purge = 0;
     }
 
-    /// Power-cycles the gateway at `now`: the entire mapping table — and with it both
-    /// newest-binding indexes — is lost, exactly as on a consumer router reboot. The
+    /// Power-cycles the gateway at `now`: the entire mapping table — and with it the
+    /// newest-binding index — is lost, exactly as on a consumer router reboot. The
     /// configuration and the public address survive (ISPs commonly hand the same lease
     /// back; a reboot that also changes the address is modelled as a reboot followed by
     /// [`NatTopology::migrate_node`](crate::NatTopology::migrate_node)).
     ///
-    /// Clearing the indexes together with the table keeps the O(1)-filter invariant —
+    /// Clearing the index together with the table keeps the O(1)-filter invariant —
     /// "the newest entry decides" — trivially intact: both sides are empty, so every
     /// inbound packet is unsolicited until new outbound traffic re-creates mappings.
     pub fn reboot(&mut self, now: SimTime) {
         self.bindings.clear();
-        self.newest_per_internal.clear();
-        self.newest_per_remote_ip.clear();
+        self.newest.clear();
         self.ops_since_purge = 0;
         self.last_reboot = Some(now);
     }
@@ -443,9 +432,9 @@ impl NatGateway {
     /// Changes the inbound filtering policy at runtime (scripted NAT-dynamics: firmware
     /// update, config change, or the ISP swapping CPE behaviour).
     ///
-    /// The newest-binding indexes are policy-specific — [`record_outbound`] only
-    /// maintains the index the *configured* policy queries — so a policy change rebuilds
-    /// the index the new policy needs from the exact mapping table. The rebuild carries
+    /// The newest-binding index is policy-specific — [`record_outbound`] files a binding
+    /// under the key the *configured* policy queries — so a policy change rebuilds the
+    /// index from the exact mapping table. The rebuild carries
     /// expired entries along unfiltered (it has no clock): that is sound because every
     /// index entry records the *newest* refresh time of its key, expiry is monotone in
     /// the refresh time, and [`accepts_inbound`](Self::accepts_inbound) re-checks expiry
@@ -458,7 +447,7 @@ impl NatGateway {
             return;
         }
         self.config.filtering = policy;
-        self.rebuild_newest_indexes();
+        self.rebuild_newest_index();
     }
 
     /// Replaces the whole configuration at runtime (scripted gateway reconfiguration:
@@ -473,35 +462,21 @@ impl NatGateway {
     /// addresses.
     pub fn set_config(&mut self, config: NatGatewayConfig) {
         self.config = config;
-        self.rebuild_newest_indexes();
+        self.rebuild_newest_index();
     }
 
     /// Rebuilds the newest-binding index the configured filtering policy queries from the
     /// exact binding table; see [`set_filtering`](Self::set_filtering) for why carrying
     /// expired entries along unfiltered is sound.
-    fn rebuild_newest_indexes(&mut self) {
-        self.newest_per_internal.clear();
-        self.newest_per_remote_ip.clear();
-        match self.config.filtering {
-            FilteringPolicy::EndpointIndependent => {
-                for binding in self.bindings.values() {
-                    let newest = self
-                        .newest_per_internal
-                        .entry(binding.internal)
-                        .or_insert(binding.last_refreshed);
-                    *newest = (*newest).max(binding.last_refreshed);
-                }
-            }
-            FilteringPolicy::AddressDependent => {
-                for binding in self.bindings.values() {
-                    let newest = self
-                        .newest_per_remote_ip
-                        .entry(ip_key(binding.internal, binding.remote_ip))
-                        .or_insert(binding.last_refreshed);
-                    *newest = (*newest).max(binding.last_refreshed);
-                }
-            }
-            FilteringPolicy::AddressAndPortDependent => {}
+    fn rebuild_newest_index(&mut self) {
+        self.newest.clear();
+        for binding in self.bindings.values() {
+            // No key for one binding is no key for any: the policy keeps no index.
+            let Some(key) = self.config.index_key(binding.internal, binding.remote_ip) else {
+                return;
+            };
+            let newest = self.newest.entry(key).or_insert(binding.last_refreshed);
+            *newest = (*newest).max(binding.last_refreshed);
         }
     }
 
@@ -513,15 +488,12 @@ impl NatGateway {
             // `retain` keeps capacity, and the topology keeps a gateway after its last
             // host left (gateway ids are dense and never reused): hand the allocations
             // back instead of stranding them for the rest of the run. Every index entry
-            // is derived from a binding, so an empty table means empty indexes.
+            // is derived from a binding, so an empty table means an empty index.
             self.bindings = FastHashMap::default();
-            self.newest_per_internal = FastHashMap::default();
-            self.newest_per_remote_ip = FastHashMap::default();
+            self.newest = FastHashMap::default();
             return;
         }
-        self.newest_per_internal.remove(&internal);
-        self.newest_per_remote_ip
-            .retain(|key, _| (key >> 32) as u32 != internal);
+        self.newest.retain(|key, _| (key >> 32) as u32 != internal);
     }
 
     /// Iterates over the current mapping-table entries.
@@ -642,8 +614,7 @@ mod tests {
             // Once the last host is gone, so are the allocations.
             g.remove_internal(other);
             assert_eq!(g.bindings.capacity(), 0, "{policy}");
-            assert_eq!(g.newest_per_internal.capacity(), 0, "{policy}");
-            assert_eq!(g.newest_per_remote_ip.capacity(), 0, "{policy}");
+            assert_eq!(g.newest.capacity(), 0, "{policy}");
             assert!(!g.accepts_inbound(other, PEER_A, Ip::public(10), SimTime::from_secs(1)));
         }
     }
@@ -743,6 +714,51 @@ mod tests {
         assert!(!g.accepts_inbound(INSIDE, PEER_B, Ip::public(2), SimTime::from_secs(12)));
     }
 
+    /// The two policies' index keys share one map: a flip must leave nothing of the old
+    /// policy's keys behind and file every live binding under the new one's.
+    #[test]
+    fn a_flipped_gateway_answers_as_a_twin_built_under_the_new_policy() {
+        let other = NodeId::new(2);
+        let mut trace = Vec::new();
+        let mut flipped = gw(FilteringPolicy::EndpointIndependent);
+        let flips = [
+            FilteringPolicy::EndpointIndependent,
+            FilteringPolicy::AddressDependent,
+            FilteringPolicy::AddressAndPortDependent,
+            FilteringPolicy::EndpointIndependent,
+        ];
+        for (round, policy) in flips.into_iter().enumerate() {
+            flipped.set_filtering(policy);
+            let at = SimTime::from_secs(10 * round as u64);
+            let sent = [
+                (INSIDE, PEER_A, Ip::public(2), at),
+                (other, PEER_B, Ip::public(3), at + SimDuration::from_secs(4)),
+            ];
+            for (internal, remote, ip, at) in sent {
+                flipped.record_outbound(internal, remote, ip, at);
+                trace.push((internal, remote, ip, at));
+            }
+            let mut twin = gw(policy);
+            for &(internal, remote, ip, at) in &trace {
+                twin.record_outbound(internal, remote, ip, at);
+            }
+            assert_eq!(flipped.newest.len(), twin.newest.len(), "{policy}");
+            // `Ip::default()` packs to the key an endpoint-independent entry has.
+            for from_ip in [Ip::public(2), Ip::public(3), Ip::default()] {
+                for (internal, from) in [(INSIDE, PEER_A), (INSIDE, PEER_B), (other, PEER_A)] {
+                    for secs in [9, 31, 35, 70] {
+                        let now = at + SimDuration::from_secs(secs);
+                        assert_eq!(
+                            flipped.accepts_inbound(internal, from, from_ip, now),
+                            twin.accepts_inbound(internal, from, from_ip, now),
+                            "{policy}: {internal}<-{from}@{from_ip} at {now:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn binding_expiry_is_inclusive_of_timeout() {
         let b = Binding::new(INSIDE, PEER_A, Ip::public(1), SimTime::ZERO);
@@ -766,7 +782,7 @@ mod tests {
     /// the private population (80 000 gateways in the benchmark's `cyclon_nat_wide`).
     #[test]
     fn gateway_state_stays_compact() {
-        assert!(std::mem::size_of::<NatGateway>() <= 160);
+        assert!(std::mem::size_of::<NatGateway>() <= 128);
         assert!(std::mem::size_of::<NatGatewayConfig>() <= 16);
     }
 

@@ -170,18 +170,20 @@ impl std::ops::AddAssign for BlockTally {
 /// the index of every link one of them refused to `refuse`. A gateway's operations are
 /// all in one range, so the ranges can run concurrently and each gateway still sees
 /// exactly the per-message sequence: a link's `record_outbound` before its inbound
-/// check, links in order.
+/// check, links in order. `records_sends` is `false` only for an arrival whose send the
+/// sender's gateway has heard of already ([`DeliveryFilter::can_deliver`]).
 fn judge_gateway_range(
     gateways: &mut [NatGateway],
     base: usize,
     links: &[BatchLink],
     ops: &[LinkOps],
+    records_sends: bool,
     mut refuse: impl FnMut(usize),
 ) -> BlockTally {
     let owned = base as u32..(base + gateways.len()) as u32;
     let mut tally = BlockTally::default();
     for (k, (link, op)) in links.iter().zip(ops).enumerate() {
-        if owned.contains(&op.sender_gateway) {
+        if records_sends && owned.contains(&op.sender_gateway) {
             gateways[op.sender_gateway as usize - base].record_outbound(
                 link.from,
                 link.to,
@@ -191,9 +193,11 @@ fn judge_gateway_range(
         }
         if owned.contains(&op.receiver_gateway) {
             let gw = &gateways[op.receiver_gateway as usize - base];
-            // Hairpinning (RFC 4787 REQ-9), as in `can_deliver`: a sender behind the
-            // receiver's own gateway passes only a hairpin-capable one, through the
-            // normal filter.
+            // Hairpinning (RFC 4787 REQ-9): traffic between two hosts behind the same
+            // gateway arrives at the gateway's own external address. A hairpin-capable
+            // gateway loops it back through the normal filter (the sender's outbound
+            // binding towards the shared external IP is what opens it); an incapable
+            // one drops it outright.
             if op.sender_gateway == op.receiver_gateway && !gw.hairpinning() {
                 tally.hairpin += 1;
             } else if gw.accepts_inbound(link.to, link.from, op.from_ip, link.arrive_at) {
@@ -238,7 +242,8 @@ impl Inner {
         for ((link, slot), verdict) in links.iter().zip(ops).zip(verdicts) {
             let sender_offline = self.is_offline(link.from);
             let mut op = LinkOps::NONE;
-            // An offline sender's packets never leave its network (see `on_send`).
+            // An offline sender's packets never leave its network, so they cannot
+            // create or refresh bindings at its gateway.
             if let (false, Some(NatProfile::Private { gateway, .. })) =
                 (sender_offline, self.profile(link.from))
             {
@@ -248,6 +253,8 @@ impl Inner {
             *verdict = match self.profile(link.to) {
                 _ if !link.wants_verdict => DeliveryVerdict::Deliver,
                 None => DeliveryVerdict::NoSuchDestination,
+                // A scripted partition: one of the endpoints is cut off. Blocked, not
+                // gone — the node still exists and will come back.
                 Some(_) if sender_offline || self.is_offline(link.to) => {
                     offline_blocked += 1;
                     DeliveryVerdict::BlockedByNat
@@ -262,6 +269,43 @@ impl Inner {
             *slot = op;
         }
         offline_blocked
+    }
+
+    /// The one-link batch behind the per-message methods, on the calling thread: a send
+    /// is a link that wants no verdict, an arrival one whose send is not recorded again.
+    fn judge_link(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        at: SimTime,
+        arrival: bool,
+    ) -> DeliveryVerdict {
+        let link = BatchLink {
+            from,
+            to,
+            sent_at: at,
+            arrive_at: at,
+            wants_verdict: arrival,
+        };
+        let (mut op, mut verdict) = (LinkOps::NONE, DeliveryVerdict::Deliver);
+        let links = std::slice::from_ref(&link);
+        let verdicts = std::slice::from_mut(&mut verdict);
+        let mut tally = BlockTally {
+            blocked: self.resolve_links(links, std::slice::from_mut(&mut op), verdicts),
+            ..BlockTally::default()
+        };
+        let ops = std::slice::from_ref(&op);
+        tally += judge_gateway_range(&mut self.gateways, 0, links, ops, !arrival, |_| {
+            verdict = DeliveryVerdict::BlockedByNat;
+        });
+        self.count_blocked(tally);
+        verdict
+    }
+
+    fn count_blocked(&mut self, tally: BlockTally) {
+        self.blocked_messages += tally.blocked;
+        self.hairpin_blocked += tally.hairpin;
+        self.stale_binding_failures += tally.stale;
     }
 
     fn allocate_public_ip(&mut self) -> Ip {
@@ -292,6 +336,18 @@ impl Inner {
             .last()
             .map(|(p, _)| *p)
             .unwrap_or(self.default_config.filtering)
+    }
+
+    /// Places `node` behind a fresh gateway of its own: `config`, or the builder's with a
+    /// filtering policy drawn from the mix.
+    fn place_behind_new_gateway(&mut self, node: NodeId, config: Option<NatGatewayConfig>) {
+        let config = config.unwrap_or_else(|| NatGatewayConfig {
+            filtering: self.pick_filtering(),
+            ..self.default_config
+        });
+        let gateway = self.add_gateway(config);
+        let local_ip = self.allocate_private_ip();
+        self.set_profile(node, NatProfile::Private { gateway, local_ip });
     }
 
     fn add_gateway(&mut self, config: NatGatewayConfig) -> GatewayId {
@@ -423,22 +479,13 @@ impl NatTopology {
     /// (or policy mix).
     pub fn add_private_node(&self, node: NodeId) {
         let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        let filtering = inner.pick_filtering();
-        let config = NatGatewayConfig {
-            filtering,
-            ..inner.default_config
-        };
-        let gateway = inner.add_gateway(config);
-        let local_ip = inner.allocate_private_ip();
-        inner.set_profile(node, NatProfile::Private { gateway, local_ip });
+        inner.place_behind_new_gateway(node, None);
     }
 
     /// Registers `node` behind a NAT gateway with an explicit configuration.
     pub fn add_private_node_with(&self, node: NodeId, config: NatGatewayConfig) {
         let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        let gateway = inner.add_gateway(config);
-        let local_ip = inner.allocate_private_ip();
-        inner.set_profile(node, NatProfile::Private { gateway, local_ip });
+        inner.place_behind_new_gateway(node, Some(config));
     }
 
     /// Registers `node` behind a UPnP-enabled gateway: topologically private but effectively
@@ -611,20 +658,7 @@ impl NatTopology {
             return false;
         };
         inner.detach_from_gateway(node, gateway);
-        let filtering = inner.pick_filtering();
-        let config = NatGatewayConfig {
-            filtering,
-            ..inner.default_config
-        };
-        let new_gateway = inner.add_gateway(config);
-        let local_ip = inner.allocate_private_ip();
-        inner.set_profile(
-            node,
-            NatProfile::Private {
-                gateway: new_gateway,
-                local_ip,
-            },
-        );
+        inner.place_behind_new_gateway(node, None);
         true
     }
 
@@ -658,14 +692,7 @@ impl NatTopology {
         let Some(NatProfile::Public { .. }) = inner.profile(node).copied() else {
             return false;
         };
-        let filtering = inner.pick_filtering();
-        let config = NatGatewayConfig {
-            filtering,
-            ..inner.default_config
-        };
-        let gateway = inner.add_gateway(config);
-        let local_ip = inner.allocate_private_ip();
-        inner.set_profile(node, NatProfile::Private { gateway, local_ip });
+        inner.place_behind_new_gateway(node, None);
         true
     }
 
@@ -975,72 +1002,12 @@ impl AddressInfo for NatTopology {
 impl DeliveryFilter for NatTopology {
     fn on_send(&mut self, from: NodeId, to: NodeId, now: SimTime) {
         let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        if inner.is_offline(from) {
-            // An offline sender's packets never leave its network, so they cannot
-            // create or refresh bindings at its gateway.
-            return;
-        }
-        let remote_ip = inner.observed_ip(to).unwrap_or_default();
-        if let Some(NatProfile::Private { gateway, .. }) = inner.profile(from).copied() {
-            if let Some(gw) = inner.gateway_mut(gateway) {
-                // The gateway purges its own table opportunistically; the old global
-                // sweep over every gateway in the topology is gone.
-                gw.record_outbound(from, to, remote_ip, now);
-            }
-        }
+        inner.judge_link(from, to, now, false);
     }
 
     fn can_deliver(&mut self, from: NodeId, to: NodeId, now: SimTime) -> DeliveryVerdict {
         let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        let from_ip = inner.observed_ip(from).unwrap_or_default();
-        match inner.profile(to).copied() {
-            None => DeliveryVerdict::NoSuchDestination,
-            Some(_) if inner.is_offline(from) || inner.is_offline(to) => {
-                // A scripted partition: one of the endpoints is cut off. Blocked, not
-                // gone — the node still exists and will come back.
-                inner.blocked_messages += 1;
-                DeliveryVerdict::BlockedByNat
-            }
-            Some(NatProfile::Public { .. }) => DeliveryVerdict::Deliver,
-            Some(NatProfile::Private { gateway, .. }) => {
-                // Hairpinning (RFC 4787 REQ-9): traffic between two hosts behind the
-                // same gateway arrives at the gateway's own external address. A
-                // hairpin-capable gateway loops it back through the normal filter (the
-                // path below — the sender's outbound binding towards the shared
-                // external IP is what opens it); an incapable one drops it outright.
-                if let Some(NatProfile::Private {
-                    gateway: from_gateway,
-                    ..
-                }) = inner.profile(from)
-                {
-                    if *from_gateway == gateway
-                        && !inner.gateway(gateway).is_some_and(|gw| gw.hairpinning())
-                    {
-                        inner.blocked_messages += 1;
-                        inner.hairpin_blocked += 1;
-                        return DeliveryVerdict::BlockedByNat;
-                    }
-                }
-                let (accepted, recent_reboot) = inner
-                    .gateway(gateway)
-                    .map(|gw| {
-                        (
-                            gw.accepts_inbound(to, from, from_ip, now),
-                            gw.rebooted_within_timeout(now),
-                        )
-                    })
-                    .unwrap_or((false, false));
-                if accepted {
-                    DeliveryVerdict::Deliver
-                } else {
-                    inner.blocked_messages += 1;
-                    if recent_reboot {
-                        inner.stale_binding_failures += 1;
-                    }
-                    DeliveryVerdict::BlockedByNat
-                }
-            }
-        }
+        inner.judge_link(from, to, now, true)
     }
 
     /// The per-message sequence with its two halves pulled apart: what a link asks of
@@ -1049,7 +1016,8 @@ impl DeliveryFilter for NatTopology {
     /// order. So the batch is resolved first (read-only, split over link ranges), then
     /// every worker owns a contiguous range of gateways and walks the whole batch
     /// applying the operations that fall on its range. One lock per batch instead of two
-    /// per message; with one worker both steps run on the calling thread over one range.
+    /// per message; with one worker both steps run on the calling thread over one range,
+    /// as they do for the one link of `on_send` and `can_deliver`.
     fn judge_batch(
         &mut self,
         links: &[BatchLink],
@@ -1067,7 +1035,7 @@ impl DeliveryFilter for NatTopology {
         let workers = workers.min(inner.gateways.len()).min(links.len());
         if workers <= 1 {
             tally.blocked = inner.resolve_links(links, &mut ops, verdicts);
-            tally += judge_gateway_range(&mut inner.gateways, 0, links, &ops, |k| {
+            tally += judge_gateway_range(&mut inner.gateways, 0, links, &ops, true, |k| {
                 verdicts[k] = DeliveryVerdict::BlockedByNat;
             });
         } else {
@@ -1090,8 +1058,8 @@ impl DeliveryFilter for NatTopology {
                     move || {
                         let mut blocked = Vec::new();
                         let base = w * per_worker;
-                        let tally =
-                            judge_gateway_range(gateways, base, links, ops, |k| blocked.push(k));
+                        let refuse = |k| blocked.push(k);
+                        let tally = judge_gateway_range(gateways, base, links, ops, true, refuse);
                         (tally, blocked)
                     }
                 },
@@ -1103,9 +1071,7 @@ impl DeliveryFilter for NatTopology {
                 }
             }
         }
-        inner.blocked_messages += tally.blocked;
-        inner.hairpin_blocked += tally.hairpin;
-        inner.stale_binding_failures += tally.stale;
+        inner.count_blocked(tally);
         inner.batch_ops = ops;
     }
 
@@ -1527,6 +1493,43 @@ mod tests {
         // Unknown nodes report false; clearing them is harmless.
         assert!(!t.set_offline(NodeId::new(99), true));
         assert!(!t.is_offline(NodeId::new(99)));
+    }
+
+    /// The per-message methods drive the batch functions one link at a time: an arrival
+    /// must not replay its send, and a send must not be judged.
+    #[test]
+    fn an_arrival_records_no_send_and_a_send_draws_no_verdict() {
+        let t = populated();
+        let other_priv = NodeId::new(3);
+        t.add_private_node(other_priv);
+        let cgn = t.add_shared_gateway(NatGatewayConfig::symmetric());
+        let (left, right) = (NodeId::new(4), NodeId::new(5));
+        assert!(t.add_private_node_behind(left, cgn) && t.add_private_node_behind(right, cgn));
+        let bindings = |node| {
+            let gateway = t.gateway_of(node).unwrap();
+            let inner = t.inner.lock().unwrap();
+            inner.gateway(gateway).unwrap().binding_count()
+        };
+        let mut f = t.clone();
+        for (from, to) in [(PRIV, other_priv), (left, right), (PRIV, PUB)] {
+            f.can_deliver(from, to, SimTime::ZERO);
+            assert_eq!(bindings(from), 0, "{from}->{to}");
+        }
+        assert_eq!(t.stats().blocked_messages, 2);
+        // Sends towards a filtering gateway, a hairpin-incapable one, an offline node and
+        // nobody: each is recorded, none is refused.
+        assert!(t.set_offline(OTHER_PUB, true));
+        let sends = [
+            (PRIV, other_priv),
+            (left, right),
+            (PRIV, OTHER_PUB),
+            (PRIV, NodeId::new(99)),
+        ];
+        for (from, to) in sends {
+            f.on_send(from, to, SimTime::ZERO);
+        }
+        assert_eq!((bindings(PRIV), bindings(left)), (3, 1));
+        assert_eq!(t.stats().blocked_messages, 2);
     }
 
     #[test]

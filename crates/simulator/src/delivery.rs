@@ -117,12 +117,38 @@ impl Delivery {
         self.ledger.record_received(to, bytes);
     }
 
+    /// The fault plane's judgment of one message, on the plane's own stream; a *corrupt*
+    /// decision mutates `msg` in place. An inactive or absent plane costs one atomic load
+    /// and decides the default; an active one is locked for this one message.
+    #[inline]
+    fn judge_fault<M: WireSize>(&self, from: NodeId, to: NodeId, msg: &mut M) -> FaultDecision {
+        let Some(mut session) = self.faults.as_ref().and_then(FaultPlane::begin) else {
+            return FaultDecision::default();
+        };
+        let decision = session.judge(from, to);
+        if decision.corrupt {
+            msg.fault_mutate(session.rng());
+        }
+        decision
+    }
+
+    /// Accounts for the filter's verdict on a message of `from`: a refusal counts into
+    /// its [`NetworkStats`] counter and as a ledger drop of the sender. Returns whether
+    /// the message goes on.
+    #[inline]
+    fn settle(&mut self, from: NodeId, verdict: DeliveryVerdict) -> bool {
+        match verdict {
+            DeliveryVerdict::Deliver => return true,
+            DeliveryVerdict::BlockedByNat => self.stats.blocked_by_nat += 1,
+            DeliveryVerdict::NoSuchDestination => self.stats.destination_gone += 1,
+        }
+        self.ledger.record_dropped(from);
+        false
+    }
+
     /// Step 1 of the judgment for a message of `wire` bytes that `from` sent to `to` at
     /// `sent_at`. Returns `None` when the message died (already accounted), else what
     /// the fault plane asks of the delivery.
-    ///
-    /// An inactive or absent plane costs one atomic load here; an active one is locked
-    /// for this one message.
     #[inline]
     pub(crate) fn depart<M: WireSize>(
         &mut self,
@@ -134,13 +160,7 @@ impl Delivery {
     ) -> Option<FaultDecision> {
         self.ledger.record_sent(from, wire);
         self.filter.on_send(from, to, sent_at);
-        let mut decision = FaultDecision::default();
-        if let Some(mut session) = self.faults.as_ref().and_then(FaultPlane::begin) {
-            decision = session.judge(from, to);
-            if decision.corrupt {
-                msg.fault_mutate(session.rng());
-            }
-        }
+        let decision = self.judge_fault(from, to, msg);
         if decision.drop {
             self.stats.lost += 1;
             self.ledger.record_dropped(from);
@@ -153,12 +173,7 @@ impl Delivery {
     #[inline]
     pub(crate) fn arrive(&mut self, from: NodeId, to: NodeId, at: SimTime) -> DeliveryVerdict {
         let verdict = self.filter.can_deliver(from, to, at);
-        match verdict {
-            DeliveryVerdict::Deliver => return verdict,
-            DeliveryVerdict::BlockedByNat => self.stats.blocked_by_nat += 1,
-            DeliveryVerdict::NoSuchDestination => self.stats.destination_gone += 1,
-        }
-        self.ledger.record_dropped(from);
+        self.settle(from, verdict);
         verdict
     }
 
@@ -172,22 +187,14 @@ impl Delivery {
     /// judges it now, on its own stream (a *corrupt* decision mutates `msg` in place, a
     /// *drop* clears the link's `wants_verdict`), and the link is kept for
     /// [`judge_staged`](Self::judge_staged). Nothing is counted yet.
-    ///
-    /// An inactive or absent plane costs one atomic load here; an active one is locked
-    /// for this one message.
     #[inline]
     pub(crate) fn stage<M: WireSize>(&mut self, mut link: BatchLink, msg: &mut M) {
-        if let Some(mut session) = self.faults.as_ref().and_then(FaultPlane::begin) {
-            let decision = session.judge(link.from, link.to);
-            if decision.corrupt {
-                msg.fault_mutate(session.rng());
-            }
-            link.wants_verdict &= !decision.drop;
-            if !self.decisions.is_empty() || decision != FaultDecision::default() {
-                self.decisions
-                    .resize(self.links.len(), FaultDecision::default());
-                self.decisions.push(decision);
-            }
+        let decision = self.judge_fault(link.from, link.to, msg);
+        link.wants_verdict &= !decision.drop;
+        if !self.decisions.is_empty() || decision != FaultDecision::default() {
+            self.decisions
+                .resize(self.links.len(), FaultDecision::default());
+            self.decisions.push(decision);
         }
         self.links.push(link);
     }
@@ -208,15 +215,11 @@ impl Delivery {
         let decision = self.decisions.get(k).copied().unwrap_or_default();
         if decision.drop {
             self.stats.lost += 1;
-        } else {
-            match self.verdicts[k] {
-                DeliveryVerdict::Deliver => return Some((link, decision)),
-                DeliveryVerdict::BlockedByNat => self.stats.blocked_by_nat += 1,
-                DeliveryVerdict::NoSuchDestination => self.stats.destination_gone += 1,
-            }
+            self.ledger.record_dropped(link.from);
+            return None;
         }
-        self.ledger.record_dropped(link.from);
-        None
+        self.settle(link.from, self.verdicts[k])
+            .then_some((link, decision))
     }
 }
 

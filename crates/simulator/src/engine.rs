@@ -136,7 +136,6 @@ struct NodeSlot<P> {
     id: NodeId,
     proto: P,
     rng: SmallRng,
-    joined_at: SimTime,
 }
 
 /// Arena index of a node id (the raw id itself; ids are dense by convention).
@@ -228,11 +227,6 @@ impl<P: Protocol> Simulation<P> {
     /// Iterates over `(id, protocol)` pairs of all live nodes, in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         self.nodes.iter().map(|(_, slot)| (slot.id, &slot.proto))
-    }
-
-    /// The time at which `node` joined the simulation.
-    pub fn joined_at(&self, node: NodeId) -> Option<SimTime> {
-        self.nodes.get(slot_index(node)).map(|slot| slot.joined_at)
     }
 
     fn dispatch(&mut self, event: Event<P::Message>) {
@@ -446,7 +440,6 @@ impl<P: Protocol> SimulationEngine<P> for Simulation<P> {
             id,
             proto,
             rng: self.cfg.seed.node_rng(id),
-            joined_at: self.now,
         };
         self.nodes.insert(slot_index(id), slot);
         self.delivery.node_added(id);
@@ -816,15 +809,6 @@ mod tests {
         let mut sim = two_node_sim();
         assert_eq!(sim.sample_from(NodeId::new(1)), Some(NodeId::new(2)));
         assert_eq!(sim.sample_from(NodeId::new(99)), None);
-    }
-
-    #[test]
-    fn joined_at_records_join_time() {
-        let mut sim = two_node_sim();
-        sim.run_until(SimTime::from_secs(3));
-        sim.add_node(NodeId::new(7), Buddy::new(None));
-        assert_eq!(sim.joined_at(NodeId::new(7)), Some(SimTime::from_secs(3)));
-        assert_eq!(sim.joined_at(NodeId::new(1)), Some(SimTime::ZERO));
     }
 
     use std::cell::RefCell;

@@ -90,7 +90,6 @@ struct NodeState<P> {
     net_rng: SmallRng,
     /// The node's round-phase and clock-skew stream.
     sched_rng: SmallRng,
-    joined_at: SimTime,
     /// Monotone per-node counter stamped on emitted messages; the canonical merge order
     /// tie-breaker for messages a node sends at the same instant.
     msg_seq: u64,
@@ -489,12 +488,6 @@ where
             .flat_map(|s| s.nodes.iter().map(|(_, st)| (st.id, &st.proto)))
     }
 
-    /// The time at which `node` joined the simulation.
-    pub fn joined_at(&self, node: NodeId) -> Option<SimTime> {
-        let (shard, local) = self.locate(node);
-        self.shards[shard].nodes.get(local).map(|s| s.joined_at)
-    }
-
     fn period_ms(&self) -> u64 {
         self.cfg.round_period.as_millis().max(1)
     }
@@ -788,7 +781,6 @@ where
             rng: seed.node_rng(id),
             net_rng: seed.node_stream_rng(id, Stream::Latency),
             sched_rng: seed.node_stream_rng(id, Stream::Scheduling),
-            joined_at: self.now,
             msg_seq: 0,
         };
         self.shards[shard_idx].nodes.insert(local, state);
@@ -1244,15 +1236,6 @@ mod tests {
         sim.run_for_rounds(5);
         assert!(sim.sample_from(NodeId::new(1)).is_some());
         assert_eq!(sim.sample_from(NodeId::new(99)), None);
-    }
-
-    #[test]
-    fn joined_at_records_join_time() {
-        let mut sim = ring_sim(3, 2);
-        sim.run_until(SimTime::from_secs(3));
-        sim.add_node(NodeId::new(7), Ring::new(3));
-        assert_eq!(sim.joined_at(NodeId::new(7)), Some(SimTime::from_secs(3)));
-        assert_eq!(sim.joined_at(NodeId::new(1)), Some(SimTime::ZERO));
     }
 
     use std::rc::Rc;

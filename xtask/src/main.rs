@@ -744,18 +744,31 @@ mod tests {
     }
 
     /// `ci.yml` folds `fmt`/`clippy`/`doc`/`public-api` into its `lint` job and runs `test`
-    /// as `build-test`; every other `ci-local` step is a CI job of the same name.
+    /// as `build-test`; every other `ci-local` step is a CI job of the same name, and a
+    /// matrix job passes the `--scenarios` list its step does.
     #[test]
     fn ci_local_steps_mirror_the_ci_jobs() {
         let yml = Path::new(env!("CARGO_MANIFEST_DIR")).join("../.github/workflows/ci.yml");
         let text = std::fs::read_to_string(&yml).expect("ci.yml is readable");
-        let mut jobs: Vec<&str> = text
-            .lines()
-            .skip_while(|line| *line != "jobs:")
-            .skip(1)
-            .filter_map(|line| line.strip_prefix("  ")?.strip_suffix(':'))
-            .filter(|id| !id.starts_with([' ', '#']))
-            .collect();
+        let mut jobs = Vec::new();
+        let mut scenarios = Vec::new();
+        for line in text.lines().skip_while(|line| *line != "jobs:").skip(1) {
+            let id = line.strip_prefix("  ").and_then(|id| id.strip_suffix(':'));
+            if let Some(id) = id.filter(|id| !id.starts_with([' ', '#'])) {
+                jobs.push(id);
+            } else if let Some((_, list)) = line.split_once("--scenarios ") {
+                scenarios.push((jobs[jobs.len() - 1], list.trim_end_matches([' ', '\\'])));
+            }
+        }
+        assert_eq!(
+            scenarios,
+            [
+                ("scenario-matrix", CLEAN_SCENARIOS),
+                ("fault-matrix", FAULT_SCENARIOS),
+                ("workload-matrix", WORKLOAD_SCENARIOS),
+            ],
+            "ci.yml and ci-local run different scenario lists"
+        );
         jobs.sort_unstable();
         let mut expected = vec!["lint", "build-test"];
         expected.extend(
