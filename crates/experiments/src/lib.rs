@@ -88,7 +88,7 @@ pub use output::{FigureData, Scale, Series};
 pub use protocols::ProtocolKind;
 pub use runner::{ExperimentParams, RoundSample, RunOutput};
 pub use scenario::{
-    ChurnSpec, FaultAction, FaultEvent, JoinSchedule, NatDynamicsEvent, ScenarioAction,
-    ScenarioExecutor, ScenarioScript,
+    ChurnSpec, FaultEvent, JoinSchedule, NatDynamicsEvent, ScenarioAction, ScenarioExecutor,
+    ScenarioScript, ScriptedEvent,
 };
 pub use workload::{WorkloadExecutor, WorkloadReport, WorkloadSlo, WorkloadSpec, WorkloadState};

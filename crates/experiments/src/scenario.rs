@@ -175,13 +175,29 @@ fn exponential(mean_ms: f64, rng: &mut SmallRng) -> f64 {
 // script authors keep importing everything scenario-related from one module.
 pub use croupier_nat::{GatewayProfile, NatDynamicsEvent};
 
-/// A [`NatDynamicsEvent`] scheduled at a round barrier.
+/// One scripted event: a change to the NAT environment or to the message-plane fault
+/// injector.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub enum ScriptedEvent {
+    /// Mutates the topology through [`NatTopology::apply`].
+    Nat(NatDynamicsEvent),
+    /// Drives the engine's [`FaultPlane`].
+    Fault(FaultEvent),
+}
+
+impl ScriptedEvent {
+    fn is_fault(&self) -> bool {
+        matches!(self, ScriptedEvent::Fault(_))
+    }
+}
+
+/// A [`ScriptedEvent`] scheduled at a round barrier.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioAction {
     /// The round barrier (1-based) at which the event applies.
     pub round: u64,
     /// The event.
-    pub event: NatDynamicsEvent,
+    pub event: ScriptedEvent,
 }
 
 /// A scripted change to the message-plane fault injector — the network-quality
@@ -208,16 +224,7 @@ pub enum FaultEvent {
     FaultClear,
 }
 
-/// A [`FaultEvent`] scheduled at a round barrier.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FaultAction {
-    /// The round barrier (1-based) at which the event applies.
-    pub round: u64,
-    /// The event.
-    pub event: FaultEvent,
-}
-
-/// A deterministic, seeded timeline of NAT-dynamics events.
+/// A deterministic, seeded timeline of NAT-dynamics and fault-plane events.
 ///
 /// Scripts are declarative data: building one performs no randomness and touches no
 /// topology. All random choices (which gateways reboot, which nodes migrate) are drawn by
@@ -246,15 +253,6 @@ pub struct FaultAction {
 pub struct ScenarioScript {
     name: String,
     actions: Vec<ScenarioAction>,
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    fault_actions: Vec<FaultAction>,
-}
-
-fn assert_fraction(fraction: f64, what: &str) {
-    assert!(
-        (0.0..=1.0).contains(&fraction),
-        "{what} must be within [0, 1], got {fraction}"
-    );
 }
 
 impl ScenarioScript {
@@ -263,7 +261,6 @@ impl ScenarioScript {
         ScenarioScript {
             name: name.into(),
             actions: Vec::new(),
-            fault_actions: Vec::new(),
         }
     }
 
@@ -272,71 +269,31 @@ impl ScenarioScript {
         &self.name
     }
 
-    /// Schedules `event` at round barrier `round` (builder style). Actions are kept
-    /// sorted by round; same-round actions apply in insertion order.
+    /// Adds one action, keeping the list sorted by round and, within a round, NAT
+    /// dynamics before fault actions, so a fault action draws its degraded links from the
+    /// post-dynamics population. The sort is stable: same-kind actions of one round apply
+    /// in insertion order.
+    fn schedule(&mut self, round: u64, event: ScriptedEvent) {
+        self.actions.push(ScenarioAction { round, event });
+        self.actions.sort_by_key(|a| (a.round, a.event.is_fault()));
+    }
+
+    /// Schedules `event` at round barrier `round` (builder style). Same-round actions
+    /// apply in insertion order, before the round's fault-plane actions.
     ///
     /// # Panics
     ///
-    /// Panics if the event's parameters are out of range (fractions outside `[0, 1]`,
-    /// `region >= regions`, zero `regions` or `outage_rounds`).
+    /// Panics if the event's parameters are out of range (see
+    /// [`NatDynamicsEvent::validate`]).
     pub fn at(mut self, round: u64, event: NatDynamicsEvent) -> Self {
-        match event {
-            NatDynamicsEvent::GatewayRebootStorm { fraction } => {
-                assert_fraction(fraction, "reboot fraction");
-            }
-            NatDynamicsEvent::MobilityWave { fraction } => {
-                assert_fraction(fraction, "mobility fraction");
-            }
-            NatDynamicsEvent::ProfileUpgrade { fraction } => {
-                assert_fraction(fraction, "upgrade fraction");
-            }
-            NatDynamicsEvent::ProfileDowngrade { fraction } => {
-                assert_fraction(fraction, "downgrade fraction");
-            }
-            NatDynamicsEvent::FilteringShift { fraction, .. } => {
-                assert_fraction(fraction, "filtering-shift fraction");
-            }
-            NatDynamicsEvent::GatewayReconfig { fraction, .. } => {
-                assert_fraction(fraction, "gateway-reconfig fraction");
-            }
-            NatDynamicsEvent::CgnConsolidation {
-                fraction,
-                pool_size,
-            } => {
-                assert_fraction(fraction, "CGN-consolidation fraction");
-                assert!(pool_size > 0, "CGN pool must hold at least one address");
-            }
-            NatDynamicsEvent::RegionalOutage {
-                region,
-                regions,
-                outage_rounds,
-            } => {
-                assert!(regions > 0, "regions must be positive");
-                assert!(region < regions, "region {region} out of {regions}");
-                assert!(outage_rounds > 0, "outage must last at least one round");
-            }
-            NatDynamicsEvent::FlashCrowd {
-                growth,
-                public_fraction,
-            } => {
-                assert!(
-                    growth.is_finite() && growth >= 0.0,
-                    "flash-crowd growth must be non-negative"
-                );
-                assert_fraction(public_fraction, "flash-crowd public fraction");
-            }
-            // `NatDynamicsEvent` is non-exhaustive: future event kinds carry their own
-            // invariants and validate inside `NatTopology::apply`.
-            _ => {}
-        }
-        self.actions.push(ScenarioAction { round, event });
-        self.actions.sort_by_key(|a| a.round);
+        event.validate();
+        self.schedule(round, ScriptedEvent::Nat(event));
         self
     }
 
-    /// Schedules a fault-plane `event` at round barrier `round` (builder style). Fault
-    /// actions are kept sorted by round; same-round actions apply in insertion order,
-    /// after the barrier's NAT-dynamics actions.
+    /// Schedules a fault-plane `event` at round barrier `round` (builder style).
+    /// Same-round actions apply in insertion order, after the round's NAT-dynamics
+    /// actions.
     ///
     /// # Panics
     ///
@@ -346,93 +303,82 @@ impl ScenarioScript {
         match &event {
             FaultEvent::FaultProfileChange { profile } => profile.validate(),
             FaultEvent::LinkDegradation { fraction, profile } => {
-                assert_fraction(*fraction, "link-degradation fraction");
+                assert!(
+                    (0.0..=1.0).contains(fraction),
+                    "link-degradation fraction must be within [0, 1], got {fraction}"
+                );
                 profile.validate();
             }
             FaultEvent::FaultClear => {}
         }
-        self.fault_actions.push(FaultAction { round, event });
-        self.fault_actions.sort_by_key(|a| a.round);
+        self.schedule(round, ScriptedEvent::Fault(event));
         self
     }
 
-    /// The scheduled actions, sorted by round.
+    /// The scheduled actions, sorted by round; within a round NAT dynamics come before
+    /// fault-plane actions.
     pub fn actions(&self) -> &[ScenarioAction] {
         &self.actions
-    }
-
-    /// The scheduled fault-plane actions, sorted by round.
-    pub fn fault_actions(&self) -> &[FaultAction] {
-        &self.fault_actions
     }
 
     /// Returns `true` when the script drives the fault plane — runners use this to pick
     /// the fault-tier recovery gate instead of the clean-network one.
     pub fn has_fault_actions(&self) -> bool {
-        !self.fault_actions.is_empty()
+        self.actions.iter().any(|a| a.event.is_fault())
     }
 
     /// A copy of this script with every fault action stripped (NAT dynamics kept): the
     /// no-fault control run the matrix Gini gate measures degradation against.
     pub fn without_faults(&self) -> Self {
-        ScenarioScript {
-            name: self.name.clone(),
-            actions: self.actions.clone(),
-            fault_actions: Vec::new(),
-        }
+        let mut script = self.clone();
+        script.actions.retain(|a| !a.event.is_fault());
+        script
     }
 
     /// Number of scheduled actions (NAT dynamics and fault plane combined).
     pub fn len(&self) -> usize {
-        self.actions.len() + self.fault_actions.len()
+        self.actions.len()
     }
 
     /// Returns `true` when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.actions.is_empty() && self.fault_actions.is_empty()
+        self.actions.is_empty()
     }
 
     /// Round of the last scheduled action, if any.
     pub fn last_action_round(&self) -> Option<u64> {
-        let nat = self.actions.last().map(|a| a.round);
-        let fault = self.fault_actions.last().map(|a| a.round);
-        nat.max(fault)
+        self.actions.last().map(|a| a.round)
     }
 
     /// Round of the first disruptive action, if any. Flash crowds add capacity rather
     /// than remove it and a [`FaultClear`](FaultEvent::FaultClear) restores a healthy
     /// network, so neither counts as a disruption for recovery detection.
     pub fn first_disruption_round(&self) -> Option<u64> {
-        let nat = self
-            .actions
+        self.actions
             .iter()
-            .find(|a| !matches!(a.event, NatDynamicsEvent::FlashCrowd { .. }))
-            .map(|a| a.round);
-        let fault = self
-            .fault_actions
-            .iter()
-            .find(|a| !matches!(a.event, FaultEvent::FaultClear))
-            .map(|a| a.round);
-        match (nat, fault) {
-            (Some(n), Some(f)) => Some(n.min(f)),
-            (n, f) => n.or(f),
-        }
+            .find(|a| {
+                !matches!(
+                    a.event,
+                    ScriptedEvent::Nat(NatDynamicsEvent::FlashCrowd { .. })
+                        | ScriptedEvent::Fault(FaultEvent::FaultClear)
+                )
+            })
+            .map(|a| a.round)
     }
 
     /// Round at which the last scripted regional outage has been restored (actions and
     /// restores included), or the last action round for scripts without outages. Runs
     /// should extend beyond this round for recovery to be observable.
     pub fn settled_round(&self) -> Option<u64> {
-        let nat = self
-            .actions
+        self.actions
             .iter()
             .map(|a| match a.event {
-                NatDynamicsEvent::RegionalOutage { outage_rounds, .. } => a.round + outage_rounds,
+                ScriptedEvent::Nat(NatDynamicsEvent::RegionalOutage { outage_rounds, .. }) => {
+                    a.round + outage_rounds
+                }
                 _ => a.round,
             })
-            .max();
-        let fault = self.fault_actions.iter().map(|a| a.round).max();
-        nat.max(fault)
+            .max()
     }
 
     /// Expands the script's [`FlashCrowd`](NatDynamicsEvent::FlashCrowd) actions into
@@ -442,10 +388,10 @@ impl ScenarioScript {
     pub fn flash_crowd_joins(&self, initial_population: usize, round_ms: u64) -> Vec<JoinEvent> {
         let mut events = Vec::new();
         for action in &self.actions {
-            let NatDynamicsEvent::FlashCrowd {
+            let ScriptedEvent::Nat(NatDynamicsEvent::FlashCrowd {
                 growth,
                 public_fraction,
-            } = action.event
+            }) = action.event
             else {
                 continue;
             };
@@ -683,18 +629,15 @@ impl ScenarioScript {
     /// population, so a scripted join burst does not smuggle in the NATed nodes the
     /// cell's setup deliberately excludes.
     pub fn with_public_flash_crowds(&self) -> Self {
-        let mut script = ScenarioScript::new(self.name.clone());
-        for action in &self.actions {
-            let event = match action.event {
-                NatDynamicsEvent::FlashCrowd { growth, .. } => NatDynamicsEvent::FlashCrowd {
-                    growth,
-                    public_fraction: 1.0,
-                },
-                other => other,
-            };
-            script = script.at(action.round, event);
+        let mut script = self.clone();
+        for action in &mut script.actions {
+            if let ScriptedEvent::Nat(NatDynamicsEvent::FlashCrowd {
+                public_fraction, ..
+            }) = &mut action.event
+            {
+                *public_fraction = 1.0;
+            }
         }
-        script.fault_actions = self.fault_actions.clone();
         script
     }
 
@@ -741,8 +684,6 @@ pub struct ScenarioExecutor {
     next_action: usize,
     /// Regions awaiting restoration: `(restore_round, nodes taken offline)`.
     pending_restores: Vec<(u64, Vec<NodeId>)>,
-    fault_actions: Vec<FaultAction>,
-    next_fault_action: usize,
     /// Shared handle to the engine's fault plane; fault actions are no-ops without it.
     fault_plane: Option<FaultPlane>,
     rng: SmallRng,
@@ -758,8 +699,6 @@ impl ScenarioExecutor {
             actions: script.actions().to_vec(),
             next_action: 0,
             pending_restores: Vec::new(),
-            fault_actions: script.fault_actions().to_vec(),
-            next_fault_action: 0,
             fault_plane: None,
             rng,
         }
@@ -776,21 +715,7 @@ impl ScenarioExecutor {
 
     /// Returns `true` once every action has applied and every outage is restored.
     pub fn is_settled(&self) -> bool {
-        self.next_action >= self.actions.len()
-            && self.pending_restores.is_empty()
-            && self.next_fault_action >= self.fault_actions.len()
-    }
-
-    fn apply(&mut self, event: NatDynamicsEvent, round: u64, now: SimTime) {
-        // All event→mutation dispatch (and every selection draw) lives in
-        // `NatTopology::apply`; the executor only keeps the *scheduling* state the
-        // topology cannot — which nodes a regional outage silenced and when to restore
-        // them.
-        let applied = self.topology.apply(&event, round, now, &mut self.rng);
-        if let Some(restore_round) = applied.restore_round {
-            self.pending_restores
-                .push((restore_round, applied.taken_offline));
-        }
+        self.next_action >= self.actions.len() && self.pending_restores.is_empty()
     }
 
     fn apply_fault(&mut self, event: FaultEvent) {
@@ -825,32 +750,38 @@ impl RoundHook for ScenarioExecutor {
     fn on_round_barrier(&mut self, round: u64, now: SimTime) {
         // Restores first, in scheduling order, so an action at the same round observes
         // the region back online.
-        let mut i = 0;
-        while i < self.pending_restores.len() {
-            if self.pending_restores[i].0 <= round {
-                let (_, nodes) = self.pending_restores.remove(i);
-                for node in nodes {
-                    // Nodes that churned out during the outage report false; harmless.
-                    self.topology.set_offline(node, false);
-                }
-            } else {
-                i += 1;
+        let topology = &self.topology;
+        self.pending_restores.retain(|(restore_round, nodes)| {
+            if *restore_round > round {
+                return true;
             }
-        }
-        while self.next_action < self.actions.len() && self.actions[self.next_action].round <= round
+            for &node in nodes {
+                // Nodes that churned out during the outage report false; harmless.
+                topology.set_offline(node, false);
+            }
+            false
+        });
+        // The script's order already puts a round's NAT dynamics before its fault actions.
+        while let Some(&action) = self
+            .actions
+            .get(self.next_action)
+            .filter(|a| a.round <= round)
         {
-            let action = self.actions[self.next_action];
             self.next_action += 1;
-            self.apply(action.event, round, now);
-        }
-        // Fault actions last, so a same-round profile change observes the post-dynamics
-        // population when drawing degraded links.
-        while self.next_fault_action < self.fault_actions.len()
-            && self.fault_actions[self.next_fault_action].round <= round
-        {
-            let action = self.fault_actions[self.next_fault_action];
-            self.next_fault_action += 1;
-            self.apply_fault(action.event);
+            match action.event {
+                // All event→mutation dispatch (and every selection draw) lives in
+                // `NatTopology::apply`; the executor only keeps the *scheduling* state the
+                // topology cannot — which nodes a regional outage silenced and when to
+                // restore them.
+                ScriptedEvent::Nat(event) => {
+                    let applied = self.topology.apply(&event, round, now, &mut self.rng);
+                    if let Some(restore_round) = applied.restore_round {
+                        self.pending_restores
+                            .push((restore_round, applied.taken_offline));
+                    }
+                }
+                ScriptedEvent::Fault(event) => self.apply_fault(event),
+            }
         }
     }
 }
@@ -1023,10 +954,10 @@ mod tests {
         assert_eq!(rewritten.actions()[0], script.actions()[0]);
         assert_eq!(
             rewritten.actions()[1].event,
-            NatDynamicsEvent::FlashCrowd {
+            ScriptedEvent::Nat(NatDynamicsEvent::FlashCrowd {
                 growth: 0.5,
                 public_fraction: 1.0,
-            }
+            })
         );
         let joins = rewritten.flash_crowd_joins(40, 1_000);
         assert!(joins.iter().all(|e| e.class.is_public()));
@@ -1175,7 +1106,7 @@ mod tests {
     fn fault_scripts_schedule_and_settle_like_nat_scripts() {
         let script = ScenarioScript::lossy_10(40);
         assert!(script.has_fault_actions());
-        assert_eq!(script.fault_actions().len(), 3);
+        assert_eq!(script.len(), 3);
         assert_eq!(script.first_disruption_round(), Some(20));
         assert_eq!(script.settled_round(), Some(25));
         assert!(!ScenarioScript::reboot_storm(40).has_fault_actions());
@@ -1233,6 +1164,30 @@ mod tests {
             "counters survive the clear"
         );
         assert!(exec.is_settled());
+    }
+
+    /// A fault action draws its degraded links from the executor's stream; were it to run
+    /// before a same-round mobility wave, the wave would select other nodes.
+    #[test]
+    fn a_rounds_nat_dynamics_apply_before_its_fault_actions_in_any_builder_order() {
+        use croupier_simulator::Seed;
+        let wave = NatDynamicsEvent::MobilityWave { fraction: 0.5 };
+        let degrade = FaultEvent::LinkDegradation {
+            fraction: 0.5,
+            profile: FaultProfile::lossy(0.3),
+        };
+        let gateways_after = |script: ScenarioScript| {
+            let t = scripted_topology();
+            let plane = FaultPlane::new(Seed::new(9));
+            let mut exec = ScenarioExecutor::new(&script, t.clone(), SmallRng::seed_from_u64(6))
+                .with_fault_plane(plane);
+            exec.on_round_barrier(3, SimTime::from_secs(3));
+            let nodes = t.node_ids().into_iter();
+            nodes.map(|node| t.gateway_of(node)).collect::<Vec<_>>()
+        };
+        let nat_first = ScenarioScript::new("s").at(3, wave).fault_at(3, degrade);
+        let fault_first = ScenarioScript::new("s").fault_at(3, degrade).at(3, wave);
+        assert_eq!(gateways_after(nat_first), gateways_after(fault_first));
     }
 
     #[test]

@@ -99,6 +99,61 @@ pub enum NatDynamicsEvent {
     },
 }
 
+impl NatDynamicsEvent {
+    /// Checks the event's parameters; both scheduling an event (the experiments crate's
+    /// `ScenarioScript::at`) and applying one ([`NatTopology::apply`]) call it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter is out of range: a fraction outside `[0, 1]`, an empty CGN
+    /// pool, zero `regions`, `region >= regions`, zero `outage_rounds` or a negative
+    /// flash-crowd growth.
+    ///
+    /// [`NatTopology::apply`]: crate::NatTopology::apply
+    pub fn validate(&self) {
+        use NatDynamicsEvent as Event;
+        let (fraction, what) = match *self {
+            Event::GatewayRebootStorm { fraction } => (fraction, "reboot fraction"),
+            Event::MobilityWave { fraction } => (fraction, "mobility fraction"),
+            Event::ProfileUpgrade { fraction } => (fraction, "upgrade fraction"),
+            Event::ProfileDowngrade { fraction } => (fraction, "downgrade fraction"),
+            Event::FilteringShift { fraction, .. } => (fraction, "filtering-shift fraction"),
+            Event::GatewayReconfig { fraction, .. } => (fraction, "gateway-reconfig fraction"),
+            Event::CgnConsolidation {
+                fraction,
+                pool_size,
+            } => {
+                assert!(pool_size > 0, "CGN pool must hold at least one address");
+                (fraction, "CGN-consolidation fraction")
+            }
+            Event::RegionalOutage {
+                region,
+                regions,
+                outage_rounds,
+            } => {
+                assert!(regions > 0, "regions must be positive");
+                assert!(region < regions, "region {region} out of {regions}");
+                assert!(outage_rounds > 0, "outage must last at least one round");
+                return;
+            }
+            Event::FlashCrowd {
+                growth,
+                public_fraction,
+            } => {
+                assert!(
+                    growth.is_finite() && growth >= 0.0,
+                    "flash-crowd growth must be non-negative"
+                );
+                (public_fraction, "flash-crowd public fraction")
+            }
+        };
+        assert!(
+            (0.0..=1.0).contains(&fraction),
+            "{what} must be within [0, 1], got {fraction}"
+        );
+    }
+}
+
 /// A named bundle of RFC-4787 gateway behaviours, used by scripted
 /// [`GatewayReconfig`](NatDynamicsEvent::GatewayReconfig) events (an enum rather than an
 /// inline [`NatGatewayConfig`] so scripts stay serialisable as compact tags).

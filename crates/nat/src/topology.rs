@@ -1,7 +1,7 @@
 //! Assignment of nodes to public addresses or NAT gateways, and the resulting
 //! network-reachability filter.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use croupier_simulator::{
     BatchLink, DeliveryFilter, DeliveryVerdict, NatClass, NodeId, SimDuration, SimTime,
@@ -34,6 +34,12 @@ pub enum NatProfile {
         /// The node's RFC1918-like local address.
         local_ip: Ip,
     },
+}
+
+impl NatProfile {
+    fn is_private(&self) -> bool {
+        matches!(self, NatProfile::Private { .. })
+    }
 }
 
 /// Exposes the addressing facts a deployed protocol could observe through its sockets:
@@ -398,11 +404,14 @@ impl Inner {
             .unwrap_or(false)
     }
 
-    fn set_offline(&mut self, node: NodeId, offline: bool) {
+    /// See [`NatTopology::set_offline`]; an unknown node is always left online.
+    fn set_offline(&mut self, node: NodeId, offline: bool) -> bool {
+        let known = self.profile(node).is_some();
+        let offline = offline && known;
         let slot = node.as_u64() as usize;
         if slot >= self.offline.len() {
             if !offline {
-                return;
+                return known;
             }
             self.offline.resize(slot + 1, false);
         }
@@ -414,6 +423,7 @@ impl Inner {
                 self.offline_count -= 1;
             }
         }
+        known
     }
 
     /// Detaches a private node from its gateway, dropping its bindings there. The (now
@@ -424,6 +434,186 @@ impl Inner {
         if let Some(gw) = self.gateway_mut(gateway) {
             gw.remove_internal(node);
         }
+    }
+
+    fn gateway_of(&self, node: NodeId) -> Option<GatewayId> {
+        match self.profile(node)? {
+            NatProfile::Private { gateway, .. } => Some(*gateway),
+            NatProfile::Public { .. } => None,
+        }
+    }
+
+    fn gateway_of_mut(&mut self, node: NodeId) -> Option<&mut NatGateway> {
+        let gateway = self.gateway_of(node)?;
+        self.gateway_mut(gateway)
+    }
+
+    /// Whether `profile` sits behind a UPnP-enabled gateway, which makes the node
+    /// effectively public: it can map a port on its gateway.
+    fn behind_upnp(&self, profile: &NatProfile) -> bool {
+        let NatProfile::Private { gateway, .. } = profile else {
+            return false;
+        };
+        self.gateway(*gateway)
+            .is_some_and(|gw| gw.config().upnp_enabled)
+    }
+
+    /// Identifiers of the registered nodes whose profile passes `keep`, ascending.
+    fn node_ids(&self, keep: impl Fn(&NatProfile) -> bool) -> Vec<NodeId> {
+        self.profiles
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.as_ref().is_some_and(&keep))
+            .map(|(slot, _)| NodeId::new(slot as u64))
+            .collect()
+    }
+
+    // The per-node mutations: the public methods of the same name and `apply` both run
+    // these bodies, one critical section per call.
+
+    fn reboot_gateway_of(&mut self, node: NodeId, now: SimTime) -> bool {
+        self.gateway_of_mut(node).map(|gw| gw.reboot(now)).is_some()
+    }
+
+    fn migrate_node(&mut self, node: NodeId) -> bool {
+        let Some(gateway) = self.gateway_of(node) else {
+            return false;
+        };
+        self.detach_from_gateway(node, gateway);
+        self.place_behind_new_gateway(node, None);
+        true
+    }
+
+    fn promote_to_public(&mut self, node: NodeId) -> bool {
+        let Some(gateway) = self.gateway_of(node) else {
+            return false;
+        };
+        self.detach_from_gateway(node, gateway);
+        let ip = self.allocate_public_ip();
+        self.set_profile(node, NatProfile::Public { ip });
+        true
+    }
+
+    fn demote_to_private(&mut self, node: NodeId) -> bool {
+        let Some(NatProfile::Public { .. }) = self.profile(node) else {
+            return false;
+        };
+        self.place_behind_new_gateway(node, None);
+        true
+    }
+
+    fn set_filtering_of(&mut self, node: NodeId, policy: FilteringPolicy) -> bool {
+        self.gateway_of_mut(node)
+            .map(|gw| gw.set_filtering(policy))
+            .is_some()
+    }
+
+    /// Replaces the whole configuration of the gateway in front of `node` (see
+    /// [`NatGateway::set_config`]), allocating any external addresses the new pool size
+    /// needs beyond what the gateway already owns (addresses are never taken away — they
+    /// are leased).
+    fn reconfigure_gateway_of(&mut self, node: NodeId, config: NatGatewayConfig) -> bool {
+        let Some(gateway) = self.gateway_of(node) else {
+            return false;
+        };
+        let index = gateway.0 as usize;
+        for _ in self.gateways[index].external_ips().len()..config.pool_size.max(1) as usize {
+            let ip = self.allocate_public_ip();
+            self.gateways[index].extend_pool(ip);
+        }
+        self.gateways[index].set_config(config);
+        true
+    }
+
+    fn move_node_behind(&mut self, node: NodeId, gateway: GatewayId) -> bool {
+        let (Some(old_gateway), Some(_)) = (self.gateway_of(node), self.gateway(gateway)) else {
+            return false;
+        };
+        if old_gateway != gateway {
+            self.detach_from_gateway(node, old_gateway);
+        }
+        let local_ip = self.allocate_private_ip();
+        self.set_profile(node, NatProfile::Private { gateway, local_ip });
+        true
+    }
+
+    /// The body of [`NatTopology::apply`], under one lock.
+    fn apply(
+        &mut self,
+        event: &NatDynamicsEvent,
+        round: u64,
+        now: SimTime,
+        rng: &mut SmallRng,
+    ) -> AppliedEvent {
+        use NatDynamicsEvent as Event;
+        let (fraction, candidates) = match *event {
+            Event::ProfileDowngrade { fraction } => (fraction, self.node_ids(|p| !p.is_private())),
+            Event::GatewayRebootStorm { fraction }
+            | Event::MobilityWave { fraction }
+            | Event::ProfileUpgrade { fraction }
+            | Event::FilteringShift { fraction, .. }
+            | Event::GatewayReconfig { fraction, .. }
+            | Event::CgnConsolidation { fraction, .. } => {
+                (fraction, self.node_ids(NatProfile::is_private))
+            }
+            Event::RegionalOutage {
+                region,
+                regions,
+                outage_rounds,
+            } => {
+                let mut affected = Vec::new();
+                for node in self.node_ids(|_| true) {
+                    // A node already dark from an overlapping earlier outage stays
+                    // claimed by that outage (and comes back at *its* restore round);
+                    // claiming it twice would let the earliest restore cut the later
+                    // outage short.
+                    if node.as_u64() % regions == region
+                        && !self.is_offline(node)
+                        && self.set_offline(node, true)
+                    {
+                        affected.push(node);
+                    }
+                }
+                return AppliedEvent {
+                    restore_round: (!affected.is_empty()).then_some(round + outage_rounds),
+                    taken_offline: affected,
+                };
+            }
+            // Membership growth cannot happen from inside the engine's hook; the driver
+            // expands flash crowds into the join schedule instead.
+            Event::FlashCrowd { .. } => return AppliedEvent::done(),
+        };
+        // One uniform variate per candidate in ascending id order, all drawn before any
+        // mutation (mutations draw from the topology's own stream, never from `rng`).
+        let selected: Vec<NodeId> = candidates
+            .into_iter()
+            .filter(|_| rng.gen_range(0.0..1.0) < fraction)
+            .collect();
+        // The CGN exists only if anyone was selected, so an empty draw burns no gateway
+        // id or pool addresses.
+        let cgn = match *event {
+            Event::CgnConsolidation { pool_size, .. } if !selected.is_empty() => {
+                let timeout = self.default_config.mapping_timeout;
+                let config = NatGatewayConfig::carrier_grade(pool_size).mapping_timeout(timeout);
+                Some(self.add_gateway(config))
+            }
+            _ => None,
+        };
+        // A selected node that no longer qualifies is a no-op.
+        for node in selected {
+            match *event {
+                Event::GatewayRebootStorm { .. } => self.reboot_gateway_of(node, now),
+                Event::MobilityWave { .. } => self.migrate_node(node),
+                Event::ProfileUpgrade { .. } => self.promote_to_public(node),
+                Event::ProfileDowngrade { .. } => self.demote_to_private(node),
+                Event::FilteringShift { policy, .. } => self.set_filtering_of(node, policy),
+                Event::GatewayReconfig { profile, .. } => {
+                    self.reconfigure_gateway_of(node, profile.config(&self.default_config))
+                }
+                _ => cgn.is_some_and(|cgn| self.move_node_behind(node, cgn)),
+            };
+        }
+        AppliedEvent::done()
     }
 }
 
@@ -450,27 +640,14 @@ impl std::fmt::Debug for NatTopology {
     }
 }
 
-/// The selection every fraction-driven [`NatDynamicsEvent`] shares: one uniform variate
-/// per candidate in the given (ascending id) order, `mutate` on each candidate whose
-/// variate falls under `fraction`. The mutation's `bool` is dropped: a selected node that
-/// no longer qualifies is a no-op.
-fn mutate_selected(
-    candidates: Vec<NodeId>,
-    fraction: f64,
-    rng: &mut SmallRng,
-    mutate: impl Fn(NodeId) -> bool,
-) {
-    for node in candidates {
-        if rng.gen_range(0.0..1.0) < fraction {
-            mutate(node);
-        }
-    }
-}
-
 impl NatTopology {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("NAT topology lock poisoned")
+    }
+
     /// Registers `node` as a public node with its own globally reachable address.
     pub fn add_public_node(&self, node: NodeId) {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
+        let mut inner = self.lock();
         let ip = inner.allocate_public_ip();
         inner.set_profile(node, NatProfile::Public { ip });
     }
@@ -478,38 +655,33 @@ impl NatTopology {
     /// Registers `node` behind its own NAT gateway, using the builder's filtering policy
     /// (or policy mix).
     pub fn add_private_node(&self, node: NodeId) {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner.place_behind_new_gateway(node, None);
+        self.lock().place_behind_new_gateway(node, None);
     }
 
     /// Registers `node` behind a NAT gateway with an explicit configuration.
     pub fn add_private_node_with(&self, node: NodeId, config: NatGatewayConfig) {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner.place_behind_new_gateway(node, Some(config));
+        self.lock().place_behind_new_gateway(node, Some(config));
     }
 
     /// Registers `node` behind a UPnP-enabled gateway: topologically private but effectively
     /// public, because it can map a port on its gateway.
     pub fn add_upnp_node(&self, node: NodeId) {
-        let config = {
-            let inner = self.inner.lock().expect("NAT topology lock poisoned");
-            inner.default_config.upnp(true)
-        };
-        self.add_private_node_with(node, config);
+        let mut inner = self.lock();
+        let config = inner.default_config.upnp(true);
+        inner.place_behind_new_gateway(node, Some(config));
     }
 
     /// Allocates a gateway not (yet) fronting any node, for explicitly shared
     /// deployments: several private nodes behind one home router or one carrier-grade
     /// NAT. The gateway receives `config.pool_size` fresh external addresses.
     pub fn add_shared_gateway(&self, config: NatGatewayConfig) -> GatewayId {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner.add_gateway(config)
+        self.lock().add_gateway(config)
     }
 
     /// Registers `node` behind the existing `gateway` (sharing it with whatever other
     /// nodes sit there). Returns `false` for an unknown gateway.
     pub fn add_private_node_behind(&self, node: NodeId, gateway: GatewayId) -> bool {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
+        let mut inner = self.lock();
         if inner.gateway(gateway).is_none() {
             return false;
         }
@@ -523,63 +695,7 @@ impl NatTopology {
     /// local address behind the new one. Returns `false` if the node is unknown or
     /// public, or the gateway unknown.
     pub fn move_node_behind(&self, node: NodeId, gateway: GatewayId) -> bool {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        if inner.gateway(gateway).is_none() {
-            return false;
-        }
-        let Some(NatProfile::Private {
-            gateway: old_gateway,
-            ..
-        }) = inner.profile(node).copied()
-        else {
-            return false;
-        };
-        if old_gateway != gateway {
-            inner.detach_from_gateway(node, old_gateway);
-        }
-        let local_ip = inner.allocate_private_ip();
-        inner.set_profile(node, NatProfile::Private { gateway, local_ip });
-        true
-    }
-
-    /// Replaces the whole configuration of `gateway` (see [`NatGateway::set_config`]),
-    /// allocating any external addresses the new config's pool size needs beyond what
-    /// the gateway already owns (addresses are never taken away — they are leased).
-    /// Returns `false` for an unknown gateway.
-    pub fn reconfigure_gateway(&self, gateway: GatewayId, config: NatGatewayConfig) -> bool {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        let Some(gw) = inner.gateway(gateway) else {
-            return false;
-        };
-        let missing = (config.pool_size.max(1) as usize).saturating_sub(gw.external_ips().len());
-        for _ in 0..missing {
-            let ip = inner.allocate_public_ip();
-            if let Some(gw) = inner.gateway_mut(gateway) {
-                gw.extend_pool(ip);
-            }
-        }
-        if let Some(gw) = inner.gateway_mut(gateway) {
-            gw.set_config(config);
-        }
-        true
-    }
-
-    /// Replaces the configuration of the gateway in front of `node`. Returns `false` if
-    /// the node is unknown or public.
-    pub fn reconfigure_gateway_of(&self, node: NodeId, config: NatGatewayConfig) -> bool {
-        match self.gateway_of(node) {
-            Some(gateway) => self.reconfigure_gateway(gateway, config),
-            None => false,
-        }
-    }
-
-    /// The default gateway configuration new private nodes receive (before any
-    /// filtering-mix draw).
-    pub fn default_gateway_config(&self) -> NatGatewayConfig {
-        self.inner
-            .lock()
-            .expect("NAT topology lock poisoned")
-            .default_config
+        self.lock().move_node_behind(node, gateway)
     }
 
     /// Registers `node` with the connectivity class `class` (public nodes get their own
@@ -593,7 +709,7 @@ impl NatTopology {
 
     /// Removes a node and all mapping-table state belonging to it.
     pub fn remove_node(&self, node: NodeId) {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
+        let mut inner = self.lock();
         let slot = node.as_u64() as usize;
         let removed = inner.profiles.get_mut(slot).and_then(Option::take);
         if removed.is_some() {
@@ -605,45 +721,23 @@ impl NatTopology {
         }
     }
 
-    /// The gateway in front of `node`, if the node is topologically private.
+    /// The gateway in front of `node`, if the node is topologically private (behind a
+    /// gateway, UPnP or not).
     pub fn gateway_of(&self, node: NodeId) -> Option<GatewayId> {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        match inner.profile(node)? {
-            NatProfile::Private { gateway, .. } => Some(*gateway),
-            NatProfile::Public { .. } => None,
-        }
+        self.lock().gateway_of(node)
     }
 
     /// Number of gateways ever allocated (including gateways whose last node migrated
     /// away or left; gateway ids are dense and never reused).
     pub fn gateway_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("NAT topology lock poisoned")
-            .gateways
-            .len()
+        self.lock().gateways.len()
     }
 
-    /// Power-cycles `gateway` at `now`, wiping its whole mapping table (see
-    /// [`NatGateway::reboot`]). Returns `false` for an unknown gateway.
-    pub fn reboot_gateway(&self, gateway: GatewayId, now: SimTime) -> bool {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        match inner.gateway_mut(gateway) {
-            Some(gw) => {
-                gw.reboot(now);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Power-cycles the gateway in front of `node` at `now`. Returns `false` if the node
-    /// is unknown or public.
+    /// Power-cycles the gateway in front of `node` at `now`, wiping its whole mapping
+    /// table (see [`NatGateway::reboot`]). Returns `false` if the node is unknown or
+    /// public.
     pub fn reboot_gateway_of(&self, node: NodeId, now: SimTime) -> bool {
-        match self.gateway_of(node) {
-            Some(gateway) => self.reboot_gateway(gateway, now),
-            None => false,
-        }
+        self.lock().reboot_gateway_of(node, now)
     }
 
     /// Node mobility: moves a private `node` behind a *fresh* gateway (new public IP, new
@@ -653,13 +747,7 @@ impl NatTopology {
     /// go stale and expire. Returns `false` if the node is unknown or public (use
     /// [`demote_to_private`](Self::demote_to_private) for those).
     pub fn migrate_node(&self, node: NodeId) -> bool {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        let Some(NatProfile::Private { gateway, .. }) = inner.profile(node).copied() else {
-            return false;
-        };
-        inner.detach_from_gateway(node, gateway);
-        inner.place_behind_new_gateway(node, None);
-        true
+        self.lock().migrate_node(node)
     }
 
     /// NAT-profile upgrade: turns a private `node` into a public one with a fresh
@@ -672,14 +760,7 @@ impl NatTopology {
     /// — re-running NAT-type identification is the protocol's job, and the resulting
     /// stale self-classification is part of the stress the scripted scenarios apply.
     pub fn promote_to_public(&self, node: NodeId) -> bool {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        let Some(NatProfile::Private { gateway, .. }) = inner.profile(node).copied() else {
-            return false;
-        };
-        inner.detach_from_gateway(node, gateway);
-        let ip = inner.allocate_public_ip();
-        inner.set_profile(node, NatProfile::Public { ip });
-        true
+        self.lock().promote_to_public(node)
     }
 
     /// NAT-profile downgrade: puts a public `node` behind a fresh NAT gateway (the ISP
@@ -688,34 +769,13 @@ impl NatTopology {
     /// [`promote_to_public`](Self::promote_to_public) for the stale-self-classification
     /// caveat, which applies symmetrically.
     pub fn demote_to_private(&self, node: NodeId) -> bool {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        let Some(NatProfile::Public { .. }) = inner.profile(node).copied() else {
-            return false;
-        };
-        inner.place_behind_new_gateway(node, None);
-        true
+        self.lock().demote_to_private(node)
     }
 
-    /// Changes the filtering policy of `gateway` at runtime (see
-    /// [`NatGateway::set_filtering`]). Returns `false` for an unknown gateway.
-    pub fn set_gateway_filtering(&self, gateway: GatewayId, policy: FilteringPolicy) -> bool {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        match inner.gateway_mut(gateway) {
-            Some(gw) => {
-                gw.set_filtering(policy);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Changes the filtering policy of the gateway in front of `node`. Returns `false`
-    /// if the node is unknown or public.
+    /// Changes the filtering policy of the gateway in front of `node` at runtime (see
+    /// [`NatGateway::set_filtering`]). Returns `false` if the node is unknown or public.
     pub fn set_filtering_of(&self, node: NodeId, policy: FilteringPolicy) -> bool {
-        match self.gateway_of(node) {
-            Some(gateway) => self.set_gateway_filtering(gateway, policy),
-            None => false,
-        }
+        self.lock().set_filtering_of(node, policy)
     }
 
     /// Applies one scripted [`NatDynamicsEvent`] at round barrier `round` / time `now`,
@@ -723,7 +783,8 @@ impl NatTopology {
     ///
     /// This is the single dispatcher behind scripted NAT dynamics: the experiments
     /// crate's `ScenarioExecutor` (and any test) calls it instead of duplicating the
-    /// event→mutation mapping over the individual entry points
+    /// event→mutation mapping. It takes the topology lock once for the whole event and
+    /// runs the same bodies as the per-node methods
     /// ([`reboot_gateway_of`](Self::reboot_gateway_of),
     /// [`migrate_node`](Self::migrate_node), …). Selection draws one uniform variate per
     /// candidate node in ascending id order, so the draw sequence depends only on the
@@ -736,6 +797,11 @@ impl NatTopology {
     /// which the topology does not do). [`FlashCrowd`](NatDynamicsEvent::FlashCrowd) is
     /// a no-op here — membership growth is engine-side state the experiment driver
     /// expands into the join schedule before the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event's parameters are out of range (see
+    /// [`NatDynamicsEvent::validate`]).
     pub fn apply(
         &self,
         event: &NatDynamicsEvent,
@@ -743,97 +809,8 @@ impl NatTopology {
         now: SimTime,
         rng: &mut SmallRng,
     ) -> AppliedEvent {
-        match *event {
-            NatDynamicsEvent::GatewayRebootStorm { fraction } => {
-                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
-                    self.reboot_gateway_of(node, now)
-                });
-                AppliedEvent::done()
-            }
-            NatDynamicsEvent::MobilityWave { fraction } => {
-                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
-                    self.migrate_node(node)
-                });
-                AppliedEvent::done()
-            }
-            NatDynamicsEvent::ProfileUpgrade { fraction } => {
-                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
-                    self.promote_to_public(node)
-                });
-                AppliedEvent::done()
-            }
-            NatDynamicsEvent::ProfileDowngrade { fraction } => {
-                mutate_selected(self.public_node_ids(), fraction, rng, |node| {
-                    self.demote_to_private(node)
-                });
-                AppliedEvent::done()
-            }
-            NatDynamicsEvent::FilteringShift { fraction, policy } => {
-                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
-                    self.set_filtering_of(node, policy)
-                });
-                AppliedEvent::done()
-            }
-            NatDynamicsEvent::GatewayReconfig { fraction, profile } => {
-                let config = profile.config(&self.default_gateway_config());
-                mutate_selected(self.private_node_ids(), fraction, rng, |node| {
-                    self.reconfigure_gateway_of(node, config)
-                });
-                AppliedEvent::done()
-            }
-            NatDynamicsEvent::CgnConsolidation {
-                fraction,
-                pool_size,
-            } => {
-                // Draw first (one variate per private node, ascending ids, same as every
-                // other selection), then create the CGN only if anyone was selected so an
-                // empty draw does not burn a gateway id or pool addresses.
-                let selected: Vec<NodeId> = self
-                    .private_node_ids()
-                    .into_iter()
-                    .filter(|_| rng.gen_range(0.0..1.0) < fraction)
-                    .collect();
-                if !selected.is_empty() {
-                    let mut config = NatGatewayConfig::carrier_grade(pool_size);
-                    config.mapping_timeout = self.default_gateway_config().mapping_timeout;
-                    let cgn = self.add_shared_gateway(config);
-                    for node in selected {
-                        self.move_node_behind(node, cgn);
-                    }
-                }
-                AppliedEvent::done()
-            }
-            NatDynamicsEvent::RegionalOutage {
-                region,
-                regions,
-                outage_rounds,
-            } => {
-                let mut affected = Vec::new();
-                for node in self.node_ids() {
-                    // A node already dark from an overlapping earlier outage stays
-                    // claimed by that outage (and comes back at *its* restore round);
-                    // claiming it twice would let the earliest restore cut the later
-                    // outage short.
-                    if node.as_u64() % regions == region
-                        && !self.is_offline(node)
-                        && self.set_offline(node, true)
-                    {
-                        affected.push(node);
-                    }
-                }
-                if affected.is_empty() {
-                    AppliedEvent::done()
-                } else {
-                    AppliedEvent {
-                        taken_offline: affected,
-                        restore_round: Some(round + outage_rounds),
-                    }
-                }
-            }
-            // Membership growth cannot happen from inside the engine's hook; the driver
-            // expands flash crowds into the join schedule instead.
-            NatDynamicsEvent::FlashCrowd { .. } => AppliedEvent::done(),
-        }
+        event.validate();
+        self.lock().apply(event, round, now, rng)
     }
 
     /// Marks `node` offline (scripted partition/regional outage: no packet from or to it
@@ -842,58 +819,28 @@ impl NatTopology {
     /// `false` for an unknown node (the offline flag is still cleared, so restoring a
     /// node that churned out meanwhile is harmless).
     pub fn set_offline(&self, node: NodeId, offline: bool) -> bool {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        if inner.profile(node).is_none() {
-            inner.set_offline(node, false);
-            return false;
-        }
-        inner.set_offline(node, offline);
-        true
+        self.lock().set_offline(node, offline)
     }
 
     /// Returns `true` if `node` is currently marked offline.
     pub fn is_offline(&self, node: NodeId) -> bool {
-        self.inner
-            .lock()
-            .expect("NAT topology lock poisoned")
-            .is_offline(node)
+        self.lock().is_offline(node)
     }
 
     /// Identifiers of all topologically private nodes (behind a gateway, UPnP or not),
     /// in ascending id order.
     pub fn private_node_ids(&self) -> Vec<NodeId> {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner
-            .profiles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Some(NatProfile::Private { .. })))
-            .map(|(slot, _)| NodeId::new(slot as u64))
-            .collect()
+        self.lock().node_ids(NatProfile::is_private)
     }
 
     /// Identifiers of all topologically public nodes, in ascending id order.
     pub fn public_node_ids(&self) -> Vec<NodeId> {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner
-            .profiles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Some(NatProfile::Public { .. })))
-            .map(|(slot, _)| NodeId::new(slot as u64))
-            .collect()
+        self.lock().node_ids(|p| !p.is_private())
     }
 
     /// Identifiers of all registered nodes, in ascending id order.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner
-            .profiles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_some())
-            .map(|(slot, _)| NodeId::new(slot as u64))
-            .collect()
+        self.lock().node_ids(|_| true)
     }
 
     /// The effective connectivity class of `node`: public nodes and nodes behind
@@ -901,38 +848,23 @@ impl NatTopology {
     ///
     /// Returns `None` for unknown nodes.
     pub fn class_of(&self, node: NodeId) -> Option<NatClass> {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        match inner.profile(node)? {
-            NatProfile::Public { .. } => Some(NatClass::Public),
-            NatProfile::Private { gateway, .. } => {
-                let upnp = inner
-                    .gateway(*gateway)
-                    .map(|gw| gw.config().upnp_enabled)
-                    .unwrap_or(false);
-                Some(if upnp {
-                    NatClass::Public
-                } else {
-                    NatClass::Private
-                })
-            }
-        }
-    }
-
-    /// Returns `true` if the node sits behind a NAT gateway (regardless of UPnP support).
-    pub fn is_behind_nat(&self, node: NodeId) -> bool {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        matches!(inner.profile(node), Some(NatProfile::Private { .. }))
+        let inner = self.lock();
+        let profile = inner.profile(node)?;
+        Some(if profile.is_private() && !inner.behind_upnp(profile) {
+            NatClass::Private
+        } else {
+            NatClass::Public
+        })
     }
 
     /// The profile of `node`, if registered.
     pub fn profile(&self, node: NodeId) -> Option<NatProfile> {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner.profile(node).copied()
+        self.lock().profile(node).copied()
     }
 
     /// Aggregate statistics about the topology.
     pub fn stats(&self) -> TopologyStats {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
+        let inner = self.lock();
         let mut stats = TopologyStats {
             blocked_messages: inner.blocked_messages,
             stale_binding_failures: inner.stale_binding_failures,
@@ -943,17 +875,8 @@ impl NatTopology {
         for profile in inner.profiles.iter().flatten() {
             match profile {
                 NatProfile::Public { .. } => stats.public_nodes += 1,
-                NatProfile::Private { gateway, .. } => {
-                    let upnp = inner
-                        .gateway(*gateway)
-                        .map(|gw| gw.config().upnp_enabled)
-                        .unwrap_or(false);
-                    if upnp {
-                        stats.upnp_nodes += 1;
-                    } else {
-                        stats.private_nodes += 1;
-                    }
-                }
+                _ if inner.behind_upnp(profile) => stats.upnp_nodes += 1,
+                NatProfile::Private { .. } => stats.private_nodes += 1,
             }
         }
         stats
@@ -961,10 +884,7 @@ impl NatTopology {
 
     /// Number of registered nodes.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("NAT topology lock poisoned")
-            .profile_count
+        self.lock().profile_count
     }
 
     /// Returns `true` if no node is registered.
@@ -975,39 +895,29 @@ impl NatTopology {
 
 impl AddressInfo for NatTopology {
     fn local_ip(&self, node: NodeId) -> Option<Ip> {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        match inner.profile(node)? {
-            NatProfile::Public { ip } => Some(*ip),
-            NatProfile::Private { local_ip, .. } => Some(*local_ip),
+        match *self.lock().profile(node)? {
+            NatProfile::Public { ip } => Some(ip),
+            NatProfile::Private { local_ip, .. } => Some(local_ip),
         }
     }
 
     fn observed_ip(&self, node: NodeId) -> Option<Ip> {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner.observed_ip(node)
+        self.lock().observed_ip(node)
     }
 
     fn supports_upnp(&self, node: NodeId) -> bool {
-        let inner = self.inner.lock().expect("NAT topology lock poisoned");
-        match inner.profile(node) {
-            Some(NatProfile::Private { gateway, .. }) => inner
-                .gateway(*gateway)
-                .map(|gw| gw.config().upnp_enabled)
-                .unwrap_or(false),
-            _ => false,
-        }
+        let inner = self.lock();
+        inner.profile(node).is_some_and(|p| inner.behind_upnp(p))
     }
 }
 
 impl DeliveryFilter for NatTopology {
     fn on_send(&mut self, from: NodeId, to: NodeId, now: SimTime) {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner.judge_link(from, to, now, false);
+        self.lock().judge_link(from, to, now, false);
     }
 
     fn can_deliver(&mut self, from: NodeId, to: NodeId, now: SimTime) -> DeliveryVerdict {
-        let mut inner = self.inner.lock().expect("NAT topology lock poisoned");
-        inner.judge_link(from, to, now, true)
+        self.lock().judge_link(from, to, now, true)
     }
 
     /// The per-message sequence with its two halves pulled apart: what a link asks of
@@ -1024,7 +934,7 @@ impl DeliveryFilter for NatTopology {
         verdicts: &mut Vec<DeliveryVerdict>,
         workers: usize,
     ) {
-        let mut guard = self.inner.lock().expect("NAT topology lock poisoned");
+        let mut guard = self.lock();
         let inner = &mut *guard;
         // Both are overwritten link by link below; only growth writes twice.
         let mut ops = std::mem::take(&mut inner.batch_ops);
@@ -1250,8 +1160,8 @@ mod tests {
         assert_eq!(t.class_of(PRIV), Some(NatClass::Private));
         assert_eq!(t.class_of(NodeId::new(3)), Some(NatClass::Public));
         assert_eq!(t.class_of(NodeId::new(42)), None);
-        assert!(t.is_behind_nat(NodeId::new(3)));
-        assert!(!t.is_behind_nat(PUB));
+        assert!(t.gateway_of(NodeId::new(3)).is_some());
+        assert_eq!(t.gateway_of(PUB), None);
         let stats = t.stats();
         assert_eq!(stats.public_nodes, 2);
         assert_eq!(stats.private_nodes, 1);
@@ -1419,7 +1329,7 @@ mod tests {
         let mut f = t.clone();
         assert!(t.promote_to_public(PRIV));
         assert_eq!(t.class_of(PRIV), Some(NatClass::Public));
-        assert!(!t.is_behind_nat(PRIV));
+        assert_eq!(t.gateway_of(PRIV), None);
         assert_eq!(
             f.can_deliver(PUB, PRIV, SimTime::ZERO),
             DeliveryVerdict::Deliver,
@@ -1580,5 +1490,136 @@ mod tests {
         let stats = t.stats();
         assert_eq!(stats.stale_binding_failures, 1);
         assert_eq!(stats.blocked_messages, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "regions must be positive")]
+    fn apply_validates_the_event() {
+        let event = NatDynamicsEvent::RegionalOutage {
+            region: 0,
+            regions: 0,
+            outage_rounds: 1,
+        };
+        populated().apply(&event, 1, SimTime::ZERO, &mut SmallRng::seed_from_u64(0));
+    }
+
+    /// Ids 0–5 public, 6–19 private behind own gateways (policy mix), 20–21 behind one
+    /// shared gateway, 22 behind UPnP; every private node has sent to two others.
+    const LIVE_IDS: u64 = 23;
+
+    fn live_topology() -> NatTopology {
+        let t = NatTopologyBuilder::new(5)
+            .filtering_mix(&FilteringPolicy::ALL.map(|policy| (policy, 1.0)))
+            .mapping_timeout(SimDuration::from_secs(30))
+            .build();
+        for id in 0..6 {
+            t.add_public_node(NodeId::new(id));
+        }
+        for id in 6..20 {
+            t.add_private_node(NodeId::new(id));
+        }
+        let shared = t.add_shared_gateway(NatGatewayConfig::default());
+        for id in 20..22 {
+            assert!(t.add_private_node_behind(NodeId::new(id), shared));
+        }
+        t.add_upnp_node(NodeId::new(22));
+        let mut f = t.clone();
+        for id in 6..LIVE_IDS {
+            for to in [id % 6, (id + 5) % LIVE_IDS] {
+                f.on_send(NodeId::new(id), NodeId::new(to), SimTime::from_secs(id));
+            }
+        }
+        t
+    }
+
+    /// Everything a caller can observe of a topology, ending in a fixed probe trace.
+    fn observe(t: &NatTopology) -> impl PartialEq + std::fmt::Debug {
+        let ids = || (0..LIVE_IDS).map(NodeId::new);
+        let profiles: Vec<_> = ids()
+            .map(|node| (t.profile(node), t.observed_ip(node)))
+            .collect();
+        let (stats, gateways) = (t.stats(), t.gateway_count());
+        let mut f = t.clone();
+        let mut verdicts = Vec::new();
+        for (k, (from, to)) in ids().flat_map(|a| ids().map(move |b| (a, b))).enumerate() {
+            let at = SimTime::from_secs(40);
+            if k % 3 == 0 {
+                f.on_send(from, to, at);
+            } else {
+                verdicts.push(f.can_deliver(from, to, at));
+            }
+        }
+        (profiles, stats, gateways, verdicts, t.stats())
+    }
+
+    /// `apply` against the per-node methods: on a twin topology, the same variates drawn
+    /// over the documented candidates (private ids; public ids for the downgrade) and the
+    /// per-node method called on each selected node.
+    #[test]
+    fn apply_equals_the_per_node_methods() {
+        let now = SimTime::from_secs(30);
+        let events = [
+            NatDynamicsEvent::GatewayRebootStorm { fraction: 0.5 },
+            NatDynamicsEvent::MobilityWave { fraction: 0.5 },
+            NatDynamicsEvent::ProfileUpgrade { fraction: 0.5 },
+            NatDynamicsEvent::ProfileDowngrade { fraction: 0.5 },
+            NatDynamicsEvent::FilteringShift {
+                fraction: 0.5,
+                policy: FilteringPolicy::EndpointIndependent,
+            },
+            NatDynamicsEvent::GatewayReconfig {
+                fraction: 0.5,
+                profile: crate::GatewayProfile::CarrierGrade,
+            },
+            NatDynamicsEvent::CgnConsolidation {
+                fraction: 0.5,
+                pool_size: 3,
+            },
+        ];
+        for event in events {
+            let [untouched, applied, by_hand] = [(); 3].map(|()| live_topology());
+            let mut rng = SmallRng::seed_from_u64(11);
+            applied.apply(&event, 1, now, &mut rng.clone());
+            let candidates = match event {
+                NatDynamicsEvent::ProfileDowngrade { .. } => by_hand.public_node_ids(),
+                _ => by_hand.private_node_ids(),
+            };
+            let selected: Vec<NodeId> = candidates
+                .into_iter()
+                .filter(|_| rng.gen_range(0.0..1.0) < 0.5)
+                .collect();
+            assert!(!selected.is_empty(), "{event:?}");
+            let default_config = by_hand.lock().default_config;
+            let cgn = match event {
+                NatDynamicsEvent::CgnConsolidation { pool_size, .. } => by_hand.add_shared_gateway(
+                    NatGatewayConfig::carrier_grade(pool_size)
+                        .mapping_timeout(default_config.mapping_timeout),
+                ),
+                _ => GatewayId(u64::MAX),
+            };
+            for node in selected {
+                match event {
+                    NatDynamicsEvent::GatewayRebootStorm { .. } => {
+                        by_hand.reboot_gateway_of(node, now)
+                    }
+                    NatDynamicsEvent::MobilityWave { .. } => by_hand.migrate_node(node),
+                    NatDynamicsEvent::ProfileUpgrade { .. } => by_hand.promote_to_public(node),
+                    NatDynamicsEvent::ProfileDowngrade { .. } => by_hand.demote_to_private(node),
+                    NatDynamicsEvent::FilteringShift { policy, .. } => {
+                        by_hand.set_filtering_of(node, policy)
+                    }
+                    NatDynamicsEvent::GatewayReconfig { profile, .. } => by_hand
+                        .lock()
+                        .reconfigure_gateway_of(node, profile.config(&default_config)),
+                    NatDynamicsEvent::CgnConsolidation { .. } => {
+                        by_hand.move_node_behind(node, cgn)
+                    }
+                    _ => unreachable!(),
+                };
+            }
+            let expected = observe(&by_hand);
+            assert_eq!(observe(&applied), expected, "{event:?}");
+            assert_ne!(observe(&untouched), expected, "{event:?} changed nothing");
+        }
     }
 }

@@ -51,6 +51,20 @@
 //!       [--workload cyclon_nat_wide] [--pairs 10]
 //!   ```
 //!
+//! * `outputs` — the evidence behind a byte-identity claim: builds the experiment
+//!   binaries of the checkout it runs in and writes into `--out` the 11 `scenario_matrix`
+//!   JSONs and the 3 `workload_matrix` JSONs (both `--scale quick`), the
+//!   `figures --scale tiny --json all` output, each binary's stdout, stderr and exit
+//!   status, and — when `e2e_bench/target/release/e2e` is built, as for `pairs` — the
+//!   seed-42 `digests <untraced> / <traced>` of every declared workload
+//!   (`--seconds 1 --trace 1`). The binaries run inside the output directory with
+//!   relative paths, so nothing written names it, and `diff -r` of two such directories
+//!   (one per checkout) is empty when no seeded output moved. Not a CI step.
+//!
+//!   ```text
+//!   cargo run -p xtask -- outputs --out /root/scratch/outputs-change
+//!   ```
+//!
 //! * `ci-local` — mirrors every CI job offline so contributors can reproduce CI failures
 //!   before pushing: `fmt`, `clippy` (deny warnings), `doc` (deny warnings),
 //!   `public-api` (snapshot diff), `test` (release build + workspace tests + the
@@ -80,6 +94,7 @@ const USAGE: &str = "usage: xtask scenario-matrix [scenario_matrix args...]\n\
                      xtask loc\n\
                      xtask pairs --parent <dir> --change <dir> [--workload <name>]... \
                      [--pairs 10]\n\
+                     xtask outputs --out <dir>\n\
                      xtask ci-local [--skip \
                      fmt,clippy,doc,public-api,test,scenario-matrix,fault-matrix,\
                      workload-matrix,e2e-bench,scale-smoke,huge-smoke]";
@@ -362,6 +377,15 @@ fn quoted_after<'a>(text: &'a str, key: &str) -> Vec<&'a str> {
     entries.filter_map(|e| e.split('"').next()).collect()
 }
 
+/// The workloads a `BENCHMARK.json` declares: every `name` before its `end_to_end` list.
+fn declared_workloads(declared: &str) -> Vec<String> {
+    let head = declared.split("\"end_to_end\"").next().unwrap_or("");
+    quoted_after(head, "name")
+        .into_iter()
+        .map(String::from)
+        .collect()
+}
+
 /// The `pairs` command; see the module documentation.
 fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
     let (mut dirs, mut workloads, mut pairs) = ([None, None], Vec::new(), 10);
@@ -382,17 +406,14 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
     // metric its name and whether higher is better.
     let declared = std::fs::read_to_string(Path::new(&change).join("BENCHMARK.json"))
         .map_err(|err| format!("cannot read the change's BENCHMARK.json: {err}"))?;
-    let (head, tail) = declared
+    let tail = declared
         .split_once("\"end_to_end\"")
-        .unwrap_or((&declared, ""));
+        .map_or("", |(_, tail)| tail);
     let end_to_end = tail.split("\"per_layer\"").next().unwrap_or("");
     let metrics = quoted_after(end_to_end, "name");
     let better = quoted_after(end_to_end, "better");
     if workloads.is_empty() {
-        workloads = quoted_after(head, "name")
-            .into_iter()
-            .map(String::from)
-            .collect();
+        workloads = declared_workloads(&declared);
     }
     for workload in &workloads {
         // Per side (parent, change) and pair: failed operations, then the metrics.
@@ -432,6 +453,63 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The `outputs` command; see the module documentation.
+fn outputs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
+    let (Some("--out"), Some(out), None) = (argv.next().as_deref(), argv.next(), argv.next())
+    else {
+        return Err(String::from("outputs needs --out <dir>"));
+    };
+    let out = PathBuf::from(out);
+    let write = |name: &str, bytes: &[u8]| {
+        std::fs::write(out.join(name), bytes).map_err(|err| format!("cannot write {name}: {err}"))
+    };
+    std::fs::create_dir_all(&out)
+        .map_err(|err| format!("cannot create {}: {err}", out.display()))?;
+    let build = ["build", "--release", "-p", "croupier-experiments", "--bins"];
+    if !run_command(&cargo_bin(), &build, &[]) {
+        return Err(String::from("cannot build the experiment binaries"));
+    }
+    let bins = std::env::current_dir()
+        .map_err(|err| format!("no working directory: {err}"))?
+        .join("target/release");
+    let runs = [
+        ("scenario_matrix", "--scale quick --out scenario-json"),
+        ("workload_matrix", "--scale quick --out workload-json"),
+        ("figures", "--scale tiny --json all"),
+    ];
+    let mut statuses = String::new();
+    for (bin, args) in runs {
+        let mut command = Command::new(bins.join(bin));
+        let run = command.args(args.split(' ')).current_dir(&out).output();
+        let run = run.map_err(|err| format!("cannot run {bin}: {err}"))?;
+        write(&format!("{bin}.stdout"), &run.stdout)?;
+        write(&format!("{bin}.stderr"), &run.stderr)?;
+        statuses += &format!("{bin}: {}\n", run.status);
+    }
+    write("status.txt", statuses.as_bytes())?;
+    let e2e = Path::new("e2e_bench/target/release/e2e");
+    if !e2e.exists() {
+        println!("outputs: e2e_bench is not built, so no digests are written");
+        return Ok(());
+    }
+    let declared = std::fs::read_to_string("BENCHMARK.json")
+        .map_err(|err| format!("cannot read BENCHMARK.json: {err}"))?;
+    let mut digests = String::new();
+    for workload in declared_workloads(&declared) {
+        let mut command = Command::new(e2e);
+        command.args(["--workload", &workload]);
+        let run = command
+            .args("--seed 42 --seconds 1 --trace 1".split(' '))
+            .output();
+        let run = run.map_err(|err| format!("cannot run {}: {err}", e2e.display()))?;
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        let line = stdout.lines().find_map(|line| line.split_once("digests "));
+        let line = line.ok_or(format!("{workload}: no digests line"))?;
+        digests += &format!("{workload}: digests {}\n", line.1);
+    }
+    write("digests.txt", digests.as_bytes())
 }
 
 /// Runs one external command, streaming its output; returns `true` on exit code 0.
@@ -662,13 +740,20 @@ fn main() -> ExitCode {
             public_api_gate(update)
         }
         Some("loc") => loc_report(),
-        Some("pairs") => match pairs(argv) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(err) => {
-                eprintln!("{err}\n{USAGE}");
-                ExitCode::FAILURE
+        Some(command @ ("pairs" | "outputs")) => {
+            let done = if command == "pairs" {
+                pairs(argv)
+            } else {
+                outputs(argv)
+            };
+            match done {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(err) => {
+                    eprintln!("{err}\n{USAGE}");
+                    ExitCode::FAILURE
+                }
             }
-        },
+        }
         Some("scenario-matrix") => {
             // Thin forwarding wrapper so CI and contributors share one entry point.
             let extra: Vec<String> = argv.collect();
