@@ -8,13 +8,12 @@ use croupier::CroupierConfig;
 
 use crate::figures::{estimation_error_figures, run_labelled, LabelledRun};
 use crate::output::{FigureData, Scale};
+use crate::protocols::ProtocolKind;
 use crate::runner::ExperimentParams;
 
 /// System sizes evaluated by the paper.
 pub const PAPER_SIZES: [usize; 5] = [50, 100, 500, 1_000, 5_000];
 const PAPER_ROUNDS: u64 = 200;
-/// Fraction of public nodes (the paper's default ratio).
-const PUBLIC_RATIO: f64 = 0.2;
 
 /// System sizes evaluated beyond the paper by [`Scale::Large`] on the sharded engine.
 pub const LARGE_SIZES: [usize; 3] = [10_000, 50_000, 100_000];
@@ -35,8 +34,7 @@ pub fn sizes(scale: Scale) -> Vec<usize> {
 
 /// Builds the experiment parameters for one system size.
 pub fn params(scale: Scale, total_nodes: usize, seed: u64) -> ExperimentParams {
-    let n_public = ((total_nodes as f64) * PUBLIC_RATIO).round() as usize;
-    let n_private = total_nodes - n_public;
+    let (n_public, n_private) = ProtocolKind::Croupier.population(total_nodes);
     // The paper uses a 10 ms inter-arrival time for the 1000-node experiments; keep the join
     // phase proportionally short for every size. At the 100k-node Large scale the Poisson
     // join phase would outlast the run, so joins are compressed to sub-millisecond spacing
@@ -58,12 +56,10 @@ pub fn params(scale: Scale, total_nodes: usize, seed: u64) -> ExperimentParams {
         params.private_interarrival_ms = 0.00125;
     }
     if scale.incremental_components() {
-        params = params.with_incremental_components();
+        params = params
+            .with_incremental_components()
+            .with_incremental_indegree();
     }
-    if scale.incremental_indegree() {
-        params = params.with_incremental_indegree();
-    }
-    params = params.with_metrics_workers(scale.metrics_workers());
     params
 }
 
@@ -132,10 +128,7 @@ mod tests {
             p.incremental_indegree,
             "Huge tracks in-degree incrementally"
         );
-        assert_eq!(
-            p.metrics_workers, 2,
-            "Huge overlaps analysis on two workers"
-        );
+        assert_eq!(p.metrics_workers, 0, "Huge analyses every sample in place");
         assert!(p.public_interarrival_ms < 1.0);
     }
 

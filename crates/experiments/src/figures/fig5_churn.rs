@@ -9,6 +9,7 @@ use croupier::CroupierConfig;
 
 use crate::figures::{estimation_error_figures, run_labelled, LabelledRun};
 use crate::output::{FigureData, Scale};
+use crate::protocols::ProtocolKind;
 use crate::runner::ExperimentParams;
 use crate::scenario::ChurnSpec;
 
@@ -20,13 +21,12 @@ const PAPER_CHURN_START: u64 = 61;
 
 /// Builds the experiment parameters for one churn rate.
 pub fn params(scale: Scale, churn_rate: f64, seed: u64) -> ExperimentParams {
-    let total = scale.nodes(PAPER_NODES);
-    let n_public = (total as f64 * 0.2).round() as usize;
+    let (n_public, n_private) = ProtocolKind::Croupier.population(scale.nodes(PAPER_NODES));
     let rounds = scale.rounds(PAPER_ROUNDS);
     let start = PAPER_CHURN_START.min(rounds / 3).max(5);
     ExperimentParams::default()
         .with_seed(seed)
-        .with_population(n_public, total - n_public)
+        .with_population(n_public, n_private)
         .with_rounds(rounds)
         .with_sample_every(scale.sample_every())
         .with_churn(ChurnSpec::new(start, churn_rate))

@@ -20,13 +20,7 @@ const PAPER_ROUNDS: u64 = 250;
 /// Builds the experiment parameters for one protocol. Cyclon runs on an all-public
 /// population, as in the paper.
 pub fn params(scale: Scale, kind: ProtocolKind, seed: u64) -> ExperimentParams {
-    let total = scale.nodes(PAPER_NODES);
-    let (n_public, n_private) = if kind == ProtocolKind::Cyclon {
-        (total, 0)
-    } else {
-        let public = (total as f64 * 0.2).round() as usize;
-        (public, total - public)
-    };
+    let (n_public, n_private) = kind.population(scale.nodes(PAPER_NODES));
     ExperimentParams::default()
         .with_seed(seed)
         .with_population(n_public, n_private)

@@ -24,13 +24,7 @@ pub const PRIVATE_X: f64 = 1.0;
 
 /// Builds the experiment parameters for one protocol.
 pub fn params(scale: Scale, kind: ProtocolKind, seed: u64) -> ExperimentParams {
-    let total = scale.nodes(PAPER_NODES);
-    let (n_public, n_private) = if kind == ProtocolKind::Cyclon {
-        (total, 0)
-    } else {
-        let public = (total as f64 * 0.2).round() as usize;
-        (public, total - public)
-    };
+    let (n_public, n_private) = kind.population(scale.nodes(PAPER_NODES));
     let rounds = scale.rounds(PAPER_ROUNDS);
     let window_start = rounds / 2;
     ExperimentParams::default()

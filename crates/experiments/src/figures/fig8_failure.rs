@@ -28,13 +28,7 @@ pub fn failure_fractions(scale: Scale) -> Vec<f64> {
 
 /// Builds the warm-up parameters for one protocol.
 pub fn params(scale: Scale, kind: ProtocolKind, seed: u64) -> ExperimentParams {
-    let total = scale.nodes(PAPER_NODES);
-    let (n_public, n_private) = if kind == ProtocolKind::Cyclon {
-        (total, 0)
-    } else {
-        let public = (total as f64 * 0.2).round() as usize;
-        (public, total - public)
-    };
+    let (n_public, n_private) = kind.population(scale.nodes(PAPER_NODES));
     ExperimentParams::default()
         .with_seed(seed)
         .with_population(n_public, n_private)

@@ -324,11 +324,7 @@ pub fn detect_partition_recovery(
 /// NAT-aware protocols get the paper's 1:4 public/private split.
 pub fn cell_params(kind: ProtocolKind, scale: Scale, seed: u64, rounds: u64) -> ExperimentParams {
     let total = scale.nodes(MATRIX_PAPER_NODES);
-    let (n_public, n_private) = if kind.is_nat_aware() {
-        (total / 5, total - total / 5)
-    } else {
-        (total, 0)
-    };
+    let (n_public, n_private) = kind.population(total);
     ExperimentParams::default()
         .with_seed(seed)
         .with_population(n_public, n_private)
@@ -778,6 +774,30 @@ mod tests {
         assert_eq!(nat_aware.total_nodes(), oblivious.total_nodes());
         assert_eq!(oblivious.n_private, 0);
         assert!(nat_aware.n_private > nat_aware.n_public);
+        // Every cell's split, written out by hand: a fifth public for the NAT-aware
+        // protocols, all public for Cyclon, at each scale's `nodes(1000)`.
+        let table = [
+            (Scale::Tiny, (5, 20), (25, 0)),
+            (Scale::Quick, (20, 80), (100, 0)),
+            (Scale::Paper, (200, 800), (1_000, 0)),
+            (Scale::Large, (4_000, 16_000), (20_000, 0)),
+            (Scale::Huge, (40_000, 160_000), (200_000, 0)),
+        ];
+        for (scale, nat_aware, cyclon) in table {
+            for kind in ProtocolKind::ALL {
+                let params = cell_params(kind, scale, 1, 24);
+                let expected = if kind.is_nat_aware() {
+                    nat_aware
+                } else {
+                    cyclon
+                };
+                assert_eq!(
+                    (params.n_public, params.n_private),
+                    expected,
+                    "{kind} at {scale:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,13 +11,15 @@ use serde::{Deserialize, Serialize};
 ///
 /// All tiers at a glance (nodes shown for the paper's 5000-node experiments):
 ///
-/// | Tier    | Nodes vs paper | Nodes   | Rounds vs paper | Sample every | Engine        | Metrics plane            |
+/// Every tier analyses each sample in place, on the driver thread.
+///
+/// | Tier    | Nodes vs paper | Nodes   | Rounds vs paper | Sample every | Engine        | Connectivity, in-degree  |
 /// |---------|----------------|---------|-----------------|--------------|---------------|--------------------------|
-/// | `Tiny`  | ÷40            | 125     | ÷5 (min 20)     | 2            | event-driven  | synchronous              |
-/// | `Quick` | ÷10            | 500     | ÷2 (min 40)     | 2            | event-driven  | synchronous              |
-/// | `Paper` | ×1             | 5 000   | ×1              | 5            | event-driven  | synchronous              |
-/// | `Large` | ×20            | 100 000 | ÷4 (min 25)     | 10           | sharded ×4    | synchronous              |
-/// | `Huge`  | ×200           | 1 000 000 | ÷8 (min 12)   | 20           | sharded ×8    | incremental, 2 workers   |
+/// | `Tiny`  | ÷40            | 125     | ÷5 (min 20)     | 2            | event-driven  | CSR pipeline             |
+/// | `Quick` | ÷10            | 500     | ÷2 (min 40)     | 2            | event-driven  | CSR pipeline             |
+/// | `Paper` | ×1             | 5 000   | ×1              | 5            | event-driven  | CSR pipeline             |
+/// | `Large` | ×20            | 100 000 | ÷4 (min 25)     | 10           | sharded ×4    | CSR pipeline             |
+/// | `Huge`  | ×200           | 1 000 000 | ÷8 (min 12)   | 20           | sharded ×8    | incremental trackers     |
 #[non_exhaustive]
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum Scale {
@@ -86,29 +88,11 @@ impl Scale {
     /// over the snapshot's edges instead of building the full CSR graph on every sample
     /// (see
     /// [`ExperimentParams::incremental_components`](crate::runner::ExperimentParams::incremental_components)).
+    /// The same switch turns on the incremental in-degree tracker
+    /// ([`ExperimentParams::incremental_indegree`](crate::runner::ExperimentParams::incremental_indegree)):
+    /// both serve the tier that cannot afford the CSR pipeline per sample.
     pub fn incremental_components(self) -> bool {
         matches!(self, Scale::Huge)
-    }
-
-    /// Whether runs at this scale track the in-degree distribution incrementally (see
-    /// [`ExperimentParams::incremental_indegree`](crate::runner::ExperimentParams::incremental_indegree)).
-    /// Follows [`incremental_components`](Self::incremental_components): both serve the
-    /// tier that cannot afford the CSR pipeline per sample.
-    pub fn incremental_indegree(self) -> bool {
-        self.incremental_components()
-    }
-
-    /// Number of metrics worker threads the driver overlaps graph analysis with the
-    /// simulation on (see
-    /// [`ExperimentParams::metrics_workers`](crate::runner::ExperimentParams::metrics_workers)).
-    /// Only the million-node tier overlaps: its per-sample analysis is expensive enough
-    /// to hide whole simulation rounds behind, while at the paper scales analysing on the
-    /// driver thread keeps runs trivially comparable to the published figures.
-    pub fn metrics_workers(self) -> usize {
-        match self {
-            Scale::Tiny | Scale::Quick | Scale::Paper | Scale::Large => 0,
-            Scale::Huge => 2,
-        }
     }
 
     /// Parses a scale name (`tiny`, `quick`, `paper`/`full`, `large`, `huge`).
@@ -449,10 +433,7 @@ mod tests {
         assert_eq!(Scale::Huge.engine_threads(), 8);
         assert!(Scale::Huge.incremental_components());
         assert!(!Scale::Large.incremental_components());
-        assert!(Scale::Huge.incremental_indegree());
-        assert_eq!(Scale::Huge.metrics_workers(), 2);
-        assert_eq!(Scale::Large.metrics_workers(), 0);
-        assert_eq!(Scale::Paper.metrics_workers(), 0);
+        assert!(!Scale::Paper.incremental_components());
     }
 
     #[test]

@@ -66,8 +66,8 @@ fn release_freed_memory() {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{mpsc, Barrier};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     use super::*;
 
@@ -82,14 +82,13 @@ mod tests {
         // With a second worker, job 0 is held back until job 1 has finished; on a
         // one-core host the jobs run back to back and the order is trivially kept.
         let overlap = expected_workers(6, 1) >= 2;
-        let (tx, rx) = mpsc::channel::<()>();
-        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let one_done = AtomicBool::new(false);
         let out = run_all((0..6u32).collect(), 1, |job| {
-            if overlap && job == 0 {
-                rx.lock().unwrap().recv().unwrap();
+            while overlap && job == 0 && !one_done.load(Ordering::SeqCst) {
+                thread::yield_now();
             }
             if job == 1 {
-                tx.lock().unwrap().send(()).unwrap();
+                one_done.store(true, Ordering::SeqCst);
             }
             job * 10
         });

@@ -2,6 +2,8 @@
 
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_baselines::{BaselineConfig, CyclonNode, GozarNode, NylonNode};
+use croupier_nat::NatTopology;
+use croupier_simulator::{NatClass, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::runner::{run_failure, run_pss, ExperimentParams, RunOutput};
@@ -61,6 +63,16 @@ impl ProtocolKind {
     pub fn is_nat_aware(self) -> bool {
         !matches!(self, ProtocolKind::Cyclon)
     }
+
+    /// The initial `(public, private)` split of `total` nodes: the paper's 20 % public
+    /// for the NAT-aware protocols, all public for Cyclon (as in the paper's evaluation).
+    pub(crate) fn population(self, total: usize) -> (usize, usize) {
+        if !self.is_nat_aware() {
+            return (total, 0);
+        }
+        let public = (total as f64 * 0.2).round() as usize;
+        (public, total - public)
+    }
 }
 
 impl std::fmt::Display for ProtocolKind {
@@ -79,6 +91,29 @@ pub struct ProtocolConfigs {
     pub baseline: BaselineConfig,
 }
 
+/// Each protocol's node constructor, as the driver calls it for every joining node.
+fn croupier(
+    configs: &ProtocolConfigs,
+) -> impl FnMut(NodeId, NatClass, &NatTopology) -> CroupierNode {
+    let config = configs.croupier.clone();
+    move |id, class, _| CroupierNode::new(id, class, config.clone())
+}
+
+fn cyclon(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass, &NatTopology) -> CyclonNode {
+    let config = configs.baseline.clone();
+    move |id, _, _| CyclonNode::new(id, config.clone())
+}
+
+fn gozar(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass, &NatTopology) -> GozarNode {
+    let config = configs.baseline.clone();
+    move |id, class, _| GozarNode::new(id, class, config.clone())
+}
+
+fn nylon(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass, &NatTopology) -> NylonNode {
+    let config = configs.baseline.clone();
+    move |id, class, _| NylonNode::new(id, class, config.clone())
+}
+
 /// Runs an experiment with the given protocol.
 ///
 /// For Cyclon the experiment should normally use an all-public population
@@ -90,28 +125,10 @@ pub fn run_kind(
     configs: &ProtocolConfigs,
 ) -> RunOutput {
     match kind {
-        ProtocolKind::Croupier => {
-            let config = configs.croupier.clone();
-            run_pss(params, move |id, class, _| {
-                CroupierNode::new(id, class, config.clone())
-            })
-        }
-        ProtocolKind::Cyclon => {
-            let config = configs.baseline.clone();
-            run_pss(params, move |id, _, _| CyclonNode::new(id, config.clone()))
-        }
-        ProtocolKind::Gozar => {
-            let config = configs.baseline.clone();
-            run_pss(params, move |id, class, _| {
-                GozarNode::new(id, class, config.clone())
-            })
-        }
-        ProtocolKind::Nylon => {
-            let config = configs.baseline.clone();
-            run_pss(params, move |id, class, _| {
-                NylonNode::new(id, class, config.clone())
-            })
-        }
+        ProtocolKind::Croupier => run_pss(params, croupier(configs)),
+        ProtocolKind::Cyclon => run_pss(params, cyclon(configs)),
+        ProtocolKind::Gozar => run_pss(params, gozar(configs)),
+        ProtocolKind::Nylon => run_pss(params, nylon(configs)),
     }
 }
 
@@ -124,38 +141,10 @@ pub fn run_failure_kind(
     failure_fraction: f64,
 ) -> f64 {
     match kind {
-        ProtocolKind::Croupier => {
-            let config = configs.croupier.clone();
-            run_failure(
-                params,
-                move |id, class, _| CroupierNode::new(id, class, config.clone()),
-                failure_fraction,
-            )
-        }
-        ProtocolKind::Cyclon => {
-            let config = configs.baseline.clone();
-            run_failure(
-                params,
-                move |id, _, _| CyclonNode::new(id, config.clone()),
-                failure_fraction,
-            )
-        }
-        ProtocolKind::Gozar => {
-            let config = configs.baseline.clone();
-            run_failure(
-                params,
-                move |id, class, _| GozarNode::new(id, class, config.clone()),
-                failure_fraction,
-            )
-        }
-        ProtocolKind::Nylon => {
-            let config = configs.baseline.clone();
-            run_failure(
-                params,
-                move |id, class, _| NylonNode::new(id, class, config.clone()),
-                failure_fraction,
-            )
-        }
+        ProtocolKind::Croupier => run_failure(params, croupier(configs), failure_fraction),
+        ProtocolKind::Cyclon => run_failure(params, cyclon(configs), failure_fraction),
+        ProtocolKind::Gozar => run_failure(params, gozar(configs), failure_fraction),
+        ProtocolKind::Nylon => run_failure(params, nylon(configs), failure_fraction),
     }
 }
 

@@ -8,10 +8,10 @@
 //! a fixed seed, so `engine_threads = 1` is the reference a parallel run can be checked
 //! against.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::thread::ScopedJoinHandle;
 use std::time::Instant;
 
 use croupier_metrics::{
@@ -77,12 +77,13 @@ pub struct ExperimentParams {
     /// O(edges) and is bit-identical to the full recount.
     pub incremental_indegree: bool,
     /// Number of metrics worker threads the driver overlaps full-graph analysis with the
-    /// simulation on. `0` (the default) analyses every sample synchronously on the driver
-    /// thread. With `n >= 1` workers the driver captures a snapshot, runs the incremental
-    /// trackers and pre-draws the BFS sources, then hands the (copied) snapshot to a
-    /// worker so the CSR build, path-length, clustering and estimation sweeps for sample
-    /// `k` compute while the engine already simulates toward sample `k + 1`. Results are
-    /// joined in sample order, so the output is bit-identical for every worker count.
+    /// simulation on. `0` (the default) analyses every sample in place on the driver
+    /// thread. With `n >= 1` the driver captures a snapshot, runs the incremental
+    /// trackers and pre-draws the BFS sources, then analyses a copy of the snapshot on a
+    /// scoped thread of its own, so the CSR build, path-length, clustering and estimation
+    /// sweeps for sample `k` compute while the engine already simulates toward sample
+    /// `k + 1`. At most `n` run at once and they are joined oldest first, so the output
+    /// is bit-identical for every worker count.
     pub metrics_workers: usize,
     /// Continuous churn, if any.
     pub churn: Option<ChurnSpec>,
@@ -265,7 +266,7 @@ pub struct RoundSample {
 }
 
 /// Wall-clock cost of one metrics sample, split into the part that must run on the
-/// driver thread and the part the overlapped metrics plane can hide.
+/// driver thread and the part a metrics worker can take over.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SampleMetricsTiming {
     /// Gossip round of the sample.
@@ -280,7 +281,7 @@ pub struct SampleMetricsTiming {
     pub offloaded: bool,
 }
 
-/// How much full-graph analysis the overlapped metrics plane hid behind the simulation.
+/// How much full-graph analysis the metrics workers hid behind the simulation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsOverlapReport {
     /// Number of metrics worker threads.
@@ -289,7 +290,8 @@ pub struct MetricsOverlapReport {
     pub offloaded_samples: u64,
     /// Total analysis nanoseconds across all offloaded samples.
     pub analysis_ns: u64,
-    /// Driver nanoseconds spent blocked waiting for a worker (pool dry or final join).
+    /// Driver nanoseconds spent blocked joining workers (every slot busy, or the joins at
+    /// the end of the run).
     pub blocked_ns: u64,
     /// Fraction of [`analysis_ns`](Self::analysis_ns) that did **not** stall the driver:
     /// `1.0` means the analysis was entirely hidden behind the simulation.
@@ -324,7 +326,7 @@ pub struct RunOutput {
     /// when [`ExperimentParams::incremental_indegree`] was enabled. In a steady overlay
     /// almost every sample should take the O(delta) fast path.
     pub incremental_indegree_updates: Option<(u64, u64)>,
-    /// Overlap accounting of the pipelined metrics plane, when
+    /// Overlap accounting of the offloaded analysis, when
     /// [`ExperimentParams::metrics_workers`] was nonzero.
     pub metrics_overlap: Option<MetricsOverlapReport>,
     /// Per-sample metrics timing, in time order (one entry per [`RoundSample`]).
@@ -362,7 +364,7 @@ impl RunOutput {
 /// delta, the true ratio is read from the live bookkeeping, and the BFS sources are
 /// pre-drawn from the metric RNG (so the analysis stage consumes no randomness and the
 /// run is bit-identical wherever the analysis executes).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug)]
 struct SamplePrep {
     round: u64,
     node_count: usize,
@@ -374,24 +376,17 @@ struct SamplePrep {
     sources: Vec<u32>,
 }
 
-/// One unit of offloaded analysis: a transfer snapshot (recycled through the worker
-/// pool) plus the driver-side prep, tagged with the sample's position so results can be
-/// joined in sample order.
-#[derive(Debug, Default)]
-struct MetricsJob {
-    index: usize,
-    prep: SamplePrep,
-    snapshot: OverlaySnapshot,
-}
-
-/// The analysis stage of one sample: everything that is a pure function of the captured
-/// snapshot (plus the pre-drawn prep). Runs inline on the driver thread when
-/// [`ExperimentParams::metrics_workers`] is `0`, or on a metrics worker otherwise.
+/// The analysis stage of one sample, timed: everything that is a pure function of the
+/// captured snapshot (plus the pre-drawn prep). Runs in place on the driver thread when
+/// [`ExperimentParams::metrics_workers`] is `0`, or on a metrics worker (`offloaded`)
+/// otherwise.
 fn analyze_sample(
     prep: &SamplePrep,
     snapshot: &OverlaySnapshot,
     metrics: &mut MetricsContext,
-) -> RoundSample {
+    offloaded: bool,
+) -> (RoundSample, SampleMetricsTiming) {
+    let start = Instant::now();
     let estimation = estimation_errors(snapshot, prep.true_ratio);
     let (avg_path_length, clustering, largest_component, gini) = if prep.graph_metrics {
         // One CSR build feeds all graph metrics; dangling edges are filtered during the
@@ -415,7 +410,7 @@ fn analyze_sample(
     } else {
         (None, None, prep.incremental_component, prep.indegree_gini)
     };
-    RoundSample {
+    let sample = RoundSample {
         round: prep.round,
         node_count: prep.node_count,
         true_ratio: prep.true_ratio,
@@ -424,7 +419,14 @@ fn analyze_sample(
         clustering,
         largest_component,
         indegree_gini: gini,
-    }
+    };
+    let timing = SampleMetricsTiming {
+        round: prep.round,
+        capture_ns: prep.capture_ns,
+        analysis_ns: start.elapsed().as_nanos() as u64,
+        offloaded,
+    };
+    (sample, timing)
 }
 
 /// Per-protocol experiment state shared between [`run_pss`] and [`run_failure`], generic
@@ -454,9 +456,6 @@ struct Driver<P: Protocol + PssNode, E: SimulationEngine<P>> {
     indegree: IncrementalIndegree,
     /// Per-sample metrics timing, accumulated in sample order.
     metrics_timing: Vec<SampleMetricsTiming>,
-    /// Reusable traffic ledger refilled in place by the overhead-window sampling, instead
-    /// of cloning the engine's whole per-node map per sample.
-    traffic_scratch: croupier_simulator::TrafficLedger,
     /// Delivery tracker shared with the workload hook riding the engine, when
     /// [`ExperimentParams::workload`] is set; the final report is built from it in
     /// [`run`](Self::run).
@@ -481,40 +480,31 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         // `simulator.fault_inactive_ns` probe).
         let fault_plane = croupier_simulator::FaultPlane::new(seed);
         sim.set_fault_plane(fault_plane.clone());
-        let mut workload_state = None;
-        {
-            // Build the barrier hook: scenario executor, workload executor, or both. When
-            // both ride the run, the scenario fires first so the workload always pushes
-            // and pulls over the post-dynamics NAT world of the closing round.
-            let scenario_hook = params.scenario.as_ref().map(|script| {
-                // The executor shares the topology with the delivery filter and runs at
-                // the engines' round barriers on the coordinating thread; its RNG is a
-                // dedicated stream of the master seed, so scripted runs are deterministic
-                // and (on the sharded engine) bit-identical across worker-thread counts.
-                let scenario_rng = seed.stream_rng(croupier_simulator::rng::Stream::Custom(0x5C3A));
-                Box::new(
-                    ScenarioExecutor::new(script, topology.clone(), scenario_rng)
-                        .with_fault_plane(fault_plane.clone()),
-                )
-            });
-            let workload_hook = params.workload.map(|spec| {
-                let (executor, state) =
-                    WorkloadExecutor::new(spec, topology.clone(), fault_plane.clone());
-                workload_state = Some(state);
-                Box::new(executor)
-            });
-            match (scenario_hook, workload_hook) {
-                (Some(scenario), Some(workload)) => sim.set_sampled_round_hook(Box::new(
-                    croupier_simulator::CompositeRoundHook::new()
-                        .with(scenario)
-                        .with(workload),
-                )),
-                // The workload draws peer samples, so it needs the sampling-aware
-                // installer; a scenario alone keeps the cheaper plain hook.
-                (None, Some(workload)) => sim.set_sampled_round_hook(workload),
-                (Some(scenario), None) => sim.set_round_hook(scenario),
-                (None, None) => {}
-            }
+        // The barrier hooks, in firing order: the scenario first, so the workload always
+        // pushes and pulls over the post-dynamics NAT world of the closing round.
+        let mut hooks = croupier_simulator::CompositeRoundHook::new();
+        if let Some(script) = &params.scenario {
+            // The executor shares the topology with the delivery filter and runs at the
+            // engines' round barriers on the coordinating thread; its RNG is a dedicated
+            // stream of the master seed, so scripted runs are deterministic and (on the
+            // sharded engine) bit-identical across worker-thread counts.
+            let scenario_rng = seed.stream_rng(croupier_simulator::rng::Stream::Custom(0x5C3A));
+            hooks.push(Box::new(
+                ScenarioExecutor::new(script, topology.clone(), scenario_rng)
+                    .with_fault_plane(fault_plane.clone()),
+            ));
+        }
+        let workload_state = params.workload.map(|spec| {
+            let (executor, state) =
+                WorkloadExecutor::new(spec, topology.clone(), fault_plane.clone());
+            hooks.push(Box::new(executor));
+            state
+        });
+        // The workload draws peer samples, so the hooks need the sampling-aware installer.
+        // A hookless run installs nothing: any installed hook stops the sharded engine
+        // from skipping ahead.
+        if !hooks.is_empty() {
+            sim.set_sampled_round_hook(Box::new(hooks));
         }
         let mut sample_snapshot = OverlaySnapshot::default();
         if params.incremental_components || params.incremental_indegree {
@@ -536,7 +526,6 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             components: IncrementalComponents::new(),
             indegree: IncrementalIndegree::new(),
             metrics_timing: Vec::new(),
-            traffic_scratch: croupier_simulator::TrafficLedger::new(),
             workload_state,
             _protocol: PhantomData,
         }
@@ -777,28 +766,28 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             if round == start {
                 self.sim.reset_traffic_window();
             } else if round == end {
-                let window_secs = (end - start) as f64;
-                self.sim.traffic_snapshot_into(&mut self.traffic_scratch);
                 *overhead = Some(class_overhead(
-                    &self.traffic_scratch,
+                    &self.sim.traffic_snapshot(),
                     |id| self.all_classes.get(&id).copied(),
-                    window_secs,
+                    (end - start) as f64,
                 ));
             }
         }
     }
 
-    /// The run loop: the driver thread simulates and prepares samples while a pool of
-    /// [`metrics_workers`](ExperimentParams::metrics_workers) threads analyses
-    /// already-captured snapshots. With zero workers the pool degenerates to the driver
-    /// thread itself, which analyses each sample in place before the next round.
+    /// The run loop. With zero [`metrics_workers`](ExperimentParams::metrics_workers) the
+    /// driver thread analyses each sample in place, straight off the live snapshot,
+    /// before the next round. Otherwise each sample's analysis runs on a scoped thread of
+    /// its own over a copy of the snapshot, at most `metrics_workers` at once, while the
+    /// driver simulates on; the driver joins them oldest first, so samples arrive in
+    /// sample order.
     ///
     /// Soundness hinges on the split in [`prepare_sample`](Self::prepare_sample): the
     /// capture and both incremental trackers stay on the driver thread (an edge delta is
     /// only valid between *consecutive* captures, so its consumers can never skip a
     /// snapshot), and the metric RNG is fully consumed during prepare. What a worker
-    /// receives is a pure function of its job, so joining results by sample index makes
-    /// the run bit-identical for any worker count, zero included.
+    /// computes is a pure function of its prep and snapshot, so the run is bit-identical
+    /// for any worker count, zero included.
     fn run_rounds<F>(
         &mut self,
         round_ms: u64,
@@ -810,29 +799,6 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
     where
         F: FnMut(NodeId, NatClass, &NatTopology) -> P,
     {
-        /// Books a finished job: records its sample and timing under the job's index,
-        /// returns the job so its buffers can be recycled.
-        fn settle(
-            done: MetricsJob,
-            sample: RoundSample,
-            elapsed_ns: u64,
-            settled: &mut Vec<(usize, RoundSample, SampleMetricsTiming)>,
-            analysis_ns: &mut u64,
-        ) -> MetricsJob {
-            *analysis_ns += elapsed_ns;
-            settled.push((
-                done.index,
-                sample,
-                SampleMetricsTiming {
-                    round: done.prep.round,
-                    capture_ns: done.prep.capture_ns,
-                    analysis_ns: elapsed_ns,
-                    offloaded: true,
-                },
-            ));
-            done
-        }
-
         let workers = self.params.metrics_workers;
         // A single worker never competes with a sibling for cores, so it inherits the
         // engine's thread budget for its multi-source BFS; multiple workers each stay
@@ -842,44 +808,12 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         } else {
             1
         };
-        // Offloaded results in completion order; joined by index after the loop.
-        let mut settled = Vec::new();
-        let mut analysis_ns = 0u64;
         let mut blocked_ns = 0u64;
-        let mut offloaded = 0usize;
+        let mut sources = Vec::new();
         let mut next_event = 0usize;
-
         std::thread::scope(|scope| {
-            let (job_tx, job_rx) = mpsc::channel::<MetricsJob>();
-            let (result_tx, result_rx) = mpsc::channel::<(MetricsJob, RoundSample, u64)>();
-            let job_rx = Arc::new(Mutex::new(job_rx));
-            for _ in 0..workers {
-                let rx = Arc::clone(&job_rx);
-                let tx = result_tx.clone();
-                scope.spawn(move || {
-                    let mut metrics = MetricsContext::new(worker_threads);
-                    loop {
-                        // Hold the lock only for the receive: workers analyse in
-                        // parallel, competing solely for job pickup.
-                        let job = match rx.lock().unwrap().recv() {
-                            Ok(job) => job,
-                            Err(_) => break,
-                        };
-                        let start = Instant::now();
-                        let sample = analyze_sample(&job.prep, &job.snapshot, &mut metrics);
-                        let elapsed_ns = start.elapsed().as_nanos() as u64;
-                        if tx.send((job, sample, elapsed_ns)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(result_tx);
-
-            // `workers + 1` transfer jobs: every worker can hold one while the driver
-            // fills the spare, so in steady state the driver never waits.
-            let mut pool: Vec<MetricsJob> = (0..=workers).map(|_| MetricsJob::default()).collect();
-            let mut in_flight = 0usize;
+            // Offloaded samples, oldest first.
+            let mut in_flight: VecDeque<ScopedJoinHandle<'_, _>> = VecDeque::new();
             for round in 1..=self.params.rounds {
                 self.step_round(
                     round,
@@ -892,81 +826,60 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
                 if round % self.params.sample_every != 0 {
                     continue;
                 }
-                // Recycle every finished job without blocking, then take a free buffer —
-                // waiting on the slowest worker only when the pool has run dry.
-                while let Ok((done, sample, elapsed_ns)) = result_rx.try_recv() {
-                    in_flight -= 1;
-                    pool.push(settle(
-                        done,
-                        sample,
-                        elapsed_ns,
-                        &mut settled,
-                        &mut analysis_ns,
-                    ));
-                }
-                let mut job = match pool.pop() {
-                    Some(job) => job,
-                    None => {
-                        let wait = Instant::now();
-                        let (done, sample, elapsed_ns) =
-                            result_rx.recv().expect("metrics workers alive");
-                        blocked_ns += wait.elapsed().as_nanos() as u64;
-                        in_flight -= 1;
-                        settle(done, sample, elapsed_ns, &mut settled, &mut analysis_ns)
-                    }
-                };
-                let sources = std::mem::take(&mut job.prep.sources);
-                job.prep = self.prepare_sample(round, sources);
+                let prep = self.prepare_sample(round, std::mem::take(&mut sources));
                 if workers == 0 {
-                    // Nobody to hand the job to: analyse the live snapshot right here,
-                    // in sample order, and keep the job for its source buffer.
-                    let start = Instant::now();
-                    samples.push(analyze_sample(
-                        &job.prep,
-                        &self.sample_snapshot,
-                        &mut self.metrics,
-                    ));
-                    self.metrics_timing.push(SampleMetricsTiming {
-                        round,
-                        capture_ns: job.prep.capture_ns,
-                        analysis_ns: start.elapsed().as_nanos() as u64,
-                        offloaded: false,
-                    });
-                    pool.push(job);
-                } else {
-                    job.index = offloaded;
-                    offloaded += 1;
-                    job.snapshot.copy_observations_from(&self.sample_snapshot);
-                    job_tx.send(job).expect("metrics workers alive");
-                    in_flight += 1;
+                    let (sample, timing) =
+                        analyze_sample(&prep, &self.sample_snapshot, &mut self.metrics, false);
+                    samples.push(sample);
+                    self.metrics_timing.push(timing);
+                    sources = prep.sources;
+                    continue;
                 }
+                // Every slot busy: join the oldest sample and reuse its buffers.
+                let (mut snapshot, mut metrics) = if in_flight.len() == workers {
+                    let oldest = in_flight.pop_front().expect("every slot is busy");
+                    let wait = Instant::now();
+                    let (sample, timing, snapshot, metrics) =
+                        oldest.join().expect("metrics worker panicked");
+                    blocked_ns += wait.elapsed().as_nanos() as u64;
+                    samples.push(sample);
+                    self.metrics_timing.push(timing);
+                    (snapshot, metrics)
+                } else {
+                    (
+                        OverlaySnapshot::default(),
+                        MetricsContext::new(worker_threads),
+                    )
+                };
+                snapshot.copy_observations_from(&self.sample_snapshot);
+                in_flight.push_back(scope.spawn(move || {
+                    let (sample, timing) = analyze_sample(&prep, &snapshot, &mut metrics, true);
+                    (sample, timing, snapshot, metrics)
+                }));
             }
-            drop(job_tx);
-            while in_flight > 0 {
+            for oldest in in_flight {
                 let wait = Instant::now();
-                let (done, sample, elapsed_ns) = result_rx.recv().expect("metrics workers alive");
+                let (sample, timing, ..) = oldest.join().expect("metrics worker panicked");
                 blocked_ns += wait.elapsed().as_nanos() as u64;
-                in_flight -= 1;
-                settle(done, sample, elapsed_ns, &mut settled, &mut analysis_ns);
+                samples.push(sample);
+                self.metrics_timing.push(timing);
             }
         });
 
-        settled.sort_unstable_by_key(|(index, ..)| *index);
-        for (_, sample, timing) in settled {
-            samples.push(sample);
-            self.metrics_timing.push(timing);
-        }
-        let hidden = analysis_ns - blocked_ns.min(analysis_ns);
-        (workers > 0).then(|| MetricsOverlapReport {
-            workers,
-            offloaded_samples: offloaded as u64,
-            analysis_ns,
-            blocked_ns,
-            overlap_ratio: if analysis_ns == 0 {
-                0.0
-            } else {
-                hidden as f64 / analysis_ns as f64
-            },
+        (workers > 0).then(|| {
+            let analysis_ns: u64 = self.metrics_timing.iter().map(|t| t.analysis_ns).sum();
+            let hidden = analysis_ns - blocked_ns.min(analysis_ns);
+            MetricsOverlapReport {
+                workers,
+                offloaded_samples: self.metrics_timing.len() as u64,
+                analysis_ns,
+                blocked_ns,
+                overlap_ratio: if analysis_ns == 0 {
+                    0.0
+                } else {
+                    hidden as f64 / analysis_ns as f64
+                },
+            }
         })
     }
 
@@ -1227,6 +1140,46 @@ mod tests {
         assert_eq!(sync.samples, overlapped.samples);
         assert_eq!(sync.nat_stats, overlapped.nat_stats);
         assert_eq!(sync.traffic, overlapped.traffic);
+    }
+
+    #[test]
+    fn more_workers_than_samples_still_join_in_round_order() {
+        let run = |workers: usize| {
+            let params = tiny_params()
+                .with_seed(18)
+                .with_rounds(15)
+                .with_graph_metrics(10)
+                .with_metrics_workers(workers);
+            run_pss(&params, |id, class, _| {
+                CroupierNode::new(id, class, CroupierConfig::default())
+            })
+        };
+        let out = run(8);
+        let rounds: Vec<u64> = out.samples.iter().map(|s| s.round).collect();
+        assert_eq!(rounds, [5, 10, 15]);
+        let timed: Vec<u64> = out.metrics_timing.iter().map(|t| t.round).collect();
+        assert_eq!(timed, rounds);
+        assert!(out.metrics_timing.iter().all(|t| t.offloaded));
+        assert_eq!(out.metrics_overlap.unwrap().offloaded_samples, 3);
+        assert_eq!(out.samples, run(0).samples);
+    }
+
+    #[test]
+    fn a_run_without_samples_reports_an_empty_overlap() {
+        let params = tiny_params()
+            .with_seed(19)
+            .with_rounds(10)
+            .with_sample_every(20)
+            .with_metrics_workers(2);
+        let out = run_pss(&params, |id, class, _| {
+            CroupierNode::new(id, class, CroupierConfig::default())
+        });
+        assert!(out.samples.is_empty());
+        assert!(out.metrics_timing.is_empty());
+        let report = out.metrics_overlap.expect("a worker count was configured");
+        assert_eq!(report.workers, 2);
+        assert_eq!(report.offloaded_samples, 0);
+        assert_eq!(report.overlap_ratio, 0.0);
     }
 
     #[test]

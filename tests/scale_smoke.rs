@@ -10,8 +10,8 @@ use croupier_suite::experiments::figures::fig3_system_size;
 use croupier_suite::experiments::output::Scale;
 use croupier_suite::experiments::runner::{run_pss, RunOutput};
 
-/// Writes the per-sample metrics timing (and the overlap summary) as a JSON artifact the
-/// CI `huge-smoke` job uploads; integration tests in the root package run with the
+/// Writes the per-sample metrics timing (and the overlap summary, when metrics workers
+/// ran) as a JSON artifact the CI `huge-smoke` job uploads; integration tests in the root package run with the
 /// workspace root as cwd, so the relative path lands in `target/`.
 fn write_metrics_timing_artifact(out: &RunOutput, name: &str) {
     let dir = std::path::Path::new("target/metrics-timing");
@@ -90,8 +90,8 @@ fn croupier_100k_nodes_on_the_sharded_engine() {
 /// descriptor/estimate layouts and the u32 NAT mapping tables at a population where the
 /// unpacked layouts would not fit in CI memory, and asserts that every sample's largest
 /// component came from the union-find tracker without the CSR pipeline, that the
-/// in-degree family rode its O(delta) fast path, and that the snapshot analysis
-/// overlapped with the simulation on the two `Scale::Huge` metrics workers.
+/// in-degree family rode its O(delta) fast path, and that the driver analysed every
+/// sample in place, without metrics workers.
 #[test]
 #[ignore = "million-node run; executed by the CI huge-smoke job"]
 fn croupier_one_million_nodes_on_the_sharded_engine() {
@@ -104,7 +104,7 @@ fn croupier_one_million_nodes_on_the_sharded_engine() {
     );
     assert!(params.incremental_components);
     assert!(params.incremental_indegree);
-    assert_eq!(params.metrics_workers, 2, "Huge overlaps metrics analysis");
+    assert_eq!(params.metrics_workers, 0, "Huge analyses samples in place");
     let out = run_pss(&params, |id, class, _| {
         CroupierNode::new(id, class, CroupierConfig::default())
     });
@@ -145,22 +145,27 @@ fn croupier_one_million_nodes_on_the_sharded_engine() {
         "once membership settles, in-degree must ride the O(delta) fast path \
          ({in_rebuilds} rebuilds vs {in_fast} fast updates)"
     );
-    let overlap = out
-        .metrics_overlap
-        .expect("the overlapped driver reports its pipeline diagnostics");
-    assert_eq!(overlap.workers, 2);
-    assert_eq!(
-        overlap.offloaded_samples,
-        out.metrics_timing.len() as u64,
-        "every sample's analysis ran on the metrics workers"
+    assert!(
+        out.metrics_overlap.is_none(),
+        "no metrics worker ran, so there is no overlap to report"
     );
-    assert!(overlap.offloaded_samples > 0);
+    assert_eq!(
+        out.metrics_timing.len(),
+        out.samples.len(),
+        "one timing per sample"
+    );
+    assert!(
+        out.metrics_timing.iter().all(|t| !t.offloaded),
+        "every sample's analysis ran in place on the driver thread"
+    );
+    let (capture_ns, analysis_ns) = out
+        .metrics_timing
+        .iter()
+        .fold((0, 0), |(c, a), t| (c + t.capture_ns, a + t.analysis_ns));
     println!(
-        "metrics overlap: {} samples offloaded, analysis {:.1} ms, driver blocked {:.1} ms \
-         (overlap ratio {:.2})",
-        overlap.offloaded_samples,
-        overlap.analysis_ns as f64 / 1e6,
-        overlap.blocked_ns as f64 / 1e6,
-        overlap.overlap_ratio
+        "metrics: {} samples analysed in place, capture {:.1} ms, analysis {:.1} ms",
+        out.metrics_timing.len(),
+        capture_ns as f64 / 1e6,
+        analysis_ns as f64 / 1e6
     );
 }

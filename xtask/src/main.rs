@@ -43,8 +43,9 @@
 //!   already-built `e2e_bench/target/release/e2e` of two checkouts alternately, `--pairs`
 //!   times per workload with a fresh seed per pair and the side that goes first
 //!   alternating, and prints per end-to-end metric both medians with their quartiles,
-//!   how many pairs the change won and any failed operations. It times nothing itself
-//!   and is not a CI step.
+//!   how many pairs the change won, any failed operations and the verdict (`ok`,
+//!   `worse` or `unresolved`) the metric's `BENCHMARK.json` bound gives. It times
+//!   nothing itself and is not a CI step.
 //!
 //!   ```text
 //!   cargo run -p xtask -- pairs --parent /root/scratch/parent --change . \
@@ -359,6 +360,13 @@ fn number_after(line: &str, key: &str) -> f64 {
     number.trim().parse().unwrap_or(f64::NAN)
 }
 
+/// The numbers after `"<key>":`, wherever `text` has them.
+fn numbers_after(text: &str, key: &str) -> Vec<f64> {
+    let quoted = format!("\"{key}\"");
+    let entries = text.split(&quoted).skip(1);
+    entries.map(|entry| number_after(entry, ":")).collect()
+}
+
 /// Median and quartiles (linear interpolation) of a non-empty series.
 fn median_and_quartiles(values: &[f64]) -> [f64; 3] {
     let mut sorted = values.to_vec();
@@ -368,6 +376,24 @@ fn median_and_quartiles(values: &[f64]) -> [f64; 3] {
         let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
         sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
     })
+}
+
+/// The benchmark pipeline's verdict on one metric, `bound` being a fraction of the
+/// parent's median: `worse` when the change's median is worse than the parent's by more
+/// than the bound; `unresolved` when the parent's q3 − q1 exceeds the bound and not every
+/// change run beats every parent run; `ok` otherwise.
+fn verdict(parent: &[f64], change: &[f64], bound: f64, higher_is_better: bool) -> &'static str {
+    let sign = if higher_is_better { -1.0 } else { 1.0 };
+    let [m0, q1, q3] = median_and_quartiles(parent);
+    let margin = bound * m0.abs();
+    let beats_all = |c: &f64| parent.iter().all(|p| sign * (c - p) < 0.0);
+    if sign * (median_and_quartiles(change)[0] - m0) > margin {
+        "worse"
+    } else if q3 - q1 > margin && !change.iter().all(beats_all) {
+        "unresolved"
+    } else {
+        "ok"
+    }
 }
 
 /// The names between `"<key>": "` and the closing quote, wherever `text` has them.
@@ -403,7 +429,7 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
         return Err(String::from("pairs needs --parent, --change and a pair"));
     };
     // What the change's `BENCHMARK.json` declares: the workloads, then per end-to-end
-    // metric its name and whether higher is better.
+    // metric its name, whether higher is better and its bound.
     let declared = std::fs::read_to_string(Path::new(&change).join("BENCHMARK.json"))
         .map_err(|err| format!("cannot read the change's BENCHMARK.json: {err}"))?;
     let tail = declared
@@ -412,6 +438,7 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
     let end_to_end = tail.split("\"per_layer\"").next().unwrap_or("");
     let metrics = quoted_after(end_to_end, "name");
     let better = quoted_after(end_to_end, "better");
+    let bounds = numbers_after(end_to_end, "bound");
     if workloads.is_empty() {
         workloads = declared_workloads(&declared);
     }
@@ -438,18 +465,24 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
                 runs[side].push(run);
             }
         }
-        println!("{workload}, {pairs} pairs: parent median [q1, q3] -> change median [q1, q3]");
+        println!(
+            "{workload}, {pairs} pairs: parent median [q1, q3] -> change median [q1, q3], \
+             verdict"
+        );
         for (m, name) in ["failed"].iter().chain(&metrics).enumerate() {
             let column = |side: usize| runs[side].iter().map(|run| run[m]).collect::<Vec<_>>();
             let (old, new) = (column(0), column(1));
             let higher = m > 0 && better.get(m - 1) == Some(&"higher");
+            // Failed operations have no bound: any more of them is worse.
+            let bound = m.checked_sub(1).and_then(|i| bounds.get(i)).copied();
+            let verdict = verdict(&old, &new, bound.unwrap_or(0.0), higher);
             let sign = if higher { -1.0 } else { 1.0 };
             let won = |(o, n): &(&f64, &f64)| sign * (*n - *o) < 0.0;
             let wins = old.iter().zip(&new).filter(won).count();
             let [m0, a0, b0] = median_and_quartiles(&old);
             let [m1, a1, b1] = median_and_quartiles(&new);
             let ratio = m1 / m0;
-            println!("  {name}: {m0:.3} [{a0:.3}, {b0:.3}] -> {m1:.3} [{a1:.3}, {b1:.3}], {ratio:.3}x, won {wins}/{pairs}");
+            println!("  {name}: {m0:.3} [{a0:.3}, {b0:.3}] -> {m1:.3} [{a1:.3}, {b1:.3}], {ratio:.3}x, won {wins}/{pairs}, {verdict}");
         }
     }
     Ok(())
@@ -807,6 +840,27 @@ mod tests {
             [3.0, 2.0, 4.0]
         );
         assert_eq!(median_and_quartiles(&[1.0, 2.0]), [1.5, 1.25, 1.75]);
+        let declared = r#""end_to_end": [{"name": "wall_s", "bound": 0.25}, {"bound": 0.05
+    }]"#;
+        assert_eq!(numbers_after(declared, "bound"), [0.25, 0.05]);
+    }
+
+    #[test]
+    fn pairs_verdicts_follow_the_pipeline_rules() {
+        let steady = [10.0, 10.0, 10.0, 10.0, 10.0];
+        // Within the bound, on a tight parent: ok.
+        assert_eq!(verdict(&steady, &[12.0; 5], 0.25, false), "ok");
+        // The median moved by more than the bound: worse, in either direction of better.
+        assert_eq!(verdict(&steady, &[13.0; 5], 0.25, false), "worse");
+        assert_eq!(verdict(&steady, &[7.0; 5], 0.25, true), "worse");
+        // The parent's q3 − q1 (8 → 12) exceeds the bound (2.5): unresolved, unless every
+        // change run beats every parent run.
+        let spread = [6.0, 8.0, 10.0, 12.0, 14.0];
+        assert_eq!(verdict(&spread, &[10.0; 5], 0.25, false), "unresolved");
+        assert_eq!(verdict(&spread, &[5.0; 5], 0.25, false), "ok");
+        // Failed operations are judged with a zero bound.
+        assert_eq!(verdict(&[0.0; 3], &[0.0; 3], 0.0, false), "ok");
+        assert_eq!(verdict(&[0.0; 3], &[1.0; 3], 0.0, false), "worse");
     }
 
     #[test]
