@@ -128,21 +128,13 @@ impl CyclonNode {
     fn own_descriptor(&self) -> Descriptor {
         Descriptor::new(self.id, NatClass::Public)
     }
-
-    fn bootstrap(&mut self, ctx: &mut Context<'_, CyclonMessage>) {
-        for node in ctx.bootstrap_sample(self.config.bootstrap_size.min(self.config.view_size)) {
-            if node != self.id {
-                self.view.insert(Descriptor::new(node, NatClass::Public));
-            }
-        }
-    }
 }
 
 impl Protocol for CyclonNode {
     type Message = CyclonMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        self.bootstrap(ctx);
+        self.view.bootstrap(self.config.bootstrap_size, ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, Self::Message>) {
@@ -152,7 +144,7 @@ impl Protocol for CyclonNode {
             // A node that joined before the bootstrap server knew any public node (or whose
             // whole view died) re-contacts the bootstrap server rather than staying
             // isolated forever.
-            self.bootstrap(ctx);
+            self.view.bootstrap(self.config.bootstrap_size, ctx);
             return;
         }
         let Some(target) = self.view.oldest().map(|d| d.node()) else {

@@ -278,14 +278,6 @@ impl GozarNode {
         self.unreachable_targets
     }
 
-    fn bootstrap(&mut self, ctx: &mut Context<'_, GozarMessage>) {
-        for node in ctx.bootstrap_sample(self.config.bootstrap_size.min(self.config.view_size)) {
-            if node != self.id {
-                self.view.insert(Descriptor::new(node, NatClass::Public));
-            }
-        }
-    }
-
     fn own_entry(&self) -> GozarEntry {
         GozarEntry {
             descriptor: Descriptor::new(self.id, self.class),
@@ -346,7 +338,7 @@ impl GozarNode {
                 candidates = ctx
                     .bootstrap_sample(self.config.relay_redundancy)
                     .into_iter()
-                    .filter(|n| !self.my_relays.contains(n) && *n != self.id)
+                    .filter(|n| !self.my_relays.contains(n))
                     .collect();
             }
             candidates.shuffle(ctx.rng());
@@ -503,7 +495,7 @@ impl Protocol for GozarNode {
     type Message = GozarMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        self.bootstrap(ctx);
+        self.view.bootstrap(self.config.bootstrap_size, ctx);
         self.maintain_relays(ctx);
     }
 
@@ -513,7 +505,7 @@ impl Protocol for GozarNode {
         self.maintain_relays(ctx);
         if self.view.is_empty() {
             // Re-contact the bootstrap server instead of staying isolated (see Cyclon).
-            self.bootstrap(ctx);
+            self.view.bootstrap(self.config.bootstrap_size, ctx);
             return;
         }
         let Some(target) = self.view.oldest().map(|d| d.node()) else {

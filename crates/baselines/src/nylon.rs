@@ -241,14 +241,6 @@ impl NylonNode {
         Descriptor::new(self.id, self.class)
     }
 
-    fn bootstrap(&mut self, ctx: &mut Context<'_, NylonMessage>) {
-        for node in ctx.bootstrap_sample(self.config.bootstrap_size.min(self.config.view_size)) {
-            if node != self.id {
-                self.view.insert(Descriptor::new(node, NatClass::Public));
-            }
-        }
-    }
-
     fn connection_open(&self, peer: NodeId) -> bool {
         self.open_connections
             .get(&peer)
@@ -352,7 +344,7 @@ impl Protocol for NylonNode {
     type Message = NylonMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        self.bootstrap(ctx);
+        self.view.bootstrap(self.config.bootstrap_size, ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, Self::Message>) {
@@ -363,7 +355,7 @@ impl Protocol for NylonNode {
         self.maintain_keepalives(ctx);
         if self.view.is_empty() {
             // Re-contact the bootstrap server instead of staying isolated (see Cyclon).
-            self.bootstrap(ctx);
+            self.view.bootstrap(self.config.bootstrap_size, ctx);
             return;
         }
 

@@ -2,27 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which neighbour a node selects as the target of its next shuffle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum SelectionPolicy {
-    /// Select the *oldest* descriptor (the paper's choice; called *tail* in the peer
-    /// sampling literature). Ensures stale descriptors are refreshed or discarded quickly.
-    Tail,
-    /// Select a descriptor uniformly at random. Kept for ablation experiments.
-    Random,
-}
-
-/// How received descriptors are merged into a full view.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum MergePolicy {
-    /// Replace the descriptors that were sent to the peer with the descriptors received
-    /// from it (the paper's choice; minimises information loss).
-    Swapper,
-    /// Keep the freshest descriptors among the union of the current view and the received
-    /// descriptors. Kept for ablation experiments.
-    Healer,
-}
-
 /// Configuration of a [`CroupierNode`](crate::CroupierNode).
 ///
 /// The defaults are the values used throughout the paper's evaluation (§VII-A): views of 10
@@ -58,10 +37,6 @@ pub struct CroupierConfig {
     pub estimate_share_size: usize,
     /// Number of public nodes requested from the bootstrap server when joining.
     pub bootstrap_size: usize,
-    /// Neighbour selection policy (paper: tail).
-    pub selection: SelectionPolicy,
-    /// View merge policy (paper: swapper).
-    pub merge: MergePolicy,
 }
 
 impl Default for CroupierConfig {
@@ -73,8 +48,6 @@ impl Default for CroupierConfig {
             neighbour_history: 50,
             estimate_share_size: 10,
             bootstrap_size: 10,
-            selection: SelectionPolicy::Tail,
-            merge: MergePolicy::Swapper,
         }
     }
 }
@@ -127,18 +100,6 @@ impl CroupierConfig {
         self.estimate_share_size = count;
         self
     }
-
-    /// Sets the neighbour selection policy.
-    pub fn with_selection(mut self, selection: SelectionPolicy) -> Self {
-        self.selection = selection;
-        self
-    }
-
-    /// Sets the view merge policy.
-    pub fn with_merge(mut self, merge: MergePolicy) -> Self {
-        self.merge = merge;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -153,8 +114,6 @@ mod tests {
         assert_eq!(c.local_history, 25);
         assert_eq!(c.neighbour_history, 50);
         assert_eq!(c.estimate_share_size, 10);
-        assert_eq!(c.selection, SelectionPolicy::Tail);
-        assert_eq!(c.merge, MergePolicy::Swapper);
         c.validate();
     }
 
@@ -165,16 +124,12 @@ mod tests {
             .with_shuffle_size(8)
             .with_local_history(100)
             .with_neighbour_history(250)
-            .with_estimate_share_size(5)
-            .with_selection(SelectionPolicy::Random)
-            .with_merge(MergePolicy::Healer);
+            .with_estimate_share_size(5);
         assert_eq!(c.view_size, 20);
         assert_eq!(c.shuffle_size, 8);
         assert_eq!(c.local_history, 100);
         assert_eq!(c.neighbour_history, 250);
         assert_eq!(c.estimate_share_size, 5);
-        assert_eq!(c.selection, SelectionPolicy::Random);
-        assert_eq!(c.merge, MergePolicy::Healer);
         c.validate();
     }
 

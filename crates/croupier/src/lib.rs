@@ -81,7 +81,7 @@ pub mod protocol;
 pub mod sampler;
 pub mod view;
 
-pub use config::{CroupierConfig, MergePolicy, SelectionPolicy};
+pub use config::CroupierConfig;
 pub use descriptor::{
     Descriptor, DescriptorBatch, AGE_MAX, DESCRIPTOR_INLINE_CAPACITY, DESCRIPTOR_WIRE_BYTES,
 };

@@ -9,7 +9,7 @@ use croupier_simulator::{
 };
 use rand::rngs::SmallRng;
 
-use crate::config::{CroupierConfig, MergePolicy, SelectionPolicy};
+use crate::config::CroupierConfig;
 use crate::descriptor::{Descriptor, DescriptorBatch};
 use crate::estimator::RatioEstimator;
 use crate::messages::{CroupierMessage, ShufflePayload};
@@ -122,17 +122,6 @@ impl CroupierNode {
         self.responses_received
     }
 
-    /// Seeds the public view from the bootstrap server.
-    fn bootstrap(&mut self, ctx: &mut Context<'_, CroupierMessage>) {
-        let count = self.config.bootstrap_size.min(self.config.view_size);
-        for node in ctx.bootstrap_sample(count) {
-            if node != self.id {
-                self.public_view
-                    .insert(Descriptor::new(node, NatClass::Public));
-            }
-        }
-    }
-
     /// The descriptor this node advertises about itself (age zero).
     fn own_descriptor(&self) -> Descriptor {
         Descriptor::new(self.id, self.class)
@@ -171,17 +160,6 @@ impl CroupierNode {
         (public, private)
     }
 
-    /// Selects (and removes) the shuffle target from the public view according to the
-    /// configured selection policy.
-    fn select_target(&mut self, rng: &mut SmallRng) -> Option<NodeId> {
-        let target = match self.config.selection {
-            SelectionPolicy::Tail => self.public_view.oldest().map(|d| d.node()),
-            SelectionPolicy::Random => self.public_view.random(rng).map(|d| d.node()),
-        }?;
-        self.public_view.remove(target);
-        Some(target)
-    }
-
     /// Splits received descriptors by their class, dropping our own descriptor.
     fn split_by_class(&self, payload: &ShufflePayload) -> (DescriptorBatch, DescriptorBatch) {
         let mut public = DescriptorBatch::new();
@@ -202,7 +180,7 @@ impl CroupierNode {
         (public, private)
     }
 
-    /// Merges received descriptors into both views using the configured merge policy.
+    /// Merges received descriptors into both views with the swapper policy.
     fn merge(
         &mut self,
         sent_public: &[Descriptor],
@@ -210,20 +188,10 @@ impl CroupierNode {
         received_public: &[Descriptor],
         received_private: &[Descriptor],
     ) {
-        match self.config.merge {
-            MergePolicy::Swapper => {
-                self.public_view
-                    .apply_exchange_swapper(sent_public, received_public, self.id);
-                self.private_view
-                    .apply_exchange_swapper(sent_private, received_private, self.id);
-            }
-            MergePolicy::Healer => {
-                self.public_view
-                    .apply_exchange_healer(received_public, self.id);
-                self.private_view
-                    .apply_exchange_healer(received_private, self.id);
-            }
-        }
+        self.public_view
+            .apply_exchange_swapper(sent_public, received_public, self.id);
+        self.private_view
+            .apply_exchange_swapper(sent_private, received_private, self.id);
     }
 
     /// Sends `peer` a shuffle request carrying the given subsets, this node's own
@@ -312,7 +280,7 @@ impl Protocol for CroupierNode {
     type Message = CroupierMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        self.bootstrap(ctx);
+        self.public_view.bootstrap(self.config.bootstrap_size, ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, Self::Message>) {
@@ -326,12 +294,13 @@ impl Protocol for CroupierNode {
             // public view died) asks the bootstrap server again rather than staying
             // isolated forever. The catastrophic-failure experiment measures connectivity
             // right after the failure, before a re-bootstrap can take effect.
-            self.bootstrap(ctx);
+            self.public_view.bootstrap(self.config.bootstrap_size, ctx);
             return;
         }
-        let Some(target) = self.select_target(ctx.rng()) else {
+        let Some(target) = self.public_view.oldest().map(|d| d.node()) else {
             return;
         };
+        self.public_view.remove(target);
 
         let (public_budget, private_budget) = self.shuffle_budgets();
         let sent_public = self.public_view.random_subset(public_budget, ctx.rng());
@@ -583,19 +552,6 @@ mod tests {
             estimates: Default::default(),
         };
         assert!(CroupierMessage::ShuffleRequest(Box::new(payload)).wire_size() <= bound);
-    }
-
-    #[test]
-    fn healer_and_random_policies_still_converge() {
-        let config = CroupierConfig::default()
-            .with_selection(SelectionPolicy::Random)
-            .with_merge(MergePolicy::Healer);
-        let mut sim = build_sim(5, 20, config, 8);
-        sim.run_for_rounds(60);
-        for (_, node) in sim.nodes() {
-            assert!(node.ratio_estimate().is_some());
-            assert!(!node.public_view().is_empty());
-        }
     }
 
     #[test]

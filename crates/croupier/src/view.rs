@@ -1,6 +1,7 @@
-//! Bounded partial views and the paper's view-exchange (merge) procedures.
+//! Bounded partial views: the bootstrap rule every protocol joins with, and the paper's
+//! tail selection and swapper merge.
 
-use croupier_simulator::NodeId;
+use croupier_simulator::{Context, NatClass, NodeId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -12,9 +13,8 @@ use crate::descriptor::{Descriptor, DescriptorBatch};
 ///
 /// Croupier keeps two views per node (public and private); the baseline protocols reuse the
 /// same type for their single view. The type implements the operations of Algorithm 2 of
-/// the paper: aging, tail (oldest) selection, random subset extraction, and the
-/// `updateView` merge with the *swapper* replacement policy (plus the *healer* policy for
-/// ablation experiments).
+/// the paper: bootstrapping, aging, tail (oldest) selection, random subset extraction, and
+/// the `updateView` merge with the *swapper* replacement policy.
 ///
 /// # Examples
 ///
@@ -122,6 +122,16 @@ impl View {
         self.insert(descriptor)
     }
 
+    /// Inserts up to `count` public nodes drawn from the bootstrap server, never more than
+    /// the view's capacity. The draw excludes the calling node, and it is made even when the
+    /// view is full, so the node's random stream advances the same way whatever the view
+    /// holds.
+    pub fn bootstrap<M>(&mut self, count: usize, ctx: &mut Context<'_, M>) {
+        for node in ctx.bootstrap_sample(count.min(self.capacity)) {
+            self.insert(Descriptor::new(node, NatClass::Public));
+        }
+    }
+
     /// Removes and returns the descriptor for `node`.
     pub fn remove(&mut self, node: NodeId) -> Option<Descriptor> {
         let index = self.entries.iter().position(|d| d.node() == node)?;
@@ -207,35 +217,12 @@ impl View {
             }
         }
     }
-
-    /// The *healer* merge policy: union the view with the received descriptors and keep the
-    /// freshest `capacity` entries. Used by ablation experiments only.
-    pub fn apply_exchange_healer(&mut self, received: &[Descriptor], self_node: NodeId) {
-        for descriptor in received {
-            if descriptor.node() == self_node {
-                continue;
-            }
-            if let Some(existing) = self
-                .entries
-                .iter_mut()
-                .find(|d| d.node() == descriptor.node())
-            {
-                if descriptor.is_newer_than(existing) {
-                    *existing = *descriptor;
-                }
-            } else {
-                self.entries.push(*descriptor);
-            }
-        }
-        self.entries.sort_by_key(|d| d.age());
-        self.entries.truncate(self.capacity);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use croupier_simulator::NatClass;
+    use croupier_simulator::{BootstrapRegistry, ContextParams, SimDuration, SimTime};
     use rand::SeedableRng;
 
     fn d(node: u64, age: u32) -> Descriptor {
@@ -244,6 +231,89 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(77)
+    }
+
+    /// A bootstrap server that knows the public nodes `0..n`.
+    fn registry(n: u64) -> BootstrapRegistry {
+        let mut registry = BootstrapRegistry::new();
+        for i in 0..n {
+            registry.register(NodeId::new(i));
+        }
+        registry
+    }
+
+    /// Runs `f` with a context for node `caller` on the stream seeded by `seed`, and returns
+    /// what `f` returned together with the stream's next `u64`.
+    fn with_ctx<T>(
+        caller: u64,
+        seed: u64,
+        registry: &BootstrapRegistry,
+        f: impl FnOnce(&mut Context<'_, ()>) -> T,
+    ) -> (T, u64) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let out = f(&mut Context::new(ContextParams {
+            node: NodeId::new(caller),
+            now: SimTime::ZERO,
+            round_period: SimDuration::from_secs(1),
+            reply_horizon: SimDuration::ZERO,
+            rng: &mut rng,
+            bootstrap: registry,
+        }));
+        (out, rng.gen())
+    }
+
+    #[test]
+    fn bootstrap_never_inserts_the_caller_and_respects_count_and_capacity() {
+        let server = registry(20);
+        for seed in 0..50 {
+            for (count, expected) in [(0, 0), (4, 4), (10, 10), (30, 10)] {
+                let mut v = View::new(10);
+                with_ctx(3, seed, &server, |ctx| v.bootstrap(count, ctx));
+                assert_eq!(v.len(), expected, "seed {seed} count {count}");
+                assert!(
+                    !v.contains(NodeId::new(3)),
+                    "the caller joined its own view"
+                );
+                assert!(v.iter().all(|d| d.class().is_public() && d.age() == 0));
+            }
+        }
+        // A server that knows only the caller and one other node yields that one node.
+        let mut v = View::new(10);
+        with_ctx(0, 1, &registry(2), |ctx| v.bootstrap(5, ctx));
+        assert_eq!(v.nodes(), vec![NodeId::new(1)]);
+    }
+
+    #[test]
+    fn bootstrap_leaves_a_full_view_unchanged() {
+        let mut v = View::new(3);
+        for i in 100..103 {
+            v.insert(d(i, 4));
+        }
+        let before = v.clone();
+        with_ctx(7, 2, &registry(20), |ctx| v.bootstrap(3, ctx));
+        assert_eq!(v, before);
+    }
+
+    #[test]
+    fn bootstrap_draws_exactly_what_a_direct_sample_draws() {
+        let server = registry(30);
+        for seed in 0..20 {
+            for (capacity, count, prefill) in [(10, 10, 0), (10, 4, 0), (5, 12, 0), (3, 3, 3)] {
+                let mut v = View::new(capacity);
+                for i in 0..prefill {
+                    v.insert(d(200 + i, 0));
+                }
+                let before: Vec<NodeId> = v.nodes();
+                let ((), next) = with_ctx(5, seed, &server, |ctx| v.bootstrap(count, ctx));
+                let (sample, twin_next) = with_ctx(5, seed, &server, |ctx| {
+                    ctx.bootstrap_sample(count.min(capacity))
+                });
+                assert_eq!(next, twin_next, "the twin streams diverged (seed {seed})");
+                let mut expected = before;
+                expected.extend(sample.into_iter().take(capacity - prefill as usize));
+                assert_eq!(v.nodes(), expected, "seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -361,20 +431,6 @@ mod tests {
         // Node 1 was already known: only its age is refreshed, node 2 is not evicted.
         assert_eq!(v.get(NodeId::new(1)).unwrap().age(), 1);
         assert!(v.contains(NodeId::new(2)));
-    }
-
-    #[test]
-    fn healer_keeps_the_freshest_entries() {
-        let mut v = View::new(3);
-        v.insert(d(1, 9));
-        v.insert(d(2, 1));
-        v.insert(d(3, 5));
-        v.apply_exchange_healer(&[d(4, 0), d(5, 2), d(1, 3)], NodeId::new(99));
-        assert_eq!(v.len(), 3);
-        // Freshest three of {1:3, 2:1, 3:5, 4:0, 5:2} are 4(0), 2(1) and 5(2).
-        assert!(v.contains(NodeId::new(4)));
-        assert!(v.contains(NodeId::new(2)));
-        assert!(v.contains(NodeId::new(5)));
     }
 
     #[test]

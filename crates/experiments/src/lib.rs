@@ -64,7 +64,7 @@
 //!             .with_window(2, 3)       // publish one chunk on rounds 2..=4
 //!             .with_coverage_rounds(4) // seal (freeze coverage) 4 rounds later
 //!     );
-//! let output = run_pss(&params, |id, class, _| {
+//! let output = run_pss(&params, |id, class| {
 //!     CroupierNode::new(id, class, CroupierConfig::default())
 //! });
 //! let report = output.workload.expect("a workload was configured");

@@ -2,7 +2,6 @@
 
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_baselines::{BaselineConfig, CyclonNode, GozarNode, NylonNode};
-use croupier_nat::NatTopology;
 use croupier_simulator::{NatClass, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -92,26 +91,24 @@ pub struct ProtocolConfigs {
 }
 
 /// Each protocol's node constructor, as the driver calls it for every joining node.
-fn croupier(
-    configs: &ProtocolConfigs,
-) -> impl FnMut(NodeId, NatClass, &NatTopology) -> CroupierNode {
+fn croupier(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass) -> CroupierNode {
     let config = configs.croupier.clone();
-    move |id, class, _| CroupierNode::new(id, class, config.clone())
+    move |id, class| CroupierNode::new(id, class, config.clone())
 }
 
-fn cyclon(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass, &NatTopology) -> CyclonNode {
+fn cyclon(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass) -> CyclonNode {
     let config = configs.baseline.clone();
-    move |id, _, _| CyclonNode::new(id, config.clone())
+    move |id, _| CyclonNode::new(id, config.clone())
 }
 
-fn gozar(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass, &NatTopology) -> GozarNode {
+fn gozar(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass) -> GozarNode {
     let config = configs.baseline.clone();
-    move |id, class, _| GozarNode::new(id, class, config.clone())
+    move |id, class| GozarNode::new(id, class, config.clone())
 }
 
-fn nylon(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass, &NatTopology) -> NylonNode {
+fn nylon(configs: &ProtocolConfigs) -> impl FnMut(NodeId, NatClass) -> NylonNode {
     let config = configs.baseline.clone();
-    move |id, class, _| NylonNode::new(id, class, config.clone())
+    move |id, class| NylonNode::new(id, class, config.clone())
 }
 
 /// Runs an experiment with the given protocol.

@@ -431,9 +431,11 @@ fn analyze_sample(
 
 /// Per-protocol experiment state shared between [`run_pss`] and [`run_failure`], generic
 /// over the execution engine.
-struct Driver<P: Protocol + PssNode, E: SimulationEngine<P>> {
+struct Driver<P: Protocol + PssNode, E: SimulationEngine<P>, F: FnMut(NodeId, NatClass) -> P> {
     params: ExperimentParams,
     sim: E,
+    /// Builds the protocol instance of every joining node from its id and class.
+    make_node: F,
     topology: NatTopology,
     alive_public: Vec<NodeId>,
     alive_private: Vec<NodeId>,
@@ -463,8 +465,10 @@ struct Driver<P: Protocol + PssNode, E: SimulationEngine<P>> {
     _protocol: PhantomData<fn() -> P>,
 }
 
-impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
-    fn new(params: &ExperimentParams) -> Self {
+impl<P: Protocol + PssNode, E: SimulationEngine<P>, F: FnMut(NodeId, NatClass) -> P>
+    Driver<P, E, F>
+{
+    fn new(params: &ExperimentParams, make_node: F) -> Self {
         let topology = NatTopologyBuilder::new(params.seed ^ 0x004e_4154).build();
         let mut sim = E::from_config(
             SimulationConfig::default()
@@ -513,6 +517,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         Driver {
             params: params.clone(),
             sim,
+            make_node,
             topology,
             alive_public: Vec::new(),
             alive_private: Vec::new(),
@@ -531,10 +536,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         }
     }
 
-    fn add_node<F>(&mut self, class: NatClass, make_node: &mut F)
-    where
-        F: FnMut(NodeId, NatClass, &NatTopology) -> P,
-    {
+    fn add_node(&mut self, class: NatClass) {
         let id = NodeId::new(self.next_id);
         self.next_id += 1;
         self.topology.add_node(id, class);
@@ -545,7 +547,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             self.alive_private.push(id);
         }
         self.all_classes.insert(id, class);
-        let node = make_node(id, class, &self.topology);
+        let node = (self.make_node)(id, class);
         self.sim.add_node(id, node);
     }
 
@@ -563,10 +565,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
         Some(id)
     }
 
-    fn apply_churn<F>(&mut self, make_node: &mut F)
-    where
-        F: FnMut(NodeId, NatClass, &NatTopology) -> P,
-    {
+    fn apply_churn(&mut self) {
         let Some(churn) = self.params.churn else {
             return;
         };
@@ -579,7 +578,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             // the same class.
             let class = self.draw_class();
             if self.remove_random_node(class).is_some() {
-                self.add_node(class, make_node);
+                self.add_node(class);
             }
         }
     }
@@ -655,10 +654,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
     }
 
     /// Runs the main phase: joins, rounds, churn, sampling.
-    fn run<F>(&mut self, make_node: &mut F) -> RunOutput
-    where
-        F: FnMut(NodeId, NatClass, &NatTopology) -> P,
-    {
+    fn run(&mut self) -> RunOutput {
         // One source of truth for the round period: the engine config set in new().
         let round_ms = self.sim.config().round_period.as_millis().max(1);
         let mut schedule = JoinSchedule::poisson(
@@ -686,8 +682,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
 
         let mut samples = Vec::new();
         let mut overhead = None;
-        let metrics_overlap =
-            self.run_rounds(round_ms, &events, &mut overhead, make_node, &mut samples);
+        let metrics_overlap = self.run_rounds(round_ms, &events, &mut overhead, &mut samples);
 
         let mut final_snapshot =
             OverlaySnapshot::capture(&self.sim, self.params.min_rounds_for_metrics);
@@ -736,29 +731,26 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
 
     /// Advances the simulation by one gossip round: join events up to the round
     /// boundary, the round itself, then churn and overhead-window bookkeeping.
-    fn step_round<F>(
+    fn step_round(
         &mut self,
         round: u64,
         round_ms: u64,
         events: &[JoinEvent],
         next_event: &mut usize,
         overhead: &mut Option<OverheadReport>,
-        make_node: &mut F,
-    ) where
-        F: FnMut(NodeId, NatClass, &NatTopology) -> P,
-    {
+    ) {
         let boundary = croupier_simulator::SimTime::from_millis(round * round_ms);
         while *next_event < events.len() && events[*next_event].at <= boundary {
             let event = events[*next_event];
             *next_event += 1;
             self.sim.run_until(event.at);
-            self.add_node(event.class, make_node);
+            self.add_node(event.class);
         }
         self.sim.run_until(boundary);
 
         if let Some(churn) = self.params.churn {
             if round >= churn.start_round {
-                self.apply_churn(make_node);
+                self.apply_churn();
             }
         }
 
@@ -788,17 +780,13 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
     /// snapshot), and the metric RNG is fully consumed during prepare. What a worker
     /// computes is a pure function of its prep and snapshot, so the run is bit-identical
     /// for any worker count, zero included.
-    fn run_rounds<F>(
+    fn run_rounds(
         &mut self,
         round_ms: u64,
         events: &[JoinEvent],
         overhead: &mut Option<OverheadReport>,
-        make_node: &mut F,
         samples: &mut Vec<RoundSample>,
-    ) -> Option<MetricsOverlapReport>
-    where
-        F: FnMut(NodeId, NatClass, &NatTopology) -> P,
-    {
+    ) -> Option<MetricsOverlapReport> {
         let workers = self.params.metrics_workers;
         // A single worker never competes with a sibling for cores, so it inherits the
         // engine's thread budget for its multi-source BFS; multiple workers each stay
@@ -815,14 +803,7 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
             // Offloaded samples, oldest first.
             let mut in_flight: VecDeque<ScopedJoinHandle<'_, _>> = VecDeque::new();
             for round in 1..=self.params.rounds {
-                self.step_round(
-                    round,
-                    round_ms,
-                    events,
-                    &mut next_event,
-                    overhead,
-                    make_node,
-                );
+                self.step_round(round, round_ms, events, &mut next_event, overhead);
                 if round % self.params.sample_every != 0 {
                     continue;
                 }
@@ -905,43 +886,42 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>> Driver<P, E> {
 
 /// Runs a peer-sampling experiment for any protocol implementing [`PssNode`].
 ///
-/// `make_node` constructs the protocol instance for each joining node; it receives the
-/// node's identity, its connectivity class and a handle to the NAT topology (needed by
-/// protocols that consult the address oracle). The engine is chosen by
+/// `make_node` constructs the protocol instance for each joining node from the node's
+/// identity and connectivity class. The engine is chosen by
 /// [`ExperimentParams::engine_threads`].
-pub fn run_pss<P, F>(params: &ExperimentParams, mut make_node: F) -> RunOutput
+pub fn run_pss<P, F>(params: &ExperimentParams, make_node: F) -> RunOutput
 where
     P: Protocol + PssNode + Send,
     P::Message: Send,
-    F: FnMut(NodeId, NatClass, &NatTopology) -> P,
+    F: FnMut(NodeId, NatClass) -> P,
 {
     if params.engine_threads == 0 {
-        Driver::<P, Simulation<P>>::new(params).run(&mut make_node)
+        Driver::<P, Simulation<P>, F>::new(params, make_node).run()
     } else {
-        Driver::<P, ShardedSimulation<P>>::new(params).run(&mut make_node)
+        Driver::<P, ShardedSimulation<P>, F>::new(params, make_node).run()
     }
 }
 
 /// Runs a catastrophic-failure experiment: the system is built and run for `params.rounds`
 /// rounds, then `failure_fraction` of the nodes crash simultaneously; the return value is
 /// the fraction of surviving nodes that remain in the largest connected cluster.
-pub fn run_failure<P, F>(params: &ExperimentParams, mut make_node: F, failure_fraction: f64) -> f64
+pub fn run_failure<P, F>(params: &ExperimentParams, make_node: F, failure_fraction: f64) -> f64
 where
     P: Protocol + PssNode + Send,
     P::Message: Send,
-    F: FnMut(NodeId, NatClass, &NatTopology) -> P,
+    F: FnMut(NodeId, NatClass) -> P,
 {
     assert!(
         (0.0..1.0).contains(&failure_fraction),
         "failure fraction must be within [0, 1)"
     );
     if params.engine_threads == 0 {
-        let mut driver = Driver::<P, Simulation<P>>::new(params);
-        driver.run(&mut make_node);
+        let mut driver = Driver::<P, Simulation<P>, F>::new(params, make_node);
+        driver.run();
         driver.catastrophic_failure(failure_fraction)
     } else {
-        let mut driver = Driver::<P, ShardedSimulation<P>>::new(params);
-        driver.run(&mut make_node);
+        let mut driver = Driver::<P, ShardedSimulation<P>, F>::new(params, make_node);
+        driver.run();
         driver.catastrophic_failure(failure_fraction)
     }
 }
@@ -962,7 +942,7 @@ mod tests {
     #[test]
     fn croupier_run_produces_converging_estimates() {
         let params = tiny_params().with_seed(1);
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         assert!(!out.samples.is_empty());
@@ -979,7 +959,7 @@ mod tests {
     #[test]
     fn graph_metrics_are_produced_when_enabled() {
         let params = tiny_params().with_seed(2).with_graph_metrics(10);
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         let last = out.last_sample().unwrap();
@@ -998,13 +978,12 @@ mod tests {
             .with_seed(11)
             .with_churn(ChurnSpec::new(10, 0.02))
             .with_graph_metrics(10);
-        let csr = run_pss(&base, |id, class, _| {
+        let csr = run_pss(&base, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
-        let incremental = run_pss(
-            &base.clone().with_incremental_components(),
-            |id, class, _| CroupierNode::new(id, class, CroupierConfig::default()),
-        );
+        let incremental = run_pss(&base.clone().with_incremental_components(), |id, class| {
+            CroupierNode::new(id, class, CroupierConfig::default())
+        });
         assert_eq!(csr.samples.len(), incremental.samples.len());
         for (a, b) in csr.samples.iter().zip(&incremental.samples) {
             assert_eq!(
@@ -1023,7 +1002,7 @@ mod tests {
     #[test]
     fn incremental_components_work_without_graph_metrics() {
         let params = tiny_params().with_seed(12).with_incremental_components();
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         let last = out.last_sample().unwrap();
@@ -1047,10 +1026,10 @@ mod tests {
             .with_seed(14)
             .with_churn(ChurnSpec::new(10, 0.02))
             .with_graph_metrics(10);
-        let full = run_pss(&base, |id, class, _| {
+        let full = run_pss(&base, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
-        let incremental = run_pss(&base.clone().with_incremental_indegree(), |id, class, _| {
+        let incremental = run_pss(&base.clone().with_incremental_indegree(), |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         assert_eq!(full.samples.len(), incremental.samples.len());
@@ -1075,7 +1054,7 @@ mod tests {
     #[test]
     fn incremental_indegree_works_without_graph_metrics() {
         let params = tiny_params().with_seed(15).with_incremental_indegree();
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         let last = out.last_sample().unwrap();
@@ -1094,7 +1073,7 @@ mod tests {
                 .with_graph_metrics(10)
                 .with_incremental_indegree()
                 .with_metrics_workers(workers);
-            run_pss(&params, |id, class, _| {
+            run_pss(&params, |id, class| {
                 CroupierNode::new(id, class, CroupierConfig::default())
             })
         };
@@ -1131,7 +1110,7 @@ mod tests {
                 .with_graph_metrics(10)
                 .with_scenario(ScenarioScript::croupier_stress(60))
                 .with_metrics_workers(workers);
-            run_pss(&params, |id, class, _| {
+            run_pss(&params, |id, class| {
                 CroupierNode::new(id, class, CroupierConfig::default())
             })
         };
@@ -1150,7 +1129,7 @@ mod tests {
                 .with_rounds(15)
                 .with_graph_metrics(10)
                 .with_metrics_workers(workers);
-            run_pss(&params, |id, class, _| {
+            run_pss(&params, |id, class| {
                 CroupierNode::new(id, class, CroupierConfig::default())
             })
         };
@@ -1171,7 +1150,7 @@ mod tests {
             .with_rounds(10)
             .with_sample_every(20)
             .with_metrics_workers(2);
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         assert!(out.samples.is_empty());
@@ -1188,7 +1167,7 @@ mod tests {
             .with_seed(3)
             .with_rounds(60)
             .with_churn(ChurnSpec::new(20, 0.05));
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         let last = out.last_sample().unwrap();
@@ -1207,7 +1186,7 @@ mod tests {
                 interarrival_ms: 500.0,
                 class: NatClass::Public,
             });
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         assert!(
@@ -1221,7 +1200,7 @@ mod tests {
     #[test]
     fn overhead_window_produces_a_report() {
         let params = tiny_params().with_seed(5).with_overhead_window(20, 40);
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         let overhead = out.overhead.expect("overhead report requested");
@@ -1239,7 +1218,7 @@ mod tests {
             .with_rounds(40)
             .with_sample_every(5)
             .with_graph_metrics(10);
-        let out = run_pss(&params, |id, _, _| {
+        let out = run_pss(&params, |id, _| {
             CyclonNode::new(id, BaselineConfig::default())
         });
         let last = out.last_sample().unwrap();
@@ -1252,7 +1231,7 @@ mod tests {
         let params = tiny_params().with_seed(7).with_rounds(40);
         let connected = run_failure(
             &params,
-            |id, class, _| CroupierNode::new(id, class, CroupierConfig::default()),
+            |id, class| CroupierNode::new(id, class, CroupierConfig::default()),
             0.5,
         );
         assert!(
@@ -1266,7 +1245,7 @@ mod tests {
     fn runs_are_deterministic_for_a_fixed_seed() {
         let params = tiny_params().with_seed(8);
         let run = || {
-            run_pss(&params, |id, class, _| {
+            run_pss(&params, |id, class| {
                 CroupierNode::new(id, class, CroupierConfig::default())
             })
             .samples
@@ -1277,7 +1256,7 @@ mod tests {
     #[test]
     fn sharded_engine_produces_converging_estimates() {
         let params = tiny_params().with_seed(9).with_engine_threads(2);
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         let last = out.last_sample().unwrap();
@@ -1295,7 +1274,7 @@ mod tests {
     fn sharded_runs_are_bit_identical_across_thread_counts() {
         let run = |threads: usize| {
             let params = tiny_params().with_seed(10).with_engine_threads(threads);
-            run_pss(&params, |id, class, _| {
+            run_pss(&params, |id, class| {
                 CroupierNode::new(id, class, CroupierConfig::default())
             })
         };
@@ -1320,7 +1299,7 @@ mod tests {
                 .with_seed(13)
                 .with_engine_threads(threads)
                 .with_graph_metrics(10);
-            run_pss(&params, |id, class, _| {
+            run_pss(&params, |id, class| {
                 CroupierNode::new(id, class, CroupierConfig::default())
             })
         };
@@ -1341,7 +1320,7 @@ mod tests {
             .with_engine_threads(3)
             .with_churn(ChurnSpec::new(20, 0.05))
             .with_overhead_window(30, 50);
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         assert_eq!(out.last_sample().unwrap().node_count, 40);
@@ -1358,7 +1337,7 @@ mod tests {
             .with_engine_threads(2);
         let connected = run_failure(
             &params,
-            |id, class, _| CroupierNode::new(id, class, CroupierConfig::default()),
+            |id, class| CroupierNode::new(id, class, CroupierConfig::default()),
             0.5,
         );
         assert!(
@@ -1376,7 +1355,7 @@ mod tests {
             .with_rounds(60)
             .with_graph_metrics(10)
             .with_scenario(ScenarioScript::croupier_stress(60));
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         let last = out.last_sample().unwrap();
@@ -1398,7 +1377,7 @@ mod tests {
             .with_seed(21)
             .with_rounds(60)
             .with_scenario(ScenarioScript::flash_crowd(60));
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         assert_eq!(
@@ -1416,7 +1395,7 @@ mod tests {
             .with_seed(22)
             .with_rounds(40)
             .with_scenario(script);
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         assert!(
@@ -1435,7 +1414,7 @@ mod tests {
             .with_engine_threads(2)
             .with_scenario(ScenarioScript::croupier_stress(50));
         let run = || {
-            run_pss(&params, |id, class, _| {
+            run_pss(&params, |id, class| {
                 CroupierNode::new(id, class, CroupierConfig::default())
             })
         };
@@ -1453,7 +1432,7 @@ mod tests {
             .with_rounds(60)
             .with_graph_metrics(10)
             .with_scenario(ScenarioScript::lossy_10(60));
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         assert!(
@@ -1475,7 +1454,7 @@ mod tests {
     #[test]
     fn clean_runs_report_zero_fault_injection() {
         let params = tiny_params().with_seed(25).with_rounds(20);
-        let out = run_pss(&params, |id, class, _| {
+        let out = run_pss(&params, |id, class| {
             CroupierNode::new(id, class, CroupierConfig::default())
         });
         assert_eq!(out.fault_report.total_injected(), 0);
@@ -1488,7 +1467,7 @@ mod tests {
         let params = tiny_params();
         run_failure(
             &params,
-            |id, class, _| CroupierNode::new(id, class, CroupierConfig::default()),
+            |id, class| CroupierNode::new(id, class, CroupierConfig::default()),
             1.0,
         );
     }

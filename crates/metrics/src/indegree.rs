@@ -4,30 +4,30 @@
 //!
 //! # Dense storage, deterministic accumulation
 //!
-//! The distribution is stored as a rank-indexed vector in snapshot node order (ascending
-//! id for engine captures) — the same arena invariant [`CsrGraph`](crate::graph::CsrGraph)
-//! rides. There is no hash map anywhere in this module, which removes the
+//! The distribution is stored as a rank-indexed vector in ascending id order, one entry
+//! per observed id — the rank space of [`CsrGraph`](crate::graph::CsrGraph), built by the
+//! same `RankTable`. There is no hash map anywhere in this module, which removes the
 //! iteration-order hazard class outright: every accumulation (stats, histogram, Gini)
 //! walks the same storage order on every run, so the floating-point outputs are
 //! bit-identical for a fixed snapshot regardless of process, thread count or hasher seed.
 //!
-//! # Incremental tracking
+//! # One counting loop
 //!
-//! [`IncrementalIndegree`] consumes the capture-to-capture diff recorded by
-//! [`OverlaySnapshot::enable_delta_tracking`]: a directed edge `a → b` contributes one
-//! in-degree to `b` iff `b` is observed and `a != b` (multiset semantics — duplicates
-//! count), so an edge appearing or disappearing is a single counter increment or
-//! decrement at `b`'s rank. When membership changes (the rank space moved) or no valid
-//! delta exists, the tracker falls back to one O(E) rebuild pass. Either way the counts
-//! vector is element-for-element equal to [`indegree_distribution`], and the derived
-//! stats/histogram/Gini accumulate in the same order with the same integer operands, so
-//! they are bit-identical to the snapshot-based reference — pinned by
-//! `tests/property_tests.rs` under randomized membership and edge churn.
+//! The one-shot functions ([`indegree_distribution`], [`indegree_histogram`],
+//! [`indegree_stats`], [`indegree_gini`]) are the answers of an [`IncrementalIndegree`]
+//! that recounted the snapshot once. The tracker itself consumes the capture-to-capture
+//! diff recorded by [`OverlaySnapshot::enable_delta_tracking`]: a directed edge `a → b`
+//! contributes one in-degree to `b` iff `b` is observed and `a != b` (multiset semantics —
+//! duplicates count), so an edge appearing or disappearing is a single counter increment
+//! or decrement at `b`'s rank. When membership changes (the rank space moved) or no valid
+//! delta exists, it falls back to the recount. The delta path is checked against the
+//! recount — bit-identical stats, histogram and Gini — by `tests/property_tests.rs` under
+//! randomized membership and edge churn.
 
 use croupier_simulator::NodeId;
 use serde::{Deserialize, Serialize};
 
-use crate::ranks::{is_dense, RankTable, NO_RANK};
+use crate::ranks::RankTable;
 use crate::snapshot::OverlaySnapshot;
 
 /// Summary statistics of an in-degree distribution.
@@ -43,37 +43,30 @@ pub struct IndegreeStats {
     pub std_dev: f64,
 }
 
-/// The in-degree of every observed node — how many view entries point at it — as a dense
-/// vector in snapshot node order. An edge `(from, to)` counts iff `to` is observed and
-/// `from != to`; duplicates count once each (multiset semantics).
+/// The in-degree of every observed node — how many view entries point at it — in the
+/// rank space of [`CsrGraph`](crate::graph::CsrGraph): ascending id, one entry per id. An
+/// edge `(from, to)` counts iff `to` is observed and `from != to`; duplicates count once
+/// each (multiset semantics).
 pub fn indegree_distribution(snapshot: &OverlaySnapshot) -> Vec<(NodeId, usize)> {
-    let mut counts = vec![0usize; snapshot.nodes.len()];
-    let index = RankIndex::build(snapshot);
-    for &(from, to) in &snapshot.edges {
-        if from == to {
-            continue;
-        }
-        if let Some(rank) = index.rank_of(to) {
-            counts[rank as usize] += 1;
-        }
-    }
-    snapshot.nodes.iter().map(|n| n.id).zip(counts).collect()
+    let tracker = of(snapshot);
+    tracker
+        .ranks
+        .ids()
+        .iter()
+        .copied()
+        .zip(tracker.degrees())
+        .collect()
 }
 
 /// Histogram of the in-degree distribution: for each in-degree value present, the number
 /// of nodes with that in-degree, ascending — the exact series plotted in Fig. 6(a).
 pub fn indegree_histogram(snapshot: &OverlaySnapshot) -> Vec<(usize, usize)> {
-    let mut buckets = Vec::new();
-    bucket_degrees(
-        indegree_distribution(snapshot).iter().map(|&(_, d)| d),
-        &mut buckets,
-    );
-    collect_histogram(&buckets)
+    of(snapshot).histogram()
 }
 
-/// Summary statistics of the in-degree distribution, accumulated in snapshot node order.
+/// Summary statistics of the in-degree distribution, accumulated in ascending id order.
 pub fn indegree_stats(snapshot: &OverlaySnapshot) -> IndegreeStats {
-    stats_of_degrees(indegree_distribution(snapshot).iter().map(|&(_, d)| d))
+    of(snapshot).stats()
 }
 
 /// Gini coefficient of the in-degree distribution: 0.0 when every observed node has the
@@ -81,56 +74,15 @@ pub fn indegree_stats(snapshot: &OverlaySnapshot) -> IndegreeStats {
 /// PeerSwap-style randomness checks use this as their global load-balance score; an
 /// empty or all-zero distribution reports 0.0.
 pub fn indegree_gini(snapshot: &OverlaySnapshot) -> f64 {
-    gini_from_degree_counts(indegree_histogram(snapshot).iter().copied())
+    of(snapshot).gini()
 }
 
-/// One-shot id → rank index over a snapshot's node list (rank = position in
-/// `snapshot.nodes`), with the same dense/sparse split as the incremental trackers.
-enum RankIndex {
-    /// Id-indexed rank slots, `NO_RANK` where unobserved (dense id spaces).
-    Dense(Vec<u32>),
-    /// `(id, rank)` pairs sorted by id, binary-searched (sparse id spaces).
-    Sparse(Vec<(NodeId, u32)>),
-}
-
-impl RankIndex {
-    fn build(snapshot: &OverlaySnapshot) -> Self {
-        let n = snapshot.nodes.len();
-        let bound = snapshot.id_upper_bound();
-        if is_dense(n, bound) {
-            let mut slots = vec![NO_RANK; bound as usize];
-            for (rank, node) in snapshot.nodes.iter().enumerate() {
-                slots[node.id.as_u64() as usize] = rank as u32;
-            }
-            RankIndex::Dense(slots)
-        } else {
-            let mut pairs: Vec<(NodeId, u32)> = snapshot
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(rank, node)| (node.id, rank as u32))
-                .collect();
-            pairs.sort_unstable_by_key(|&(id, _)| id);
-            RankIndex::Sparse(pairs)
-        }
-    }
-
-    #[inline]
-    fn rank_of(&self, id: NodeId) -> Option<u32> {
-        match self {
-            RankIndex::Dense(slots) => {
-                let slot = id.as_u64() as usize;
-                match slots.get(slot) {
-                    Some(&rank) if rank != NO_RANK => Some(rank),
-                    _ => None,
-                }
-            }
-            RankIndex::Sparse(pairs) => pairs
-                .binary_search_by_key(&id, |&(id, _)| id)
-                .ok()
-                .map(|i| pairs[i].1),
-        }
-    }
+/// A tracker counted once over `snapshot`: the one-shot functions above are its answers,
+/// so they and [`IncrementalIndegree`] share one rank space and one counting loop.
+fn of(snapshot: &OverlaySnapshot) -> IncrementalIndegree {
+    let mut tracker = IncrementalIndegree::new();
+    tracker.rebuild(snapshot);
+    tracker
 }
 
 /// Counting-sorts `degrees` into `buckets` (index = degree, value = node count).
@@ -385,6 +337,7 @@ impl IncrementalIndegree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::CsrGraph;
     use crate::snapshot::NodeObservation;
     use croupier_simulator::NatClass;
 
@@ -432,6 +385,45 @@ mod tests {
             .map(|&(id, _)| id)
             .collect();
         assert_eq!(ids, s.node_ids());
+    }
+
+    #[test]
+    fn one_vertex_set_for_every_graph_metric() {
+        // Unsorted, with node 4 observed twice; edges run into, out of and between the
+        // two copies of node 4.
+        let s = snapshot(
+            &[7, 4, 2, 9, 4, 1],
+            &[
+                (2, 4),
+                (9, 4),
+                (1, 4),
+                (4, 7),
+                (4, 1),
+                (4, 9),
+                (4, 4),
+                (7, 2),
+                (2, 9),
+            ],
+        );
+        let d = indegree_distribution(&s);
+        let ids: Vec<NodeId> = d.iter().map(|&(id, _)| id).collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "ascending and deduplicated: {ids:?}"
+        );
+        assert_eq!(ids, CsrGraph::from_snapshot(&s).nodes().collect::<Vec<_>>());
+        assert_eq!(degree_of(&d, 4), 3);
+        assert_eq!(degree_of(&d, 9), 2);
+
+        let mut tracker = IncrementalIndegree::new();
+        tracker.update(&s);
+        assert_eq!(
+            tracker.degrees().collect::<Vec<_>>(),
+            d.iter().map(|&(_, degree)| degree).collect::<Vec<_>>()
+        );
+        assert_eq!(indegree_stats(&s), tracker.stats());
+        assert_eq!(indegree_histogram(&s), tracker.histogram());
+        assert_eq!(indegree_gini(&s).to_bits(), tracker.gini().to_bits());
     }
 
     #[test]

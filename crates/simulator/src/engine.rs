@@ -525,11 +525,6 @@ impl<P: Protocol> SimulationEngine<P> for Simulation<P> {
         self.traffic().clone()
     }
 
-    fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        out.reset_window(self.traffic().window_start());
-        out.merge_from(self.traffic());
-    }
-
     fn reset_traffic_window(&mut self) {
         self.delivery.ledger.reset_window(self.now);
     }

@@ -245,15 +245,6 @@ pub trait SimulationEngine<P: Protocol> {
     /// A merged copy of the per-node traffic ledger.
     fn traffic_snapshot(&self) -> TrafficLedger;
 
-    /// Merges the per-node traffic ledger into `out` (cleared first, map capacity
-    /// retained). Callers that sample traffic repeatedly should keep one ledger alive and
-    /// use this instead of [`traffic_snapshot`](Self::traffic_snapshot), which clones a
-    /// fresh ledger per call; both engines override the default with an allocation-free
-    /// merge.
-    fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        *out = self.traffic_snapshot();
-    }
-
     /// Clears all traffic counters and restarts the measurement window at the current time.
     fn reset_traffic_window(&mut self);
 

@@ -57,8 +57,6 @@
 //! event engine, but not bit-identical to it — `tests/determinism.rs` pins down exactly the
 //! guarantee that holds: sharded runs are bit-identical to each other across worker counts.
 
-use std::cell::{Cell, RefCell};
-
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -366,10 +364,6 @@ pub struct ShardedSimulation<P: Protocol> {
     /// canonical order, then every shard drains its own list into its own queue — in
     /// parallel when the batch is large enough to pay for the threads.
     delivery_bufs: Vec<Vec<(SimTime, Event<P::Message>)>>,
-    /// Cached ascending id list served by [`node_ids`](Self::node_ids); rebuilt lazily
-    /// after a membership change (`node_ids_valid` false).
-    cached_node_ids: RefCell<Vec<NodeId>>,
-    node_ids_valid: Cell<bool>,
     /// Round-barrier hook, if installed; runs on the coordinating thread right after each
     /// phase's canonical merge, so its effects are worker-count independent.
     hook: Option<Box<dyn RoundHook>>,
@@ -400,8 +394,6 @@ where
             merge_buf: Vec::new(),
             heap_buf: Vec::new(),
             delivery_bufs: (0..workers).map(|_| Vec::new()).collect(),
-            cached_node_ids: RefCell::new(Vec::new()),
-            node_ids_valid: Cell::new(false),
             hook: None,
             hook_sampler: None,
         }
@@ -438,41 +430,10 @@ where
     }
 
     /// Identifiers of all live nodes, in ascending id order.
-    ///
-    /// The list is cached and invalidated on membership changes; a rebuild walks the
-    /// stripes in lockstep (shard `s` stores id `local * stride + s` at slot `local`), so
-    /// ascending order falls out of the traversal and no sort is needed. This method still
-    /// clones the cached list for API compatibility; use
-    /// [`node_ids_ref`](Self::node_ids_ref) to borrow it copy-free.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.node_ids_ref().to_vec()
-    }
-
-    /// Borrows the cached ascending id list without copying it.
-    ///
-    /// The borrow is released when the returned guard drops; membership changes require
-    /// `&mut self`, so the guard cannot observe a stale list.
-    pub fn node_ids_ref(&self) -> std::cell::Ref<'_, [NodeId]> {
-        if !self.node_ids_valid.get() {
-            let mut ids = self.cached_node_ids.borrow_mut();
-            ids.clear();
-            let stride = self.shards.len() as u64;
-            let max_slots = self
-                .shards
-                .iter()
-                .map(|s| s.nodes.slot_upper_bound())
-                .max()
-                .unwrap_or(0);
-            for local in 0..max_slots {
-                for (s, shard) in self.shards.iter().enumerate() {
-                    if shard.nodes.contains(local) {
-                        ids.push(NodeId::new(local as u64 * stride + s as u64));
-                    }
-                }
-            }
-            self.node_ids_valid.set(true);
-        }
-        std::cell::Ref::map(self.cached_node_ids.borrow(), Vec::as_slice)
+        let mut ids = Vec::with_capacity(SimulationEngine::len(self));
+        self.live_node_ids_into(&mut ids);
+        ids
     }
 
     /// Shared access to the protocol instance of `node`.
@@ -679,8 +640,23 @@ where
         self.contains(node)
     }
 
+    /// Walks the stripes in lockstep: shard `s` stores id `local * stride + s` at slot
+    /// `local`, so ascending order falls out of the traversal and no sort is needed.
     fn live_node_ids_into(&self, out: &mut Vec<NodeId>) {
-        out.extend_from_slice(&self.node_ids_ref());
+        let stride = self.shards.len() as u64;
+        let max_slots = self
+            .shards
+            .iter()
+            .map(|s| s.nodes.slot_upper_bound())
+            .max()
+            .unwrap_or(0);
+        for local in 0..max_slots {
+            for (s, shard) in self.shards.iter().enumerate() {
+                if shard.nodes.contains(local) {
+                    out.push(NodeId::new(local as u64 * stride + s as u64));
+                }
+            }
+        }
     }
 
     fn record_transfer(&mut self, from: NodeId, to: NodeId, bytes: usize) {
@@ -784,7 +760,6 @@ where
             msg_seq: 0,
         };
         self.shards[shard_idx].nodes.insert(local, state);
-        self.node_ids_valid.set(false);
         let now = self.now;
         let cfg = self.cfg;
         {
@@ -818,7 +793,6 @@ where
     fn remove_node(&mut self, id: NodeId) -> Option<P> {
         let (shard, local) = self.locate(id);
         let state = self.shards[shard].nodes.remove(local)?;
-        self.node_ids_valid.set(false);
         self.bootstrap.unregister(id);
         self.delivery.node_removed(id);
         Some(state.proto)
@@ -880,17 +854,11 @@ where
 
     /// Barrier-side drops and hook transfers plus every shard's sent/received counters.
     fn traffic_snapshot(&self) -> TrafficLedger {
-        let mut merged = TrafficLedger::new();
-        self.traffic_snapshot_into(&mut merged);
-        merged
-    }
-
-    fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        out.reset_window(self.delivery.ledger.window_start());
-        out.merge_from(&self.delivery.ledger);
+        let mut merged = self.delivery.ledger.clone();
         for shard in &self.shards {
-            out.merge_from(&shard.traffic);
+            merged.merge_from(&shard.traffic);
         }
+        merged
     }
 
     fn reset_traffic_window(&mut self) {
@@ -915,6 +883,7 @@ mod tests {
     use crate::latency::ConstantLatency;
     use crate::protocol::TimerKey;
     use crate::types::NatClass;
+    use std::cell::RefCell;
 
     /// Test protocol: each round, sends its round counter to the next node in a ring.
     struct Ring {
@@ -1336,19 +1305,42 @@ mod tests {
 
     #[test]
     fn node_ids_are_sorted_and_accessors_agree() {
-        let mut sim = ring_sim(9, 4);
-        let ids = sim.node_ids();
-        assert_eq!(ids.len(), 9);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(&*sim.node_ids_ref(), ids.as_slice(), "borrowed = owned");
-        assert!(sim.node(NodeId::new(5)).is_some());
-        assert_eq!(sim.num_shards(), 4);
-        // The cache invalidates on membership changes, through either accessor.
-        sim.remove_node(NodeId::new(5)).unwrap();
-        assert_eq!(sim.node_ids_ref().len(), 8);
-        assert!(!sim.node_ids_ref().contains(&NodeId::new(5)));
-        sim.add_node(NodeId::new(20), Ring::new(9));
-        assert_eq!(sim.node_ids().len(), 9);
-        assert!(sim.node_ids_ref().contains(&NodeId::new(20)));
+        // The id lists seen after each membership step, checked on the way.
+        let ids_under_churn = |threads: usize| {
+            let mut sim = ring_sim(9, threads);
+            assert_eq!(sim.num_shards(), threads);
+            let mut seen = Vec::new();
+            let mut check = |sim: &ShardedSimulation<Ring>| {
+                let ids = sim.node_ids();
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "{threads}: {ids:?}");
+                assert_eq!(ids.len(), sim.len());
+                let mut walked = Vec::new();
+                sim.live_node_ids_into(&mut walked);
+                assert_eq!(
+                    walked, ids,
+                    "{threads} shards: the walk and node_ids disagree"
+                );
+                seen.push(ids);
+            };
+            check(&sim);
+            assert!(sim.node(NodeId::new(5)).is_some());
+            sim.remove_node(NodeId::new(5)).unwrap();
+            sim.remove_node(NodeId::new(0)).unwrap();
+            check(&sim);
+            sim.add_node(NodeId::new(20), Ring::new(9));
+            sim.add_node(NodeId::new(5), Ring::new(9));
+            check(&sim);
+            sim.run_for_rounds(2);
+            sim.remove_node(NodeId::new(8)).unwrap();
+            check(&sim);
+            seen
+        };
+        let one = ids_under_churn(1);
+        assert_eq!(one[0].len(), 9);
+        assert!(!one[1].contains(&NodeId::new(5)) && !one[1].contains(&NodeId::new(0)));
+        assert!(one[2].contains(&NodeId::new(20)) && one[2].contains(&NodeId::new(5)));
+        for threads in 2..=4 {
+            assert_eq!(ids_under_churn(threads), one, "{threads} shards");
+        }
     }
 }

@@ -47,11 +47,7 @@ fn run<P, F>(make_node: F) -> WorkloadReport
 where
     P: croupier_simulator::Protocol + croupier_simulator::PssNode + Send,
     P::Message: Send,
-    F: FnMut(
-        croupier_simulator::NodeId,
-        croupier_simulator::NatClass,
-        &croupier_nat::NatTopology,
-    ) -> P,
+    F: FnMut(croupier_simulator::NodeId, croupier_simulator::NatClass) -> P,
 {
     let spec = WorkloadSpec::default()
         .with_window(WARMUP_ROUNDS, PUBLISH_ROUNDS)
@@ -76,9 +72,9 @@ fn main() {
     );
 
     // Croupier: NAT-aware, uniform samples over the whole population.
-    let croupier = run(|id, class, _| CroupierNode::new(id, class, CroupierConfig::default()));
+    let croupier = run(|id, class| CroupierNode::new(id, class, CroupierConfig::default()));
     // Cyclon on the *same NATed population*: views drift onto the reachable public core.
-    let cyclon = run(|id, _, _| CyclonNode::new(id, BaselineConfig::default()));
+    let cyclon = run(|id, _| CyclonNode::new(id, BaselineConfig::default()));
 
     println!("{:>24} {:>12} {:>12}", "metric", "croupier", "cyclon/NATs");
     type Row = (&'static str, Box<dyn Fn(&WorkloadReport) -> String>);

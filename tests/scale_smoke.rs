@@ -59,7 +59,7 @@ fn croupier_100k_nodes_on_the_sharded_engine() {
         .with_rounds(12)
         .with_sample_every(4);
     assert_eq!(params.engine_threads, 4, "Large runs on the sharded engine");
-    let out = run_pss(&params, |id, class, _| {
+    let out = run_pss(&params, |id, class| {
         CroupierNode::new(id, class, CroupierConfig::default())
     });
     let last = out.last_sample().expect("samples were taken");
@@ -105,7 +105,7 @@ fn croupier_one_million_nodes_on_the_sharded_engine() {
     assert!(params.incremental_components);
     assert!(params.incremental_indegree);
     assert_eq!(params.metrics_workers, 0, "Huge analyses samples in place");
-    let out = run_pss(&params, |id, class, _| {
+    let out = run_pss(&params, |id, class| {
         CroupierNode::new(id, class, CroupierConfig::default())
     });
     write_metrics_timing_artifact(&out, "huge_smoke_metrics_timing.json");

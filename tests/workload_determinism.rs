@@ -27,7 +27,7 @@ fn streaming_params(seed: u64) -> ExperimentParams {
 }
 
 fn run_streaming(params: ExperimentParams) -> WorkloadReport {
-    run_pss(&params, |id, class, _| {
+    run_pss(&params, |id, class| {
         CroupierNode::new(id, class, CroupierConfig::default())
     })
     .workload
