@@ -9,7 +9,10 @@
 //! Like every protocol in the workspace, Cyclon interacts with its host only through the
 //! [`Context`] it is handed; it has no dependency on either engine type.
 
-use croupier::{Descriptor, DescriptorBatch, View, DESCRIPTOR_WIRE_BYTES, UDP_IP_HEADER_BYTES};
+use croupier::{
+    Descriptor, DescriptorBatch, View, BOOTSTRAP_SIZE, DESCRIPTOR_WIRE_BYTES, SHUFFLE_SIZE,
+    UDP_IP_HEADER_BYTES, VIEW_SIZE,
+};
 use croupier_simulator::{
     Context, ExchangeTracker, NatClass, NodeId, Protocol, PssNode, Retry, TimerKey, WireSize,
 };
@@ -74,7 +77,7 @@ impl WireSize for CyclonMessage {
 /// for i in 0..20u64 {
 ///     let id = NodeId::new(i);
 ///     sim.register_public(id);
-///     sim.add_node(id, CyclonNode::new(id, BaselineConfig::default()));
+///     sim.add_node(id, CyclonNode::new(id, BaselineConfig));
 /// }
 /// sim.run_for_rounds(30);
 /// assert!(sim.node(NodeId::new(3)).unwrap().known_peers().len() > 5);
@@ -82,7 +85,6 @@ impl WireSize for CyclonMessage {
 #[derive(Clone, Debug)]
 pub struct CyclonNode {
     id: NodeId,
-    config: BaselineConfig,
     view: View,
     /// The exchange in flight; the subset it sent (without our own descriptor) is the
     /// swapper's eviction candidates when the response arrives.
@@ -94,19 +96,13 @@ pub struct CyclonNode {
 impl CyclonNode {
     /// Creates a Cyclon node. Cyclon has no notion of NAT class; every node behaves the
     /// same way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is inconsistent.
-    pub fn new(id: NodeId, config: BaselineConfig) -> Self {
-        config.validate();
+    pub fn new(id: NodeId, _config: BaselineConfig) -> Self {
         CyclonNode {
             id,
-            view: View::new(config.view_size),
+            view: View::new(VIEW_SIZE),
             exchange: ExchangeTracker::default(),
             rounds: 0,
             exchanges_completed: 0,
-            config,
         }
     }
 
@@ -134,7 +130,7 @@ impl Protocol for CyclonNode {
     type Message = CyclonMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        self.view.bootstrap(self.config.bootstrap_size, ctx);
+        self.view.bootstrap(BOOTSTRAP_SIZE, ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, Self::Message>) {
@@ -144,16 +140,14 @@ impl Protocol for CyclonNode {
             // A node that joined before the bootstrap server knew any public node (or whose
             // whole view died) re-contacts the bootstrap server rather than staying
             // isolated forever.
-            self.view.bootstrap(self.config.bootstrap_size, ctx);
+            self.view.bootstrap(BOOTSTRAP_SIZE, ctx);
             return;
         }
         let Some(target) = self.view.oldest().map(|d| d.node()) else {
             return;
         };
         self.view.remove(target);
-        let mut sent = self
-            .view
-            .random_subset(self.config.shuffle_size.saturating_sub(1), ctx.rng());
+        let mut sent = self.view.random_subset(SHUFFLE_SIZE - 1, ctx.rng());
         self.exchange.begin(target, sent.clone(), ctx);
         sent.push(self.own_descriptor());
         ctx.send(target, CyclonMessage::Request(sent));
@@ -167,7 +161,7 @@ impl Protocol for CyclonNode {
     ) {
         match msg {
             CyclonMessage::Request(received) => {
-                let reply = self.view.random_subset(self.config.shuffle_size, ctx.rng());
+                let reply = self.view.random_subset(SHUFFLE_SIZE, ctx.rng());
                 self.view.apply_exchange_swapper(&reply, &received, self.id);
                 ctx.send(from, CyclonMessage::Response(reply));
             }
@@ -233,7 +227,7 @@ mod tests {
         for i in 0..n {
             let id = NodeId::new(i);
             sim.register_public(id);
-            sim.add_node(id, CyclonNode::new(id, BaselineConfig::default()));
+            sim.add_node(id, CyclonNode::new(id, BaselineConfig));
         }
         sim
     }
@@ -318,7 +312,7 @@ mod tests {
         let mut sim = Simulation::new(SimulationConfig::default().with_seed(5));
         sim.add_node(
             NodeId::new(0),
-            CyclonNode::new(NodeId::new(0), BaselineConfig::default()),
+            CyclonNode::new(NodeId::new(0), BaselineConfig),
         );
         sim.run_for_rounds(5);
         assert_eq!(sim.network_stats().total(), 0);

@@ -19,7 +19,10 @@
 
 use std::collections::HashMap;
 
-use croupier::{Descriptor, DescriptorBatch, View, DESCRIPTOR_WIRE_BYTES, UDP_IP_HEADER_BYTES};
+use croupier::{
+    Descriptor, DescriptorBatch, View, BOOTSTRAP_SIZE, DESCRIPTOR_INLINE_CAPACITY,
+    DESCRIPTOR_WIRE_BYTES, SHUFFLE_SIZE, UDP_IP_HEADER_BYTES, VIEW_SIZE,
+};
 use croupier_simulator::{
     Context, ExchangeTracker, InlineVec, NatClass, NodeId, Protocol, PssNode, Retry, TimerKey,
     WireSize,
@@ -33,17 +36,24 @@ use crate::config::BaselineConfig;
 /// Wire bytes per relay address carried inside a descriptor (IPv4 + port).
 const RELAY_ADDR_BYTES: usize = 6;
 
-/// Inline capacity of relay lists: double the default relay redundancy (2); larger
-/// redundancy configurations spill to the heap transparently.
-pub const RELAY_INLINE_CAPACITY: usize = 4;
+/// Number of redundant relay nodes each private node maintains.
+const RELAY_REDUNDANCY: usize = 2;
+
+/// Rounds between the keep-alives a private node sends its relays to refresh the NAT
+/// mappings (must stay below the NAT mapping timeout). A relay that has not acknowledged
+/// for three periods is dropped.
+const KEEPALIVE_ROUNDS: u64 = 5;
+
+/// Inline capacity of relay lists: double the relay redundancy.
+pub const RELAY_INLINE_CAPACITY: usize = 2 * RELAY_REDUNDANCY;
 
 /// The relay addresses carried inside a Gozar view entry, stored inline so entries clone
 /// without heap allocation on the shuffle hot path.
 pub type RelayList = InlineVec<NodeId, RELAY_INLINE_CAPACITY>;
 
-/// Inline capacity of a shuffle's entry list (`shuffle_size + 1` with headroom, like
-/// [`croupier::DESCRIPTOR_INLINE_CAPACITY`]).
-pub const ENTRY_INLINE_CAPACITY: usize = 8;
+/// Inline capacity of a shuffle's entry list: `SHUFFLE_SIZE + 1` with headroom, the same as
+/// [`croupier::DESCRIPTOR_INLINE_CAPACITY`].
+pub const ENTRY_INLINE_CAPACITY: usize = DESCRIPTOR_INLINE_CAPACITY;
 
 /// The entry list carried in Gozar shuffle messages.
 pub type EntryBatch = InlineVec<GozarEntry, ENTRY_INLINE_CAPACITY>;
@@ -202,7 +212,6 @@ const RELAY_SUSPECT_STRIKES: u32 = 2;
 pub struct GozarNode {
     id: NodeId,
     class: NatClass,
-    config: BaselineConfig,
     view: View,
     /// Relays advertised by private nodes we know about.
     relay_cache: HashMap<NodeId, RelayList>,
@@ -224,16 +233,11 @@ pub struct GozarNode {
 
 impl GozarNode {
     /// Creates a Gozar node of the given connectivity class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is inconsistent.
-    pub fn new(id: NodeId, class: NatClass, config: BaselineConfig) -> Self {
-        config.validate();
+    pub fn new(id: NodeId, class: NatClass, _config: BaselineConfig) -> Self {
         GozarNode {
             id,
             class,
-            view: View::new(config.view_size),
+            view: View::new(VIEW_SIZE),
             relay_cache: HashMap::new(),
             my_relays: RelayList::new(),
             relay_last_ack: HashMap::new(),
@@ -243,7 +247,6 @@ impl GozarNode {
             messages_relayed: 0,
             exchanges_completed: 0,
             unreachable_targets: 0,
-            config,
         }
     }
 
@@ -313,7 +316,7 @@ impl GozarNode {
         if self.class.is_public() {
             return;
         }
-        let stale_after = self.config.keepalive_rounds * 3;
+        let stale_after = KEEPALIVE_ROUNDS * 3;
         let rounds = self.rounds;
         let last_ack = &self.relay_last_ack;
         // `retain` via the slice API: InlineVec has no retain, and the list is tiny.
@@ -325,7 +328,7 @@ impl GozarNode {
         }
         self.my_relays = keep;
 
-        if self.my_relays.len() < self.config.relay_redundancy {
+        if self.my_relays.len() < RELAY_REDUNDANCY {
             // Candidate relays: public nodes from our view, then the bootstrap server.
             let mut candidates: Vec<NodeId> = self
                 .view
@@ -336,13 +339,13 @@ impl GozarNode {
                 .collect();
             if candidates.is_empty() {
                 candidates = ctx
-                    .bootstrap_sample(self.config.relay_redundancy)
+                    .bootstrap_sample(RELAY_REDUNDANCY)
                     .into_iter()
                     .filter(|n| !self.my_relays.contains(n))
                     .collect();
             }
             candidates.shuffle(ctx.rng());
-            while self.my_relays.len() < self.config.relay_redundancy {
+            while self.my_relays.len() < RELAY_REDUNDANCY {
                 let Some(candidate) = candidates.pop() else {
                     break;
                 };
@@ -353,7 +356,7 @@ impl GozarNode {
         }
 
         // Periodic keep-alives refresh both the NAT mappings and the liveness check.
-        if self.rounds.is_multiple_of(self.config.keepalive_rounds) {
+        if self.rounds.is_multiple_of(KEEPALIVE_ROUNDS) {
             for relay in &self.my_relays {
                 ctx.send(*relay, GozarMessage::KeepAlive);
             }
@@ -426,9 +429,7 @@ impl GozarNode {
     }
 
     fn send_request(&mut self, target: NodeId, ctx: &mut Context<'_, GozarMessage>) {
-        let sent = self
-            .view
-            .random_subset(self.config.shuffle_size.saturating_sub(1), ctx.rng());
+        let sent = self.view.random_subset(SHUFFLE_SIZE - 1, ctx.rng());
         let request = self.build_request(&sent);
         let target_is_private = self
             .view
@@ -466,7 +467,7 @@ impl GozarNode {
         entries: EntryBatch,
         ctx: &mut Context<'_, GozarMessage>,
     ) {
-        let reply_descriptors = self.view.random_subset(self.config.shuffle_size, ctx.rng());
+        let reply_descriptors = self.view.random_subset(SHUFFLE_SIZE, ctx.rng());
         let reply_entries = self.entries_from(&reply_descriptors);
         if initiator_class.is_private() && !initiator_relays.is_empty() {
             self.relay_cache.insert(initiator, initiator_relays.clone());
@@ -495,7 +496,7 @@ impl Protocol for GozarNode {
     type Message = GozarMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        self.view.bootstrap(self.config.bootstrap_size, ctx);
+        self.view.bootstrap(BOOTSTRAP_SIZE, ctx);
         self.maintain_relays(ctx);
     }
 
@@ -505,7 +506,7 @@ impl Protocol for GozarNode {
         self.maintain_relays(ctx);
         if self.view.is_empty() {
             // Re-contact the bootstrap server instead of staying isolated (see Cyclon).
-            self.view.bootstrap(self.config.bootstrap_size, ctx);
+            self.view.bootstrap(BOOTSTRAP_SIZE, ctx);
             return;
         }
         let Some(target) = self.view.oldest().map(|d| d.node()) else {
@@ -642,7 +643,7 @@ mod tests {
             if class.is_public() {
                 sim.register_public(id);
             }
-            sim.add_node(id, GozarNode::new(id, class, BaselineConfig::default()));
+            sim.add_node(id, GozarNode::new(id, class, BaselineConfig));
         }
         sim
     }

@@ -19,10 +19,13 @@
 //!
 //! All three implement the simulator's [`Protocol`](croupier_simulator::Protocol) and
 //! [`PssNode`](croupier_simulator::PssNode) traits against the engine-agnostic
-//! [`Context`](croupier_simulator::Context), use the same view size, shuffle length,
-//! selection (tail) and merge (swapper) policies as the Croupier implementation, and account
-//! message sizes with the same conventions, so the evaluation crate can compare the four
-//! systems under identical conditions — exactly the setup of §VII-A of the paper.
+//! [`Context`](croupier_simulator::Context), use Croupier's view, shuffle and bootstrap sizes
+//! ([`croupier::VIEW_SIZE`], [`croupier::SHUFFLE_SIZE`], [`croupier::BOOTSTRAP_SIZE`]) and
+//! its selection (tail) and merge (swapper) policies, and account message sizes with the
+//! same conventions, so the evaluation crate can compare the four systems under identical
+//! conditions — exactly the setup of §VII-A of the paper. The NAT-traversal parameters
+//! (Gozar's relay redundancy and keep-alive period, Nylon's keep-alive period, chain TTL and
+//! open-connection window) follow the cited papers and are constants of their modules.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -45,8 +48,8 @@ mod tests {
     /// added to a node shows up there times the population.
     #[test]
     fn node_state_stays_compact() {
-        assert!(std::mem::size_of::<CyclonNode>() <= 240);
-        assert!(std::mem::size_of::<GozarNode>() <= 472);
-        assert!(std::mem::size_of::<NylonNode>() <= 384);
+        assert!(std::mem::size_of::<CyclonNode>() <= 176);
+        assert!(std::mem::size_of::<GozarNode>() <= 408);
+        assert!(std::mem::size_of::<NylonNode>() <= 328);
     }
 }

@@ -18,12 +18,26 @@
 
 use std::collections::HashMap;
 
-use croupier::{Descriptor, DescriptorBatch, View, DESCRIPTOR_WIRE_BYTES, UDP_IP_HEADER_BYTES};
+use croupier::{
+    Descriptor, DescriptorBatch, View, BOOTSTRAP_SIZE, DESCRIPTOR_WIRE_BYTES, SHUFFLE_SIZE,
+    UDP_IP_HEADER_BYTES, VIEW_SIZE,
+};
 use croupier_simulator::{Context, NatClass, NodeId, Protocol, PssNode, WireSize};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::BaselineConfig;
+
+/// Rounds between the keep-alives a private node sends its RVPs to refresh the NAT
+/// mappings (must stay below the NAT mapping timeout).
+const KEEPALIVE_ROUNDS: u64 = 5;
+
+/// Maximum length of a rendezvous chain before a hole-punch request is dropped.
+const CHAIN_TTL: u32 = 8;
+
+/// How many rounds a past exchange keeps counting as an "open connection" (bounded by the
+/// NAT mapping timeout).
+const OPEN_CONNECTION_ROUNDS: u64 = 10;
 
 /// How many rounds an entry may wait for a hole punch before the pending shuffle is
 /// abandoned.
@@ -160,7 +174,6 @@ impl WireSize for NylonMessage {
 pub struct NylonNode {
     id: NodeId,
     class: NatClass,
-    config: BaselineConfig,
     view: View,
     /// Next hop towards each known node: the neighbour from which its descriptor was
     /// learned (the RVP chain).
@@ -188,16 +201,11 @@ pub struct NylonNode {
 
 impl NylonNode {
     /// Creates a Nylon node of the given connectivity class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is inconsistent.
-    pub fn new(id: NodeId, class: NatClass, config: BaselineConfig) -> Self {
-        config.validate();
+    pub fn new(id: NodeId, class: NatClass, _config: BaselineConfig) -> Self {
         NylonNode {
             id,
             class,
-            view: View::new(config.view_size),
+            view: View::new(VIEW_SIZE),
             next_hop: HashMap::new(),
             open_connections: HashMap::new(),
             pending: HashMap::new(),
@@ -208,7 +216,6 @@ impl NylonNode {
             exchanges_completed: 0,
             unreachable_targets: 0,
             abandoned_exchanges: 0,
-            config,
         }
     }
 
@@ -244,7 +251,7 @@ impl NylonNode {
     fn connection_open(&self, peer: NodeId) -> bool {
         self.open_connections
             .get(&peer)
-            .map(|round| self.rounds.saturating_sub(*round) < self.config.open_connection_rounds)
+            .map(|round| self.rounds.saturating_sub(*round) < OPEN_CONNECTION_ROUNDS)
             .unwrap_or(false)
     }
 
@@ -283,8 +290,7 @@ impl NylonNode {
         // Nylon must keep a NAT mapping open towards *every* rendezvous node that may have
         // to forward a hole-punch request (roughly its whole in-view), whereas Gozar only
         // keeps a couple of dedicated relays alive.
-        let period = self.config.keepalive_rounds.max(1);
-        if self.class.is_public() || !self.rounds.is_multiple_of(period) {
+        if self.class.is_public() || !self.rounds.is_multiple_of(KEEPALIVE_ROUNDS) {
             return;
         }
         let mut rvps: Vec<(NodeId, u64)> = self
@@ -344,7 +350,7 @@ impl Protocol for NylonNode {
     type Message = NylonMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        self.view.bootstrap(self.config.bootstrap_size, ctx);
+        self.view.bootstrap(BOOTSTRAP_SIZE, ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, Self::Message>) {
@@ -355,7 +361,7 @@ impl Protocol for NylonNode {
         self.maintain_keepalives(ctx);
         if self.view.is_empty() {
             // Re-contact the bootstrap server instead of staying isolated (see Cyclon).
-            self.view.bootstrap(self.config.bootstrap_size, ctx);
+            self.view.bootstrap(BOOTSTRAP_SIZE, ctx);
             return;
         }
 
@@ -364,9 +370,7 @@ impl Protocol for NylonNode {
         };
         let target = target_descriptor.node();
         self.view.remove(target);
-        let sent = self
-            .view
-            .random_subset(self.config.shuffle_size.saturating_sub(1), ctx.rng());
+        let sent = self.view.random_subset(SHUFFLE_SIZE - 1, ctx.rng());
 
         if target_descriptor.class().is_public() || self.connection_open(target) {
             self.send_direct_shuffle(target, sent, ctx);
@@ -390,7 +394,7 @@ impl Protocol for NylonNode {
                     NylonMessage::HolePunchRequest {
                         initiator: self.id,
                         target,
-                        ttl: self.config.chain_ttl,
+                        ttl: CHAIN_TTL,
                     },
                 );
             }
@@ -423,7 +427,7 @@ impl Protocol for NylonNode {
                 descriptors,
             } => {
                 self.open_connections.insert(initiator, self.rounds);
-                let reply = self.view.random_subset(self.config.shuffle_size, ctx.rng());
+                let reply = self.view.random_subset(SHUFFLE_SIZE, ctx.rng());
                 self.absorb(from, &reply, &descriptors);
                 ctx.send(
                     initiator,
@@ -539,7 +543,7 @@ mod tests {
             if class.is_public() {
                 sim.register_public(id);
             }
-            sim.add_node(id, NylonNode::new(id, class, BaselineConfig::default()));
+            sim.add_node(id, NylonNode::new(id, class, BaselineConfig));
         }
         sim
     }

@@ -3,21 +3,24 @@
 use croupier_simulator::{InlineVec, NatClass, NodeId};
 use serde::{Deserialize, Serialize};
 
+use crate::config::SHUFFLE_SIZE;
+
 /// Serialized size of one descriptor on the wire, in bytes: a 6-byte address (IPv4 + port),
 /// a 4-byte node identifier, one byte of NAT type and one byte of age. Matches the compact
 /// encodings used in the paper's overhead accounting.
 pub const DESCRIPTOR_WIRE_BYTES: usize = 12;
 
-/// Inline capacity of [`DescriptorBatch`]: the largest descriptor list a default-config
-/// shuffle produces, with headroom. A shuffle ships `ceil(shuffle_size / 2) + 1`
-/// descriptors per view (subset plus the sender's own entry; paper default
-/// `shuffle_size = 5` → 4), and the single-view baselines ship `shuffle_size + 1` (→ 6).
-/// Oversized experiment configurations spill to the heap transparently.
+/// Inline capacity of [`DescriptorBatch`]: the largest descriptor list a shuffle
+/// produces, with headroom. A Croupier shuffle ships `ceil(SHUFFLE_SIZE / 2) + 1`
+/// descriptors per view (subset plus the sender's own entry → 4), and the single-view
+/// baselines ship `SHUFFLE_SIZE + 1` (→ 6).
 pub const DESCRIPTOR_INLINE_CAPACITY: usize = 8;
+
+const _: () = assert!(SHUFFLE_SIZE < DESCRIPTOR_INLINE_CAPACITY);
 
 /// A bounded descriptor list as carried in shuffle messages and exchange bookkeeping.
 ///
-/// Backed by [`InlineVec`], so default-config payloads live inline in the message and the
+/// Backed by [`InlineVec`], so shuffle payloads live inline in the message and the
 /// shuffle hot path performs no heap allocation (the `Vec`-based payloads this replaced
 /// were the dominant allocation source per exchange). With the packed 8-byte
 /// [`Descriptor`] the inline storage is 64 bytes per batch, half its former footprint.

@@ -19,9 +19,8 @@ use serde::{Deserialize, Serialize};
 /// exactly the encoding the paper charges 5 bytes for (§VII, protocol overhead).
 pub const ESTIMATE_WIRE_BYTES: usize = 5;
 
-/// Inline capacity of [`EstimateBatch`]: the paper's default share size (10) plus the
-/// sender's own estimate, with one slot of headroom. Larger share configurations spill to
-/// the heap transparently.
+/// Inline capacity of [`EstimateBatch`]: the paper's share size (10 estimates per message)
+/// plus the sender's own estimate, with one slot of headroom.
 pub const ESTIMATE_INLINE_CAPACITY: usize = 12;
 
 /// A bounded list of piggy-backed ratio estimates as carried in shuffle messages.

@@ -81,7 +81,7 @@ pub mod protocol;
 pub mod sampler;
 pub mod view;
 
-pub use config::CroupierConfig;
+pub use config::{CroupierConfig, BOOTSTRAP_SIZE, SHUFFLE_SIZE, VIEW_SIZE};
 pub use descriptor::{
     Descriptor, DescriptorBatch, AGE_MAX, DESCRIPTOR_INLINE_CAPACITY, DESCRIPTOR_WIRE_BYTES,
 };
@@ -89,7 +89,7 @@ pub use estimator::{
     EstimateBatch, EstimateRecord, RatioEstimator, ESTIMATE_INLINE_CAPACITY, ESTIMATE_WIRE_BYTES,
 };
 pub use messages::{CroupierMessage, ShufflePayload, UDP_IP_HEADER_BYTES};
-pub use nat_identification::{NatIdMessage, NatIdentificationConfig, NatIdentificationNode};
+pub use nat_identification::{NatIdMessage, NatIdentificationNode};
 pub use protocol::CroupierNode;
 pub use sampler::sample_from_views;
 pub use view::View;

@@ -17,7 +17,7 @@ const SHUFFLE_FRAMING_BYTES: usize = 6;
 /// sender's public and private views plus a bounded set of piggy-backed ratio estimates.
 ///
 /// All three lists are [`InlineVec`](croupier_simulator::InlineVec)s sized to the paper's
-/// view-subset bounds, so filling, reading and clearing a default-config payload touches
+/// view-subset bounds, so filling, reading and clearing a payload touches
 /// no heap memory. The payload itself travels **boxed** inside [`CroupierMessage`]: the
 /// inline lists make the struct ~380 bytes even with the bit-packed 8-byte
 /// [`Descriptor`](crate::Descriptor)s and 16-byte
@@ -190,7 +190,7 @@ mod tests {
             std::mem::size_of::<ShufflePayload>()
         );
         // Per-node state times the population is `peak_rss_mb` at 100k nodes and beyond.
-        assert!(std::mem::size_of::<crate::CroupierNode>() <= 512);
+        assert!(std::mem::size_of::<crate::CroupierNode>() <= 456);
     }
 
     #[test]

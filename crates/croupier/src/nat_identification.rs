@@ -28,24 +28,12 @@ use crate::messages::UDP_IP_HEADER_BYTES;
 /// Timer key used for the client-side identification timeout.
 const TIMEOUT_TIMER: TimerKey = TimerKey::new(0x4e41_5449);
 
-/// Configuration of the identification protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NatIdentificationConfig {
-    /// Number of public nodes probed in parallel (the protocol concludes on the first
-    /// response; more probes improve robustness and latency).
-    pub parallel_probes: usize,
-    /// How long the client waits for a `ForwardResponse` before concluding it is private.
-    pub timeout: SimDuration,
-}
+/// Number of public nodes a client probes in parallel (the protocol concludes on the first
+/// response; more probes improve robustness and latency).
+const PARALLEL_PROBES: usize = 3;
 
-impl Default for NatIdentificationConfig {
-    fn default() -> Self {
-        NatIdentificationConfig {
-            parallel_probes: 3,
-            timeout: SimDuration::from_secs(5),
-        }
-    }
-}
+/// How long a client waits for a `ForwardResponse` before concluding it is private.
+const TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// Messages of the identification protocol.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -120,7 +108,6 @@ impl fmt::Display for ClassificationEvidence {
 pub struct NatIdentificationNode {
     id: NodeId,
     address_info: Arc<dyn AddressInfo + Send + Sync>,
-    config: NatIdentificationConfig,
     is_client: bool,
     conclusion: Option<(NatClass, ClassificationEvidence)>,
     forwards_handled: u64,
@@ -138,15 +125,10 @@ impl fmt::Debug for NatIdentificationNode {
 
 impl NatIdentificationNode {
     /// Creates a node that actively determines its own NAT type at start-up.
-    pub fn new_client(
-        id: NodeId,
-        address_info: Arc<dyn AddressInfo + Send + Sync>,
-        config: NatIdentificationConfig,
-    ) -> Self {
+    pub fn new_client(id: NodeId, address_info: Arc<dyn AddressInfo + Send + Sync>) -> Self {
         NatIdentificationNode {
             id,
             address_info,
-            config,
             is_client: true,
             conclusion: None,
             forwards_handled: 0,
@@ -159,7 +141,6 @@ impl NatIdentificationNode {
         NatIdentificationNode {
             id,
             address_info,
-            config: NatIdentificationConfig::default(),
             is_client: false,
             conclusion: None,
             forwards_handled: 0,
@@ -210,7 +191,7 @@ impl Protocol for NatIdentificationNode {
             self.conclude(NatClass::Public, ClassificationEvidence::UpnpMapping);
             return;
         }
-        let probes = ctx.bootstrap_sample(self.config.parallel_probes);
+        let probes = ctx.bootstrap_sample(PARALLEL_PROBES);
         for node in &probes {
             ctx.send(
                 *node,
@@ -220,7 +201,7 @@ impl Protocol for NatIdentificationNode {
                 },
             );
         }
-        ctx.set_timer(self.config.timeout, TIMEOUT_TIMER);
+        ctx.set_timer(TIMEOUT, TIMEOUT_TIMER);
     }
 
     fn on_round(&mut self, _ctx: &mut Context<'_, Self::Message>) {
@@ -337,11 +318,7 @@ mod tests {
         }
         sim.add_node(
             client,
-            NatIdentificationNode::new_client(
-                client,
-                Arc::clone(&info),
-                NatIdentificationConfig::default(),
-            ),
+            NatIdentificationNode::new_client(client, Arc::clone(&info)),
         );
         sim.run_for(SimDuration::from_secs(10));
         let node = sim.node(client).unwrap();
@@ -378,8 +355,7 @@ mod tests {
 
     #[test]
     fn protocol_costs_three_messages_per_successful_run() {
-        // One MatchingIpTest per probe, but only the full chain of the fastest probe counts:
-        // MatchingIpTest + ForwardTest + ForwardResponse = 3 messages on the decisive path.
+        // Each probe is one chain: MatchingIpTest + ForwardTest + ForwardResponse.
         let topology = NatTopologyBuilder::new(3).build();
         let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
         let mut sim = Simulation::new(SimulationConfig::default().with_seed(17));
@@ -394,22 +370,15 @@ mod tests {
         topology.add_public_node(client);
         sim.add_node(
             client,
-            NatIdentificationNode::new_client(
-                client,
-                Arc::clone(&info),
-                NatIdentificationConfig {
-                    parallel_probes: 1,
-                    timeout: SimDuration::from_secs(5),
-                },
-            ),
+            NatIdentificationNode::new_client(client, Arc::clone(&info)),
         );
         sim.run_for(SimDuration::from_secs(10));
         assert_eq!(
             sim.node(client).unwrap().conclusion(),
             Some(NatClass::Public)
         );
-        // With a single probe the whole run is exactly three messages.
-        assert_eq!(sim.network_stats().delivered, 3);
+        // Three messages per probe, and nothing else.
+        assert_eq!(sim.network_stats().delivered, 3 * PARALLEL_PROBES as u64);
     }
 
     #[test]
@@ -422,11 +391,7 @@ mod tests {
         topology.add_public_node(client);
         sim.add_node(
             client,
-            NatIdentificationNode::new_client(
-                client,
-                Arc::clone(&info),
-                NatIdentificationConfig::default(),
-            ),
+            NatIdentificationNode::new_client(client, Arc::clone(&info)),
         );
         sim.run_for(SimDuration::from_secs(10));
         let node = sim.node(client).unwrap();

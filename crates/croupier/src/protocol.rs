@@ -9,7 +9,7 @@ use croupier_simulator::{
 };
 use rand::rngs::SmallRng;
 
-use crate::config::CroupierConfig;
+use crate::config::{CroupierConfig, BOOTSTRAP_SIZE, SHUFFLE_SIZE, VIEW_SIZE};
 use crate::descriptor::{Descriptor, DescriptorBatch};
 use crate::estimator::RatioEstimator;
 use crate::messages::{CroupierMessage, ShufflePayload};
@@ -21,6 +21,20 @@ use crate::view::View;
 /// request's box into its response), so the pool only has to absorb transient imbalance
 /// from lost or late messages.
 const PAYLOAD_POOL_LIMIT: usize = 4;
+
+/// Maximum number of ratio estimates piggy-backed on one shuffle message (paper: 10).
+const ESTIMATE_SHARE_SIZE: usize = 10;
+
+/// The public view's share of the [`SHUFFLE_SIZE`] descriptor budget.
+///
+/// The paper sends "a random, bounded subset" of each view with an overall exchange size
+/// of [`SHUFFLE_SIZE`] descriptors (§VII-A); charging the whole budget to *each* view would
+/// make Croupier's messages systematically larger than the other protocols' and distort
+/// the overhead comparison of Fig. 7(a), so the budget is split — the public view gets the
+/// larger half.
+const PUBLIC_SHUFFLE_BUDGET: usize = SHUFFLE_SIZE.div_ceil(2);
+/// The private view's share of the [`SHUFFLE_SIZE`] descriptor budget.
+const PRIVATE_SHUFFLE_BUDGET: usize = SHUFFLE_SIZE - PUBLIC_SHUFFLE_BUDGET;
 
 /// A node running the Croupier peer-sampling protocol.
 ///
@@ -40,7 +54,6 @@ const PAYLOAD_POOL_LIMIT: usize = 4;
 pub struct CroupierNode {
     id: NodeId,
     class: NatClass,
-    config: CroupierConfig,
     public_view: View,
     private_view: View,
     estimator: RatioEstimator,
@@ -63,22 +76,20 @@ impl CroupierNode {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is inconsistent (see [`CroupierConfig::validate`]).
+    /// Panics if `config.local_history` (α) is zero (see [`RatioEstimator::new`]).
     pub fn new(id: NodeId, class: NatClass, config: CroupierConfig) -> Self {
-        config.validate();
         let estimator = RatioEstimator::new(class, config.local_history, config.neighbour_history);
         CroupierNode {
             id,
             class,
-            public_view: View::new(config.view_size),
-            private_view: View::new(config.view_size),
+            public_view: View::new(VIEW_SIZE),
+            private_view: View::new(VIEW_SIZE),
             estimator,
             exchange: ExchangeTracker::default(),
             payload_pool: Vec::new(),
             rounds: 0,
             shuffles_received: 0,
             responses_received: 0,
-            config,
         }
     }
 
@@ -90,11 +101,6 @@ impl CroupierNode {
     /// The node's connectivity class.
     pub fn class(&self) -> NatClass {
         self.class
-    }
-
-    /// The node's configuration.
-    pub fn config(&self) -> &CroupierConfig {
-        &self.config
     }
 
     /// The public view.
@@ -147,19 +153,6 @@ impl CroupierNode {
         }
     }
 
-    /// Splits the shuffle descriptor budget between the two views.
-    ///
-    /// The paper sends "a random, bounded subset" of each view with an overall exchange
-    /// size of 5 descriptors (§VII-A); charging the whole budget to *each* view would make
-    /// Croupier's messages systematically larger than the other protocols' and distort the
-    /// overhead comparison of Fig. 7(a), so the budget is split — the public view gets the
-    /// larger half.
-    fn shuffle_budgets(&self) -> (usize, usize) {
-        let public = self.config.shuffle_size.div_ceil(2);
-        let private = self.config.shuffle_size - public;
-        (public, private)
-    }
-
     /// Splits received descriptors by their class, dropping our own descriptor.
     fn split_by_class(&self, payload: &ShufflePayload) -> (DescriptorBatch, DescriptorBatch) {
         let mut public = DescriptorBatch::new();
@@ -205,7 +198,7 @@ impl CroupierNode {
     ) {
         let estimates = self
             .estimator
-            .share(self.config.estimate_share_size, self.id, ctx.rng());
+            .share(ESTIMATE_SHARE_SIZE, self.id, ctx.rng());
         let mut request = self.take_payload();
         request.sender_class = self.class;
         request.public_descriptors = sent_public;
@@ -235,12 +228,15 @@ impl CroupierNode {
 
         // Prepare the response subsets *before* merging, exactly as in Algorithm 2
         // (lines 31–33 precede lines 34–36).
-        let (public_budget, private_budget) = self.shuffle_budgets();
-        let reply_public = self.public_view.random_subset(public_budget, ctx.rng());
-        let reply_private = self.private_view.random_subset(private_budget, ctx.rng());
-        let reply_estimates =
-            self.estimator
-                .share(self.config.estimate_share_size, self.id, ctx.rng());
+        let reply_public = self
+            .public_view
+            .random_subset(PUBLIC_SHUFFLE_BUDGET, ctx.rng());
+        let reply_private = self
+            .private_view
+            .random_subset(PRIVATE_SHUFFLE_BUDGET, ctx.rng());
+        let reply_estimates = self
+            .estimator
+            .share(ESTIMATE_SHARE_SIZE, self.id, ctx.rng());
 
         let (received_public, received_private) = self.split_by_class(&payload);
         self.merge(
@@ -280,7 +276,7 @@ impl Protocol for CroupierNode {
     type Message = CroupierMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        self.public_view.bootstrap(self.config.bootstrap_size, ctx);
+        self.public_view.bootstrap(BOOTSTRAP_SIZE, ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, Self::Message>) {
@@ -294,7 +290,7 @@ impl Protocol for CroupierNode {
             // public view died) asks the bootstrap server again rather than staying
             // isolated forever. The catastrophic-failure experiment measures connectivity
             // right after the failure, before a re-bootstrap can take effect.
-            self.public_view.bootstrap(self.config.bootstrap_size, ctx);
+            self.public_view.bootstrap(BOOTSTRAP_SIZE, ctx);
             return;
         }
         let Some(target) = self.public_view.oldest().map(|d| d.node()) else {
@@ -302,9 +298,12 @@ impl Protocol for CroupierNode {
         };
         self.public_view.remove(target);
 
-        let (public_budget, private_budget) = self.shuffle_budgets();
-        let sent_public = self.public_view.random_subset(public_budget, ctx.rng());
-        let sent_private = self.private_view.random_subset(private_budget, ctx.rng());
+        let sent_public = self
+            .public_view
+            .random_subset(PUBLIC_SHUFFLE_BUDGET, ctx.rng());
+        let sent_private = self
+            .private_view
+            .random_subset(PRIVATE_SHUFFLE_BUDGET, ctx.rng());
         self.exchange
             .begin(target, (sent_public.clone(), sent_private.clone()), ctx);
         self.send_request(target, sent_public, sent_private, ctx);
@@ -526,14 +525,13 @@ mod tests {
 
     #[test]
     fn message_sizes_stay_bounded() {
-        let config = CroupierConfig::default();
-        let mut sim = build_sim(5, 20, config.clone(), 7);
+        let mut sim = build_sim(5, 20, CroupierConfig::default(), 7);
         sim.run_for_rounds(30);
         // Upper bound: header + framing + (2*shuffle_size + 1) descriptors + (share+1) estimates.
         let bound = 28
             + 6
-            + (2 * config.shuffle_size + 1) * crate::DESCRIPTOR_WIRE_BYTES
-            + (config.estimate_share_size + 1) * crate::ESTIMATE_WIRE_BYTES;
+            + (2 * SHUFFLE_SIZE + 1) * crate::DESCRIPTOR_WIRE_BYTES
+            + (ESTIMATE_SHARE_SIZE + 1) * crate::ESTIMATE_WIRE_BYTES;
         let node = sim.node(NodeId::new(3)).unwrap().clone();
         let payload = ShufflePayload {
             sender_class: node.class(),
@@ -541,13 +539,13 @@ mod tests {
                 .public_view()
                 .iter()
                 .copied()
-                .take(config.shuffle_size)
+                .take(SHUFFLE_SIZE)
                 .collect(),
             private_descriptors: node
                 .private_view()
                 .iter()
                 .copied()
-                .take(config.shuffle_size)
+                .take(SHUFFLE_SIZE)
                 .collect(),
             estimates: Default::default(),
         };

@@ -153,7 +153,7 @@ impl View {
     ///
     /// Implemented as a partial Fisher–Yates over the entries in place: it draws only
     /// `min(count, len)` random numbers, and the subset is returned inline (a
-    /// [`DescriptorBatch`]), so a default-config shuffle extracts its subsets with zero
+    /// [`DescriptorBatch`]), so a shuffle extracts its subsets with zero
     /// heap allocations. The side effect is that the selected entries are swapped to the
     /// front of the view; entry order carries no protocol meaning (membership, ages and
     /// capacity are unaffected), it only breaks ties in [`oldest`](View::oldest)

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 pub enum Scale {
     /// A few dozen nodes, a few dozen rounds; used by doc tests and smoke tests.
     Tiny,
-    /// Roughly a tenth of the paper's populations; used by Criterion benchmarks.
+    /// Roughly a tenth of the paper's populations; the scale the CI matrix jobs gate.
     Quick,
     /// The paper's populations and durations.
     Paper,

@@ -80,8 +80,8 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
-/// Protocol configurations used by an experiment (identical view and shuffle sizes across
-/// systems, per §VII-A).
+/// Protocol configurations used by an experiment: Croupier's α and γ. The view and shuffle
+/// sizes the four systems share (§VII-A) are `croupier` constants.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProtocolConfigs {
     /// Configuration of Croupier nodes.

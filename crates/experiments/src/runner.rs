@@ -1218,9 +1218,7 @@ mod tests {
             .with_rounds(40)
             .with_sample_every(5)
             .with_graph_metrics(10);
-        let out = run_pss(&params, |id, _| {
-            CyclonNode::new(id, BaselineConfig::default())
-        });
+        let out = run_pss(&params, |id, _| CyclonNode::new(id, BaselineConfig));
         let last = out.last_sample().unwrap();
         assert_eq!(last.node_count, 30);
         assert!((last.largest_component.unwrap() - 1.0).abs() < 1e-9);

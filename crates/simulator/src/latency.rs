@@ -61,12 +61,6 @@ impl ConstantLatency {
     }
 }
 
-impl Default for ConstantLatency {
-    fn default() -> Self {
-        ConstantLatency::new(SimDuration::from_millis(50))
-    }
-}
-
 impl LatencyModel for ConstantLatency {
     fn sample(&mut self, _from: NodeId, _to: NodeId, _rng: &mut SmallRng) -> SimDuration {
         self.latency
@@ -77,55 +71,44 @@ impl LatencyModel for ConstantLatency {
     }
 }
 
+/// Side length of the King model's virtual coordinate square, in milliseconds of
+/// propagation delay.
+const PLANE_SIDE_MS: f64 = 90.0;
+/// Maximum per-node access-link delay of the King model, in milliseconds.
+const MAX_ACCESS_MS: f64 = 15.0;
+/// Fractional jitter the King model applies per message (±15 %).
+const JITTER_FRAC: f64 = 0.15;
+/// The King model's latency floor before jitter, in milliseconds.
+const FLOOR_MS: f64 = 2.0;
+
 /// Synthetic King-data-set-like latency model.
 ///
-/// Every node is lazily assigned a point in a two-dimensional virtual coordinate space plus
-/// a per-node access delay. The one-way latency between two nodes is the Euclidean distance
-/// between their coordinates plus both access delays plus per-message jitter. The default
-/// parameters give a median one-way delay of roughly 40 ms and a 99th percentile of a few
-/// hundred milliseconds, matching the published statistics of the King measurements closely
-/// enough for gossip-convergence experiments.
-#[derive(Clone, Debug)]
+/// Every node is lazily assigned a point in a two-dimensional virtual coordinate square of
+/// side 90 ms plus a per-node access delay of at most 15 ms. The one-way latency between two
+/// nodes is the Euclidean distance between their coordinates plus both access delays plus a
+/// 2 ms floor, scaled by ±15 % per-message jitter. This gives a median one-way delay of
+/// roughly 40 ms, matching the published statistics of the King measurements closely enough
+/// for gossip-convergence experiments, and bounds every delay by
+/// `(2 + 2·15 + 90·√2)·1.15 ≈ 183 ms`.
+#[derive(Clone, Debug, Default)]
 pub struct KingLatencyModel {
-    /// Side length of the virtual coordinate square, in milliseconds of propagation delay.
-    plane_side_ms: f64,
-    /// Maximum per-node access-link delay in milliseconds.
-    max_access_ms: f64,
-    /// Fractional jitter applied per message (0.1 = +/-10%).
-    jitter_frac: f64,
-    /// Minimum latency floor in milliseconds.
-    floor_ms: f64,
     coords: HashMap<NodeId, (f64, f64, f64)>,
 }
 
 impl KingLatencyModel {
-    /// Creates the model with the default, King-like parameters.
+    /// Creates the model with an empty coordinate cache.
     pub fn new() -> Self {
-        KingLatencyModel {
-            plane_side_ms: 90.0,
-            max_access_ms: 15.0,
-            jitter_frac: 0.15,
-            floor_ms: 2.0,
-            coords: HashMap::new(),
-        }
-    }
-
-    /// Overrides the per-message jitter fraction.
-    pub fn with_jitter(mut self, jitter_frac: f64) -> Self {
-        self.jitter_frac = jitter_frac;
-        self
+        Self::default()
     }
 
     fn coords_for(&mut self, node: NodeId, rng: &mut SmallRng) -> (f64, f64, f64) {
-        let side = self.plane_side_ms;
-        let access = self.max_access_ms;
         *self.coords.entry(node).or_insert_with(|| {
-            let x = rng.gen_range(0.0..side);
-            let y = rng.gen_range(0.0..side);
+            let x = rng.gen_range(0.0..PLANE_SIDE_MS);
+            let y = rng.gen_range(0.0..PLANE_SIDE_MS);
             // Access delays follow a mildly heavy-tailed distribution: most nodes are on
             // fast links, a few sit behind slow DSL-like links.
             let u: f64 = rng.gen_range(0.0f64..1.0);
-            let a = access * u.powi(3);
+            let a = MAX_ACCESS_MS * u.powi(3);
             (x, y, a)
         })
     }
@@ -133,36 +116,24 @@ impl KingLatencyModel {
     /// Order-independent coordinates: derived by hashing the node id rather than by lazily
     /// drawing from the shared latency stream, so every thread (and every sampling order)
     /// sees the same virtual position for a node. Used by [`LatencyModel::sample_shared`].
-    fn hashed_coords(&self, node: NodeId) -> (f64, f64, f64) {
+    fn hashed_coords(node: NodeId) -> (f64, f64, f64) {
         const COORD_SALT: u64 = 0x4b49_4e47_5eed_c0de;
         let h1 = crate::rng::splitmix64(node.as_u64() ^ COORD_SALT);
         let h2 = crate::rng::splitmix64(h1);
         let h3 = crate::rng::splitmix64(h2);
         let unit = |h: u64| (h >> 11) as f64 / (1u64 << 53) as f64;
-        let x = unit(h1) * self.plane_side_ms;
-        let y = unit(h2) * self.plane_side_ms;
-        let a = self.max_access_ms * unit(h3).powi(3);
+        let x = unit(h1) * PLANE_SIDE_MS;
+        let y = unit(h2) * PLANE_SIDE_MS;
+        let a = MAX_ACCESS_MS * unit(h3).powi(3);
         (x, y, a)
     }
-}
 
-impl Default for KingLatencyModel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl KingLatencyModel {
-    fn combine(&self, c1: (f64, f64, f64), c2: (f64, f64, f64), rng: &mut SmallRng) -> SimDuration {
+    fn combine(c1: (f64, f64, f64), c2: (f64, f64, f64), rng: &mut SmallRng) -> SimDuration {
         let (x1, y1, a1) = c1;
         let (x2, y2, a2) = c2;
         let dist = ((x1 - x2).powi(2) + (y1 - y2).powi(2)).sqrt();
-        let base = dist + a1 + a2 + self.floor_ms;
-        let jitter = if self.jitter_frac > 0.0 {
-            1.0 + rng.gen_range(-self.jitter_frac..self.jitter_frac)
-        } else {
-            1.0
-        };
+        let base = dist + a1 + a2 + FLOOR_MS;
+        let jitter = 1.0 + rng.gen_range(-JITTER_FRAC..JITTER_FRAC);
         SimDuration::from_millis_f64(base * jitter)
     }
 }
@@ -171,11 +142,11 @@ impl LatencyModel for KingLatencyModel {
     fn sample(&mut self, from: NodeId, to: NodeId, rng: &mut SmallRng) -> SimDuration {
         let c1 = self.coords_for(from, rng);
         let c2 = self.coords_for(to, rng);
-        self.combine(c1, c2, rng)
+        Self::combine(c1, c2, rng)
     }
 
     fn sample_shared(&self, from: NodeId, to: NodeId, rng: &mut SmallRng) -> SimDuration {
-        self.combine(self.hashed_coords(from), self.hashed_coords(to), rng)
+        Self::combine(Self::hashed_coords(from), Self::hashed_coords(to), rng)
     }
 }
 
@@ -213,11 +184,38 @@ mod tests {
 
     #[test]
     fn king_latency_reuses_coordinates() {
-        let mut m = KingLatencyModel::new().with_jitter(0.0);
+        let mut m = KingLatencyModel::new();
         let mut r = rng();
-        let d1 = m.sample(NodeId::new(1), NodeId::new(2), &mut r);
-        let d2 = m.sample(NodeId::new(1), NodeId::new(2), &mut r);
-        assert_eq!(d1, d2, "without jitter the same pair has a stable latency");
+        m.sample(NodeId::new(1), NodeId::new(2), &mut r);
+        let first = m.coords.clone();
+        m.sample(NodeId::new(1), NodeId::new(2), &mut r);
+        assert_eq!(first.len(), 2);
+        assert_eq!(
+            m.coords, first,
+            "a second draw must reuse the cached coordinates"
+        );
+    }
+
+    #[test]
+    fn king_latency_stays_within_its_closed_form_bound() {
+        let max_ms =
+            (FLOOR_MS + 2.0 * MAX_ACCESS_MS + PLANE_SIDE_MS * 2f64.sqrt()) * (1.0 + JITTER_FRAC);
+        let min_ms = FLOOR_MS * (1.0 - JITTER_FRAC);
+        assert_eq!(max_ms.round(), 183.0);
+        let bound = SimDuration::from_millis_f64(min_ms)..=SimDuration::from_millis_f64(max_ms);
+        for seed in 0..20u64 {
+            let mut m = KingLatencyModel::new();
+            let mut r = SmallRng::seed_from_u64(seed);
+            for i in 0..2_000u64 {
+                let (from, to) = (NodeId::new(i), NodeId::new((i * 7919 + seed) % 4_000));
+                for d in [
+                    m.sample(from, to, &mut r),
+                    m.sample_shared(from, to, &mut r),
+                ] {
+                    assert!(bound.contains(&d), "latency {d:?} outside {bound:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -243,17 +241,15 @@ mod tests {
 
     #[test]
     fn shared_sampling_is_order_independent() {
-        let m = KingLatencyModel::new().with_jitter(0.0);
-        let mut r1 = rng();
-        let mut r2 = rng();
-        // Sampling pairs in different orders must not change any pair's latency.
-        let forward: Vec<_> = (0..20u64)
-            .map(|i| m.sample_shared(NodeId::new(i), NodeId::new(i + 20), &mut r1))
-            .collect();
-        let mut backward: Vec<_> = (0..20u64)
-            .rev()
-            .map(|i| m.sample_shared(NodeId::new(i), NodeId::new(i + 20), &mut r2))
-            .collect();
+        let m = KingLatencyModel::new();
+        // Each pair draws its jitter from its own stream, as each sender does in the sharded
+        // engine; sampling pairs in different orders must not change any pair's latency.
+        let sample = |i: u64| {
+            let mut r = SmallRng::seed_from_u64(i);
+            m.sample_shared(NodeId::new(i), NodeId::new(i + 20), &mut r)
+        };
+        let forward: Vec<_> = (0..20u64).map(sample).collect();
+        let mut backward: Vec<_> = (0..20u64).rev().map(sample).collect();
         backward.reverse();
         assert_eq!(forward, backward);
         assert!(forward.iter().all(|d| d.as_millis() >= 1));

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use croupier::{NatIdentificationConfig, NatIdentificationNode};
+use croupier::NatIdentificationNode;
 use croupier_nat::{AddressInfo, FilteringPolicy, NatGatewayConfig, NatTopologyBuilder};
 use croupier_simulator::{NodeId, SimDuration, Simulation, SimulationConfig, SimulationEngine};
 
@@ -73,14 +73,7 @@ fn main() {
     for (index, (label, setup)) in profiles.iter().enumerate() {
         let id = NodeId::new(100 + index as u64);
         setup(id);
-        sim.add_node(
-            id,
-            NatIdentificationNode::new_client(
-                id,
-                Arc::clone(&info),
-                NatIdentificationConfig::default(),
-            ),
-        );
+        sim.add_node(id, NatIdentificationNode::new_client(id, Arc::clone(&info)));
         clients.push((id, *label));
     }
 

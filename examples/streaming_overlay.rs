@@ -74,7 +74,7 @@ fn main() {
     // Croupier: NAT-aware, uniform samples over the whole population.
     let croupier = run(|id, class| CroupierNode::new(id, class, CroupierConfig::default()));
     // Cyclon on the *same NATed population*: views drift onto the reachable public core.
-    let cyclon = run(|id, _| CyclonNode::new(id, BaselineConfig::default()));
+    let cyclon = run(|id, _| CyclonNode::new(id, BaselineConfig));
 
     println!("{:>24} {:>12} {:>12}", "metric", "croupier", "cyclon/NATs");
     type Row = (&'static str, Box<dyn Fn(&WorkloadReport) -> String>);

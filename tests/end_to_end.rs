@@ -5,9 +5,7 @@
 
 use std::sync::Arc;
 
-use croupier_suite::croupier::{
-    CroupierConfig, CroupierNode, NatIdentificationConfig, NatIdentificationNode,
-};
+use croupier_suite::croupier::{CroupierConfig, CroupierNode, NatIdentificationNode};
 use croupier_suite::nat::{AddressInfo, FilteringPolicy, NatTopologyBuilder};
 use croupier_suite::simulator::SimulationEngine;
 use croupier_suite::simulator::{
@@ -51,14 +49,7 @@ fn nat_identification_then_peer_sampling() {
     }
     for i in 0..total {
         let id = NodeId::new(i);
-        ident_sim.add_node(
-            id,
-            NatIdentificationNode::new_client(
-                id,
-                Arc::clone(&info),
-                NatIdentificationConfig::default(),
-            ),
-        );
+        ident_sim.add_node(id, NatIdentificationNode::new_client(id, Arc::clone(&info)));
     }
     ident_sim.run_for(SimDuration::from_secs(15));
 

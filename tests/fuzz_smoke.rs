@@ -118,22 +118,19 @@ fn repeated_mutation_keeps_messages_structurally_valid() {
             harvested += 1;
             storm("croupier", &mut rng, msg);
         }
-        for msg in harvest(
-            CyclonNode::new(NodeId::new(0), BaselineConfig::default()),
-            seed,
-        ) {
+        for msg in harvest(CyclonNode::new(NodeId::new(0), BaselineConfig), seed) {
             harvested += 1;
             storm("cyclon", &mut rng, msg);
         }
         for msg in harvest(
-            GozarNode::new(NodeId::new(0), NatClass::Private, BaselineConfig::default()),
+            GozarNode::new(NodeId::new(0), NatClass::Private, BaselineConfig),
             seed,
         ) {
             harvested += 1;
             storm("gozar", &mut rng, msg);
         }
         for msg in harvest(
-            NylonNode::new(NodeId::new(0), NatClass::Private, BaselineConfig::default()),
+            NylonNode::new(NodeId::new(0), NatClass::Private, BaselineConfig),
             seed,
         ) {
             harvested += 1;

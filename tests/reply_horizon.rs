@@ -208,7 +208,7 @@ fn cyclon_sends_each_request_once_on_the_sharded_engine() {
         assert_each_request_is_sent_once(
             threads,
             0,
-            |id, _| CyclonNode::new(id, BaselineConfig::default()),
+            |id, _| CyclonNode::new(id, BaselineConfig),
             cyclon_kind,
             true,
         );
@@ -221,7 +221,7 @@ fn gozar_sends_each_request_once_on_the_sharded_engine() {
         assert_each_request_is_sent_once(
             threads,
             60,
-            |id, class| GozarNode::new(id, class, BaselineConfig::default()),
+            |id, class| GozarNode::new(id, class, BaselineConfig),
             gozar_kind,
             false,
         );

@@ -666,11 +666,14 @@ fn ci_local_step(step: &str) -> bool {
             &[("RUSTDOCFLAGS", "-D warnings")],
         ),
         "test" => {
-            run_command(&cargo, &["build", "--release", "--workspace"], &[])
-                && run_command(&cargo, &["test", "-q", "--workspace"], &[])
+            run_command(
+                &cargo,
+                &["build", "--release", "--locked", "--workspace"],
+                &[],
+            ) && run_command(&cargo, &["test", "-q", "--locked", "--workspace"], &[])
                 && run_command(
                     &cargo,
-                    &["run", "--release", "--example", "quickstart"],
+                    &["run", "--release", "--locked", "--example", "quickstart"],
                     &[],
                 )
         }
@@ -690,7 +693,7 @@ fn ci_local_step(step: &str) -> bool {
             let manifest = "e2e_bench/Cargo.toml";
             run_command(
                 &cargo,
-                &["test", "--offline", "--manifest-path", manifest],
+                &["test", "--offline", "--locked", "--manifest-path", manifest],
                 &[],
             ) && run_command(
                 &cargo,
@@ -698,6 +701,7 @@ fn ci_local_step(step: &str) -> bool {
                     "run",
                     "--release",
                     "--offline",
+                    "--locked",
                     "--manifest-path",
                     manifest,
                     "--bin",
