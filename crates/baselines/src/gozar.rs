@@ -204,6 +204,62 @@ impl WireSize for GozarMessage {
 /// from relay selection (until it shows signs of life again).
 const RELAY_SUSPECT_STRIKES: u32 = 2;
 
+/// A [`RelayCache`] slot that holds no relay.
+const NO_RELAY: u32 = u32::MAX;
+
+/// The relays advertised by the private nodes a node has heard of, packed to `u32` ids:
+/// the cache is never pruned and holds an entry for most private nodes of the population,
+/// so an entry takes 12 bytes where a `(NodeId, RelayList)` pair takes 56. A list keeps its
+/// order; unused slots hold [`NO_RELAY`].
+#[derive(Clone, Debug, Default)]
+struct RelayCache(HashMap<u32, [u32; RELAY_REDUNDANCY]>);
+
+impl RelayCache {
+    /// Records `relays` (at most [`RELAY_REDUNDANCY`], as every advertised list is: a
+    /// node's own relays never exceed it and corruption only truncates or clears a list)
+    /// as `node`'s.
+    fn insert(&mut self, node: NodeId, relays: &RelayList) {
+        assert!(
+            relays.len() <= RELAY_REDUNDANCY,
+            "{} relays advertised for {node:?}, more than the redundancy {RELAY_REDUNDANCY}",
+            relays.len()
+        );
+        let mut packed = [NO_RELAY; RELAY_REDUNDANCY];
+        for (slot, relay) in packed.iter_mut().zip(relays.iter()) {
+            *slot = id32(*relay);
+        }
+        self.0.insert(id32(node), packed);
+    }
+
+    /// The relays last recorded for `node`, in the order they were advertised.
+    fn get(&self, node: NodeId) -> Option<RelayList> {
+        let packed = self.0.get(&id32(node))?;
+        Some(
+            packed
+                .iter()
+                .take_while(|&&relay| relay != NO_RELAY)
+                .map(|&relay| NodeId::new(u64::from(relay)))
+                .collect(),
+        )
+    }
+
+    /// Whether relays were ever recorded for `node`.
+    fn contains(&self, node: NodeId) -> bool {
+        self.0.contains_key(&id32(node))
+    }
+}
+
+/// Narrows a node identifier to the relay cache's `u32` key space ([`NO_RELAY`] excluded).
+#[inline]
+fn id32(node: NodeId) -> u32 {
+    let raw = node.as_u64();
+    assert!(
+        raw < u64::from(NO_RELAY),
+        "node id {raw} exceeds the relay cache's u32 key space"
+    );
+    raw as u32
+}
+
 /// A node running the Gozar protocol.
 ///
 /// See the crate-level documentation for the comparison setup shared with the other
@@ -214,7 +270,7 @@ pub struct GozarNode {
     class: NatClass,
     view: View,
     /// Relays advertised by private nodes we know about.
-    relay_cache: HashMap<NodeId, RelayList>,
+    relay_cache: RelayCache,
     /// Our own relays (private nodes only).
     my_relays: RelayList,
     /// Round in which each of our relays last acknowledged us.
@@ -238,7 +294,7 @@ impl GozarNode {
             id,
             class,
             view: View::new(VIEW_SIZE),
-            relay_cache: HashMap::new(),
+            relay_cache: RelayCache::default(),
             my_relays: RelayList::new(),
             relay_last_ack: HashMap::new(),
             relay_suspect: HashMap::new(),
@@ -293,7 +349,7 @@ impl GozarNode {
             .iter()
             .map(|d| GozarEntry {
                 descriptor: *d,
-                relays: self.relay_cache.get(&d.node()).cloned().unwrap_or_default(),
+                relays: self.relay_cache.get(d.node()).unwrap_or_default(),
             })
             .collect()
     }
@@ -303,7 +359,7 @@ impl GozarNode {
         for entry in entries {
             if entry.descriptor.class().is_private() && !entry.relays.is_empty() {
                 self.relay_cache
-                    .insert(entry.descriptor.node(), entry.relays.clone());
+                    .insert(entry.descriptor.node(), &entry.relays);
             }
         }
         self.view
@@ -369,13 +425,13 @@ impl GozarNode {
     /// but never returns `avoid` unless it is the only relay advertised. Takes the two
     /// tables rather than `&self` so a retry can reroute while it holds its exchange.
     fn choose_relay(
-        relay_cache: &HashMap<NodeId, RelayList>,
+        relay_cache: &RelayCache,
         relay_suspect: &HashMap<NodeId, u32>,
         target: NodeId,
         avoid: Option<NodeId>,
         rng: &mut SmallRng,
     ) -> Option<NodeId> {
-        let relays = relay_cache.get(&target)?;
+        let relays = relay_cache.get(target)?;
         let suspected =
             |r: &NodeId| relay_suspect.get(r).copied().unwrap_or(0) >= RELAY_SUSPECT_STRIKES;
         let healthy: Vec<NodeId> = relays
@@ -435,7 +491,7 @@ impl GozarNode {
             .view
             .get(target)
             .map(|d| d.class().is_private())
-            .unwrap_or_else(|| self.relay_cache.contains_key(&target));
+            .unwrap_or_else(|| self.relay_cache.contains(target));
         let relay = if target_is_private {
             let relay = Self::choose_relay(
                 &self.relay_cache,
@@ -470,7 +526,7 @@ impl GozarNode {
         let reply_descriptors = self.view.random_subset(SHUFFLE_SIZE, ctx.rng());
         let reply_entries = self.entries_from(&reply_descriptors);
         if initiator_class.is_private() && !initiator_relays.is_empty() {
-            self.relay_cache.insert(initiator, initiator_relays.clone());
+            self.relay_cache.insert(initiator, &initiator_relays);
         }
         self.absorb_entries(&entries, &reply_descriptors);
         let response = GozarMessage::ShuffleResponse {
@@ -646,6 +702,39 @@ mod tests {
             sim.add_node(id, GozarNode::new(id, class, BaselineConfig));
         }
         sim
+    }
+
+    #[test]
+    fn relay_cache_round_trips_lists_in_order() {
+        let mut cache = RelayCache::default();
+        let two: RelayList = [NodeId::new(7), NodeId::new(3)].into_iter().collect();
+        let one: RelayList = [NodeId::new(u64::from(u32::MAX) - 1)].into_iter().collect();
+        cache.insert(NodeId::new(1), &two);
+        cache.insert(NodeId::new(2), &one);
+        cache.insert(NodeId::new(5), &RelayList::new());
+        assert_eq!(cache.get(NodeId::new(1)), Some(two.clone()));
+        assert_eq!(cache.get(NodeId::new(2)), Some(one));
+        assert_eq!(cache.get(NodeId::new(5)), Some(RelayList::new()));
+        assert_eq!(cache.get(NodeId::new(9)), None);
+        assert!(cache.contains(NodeId::new(5)) && !cache.contains(NodeId::new(9)));
+        // A later advertisement replaces the earlier one, as a truncated list does.
+        let truncated: RelayList = two.iter().copied().take(1).collect();
+        cache.insert(NodeId::new(1), &truncated);
+        assert_eq!(cache.get(NodeId::new(1)), Some(truncated));
+    }
+
+    #[test]
+    #[should_panic(expected = "more than the redundancy")]
+    fn relay_cache_rejects_lists_above_the_redundancy() {
+        let three: RelayList = (0..=RELAY_REDUNDANCY as u64).map(NodeId::new).collect();
+        RelayCache::default().insert(NodeId::new(1), &three);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 key space")]
+    fn relay_cache_rejects_ids_outside_u32() {
+        let relays: RelayList = [NodeId::new(u64::from(u32::MAX))].into_iter().collect();
+        RelayCache::default().insert(NodeId::new(1), &relays);
     }
 
     #[test]

@@ -1,23 +1,44 @@
 //! The reusable per-sample metrics pipeline.
 //!
-//! [`MetricsContext`] owns one [`CsrGraph`] plus all traversal scratch (epoch-stamped
-//! visited buffers, frontier vectors, the BFS source permutation) and computes every
-//! graph metric of a sample — average path length, average clustering coefficient,
-//! largest-component fraction — from **one** graph build. Keeping the context alive
-//! across samples means the steady-state sampling loop performs no allocation at all:
-//! no `BTreeMap`/`BTreeSet` adjacency, no `HashMap` BFS state, no per-call scratch.
+//! [`MetricsContext`] owns one [`CsrGraph`] plus all traversal scratch (the source bitsets,
+//! the triangle counters, an epoch-stamped visited buffer and its frontiers, the BFS source
+//! permutation) and computes every graph metric of a sample — average path length, average
+//! clustering coefficient, largest-component fraction — from **one** graph build. Keeping
+//! the context alive across samples means the steady-state sampling loop performs no
+//! allocation at all: no `BTreeMap`/`BTreeSet` adjacency, no `HashMap` BFS state, no
+//! per-call scratch.
 //!
-//! # Parallel multi-source BFS and determinism
+//! # Path length: 64 sources per bitset sweep
 //!
-//! Path-length estimation runs one independent BFS per sampled source. With
-//! `threads > 1` the sources are split into contiguous chunks in their (already
-//! canonical) sampled order and each chunk runs on its own scoped worker thread — the
-//! same `std::thread::scope` worker model the sharded engine uses for its phases — with
-//! its own scratch buffers. Each BFS produces an exact integer `(hop sum, pair count)`;
-//! the per-chunk integer sums are merged in chunk order. Integer addition is associative
-//! and commutative, so the merged totals — and therefore the final floating-point
-//! division — are **bit-identical for any thread count**, which
-//! `tests/property_tests.rs` pins down against the single-threaded reference.
+//! Path-length estimation is a bit-parallel multi-source BFS (MS-BFS). Sources are taken in
+//! batches of up to 64; bit `i` of a vertex's `seen`, `frontier` and `next` words stands
+//! for the batch's `i`-th source. A level pushes `next[v] |= frontier[u]` along the rows of
+//! the vertices active on it, then sweeps every vertex once: `fresh = next & !seen` are the
+//! sources that reach it at this depth, so the level adds `depth · popcount(fresh)` to the
+//! hop sum and `popcount(fresh)` to the pair count. One edge visit thus serves every
+//! source of the batch that is active on it, instead of one BFS per source walking the
+//! whole graph. Bits never interact, so a source listed twice occupies two lanes and is
+//! counted twice, exactly as two single-source BFS runs would be.
+//!
+//! With `threads > 1` the sources are split into contiguous chunks in their (already
+//! canonical) sampled order and each chunk runs its batches on its own scoped worker
+//! thread — the same `std::thread::scope` worker model the sharded engine uses for its
+//! phases — with its own bitsets. Every batch produces exact integer `(Σ hops, pairs)`
+//! totals equal to the sum of its sources' single-source BFS totals; the per-chunk sums are
+//! merged in chunk order. Integer addition is associative and commutative, so the merged
+//! totals — and therefore the final floating-point division — are **bit-identical for any
+//! thread count and any batching**, which `tests/property_tests.rs` pins down against the
+//! naive one-BFS-per-source reference.
+//!
+//! # Clustering: every triangle once
+//!
+//! A vertex's clustering term needs `links`, the number of edges among its neighbours,
+//! which is the number of triangles it lies on. Forward counting finds each triangle once,
+//! from its lowest rank: with `N⁺(u)` the part of `u`'s sorted row above `u`, stamp
+//! `N⁺(u)`, and every stamped `w ∈ N⁺(v)` for `v ∈ N⁺(u)` closes the triangle `u < v < w`,
+//! which adds one to the counts of all three. The counts are exact integers equal to the
+//! reference's pair probes, and the per-vertex terms `2·links / (k(k−1))` are summed in the
+//! same rank order, so the average is bit-identical to the reference.
 
 use croupier_simulator::NodeId;
 use rand::rngs::SmallRng;
@@ -26,12 +47,15 @@ use rand::seq::SliceRandom;
 use crate::graph::CsrGraph;
 use crate::snapshot::OverlaySnapshot;
 
-/// Reusable single-BFS scratch: an epoch-stamped visited buffer and two frontiers.
+/// Sources per MS-BFS batch: one bit of a `u64` lane word each.
+const BATCH: usize = u64::BITS as usize;
+
+/// Reusable single-traversal scratch for the component sweep: an epoch-stamped visited
+/// buffer and two frontiers.
 ///
 /// `mark[v] == epoch` means vertex `v` was reached by the current traversal; bumping
-/// `epoch` resets the whole buffer in O(1). The buffers persist across samples and across
-/// BFS runs, so a traversal allocates nothing once the buffers have grown to the overlay
-/// size.
+/// `epoch` resets the whole buffer in O(1). The buffers persist across samples, so a
+/// traversal allocates nothing once they have grown to the overlay size.
 #[derive(Clone, Debug, Default)]
 struct BfsScratch {
     mark: Vec<u32>,
@@ -54,34 +78,88 @@ impl BfsScratch {
         self.epoch += 1;
         self.frontier.clear();
         self.next.clear();
+        // A frontier never exceeds the vertex count: sizing both once keeps a later,
+        // differently shaped graph of the same size from growing them.
+        self.frontier.reserve(n);
+        self.next.reserve(n);
         self.epoch
     }
+}
 
-    /// Level-synchronous BFS from `source`, returning the exact `(Σ hops, reached pairs)`
-    /// over all vertices reachable from (and distinct from) the source.
-    fn sweep_sums(&mut self, graph: &CsrGraph, source: u32) -> (u64, u64) {
-        let epoch = self.begin(graph.node_count());
-        self.mark[source as usize] = epoch;
-        self.frontier.push(source);
+/// Reusable MS-BFS scratch of one worker thread: three source-bitset words per vertex and
+/// the list of vertices active on the current level.
+#[derive(Clone, Debug, Default)]
+struct LaneScratch {
+    /// Sources that have reached each vertex so far.
+    seen: Vec<u64>,
+    /// Sources that reached each vertex on the current level.
+    frontier: Vec<u64>,
+    /// Sources pushed to each vertex by the current level.
+    next: Vec<u64>,
+    /// Vertices with a non-zero `frontier` word.
+    active: Vec<u32>,
+}
+
+impl LaneScratch {
+    /// Runs one MS-BFS over `batch` (at most [`BATCH`] sources, duplicates allowed) and
+    /// returns the exact `(Σ hops, reached pairs)` summed over the batch's sources, each
+    /// source counting the vertices reachable from and distinct from it.
+    fn batch_sums(&mut self, graph: &CsrGraph, batch: &[u32]) -> (u64, u64) {
+        debug_assert!(batch.len() <= BATCH);
+        let n = graph.node_count();
+        for words in [&mut self.seen, &mut self.frontier, &mut self.next] {
+            words.clear();
+            words.resize(n, 0);
+        }
+        self.active.clear();
+        self.active.reserve(n);
+        for (lane, &source) in batch.iter().enumerate() {
+            let s = source as usize;
+            if self.frontier[s] == 0 {
+                self.active.push(source);
+            }
+            self.frontier[s] |= 1 << lane;
+            self.seen[s] |= 1 << lane;
+        }
         let mut depth = 0u64;
         let mut hops = 0u64;
         let mut pairs = 0u64;
-        while !self.frontier.is_empty() {
+        while !self.active.is_empty() {
             depth += 1;
-            self.next.clear();
-            for &u in &self.frontier {
+            for &u in &self.active {
+                let reach = self.frontier[u as usize];
                 for &v in graph.row(u) {
-                    if self.mark[v as usize] != epoch {
-                        self.mark[v as usize] = epoch;
-                        self.next.push(v);
-                    }
+                    self.next[v as usize] |= reach;
                 }
             }
-            hops += depth * self.next.len() as u64;
-            pairs += self.next.len() as u64;
-            std::mem::swap(&mut self.frontier, &mut self.next);
+            self.active.clear();
+            let words = self
+                .seen
+                .iter_mut()
+                .zip(&mut self.frontier)
+                .zip(&mut self.next);
+            for (v, ((seen, frontier), next)) in words.enumerate() {
+                let fresh = *next & !*seen;
+                *next = 0;
+                *frontier = fresh;
+                if fresh != 0 {
+                    *seen |= fresh;
+                    let reached = u64::from(fresh.count_ones());
+                    hops += depth * reached;
+                    pairs += reached;
+                    self.active.push(v as u32);
+                }
+            }
         }
         (hops, pairs)
+    }
+
+    /// Sums [`batch_sums`](Self::batch_sums) over `sources` taken [`BATCH`] at a time.
+    fn sums(&mut self, graph: &CsrGraph, sources: &[u32]) -> (u64, u64) {
+        sources.chunks(BATCH).fold((0, 0), |acc, batch| {
+            let (hops, pairs) = self.batch_sums(graph, batch);
+            (acc.0 + hops, acc.1 + pairs)
+        })
     }
 }
 
@@ -123,10 +201,16 @@ pub struct MetricsContext {
     graph: CsrGraph,
     /// Source permutation scratch for path-length sampling.
     sources: Vec<u32>,
-    /// One BFS scratch per worker thread, reused across samples.
-    scratch: Vec<BfsScratch>,
+    /// One MS-BFS scratch per worker thread, reused across samples.
+    lanes: Vec<LaneScratch>,
     /// Per-chunk `(Σ hops, pairs)` partials for the parallel merge.
     partials: Vec<(u64, u64)>,
+    /// Component-sweep scratch.
+    components: BfsScratch,
+    /// Clustering scratch: `N⁺(u)` stamps, all `false` between calls.
+    stamped: Vec<bool>,
+    /// Clustering scratch: triangles through each vertex.
+    triangles: Vec<u64>,
 }
 
 impl MetricsContext {
@@ -138,8 +222,11 @@ impl MetricsContext {
             threads,
             graph: CsrGraph::new(),
             sources: Vec::new(),
-            scratch: vec![BfsScratch::default(); threads],
+            lanes: vec![LaneScratch::default(); threads],
             partials: vec![(0, 0); threads],
+            components: BfsScratch::default(),
+            stamped: Vec::new(),
+            triangles: Vec::new(),
         }
     }
 
@@ -198,65 +285,71 @@ impl MetricsContext {
         }
     }
 
-    /// Runs one BFS per entry of `self.sources`, fanned out over the worker threads, and
+    /// Runs the MS-BFS batches of `self.sources`, fanned out over the worker threads, and
     /// returns the exact merged `(Σ hops, pairs)` totals.
     fn multi_source_sums(&mut self) -> (u64, u64) {
         let threads = self.threads.min(self.sources.len()).max(1);
         let graph = &self.graph;
         if threads == 1 {
-            let scratch = &mut self.scratch[0];
-            let mut totals = (0u64, 0u64);
-            for &source in &self.sources {
-                let (hops, pairs) = scratch.sweep_sums(graph, source);
-                totals.0 += hops;
-                totals.1 += pairs;
-            }
-            return totals;
+            return self.lanes[0].sums(graph, &self.sources);
         }
         let chunk_len = self.sources.len().div_ceil(threads);
-        self.partials.iter_mut().for_each(|p| *p = (0, 0));
         std::thread::scope(|scope| {
-            for ((chunk, scratch), partial) in self
+            for ((chunk, lanes), partial) in self
                 .sources
                 .chunks(chunk_len)
-                .zip(self.scratch.iter_mut())
+                .zip(self.lanes.iter_mut())
                 .zip(self.partials.iter_mut())
             {
-                scope.spawn(move || {
-                    for &source in chunk {
-                        let (hops, pairs) = scratch.sweep_sums(graph, source);
-                        partial.0 += hops;
-                        partial.1 += pairs;
-                    }
-                });
+                scope.spawn(move || *partial = lanes.sums(graph, chunk));
             }
         });
-        self.partials
+        let chunks = self.sources.len().div_ceil(chunk_len);
+        self.partials[..chunks]
             .iter()
             .fold((0, 0), |acc, p| (acc.0 + p.0, acc.1 + p.1))
     }
 
-    /// Average local clustering coefficient over all observed nodes, computed by
-    /// merge-intersecting the sorted adjacency rows. Results are bit-identical to
+    /// Average local clustering coefficient over all observed nodes, from forward triangle
+    /// counting (see the module documentation). Results are bit-identical to
     /// [`average_clustering_coefficient`](crate::clustering::average_clustering_coefficient)'s
     /// reference semantics (same per-node terms, same accumulation order).
-    pub fn average_clustering_coefficient(&self) -> f64 {
+    pub fn average_clustering_coefficient(&mut self) -> f64 {
         let n = self.graph.node_count();
         if n == 0 {
             return 0.0;
         }
-        let mut total = 0.0;
+        let graph = &self.graph;
+        // `N⁺(u)`, read from the top of the sorted row down.
+        let forward = |u: u32| graph.row(u).iter().rev().take_while(move |&&v| v > u);
+        let (stamped, triangles) = (&mut self.stamped, &mut self.triangles);
+        if stamped.len() < n {
+            stamped.resize(n, false);
+        }
+        triangles.clear();
+        triangles.resize(n, 0);
         for u in 0..n as u32 {
-            let row = self.graph.row(u);
-            let k = row.len();
+            for &v in forward(u) {
+                stamped[v as usize] = true;
+            }
+            for &v in forward(u) {
+                for &w in forward(v) {
+                    if stamped[w as usize] {
+                        triangles[u as usize] += 1;
+                        triangles[v as usize] += 1;
+                        triangles[w as usize] += 1;
+                    }
+                }
+            }
+            for &v in forward(u) {
+                stamped[v as usize] = false;
+            }
+        }
+        let mut total = 0.0;
+        for (u, &links) in self.triangles.iter().enumerate() {
+            let k = graph.row(u as u32).len();
             if k < 2 {
                 continue;
-            }
-            let mut links = 0usize;
-            for (i, &v) in row.iter().enumerate() {
-                // Count neighbour pairs (v, w) with w after v in u's row that are
-                // themselves adjacent: |row(u)[i+1..] ∩ row(v)|.
-                links += sorted_intersection_count(&row[i + 1..], self.graph.row(v));
             }
             total += 2.0 * links as f64 / (k as f64 * (k as f64 - 1.0));
         }
@@ -272,7 +365,7 @@ impl MetricsContext {
             return 0.0;
         }
         let graph = &self.graph;
-        let scratch = &mut self.scratch[0];
+        let scratch = &mut self.components;
         let epoch = scratch.begin(n);
         let mut largest = 0usize;
         for start in 0..n as u32 {
@@ -326,23 +419,6 @@ pub fn draw_path_sources(n: usize, sources: usize, rng: &mut SmallRng, out: &mut
     out.truncate(sources.max(1).min(n));
 }
 
-/// Number of elements common to two ascending, duplicate-free slices (two-pointer merge).
-fn sorted_intersection_count(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,13 +442,6 @@ mod tests {
                 .map(|(a, b)| (NodeId::new(*a), NodeId::new(*b)))
                 .collect(),
         )
-    }
-
-    #[test]
-    fn intersection_count_merges_sorted_slices() {
-        assert_eq!(sorted_intersection_count(&[1, 3, 5, 7], &[2, 3, 4, 7]), 2);
-        assert_eq!(sorted_intersection_count(&[], &[1, 2]), 0);
-        assert_eq!(sorted_intersection_count(&[9], &[9]), 1);
     }
 
     #[test]
@@ -463,6 +532,91 @@ mod tests {
         draw_path_sources(1, 3, &mut split_rng, &mut sources);
         assert!(sources.is_empty());
         assert!(ctx.average_path_length_with_sources(&sources).is_none());
+    }
+
+    /// A ring of `n` vertices `0..n`.
+    fn ring(n: u64) -> OverlaySnapshot {
+        let nodes: Vec<u64> = (0..n).collect();
+        let edges: Vec<(u64, u64)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        snapshot(&nodes, &edges)
+    }
+
+    /// Exact `(Σ hops, pairs)` of one source on a ring of `n`: distances 1..n/2, each twice
+    /// except the antipode of an even ring.
+    fn ring_sums(n: u64) -> (u64, u64) {
+        let half = n / 2;
+        let hops: u64 = (1..=half).map(|d| 2 * d).sum();
+        if n.is_multiple_of(2) {
+            (hops - half, n - 1)
+        } else {
+            (hops, n - 1)
+        }
+    }
+
+    #[test]
+    fn partial_last_batch_counts_every_source() {
+        // 100 sources: one full batch of 64 and a partial one of 36.
+        let s = ring(100);
+        let mut ctx = MetricsContext::new(1);
+        ctx.build(&s);
+        let sources: Vec<u32> = (0..100).collect();
+        let (hops, pairs) = ring_sums(100);
+        let expected = (100 * hops) as f64 / (100 * pairs) as f64;
+        let apl = ctx.average_path_length_with_sources(&sources).unwrap();
+        assert_eq!(apl.to_bits(), expected.to_bits());
+        // 65 sources leave a last batch of one.
+        let apl = ctx
+            .average_path_length_with_sources(&sources[..65])
+            .unwrap();
+        assert_eq!(apl.to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn duplicated_sources_count_once_per_listing() {
+        // A path 0-1-2-3: source 0 sums 1+2+3 over 3 pairs, source 3 the same, source 1
+        // sums 1+1+2 over 3.
+        let s = snapshot(&[0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3)]);
+        let mut ctx = MetricsContext::new(1);
+        ctx.build(&s);
+        let apl = ctx.average_path_length_with_sources(&[0, 0, 1]).unwrap();
+        assert_eq!(apl.to_bits(), (16.0f64 / 9.0).to_bits());
+        // A duplicate split across two batches counts the same as within one.
+        let mut sources = vec![1u32; 64];
+        sources.push(1);
+        let apl = ctx.average_path_length_with_sources(&sources).unwrap();
+        assert_eq!(apl.to_bits(), (4.0f64 / 3.0).to_bits());
+    }
+
+    #[test]
+    fn disconnected_components_contribute_only_reachable_pairs() {
+        // A triangle {0,1,2}, an edge {3,4} and an isolated 5.
+        let s = snapshot(&[0, 1, 2, 3, 4, 5], &[(0, 1), (1, 2), (0, 2), (3, 4)]);
+        let mut ctx = MetricsContext::new(1);
+        ctx.build(&s);
+        // Every source reaches its own component only: 3·2 + 2·1 pairs, all one hop.
+        let mut rng = SmallRng::seed_from_u64(5);
+        assert_eq!(ctx.average_path_length(usize::MAX, &mut rng), Some(1.0));
+        assert_eq!(ctx.average_path_length_with_sources(&[5]), None);
+        let expected = (1.0f64 + 1.0 + 1.0) / 6.0;
+        assert_eq!(
+            ctx.average_clustering_coefficient().to_bits(),
+            expected.to_bits()
+        );
+    }
+
+    #[test]
+    fn clique_closes_every_neighbour_pair() {
+        let n = 9u64;
+        let nodes: Vec<u64> = (0..n).collect();
+        let edges: Vec<(u64, u64)> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .collect();
+        let mut ctx = MetricsContext::new(1);
+        ctx.build(&snapshot(&nodes, &edges));
+        assert_eq!(ctx.average_clustering_coefficient(), 1.0);
+        let pairs = (n - 1) * (n - 2) / 2;
+        assert!(ctx.triangles.iter().all(|&t| t == pairs));
+        assert!(ctx.stamped.iter().all(|&s| !s));
     }
 
     #[test]

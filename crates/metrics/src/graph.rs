@@ -29,7 +29,7 @@ use crate::snapshot::OverlaySnapshot;
 /// vertex per observed node (isolated nodes included), self-loops and edges touching
 /// unobserved nodes dropped, duplicate directed edges collapsed into one undirected edge.
 /// Each row of `neighbours` is sorted ascending and duplicate-free, which the clustering
-/// metric exploits for merge-style intersection counting.
+/// metric exploits to find a row's part above its own rank with one binary search.
 ///
 /// # Examples
 ///

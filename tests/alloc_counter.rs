@@ -27,12 +27,17 @@
 //!   counter would be needed to pin thread-spawn overhead itself, which is not part of
 //!   the message plane.
 //!
+//! The metrics pipeline makes the same promise for a sample: once a [`MetricsContext`]
+//! has analysed one snapshot, building and analysing another of the same size (path
+//! length over pre-drawn sources, clustering, components) allocates nothing.
+//!
 //! Everything is seeded, so each assertion is exactly reproducible.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use croupier::{CroupierConfig, CroupierNode};
+use croupier_metrics::{draw_path_sources, MetricsContext, NodeObservation, OverlaySnapshot};
 use croupier_simulator::event::Event;
 use croupier_simulator::latency::ConstantLatency;
 use croupier_simulator::scheduler::EventQueue;
@@ -40,6 +45,8 @@ use croupier_simulator::SimulationEngine;
 use croupier_simulator::{
     NatClass, NodeId, ShardedSimulation, SimDuration, SimTime, Simulation, SimulationConfig,
 };
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Delegates to the system allocator while counting allocations made by this thread.
 struct CountingAllocator;
@@ -258,4 +265,52 @@ fn time_wheel_steady_state_churn_allocates_nothing() {
     assert!(queue.scheduled_total() >= 100_000);
     while queue.pop().is_some() {}
     assert!(queue.is_empty());
+}
+
+/// A snapshot of `NODES` nodes and the given `4 · NODES` edges.
+fn overlay(edges: impl Iterator<Item = (u64, u64)>) -> OverlaySnapshot {
+    let nodes = (0..NODES)
+        .map(|i| NodeObservation {
+            id: NodeId::new(i),
+            class: class_of(i),
+            ratio_estimate: None,
+            rounds_executed: 1,
+        })
+        .collect();
+    let edges = edges.map(|(a, b)| (NodeId::new(a), NodeId::new(b)));
+    OverlaySnapshot::from_parts(nodes, edges.collect())
+}
+
+#[test]
+fn metrics_context_steady_state_sample_allocates_nothing() {
+    let mut ctx = MetricsContext::new(1);
+    let mut sources = Vec::new();
+    let mut rng = SmallRng::seed_from_u64(0x5A3);
+    let sample = |ctx: &mut MetricsContext, snapshot: &OverlaySnapshot, sources: &[u32]| {
+        ctx.build(snapshot);
+        let apl = ctx.average_path_length_with_sources(sources);
+        (
+            apl,
+            ctx.average_clustering_coefficient(),
+            ctx.largest_component_fraction(),
+        )
+    };
+    // A ring with every edge listed four times, so its BFS levels stay narrow...
+    let first = overlay((0..4 * NODES).map(|i| (i % NODES, (i + 1) % NODES)));
+    draw_path_sources(first.node_count(), 100, &mut rng, &mut sources);
+    let (apl, _, _) = sample(&mut ctx, &first, &sources);
+    assert!(apl.is_some());
+    // ...then a random graph of the same size, whose levels span most of the overlay.
+    let mut edges = SmallRng::seed_from_u64(2);
+    let second = overlay((0..4 * NODES).map(|_| {
+        let a = edges.gen_range(0..NODES);
+        (a, (a + edges.gen_range(1..NODES)) % NODES)
+    }));
+    draw_path_sources(second.node_count(), 100, &mut rng, &mut sources);
+    let (allocs, (apl, cc, lcc)) = allocations_during(|| sample(&mut ctx, &second, &sources));
+    assert_eq!(
+        allocs, 0,
+        "a second same-size metrics sample allocated {allocs} times"
+    );
+    assert!(apl.is_some() && cc > 0.0 && lcc > 0.0);
 }

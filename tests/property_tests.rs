@@ -23,9 +23,18 @@ use rand::{Rng, SeedableRng};
 /// Number of random cases per property.
 const CASES: u64 = 250;
 
+/// Cases for the properties whose naive reference runs one `HashMap` BFS per node of a
+/// snapshot of up to 200 nodes.
+const LARGE_CASES: u64 = 50;
+
 /// Runs `check` once per case with an independently seeded generator.
-fn for_each_case(name: &str, mut check: impl FnMut(&mut SmallRng)) {
-    for case in 0..CASES {
+fn for_each_case(name: &str, check: impl FnMut(&mut SmallRng)) {
+    for_cases(name, CASES, check);
+}
+
+/// [`for_each_case`] over `cases` cases.
+fn for_cases(name: &str, cases: u64, mut check: impl FnMut(&mut SmallRng)) {
+    for case in 0..cases {
         let seed = 0x5eed_0000 + case;
         let mut rng = SmallRng::seed_from_u64(seed);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -233,7 +242,12 @@ fn gateway_admission_requires_a_matching_binding() {
 /// Generates an arbitrary overlay snapshot: possibly empty, with isolated nodes, dangling
 /// edges to unobserved (departed) ids, duplicate directed edges and self-loops.
 fn arb_snapshot(rng: &mut SmallRng) -> OverlaySnapshot {
-    let n = rng.gen_range(0usize..60);
+    arb_snapshot_of(rng, 0..60)
+}
+
+/// [`arb_snapshot`] with a node count drawn from `nodes`.
+fn arb_snapshot_of(rng: &mut SmallRng, nodes: std::ops::Range<usize>) -> OverlaySnapshot {
+    let n = rng.gen_range(nodes);
     let mut ids: Vec<u64> = (0..n as u64 * 2).collect();
     // Non-contiguous ids: keep a random half of a larger id range.
     for i in (1..ids.len()).rev() {
@@ -340,6 +354,40 @@ fn parallel_multi_source_bfs_matches_single_threaded() {
                 run(threads),
                 "threads={threads} diverged from the single-threaded reference"
             );
+        }
+    });
+}
+
+/// Snapshots of 60–200 nodes put more than 64 sources in play, so the path-length sweep
+/// runs several 64-source batches (and a partial last one) per worker chunk. Exact and
+/// sampled source counts both stay bit-identical to the naive one-BFS-per-source reference
+/// at every thread count, as does the triangle-counting clustering coefficient.
+#[test]
+fn metrics_across_batch_boundaries_equal_naive_reference() {
+    for_cases("batch_boundaries", LARGE_CASES, |rng| {
+        let snapshot = arb_snapshot_of(rng, 60..200);
+        let sampled = rng.gen_range(1usize..=snapshot.node_count());
+        let draw_seed = rng.gen::<u64>();
+        let naive_cc = naive_average_clustering_coefficient(&snapshot);
+        for sources in [usize::MAX, sampled] {
+            let naive = naive_average_path_length(
+                &snapshot,
+                sources,
+                &mut SmallRng::seed_from_u64(draw_seed),
+            );
+            for threads in [1, 2, 3, 8] {
+                let mut ctx = MetricsContext::new(threads);
+                ctx.build(&snapshot);
+                let mut draw = SmallRng::seed_from_u64(draw_seed);
+                let fast = ctx.average_path_length(sources, &mut draw);
+                assert_eq!(
+                    fast.map(f64::to_bits),
+                    naive.map(f64::to_bits),
+                    "sources={sources} threads={threads}: {fast:?} vs {naive:?}"
+                );
+                let cc = ctx.average_clustering_coefficient();
+                assert_eq!(cc.to_bits(), naive_cc.to_bits(), "threads={threads}");
+            }
         }
     });
 }

@@ -60,16 +60,25 @@
 //!   seed-42 `digests <untraced> / <traced>` of every declared workload
 //!   (`--seconds 1 --trace 1`). The binaries run inside the output directory with
 //!   relative paths, so nothing written names it, and `diff -r` of two such directories
-//!   (one per checkout) is empty when no seeded output moved. Not a CI step.
+//!   (one per checkout) is empty when no seeded output moved.
+//!
+//!   `--check` writes the same outputs into `target/outputs` and compares them with the
+//!   committed `ci/outputs.manifest`: each file's path, byte length and 64-bit FNV-1a
+//!   hash, each binary's exit status and, when `e2e` is built, the four digests. Any
+//!   difference fails with a `-`/`+` line diff; `--update` rewrites the manifest (it
+//!   needs `e2e` built). The check runs in CI's `scenario-matrix` job and `ci-local`'s
+//!   step of the same name.
 //!
 //!   ```text
-//!   cargo run -p xtask -- outputs --out /root/scratch/outputs-change
+//!   cargo run -p xtask -- outputs --out ../outputs-change
+//!   cargo run --release -p xtask -- outputs --check
 //!   ```
 //!
 //! * `ci-local` — mirrors every CI job offline so contributors can reproduce CI failures
 //!   before pushing: `fmt`, `clippy` (deny warnings), `doc` (deny warnings),
 //!   `public-api` (snapshot diff), `test` (release build + workspace tests + the
-//!   `quickstart` example), `scenario-matrix` (the clean-network scenarios), `fault-matrix`
+//!   `quickstart` example), `scenario-matrix` (the clean-network scenarios, then
+//!   `outputs --check`), `fault-matrix`
 //!   (the fault-injection tier: `lossy_10`, `burst_loss`, `dup_reorder`) and
 //!   `workload-matrix` (the streaming-dissemination tier: `reboot_storm`,
 //!   `mobility_wave`, `lossy_10`), all three at `quick`, the scale CI gates them at,
@@ -95,7 +104,7 @@ const USAGE: &str = "usage: xtask scenario-matrix [scenario_matrix args...]\n\
                      xtask loc\n\
                      xtask pairs --parent <dir> --change <dir> [--workload <name>]... \
                      [--pairs 10]\n\
-                     xtask outputs --out <dir>\n\
+                     xtask outputs (--out <dir> | --check | --update)\n\
                      xtask ci-local [--skip \
                      fmt,clippy,doc,public-api,test,scenario-matrix,fault-matrix,\
                      workload-matrix,e2e-bench,scale-smoke,huge-smoke]";
@@ -163,8 +172,8 @@ fn workspace_library_crates() -> Vec<(String, PathBuf)> {
     crates
 }
 
-/// Every `.rs` file under `dir`, recursively, in sorted order.
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Every file under `dir`, recursively, in sorted order.
+fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -172,8 +181,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     paths.sort();
     for path in paths {
         if path.is_dir() {
-            collect_rs_files(&path, out);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            collect_files(&path, out);
+        } else {
             out.push(path);
         }
     }
@@ -217,7 +226,8 @@ fn public_item_of(line: &str) -> Option<String> {
 /// The sorted public-item snapshot of one crate, one `file: declaration` line each.
 fn public_api_snapshot(src: &Path) -> Vec<String> {
     let mut files = Vec::new();
-    collect_rs_files(src, &mut files);
+    collect_files(src, &mut files);
+    files.retain(|file| file.extension().is_some_and(|ext| ext == "rs"));
     let mut lines = Vec::new();
     for file in files {
         let Ok(text) = std::fs::read_to_string(&file) else {
@@ -488,17 +498,68 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Where `outputs --check` and `outputs --update` run the binaries.
+const OUTPUTS_DIR: &str = "target/outputs";
+
+/// The committed byte-identity manifest `outputs --check` compares against.
+const OUTPUTS_MANIFEST: &str = "ci/outputs.manifest";
+
 /// The `outputs` command; see the module documentation.
-fn outputs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
-    let (Some("--out"), Some(out), None) = (argv.next().as_deref(), argv.next(), argv.next())
-    else {
-        return Err(String::from("outputs needs --out <dir>"));
+fn outputs(argv: impl Iterator<Item = String>) -> Result<(), String> {
+    let args: Vec<String> = argv.collect();
+    let (out, gate) = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["--out", out] => (PathBuf::from(out), None),
+        ["--check"] => (PathBuf::from(OUTPUTS_DIR), Some(false)),
+        ["--update"] => (PathBuf::from(OUTPUTS_DIR), Some(true)),
+        _ => {
+            return Err(String::from(
+                "outputs needs --out <dir>, --check or --update",
+            ))
+        }
     };
-    let out = PathBuf::from(out);
+    if gate.is_some() && out.exists() {
+        std::fs::remove_dir_all(&out)
+            .map_err(|err| format!("cannot clear {}: {err}", out.display()))?;
+    }
+    write_outputs(&out)?;
+    let Some(update) = gate else {
+        return Ok(());
+    };
+    let fresh = manifest_of(&out)?;
+    if update {
+        if !fresh.contains(DIGESTS_SECTION) {
+            return Err(String::from(
+                "outputs --update records the digests too: build e2e_bench first",
+            ));
+        }
+        std::fs::write(OUTPUTS_MANIFEST, MANIFEST_HEADER.to_string() + &fresh)
+            .map_err(|err| format!("cannot write {OUTPUTS_MANIFEST}: {err}"))?;
+        println!("outputs: wrote {OUTPUTS_MANIFEST}");
+        return Ok(());
+    }
+    let committed = std::fs::read_to_string(OUTPUTS_MANIFEST)
+        .map_err(|err| format!("cannot read {OUTPUTS_MANIFEST}: {err}"))?;
+    let mismatches = manifest_mismatches(&committed, &fresh);
+    if mismatches.is_empty() {
+        println!("outputs: every output matches {OUTPUTS_MANIFEST}");
+        return Ok(());
+    }
+    for line in &mismatches {
+        println!("{line}");
+    }
+    Err(format!(
+        "outputs: {} manifest lines differ from {OUTPUTS_MANIFEST} (- committed, + this run)",
+        mismatches.len()
+    ))
+}
+
+/// Builds the experiment binaries and writes every output the module documentation lists
+/// into `out`.
+fn write_outputs(out: &Path) -> Result<(), String> {
     let write = |name: &str, bytes: &[u8]| {
         std::fs::write(out.join(name), bytes).map_err(|err| format!("cannot write {name}: {err}"))
     };
-    std::fs::create_dir_all(&out)
+    std::fs::create_dir_all(out)
         .map_err(|err| format!("cannot create {}: {err}", out.display()))?;
     let build = ["build", "--release", "-p", "croupier-experiments", "--bins"];
     if !run_command(&cargo_bin(), &build, &[]) {
@@ -515,13 +576,13 @@ fn outputs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
     let mut statuses = String::new();
     for (bin, args) in runs {
         let mut command = Command::new(bins.join(bin));
-        let run = command.args(args.split(' ')).current_dir(&out).output();
+        let run = command.args(args.split(' ')).current_dir(out).output();
         let run = run.map_err(|err| format!("cannot run {bin}: {err}"))?;
         write(&format!("{bin}.stdout"), &run.stdout)?;
         write(&format!("{bin}.stderr"), &run.stderr)?;
         statuses += &format!("{bin}: {}\n", run.status);
     }
-    write("status.txt", statuses.as_bytes())?;
+    write(STATUS_FILE, statuses.as_bytes())?;
     let e2e = Path::new("e2e_bench/target/release/e2e");
     if !e2e.exists() {
         println!("outputs: e2e_bench is not built, so no digests are written");
@@ -542,7 +603,83 @@ fn outputs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
         let line = line.ok_or(format!("{workload}: no digests line"))?;
         digests += &format!("{workload}: digests {}\n", line.1);
     }
-    write("digests.txt", digests.as_bytes())
+    write(DIGESTS_FILE, digests.as_bytes())
+}
+
+/// The exit status of every binary `outputs` runs, one line each.
+const STATUS_FILE: &str = "status.txt";
+
+/// The seed-42 `digests <untraced> / <traced>` of every declared workload.
+const DIGESTS_FILE: &str = "digests.txt";
+
+/// The manifest section holding [`DIGESTS_FILE`]; absent when `e2e` is not built.
+const DIGESTS_SECTION: &str = "[digests]\n";
+
+/// The comment block `outputs --update` writes above the manifest; `#` lines are not
+/// compared.
+const MANIFEST_HEADER: &str = "\
+# Byte identity of every seeded output of `cargo run -p xtask -- outputs`.
+# `outputs --check` reruns the binaries and fails on any difference from this file;
+# `outputs --update` rewrites it. [files]: path, byte length, 64-bit FNV-1a hash.
+# [status]: each binary's exit status. [digests]: the seed-42 e2e digests, checked
+# only when e2e_bench/target/release/e2e is built.
+";
+
+/// 64-bit FNV-1a hash of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The manifest of an `outputs` directory, without its header: one `[files]` line per
+/// output file other than the status and digest files, then those two files' lines under
+/// `[status]` and (if written) `[digests]`.
+fn manifest_of(out: &Path) -> Result<String, String> {
+    let read = |path: &Path| {
+        std::fs::read(path).map_err(|err| format!("cannot read {}: {err}", path.display()))
+    };
+    let mut files = Vec::new();
+    collect_files(out, &mut files);
+    let mut manifest = String::from("[files]\n");
+    for file in &files {
+        let rel = file.strip_prefix(out).unwrap_or(file);
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        if rel != STATUS_FILE && rel != DIGESTS_FILE {
+            let bytes = read(file)?;
+            manifest += &format!("{rel} {} {:016x}\n", bytes.len(), fnv1a(&bytes));
+        }
+    }
+    manifest += "[status]\n";
+    manifest += &String::from_utf8_lossy(&read(&out.join(STATUS_FILE))?);
+    let digests = out.join(DIGESTS_FILE);
+    if digests.exists() {
+        manifest += DIGESTS_SECTION;
+        manifest += &String::from_utf8_lossy(&read(&digests)?);
+    }
+    Ok(manifest)
+}
+
+/// The lines on which `committed` and `fresh` manifests differ, as `- committed` and
+/// `+ fresh`, ignoring `#` comments. A `fresh` manifest without digests is compared
+/// without the committed digests too.
+fn manifest_mismatches(committed: &str, fresh: &str) -> Vec<String> {
+    let mut committed: Vec<&str> = committed.lines().filter(|l| !l.starts_with('#')).collect();
+    if !fresh.contains(DIGESTS_SECTION) {
+        if let Some(at) = committed
+            .iter()
+            .position(|l| *l == DIGESTS_SECTION.trim_end())
+        {
+            println!("outputs: e2e_bench is not built, so the digests are not checked");
+            committed.truncate(at);
+        }
+    }
+    let fresh: Vec<&str> = fresh.lines().collect();
+    let missing = committed.iter().filter(|l| !fresh.contains(l));
+    let added = fresh.iter().filter(|l| !committed.contains(l));
+    let mut out: Vec<String> = missing.map(|l| format!("- {l}")).collect();
+    out.extend(added.map(|l| format!("+ {l}")));
+    out
 }
 
 /// Runs one external command, streaming its output; returns `true` on exit code 0.
@@ -680,6 +817,9 @@ fn ci_local_step(step: &str) -> bool {
         "public-api" => public_api_gate(false) == ExitCode::SUCCESS,
         "scenario-matrix" => {
             run_scenario_matrix(&matrix_step_args(CLEAN_SCENARIOS, "target/scenario-json"))
+                && outputs(["--check".to_string()].into_iter())
+                    .map_err(|err| eprintln!("{err}"))
+                    .is_ok()
         }
         "fault-matrix" => {
             run_scenario_matrix(&matrix_step_args(FAULT_SCENARIOS, "target/fault-json"))
@@ -847,6 +987,28 @@ mod tests {
         let declared = r#""end_to_end": [{"name": "wall_s", "bound": 0.25}, {"bound": 0.05
     }]"#;
         assert_eq!(numbers_after(declared, "bound"), [0.25, 0.05]);
+    }
+
+    #[test]
+    fn outputs_manifest_hashes_and_compares_line_by_line() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let committed = "# header\n[files]\na.json 3 0001\n[status]\nfigures: exit status: 0\n\
+                         [digests]\nw: digests 1 / 1\n";
+        let fresh = "[files]\na.json 3 0001\n[status]\nfigures: exit status: 0\n\
+                     [digests]\nw: digests 1 / 1\n";
+        assert!(manifest_mismatches(committed, fresh).is_empty());
+        let moved = fresh.replace("0001", "0002");
+        assert_eq!(
+            manifest_mismatches(committed, &moved),
+            ["- a.json 3 0001", "+ a.json 3 0002"]
+        );
+        // Without e2e the digests are skipped, not reported missing.
+        let undigested = &fresh[..fresh.find(DIGESTS_SECTION).unwrap()];
+        assert!(manifest_mismatches(committed, undigested).is_empty());
+        let failed = fresh.replace("exit status: 0", "exit status: 1");
+        assert_eq!(manifest_mismatches(committed, &failed).len(), 2);
     }
 
     #[test]
