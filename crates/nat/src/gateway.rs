@@ -119,12 +119,12 @@ impl NatGatewayConfig {
 /// remote node `remote` (whose observed address is `remote_ip`), most recently at
 /// `last_refreshed`.
 ///
-/// Node identifiers are stored as `u32` (checked on construction), shrinking the entry
-/// from 32 to 24 bytes. At the 1M-node tier every private node owns a gateway and a
-/// steady-state table holds tens of bindings, so the mapping tables are one of the
-/// largest per-node allocations in the NAT layer; the same `u32` packing also lets the
-/// table keys collapse to single `u64`s (see `pair_key`/`index_key`), which hash faster
-/// than tuple keys on the per-message filter path.
+/// This is the table's read type, built by value from a stored slot (see
+/// [`NatGateway::bindings`]). The table itself stores each entry as two `u64`s: the
+/// `(internal, remote)` pair packed by `pair_key`, and `remote_ip << 32 | refreshed_ms`
+/// packed by `pack_binding` — a 16-byte slot. At the 100k-node tier every private node
+/// owns a gateway holding a dozen or so bindings, so the slot size is one of the largest
+/// per-node costs in the NAT layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Binding {
     internal: u32,
@@ -185,10 +185,46 @@ fn id32(node: NodeId) -> u32 {
     raw as u32
 }
 
+/// Narrows a refresh time to the mapping tables' `u32` milliseconds (49.7 simulated days).
+#[inline]
+fn ms32(time: SimTime) -> u32 {
+    let raw = time.as_millis();
+    assert!(
+        raw <= u32::MAX as u64,
+        "time {raw} ms exceeds the NAT mapping table's u32 clock"
+    );
+    raw as u32
+}
+
 /// Packs an `(internal, remote)` node pair into the exact-match table's `u64` key.
 #[inline]
 fn pair_key(internal: u32, remote: u32) -> u64 {
     ((internal as u64) << 32) | remote as u64
+}
+
+/// The internal host of a `pair_key` or [`index_key`](NatGatewayConfig::index_key): the
+/// high half of either.
+#[inline]
+fn host_of(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
+/// Packs a binding's remote address and refresh time into the exact-match table's value.
+#[inline]
+fn pack_binding(remote_ip: Ip, refreshed_ms: u32) -> u64 {
+    ((remote_ip.as_u32() as u64) << 32) | refreshed_ms as u64
+}
+
+/// The refresh time (`u32` milliseconds) of a packed binding value.
+#[inline]
+fn refreshed_ms(value: u64) -> u32 {
+    value as u32
+}
+
+/// The remote address of a packed binding value.
+#[inline]
+fn remote_ip_of(value: u64) -> Ip {
+    Ip::from_raw((value >> 32) as u32)
 }
 
 impl NatGatewayConfig {
@@ -256,11 +292,12 @@ pub struct NatGateway {
     /// External address pool; `[0]` is the primary address ([`public_ip`](Self::public_ip)).
     external_ips: Vec<Ip>,
     config: NatGatewayConfig,
-    /// Exact-match table, keyed by `pair_key`.
-    bindings: FastHashMap<u64, Binding>,
-    /// Newest refresh time per [`index_key`](NatGatewayConfig::index_key) of the
-    /// configured policy, and of no other: a policy change rebuilds it.
-    newest: FastHashMap<u64, SimTime>,
+    /// Exact-match table: `pair_key` to `pack_binding` (remote address and refresh time).
+    bindings: FastHashMap<u64, u64>,
+    /// Newest refresh time (`u32` milliseconds) per
+    /// [`index_key`](NatGatewayConfig::index_key) of the configured policy, and of no
+    /// other: a policy change rebuilds it.
+    newest: FastHashMap<u64, u32>,
     ops_since_purge: u32,
     /// Time of the most recent [`reboot`](Self::reboot), if any.
     last_reboot: Option<SimTime>,
@@ -340,23 +377,17 @@ impl NatGateway {
         remote_ip: Ip,
         now: SimTime,
     ) {
-        let (internal, remote) = (id32(internal), id32(remote));
-        let entry = self
+        let (internal, remote, at) = (id32(internal), id32(remote), ms32(now));
+        let slot = self
             .bindings
             .entry(pair_key(internal, remote))
-            .or_insert(Binding {
-                internal,
-                remote,
-                remote_ip,
-                last_refreshed: now,
-            });
-        entry.remote_ip = remote_ip;
-        entry.last_refreshed = entry.last_refreshed.max(now);
+            .or_insert(pack_binding(remote_ip, at));
+        *slot = pack_binding(remote_ip, refreshed_ms(*slot).max(at));
         // Maintain the newest-binding index the configured policy queries (monotone max,
         // so the same never-shortens rule applies).
         if let Some(key) = self.config.index_key(internal, remote_ip) {
-            let newest = self.newest.entry(key).or_insert(now);
-            *newest = (*newest).max(now);
+            let newest = self.newest.entry(key).or_insert(at);
+            *newest = (*newest).max(at);
         }
         self.ops_since_purge += 1;
         if self.ops_since_purge >= PURGE_EVERY_OPS {
@@ -377,25 +408,30 @@ impl NatGateway {
             // An explicitly mapped UPnP port behaves like a public endpoint.
             return true;
         }
-        let timeout = self.config.mapping_timeout;
-        let fresh = |refreshed: &SimTime| now.saturating_since(*refreshed) <= timeout;
+        let fresh = self.fresh_at(now);
         let internal = id32(internal);
         match self.config.index_key(internal, from_ip) {
-            Some(key) => self.newest.get(&key).is_some_and(fresh),
+            Some(key) => self.newest.get(&key).is_some_and(|&t| fresh(t)),
             None => self
                 .bindings
                 .get(&pair_key(internal, id32(from)))
-                .is_some_and(|b| !b.is_expired(now, timeout)),
+                .is_some_and(|&v| fresh(refreshed_ms(v))),
         }
+    }
+
+    /// Whether a binding refreshed at `u32` milliseconds is still alive at `now`.
+    #[inline]
+    fn fresh_at(&self, now: SimTime) -> impl Fn(u32) -> bool {
+        let (now, timeout) = (now.as_millis(), self.config.mapping_timeout.as_millis());
+        move |refreshed| now.saturating_sub(refreshed.into()) <= timeout
     }
 
     /// Removes every binding that has expired at `now`. Called opportunistically to bound
     /// the size of the mapping table in long simulations.
     pub fn purge_expired(&mut self, now: SimTime) {
-        let timeout = self.config.mapping_timeout;
-        self.bindings.retain(|_, b| !b.is_expired(now, timeout));
-        let fresh = |refreshed: &SimTime| now.saturating_since(*refreshed) <= timeout;
-        self.newest.retain(|_, t| fresh(t));
+        let fresh = self.fresh_at(now);
+        self.bindings.retain(|_, v| fresh(refreshed_ms(*v)));
+        self.newest.retain(|_, t| fresh(*t));
         self.ops_since_purge = 0;
     }
 
@@ -470,20 +506,21 @@ impl NatGateway {
     /// expired entries along unfiltered is sound.
     fn rebuild_newest_index(&mut self) {
         self.newest.clear();
-        for binding in self.bindings.values() {
+        for (&pair, &value) in &self.bindings {
             // No key for one binding is no key for any: the policy keeps no index.
-            let Some(key) = self.config.index_key(binding.internal, binding.remote_ip) else {
+            let Some(key) = self.config.index_key(host_of(pair), remote_ip_of(value)) else {
                 return;
             };
-            let newest = self.newest.entry(key).or_insert(binding.last_refreshed);
-            *newest = (*newest).max(binding.last_refreshed);
+            let refreshed = refreshed_ms(value);
+            let newest = self.newest.entry(key).or_insert(refreshed);
+            *newest = (*newest).max(refreshed);
         }
     }
 
     /// Removes every binding owned by `internal` (the node left the system).
     pub fn remove_internal(&mut self, internal: NodeId) {
         let internal = id32(internal);
-        self.bindings.retain(|_, b| b.internal != internal);
+        self.bindings.retain(|&pair, _| host_of(pair) != internal);
         if self.bindings.is_empty() {
             // `retain` keeps capacity, and the topology keeps a gateway after its last
             // host left (gateway ids are dense and never reused): hand the allocations
@@ -493,12 +530,17 @@ impl NatGateway {
             self.newest = FastHashMap::default();
             return;
         }
-        self.newest.retain(|key, _| (key >> 32) as u32 != internal);
+        self.newest.retain(|&key, _| host_of(key) != internal);
     }
 
-    /// Iterates over the current mapping-table entries.
-    pub fn bindings(&self) -> impl Iterator<Item = &Binding> {
-        self.bindings.values()
+    /// Iterates over the current mapping-table entries, each unpacked from its slot.
+    pub fn bindings(&self) -> impl Iterator<Item = Binding> + '_ {
+        self.bindings.iter().map(|(&pair, &value)| Binding {
+            internal: host_of(pair),
+            remote: pair as u32,
+            remote_ip: remote_ip_of(value),
+            last_refreshed: SimTime::from_millis(refreshed_ms(value).into()),
+        })
     }
 }
 
@@ -767,15 +809,50 @@ mod tests {
     }
 
     #[test]
-    fn bindings_are_compact_and_round_trip_their_fields() {
-        // The u32-packed entry is 24 bytes; the padded NodeId-based layout was 32. At the
-        // 1M-node tier the mapping tables are among the largest NAT-layer allocations.
-        assert!(std::mem::size_of::<Binding>() <= 24);
-        let b = Binding::new(INSIDE, PEER_A, Ip::public(7), SimTime::from_secs(3));
-        assert_eq!(b.internal(), INSIDE);
-        assert_eq!(b.remote(), PEER_A);
-        assert_eq!(b.remote_ip(), Ip::public(7));
-        assert_eq!(b.last_refreshed(), SimTime::from_secs(3));
+    fn bindings_round_trip_their_packed_fields() {
+        let mut g = gw(FilteringPolicy::AddressDependent);
+        // Extremes of every packed field: the top node id, the top address, the last
+        // millisecond the `u32` clock holds.
+        let top = NodeId::new(u32::MAX as u64);
+        let last_ms = SimTime::from_millis(u32::MAX as u64);
+        g.record_outbound(INSIDE, PEER_A, Ip::public(7), SimTime::from_secs(3));
+        g.record_outbound(top, top, Ip::from_raw(u32::MAX), last_ms);
+        let mut read: Vec<Binding> = g.bindings().collect();
+        read.sort_by_key(|b| b.internal());
+        assert_eq!(
+            read,
+            [
+                Binding::new(INSIDE, PEER_A, Ip::public(7), SimTime::from_secs(3)),
+                Binding::new(top, top, Ip::from_raw(u32::MAX), last_ms),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_older_refresh_never_shortens_a_binding_but_updates_its_address() {
+        for policy in FilteringPolicy::ALL {
+            let mut g = gw(policy);
+            g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(20));
+            // A stale timestamp, and the peer now surfaces from a new address.
+            g.record_outbound(INSIDE, PEER_A, Ip::public(5), SimTime::from_secs(5));
+            let only: Vec<Binding> = g.bindings().collect();
+            assert_eq!(
+                only,
+                [Binding::new(
+                    INSIDE,
+                    PEER_A,
+                    Ip::public(5),
+                    SimTime::from_secs(20)
+                )],
+                "{policy}"
+            );
+            if policy == FilteringPolicy::AddressAndPortDependent {
+                // The exact table decides: open until t=50s, as the t=20s refresh promised.
+                let at = SimTime::from_secs;
+                assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(5), at(50)));
+                assert!(!g.accepts_inbound(INSIDE, PEER_A, Ip::public(5), at(51)));
+            }
+        }
     }
 
     /// One gateway per private node: a field nobody reads shows up in `peak_rss_mb` times
@@ -791,5 +868,13 @@ mod tests {
     fn oversized_node_ids_are_rejected_by_the_mapping_table() {
         let mut g = gw(FilteringPolicy::EndpointIndependent);
         g.record_outbound(NodeId::new(1 << 32), PEER_A, Ip::public(2), SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 clock")]
+    fn refresh_times_past_the_u32_clock_are_rejected_by_the_mapping_table() {
+        let mut g = gw(FilteringPolicy::AddressAndPortDependent);
+        let late = SimTime::from_millis(u32::MAX as u64 + 1);
+        g.record_outbound(INSIDE, PEER_A, Ip::public(2), late);
     }
 }

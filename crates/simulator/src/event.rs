@@ -34,6 +34,19 @@ pub enum Event<M> {
 }
 
 impl<M> Event<M> {
+    /// The same event with its message (if it carries one) replaced by `f(msg)`.
+    pub(crate) fn map_msg<N>(self, f: impl FnOnce(M) -> N) -> Event<N> {
+        match self {
+            Event::Deliver { from, to, msg } => Event::Deliver {
+                from,
+                to,
+                msg: f(msg),
+            },
+            Event::Round { node } => Event::Round { node },
+            Event::Timer { node, key } => Event::Timer { node, key },
+        }
+    }
+
     /// The node at which the event executes.
     pub fn target(&self) -> NodeId {
         match self {

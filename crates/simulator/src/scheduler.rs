@@ -25,7 +25,17 @@
 //! onto a free list the next schedule takes from. The store's length is the *high-water
 //! count of events in flight* (what dslab's single event heap costs), where a buffer per
 //! bucket cost the sum of every bucket's own high-water mark: 66 MB of a 1 000-node
-//! run's 133 MB for a few thousand events in flight (ISSUE 23).
+//! run's 133 MB for a few thousand events in flight.
+//!
+//! A cell is a 48-byte header whatever the message type: time, sequence, kind, nodes and
+//! the chain link. A delivery's message waits in a payload slab beside the store — a
+//! `Vec<Option<M>>` whose popped slots a LIFO free list hands back — and its cell
+//! carries the slot index; round and timer cells never touch the slab. Cells sized for
+//! the message wasted most of the store: at the peak of a 100k-node Cyclon run a shard
+//! holds ~273k cells, ~125k of them retry timers, 50k rounds and only ~99k deliveries,
+//! and every one was a 128-byte cell shaped around Cyclon's 88-byte message. The slab's
+//! length is the high-water count of near-wheel *deliveries* in flight. The far wheel
+//! keeps whole events (it is rare); their messages enter the slab when they migrate.
 //!
 //! # Ordering contract
 //!
@@ -61,10 +71,11 @@ const WHEEL_WORDS: usize = (WHEEL_SLOTS / 64) as usize;
 const NIL: u32 = u32::MAX;
 
 /// One cell of the event store: on a bucket's chain while `event` is `Some`, on the free
-/// list while it is `None`; `next` links either chain.
+/// list while it is `None`; `next` links either chain. A delivery's `msg` is its message's
+/// slot in the payload slab.
 #[derive(Debug)]
-struct Cell<M> {
-    event: Option<ScheduledEvent<M>>,
+struct Cell {
+    event: Option<ScheduledEvent<u32>>,
     next: u32,
 }
 
@@ -96,9 +107,14 @@ struct Bucket {
 pub struct EventQueue<M> {
     /// The event store: every near-wheel event, queued or popped and free. It grows only
     /// when every cell is queued, so the steady-state hot path allocates nothing.
-    cells: Vec<Cell<M>>,
+    cells: Vec<Cell>,
     /// Head of the free list through `cells` (most recently popped first), or [`NIL`].
     free: u32,
+    /// The payload slab: the message of every near-wheel delivery, `None` in a free slot.
+    /// Like the store, it grows only when every slot is taken.
+    payloads: Vec<Option<M>>,
+    /// Free slots of `payloads`, most recently popped last.
+    free_payloads: Vec<u32>,
     /// The near wheel: one FIFO chain per millisecond tick of the sliding window
     /// `[cursor, cursor + WHEEL_SLOTS)`, indexed by `tick % WHEEL_SLOTS`. Each bucket
     /// holds events of exactly one in-window tick (older occupants were popped before the
@@ -128,6 +144,8 @@ impl<M> EventQueue<M> {
         EventQueue {
             cells: Vec::new(),
             free: NIL,
+            payloads: Vec::new(),
+            free_payloads: Vec::new(),
             slots: vec![empty; WHEEL_SLOTS as usize].into_boxed_slice(),
             occupied: Box::new([0; WHEEL_WORDS]),
             cursor: 0,
@@ -138,9 +156,26 @@ impl<M> EventQueue<M> {
         }
     }
 
+    /// Parks a delivery's message in the payload slab, in a recycled slot when one is
+    /// free, and returns the slot.
+    fn store_payload(&mut self, msg: M) -> u32 {
+        if let Some(slot) = self.free_payloads.pop() {
+            self.payloads[slot as usize] = Some(msg);
+            return slot;
+        }
+        assert!(
+            self.payloads.len() < u32::MAX as usize,
+            "payload slab is full"
+        );
+        self.payloads.push(Some(msg));
+        (self.payloads.len() - 1) as u32
+    }
+
     /// Appends `scheduled` to the chain of near-wheel bucket `idx`, in a recycled cell
     /// when one is free.
     fn push_near(&mut self, idx: usize, scheduled: ScheduledEvent<M>) {
+        let ScheduledEvent { at, seq, event } = scheduled;
+        let event = event.map_msg(|msg| self.store_payload(msg));
         if self.free == NIL {
             assert!(self.cells.len() < NIL as usize, "event store is full");
             self.free = self.cells.len() as u32;
@@ -152,7 +187,7 @@ impl<M> EventQueue<M> {
         let cell = self.free;
         let taken = &mut self.cells[cell as usize];
         self.free = std::mem::replace(&mut taken.next, NIL);
-        taken.event = Some(scheduled);
+        taken.event = Some(ScheduledEvent { at, seq, event });
         let tail = std::mem::replace(&mut self.slots[idx].tail, cell);
         if tail == NIL {
             self.slots[idx].head = cell;
@@ -249,7 +284,14 @@ impl<M> EventQueue<M> {
                     self.occupied[idx / 64] &= !(1u64 << (idx % 64));
                 }
                 self.len -= 1;
-                return freed.event.take();
+                let ScheduledEvent { at, seq, event } = freed.event.take()?;
+                let event = event.map_msg(|slot| {
+                    self.free_payloads.push(slot);
+                    self.payloads[slot as usize]
+                        .take()
+                        .expect("a queued delivery owns its payload slot")
+                });
+                return Some(ScheduledEvent { at, seq, event });
             }
             // The cursor bucket is drained: slide to the next occupied bucket, or jump to
             // the earliest far tick when the near wheel is exhausted. Either move widens
@@ -315,6 +357,8 @@ impl<M> Default for EventQueue<M> {
 mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    use std::rc::Rc;
 
     use super::reference::ReferenceEventQueue;
     use super::*;
@@ -620,5 +664,83 @@ mod tests {
             .map(|ev| ev.event.target().as_u64())
             .collect();
         assert_eq!(order, (0..1_000).collect::<Vec<_>>());
+    }
+
+    /// A cell is a header: the message waits in the slab, so a large `M` costs the store
+    /// nothing.
+    #[test]
+    fn cells_are_48_bytes_whatever_the_message() {
+        fn cell_bytes<C>(_: &[C]) -> usize {
+            std::mem::size_of::<C>()
+        }
+        let q: EventQueue<[u8; 256]> = EventQueue::new();
+        assert!(cell_bytes(&q.cells) <= 48);
+    }
+
+    /// The slab hands each payload out with its popped event and keeps no copy; dropping
+    /// the queue drops what is still queued, near or far; and the slab never holds more
+    /// slots than the most deliveries ever queued at once, through same-tick bursts and
+    /// far-wheel migrations.
+    #[test]
+    fn the_payload_slab_owns_exactly_the_queued_deliveries() {
+        const MAX_QUEUED: usize = 400;
+        let token = Rc::new(());
+        let deliver = || Event::Deliver {
+            from: NodeId::new(0),
+            to: NodeId::new(1),
+            msg: Rc::clone(&token),
+        };
+        let mut rng = SmallRng::seed_from_u64(0x51AB);
+        let mut q: EventQueue<Rc<()>> = EventQueue::new();
+        let (mut now, mut deliveries, mut peak, mut migrations) = (0u64, 0usize, 0usize, 0u32);
+        let mut draining = false;
+        while now < 30 * WHEEL_SLOTS {
+            let room = MAX_QUEUED - q.len();
+            draining = if draining { q.len() > 20 } else { room < 40 };
+            match rng.gen_range(0..10u32) {
+                // A same-tick burst of deliveries close to the cursor.
+                0..=3 => {
+                    let at = SimTime::from_millis(now + rng.gen_range(0..40u64));
+                    for _ in 0..rng.gen_range(1..=30usize).min(room) {
+                        q.schedule(at, deliver());
+                        deliveries += 1;
+                    }
+                }
+                // A round: a cell without a payload.
+                4..=6 => {
+                    let at = now + rng.gen_range(0..WHEEL_SLOTS);
+                    let node = NodeId::new(0);
+                    q.schedule(SimTime::from_millis(at), Event::Round { node });
+                }
+                // A delivery beyond the horizon: inline in the far wheel until it migrates.
+                _ => {
+                    let at = now + rng.gen_range(WHEEL_SLOTS..3 * WHEEL_SLOTS);
+                    q.schedule(SimTime::from_millis(at), deliver());
+                    deliveries += 1;
+                }
+            }
+            peak = peak.max(deliveries);
+            let pops = if draining { 4..=10 } else { 0..=3 };
+            for _ in 0..rng.gen_range(pops) {
+                let far_before = q.far.len();
+                let Some(ev) = q.pop() else { break };
+                now = ev.at.as_millis();
+                migrations += u32::from(q.far.len() < far_before);
+                if let Event::Deliver { msg, .. } = ev.event {
+                    deliveries -= 1;
+                    drop(msg);
+                }
+                assert_eq!(Rc::strong_count(&token), 1 + deliveries);
+                assert!(q.payloads.len() <= peak, "the slab outgrew the queued peak");
+            }
+        }
+        assert!(migrations > 50, "the churn must cross the far wheel");
+        assert!(
+            !q.far.is_empty() && q.len() > q.far.len(),
+            "drop near and far payloads"
+        );
+        assert_eq!(Rc::strong_count(&token), 1 + deliveries);
+        drop(q);
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 }

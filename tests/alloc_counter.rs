@@ -31,6 +31,9 @@
 //! has analysed one snapshot, building and analysing another of the same size (path
 //! length over pre-drawn sources, clustering, components) allocates nothing.
 //!
+//! The same allocator counts the bytes each thread holds, which pins the NAT mapping
+//! table's per-binding footprint.
+//!
 //! Everything is seeded, so each assertion is exactly reproducible.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -38,6 +41,7 @@ use std::cell::Cell;
 
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_metrics::{draw_path_sources, MetricsContext, NodeObservation, OverlaySnapshot};
+use croupier_nat::{Ip, NatGateway, NatGatewayConfig};
 use croupier_simulator::event::Event;
 use croupier_simulator::latency::ConstantLatency;
 use croupier_simulator::scheduler::EventQueue;
@@ -48,32 +52,50 @@ use croupier_simulator::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Delegates to the system allocator while counting allocations made by this thread.
+/// Delegates to the system allocator while counting allocations made by this thread and
+/// the bytes they hold.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed by this thread (wrapping: a thread may free what
+    /// another allocated).
+    static LIVE_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-// SAFETY: pure delegation to `System`; the counter is a thread-local `Cell` bump with a
+/// Counts one allocation of `grown` bytes that released `freed` bytes.
+fn count(grown: usize, freed: usize) {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = LIVE_BYTES.try_with(|b| {
+        b.set(
+            b.get()
+                .wrapping_add(grown as u64)
+                .wrapping_sub(freed as u64),
+        )
+    });
+}
+
+// SAFETY: pure delegation to `System`; the counters are thread-local `Cell` bumps with a
 // `try_with` guard for TLS teardown.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let size = layout.size() as u64;
+        let _ = LIVE_BYTES.try_with(|b| b.set(b.get().wrapping_sub(size)));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        count(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size(), 0);
         System.alloc_zeroed(layout)
     }
 }
@@ -86,6 +108,14 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = f();
     (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// Heap bytes this thread allocated and has not freed by the time `f` returns, and what
+/// `f` returned: the heap footprint of a value `f` builds.
+fn live_bytes_after<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let result = f();
+    (LIVE_BYTES.with(Cell::get).wrapping_sub(before), result)
 }
 
 const NODES: u64 = 1_000;
@@ -313,4 +343,28 @@ fn metrics_context_steady_state_sample_allocates_nothing() {
         "a second same-size metrics sample allocated {allocs} times"
     );
     assert!(apl.is_some() && cc > 0.0 && lcc > 0.0);
+}
+
+/// One gateway per private node (80 000 in the benchmark's `cyclon_nat_wide`), each
+/// holding a dozen or so bindings: the mapping table's slot size is paid per binding per
+/// private node. 28 bindings is the most a 32-bucket table holds: 512 bytes of 16-byte
+/// slots, 48 control bytes and the 4-byte address pool make 564 bytes.
+#[test]
+fn a_gateway_holds_its_bindings_in_16_byte_slots() {
+    const BINDINGS: u64 = 28;
+    let (bytes, gateway) = live_bytes_after(|| {
+        // Symmetric: address-and-port-dependent filtering keeps no newest-binding index,
+        // so the exact table is the only one.
+        let mut gateway = NatGateway::new(Ip::public(0), NatGatewayConfig::symmetric());
+        for remote in 0..BINDINGS {
+            let (to, ip) = (NodeId::new(100 + remote), Ip::public(remote as u32 + 1));
+            gateway.record_outbound(NodeId::new(1), to, ip, SimTime::ZERO);
+        }
+        gateway
+    });
+    assert_eq!(gateway.binding_count() as u64, BINDINGS);
+    assert!(
+        bytes <= 600,
+        "a gateway with {BINDINGS} live bindings holds {bytes} heap bytes"
+    );
 }

@@ -10,9 +10,18 @@ use croupier_suite::experiments::figures::fig3_system_size;
 use croupier_suite::experiments::output::Scale;
 use croupier_suite::experiments::runner::{run_pss, RunOutput};
 
-/// Writes the per-sample metrics timing (and the overlap summary, when metrics workers
-/// ran) as a JSON artifact the CI `huge-smoke` job uploads; integration tests in the root package run with the
-/// workspace root as cwd, so the relative path lands in `target/`.
+/// Peak resident set size of this process in MB (`VmHWM`), or `None` off Linux.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
+/// Writes the per-sample metrics timing, the process's peak RSS (on Linux) and the
+/// overlap summary (when metrics workers ran) as a JSON artifact the CI `scale-smoke` and
+/// `huge-smoke` jobs upload; integration tests in the root package run with the workspace
+/// root as cwd, so the relative path lands in `target/`.
 fn write_metrics_timing_artifact(out: &RunOutput, name: &str) {
     let dir = std::path::Path::new("target/metrics-timing");
     std::fs::create_dir_all(dir).expect("create target/metrics-timing");
@@ -30,6 +39,9 @@ fn write_metrics_timing_artifact(out: &RunOutput, name: &str) {
         ));
     }
     json.push_str("  ]");
+    if let Some(mb) = peak_rss_mb() {
+        json.push_str(&format!(",\n  \"peak_rss_mb\": {mb:.1}"));
+    }
     if let Some(overlap) = &out.metrics_overlap {
         json.push_str(&format!(
             ",\n  \"overlap\": {{\"workers\": {}, \"offloaded_samples\": {}, \
@@ -62,6 +74,7 @@ fn croupier_100k_nodes_on_the_sharded_engine() {
     let out = run_pss(&params, |id, class| {
         CroupierNode::new(id, class, CroupierConfig::default())
     });
+    write_metrics_timing_artifact(&out, "scale_smoke_metrics_timing.json");
     let last = out.last_sample().expect("samples were taken");
     assert_eq!(last.node_count, 100_000, "every node joined and survived");
     assert!(

@@ -86,7 +86,8 @@
 //!   workspace, which compiles against the public API of every crate), `scale-smoke` (the
 //!   ignored 100k-node `scale_smoke` test plus the `sharded_scale` example) and
 //!   `huge-smoke` (the ignored million-node `scale_smoke` test), each the same commands
-//!   the CI job runs.
+//!   the CI job runs. The two smokes print the path of the metrics-timing report (with
+//!   the run's peak RSS) their CI jobs upload.
 //!   All steps run even when an earlier one fails; the summary lists every verdict and
 //!   the wall seconds the step took.
 //!
@@ -762,9 +763,14 @@ fn parse_ci_local_args(mut argv: impl Iterator<Item = String>) -> Result<Vec<Str
     Ok(skip)
 }
 
-/// Runs the ignored `scale_smoke` test whose name matches `filter`.
-fn run_scale_smoke(cargo: &str, filter: &str) -> bool {
-    run_command(
+/// Runs the ignored `scale_smoke` test whose name matches `filter`, then points at the
+/// metrics-timing report it writes under `target/metrics-timing/` (what the CI job
+/// uploads, whatever the verdict; a missing report warns, as the upload does).
+fn run_scale_smoke(cargo: &str, filter: &str, report: &str) -> bool {
+    let report = Path::new("target/metrics-timing").join(report);
+    // A report left by an earlier run must not pass for this one's.
+    let _ = std::fs::remove_file(&report);
+    let passed = run_command(
         cargo,
         &[
             "test",
@@ -777,7 +783,13 @@ fn run_scale_smoke(cargo: &str, filter: &str) -> bool {
             filter,
         ],
         &[],
-    )
+    );
+    if report.is_file() {
+        println!("metrics-timing report: {}", report.display());
+    } else {
+        eprintln!("warning: no metrics-timing report at {}", report.display());
+    }
+    passed
 }
 
 /// Runs one `ci-local` step; returns `true` on success.
@@ -853,7 +865,7 @@ fn ci_local_step(step: &str) -> bool {
             )
         }
         "scale-smoke" => {
-            run_scale_smoke(&cargo, "croupier_100k")
+            run_scale_smoke(&cargo, "croupier_100k", "scale_smoke_metrics_timing.json")
                 && run_command(
                     &cargo,
                     &[
@@ -868,7 +880,11 @@ fn ci_local_step(step: &str) -> bool {
                     &[],
                 )
         }
-        "huge-smoke" => run_scale_smoke(&cargo, "croupier_one_million"),
+        "huge-smoke" => run_scale_smoke(
+            &cargo,
+            "croupier_one_million",
+            "huge_smoke_metrics_timing.json",
+        ),
         other => {
             eprintln!("unknown ci-local step '{other}'");
             false
