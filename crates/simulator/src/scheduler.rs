@@ -33,9 +33,17 @@
 //! carries the slot index; round and timer cells never touch the slab. Cells sized for
 //! the message wasted most of the store: at the peak of a 100k-node Cyclon run a shard
 //! holds ~273k cells, ~125k of them retry timers, 50k rounds and only ~99k deliveries,
-//! and every one was a 128-byte cell shaped around Cyclon's 88-byte message. The slab's
-//! length is the high-water count of near-wheel *deliveries* in flight. The far wheel
-//! keeps whole events (it is rare); their messages enter the slab when they migrate.
+//! and every one was a 128-byte cell shaped around Cyclon's 88-byte message.
+//!
+//! The far wheel holds the same headers, so a message is *parked* in the slab once, when
+//! it is scheduled, near or far, and stays in its slot until the delivery pops: a far
+//! tick's migration moves headers only. The slab's length is therefore the high-water
+//! count of deliveries in flight, near plus far. A caller that already holds the message
+//! where it wants it to wait — the sharded barrier, which moves each surviving payload
+//! from its sender's outbox straight into the destination's slab — parks it itself
+//! ([`park`](EventQueue::park)) and schedules the header later
+//! ([`schedule_parked`](EventQueue::schedule_parked)); [`schedule`](EventQueue::schedule)
+//! is exactly those two steps.
 //!
 //! # Ordering contract
 //!
@@ -51,6 +59,7 @@ use std::collections::BTreeMap;
 
 use crate::event::{Event, ScheduledEvent};
 use crate::time::SimTime;
+use crate::types::NodeId;
 
 pub mod reference;
 
@@ -110,8 +119,8 @@ pub struct EventQueue<M> {
     cells: Vec<Cell>,
     /// Head of the free list through `cells` (most recently popped first), or [`NIL`].
     free: u32,
-    /// The payload slab: the message of every near-wheel delivery, `None` in a free slot.
-    /// Like the store, it grows only when every slot is taken.
+    /// The payload slab: the message of every parked delivery, near or far, `None` in a
+    /// free slot. Like the store, it grows only when every slot is taken.
     payloads: Vec<Option<M>>,
     /// Free slots of `payloads`, most recently popped last.
     free_payloads: Vec<u32>,
@@ -124,11 +133,12 @@ pub struct EventQueue<M> {
     occupied: Box<[u64; WHEEL_WORDS]>,
     /// The tick currently being drained; the window slides with it. Never moves backwards.
     cursor: u64,
-    /// Events beyond the window horizon, keyed by tick; each bucket preserves insertion
-    /// order, so migration into the near wheel preserves the FIFO tie-break. Migration
-    /// happens as soon as the cursor advance brings a far tick inside the horizon —
-    /// *before* any direct push could target its slot, which keeps sequence order intact.
-    far: BTreeMap<u64, Vec<ScheduledEvent<M>>>,
+    /// Headers of the events beyond the window horizon, keyed by tick; each bucket
+    /// preserves insertion order, so migration into the near wheel preserves the FIFO
+    /// tie-break. Migration happens as soon as the cursor advance brings a far tick inside
+    /// the horizon — *before* any direct push could target its slot, which keeps sequence
+    /// order intact.
+    far: BTreeMap<u64, Vec<ScheduledEvent<u32>>>,
     len: usize,
     next_seq: u64,
     scheduled_total: u64,
@@ -157,8 +167,10 @@ impl<M> EventQueue<M> {
     }
 
     /// Parks a delivery's message in the payload slab, in a recycled slot when one is
-    /// free, and returns the slot.
-    fn store_payload(&mut self, msg: M) -> u32 {
+    /// free, and returns the slot for [`schedule_parked`](Self::schedule_parked). The
+    /// slot stays taken until the delivery pops, so every parked message must be
+    /// scheduled.
+    pub(crate) fn park(&mut self, msg: M) -> u32 {
         if let Some(slot) = self.free_payloads.pop() {
             self.payloads[slot as usize] = Some(msg);
             return slot;
@@ -173,9 +185,7 @@ impl<M> EventQueue<M> {
 
     /// Appends `scheduled` to the chain of near-wheel bucket `idx`, in a recycled cell
     /// when one is free.
-    fn push_near(&mut self, idx: usize, scheduled: ScheduledEvent<M>) {
-        let ScheduledEvent { at, seq, event } = scheduled;
-        let event = event.map_msg(|msg| self.store_payload(msg));
+    fn push_near(&mut self, idx: usize, scheduled: ScheduledEvent<u32>) {
         if self.free == NIL {
             assert!(self.cells.len() < NIL as usize, "event store is full");
             self.free = self.cells.len() as u32;
@@ -187,7 +197,7 @@ impl<M> EventQueue<M> {
         let cell = self.free;
         let taken = &mut self.cells[cell as usize];
         self.free = std::mem::replace(&mut taken.next, NIL);
-        taken.event = Some(ScheduledEvent { at, seq, event });
+        taken.event = Some(scheduled);
         let tail = std::mem::replace(&mut self.slots[idx].tail, cell);
         if tail == NIL {
             self.slots[idx].head = cell;
@@ -246,6 +256,26 @@ impl<M> EventQueue<M> {
     /// do) executes the event at the current instant instead, preserving the original
     /// timestamp.
     pub fn schedule(&mut self, at: SimTime, event: Event<M>) {
+        let header = event.map_msg(|msg| self.park(msg));
+        self.schedule_header(at, header);
+    }
+
+    /// Schedules the delivery of the message parked in `slot` (see [`park`](Self::park))
+    /// from `from` to `to` at `at`: the same as [`schedule`](Self::schedule), without
+    /// touching the payload.
+    pub(crate) fn schedule_parked(&mut self, at: SimTime, from: NodeId, to: NodeId, slot: u32) {
+        self.schedule_header(
+            at,
+            Event::Deliver {
+                from,
+                to,
+                msg: slot,
+            },
+        );
+    }
+
+    /// Takes the next sequence number for `event` and links it near or far.
+    fn schedule_header(&mut self, at: SimTime, event: Event<u32>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
@@ -344,6 +374,16 @@ impl<M> EventQueue<M> {
     /// Total number of events that have ever been scheduled on this queue.
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
+    }
+
+    /// Deliveries queued, near or far, counted from their headers (not from the slab).
+    #[cfg(test)]
+    pub(crate) fn queued_deliveries(&self) -> usize {
+        let near = self.cells.iter().filter_map(|cell| cell.event.as_ref());
+        let far = self.far.values().flatten();
+        near.chain(far)
+            .filter(|scheduled| matches!(scheduled.event, Event::Deliver { .. }))
+            .count()
     }
 }
 
@@ -480,8 +520,10 @@ mod tests {
     }
 
     /// Drives the wheel and the reference heap through an identical randomized workload of
-    /// schedules and pops — same-tick bursts, far-future timers, pop runs that force
-    /// window rotations — and asserts bit-identical pop sequences.
+    /// schedules and pops — same-tick bursts, far-future timers and deliveries, pop runs
+    /// that force window rotations — and asserts bit-identical pop sequences. Deliveries
+    /// alternate between [`EventQueue::schedule`] and [`EventQueue::park`] +
+    /// [`EventQueue::schedule_parked`], which must be the same thing.
     #[test]
     fn randomized_equivalence_with_reference_heap() {
         for seed in 0..8u64 {
@@ -492,39 +534,62 @@ mod tests {
             // matching the engines' contract.
             let mut now = 0u64;
             let mut payload = 0u32;
+            let mut deliver =
+                |wheel: &mut EventQueue<u32>, heap: &mut ReferenceEventQueue<u32>, at| {
+                    let (from, to) = (NodeId::new(0), NodeId::new(u64::from(payload)));
+                    let at = SimTime::from_millis(at);
+                    if payload.is_multiple_of(2) {
+                        wheel.schedule(
+                            at,
+                            Event::Deliver {
+                                from,
+                                to,
+                                msg: payload,
+                            },
+                        );
+                    } else {
+                        let slot = wheel.park(payload);
+                        wheel.schedule_parked(at, from, to, slot);
+                    }
+                    heap.schedule(
+                        at,
+                        Event::Deliver {
+                            from,
+                            to,
+                            msg: payload,
+                        },
+                    );
+                    payload += 1;
+                };
             for _ in 0..4_000 {
-                match rng.gen_range(0..10u32) {
+                match rng.gen_range(0..11u32) {
                     // Same-tick FIFO burst at a nearby instant.
                     0..=2 => {
                         let at = now + rng.gen_range(0..50u64);
-                        let burst = rng.gen_range(1..=8);
-                        for _ in 0..burst {
-                            let ev = Event::Deliver {
-                                from: NodeId::new(0),
-                                to: NodeId::new(u64::from(payload)),
-                                msg: payload,
-                            };
-                            wheel.schedule(SimTime::from_millis(at), ev.clone());
-                            heap.schedule(SimTime::from_millis(at), ev);
-                            payload += 1;
+                        for _ in 0..rng.gen_range(1..=8) {
+                            deliver(&mut wheel, &mut heap, at);
                         }
                     }
                     // Scattered near-future events (within and just beyond one window).
                     3..=5 => {
                         let at = now + rng.gen_range(0..6_000u64);
-                        let ev = round(u64::from(payload));
+                        let ev = round(rng.gen_range(0..1_000));
                         wheel.schedule(SimTime::from_millis(at), ev.clone());
                         heap.schedule(SimTime::from_millis(at), ev);
-                        payload += 1;
                     }
                     // Far-future timer, several windows ahead.
                     6 => {
                         let at = now + rng.gen_range(20_000..2_000_000u64);
-                        let ev = round(u64::from(payload));
+                        let ev = round(rng.gen_range(0..1_000));
                         wheel.schedule(SimTime::from_millis(at), ev.clone());
                         heap.schedule(SimTime::from_millis(at), ev);
-                        payload += 1;
                     }
+                    // Far-future delivery: its header waits in the far wheel.
+                    7 => deliver(
+                        &mut wheel,
+                        &mut heap,
+                        now + rng.gen_range(WHEEL_SLOTS..60_000),
+                    ),
                     // Pop run: drains across ticks and occasionally across windows.
                     _ => {
                         for _ in 0..rng.gen_range(1..=12) {
@@ -550,6 +615,10 @@ mod tests {
                     }
                 }
             }
+            assert!(
+                !wheel.far.is_empty(),
+                "the workload must reach the far wheel"
+            );
             // Drain both queues completely.
             loop {
                 match (wheel.pop(), heap.pop()) {
@@ -679,30 +748,37 @@ mod tests {
 
     /// The slab hands each payload out with its popped event and keeps no copy; dropping
     /// the queue drops what is still queued, near or far; and the slab never holds more
-    /// slots than the most deliveries ever queued at once, through same-tick bursts and
-    /// far-wheel migrations.
+    /// slots than the most deliveries ever queued at once, near plus far, through
+    /// same-tick bursts, far-wheel migrations and payloads parked ahead of their header.
     #[test]
     fn the_payload_slab_owns_exactly_the_queued_deliveries() {
         const MAX_QUEUED: usize = 400;
         let token = Rc::new(());
-        let deliver = || Event::Deliver {
-            from: NodeId::new(0),
-            to: NodeId::new(1),
-            msg: Rc::clone(&token),
-        };
+        let (from, to) = (NodeId::new(0), NodeId::new(1));
         let mut rng = SmallRng::seed_from_u64(0x51AB);
         let mut q: EventQueue<Rc<()>> = EventQueue::new();
         let (mut now, mut deliveries, mut peak, mut migrations) = (0u64, 0usize, 0usize, 0u32);
         let mut draining = false;
+        // Schedules one delivery at `at`, parking its payload first when `parked`.
+        let deliver = |q: &mut EventQueue<Rc<()>>, at: u64, parked: bool| {
+            let at = SimTime::from_millis(at);
+            if parked {
+                let slot = q.park(Rc::clone(&token));
+                q.schedule_parked(at, from, to, slot);
+            } else {
+                let msg = Rc::clone(&token);
+                q.schedule(at, Event::Deliver { from, to, msg });
+            }
+        };
         while now < 30 * WHEEL_SLOTS {
             let room = MAX_QUEUED - q.len();
             draining = if draining { q.len() > 20 } else { room < 40 };
             match rng.gen_range(0..10u32) {
                 // A same-tick burst of deliveries close to the cursor.
                 0..=3 => {
-                    let at = SimTime::from_millis(now + rng.gen_range(0..40u64));
+                    let at = now + rng.gen_range(0..40u64);
                     for _ in 0..rng.gen_range(1..=30usize).min(room) {
-                        q.schedule(at, deliver());
+                        deliver(&mut q, at, !deliveries.is_multiple_of(2));
                         deliveries += 1;
                     }
                 }
@@ -712,10 +788,11 @@ mod tests {
                     let node = NodeId::new(0);
                     q.schedule(SimTime::from_millis(at), Event::Round { node });
                 }
-                // A delivery beyond the horizon: inline in the far wheel until it migrates.
+                // A delivery beyond the horizon: parked now, its header far until it
+                // migrates.
                 _ => {
                     let at = now + rng.gen_range(WHEEL_SLOTS..3 * WHEEL_SLOTS);
-                    q.schedule(SimTime::from_millis(at), deliver());
+                    deliver(&mut q, at, !deliveries.is_multiple_of(2));
                     deliveries += 1;
                 }
             }
@@ -731,6 +808,7 @@ mod tests {
                     drop(msg);
                 }
                 assert_eq!(Rc::strong_count(&token), 1 + deliveries);
+                assert_eq!(q.queued_deliveries(), deliveries);
                 assert!(q.payloads.len() <= peak, "the slab outgrew the queued peak");
             }
         }
@@ -742,5 +820,28 @@ mod tests {
         assert_eq!(Rc::strong_count(&token), 1 + deliveries);
         drop(q);
         assert_eq!(Rc::strong_count(&token), 1);
+    }
+
+    /// The far wheel holds headers too, so a migration moves no payload: a far
+    /// delivery's message keeps the slot it was parked in until it pops.
+    #[test]
+    fn a_far_delivery_keeps_its_slot_through_migration() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let (from, to) = (NodeId::new(3), NodeId::new(4));
+        let far = SimTime::from_millis(2 * WHEEL_SLOTS + 9);
+        q.schedule(far, Event::Deliver { from, to, msg: 77 });
+        let node = NodeId::new(1);
+        q.schedule(SimTime::from_millis(5), Event::Round { node });
+        assert_eq!(q.payloads, [Some(77)]);
+        assert_eq!(q.pop().unwrap().event, Event::Round { node });
+        let popped = q.pop().unwrap();
+        assert_eq!(
+            (popped.at, popped.event),
+            (far, Event::Deliver { from, to, msg: 77 })
+        );
+        assert_eq!(
+            (q.payloads.len(), q.free_payloads.as_slice()),
+            (1, &[0][..])
+        );
     }
 }

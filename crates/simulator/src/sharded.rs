@@ -11,11 +11,14 @@
 //! delivery plane (`delivery.rs`) judge the merged batch — the fault plane
 //! sequentially, then the delivery filter over the whole batch, which a filter with
 //! partitioned state (`croupier-nat`: one table per gateway) splits over worker threads
-//! — and stages the survivors per destination shard; each shard then inserts its own
-//! staged deliveries into its own event queue (in parallel for large batches). What
-//! stays on one thread is the k-way merge, the fault plane's draws (one stream, consumed
-//! in canonical order) and the drop accounting and staging pass over the verdicts; the
-//! sort, the filter and the insertion scale with the worker count.
+//! — and reads the outcomes back, parking each survivor's payload in its destination
+//! shard's slab and staging a header for it; each shard then inserts its own staged
+//! headers into its own event queue (in parallel for large batches). A payload crosses
+//! the barrier once: the merge reads it in its outbox (where a corrupting fault plane
+//! mutates it) and the outcome pass moves it from there into the slab it is delivered
+//! from. What stays on one thread is the k-way merge, the fault plane's draws (one
+//! stream, consumed in canonical order) and the outcome pass (drop accounting and the
+//! payload moves); the sort, the filter and the insertion scale with the worker count.
 //!
 //! # Determinism across worker counts
 //!
@@ -103,26 +106,9 @@ struct PendingMessage<M> {
     seq: u64,
 }
 
-/// Moves `message` from a shard outbox into the barrier batch: its link is staged with
-/// the delivery plane (delivery no earlier than `earliest`; NAT verdicts are judged
-/// once, at this undelayed instant — a reorder spike shifts when the datagram arrives,
-/// not whether the mapping that admits it exists), its payload joins `payloads`.
-fn stage_message<M: WireSize>(
-    delivery: &mut Delivery,
-    payloads: &mut Vec<M>,
-    mut message: PendingMessage<M>,
-    earliest: SimTime,
-) {
-    let link = BatchLink {
-        from: message.from,
-        to: message.to,
-        sent_at: message.sent_at,
-        arrive_at: message.deliver_at.max(earliest),
-        wants_verdict: true,
-    };
-    delivery.stage(link, &mut message.msg);
-    payloads.push(message.msg);
-}
+/// An entry of the barrier's k-way merge heap: a run's head message, as its merge key
+/// followed by the run and the head's index in it (the run's cursor).
+type MergeHead = std::cmp::Reverse<(SimTime, NodeId, u64, usize, usize)>;
 
 /// One shard: a stripe of nodes, their event queue, and this phase's outbox.
 struct Shard<P: Protocol> {
@@ -287,10 +273,18 @@ impl<P: Protocol> Shard<P> {
         // barrier then k-way merges `S` pre-sorted runs instead of sorting the whole
         // batch on the coordinating thread. The sort — the dominant barrier cost at 100k
         // nodes — thus parallelises with the phase itself. Descending order lets the
-        // merge consume each run by `Vec::pop` (cheapest possible by-value cursor, and no
-        // per-barrier iterator allocation).
+        // barrier's outcome pass take each run's messages by `Vec::pop`, in merge order,
+        // which keeps the outbox's capacity for the next phase.
         self.outbox
             .sort_unstable_by_key(|m| std::cmp::Reverse((m.sent_at, m.from, m.seq)));
+    }
+
+    /// Schedules the barrier's staged delivery headers for this shard, in list order;
+    /// their payloads are already parked in this shard's slab.
+    fn insert_staged(&mut self, stage: &mut Vec<(SimTime, NodeId, NodeId, u32)>) {
+        for (at, from, to, slot) in stage.drain(..) {
+            self.queue.schedule_parked(at, from, to, slot);
+        }
     }
 }
 
@@ -352,18 +346,21 @@ pub struct ShardedSimulation<P: Protocol> {
     /// capped at the cores there are, since every extra filter worker rescans the batch.
     barrier_workers: usize,
     bootstrap: BootstrapRegistry,
-    /// Recycled payloads of the barrier batch, in the canonical merge order of every
-    /// shard's outbox (the delivery plane holds the links, index for index). Drained by
-    /// [`merge_batch`](Self::merge_batch) with its capacity retained, so the barrier
-    /// allocates nothing once the per-phase message volume has peaked.
-    merge_buf: Vec<P::Message>,
-    /// Recycled backing store for the k-way merge's head heap (one entry per shard).
-    heap_buf: Vec<std::cmp::Reverse<(SimTime, NodeId, u64, usize)>>,
+    /// The run (shard outbox) each message of the barrier batch came from, in canonical
+    /// merge order (the delivery plane holds the links, index for index); the payloads
+    /// stay in their outboxes until [`merge_batch`](Self::merge_batch) moves them.
+    /// Cleared there with its capacity retained, so the barrier allocates nothing once
+    /// the per-phase message volume has peaked.
+    merge_order: Vec<u32>,
+    /// Recycled backing store for the k-way merge's head heap: one entry per unfinished
+    /// run.
+    heap_buf: Vec<MergeHead>,
     /// Recycled per-destination-shard staging lists for the barrier's partitioned queue
-    /// insertion: the sequential filter pass appends surviving deliveries here in
-    /// canonical order, then every shard drains its own list into its own queue — in
+    /// insertion: the sequential outcome pass parks each survivor's payload in its
+    /// destination shard's slab and appends its header `(arrival, from, to, slot)` here
+    /// in canonical order, then every shard drains its own list into its own queue — in
     /// parallel when the batch is large enough to pay for the threads.
-    delivery_bufs: Vec<Vec<(SimTime, Event<P::Message>)>>,
+    delivery_bufs: Vec<Vec<(SimTime, NodeId, NodeId, u32)>>,
     /// Round-barrier hook, if installed; runs on the coordinating thread right after each
     /// phase's canonical merge, so its effects are worker-count independent.
     hook: Option<Box<dyn RoundHook>>,
@@ -391,7 +388,7 @@ where
             delivery: Delivery::new(),
             barrier_workers: workers.min(cores),
             bootstrap: BootstrapRegistry::new(),
-            merge_buf: Vec::new(),
+            merge_order: Vec::new(),
             heap_buf: Vec::new(),
             delivery_bufs: (0..workers).map(|_| Vec::new()).collect(),
             hook: None,
@@ -502,61 +499,87 @@ where
     /// [`Shard::run_phase`]. The keys are globally unique (the per-sender sequence
     /// number breaks same-instant ties), so merging sorted runs yields exactly the order
     /// a full coordinator-side sort would produce — at O(n log S) comparisons instead of
-    /// O(n log n), with the O(n log n) part done in parallel on the workers. The runs
-    /// being descending, each run's head is its `last()` element and advancing is
-    /// `Vec::pop`, so the merge is allocation-free (the heap's backing store is recycled
-    /// in `heap_buf`). The fault plane judges each message as it is staged: its draws
-    /// are one stream consumed in this order, which is what keeps them sequential.
+    /// O(n log n), with the O(n log n) part done in parallel on the workers.
+    ///
+    /// The merge moves no message: each run is walked by index from its `last()` element
+    /// down (the heap entry is the run's cursor; its backing store is recycled in
+    /// `heap_buf`), and only the run a message came from is recorded, in `merge_order`.
+    /// The fault plane judges each message as it is staged — its draws are one stream
+    /// consumed in this order, which is what keeps them sequential — and corrupts the
+    /// payload in place, in the outbox, where [`merge_batch`](Self::merge_batch) will
+    /// take it from.
     fn gather_sorted(&mut self, earliest: SimTime) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
+        let head = |outbox: &[PendingMessage<P::Message>], run: usize, at: usize| {
+            let m = &outbox[at];
+            Reverse((m.sent_at, m.from, m.seq, run, at))
+        };
         let mut heads = std::mem::take(&mut self.heap_buf);
         heads.clear();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            if let Some(m) = shard.outbox.last() {
-                heads.push(Reverse((m.sent_at, m.from, m.seq, idx)));
+        for (run, shard) in self.shards.iter().enumerate() {
+            if let Some(last) = shard.outbox.len().checked_sub(1) {
+                heads.push(head(&shard.outbox, run, last));
             }
         }
         let mut heap = BinaryHeap::from(heads);
         self.delivery.begin_batch();
-        while let Some(Reverse((_, _, _, idx))) = heap.pop() {
-            let run = &mut self.shards[idx].outbox;
-            let message = run.pop().expect("a heap entry implies a run head");
-            if let Some(m) = run.last() {
-                heap.push(Reverse((m.sent_at, m.from, m.seq, idx)));
+        while let Some(Reverse((_, _, _, run, at))) = heap.pop() {
+            let outbox = &mut self.shards[run].outbox;
+            if at > 0 {
+                heap.push(head(outbox, run, at - 1));
             }
-            stage_message(&mut self.delivery, &mut self.merge_buf, message, earliest);
+            let message = &mut outbox[at];
+            let link = BatchLink {
+                from: message.from,
+                to: message.to,
+                sent_at: message.sent_at,
+                // NAT verdicts are judged once, at this undelayed instant: a reorder
+                // spike shifts when the datagram arrives, not whether the mapping that
+                // admits it exists.
+                arrive_at: message.deliver_at.max(earliest),
+                wants_verdict: true,
+            };
+            self.delivery.stage(link, &mut message.msg);
+            self.merge_order.push(run as u32);
         }
         self.heap_buf = heap.into_vec();
     }
 
     /// The barrier: judges the staged batch and schedules the surviving deliveries —
-    /// partitioned by destination shard, in parallel when the batch is large. Drains
-    /// `merge_buf` in place so its capacity is reused phase after phase.
+    /// partitioned by destination shard, in parallel when the batch is large.
     ///
     /// The judgment is the [delivery plane](crate::delivery)'s: the fault draws happened
     /// at staging; here the filter gets the whole batch (on
     /// [`barrier_workers`](Self::barrier_workers) threads when the batch pays for them),
     /// then one sequential pass reads each outcome back, which counts the drops, and
-    /// stages the survivors. Canonical order in, per-message outcomes out: that is what
-    /// makes runs bit-identical across worker counts. Queue insertion is freely
-    /// partitionable — each staged list holds one destination shard's deliveries in
-    /// canonical relative order, and scheduling them list-order into that shard's queue
-    /// reproduces the exact `(time, insertion order)` tie-breaking of a sequential
-    /// interleaved insertion, because messages for different shards never share a queue.
+    /// moves each payload exactly once. Message `k` is the next pop of run
+    /// `merge_order[k]`: the merge consumed every run from its end, in the order this
+    /// pass replays. A survivor's payload goes straight into its destination shard's
+    /// slab ([`EventQueue::park`]; a duplicate parks its own clone), and only a 32-byte
+    /// header is staged for insertion; a dead message's payload is dropped here.
+    /// Canonical order in, per-message outcomes out: that is what makes runs
+    /// bit-identical across worker counts. Queue insertion
+    /// ([`EventQueue::schedule_parked`]) is freely partitionable — each staged list holds
+    /// one destination shard's deliveries in canonical relative order, and scheduling
+    /// them list-order into that shard's queue reproduces the exact `(time, insertion
+    /// order)` tie-breaking of a sequential interleaved insertion, because messages for
+    /// different shards never share a queue.
     fn merge_batch(&mut self) {
-        if self.merge_buf.is_empty() {
+        if self.merge_order.is_empty() {
             return;
         }
         let stride = self.shards.len() as u64;
         let mut staged = std::mem::take(&mut self.delivery_bufs);
-        let workers = if self.merge_buf.len() >= PARALLEL_BARRIER_THRESHOLD {
+        let workers = if self.merge_order.len() >= PARALLEL_BARRIER_THRESHOLD {
             self.barrier_workers
         } else {
             1
         };
         self.delivery.judge_staged(workers);
-        for (k, msg) in self.merge_buf.drain(..).enumerate() {
+        for (k, &run) in self.merge_order.iter().enumerate() {
+            let message = self.shards[run as usize].outbox.pop();
+            let msg = message.expect("every merged message waits in its run").msg;
             let Some((link, departure)) = self.delivery.outcome(k) else {
                 continue;
             };
@@ -566,36 +589,30 @@ where
                 arrive_at,
                 ..
             } = link;
-            let stage = &mut staged[(to.as_u64() % stride) as usize];
+            let dest = (to.as_u64() % stride) as usize;
+            let queue = &mut self.shards[dest].queue;
             if departure.duplicate {
                 // The duplicate travels at the base latency; only the original can
                 // additionally be held back by a reordering spike.
-                let msg = msg.clone();
-                stage.push((arrive_at, Event::Deliver { from, to, msg }));
+                let slot = queue.park(msg.clone());
+                staged[dest].push((arrive_at, from, to, slot));
             }
-            stage.push((
-                arrive_at + departure.extra_delay,
-                Event::Deliver { from, to, msg },
-            ));
+            let slot = queue.park(msg);
+            staged[dest].push((arrive_at + departure.extra_delay, from, to, slot));
         }
+        self.merge_order.clear();
         let total: usize = staged.iter().map(Vec::len).sum();
         if self.shards.len() > 1 && total >= PARALLEL_BARRIER_THRESHOLD {
             std::thread::scope(|scope| {
                 for (shard, stage) in self.shards.iter_mut().zip(staged.iter_mut()) {
                     if !stage.is_empty() {
-                        scope.spawn(move || {
-                            for (at, event) in stage.drain(..) {
-                                shard.queue.schedule(at, event);
-                            }
-                        });
+                        scope.spawn(move || shard.insert_staged(stage));
                     }
                 }
             });
         } else {
             for (shard, stage) in self.shards.iter_mut().zip(staged.iter_mut()) {
-                for (at, event) in stage.drain(..) {
-                    shard.queue.schedule(at, event);
-                }
+                shard.insert_staged(stage);
             }
         }
         self.delivery_bufs = staged;
@@ -770,13 +787,12 @@ where
             };
             self.shards[shard_idx].execute(local, now, &env, |proto, ctx| proto.on_start(ctx));
         }
-        // `on_start`'s messages are alone in the shard's outbox (barriers drain it) and
-        // already canonical — one sender, one instant, ascending sequence numbers — so
-        // merge them immediately and they are delivered like any other send.
-        self.delivery.begin_batch();
-        for message in self.shards[shard_idx].outbox.drain(..) {
-            stage_message(&mut self.delivery, &mut self.merge_buf, message, now);
-        }
+        // `on_start`'s messages are alone in the outboxes (barriers drain them) and
+        // ascending — one sender, one instant, rising sequence numbers — so reversed
+        // they are a run like a phase's, and the barrier's two steps deliver them now
+        // like any other send.
+        self.shards[shard_idx].outbox.reverse();
+        self.gather_sorted(now);
         self.merge_batch();
         let shard = &mut self.shards[shard_idx];
         let state = shard.nodes.get_mut(local).expect("node just inserted");
@@ -884,6 +900,8 @@ mod tests {
     use crate::protocol::TimerKey;
     use crate::types::NatClass;
     use std::cell::RefCell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Test protocol: each round, sends its round counter to the next node in a ring.
     struct Ring {
@@ -1342,5 +1360,228 @@ mod tests {
         for threads in 2..=4 {
             assert_eq!(ids_under_churn(threads), one, "{threads} shards");
         }
+    }
+
+    /// A staged delivery is a header whatever the message: the payload waits in the
+    /// destination's slab from the outcome pass on.
+    #[test]
+    fn staged_deliveries_are_32_byte_headers_whatever_the_message() {
+        #[derive(Clone, Debug)]
+        struct Wide([u8; 256]);
+        impl WireSize for Wide {
+            fn wire_size(&self) -> usize {
+                self.0.len()
+            }
+        }
+        struct Mute;
+        impl Protocol for Mute {
+            type Message = Wide;
+            fn on_start(&mut self, _ctx: &mut Context<'_, Wide>) {}
+            fn on_round(&mut self, _ctx: &mut Context<'_, Wide>) {}
+            fn on_message(&mut self, _from: NodeId, _msg: Wide, _ctx: &mut Context<'_, Wide>) {}
+        }
+        fn entry_bytes<C>(_: &[Vec<C>]) -> usize {
+            std::mem::size_of::<C>()
+        }
+        let sim: ShardedSimulation<Mute> = ShardedSimulation::new(SimulationConfig::default());
+        assert!(entry_bytes(&sim.delivery_bufs) <= 32);
+    }
+
+    /// Counts the live payloads of a run and the clones among them.
+    #[derive(Debug, Default)]
+    struct Ledger {
+        live: AtomicUsize,
+        clones: AtomicUsize,
+    }
+
+    /// A payload that keeps [`Ledger`]'s counts and remembers a fault-plane corruption.
+    #[derive(Debug)]
+    struct Tracked {
+        ledger: Arc<Ledger>,
+        corrupted: bool,
+    }
+
+    impl Tracked {
+        fn new(ledger: &Arc<Ledger>) -> Self {
+            ledger.live.fetch_add(1, Ordering::Relaxed);
+            Tracked {
+                ledger: Arc::clone(ledger),
+                corrupted: false,
+            }
+        }
+    }
+
+    impl Clone for Tracked {
+        fn clone(&self) -> Self {
+            self.ledger.clones.fetch_add(1, Ordering::Relaxed);
+            let mut copy = Tracked::new(&self.ledger);
+            copy.corrupted = self.corrupted;
+            copy
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.ledger.live.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    impl WireSize for Tracked {
+        fn wire_size(&self) -> usize {
+            64
+        }
+
+        fn fault_mutate(&mut self, _rng: &mut SmallRng) {
+            self.corrupted = true;
+        }
+    }
+
+    /// Each round sends a [`Tracked`] to the node's ring successor and to the node five
+    /// further on, so most messages cross shards; logs `(sender, corrupted)` of what
+    /// arrives.
+    struct Relay {
+        n: u64,
+        ledger: Arc<Ledger>,
+        received: Vec<(NodeId, bool)>,
+    }
+
+    impl Protocol for Relay {
+        type Message = Tracked;
+
+        fn on_start(&mut self, _ctx: &mut Context<'_, Tracked>) {}
+
+        fn on_round(&mut self, ctx: &mut Context<'_, Tracked>) {
+            let me = ctx.node_id().as_u64();
+            for hop in [1, 6] {
+                ctx.send(NodeId::new((me + hop) % self.n), Tracked::new(&self.ledger));
+            }
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: Tracked, _ctx: &mut Context<'_, Tracked>) {
+            self.received.push((from, msg.corrupted));
+        }
+    }
+
+    const RELAY_NODES: u64 = 24;
+
+    fn relay_sim(threads: usize, ledger: &Arc<Ledger>) -> ShardedSimulation<Relay> {
+        let cfg = SimulationConfig::default()
+            .with_seed(5)
+            .with_engine_threads(threads);
+        let mut sim = ShardedSimulation::new(cfg);
+        for i in 0..RELAY_NODES {
+            let node = Relay {
+                n: RELAY_NODES,
+                ledger: Arc::clone(ledger),
+                received: Vec::new(),
+            };
+            sim.add_node(NodeId::new(i), node);
+        }
+        sim
+    }
+
+    /// Payloads live only in the event queues between barriers: no outbox keeps one and
+    /// no staging buffer copies one, whatever the filter refuses and the plane drops or
+    /// duplicates; the only clones are the plane's duplicates.
+    #[test]
+    fn between_barriers_every_payload_waits_in_a_queue() {
+        use crate::faults::FaultProfile;
+        use crate::network::DeliveryVerdict;
+
+        /// Refuses every message to one node.
+        struct BlockOne(NodeId);
+        impl DeliveryFilter for BlockOne {
+            fn on_send(&mut self, _: NodeId, _: NodeId, _: SimTime) {}
+            fn can_deliver(&mut self, _: NodeId, to: NodeId, _: SimTime) -> DeliveryVerdict {
+                if to == self.0 {
+                    DeliveryVerdict::BlockedByNat
+                } else {
+                    DeliveryVerdict::Deliver
+                }
+            }
+        }
+
+        for threads in [1, 2, 4] {
+            let ledger = Arc::new(Ledger::default());
+            let mut sim = relay_sim(threads, &ledger);
+            let blocked = NodeId::new(3);
+            sim.set_delivery_filter(BlockOne(blocked));
+            let plane = FaultPlane::new(sim.config().seed);
+            let lossy = FaultProfile::default().with_drop(0.2);
+            plane.set_default_profile(
+                lossy
+                    .with_duplicate(0.3)
+                    .with_reorder(0.2, SimDuration::from_millis(1_500)),
+            );
+            // The plane counts a duplicate when it decides one, the filter may refuse
+            // the message after that: only links the filter never refuses duplicate.
+            plane.set_link_profile(blocked, lossy);
+            sim.set_fault_plane(plane);
+            for _ in 0..12 {
+                sim.run_for_rounds(1);
+                assert!(sim.shards.iter().all(|s| s.outbox.is_empty()), "{threads}");
+                let queued: usize = sim.shards.iter().map(|s| s.queue.queued_deliveries()).sum();
+                assert_eq!(ledger.live.load(Ordering::Relaxed), queued, "{threads}");
+            }
+            let (report, stats) = (sim.fault_report(), sim.network_stats());
+            assert!(report.injected_drops > 0 && report.duplicates > 0 && report.reorders > 0);
+            assert!(stats.blocked_by_nat > 0, "the filter must refuse something");
+            let clones = ledger.clones.load(Ordering::Relaxed) as u64;
+            assert_eq!(clones, report.duplicates, "{threads}");
+        }
+    }
+
+    /// The plane corrupts a message in its sender's outbox during the merge, and that
+    /// same message is the one the outcome pass moves on: every message to or from the
+    /// corrupting node arrives flagged, and no other does.
+    #[test]
+    fn corruption_lands_on_the_message_that_travels() {
+        use crate::faults::FaultProfile;
+        let x = NodeId::new(7);
+        let run = |threads: usize| {
+            let ledger = Arc::new(Ledger::default());
+            let mut sim = relay_sim(threads, &ledger);
+            let plane = FaultPlane::new(sim.config().seed);
+            plane.set_link_profile(x, FaultProfile::default().with_corrupt(1.0));
+            sim.set_fault_plane(plane);
+            sim.run_for_rounds(6);
+            let mut log: Vec<(NodeId, Vec<(NodeId, bool)>)> = sim
+                .nodes()
+                .map(|(id, relay)| (id, relay.received.clone()))
+                .collect();
+            log.sort_by_key(|(id, _)| *id);
+            log
+        };
+        let one = run(1);
+        let (mut to_x, mut from_x) = (0, 0);
+        for (to, received) in &one {
+            for &(from, corrupted) in received {
+                assert_eq!(corrupted, from == x || *to == x, "{from} -> {to}");
+                to_x += usize::from(*to == x);
+                from_x += usize::from(from == x);
+            }
+        }
+        assert!(to_x > 0 && from_x > 0, "X must send and receive");
+        assert_eq!(one, run(2), "1 vs 2 workers diverged");
+        assert_eq!(one, run(4), "1 vs 4 workers diverged");
+    }
+
+    /// Every barrier of this run stages more survivors than
+    /// [`PARALLEL_BARRIER_THRESHOLD`], so with several shards each one inserts on worker
+    /// threads; the runs must still be bit-identical to the one-shard run.
+    #[test]
+    fn threaded_insertion_on_every_barrier_is_bit_identical() {
+        let run = |threads: usize| {
+            let mut sim = ring_sim(20_000, threads);
+            for _ in 0..3 {
+                sim.run_for_rounds(1);
+                let queued: usize = sim.shards.iter().map(|s| s.queue.queued_deliveries()).sum();
+                assert!(queued > PARALLEL_BARRIER_THRESHOLD, "{threads}: {queued}");
+            }
+            fingerprint(&sim)
+        };
+        let one = run(1);
+        assert_eq!(one, run(2), "1 vs 2 workers diverged");
+        assert_eq!(one, run(4), "1 vs 4 workers diverged");
     }
 }

@@ -43,9 +43,10 @@
 //!   already-built `e2e_bench/target/release/e2e` of two checkouts alternately, `--pairs`
 //!   times per workload with a fresh seed per pair and the side that goes first
 //!   alternating, and prints per end-to-end metric both medians with their quartiles,
-//!   how many pairs the change won, any failed operations and the verdict (`ok`,
-//!   `worse` or `unresolved`) the metric's `BENCHMARK.json` bound gives. It times
-//!   nothing itself and is not a CI step.
+//!   how many pairs the change won, any failed operations and the verdict the metric's
+//!   `BENCHMARK.json` bound gives: `worse`, `unresolved` or `ok`, or `gain` where the
+//!   change meets the rule for claiming one. It times nothing itself and is not a CI
+//!   step.
 //!
 //!   ```text
 //!   cargo run -p xtask -- pairs --parent /root/scratch/parent --change . \
@@ -389,17 +390,28 @@ fn median_and_quartiles(values: &[f64]) -> [f64; 3] {
     })
 }
 
-/// The benchmark pipeline's verdict on one metric, `bound` being a fraction of the
-/// parent's median: `worse` when the change's median is worse than the parent's by more
-/// than the bound; `unresolved` when the parent's q3 − q1 exceeds the bound and not every
-/// change run beats every parent run; `ok` otherwise.
+/// The benchmark pipeline's verdict on one metric over paired runs (`parent[i]` and
+/// `change[i]` ran as pair `i`), `bound` being a fraction of the parent's median: `worse`
+/// when the change's median is worse than the parent's by more than the bound; `gain`
+/// when the change won at least nine tenths of the pairs (ties count for neither side)
+/// and its median is better than the parent's by more than the parent's q3 − q1 — the
+/// rule a claimed gain is held to (choosing-metrics §8); `unresolved` when the parent's
+/// q3 − q1 exceeds the bound and not every change run beats every parent run; `ok`
+/// otherwise.
 fn verdict(parent: &[f64], change: &[f64], bound: f64, higher_is_better: bool) -> &'static str {
     let sign = if higher_is_better { -1.0 } else { 1.0 };
     let [m0, q1, q3] = median_and_quartiles(parent);
     let margin = bound * m0.abs();
     let beats_all = |c: &f64| parent.iter().all(|p| sign * (c - p) < 0.0);
-    if sign * (median_and_quartiles(change)[0] - m0) > margin {
+    let gap = sign * (median_and_quartiles(change)[0] - m0);
+    let wins = parent
+        .iter()
+        .zip(change)
+        .filter(|(p, c)| sign * (*c - *p) < 0.0);
+    if gap > margin {
         "worse"
+    } else if 10 * wins.count() >= 9 * parent.len() && -gap > q3 - q1 {
+        "gain"
     } else if q3 - q1 > margin && !change.iter().all(beats_all) {
         "unresolved"
     } else {
@@ -1035,14 +1047,43 @@ mod tests {
         // The median moved by more than the bound: worse, in either direction of better.
         assert_eq!(verdict(&steady, &[13.0; 5], 0.25, false), "worse");
         assert_eq!(verdict(&steady, &[7.0; 5], 0.25, true), "worse");
-        // The parent's q3 − q1 (8 → 12) exceeds the bound (2.5): unresolved, unless every
-        // change run beats every parent run.
-        let spread = [6.0, 8.0, 10.0, 12.0, 14.0];
+        // The parent's q3 − q1 (9 → 12) exceeds the bound (2.5): unresolved, unless every
+        // change run beats every parent run (by more than q3 − q1, that is a gain).
+        let spread = [9.0, 8.0, 10.0, 12.0, 14.0];
         assert_eq!(verdict(&spread, &[10.0; 5], 0.25, false), "unresolved");
-        assert_eq!(verdict(&spread, &[5.0; 5], 0.25, false), "ok");
+        assert_eq!(verdict(&spread, &[7.5; 5], 0.25, false), "ok");
+        assert_eq!(verdict(&spread, &[5.0; 5], 0.25, false), "gain");
         // Failed operations are judged with a zero bound.
         assert_eq!(verdict(&[0.0; 3], &[0.0; 3], 0.0, false), "ok");
         assert_eq!(verdict(&[0.0; 3], &[1.0; 3], 0.0, false), "worse");
+    }
+
+    #[test]
+    fn pairs_says_gain_when_the_claim_rule_is_met() {
+        let parent = [10.0, 10.5, 9.5, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0];
+        // Better in every pair, by far more than the parent's q3 − q1: a gain, whichever
+        // direction is better.
+        assert_eq!(
+            verdict(&parent, &parent.map(|p| p - 1.0), 0.05, false),
+            "gain"
+        );
+        assert_eq!(
+            verdict(&parent, &parent.map(|p| p + 1.0), 0.25, true),
+            "gain"
+        );
+        // Nine wins of ten are enough, eight are not.
+        let mut change = parent.map(|p| p - 1.0);
+        change[0] = 11.0;
+        assert_eq!(verdict(&parent, &change, 0.05, false), "gain");
+        change[1] = 11.0;
+        assert_eq!(verdict(&parent, &change, 0.05, false), "ok");
+        // Winning every pair by less than the parent's q3 − q1 is no gain.
+        assert_eq!(
+            verdict(&parent, &parent.map(|p| p - 0.1), 0.05, false),
+            "ok"
+        );
+        // A tie counts for neither side.
+        assert_eq!(verdict(&parent, &parent, 0.05, false), "ok");
     }
 
     #[test]
