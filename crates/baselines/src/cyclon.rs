@@ -17,13 +17,12 @@ use croupier_simulator::{
     Context, ExchangeTracker, NatClass, NodeId, Protocol, PssNode, Retry, TimerKey, WireSize,
 };
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 
 use crate::config::BaselineConfig;
 
 /// Cyclon's shuffle messages: a request carrying a subset of the sender's view (including a
 /// fresh descriptor of the sender itself) and the symmetric response.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CyclonMessage {
     /// Shuffle request with the initiator's descriptor subset.
     Request(DescriptorBatch),
@@ -104,21 +103,6 @@ impl CyclonNode {
             rounds: 0,
             exchanges_completed: 0,
         }
-    }
-
-    /// The node's identity.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The node's partial view.
-    pub fn view(&self) -> &View {
-        &self.view
-    }
-
-    /// Number of completed push-pull exchanges (responses received).
-    pub fn exchanges_completed(&self) -> u64 {
-        self.exchanges_completed
     }
 
     fn own_descriptor(&self) -> Descriptor {
@@ -222,6 +206,18 @@ mod tests {
     use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
     use std::collections::HashMap;
 
+    impl CyclonNode {
+        /// The node's identity.
+        pub(crate) fn id(&self) -> NodeId {
+            self.id
+        }
+
+        /// The node's partial view.
+        pub(crate) fn view(&self) -> &View {
+            &self.view
+        }
+    }
+
     fn build_sim(n: u64, seed: u64) -> Simulation<CyclonNode> {
         let mut sim = Simulation::new(SimulationConfig::default().with_seed(seed));
         for i in 0..n {
@@ -255,9 +251,9 @@ mod tests {
         for (_, node) in sim.nodes() {
             // Allow some slack for the last in-flight round and occasional collisions.
             assert!(
-                node.exchanges_completed() >= 30,
+                node.exchanges_completed >= 30,
                 "node completed only {} exchanges",
-                node.exchanges_completed()
+                node.exchanges_completed
             );
         }
     }

@@ -29,7 +29,6 @@ use croupier_simulator::{
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 use crate::config::BaselineConfig;
 
@@ -45,7 +44,7 @@ const RELAY_REDUNDANCY: usize = 2;
 const KEEPALIVE_ROUNDS: u64 = 5;
 
 /// Inline capacity of relay lists: double the relay redundancy.
-pub const RELAY_INLINE_CAPACITY: usize = 2 * RELAY_REDUNDANCY;
+pub(crate) const RELAY_INLINE_CAPACITY: usize = 2 * RELAY_REDUNDANCY;
 
 /// The relay addresses carried inside a Gozar view entry, stored inline so entries clone
 /// without heap allocation on the shuffle hot path.
@@ -53,14 +52,14 @@ pub type RelayList = InlineVec<NodeId, RELAY_INLINE_CAPACITY>;
 
 /// Inline capacity of a shuffle's entry list: `SHUFFLE_SIZE + 1` with headroom, the same as
 /// [`croupier::DESCRIPTOR_INLINE_CAPACITY`].
-pub const ENTRY_INLINE_CAPACITY: usize = DESCRIPTOR_INLINE_CAPACITY;
+pub(crate) const ENTRY_INLINE_CAPACITY: usize = DESCRIPTOR_INLINE_CAPACITY;
 
 /// The entry list carried in Gozar shuffle messages.
 pub type EntryBatch = InlineVec<GozarEntry, ENTRY_INLINE_CAPACITY>;
 
 /// A view entry as exchanged by Gozar: a descriptor plus, for private nodes, the addresses
 /// of their relay nodes.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GozarEntry {
     /// The node descriptor.
     pub descriptor: Descriptor,
@@ -70,21 +69,13 @@ pub struct GozarEntry {
 }
 
 impl GozarEntry {
-    /// Creates an entry for a public node (no relays).
-    pub fn public(descriptor: Descriptor) -> Self {
-        GozarEntry {
-            descriptor,
-            relays: RelayList::new(),
-        }
-    }
-
     fn wire_bytes(&self) -> usize {
         DESCRIPTOR_WIRE_BYTES + self.relays.len() * RELAY_ADDR_BYTES
     }
 }
 
 /// Gozar's messages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum GozarMessage {
     /// A view-exchange request. Carries the initiator's identity, class and relays so the
     /// recipient can route the response.
@@ -284,7 +275,6 @@ pub struct GozarNode {
     rounds: u64,
     messages_relayed: u64,
     exchanges_completed: u64,
-    unreachable_targets: u64,
 }
 
 impl GozarNode {
@@ -302,39 +292,7 @@ impl GozarNode {
             rounds: 0,
             messages_relayed: 0,
             exchanges_completed: 0,
-            unreachable_targets: 0,
         }
-    }
-
-    /// The node's identity.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The node's partial view.
-    pub fn view(&self) -> &View {
-        &self.view
-    }
-
-    /// The relays this (private) node is registered with.
-    pub fn relays(&self) -> &[NodeId] {
-        &self.my_relays
-    }
-
-    /// Number of messages this (public) node has forwarded on behalf of private nodes.
-    pub fn messages_relayed(&self) -> u64 {
-        self.messages_relayed
-    }
-
-    /// Number of completed view exchanges.
-    pub fn exchanges_completed(&self) -> u64 {
-        self.exchanges_completed
-    }
-
-    /// Number of shuffle attempts abandoned because no relay was known for a private
-    /// target.
-    pub fn unreachable_targets(&self) -> u64 {
-        self.unreachable_targets
     }
 
     fn own_entry(&self) -> GozarEntry {
@@ -503,7 +461,6 @@ impl GozarNode {
             if relay.is_none() {
                 // No relay known for the target: the exchange cannot be carried out (and
                 // an unanswered previous one is discarded all the same).
-                self.unreachable_targets += 1;
                 self.exchange.abandon();
                 return;
             }
@@ -684,6 +641,18 @@ mod tests {
     use croupier_nat::NatTopologyBuilder;
     use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
 
+    impl GozarNode {
+        /// The node's identity.
+        pub(crate) fn id(&self) -> NodeId {
+            self.id
+        }
+
+        /// The node's partial view.
+        pub(crate) fn view(&self) -> &View {
+            &self.view
+        }
+    }
+
     fn build_sim(n_public: u64, n_private: u64, seed: u64) -> Simulation<GozarNode> {
         let topology = NatTopologyBuilder::new(seed).build();
         let mut sim = Simulation::new(SimulationConfig::default().with_seed(seed));
@@ -744,12 +713,12 @@ mod tests {
         for (_, node) in sim.nodes() {
             if node.nat_class().is_private() {
                 assert!(
-                    !node.relays().is_empty(),
+                    !node.my_relays.is_empty(),
                     "private node {} should have relays",
                     node.id()
                 );
             } else {
-                assert!(node.relays().is_empty());
+                assert!(node.my_relays.is_empty());
             }
         }
     }
@@ -775,14 +744,14 @@ mod tests {
     fn exchanges_with_private_targets_complete_through_relays() {
         let mut sim = build_sim(5, 20, 3);
         sim.run_for_rounds(60);
-        let relayed: u64 = sim.nodes().map(|(_, n)| n.messages_relayed()).sum();
+        let relayed: u64 = sim.nodes().map(|(_, n)| n.messages_relayed).sum();
         assert!(relayed > 0, "public nodes should relay traffic");
         for (_, node) in sim.nodes() {
             assert!(
-                node.exchanges_completed() > 10,
+                node.exchanges_completed > 10,
                 "node {} completed only {} exchanges",
                 node.id(),
-                node.exchanges_completed()
+                node.exchanges_completed
             );
         }
     }
@@ -793,14 +762,17 @@ mod tests {
         sim.run_for_rounds(40);
         for (_, node) in sim.nodes() {
             if node.nat_class().is_private() {
-                assert_eq!(node.messages_relayed(), 0);
+                assert_eq!(node.messages_relayed, 0);
             }
         }
     }
 
     #[test]
     fn descriptor_entries_carry_relays_and_cost_extra_bytes() {
-        let plain = GozarEntry::public(Descriptor::new(NodeId::new(1), NatClass::Public));
+        let plain = GozarEntry {
+            descriptor: Descriptor::new(NodeId::new(1), NatClass::Public),
+            relays: RelayList::new(),
+        };
         let relayed = GozarEntry {
             descriptor: Descriptor::new(NodeId::new(2), NatClass::Private),
             relays: vec![NodeId::new(3), NodeId::new(4)].into(),

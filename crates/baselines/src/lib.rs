@@ -30,10 +30,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod config;
-pub mod cyclon;
-pub mod gozar;
-pub mod nylon;
+mod config;
+mod cyclon;
+mod gozar;
+mod nylon;
 
 pub use config::BaselineConfig;
 pub use cyclon::{CyclonMessage, CyclonNode};

@@ -24,7 +24,6 @@ use croupier::{
 };
 use croupier_simulator::{Context, NatClass, NodeId, Protocol, PssNode, WireSize};
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 
 use crate::config::BaselineConfig;
 
@@ -59,7 +58,7 @@ const HOP_SUSPECT_STRIKES: u32 = 2;
 const MAX_KEEPALIVE_TARGETS: usize = 10;
 
 /// Nylon's messages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum NylonMessage {
     /// A view-exchange request, always sent over a direct (possibly hole-punched) path.
     ShuffleRequest {
@@ -195,7 +194,6 @@ pub struct NylonNode {
     rounds: u64,
     punches_forwarded: u64,
     exchanges_completed: u64,
-    unreachable_targets: u64,
     abandoned_exchanges: u64,
 }
 
@@ -214,34 +212,8 @@ impl NylonNode {
             rounds: 0,
             punches_forwarded: 0,
             exchanges_completed: 0,
-            unreachable_targets: 0,
             abandoned_exchanges: 0,
         }
-    }
-
-    /// The node's identity.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The node's partial view.
-    pub fn view(&self) -> &View {
-        &self.view
-    }
-
-    /// Number of hole-punch requests this node forwarded as part of an RVP chain.
-    pub fn punches_forwarded(&self) -> u64 {
-        self.punches_forwarded
-    }
-
-    /// Number of completed view exchanges.
-    pub fn exchanges_completed(&self) -> u64 {
-        self.exchanges_completed
-    }
-
-    /// Number of shuffle attempts abandoned because no route to the private target existed.
-    pub fn unreachable_targets(&self) -> u64 {
-        self.unreachable_targets
     }
 
     fn own_descriptor(&self) -> Descriptor {
@@ -403,11 +375,9 @@ impl Protocol for NylonNode {
                 // next exchange can learn a fresh chain instead of feeding this one.
                 debug_assert!(self.is_suspected_hop(dead_hop));
                 self.next_hop.remove(&target);
-                self.unreachable_targets += 1;
             }
-            None => {
-                self.unreachable_targets += 1;
-            }
+            // No route to the private target yet: this round's exchange is skipped.
+            None => {}
         }
     }
 
@@ -528,6 +498,13 @@ mod tests {
     use croupier_nat::NatTopologyBuilder;
     use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
 
+    impl NylonNode {
+        /// The node's partial view.
+        pub(crate) fn view(&self) -> &View {
+            &self.view
+        }
+    }
+
     fn build_sim(n_public: u64, n_private: u64, seed: u64) -> Simulation<NylonNode> {
         let topology = NatTopologyBuilder::new(seed).build();
         let mut sim = Simulation::new(SimulationConfig::default().with_seed(seed));
@@ -569,12 +546,12 @@ mod tests {
     fn exchanges_complete_including_private_targets() {
         let mut sim = build_sim(5, 20, 2);
         sim.run_for_rounds(60);
-        let total: u64 = sim.nodes().map(|(_, n)| n.exchanges_completed()).sum();
+        let total: u64 = sim.nodes().map(|(_, n)| n.exchanges_completed).sum();
         assert!(
             total > 500,
             "expected plenty of completed exchanges, got {total}"
         );
-        let punches: u64 = sim.nodes().map(|(_, n)| n.punches_forwarded()).sum();
+        let punches: u64 = sim.nodes().map(|(_, n)| n.punches_forwarded).sum();
         assert!(punches > 0, "RVP chains should have forwarded hole punches");
     }
 
@@ -587,7 +564,7 @@ mod tests {
         let private_exchanges: u64 = sim
             .nodes()
             .filter(|(_, n)| n.nat_class().is_private())
-            .map(|(_, n)| n.exchanges_completed())
+            .map(|(_, n)| n.exchanges_completed)
             .sum();
         assert!(
             private_exchanges > 200,

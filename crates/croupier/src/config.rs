@@ -1,7 +1,5 @@
 //! Protocol constants and configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Capacity of the public view and of the private view (paper §VII-A: 10). The baselines
 /// use the same capacity for their single view.
 pub const VIEW_SIZE: usize = 10;
@@ -31,7 +29,7 @@ pub const BOOTSTRAP_SIZE: usize = 10;
 /// assert_eq!(small_windows.local_history, 10);
 /// assert_eq!(small_windows.neighbour_history, 25);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CroupierConfig {
     /// α — length, in rounds, of the local shuffle-request-count history a croupier uses to
     /// compute its own ratio estimate (paper default: 25).

@@ -1,7 +1,6 @@
 //! Node descriptors: the entries of partial views.
 
 use croupier_simulator::{InlineVec, NatClass, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::config::SHUFFLE_SIZE;
 
@@ -38,7 +37,7 @@ const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
 /// The largest age a descriptor can carry: ages occupy the top 23 bits of the packed
 /// word and saturate here instead of wrapping. Runs are bounded by round counts orders of
 /// magnitude below this, so saturation is unobservable in practice.
-pub const AGE_MAX: u32 = (1 << (64 - AGE_SHIFT)) - 1;
+pub(crate) const AGE_MAX: u32 = (1 << (64 - AGE_SHIFT)) - 1;
 
 /// A descriptor of a node as carried in partial views and shuffle messages.
 ///
@@ -53,9 +52,9 @@ pub const AGE_MAX: u32 = (1 << (64 - AGE_SHIFT)) - 1;
 /// NAT class in bit `40`, age in bits `41..64` — so a descriptor is 8 bytes instead of the
 /// 12–16 a padded `(u64, enum, u32)` struct occupies. A [`crate::View`] of descriptors is
 /// therefore a flat `u64` array, which is what lets million-node populations hold their
-/// views (and the pooled shuffle payloads built from them) comfortably in memory. Fields
-/// are reached through the [`node`](Descriptor::node), [`class`](Descriptor::class) and
-/// [`age`](Descriptor::age) accessors.
+/// views (and the pooled shuffle payloads built from them) comfortably in memory. Other
+/// crates read the fields through the [`node`](Descriptor::node) and
+/// [`class`](Descriptor::class) accessors.
 ///
 /// # Examples
 ///
@@ -63,13 +62,10 @@ pub const AGE_MAX: u32 = (1 << (64 - AGE_SHIFT)) - 1;
 /// use croupier::Descriptor;
 /// use croupier_simulator::{NatClass, NodeId};
 ///
-/// let mut d = Descriptor::new(NodeId::new(3), NatClass::Private);
-/// assert_eq!(d.age(), 0);
-/// d.grow_older();
-/// assert_eq!(d.age(), 1);
-/// assert!(Descriptor::new(NodeId::new(3), NatClass::Private).is_newer_than(&d));
+/// let d = Descriptor::new(NodeId::new(3), NatClass::Private);
+/// assert_eq!((d.node(), d.class()), (NodeId::new(3), NatClass::Private));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Descriptor(u64);
 
 impl Descriptor {
@@ -84,7 +80,7 @@ impl Descriptor {
     }
 
     /// Creates a descriptor with an explicit age; mostly useful in tests. Ages beyond
-    /// [`AGE_MAX`] saturate, matching [`grow_older`](Descriptor::grow_older).
+    /// `AGE_MAX` saturate, matching `grow_older`.
     ///
     /// # Panics
     ///
@@ -118,19 +114,19 @@ impl Descriptor {
     }
 
     /// Rounds elapsed since the descriptor was created by the described node.
-    pub const fn age(self) -> u32 {
+    pub(crate) const fn age(self) -> u32 {
         (self.0 >> AGE_SHIFT) as u32
     }
 
     /// Increments the descriptor's age by one round (saturating at [`AGE_MAX`]).
-    pub fn grow_older(&mut self) {
+    pub(crate) fn grow_older(&mut self) {
         if self.age() < AGE_MAX {
             self.0 += 1 << AGE_SHIFT;
         }
     }
 
     /// Returns `true` if `self` is strictly fresher (lower age) than `other`.
-    pub fn is_newer_than(&self, other: &Descriptor) -> bool {
+    pub(crate) fn is_newer_than(&self, other: &Descriptor) -> bool {
         self.age() < other.age()
     }
 }

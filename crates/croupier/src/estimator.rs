@@ -12,12 +12,11 @@ use std::collections::VecDeque;
 use croupier_simulator::{InlineVec, NatClass, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Serialized size of one piggy-backed estimate, in bytes: two bytes of node identifier,
 /// one byte each for the public and private request counts and one byte of timestamp —
 /// exactly the encoding the paper charges 5 bytes for (§VII, protocol overhead).
-pub const ESTIMATE_WIRE_BYTES: usize = 5;
+pub(crate) const ESTIMATE_WIRE_BYTES: usize = 5;
 
 /// Inline capacity of [`EstimateBatch`]: the paper's share size (10 estimates per message)
 /// plus the sender's own estimate, with one slot of headroom.
@@ -41,9 +40,9 @@ const RECORD_AGE_MAX: u32 = (1u64 << (64 - ORIGIN_BITS)) as u32 - 1;
 /// a million nodes the pooled [`EstimateBatch`]es and per-node caches built from these
 /// records are a first-order memory term. The ratio stays a full `f64`: it feeds float
 /// averaging whose outputs the figure tests pin byte-identical, so its precision cannot
-/// be reduced. Fields are reached through [`origin`](EstimateRecord::origin) and
-/// [`age`](EstimateRecord::age).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// be reduced. Fields are reached through `origin` and
+/// `age`.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EstimateRecord {
     /// Origin identifier (low 40 bits) and age (high 24 bits).
     packed: u64,
@@ -80,12 +79,12 @@ impl EstimateRecord {
     }
 
     /// The public node that produced the estimate.
-    pub const fn origin(self) -> NodeId {
+    pub(crate) const fn origin(self) -> NodeId {
         NodeId::new(self.packed & ORIGIN_MASK)
     }
 
     /// Rounds elapsed since the estimate was produced.
-    pub const fn age(self) -> u32 {
+    pub(crate) const fn age(self) -> u32 {
         (self.packed >> ORIGIN_BITS) as u32
     }
 }
@@ -198,11 +197,6 @@ impl RatioEstimator {
         }
     }
 
-    /// The node class this estimator was created for.
-    pub fn class(&self) -> NatClass {
-        self.class
-    }
-
     /// Records the receipt of one shuffle request from a sender of class `sender`.
     ///
     /// Only croupiers (public nodes) receive shuffle requests; calling this on a private
@@ -274,7 +268,7 @@ impl RatioEstimator {
 
     /// The ratio of public hits to total hits over the current history window (the paper's
     /// `CalcHitsRatio`), or `None` if no request has been received in the window.
-    pub fn hits_ratio(&self) -> Option<f64> {
+    pub(crate) fn hits_ratio(&self) -> Option<f64> {
         let total = self.window_public_hits + self.window_private_hits;
         if total == 0 {
             None
@@ -328,7 +322,12 @@ impl RatioEstimator {
     /// remembered (inline), so the cost is `min(count, len)` random numbers and as many
     /// cache reads whatever the cache's size, with no copy of the cache and no allocation.
     /// The result is a uniformly random subset in uniformly random order.
-    pub fn share(&mut self, count: usize, self_node: NodeId, rng: &mut SmallRng) -> EstimateBatch {
+    pub(crate) fn share(
+        &mut self,
+        count: usize,
+        self_node: NodeId,
+        rng: &mut SmallRng,
+    ) -> EstimateBatch {
         let len = self.neighbour_estimates.len();
         let mut records = EstimateBatch::new();
         // `(position, the position whose entry now stands there)` for every position a
@@ -387,16 +386,6 @@ impl RatioEstimator {
     /// Number of cached neighbour estimates.
     pub fn cached_count(&self) -> usize {
         self.neighbour_estimates.len()
-    }
-
-    /// The α (local history) parameter.
-    pub fn alpha(&self) -> usize {
-        self.alpha
-    }
-
-    /// The γ (neighbour history) parameter.
-    pub fn gamma(&self) -> u32 {
-        self.gamma
     }
 
     /// The cache as records, in ascending origin order.
@@ -589,9 +578,9 @@ mod tests {
     #[test]
     fn accessors_report_parameters() {
         let est = RatioEstimator::new(NatClass::Public, 25, 50);
-        assert_eq!(est.alpha(), 25);
-        assert_eq!(est.gamma(), 50);
-        assert_eq!(est.class(), NatClass::Public);
+        assert_eq!(est.alpha, 25);
+        assert_eq!(est.gamma, 50);
+        assert_eq!(est.class, NatClass::Public);
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!    private senders over a sliding window of `α` rounds, and piggy-back their estimates on
 //!    shuffle messages; every node averages the estimates it has cached over a `γ`-round
 //!    window. Samples are then drawn from the public view with probability ω̂ and from the
-//!    private view otherwise ([`sampler`]).
+//!    private view otherwise ([`sample_from_views`]).
 //!
 //! The crate also implements the paper's distributed **NAT-type identification protocol**
-//! (§V) in [`nat_identification`], which classifies a node as public or private with three
+//! (§V) in [`NatIdentificationNode`], which classifies a node as public or private with three
 //! messages and no STUN server.
 //!
 //! The protocol logic is engine-agnostic: [`CroupierNode`] implements the
@@ -70,24 +70,22 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod config;
-pub mod descriptor;
-pub mod estimator;
+mod config;
+mod descriptor;
+mod estimator;
 #[cfg(test)]
 mod estimator_reference;
-pub mod messages;
-pub mod nat_identification;
-pub mod protocol;
-pub mod sampler;
-pub mod view;
+mod messages;
+mod nat_identification;
+mod protocol;
+mod sampler;
+mod view;
 
 pub use config::{CroupierConfig, BOOTSTRAP_SIZE, SHUFFLE_SIZE, VIEW_SIZE};
 pub use descriptor::{
-    Descriptor, DescriptorBatch, AGE_MAX, DESCRIPTOR_INLINE_CAPACITY, DESCRIPTOR_WIRE_BYTES,
+    Descriptor, DescriptorBatch, DESCRIPTOR_INLINE_CAPACITY, DESCRIPTOR_WIRE_BYTES,
 };
-pub use estimator::{
-    EstimateBatch, EstimateRecord, RatioEstimator, ESTIMATE_INLINE_CAPACITY, ESTIMATE_WIRE_BYTES,
-};
+pub use estimator::{EstimateBatch, EstimateRecord, RatioEstimator, ESTIMATE_INLINE_CAPACITY};
 pub use messages::{CroupierMessage, ShufflePayload, UDP_IP_HEADER_BYTES};
 pub use nat_identification::{NatIdMessage, NatIdentificationNode};
 pub use protocol::CroupierNode;

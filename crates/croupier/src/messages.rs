@@ -1,7 +1,6 @@
 //! Croupier's wire messages and their size accounting.
 
 use croupier_simulator::{NatClass, WireSize};
-use serde::{Deserialize, Serialize};
 
 use crate::descriptor::{DescriptorBatch, DESCRIPTOR_WIRE_BYTES};
 use crate::estimator::{EstimateBatch, ESTIMATE_WIRE_BYTES};
@@ -28,7 +27,7 @@ const SHUFFLE_FRAMING_BYTES: usize = 6;
 /// the box itself is recycled through [`CroupierNode`](crate::CroupierNode)'s payload
 /// pool — a croupier answers a request by rewriting the request's own box — so the
 /// steady-state message plane still performs zero allocations.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShufflePayload {
     /// Connectivity class of the sender (drives the receiver's hit counters).
     pub sender_class: NatClass,
@@ -45,12 +44,12 @@ pub struct ShufflePayload {
 
 impl ShufflePayload {
     /// Total number of descriptors carried.
-    pub fn descriptor_count(&self) -> usize {
+    pub(crate) fn descriptor_count(&self) -> usize {
         self.public_descriptors.len() + self.private_descriptors.len()
     }
 
     /// Payload bytes excluding transport headers.
-    pub fn payload_bytes(&self) -> usize {
+    pub(crate) fn payload_bytes(&self) -> usize {
         SHUFFLE_FRAMING_BYTES
             + self.descriptor_count() * DESCRIPTOR_WIRE_BYTES
             + self.estimates.len() * ESTIMATE_WIRE_BYTES
@@ -62,7 +61,7 @@ impl ShufflePayload {
 /// The payload is boxed so the enum stays two words wide on the event-plane hot paths;
 /// see [`ShufflePayload`] for the pooling discipline that keeps the box allocation-free
 /// in steady state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CroupierMessage {
     /// A shuffle request, sent by any node to a croupier (public node).
     ShuffleRequest(Box<ShufflePayload>),
@@ -72,15 +71,10 @@ pub enum CroupierMessage {
 
 impl CroupierMessage {
     /// The payload carried by either message type.
-    pub fn payload(&self) -> &ShufflePayload {
+    pub(crate) fn payload(&self) -> &ShufflePayload {
         match self {
             CroupierMessage::ShuffleRequest(p) | CroupierMessage::ShuffleResponse(p) => p,
         }
-    }
-
-    /// Returns `true` for shuffle requests.
-    pub fn is_request(&self) -> bool {
-        matches!(self, CroupierMessage::ShuffleRequest(_))
     }
 }
 
@@ -196,10 +190,10 @@ mod tests {
     #[test]
     fn payload_accessors() {
         let msg = CroupierMessage::ShuffleRequest(Box::new(payload(2, 3, 4)));
-        assert!(msg.is_request());
+        assert!(matches!(msg, CroupierMessage::ShuffleRequest(_)));
         assert_eq!(msg.payload().descriptor_count(), 5);
         assert_eq!(msg.payload().estimates.len(), 4);
         let resp = CroupierMessage::ShuffleResponse(Box::new(payload(0, 0, 0)));
-        assert!(!resp.is_request());
+        assert!(!matches!(resp, CroupierMessage::ShuffleRequest(_)));
     }
 }

@@ -21,7 +21,6 @@ use std::sync::Arc;
 
 use croupier_nat::{AddressInfo, Ip};
 use croupier_simulator::{Context, NatClass, NodeId, Protocol, SimDuration, TimerKey, WireSize};
-use serde::{Deserialize, Serialize};
 
 use crate::messages::UDP_IP_HEADER_BYTES;
 
@@ -36,7 +35,7 @@ const PARALLEL_PROBES: usize = 3;
 const TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// Messages of the identification protocol.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum NatIdMessage {
     /// Client → first public node: "what address do you see for me, and please have a node
     /// I did not contact send it back to me". Carries the set of public nodes the client is
@@ -74,7 +73,7 @@ impl WireSize for NatIdMessage {
 }
 
 /// Why a node reached its public/private conclusion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClassificationEvidence {
     /// The node's gateway supports UPnP IGD, so it can map a public port.
     UpnpMapping,
@@ -110,7 +109,6 @@ pub struct NatIdentificationNode {
     address_info: Arc<dyn AddressInfo + Send + Sync>,
     is_client: bool,
     conclusion: Option<(NatClass, ClassificationEvidence)>,
-    forwards_handled: u64,
 }
 
 impl fmt::Debug for NatIdentificationNode {
@@ -131,7 +129,6 @@ impl NatIdentificationNode {
             address_info,
             is_client: true,
             conclusion: None,
-            forwards_handled: 0,
         }
     }
 
@@ -143,13 +140,7 @@ impl NatIdentificationNode {
             address_info,
             is_client: false,
             conclusion: None,
-            forwards_handled: 0,
         }
-    }
-
-    /// The node's identity.
-    pub fn id(&self) -> NodeId {
-        self.id
     }
 
     /// The node's conclusion about its own NAT type, once reached.
@@ -163,13 +154,8 @@ impl NatIdentificationNode {
     }
 
     /// Returns `true` once the node has classified itself.
-    pub fn is_concluded(&self) -> bool {
+    pub(crate) fn is_concluded(&self) -> bool {
         self.conclusion.is_some()
-    }
-
-    /// Number of `MatchingIpTest`/`ForwardTest` messages this node has serviced for others.
-    pub fn forwards_handled(&self) -> u64 {
-        self.forwards_handled
     }
 
     fn conclude(&mut self, class: NatClass, evidence: ClassificationEvidence) {
@@ -216,7 +202,6 @@ impl Protocol for NatIdentificationNode {
     ) {
         match msg {
             NatIdMessage::MatchingIpTest { client, excluded } => {
-                self.forwards_handled += 1;
                 // A real deployment reads the source address off the UDP packet; the
                 // emulation asks the address oracle for the same observable fact.
                 let Some(observed) = self.address_info.observed_ip(client) else {
@@ -242,7 +227,6 @@ impl Protocol for NatIdentificationNode {
                 client,
                 client_observed_ip,
             } => {
-                self.forwards_handled += 1;
                 ctx.send(
                     client,
                     NatIdMessage::ForwardResponse {

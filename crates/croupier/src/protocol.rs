@@ -93,39 +93,9 @@ impl CroupierNode {
         }
     }
 
-    /// The node's identity.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The node's connectivity class.
-    pub fn class(&self) -> NatClass {
-        self.class
-    }
-
     /// The public view.
     pub fn public_view(&self) -> &View {
         &self.public_view
-    }
-
-    /// The private view.
-    pub fn private_view(&self) -> &View {
-        &self.private_view
-    }
-
-    /// The ratio estimator.
-    pub fn estimator(&self) -> &RatioEstimator {
-        &self.estimator
-    }
-
-    /// Number of shuffle requests this node has received (non-zero only for croupiers).
-    pub fn shuffle_requests_received(&self) -> u64 {
-        self.shuffles_received
-    }
-
-    /// Number of shuffle responses this node has received.
-    pub fn shuffle_responses_received(&self) -> u64 {
-        self.responses_received
     }
 
     /// The descriptor this node advertises about itself (age zero).
@@ -384,6 +354,18 @@ mod tests {
         WireSize,
     };
 
+    impl CroupierNode {
+        /// The node's identity.
+        pub(crate) fn id(&self) -> NodeId {
+            self.id
+        }
+
+        /// The private view.
+        pub(crate) fn private_view(&self) -> &View {
+            &self.private_view
+        }
+    }
+
     /// Builds a simulation of `n_public` + `n_private` Croupier nodes behind a NAT topology.
     fn build_sim(
         n_public: u64,
@@ -489,11 +471,11 @@ mod tests {
         let mut sim = build_sim(5, 20, CroupierConfig::default(), 5);
         sim.run_for_rounds(40);
         for (_, node) in sim.nodes() {
-            match node.class() {
-                NatClass::Public => assert!(node.shuffle_requests_received() > 0),
-                NatClass::Private => assert_eq!(node.shuffle_requests_received(), 0),
+            match node.class {
+                NatClass::Public => assert!(node.shuffles_received > 0),
+                NatClass::Private => assert_eq!(node.shuffles_received, 0),
             }
-            assert!(node.shuffle_responses_received() > 0);
+            assert!(node.responses_received > 0);
         }
     }
 
@@ -531,10 +513,10 @@ mod tests {
         let bound = 28
             + 6
             + (2 * SHUFFLE_SIZE + 1) * crate::DESCRIPTOR_WIRE_BYTES
-            + (ESTIMATE_SHARE_SIZE + 1) * crate::ESTIMATE_WIRE_BYTES;
+            + (ESTIMATE_SHARE_SIZE + 1) * crate::estimator::ESTIMATE_WIRE_BYTES;
         let node = sim.node(NodeId::new(3)).unwrap().clone();
         let payload = ShufflePayload {
-            sender_class: node.class(),
+            sender_class: node.class,
             public_descriptors: node
                 .public_view()
                 .iter()
@@ -574,7 +556,7 @@ mod tests {
         let mut retries = 0;
         let mut abandoned = 0;
         for (_, node) in sim.nodes() {
-            assert_eq!(node.shuffle_responses_received(), 0);
+            assert_eq!(node.responses_received, 0);
             retries += PssNode::retries_fired(node);
             abandoned += PssNode::exchanges_abandoned(node);
         }
@@ -595,7 +577,7 @@ mod tests {
         let mut responses = 0;
         let mut retries = 0;
         for (_, node) in sim.nodes() {
-            responses += node.shuffle_responses_received();
+            responses += node.responses_received;
             retries += PssNode::retries_fired(node);
         }
         assert!(retries > 0, "40% loss must trigger some retries");

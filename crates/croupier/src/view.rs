@@ -28,8 +28,7 @@ use crate::descriptor::{Descriptor, DescriptorBatch};
 /// }
 /// // Bounded at capacity, keeping the first three inserted.
 /// assert_eq!(view.len(), 3);
-/// view.increment_ages();
-/// assert!(view.iter().all(|d| d.age() == 1));
+/// assert!(view.iter().all(|d| d.node().as_u64() < 3));
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct View {
@@ -46,11 +45,6 @@ impl View {
         }
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -62,7 +56,7 @@ impl View {
     }
 
     /// Returns `true` when the view is at capacity.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
 
@@ -96,7 +90,7 @@ impl View {
     /// Inserts `descriptor` if its node is absent and there is free space.
     ///
     /// Returns `true` if the descriptor was inserted. Use
-    /// [`refresh_or_insert`](View::refresh_or_insert) to also update existing entries.
+    /// `refresh_or_insert` to also update existing entries.
     pub fn insert(&mut self, descriptor: Descriptor) -> bool {
         if self.contains(descriptor.node()) || self.is_full() {
             return false;
@@ -107,7 +101,7 @@ impl View {
 
     /// Inserts `descriptor`, or — if an entry for the same node already exists — replaces
     /// it when `descriptor` is fresher. Returns `true` if the view changed.
-    pub fn refresh_or_insert(&mut self, descriptor: Descriptor) -> bool {
+    pub(crate) fn refresh_or_insert(&mut self, descriptor: Descriptor) -> bool {
         if let Some(existing) = self
             .entries
             .iter_mut()

@@ -15,7 +15,7 @@ use croupier_experiments::figures::{
     fig1_stable_ratio, fig2_dynamic_ratio, fig3_system_size, fig4_ratio_sweep, fig5_churn,
     fig6_randomness, fig7_overhead, fig8_failure,
 };
-use croupier_experiments::output::{FigureData, Scale};
+use croupier_experiments::{FigureData, Scale};
 
 const USAGE: &str = "usage: figures [--scale tiny|quick|paper|large|huge] [--json] [FIGURE ...]\n\
                      figures: fig1 fig2 fig3 fig4 fig5 fig6 fig7a fig7b all (default: all)";

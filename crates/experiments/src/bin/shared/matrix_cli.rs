@@ -5,9 +5,9 @@
 use std::path::PathBuf;
 
 use croupier_experiments::matrix::matrix_rounds;
-use croupier_experiments::output::Scale;
 use croupier_experiments::protocols::ProtocolKind;
 use croupier_experiments::scenario::ScenarioScript;
+use croupier_experiments::Scale;
 
 pub(crate) struct Args {
     pub(crate) scale: Scale,

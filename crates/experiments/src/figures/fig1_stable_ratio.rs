@@ -28,21 +28,6 @@ pub fn params(scale: Scale, seed: u64) -> ExperimentParams {
         .with_sample_every(scale.sample_every())
 }
 
-/// The first round at which a series' value drops below `threshold` and never rises above
-/// it again — the convergence test used in §VII-B of the paper to compare history
-/// windows ("it takes roughly 100 rounds longer for the largest history windows to converge
-/// on good estimates compared to the smallest").
-///
-/// Returns `None` if the series never converges under that definition.
-pub fn convergence_round(points: &[(f64, f64)], threshold: f64) -> Option<u64> {
-    let last_bad = points
-        .iter()
-        .rposition(|(_, y)| *y > threshold)
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    points.get(last_bad).map(|(x, _)| *x as u64)
-}
-
 /// Runs the experiment and returns Fig. 1(a) (average error) and Fig. 1(b) (maximum error).
 pub fn run(scale: Scale) -> Vec<FigureData> {
     let runs: Vec<LabelledRun> = HISTORY_WINDOWS
@@ -62,6 +47,21 @@ pub fn run(scale: Scale) -> Vec<FigureData> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first round at which a series' value drops below `threshold` and never rises above
+    /// it again — the convergence test used in §VII-B of the paper to compare history
+    /// windows ("it takes roughly 100 rounds longer for the largest history windows to converge
+    /// on good estimates compared to the smallest").
+    ///
+    /// Returns `None` if the series never converges under that definition.
+    fn convergence_round(points: &[(f64, f64)], threshold: f64) -> Option<u64> {
+        let last_bad = points
+            .iter()
+            .rposition(|(_, y)| *y > threshold)
+            .map(|i| i + 1)
+            .unwrap_or(0);
+        points.get(last_bad).map(|(x, _)| *x as u64)
+    }
 
     #[test]
     fn produces_two_figures_with_all_window_configs() {

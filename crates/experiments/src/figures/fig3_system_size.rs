@@ -12,17 +12,17 @@ use crate::protocols::ProtocolKind;
 use crate::runner::ExperimentParams;
 
 /// System sizes evaluated by the paper.
-pub const PAPER_SIZES: [usize; 5] = [50, 100, 500, 1_000, 5_000];
+pub(crate) const PAPER_SIZES: [usize; 5] = [50, 100, 500, 1_000, 5_000];
 const PAPER_ROUNDS: u64 = 200;
 
 /// System sizes evaluated beyond the paper by [`Scale::Large`] on the sharded engine.
-pub const LARGE_SIZES: [usize; 3] = [10_000, 50_000, 100_000];
+pub(crate) const LARGE_SIZES: [usize; 3] = [10_000, 50_000, 100_000];
 
 /// System sizes evaluated at the million-node [`Scale::Huge`] tier.
-pub const HUGE_SIZES: [usize; 2] = [500_000, 1_000_000];
+pub(crate) const HUGE_SIZES: [usize; 2] = [500_000, 1_000_000];
 
 /// System sizes evaluated at a given scale.
-pub fn sizes(scale: Scale) -> Vec<usize> {
+pub(crate) fn sizes(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Tiny => vec![50, 100],
         Scale::Quick => vec![50, 100, 500],

@@ -12,12 +12,12 @@ use crate::output::{FigureData, Scale};
 use crate::runner::ExperimentParams;
 
 /// Ratios evaluated by the paper.
-pub const PAPER_RATIOS: [f64; 6] = [0.05, 0.10, 0.20, 0.33, 0.50, 0.90];
+pub(crate) const PAPER_RATIOS: [f64; 6] = [0.05, 0.10, 0.20, 0.33, 0.50, 0.90];
 const PAPER_NODES: usize = 1_000;
 const PAPER_ROUNDS: u64 = 200;
 
 /// Ratios evaluated at a given scale.
-pub fn ratios(scale: Scale) -> Vec<f64> {
+pub(crate) fn ratios(scale: Scale) -> Vec<f64> {
     match scale {
         Scale::Tiny => vec![0.10, 0.20, 0.50],
         Scale::Quick | Scale::Paper | Scale::Large | Scale::Huge => PAPER_RATIOS.to_vec(),

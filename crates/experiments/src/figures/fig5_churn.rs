@@ -14,7 +14,7 @@ use crate::runner::ExperimentParams;
 use crate::scenario::ChurnSpec;
 
 /// Churn rates (fraction of nodes replaced per round) evaluated by the paper.
-pub const PAPER_CHURN_RATES: [f64; 4] = [0.001, 0.01, 0.025, 0.05];
+pub(crate) const PAPER_CHURN_RATES: [f64; 4] = [0.001, 0.01, 0.025, 0.05];
 const PAPER_NODES: usize = 1_000;
 const PAPER_ROUNDS: u64 = 250;
 const PAPER_CHURN_START: u64 = 61;

@@ -18,9 +18,9 @@ const PAPER_NODES: usize = 1_000;
 const PAPER_ROUNDS: u64 = 150;
 
 /// X coordinate used for the public-node bar.
-pub const PUBLIC_X: f64 = 0.0;
+pub(crate) const PUBLIC_X: f64 = 0.0;
 /// X coordinate used for the private-node bar.
-pub const PRIVATE_X: f64 = 1.0;
+pub(crate) const PRIVATE_X: f64 = 1.0;
 
 /// Builds the experiment parameters for one protocol.
 pub fn params(scale: Scale, kind: ProtocolKind, seed: u64) -> ExperimentParams {
@@ -37,7 +37,7 @@ pub fn params(scale: Scale, kind: ProtocolKind, seed: u64) -> ExperimentParams {
 
 /// The Croupier configuration used by the overhead experiment (the paper uses γ = 100
 /// here).
-pub fn croupier_config() -> CroupierConfig {
+pub(crate) fn croupier_config() -> CroupierConfig {
     CroupierConfig::default().with_neighbour_history(100)
 }
 

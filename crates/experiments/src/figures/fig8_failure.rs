@@ -12,12 +12,12 @@ use crate::protocols::{run_failure_kind, ProtocolConfigs, ProtocolKind};
 use crate::runner::ExperimentParams;
 
 /// Failure fractions evaluated by the paper (40 % … 90 %).
-pub const PAPER_FAILURE_FRACTIONS: [f64; 6] = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
+pub(crate) const PAPER_FAILURE_FRACTIONS: [f64; 6] = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
 const PAPER_NODES: usize = 1_000;
 const PAPER_WARMUP_ROUNDS: u64 = 100;
 
 /// Failure fractions evaluated at a given scale.
-pub fn failure_fractions(scale: Scale) -> Vec<f64> {
+pub(crate) fn failure_fractions(scale: Scale) -> Vec<f64> {
     match scale {
         Scale::Tiny => vec![0.5, 0.9],
         Scale::Quick | Scale::Paper | Scale::Large | Scale::Huge => {

@@ -18,21 +18,21 @@
 //!   samples metrics every round.
 //! * [`protocols`] — constructors for the four systems under test (Croupier, Cyclon, Gozar,
 //!   Nylon) behind a common [`ProtocolKind`] switch.
-//! * [`output`] — figure/series containers and table rendering.
+//! * [`FigureData`] and [`Series`] — figure/series containers and table rendering.
 //! * [`figures`] — one module per paper figure.
 //! * [`matrix`] — the scenario-matrix runner: canned NAT-dynamics scripts × protocols,
 //!   with per-scenario JSON reports and a connectivity-recovery gate (the `scenario_matrix`
 //!   binary and the CI `scenario-matrix` job drive it), plus the workload tier (the
 //!   `workload_matrix` binary and the CI `workload-matrix` job).
-//! * [`workload`] — the streaming-dissemination workload engine: publishers, sampled
-//!   push/pull chunk transfer through the NAT filter and fault plane, the per-chunk
-//!   delivery tracker and its SLO gates (`DESIGN.md` §16).
+//! * [`WorkloadSpec`] and [`WorkloadExecutor`] — the streaming-dissemination workload
+//!   engine: publishers, sampled push/pull chunk transfer through the NAT filter and fault
+//!   plane, the per-chunk delivery tracker and its SLO gates (`DESIGN.md` §16).
 //!
 //! ## Example: a miniature Figure 1
 //!
 //! ```
 //! use croupier_experiments::figures::fig1_stable_ratio;
-//! use croupier_experiments::output::Scale;
+//! use croupier_experiments::Scale;
 //!
 //! // The tiny scale keeps doc tests fast; Scale::Paper reproduces the paper's population.
 //! let figures = fig1_stable_ratio::run(Scale::Tiny);
@@ -51,7 +51,7 @@
 //! ```
 //! use croupier::{CroupierConfig, CroupierNode};
 //! use croupier_experiments::runner::run_pss;
-//! use croupier_experiments::workload::WorkloadSpec;
+//! use croupier_experiments::WorkloadSpec;
 //! use croupier_experiments::{ExperimentParams, ScenarioScript};
 //!
 //! let params = ExperimentParams::default()
@@ -77,18 +77,17 @@
 
 pub mod figures;
 pub mod matrix;
-pub mod output;
+mod output;
 mod pool;
 pub mod protocols;
 pub mod runner;
 pub mod scenario;
-pub mod workload;
+mod workload;
 
 pub use output::{FigureData, Scale, Series};
 pub use protocols::ProtocolKind;
 pub use runner::{ExperimentParams, RoundSample, RunOutput};
 pub use scenario::{
-    ChurnSpec, FaultEvent, JoinSchedule, NatDynamicsEvent, ScenarioAction, ScenarioExecutor,
-    ScenarioScript, ScriptedEvent,
+    ChurnSpec, FaultEvent, JoinSchedule, NatDynamicsEvent, ScenarioExecutor, ScenarioScript,
 };
 pub use workload::{WorkloadExecutor, WorkloadReport, WorkloadSlo, WorkloadSpec, WorkloadState};

@@ -16,7 +16,7 @@
 //! [`run_matrix`] and [`run_workload_matrix`] hand their simulations to the crate's pool
 //! (`pool::run_all`) as one flat list, each reduced to its report on the worker that ran
 //! it; the workload tier's no-dynamics control is simulated once per protocol, not once
-//! per cell. [`run_cell`] and [`run_workload_cell`] are the single-cell entry points and
+//! per cell. `run_cell` and [`run_workload_cell`] are the single-cell entry points and
 //! the oracle the flat matrices are tested against.
 
 use std::fmt::Write as _;
@@ -32,12 +32,12 @@ use crate::workload::{WorkloadReport, WorkloadSlo, WorkloadSpec};
 
 /// A run counts as recovered when the largest connected component again holds at least
 /// this fraction of the sampled nodes.
-pub const RECOVERY_THRESHOLD: f64 = 0.95;
+pub(crate) const RECOVERY_THRESHOLD: f64 = 0.95;
 
 /// The recovery bar for fault-tier scenarios (scripts that drive the fault plane):
 /// datagram loss, bursts and reordering keep injecting until the scripted clear, so the
 /// overlay is given a slightly looser floor than the clean-network tier.
-pub const FAULT_RECOVERY_THRESHOLD: f64 = 0.90;
+pub(crate) const FAULT_RECOVERY_THRESHOLD: f64 = 0.90;
 
 /// How much more croupier's in-degree Gini may *degrade* under injected faults than the
 /// best NAT-aware baseline's before the gate fails. Degradation is measured per protocol
@@ -45,11 +45,11 @@ pub const FAULT_RECOVERY_THRESHOLD: f64 = 0.90;
 /// ([`CellReport::gini_degradation`]), so the gate compares how much each protocol's
 /// balance suffers from the faults — not the protocols' absolute Gini values, which
 /// differ by design even on a clean network.
-pub const FAULT_GINI_MARGIN: f64 = 0.05;
+pub(crate) const FAULT_GINI_MARGIN: f64 = 0.05;
 
 /// The recovery threshold a script is judged against: fault-tier scripts get
 /// [`FAULT_RECOVERY_THRESHOLD`], everything else [`RECOVERY_THRESHOLD`].
-pub fn recovery_threshold_for(script: &ScenarioScript) -> f64 {
+pub(crate) fn recovery_threshold_for(script: &ScenarioScript) -> f64 {
     if script.has_fault_actions() {
         FAULT_RECOVERY_THRESHOLD
     } else {
@@ -70,7 +70,7 @@ pub struct CellReport {
     /// Protocol name (figure-legend spelling).
     pub protocol: String,
     /// `true` when the final sample's largest component reaches
-    /// [`RECOVERY_THRESHOLD`] — the CI gate.
+    /// `RECOVERY_THRESHOLD` — the CI gate.
     pub recovered: bool,
     /// Largest-component fraction at the final sample.
     pub final_largest_component: f64,
@@ -116,7 +116,7 @@ impl CellReport {
     /// How much the faults unbalanced this protocol's in-degree distribution: final Gini
     /// minus the no-fault control's Gini. Negative when the fault run happened to end
     /// more balanced; zero in clean-network cells.
-    pub fn gini_degradation(&self) -> f64 {
+    pub(crate) fn gini_degradation(&self) -> f64 {
         self.final_indegree_gini - self.clean_indegree_gini
     }
 }
@@ -135,7 +135,7 @@ pub struct ScenarioReport {
     /// Round of the first disruptive scripted action, if any.
     pub disruption_round: Option<u64>,
     /// The recovery threshold every cell in this report was judged against
-    /// ([`FAULT_RECOVERY_THRESHOLD`] for fault-tier scripts, [`RECOVERY_THRESHOLD`]
+    /// (`FAULT_RECOVERY_THRESHOLD` for fault-tier scripts, `RECOVERY_THRESHOLD`
     /// otherwise).
     pub recovery_threshold: f64,
     /// `true` when the scenario drives the fault plane — selects the Gini gate.
@@ -151,8 +151,8 @@ impl ScenarioReport {
     }
 
     /// The fault-tier in-degree gate: croupier's Gini *degradation* (fault run vs its
-    /// own no-fault control, [`CellReport::gini_degradation`]) must be no more than
-    /// [`FAULT_GINI_MARGIN`] worse than the best NAT-aware baseline's degradation (gozar
+    /// own no-fault control, `CellReport::gini_degradation`) must be no more than
+    /// `FAULT_GINI_MARGIN` worse than the best NAT-aware baseline's degradation (gozar
     /// or nylon). Vacuously `true` for clean-network scenarios or when either side is
     /// absent from the protocol selection.
     pub fn croupier_gini_ok(&self) -> bool {
@@ -176,12 +176,6 @@ impl ScenarioReport {
             return true;
         }
         croupier <= best_baseline + FAULT_GINI_MARGIN
-    }
-
-    /// The full CI gate for this scenario: recovery for every protocol, plus the
-    /// croupier in-degree Gini bound on fault-tier cells.
-    pub fn gates_pass(&self) -> bool {
-        self.all_recovered() && self.croupier_gini_ok()
     }
 
     /// Serialises the report as pretty-printed JSON (hand-emitted, like
@@ -294,7 +288,7 @@ impl ScenarioReport {
 /// `disruption_round`, the first sample whose largest-component fraction drops below
 /// `threshold` and the first later sample back at or above it. Also returns the smallest
 /// fraction observed from the disruption onwards (1.0 when no sample qualifies).
-pub fn detect_partition_recovery(
+pub(crate) fn detect_partition_recovery(
     samples: &[RoundSample],
     disruption_round: u64,
     threshold: f64,
@@ -346,7 +340,7 @@ fn cell_script(script: &ScenarioScript, kind: ProtocolKind) -> ScenarioScript {
 }
 
 /// Runs one scenario × protocol cell.
-pub fn run_cell(
+pub(crate) fn run_cell(
     script: &ScenarioScript,
     kind: ProtocolKind,
     scale: Scale,
@@ -491,7 +485,7 @@ impl WorkloadCellReport {
     /// How many rounds of p95 delivery latency the scenario's dynamics cost this
     /// protocol, against its own no-dynamics control. Negative when the disrupted run
     /// happened to deliver faster.
-    pub fn p95_regression(&self) -> f64 {
+    pub(crate) fn p95_regression(&self) -> f64 {
         self.report.latency_p95 - self.control.latency_p95
     }
 
@@ -530,12 +524,6 @@ impl WorkloadScenarioReport {
             .iter()
             .filter(|c| c.protocol == "croupier")
             .all(|c| c.meets_slo(&self.spec.slo))
-    }
-
-    /// The full CI gate for this scenario (currently just
-    /// [`croupier_slo_ok`](Self::croupier_slo_ok)).
-    pub fn gates_pass(&self) -> bool {
-        self.croupier_slo_ok()
     }
 
     /// Serialises the report as pretty-printed JSON (hand-emitted, like
@@ -720,6 +708,22 @@ pub fn run_workload_matrix(
 mod tests {
     use super::*;
     use croupier_metrics::EstimationErrors;
+
+    impl WorkloadScenarioReport {
+        /// The full CI gate for this scenario (currently just
+        /// [`croupier_slo_ok`](Self::croupier_slo_ok)).
+        pub(crate) fn gates_pass(&self) -> bool {
+            self.croupier_slo_ok()
+        }
+    }
+
+    impl ScenarioReport {
+        /// The full CI gate for this scenario: recovery for every protocol, plus the
+        /// croupier in-degree Gini bound on fault-tier cells.
+        pub(crate) fn gates_pass(&self) -> bool {
+            self.all_recovered() && self.croupier_gini_ok()
+        }
+    }
 
     fn sample(round: u64, component: f64) -> RoundSample {
         RoundSample {

@@ -2,8 +2,6 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 /// Experiment scale: the paper's populations are large (up to 5000 nodes); the smaller
 /// scales keep unit tests, doc tests and benchmark iterations fast while preserving the
 /// qualitative behaviour, and the larger scales stress the sharded engine beyond the
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// | `Large` | ×20            | 100 000 | ÷4 (min 25)     | 10           | sharded ×4    | CSR pipeline             |
 /// | `Huge`  | ×200           | 1 000 000 | ÷8 (min 12)   | 20           | sharded ×8    | incremental trackers     |
 #[non_exhaustive]
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// A few dozen nodes, a few dozen rounds; used by doc tests and smoke tests.
     Tiny,
@@ -52,7 +50,7 @@ impl Scale {
     }
 
     /// Scales a round count.
-    pub fn rounds(self, paper_value: u64) -> u64 {
+    pub(crate) fn rounds(self, paper_value: u64) -> u64 {
         match self {
             Scale::Tiny => (paper_value / 5).max(20),
             Scale::Quick => (paper_value / 2).max(40),
@@ -63,7 +61,7 @@ impl Scale {
     }
 
     /// How often (in rounds) metrics are sampled at this scale.
-    pub fn sample_every(self) -> u64 {
+    pub(crate) fn sample_every(self) -> u64 {
         match self {
             Scale::Tiny => 2,
             Scale::Quick => 2,
@@ -76,7 +74,7 @@ impl Scale {
     /// The engine selector used at this scale: the paper scales keep the event-driven
     /// engine (`0`), [`Scale::Large`] runs the sharded engine with four worker threads
     /// and [`Scale::Huge`] with eight.
-    pub fn engine_threads(self) -> usize {
+    pub(crate) fn engine_threads(self) -> usize {
         match self {
             Scale::Tiny | Scale::Quick | Scale::Paper => 0,
             Scale::Large => 4,
@@ -91,7 +89,7 @@ impl Scale {
     /// The same switch turns on the incremental in-degree tracker
     /// ([`ExperimentParams::incremental_indegree`](crate::runner::ExperimentParams::incremental_indegree)):
     /// both serve the tier that cannot afford the CSR pipeline per sample.
-    pub fn incremental_components(self) -> bool {
+    pub(crate) fn incremental_components(self) -> bool {
         matches!(self, Scale::Huge)
     }
 
@@ -109,7 +107,7 @@ impl Scale {
 }
 
 /// One plotted series: a label and a list of `(x, y)` points.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Series {
     /// Legend label (e.g. `"α=25, γ=50"` or `"croupier"`).
     pub label: String,
@@ -119,7 +117,7 @@ pub struct Series {
 
 impl Series {
     /// Creates an empty series with the given label.
-    pub fn new(label: impl Into<String>) -> Self {
+    pub(crate) fn new(label: impl Into<String>) -> Self {
         Series {
             label: label.into(),
             points: Vec::new(),
@@ -127,28 +125,13 @@ impl Series {
     }
 
     /// Appends a point.
-    pub fn push(&mut self, x: f64, y: f64) {
+    pub(crate) fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
-    }
-
-    /// The final y value, if any.
-    pub fn last_y(&self) -> Option<f64> {
-        self.points.last().map(|(_, y)| *y)
-    }
-
-    /// The mean of the y values over the last `n` points (or all of them if fewer exist).
-    pub fn tail_mean(&self, n: usize) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let start = self.points.len().saturating_sub(n);
-        let tail = &self.points[start..];
-        Some(tail.iter().map(|(_, y)| *y).sum::<f64>() / tail.len() as f64)
     }
 }
 
 /// The data behind one regenerated figure of the paper.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FigureData {
     /// Short identifier (e.g. `"fig1"`).
     pub id: String,
@@ -177,11 +160,6 @@ impl FigureData {
             y_label: y_label.into(),
             series: Vec::new(),
         }
-    }
-
-    /// Finds a series by label.
-    pub fn series(&self, label: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.label == label)
     }
 
     /// Renders the figure as an aligned plain-text table (x values as rows, one column per
@@ -395,6 +373,30 @@ fn json_number(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FigureData {
+        /// Finds a series by label.
+        pub(crate) fn series(&self, label: &str) -> Option<&Series> {
+            self.series.iter().find(|s| s.label == label)
+        }
+    }
+
+    impl Series {
+        /// The final y value, if any.
+        pub(crate) fn last_y(&self) -> Option<f64> {
+            self.points.last().map(|(_, y)| *y)
+        }
+
+        /// The mean of the y values over the last `n` points (or all of them if fewer exist).
+        pub(crate) fn tail_mean(&self, n: usize) -> Option<f64> {
+            if self.points.is_empty() {
+                return None;
+            }
+            let start = self.points.len().saturating_sub(n);
+            let tail = &self.points[start..];
+            Some(tail.iter().map(|(_, y)| *y).sum::<f64>() / tail.len() as f64)
+        }
+    }
 
     #[test]
     fn scale_factors_shrink_populations() {

@@ -3,12 +3,11 @@
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_baselines::{BaselineConfig, CyclonNode, GozarNode, NylonNode};
 use croupier_simulator::{NatClass, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::runner::{run_failure, run_pss, ExperimentParams, RunOutput};
 
 /// The peer-sampling protocols compared in the paper's evaluation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProtocolKind {
     /// Croupier — the paper's contribution (NAT-aware, no relaying, no hole punching).
     Croupier,

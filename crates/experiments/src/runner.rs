@@ -25,13 +25,12 @@ use croupier_simulator::{
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::scenario::{ChurnSpec, JoinEvent, JoinSchedule, ScenarioExecutor, ScenarioScript};
 use crate::workload::{WorkloadExecutor, WorkloadReport, WorkloadSpec, WorkloadState};
 
 /// Late growth of one class of nodes, used by the dynamic-ratio experiment (Fig. 2).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GrowthSpec {
     /// Round at which the growth starts.
     pub start_round: u64,
@@ -44,7 +43,7 @@ pub struct GrowthSpec {
 }
 
 /// Parameters of one experiment run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentParams {
     /// Master seed (drives the topology, the engine and the workload).
     pub seed: u64,
@@ -204,7 +203,7 @@ impl ExperimentParams {
     }
 
     /// Enables late growth (dynamic ratio).
-    pub fn with_growth(mut self, growth: GrowthSpec) -> Self {
+    pub(crate) fn with_growth(mut self, growth: GrowthSpec) -> Self {
         self.growth = Some(growth);
         self
     }
@@ -222,7 +221,7 @@ impl ExperimentParams {
     }
 
     /// Enables overhead measurement over the given round window.
-    pub fn with_overhead_window(mut self, start_round: u64, end_round: u64) -> Self {
+    pub(crate) fn with_overhead_window(mut self, start_round: u64, end_round: u64) -> Self {
         assert!(end_round > start_round, "overhead window must not be empty");
         self.overhead_window = Some((start_round, end_round));
         self
@@ -242,7 +241,7 @@ impl ExperimentParams {
 }
 
 /// The metrics captured at one sampling instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoundSample {
     /// Gossip round at which the sample was taken.
     pub round: u64,
@@ -267,7 +266,7 @@ pub struct RoundSample {
 
 /// Wall-clock cost of one metrics sample, split into the part that must run on the
 /// driver thread and the part a metrics worker can take over.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SampleMetricsTiming {
     /// Gossip round of the sample.
     pub round: u64,
@@ -282,7 +281,7 @@ pub struct SampleMetricsTiming {
 }
 
 /// How much full-graph analysis the metrics workers hid behind the simulation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MetricsOverlapReport {
     /// Number of metrics worker threads.
     pub workers: usize,
@@ -346,16 +345,6 @@ impl RunOutput {
     /// The last sample, if any.
     pub fn last_sample(&self) -> Option<&RoundSample> {
         self.samples.last()
-    }
-
-    /// Mean of the average estimation error over the last `n` samples.
-    pub fn tail_avg_error(&self, n: usize) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let start = self.samples.len().saturating_sub(n);
-        let tail = &self.samples[start..];
-        Some(tail.iter().map(|s| s.estimation.average).sum::<f64>() / tail.len() as f64)
     }
 }
 
@@ -905,7 +894,11 @@ where
 /// Runs a catastrophic-failure experiment: the system is built and run for `params.rounds`
 /// rounds, then `failure_fraction` of the nodes crash simultaneously; the return value is
 /// the fraction of surviving nodes that remain in the largest connected cluster.
-pub fn run_failure<P, F>(params: &ExperimentParams, make_node: F, failure_fraction: f64) -> f64
+pub(crate) fn run_failure<P, F>(
+    params: &ExperimentParams,
+    make_node: F,
+    failure_fraction: f64,
+) -> f64
 where
     P: Protocol + PssNode + Send,
     P::Message: Send,

@@ -13,12 +13,11 @@ use croupier_nat::{FilteringPolicy, NatTopology};
 use croupier_simulator::{FaultPlane, FaultProfile, NatClass, NodeId, RoundHook, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Continuous churn, as in §VII-B of the paper: every round a fixed fraction of randomly
 /// selected nodes leaves and is immediately replaced by freshly initialised nodes of the
 /// same class, keeping the public/private ratio stable.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChurnSpec {
     /// First round in which churn is applied.
     pub start_round: u64,
@@ -45,7 +44,7 @@ impl ChurnSpec {
 }
 
 /// A node arrival: when it joins and with which connectivity class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JoinEvent {
     /// Join time.
     pub at: SimTime,
@@ -54,7 +53,7 @@ pub struct JoinEvent {
 }
 
 /// A complete join schedule: a time-ordered list of [`JoinEvent`]s.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct JoinSchedule {
     events: Vec<JoinEvent>,
 }
@@ -92,28 +91,10 @@ impl JoinSchedule {
         JoinSchedule { events }
     }
 
-    /// Builds a schedule where every node joins at time zero; useful for unit tests.
-    pub fn immediate(n_public: usize, n_private: usize) -> Self {
-        let mut events = Vec::with_capacity(n_public + n_private);
-        for _ in 0..n_public {
-            events.push(JoinEvent {
-                at: SimTime::ZERO,
-                class: NatClass::Public,
-            });
-        }
-        for _ in 0..n_private {
-            events.push(JoinEvent {
-                at: SimTime::ZERO,
-                class: NatClass::Private,
-            });
-        }
-        JoinSchedule { events }
-    }
-
     /// Appends a burst of `count` joins of `class`, evenly spaced by `interarrival_ms`
     /// starting at `start` — used by the dynamic-ratio experiment (Fig. 2), which adds a new
     /// public node every 42 ms once the system is stable.
-    pub fn append_growth(
+    pub(crate) fn append_growth(
         &mut self,
         start: SimTime,
         count: usize,
@@ -151,17 +132,6 @@ impl JoinSchedule {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Time of the last join.
-    pub fn last_join(&self) -> Option<SimTime> {
-        self.events.last().map(|e| e.at)
-    }
-
-    /// Counts of (public, private) joins in the schedule.
-    pub fn class_counts(&self) -> (usize, usize) {
-        let public = self.events.iter().filter(|e| e.class.is_public()).count();
-        (public, self.events.len() - public)
-    }
 }
 
 /// Samples an exponentially distributed inter-arrival time with the given mean.
@@ -177,8 +147,8 @@ pub use croupier_nat::{GatewayProfile, NatDynamicsEvent};
 
 /// One scripted event: a change to the NAT environment or to the message-plane fault
 /// injector.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum ScriptedEvent {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum ScriptedEvent {
     /// Mutates the topology through [`NatTopology::apply`].
     Nat(NatDynamicsEvent),
     /// Drives the engine's [`FaultPlane`].
@@ -192,8 +162,8 @@ impl ScriptedEvent {
 }
 
 /// A [`ScriptedEvent`] scheduled at a round barrier.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioAction {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct ScenarioAction {
     /// The round barrier (1-based) at which the event applies.
     pub round: u64,
     /// The event.
@@ -204,7 +174,7 @@ pub struct ScenarioAction {
 /// counterpart of the NAT-dynamics vocabulary. Fault events mutate the engine's
 /// [`FaultPlane`] rather than the topology, so they model datagram-level pathologies
 /// (loss, bursts, duplication, reordering, corruption) instead of reachability changes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultEvent {
     /// Replaces the plane's default profile, applied to every link from this barrier on.
     FaultProfileChange {
@@ -234,22 +204,15 @@ pub enum FaultEvent {
 /// # Examples
 ///
 /// ```
-/// use croupier_experiments::scenario::{NatDynamicsEvent, ScenarioScript};
+/// use croupier_experiments::scenario::{FaultEvent, ScenarioScript};
+/// use croupier_simulator::FaultProfile;
 ///
-/// let script = ScenarioScript::new("reboot-then-outage")
-///     .at(10, NatDynamicsEvent::GatewayRebootStorm { fraction: 0.5 })
-///     .at(
-///         15,
-///         NatDynamicsEvent::RegionalOutage {
-///             region: 0,
-///             regions: 4,
-///             outage_rounds: 3,
-///         },
-///     );
+/// let script = ScenarioScript::new("lossy-spell")
+///     .fault_at(10, FaultEvent::FaultProfileChange { profile: FaultProfile::lossy(0.1) })
+///     .fault_at(15, FaultEvent::FaultProfileChange { profile: FaultProfile::default() });
 /// assert_eq!(script.len(), 2);
-/// assert_eq!(script.last_action_round(), Some(15));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScenarioScript {
     name: String,
     actions: Vec<ScenarioAction>,
@@ -285,7 +248,7 @@ impl ScenarioScript {
     ///
     /// Panics if the event's parameters are out of range (see
     /// [`NatDynamicsEvent::validate`]).
-    pub fn at(mut self, round: u64, event: NatDynamicsEvent) -> Self {
+    pub(crate) fn at(mut self, round: u64, event: NatDynamicsEvent) -> Self {
         event.validate();
         self.schedule(round, ScriptedEvent::Nat(event));
         self
@@ -317,19 +280,19 @@ impl ScenarioScript {
 
     /// The scheduled actions, sorted by round; within a round NAT dynamics come before
     /// fault-plane actions.
-    pub fn actions(&self) -> &[ScenarioAction] {
+    pub(crate) fn actions(&self) -> &[ScenarioAction] {
         &self.actions
     }
 
     /// Returns `true` when the script drives the fault plane — runners use this to pick
     /// the fault-tier recovery gate instead of the clean-network one.
-    pub fn has_fault_actions(&self) -> bool {
+    pub(crate) fn has_fault_actions(&self) -> bool {
         self.actions.iter().any(|a| a.event.is_fault())
     }
 
     /// A copy of this script with every fault action stripped (NAT dynamics kept): the
     /// no-fault control run the matrix Gini gate measures degradation against.
-    pub fn without_faults(&self) -> Self {
+    pub(crate) fn without_faults(&self) -> Self {
         let mut script = self.clone();
         script.actions.retain(|a| !a.event.is_fault());
         script
@@ -345,15 +308,10 @@ impl ScenarioScript {
         self.actions.is_empty()
     }
 
-    /// Round of the last scheduled action, if any.
-    pub fn last_action_round(&self) -> Option<u64> {
-        self.actions.last().map(|a| a.round)
-    }
-
     /// Round of the first disruptive action, if any. Flash crowds add capacity rather
     /// than remove it and a [`FaultClear`](FaultEvent::FaultClear) restores a healthy
     /// network, so neither counts as a disruption for recovery detection.
-    pub fn first_disruption_round(&self) -> Option<u64> {
+    pub(crate) fn first_disruption_round(&self) -> Option<u64> {
         self.actions
             .iter()
             .find(|a| {
@@ -426,7 +384,7 @@ impl ScenarioScript {
 /// The canned scenario library behind the scenario-matrix runner. Disruptions land
 /// around the midpoint of a `rounds`-round run so every script leaves room to recover.
 impl ScenarioScript {
-    /// Names of the scripts in [`matrix`](Self::matrix) order. The last three are the
+    /// Names of the scripts in the matrix order. The last three are the
     /// fault tier: they drive the engines' [`FaultPlane`] instead of the topology.
     pub const MATRIX_NAMES: [&'static str; 11] = [
         "reboot_storm",
@@ -473,7 +431,7 @@ impl ScenarioScript {
     /// NAT-profile flux: a carrier-grade-NAT rollout demotes 30 % of the public nodes,
     /// an upgrade wave later promotes 30 % of the private ones, and the surviving
     /// gateways tighten to address-and-port-dependent filtering.
-    pub fn nat_flux(rounds: u64) -> Self {
+    pub(crate) fn nat_flux(rounds: u64) -> Self {
         let mid = Self::mid(rounds);
         let eighth = (rounds / 8).max(1);
         ScenarioScript::new("nat_flux")
@@ -492,7 +450,7 @@ impl ScenarioScript {
     }
 
     /// A flash crowd: half the initial population joins within one round, 20 % public.
-    pub fn flash_crowd(rounds: u64) -> Self {
+    pub(crate) fn flash_crowd(rounds: u64) -> Self {
         ScenarioScript::new("flash_crowd").at(
             Self::mid(rounds),
             NatDynamicsEvent::FlashCrowd {
@@ -537,7 +495,7 @@ impl ScenarioScript {
     /// hairpinning), then a partial rollback to full-cone (endpoint-independent
     /// filtering, hairpinning on) an eighth of the run later — mid-run, a reply path opens
     /// only to the exact peer a node contacted.
-    pub fn symmetric_shift(rounds: u64) -> Self {
+    pub(crate) fn symmetric_shift(rounds: u64) -> Self {
         let mid = Self::mid(rounds);
         ScenarioScript::new("symmetric_shift")
             .at(
@@ -559,7 +517,7 @@ impl ScenarioScript {
     /// An ISP consolidation: 40 % of the private nodes are moved behind one shared
     /// carrier-grade NAT with a four-address pool (address-dependent filtering,
     /// hairpinning on so consolidated customers still reach each other).
-    pub fn cgn_migration(rounds: u64) -> Self {
+    pub(crate) fn cgn_migration(rounds: u64) -> Self {
         ScenarioScript::new("cgn_migration").at(
             Self::mid(rounds),
             NatDynamicsEvent::CgnConsolidation {
@@ -658,16 +616,6 @@ impl ScenarioScript {
             _ => None,
         }
     }
-
-    /// The full canned matrix for a `rounds`-round run, in [`MATRIX_NAMES`] order.
-    ///
-    /// [`MATRIX_NAMES`]: Self::MATRIX_NAMES
-    pub fn matrix(rounds: u64) -> Vec<Self> {
-        Self::MATRIX_NAMES
-            .iter()
-            .map(|name| Self::by_name(name, rounds).expect("canned script"))
-            .collect()
-    }
 }
 
 /// Executes a [`ScenarioScript`] against a [`NatTopology`] at round barriers.
@@ -711,11 +659,6 @@ impl ScenarioExecutor {
     pub fn with_fault_plane(mut self, plane: FaultPlane) -> Self {
         self.fault_plane = Some(plane);
         self
-    }
-
-    /// Returns `true` once every action has applied and every outage is restored.
-    pub fn is_settled(&self) -> bool {
-        self.next_action >= self.actions.len() && self.pending_restores.is_empty()
     }
 
     fn apply_fault(&mut self, event: FaultEvent) {
@@ -790,6 +733,65 @@ impl RoundHook for ScenarioExecutor {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl ScenarioScript {
+        /// The full canned matrix for a `rounds`-round run, in [`MATRIX_NAMES`] order.
+        ///
+        /// [`MATRIX_NAMES`]: Self::MATRIX_NAMES
+        pub(crate) fn matrix(rounds: u64) -> Vec<Self> {
+            Self::MATRIX_NAMES
+                .iter()
+                .map(|name| Self::by_name(name, rounds).expect("canned script"))
+                .collect()
+        }
+    }
+
+    impl JoinSchedule {
+        /// Time of the last join.
+        pub(crate) fn last_join(&self) -> Option<SimTime> {
+            self.events.last().map(|e| e.at)
+        }
+    }
+
+    impl ScenarioExecutor {
+        /// Returns `true` once every action has applied and every outage is restored.
+        fn is_settled(&self) -> bool {
+            self.next_action >= self.actions.len() && self.pending_restores.is_empty()
+        }
+    }
+
+    impl ScenarioScript {
+        /// Round of the last scheduled action, if any.
+        fn last_action_round(&self) -> Option<u64> {
+            self.actions.last().map(|a| a.round)
+        }
+    }
+
+    impl JoinSchedule {
+        /// Builds a schedule where every node joins at time zero; useful for unit tests.
+        fn immediate(n_public: usize, n_private: usize) -> Self {
+            let mut events = Vec::with_capacity(n_public + n_private);
+            for _ in 0..n_public {
+                events.push(JoinEvent {
+                    at: SimTime::ZERO,
+                    class: NatClass::Public,
+                });
+            }
+            for _ in 0..n_private {
+                events.push(JoinEvent {
+                    at: SimTime::ZERO,
+                    class: NatClass::Private,
+                });
+            }
+            JoinSchedule { events }
+        }
+
+        /// Counts of (public, private) joins in the schedule.
+        fn class_counts(&self) -> (usize, usize) {
+            let public = self.events.iter().filter(|e| e.class.is_public()).count();
+            (public, self.events.len() - public)
+        }
+    }
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(3)

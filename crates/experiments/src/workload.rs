@@ -29,19 +29,18 @@ use std::sync::{Arc, Mutex};
 
 use croupier_nat::NatTopology;
 use croupier_simulator::{DeliveryFilter, FaultPlane, HookOps, NodeId, RoundHook, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Declared service-level objectives for a dissemination workload.
 ///
 /// # Examples
 ///
 /// ```
-/// use croupier_experiments::workload::WorkloadSlo;
+/// use croupier_experiments::WorkloadSlo;
 ///
 /// let slo = WorkloadSlo::default();
 /// assert!(slo.min_coverage >= 0.99);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadSlo {
     /// Minimum fraction of `(chunk, live subscriber)` pairs delivered within the seal
     /// window ([`WorkloadSpec::coverage_rounds`]).
@@ -63,21 +62,19 @@ impl Default for WorkloadSlo {
     }
 }
 
-/// Configuration of a dissemination workload (see the module docs for the model).
+/// Configuration of a dissemination workload (the module documentation of `workload.rs`
+/// gives the model).
 ///
 /// # Examples
 ///
 /// ```
-/// use croupier_experiments::workload::WorkloadSpec;
+/// use croupier_experiments::WorkloadSpec;
 ///
-/// let spec = WorkloadSpec::default()
-///     .with_publishers(2)
-///     .with_rate(1.5)
-///     .with_window(10, 20);
-/// assert_eq!(spec.publishers, 2);
+/// let spec = WorkloadSpec::default().with_rate(1.5).with_window(10, 20);
+/// assert_eq!(spec.chunks_per_round, 1.5);
 /// assert_eq!(spec.start_round, 10);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of publisher nodes (the first live public nodes in ascending id order at
     /// the first publishing barrier; chunks round-robin over them).
@@ -116,12 +113,6 @@ impl Default for WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Sets the number of publisher nodes.
-    pub fn with_publishers(mut self, publishers: usize) -> Self {
-        self.publishers = publishers.max(1);
-        self
-    }
-
     /// Sets the aggregate publish rate in chunks per round.
     pub fn with_rate(mut self, chunks_per_round: f64) -> Self {
         self.chunks_per_round = chunks_per_round.max(0.0);
@@ -149,13 +140,13 @@ impl WorkloadSpec {
     }
 
     /// Sets the SLOs.
-    pub fn with_slo(mut self, slo: WorkloadSlo) -> Self {
+    pub(crate) fn with_slo(mut self, slo: WorkloadSlo) -> Self {
         self.slo = slo;
         self
     }
 
     /// The last round on which this spec publishes a chunk.
-    pub fn last_publish_round(&self) -> u64 {
+    pub(crate) fn last_publish_round(&self) -> u64 {
         self.start_round + self.publish_rounds.saturating_sub(1)
     }
 }
@@ -165,7 +156,7 @@ impl WorkloadSpec {
 /// All fields are either exact integer counters or values computed from them in a fixed
 /// order, so two runs of the same seeded experiment produce `==`-identical reports — the
 /// bit-identity tests compare whole reports across engine worker counts.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkloadReport {
     /// Chunks published over the run.
     pub chunks_published: u64,
@@ -659,11 +650,9 @@ mod tests {
     #[test]
     fn spec_builders_clamp_degenerate_values() {
         let spec = WorkloadSpec::default()
-            .with_publishers(0)
             .with_rate(-2.0)
             .with_window(0, 5)
             .with_coverage_rounds(0);
-        assert_eq!(spec.publishers, 1);
         assert_eq!(spec.chunks_per_round, 0.0);
         assert_eq!(spec.start_round, 1);
         assert_eq!(spec.coverage_rounds, 1);

@@ -230,20 +230,10 @@ impl MetricsContext {
         }
     }
 
-    /// The number of worker threads multi-source BFS fans out to.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// (Re)builds the shared CSR graph for `snapshot`, reusing all internal buffers.
     /// Call once per sample, then evaluate any subset of the metrics.
     pub fn build(&mut self, snapshot: &OverlaySnapshot) {
         self.graph.rebuild(snapshot);
-    }
-
-    /// The CSR graph of the current sample.
-    pub fn graph(&self) -> &CsrGraph {
-        &self.graph
     }
 
     /// Average shortest-path length (in hops) between reachable node pairs, sampled from

@@ -5,12 +5,10 @@
 //! and sits on the per-sample path as-is (the runner evaluates it before building the
 //! sample's [`MetricsContext`](crate::context::MetricsContext)).
 
-use serde::{Deserialize, Serialize};
-
 use crate::snapshot::OverlaySnapshot;
 
 /// Estimation-error summary across all nodes that hold an estimate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EstimationErrors {
     /// Average absolute error |ω − Eₙ(ω)| over all nodes with an estimate
     /// (equations 12–13; the absolute value makes the metric meaningful on the paper's

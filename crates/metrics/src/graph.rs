@@ -25,23 +25,13 @@ use crate::snapshot::OverlaySnapshot;
 
 /// An undirected overlay graph in compressed-sparse-row form, with reusable build buffers.
 ///
-/// Semantics match [`UndirectedGraph`](crate::reference::UndirectedGraph) exactly: one
+/// Semantics match the test-only reference `UndirectedGraph` exactly: one
 /// vertex per observed node (isolated nodes included), self-loops and edges touching
 /// unobserved nodes dropped, duplicate directed edges collapsed into one undirected edge.
 /// Each row of `neighbours` is sorted ascending and duplicate-free, which the clustering
 /// metric exploits to find a row's part above its own rank with one binary search.
-///
-/// # Examples
-///
-/// ```
-/// use croupier_metrics::{CsrGraph, OverlaySnapshot};
-///
-/// let mut graph = CsrGraph::new();
-/// graph.rebuild(&OverlaySnapshot::default());
-/// assert_eq!(graph.node_count(), 0);
-/// ```
 #[derive(Clone, Debug, Default)]
-pub struct CsrGraph {
+pub(crate) struct CsrGraph {
     /// Rank ↔ node id: ranks are positions in the ascending list of observed ids.
     ranks: RankTable,
     /// Row start offsets into `neighbours`; `offsets.len() == node_count() + 1`.
@@ -54,21 +44,12 @@ pub struct CsrGraph {
 
 impl CsrGraph {
     /// Creates an empty graph with no buffers allocated yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CsrGraph::default()
     }
 
-    /// Builds the graph for `snapshot`, a convenience for one-off use. Per-sample loops
-    /// should keep one `CsrGraph` (or a [`MetricsContext`](crate::context::MetricsContext))
-    /// alive and call [`rebuild`](CsrGraph::rebuild) so buffers are reused.
-    pub fn from_snapshot(snapshot: &OverlaySnapshot) -> Self {
-        let mut graph = CsrGraph::new();
-        graph.rebuild(snapshot);
-        graph
-    }
-
     /// Rebuilds the graph from `snapshot`, reusing every internal buffer.
-    pub fn rebuild(&mut self, snapshot: &OverlaySnapshot) {
+    pub(crate) fn rebuild(&mut self, snapshot: &OverlaySnapshot) {
         self.ranks.rebuild(snapshot);
         let n = self.ranks.ids().len();
 
@@ -134,35 +115,24 @@ impl CsrGraph {
 
     /// The dense rank of `id` in this sample, if the node was observed.
     #[inline]
-    pub fn rank_of(&self, id: NodeId) -> Option<u32> {
+    pub(crate) fn rank_of(&self, id: NodeId) -> Option<u32> {
         self.ranks.rank_of(id)
     }
 
-    /// The node id at dense rank `rank`.
-    #[inline]
-    pub fn id_of(&self, rank: u32) -> NodeId {
-        self.ranks.ids()[rank as usize]
-    }
-
     /// Number of vertices.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.ranks.ids().len()
-    }
-
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.neighbours.len() / 2
     }
 
     /// The sorted, duplicate-free adjacency row of the vertex at `rank`.
     #[inline]
-    pub fn row(&self, rank: u32) -> &[u32] {
+    pub(crate) fn row(&self, rank: u32) -> &[u32] {
         &self.neighbours
             [self.offsets[rank as usize] as usize..self.offsets[rank as usize + 1] as usize]
     }
 
     /// All vertices in ascending id order (equals ascending rank order).
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.ranks.ids().iter().copied()
     }
 }
@@ -172,6 +142,25 @@ mod tests {
     use super::*;
     use crate::snapshot::NodeObservation;
     use croupier_simulator::NatClass;
+
+    impl CsrGraph {
+        /// Builds the graph for `snapshot` in one call.
+        pub(crate) fn from_snapshot(snapshot: &OverlaySnapshot) -> Self {
+            let mut graph = CsrGraph::new();
+            graph.rebuild(snapshot);
+            graph
+        }
+
+        /// The node id at dense rank `rank`.
+        pub(crate) fn id_of(&self, rank: u32) -> NodeId {
+            self.ranks.ids()[rank as usize]
+        }
+
+        /// Number of undirected edges.
+        pub(crate) fn edge_count(&self) -> usize {
+            self.neighbours.len() / 2
+        }
+    }
 
     fn snapshot(nodes: &[u64], edges: &[(u64, u64)]) -> OverlaySnapshot {
         OverlaySnapshot::from_parts(
@@ -189,6 +178,13 @@ mod tests {
                 .map(|(a, b)| (NodeId::new(*a), NodeId::new(*b)))
                 .collect(),
         )
+    }
+
+    #[test]
+    fn rebuilding_from_an_empty_snapshot_gives_an_empty_graph() {
+        let mut graph = CsrGraph::new();
+        graph.rebuild(&OverlaySnapshot::default());
+        assert_eq!(graph.node_count(), 0);
     }
 
     #[test]

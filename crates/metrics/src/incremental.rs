@@ -117,13 +117,6 @@ impl IncrementalComponents {
         self.largest as f64 / self.parent.len() as f64
     }
 
-    /// Number of connected components among the observed nodes.
-    pub fn component_count(&self) -> usize {
-        (0..self.parent.len() as u32)
-            .filter(|&v| self.parent[v as usize] == v)
-            .count()
-    }
-
     /// Full union passes performed so far (the first `update` always counts one).
     pub fn rebuild_count(&self) -> u64 {
         self.rebuilds
@@ -195,6 +188,15 @@ mod tests {
     use crate::components::largest_component_fraction;
     use crate::snapshot::NodeObservation;
     use croupier_simulator::NatClass;
+
+    impl IncrementalComponents {
+        /// Number of connected components among the observed nodes.
+        pub(crate) fn component_count(&self) -> usize {
+            (0..self.parent.len() as u32)
+                .filter(|&v| self.parent[v as usize] == v)
+                .count()
+        }
+    }
 
     fn snapshot(nodes: &[u64], edges: &[(u64, u64)]) -> OverlaySnapshot {
         OverlaySnapshot::from_parts(

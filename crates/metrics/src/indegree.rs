@@ -13,25 +13,22 @@
 //!
 //! # One counting loop
 //!
-//! The one-shot functions ([`indegree_distribution`], [`indegree_histogram`],
-//! [`indegree_stats`], [`indegree_gini`]) are the answers of an [`IncrementalIndegree`]
+//! The one-shot functions ([`indegree_histogram`], [`indegree_stats`], [`indegree_gini`])
+//! are the answers of an [`IncrementalIndegree`]
 //! that recounted the snapshot once. The tracker itself consumes the capture-to-capture
 //! diff recorded by [`OverlaySnapshot::enable_delta_tracking`]: a directed edge `a → b`
 //! contributes one in-degree to `b` iff `b` is observed and `a != b` (multiset semantics —
 //! duplicates count), so an edge appearing or disappearing is a single counter increment
 //! or decrement at `b`'s rank. When membership changes (the rank space moved) or no valid
 //! delta exists, it falls back to the recount. The delta path is checked against the
-//! recount — bit-identical stats, histogram and Gini — by `tests/property_tests.rs` under
-//! randomized membership and edge churn.
-
-use croupier_simulator::NodeId;
-use serde::{Deserialize, Serialize};
+//! recount — bit-identical stats, histogram and Gini — by the randomized membership and
+//! edge churn properties in the test-only `reference` module.
 
 use crate::ranks::RankTable;
 use crate::snapshot::OverlaySnapshot;
 
 /// Summary statistics of an in-degree distribution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IndegreeStats {
     /// Smallest in-degree among observed nodes.
     pub min: usize,
@@ -41,21 +38,6 @@ pub struct IndegreeStats {
     pub mean: f64,
     /// Population standard deviation of the in-degree.
     pub std_dev: f64,
-}
-
-/// The in-degree of every observed node — how many view entries point at it — in the
-/// rank space of [`CsrGraph`](crate::graph::CsrGraph): ascending id, one entry per id. An
-/// edge `(from, to)` counts iff `to` is observed and `from != to`; duplicates count once
-/// each (multiset semantics).
-pub fn indegree_distribution(snapshot: &OverlaySnapshot) -> Vec<(NodeId, usize)> {
-    let tracker = of(snapshot);
-    tracker
-        .ranks
-        .ids()
-        .iter()
-        .copied()
-        .zip(tracker.degrees())
-        .collect()
 }
 
 /// Histogram of the in-degree distribution: for each in-degree value present, the number
@@ -202,7 +184,7 @@ fn gini_from_degree_counts(pairs: impl Iterator<Item = (usize, usize)>) -> f64 {
 pub struct IncrementalIndegree {
     /// The observed nodes' rank space (the same as [`CsrGraph`](crate::graph::CsrGraph)'s).
     ranks: RankTable,
-    /// Rank → in-degree, element-for-element equal to [`indegree_distribution`].
+    /// Rank → in-degree, one entry per rank in ascending id order.
     counts: Vec<u32>,
     /// Whether the counts describe the previous capture of the tracked snapshot
     /// (fast-path precondition).
@@ -244,7 +226,7 @@ impl IncrementalIndegree {
     }
 
     /// The tracked in-degrees in rank (ascending id) order.
-    pub fn degrees(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+    pub(crate) fn degrees(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         self.counts.iter().map(|&c| c as usize)
     }
 
@@ -339,7 +321,22 @@ mod tests {
     use super::*;
     use crate::graph::CsrGraph;
     use crate::snapshot::NodeObservation;
-    use croupier_simulator::NatClass;
+    use croupier_simulator::{NatClass, NodeId};
+
+    /// The in-degree of every observed node — how many view entries point at it — in the
+    /// rank space of `CsrGraph`: ascending id, one entry per id. An edge `(from, to)` counts
+    /// iff `to` is observed and `from != to`; duplicates count once each (multiset
+    /// semantics).
+    fn indegree_distribution(snapshot: &OverlaySnapshot) -> Vec<(NodeId, usize)> {
+        let tracker = of(snapshot);
+        tracker
+            .ranks
+            .ids()
+            .iter()
+            .copied()
+            .zip(tracker.degrees())
+            .collect()
+    }
 
     fn snapshot(nodes: &[u64], edges: &[(u64, u64)]) -> OverlaySnapshot {
         OverlaySnapshot::from_parts(

@@ -3,16 +3,18 @@
 //! Evaluation metrics for the Croupier reproduction, covering every quantity reported in
 //! §VII of the paper:
 //!
-//! * **Estimation accuracy** ([`estimation`]): average and maximum (Kolmogorov–Smirnov
-//!   style) error between each node's public/private-ratio estimate and the true ratio
-//!   (equations 10–13) — Figures 1–5.
-//! * **Randomness of the overlay** ([`indegree`], [`paths`], [`clustering`]): in-degree
-//!   distribution, average shortest path length and average clustering coefficient of the
-//!   overlay graph induced by the partial views — Figure 6.
-//! * **Protocol overhead** ([`overhead`]): average bytes per second per node, split by
-//!   connectivity class and optionally reported relative to a Cyclon baseline — Figure 7(a).
-//! * **Resilience** ([`components`]): size of the biggest connected cluster among surviving
-//!   nodes after catastrophic failure — Figure 7(b).
+//! * **Estimation accuracy** ([`estimation_errors`]): average and maximum
+//!   (Kolmogorov–Smirnov style) error between each node's public/private-ratio estimate
+//!   and the true ratio (equations 10–13) — Figures 1–5.
+//! * **Randomness of the overlay** ([`indegree_stats`], [`average_path_length`],
+//!   [`average_clustering_coefficient`]): in-degree distribution, average shortest path
+//!   length and average clustering coefficient of the overlay graph induced by the partial
+//!   views — Figure 6.
+//! * **Protocol overhead** ([`class_overhead`]): average bytes per second per node, split
+//!   by connectivity class and optionally reported relative to a Cyclon baseline —
+//!   Figure 7(a).
+//! * **Resilience** ([`largest_component_fraction`]): size of the biggest connected
+//!   cluster among surviving nodes after catastrophic failure — Figure 7(b).
 //!
 //! All graph metrics operate on an [`OverlaySnapshot`] extracted from a running simulation,
 //! so they are protocol-agnostic: Croupier, Cyclon, Gozar and Nylon are measured with the
@@ -20,14 +22,15 @@
 //!
 //! ## The per-sample pipeline
 //!
-//! The graph metrics share one compressed-sparse-row overlay graph ([`graph::CsrGraph`])
-//! built once per sample by a [`MetricsContext`], which also owns every traversal scratch
+//! The graph metrics share one compressed-sparse-row overlay graph built once per sample
+//! by a [`MetricsContext`], which also owns every traversal scratch
 //! buffer (epoch-stamped BFS visited sets, frontiers, the source permutation) and can fan
 //! multi-source BFS out over worker threads deterministically. Sampling loops keep one
 //! context (and one reusable snapshot, see [`OverlaySnapshot::capture_into`]) alive, so
 //! the steady-state measurement path performs **no allocation and no hashing**. The
-//! original tree/hash-based implementations survive in [`mod@reference`] as the
-//! executable specification the CSR pipeline is property-tested against.
+//! original tree/hash-based implementations are kept as a test-only `reference` module:
+//! the executable specification the crate's unit tests check the CSR pipeline and the
+//! incremental in-degree tracker against, bit for bit.
 //!
 //! ## Incremental trackers
 //!
@@ -44,8 +47,10 @@
 //! ran. A hand-built snapshot exercises the same code paths as an engine capture:
 //!
 //! ```
-//! use croupier_metrics::snapshot::{NodeObservation, OverlaySnapshot};
-//! use croupier_metrics::{indegree_stats, IncrementalComponents, IncrementalIndegree};
+//! use croupier_metrics::{
+//!     indegree_stats, IncrementalComponents, IncrementalIndegree, NodeObservation,
+//!     OverlaySnapshot,
+//! };
 //! use croupier_simulator::{NatClass, NodeId};
 //!
 //! let observe = |i: u64| NodeObservation {
@@ -73,30 +78,29 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod clustering;
-pub mod components;
-pub mod context;
-pub mod estimation;
-pub mod graph;
-pub mod incremental;
-pub mod indegree;
-pub mod overhead;
-pub mod paths;
+mod clustering;
+mod components;
+mod context;
+mod estimation;
+mod graph;
+mod incremental;
+mod indegree;
+mod overhead;
+mod paths;
 mod ranks;
-pub mod reference;
-pub mod snapshot;
+mod snapshot;
 
 pub use clustering::average_clustering_coefficient;
 pub use components::largest_component_fraction;
 pub use context::{draw_path_sources, MetricsContext};
 pub use estimation::{estimation_errors, EstimationErrors};
-pub use graph::CsrGraph;
 pub use incremental::IncrementalComponents;
 pub use indegree::{
-    indegree_distribution, indegree_gini, indegree_histogram, indegree_stats, IncrementalIndegree,
-    IndegreeStats,
+    indegree_gini, indegree_histogram, indegree_stats, IncrementalIndegree, IndegreeStats,
 };
 pub use overhead::{class_overhead, ClassOverhead, OverheadReport};
 pub use paths::average_path_length;
-pub use reference::UndirectedGraph;
-pub use snapshot::{EdgeDelta, NodeObservation, OverlaySnapshot};
+pub use snapshot::{NodeObservation, OverlaySnapshot};
+
+#[cfg(test)]
+mod reference;

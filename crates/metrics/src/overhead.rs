@@ -1,10 +1,9 @@
 //! Protocol overhead per connectivity class (Fig. 7(a) of the paper).
 
 use croupier_simulator::{NatClass, NodeId, TrafficLedger};
-use serde::{Deserialize, Serialize};
 
 /// Average network load of the nodes of one connectivity class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ClassOverhead {
     /// Number of nodes in the class.
     pub nodes: usize,
@@ -15,7 +14,7 @@ pub struct ClassOverhead {
 }
 
 /// Overhead report split by connectivity class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OverheadReport {
     /// Load of public nodes.
     pub public: ClassOverhead,

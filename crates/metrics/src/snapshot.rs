@@ -1,10 +1,9 @@
 //! Protocol-agnostic snapshots of the overlay graph.
 
 use croupier_simulator::{NatClass, NodeId, Protocol, PssNode, SimulationEngine};
-use serde::{Deserialize, Serialize};
 
 /// What the evaluation observes about one node at snapshot time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeObservation {
     /// The node's identity.
     pub id: NodeId,
@@ -24,52 +23,42 @@ pub struct NodeObservation {
 /// live-id buffers in place, so a sampling loop that keeps one snapshot alive performs no
 /// steady-state allocation. Equality compares the observable state (`nodes` and `edges`)
 /// only.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct OverlaySnapshot {
     /// Observations of every live node.
     pub nodes: Vec<NodeObservation>,
     /// Directed "knows-about" edges.
     pub edges: Vec<(NodeId, NodeId)>,
     /// Sorted live node ids, maintained as a reusable buffer for edge filtering.
-    #[serde(skip)]
     live_ids: Vec<NodeId>,
     /// Exclusive upper bound on live node ids, as reported by the engine's dense-index
     /// capture path (0 for hand-built snapshots; consumers fall back to the largest
     /// observed id).
-    #[serde(skip)]
     id_bound: u64,
     /// Whether [`capture_into`](OverlaySnapshot::capture_into) diffs consecutive
     /// captures (see [`enable_delta_tracking`](OverlaySnapshot::enable_delta_tracking)).
-    #[serde(skip)]
     track_deltas: bool,
     /// `true` once at least one tracked capture has run (the next one has a predecessor
     /// to diff against).
-    #[serde(skip)]
     delta_primed: bool,
     /// `true` when the current capture carries a valid diff against its predecessor.
-    #[serde(skip)]
     delta_valid: bool,
     /// Whether the observed node set changed between the last two tracked captures.
-    #[serde(skip)]
     membership_changed: bool,
     /// The previous capture's sorted edge list (double buffer for the diff).
-    #[serde(skip)]
     prev_edges: Vec<(NodeId, NodeId)>,
     /// The previous capture's sorted live-id list (double buffer for the diff).
-    #[serde(skip)]
     prev_live_ids: Vec<NodeId>,
     /// Directed edges present now but not in the previous capture (multiset diff).
-    #[serde(skip)]
     added_edges: Vec<(NodeId, NodeId)>,
     /// Directed edges present in the previous capture but not now (multiset diff).
-    #[serde(skip)]
     removed_edges: Vec<(NodeId, NodeId)>,
 }
 
 /// The difference between a snapshot's two most recent tracked captures, borrowed from
 /// [`OverlaySnapshot::edge_delta`].
 #[derive(Clone, Copy, Debug)]
-pub struct EdgeDelta<'a> {
+pub(crate) struct EdgeDelta<'a> {
     /// Directed edges that appeared since the previous capture (multiset semantics: a
     /// duplicate directed edge gained counts once per extra occurrence).
     pub added: &'a [(NodeId, NodeId)],
@@ -140,7 +129,7 @@ impl OverlaySnapshot {
     /// [`capture_into`](OverlaySnapshot::capture_into) — node/edge sorting, live-id
     /// refresh and (when enabled) delta diffing — without an engine. This is how tests
     /// and benchmarks stage a snapshot that carries a valid
-    /// [`edge_delta`](OverlaySnapshot::edge_delta) for the incremental metrics.
+    /// `edge_delta` for the incremental metrics.
     pub fn replace_from_parts(
         &mut self,
         nodes: Vec<NodeObservation>,
@@ -195,7 +184,7 @@ impl OverlaySnapshot {
     /// Turns on capture-to-capture diffing: every subsequent
     /// [`capture_into`](OverlaySnapshot::capture_into) records which directed edges
     /// appeared and disappeared (and whether membership changed) relative to the capture
-    /// before it, served by [`edge_delta`](OverlaySnapshot::edge_delta). Costs one extra
+    /// before it, served by `edge_delta`. Costs one extra
     /// edge-list-sized buffer and a two-pointer diff per capture; incremental metrics
     /// (see [`IncrementalComponents`](crate::incremental::IncrementalComponents)) are
     /// the consumer.
@@ -205,7 +194,7 @@ impl OverlaySnapshot {
 
     /// The diff between the two most recent tracked captures, or `None` when delta
     /// tracking is off or fewer than two captures have run.
-    pub fn edge_delta(&self) -> Option<EdgeDelta<'_>> {
+    pub(crate) fn edge_delta(&self) -> Option<EdgeDelta<'_>> {
         if self.delta_valid {
             Some(EdgeDelta {
                 added: &self.added_edges,
@@ -272,18 +261,9 @@ impl OverlaySnapshot {
 
     /// Exclusive upper bound on observed node ids: the engine-reported dense-id bound
     /// when captured from a simulation, otherwise the largest observed id plus one.
-    pub fn id_upper_bound(&self) -> u64 {
+    pub(crate) fn id_upper_bound(&self) -> u64 {
         self.id_bound
             .max(self.live_ids.last().map_or(0, |id| id.as_u64() + 1))
-    }
-
-    /// The true public/private ratio among the observed nodes.
-    pub fn true_ratio(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        let public = self.nodes.iter().filter(|n| n.class.is_public()).count();
-        public as f64 / self.nodes.len() as f64
     }
 
     /// Refreshes the cached sorted live-id buffer from `nodes`. Called by the capture and
@@ -311,6 +291,17 @@ impl OverlaySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OverlaySnapshot {
+        /// The true public/private ratio among the observed nodes.
+        pub(crate) fn true_ratio(&self) -> f64 {
+            if self.nodes.is_empty() {
+                return 0.0;
+            }
+            let public = self.nodes.iter().filter(|n| n.class.is_public()).count();
+            public as f64 / self.nodes.len() as f64
+        }
+    }
 
     fn obs(id: u64, class: NatClass) -> NodeObservation {
         NodeObservation {

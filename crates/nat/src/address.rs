@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A 32-bit IPv4-like address.
 ///
 /// Addresses allocated by [`NatTopology`](crate::NatTopology) follow two disjoint ranges so
@@ -20,15 +18,11 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use croupier_nat::Ip;
 ///
-/// let public = Ip::public(7);
-/// let private = Ip::private(7);
-/// assert!(!public.is_private_range());
-/// assert!(private.is_private_range());
-/// assert_ne!(public, private);
+/// let ip = Ip::public(7);
+/// assert_eq!(ip.to_string(), "0.0.0.8");
+/// assert_ne!(ip, Ip::public(8));
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Ip(u32);
 
 /// Start of the synthetic private address range (mirrors 192.168.0.0).
@@ -36,7 +30,7 @@ const PRIVATE_BASE: u32 = 0xC0A8_0000;
 
 impl Ip {
     /// Creates an address from its raw 32-bit value.
-    pub const fn from_raw(raw: u32) -> Self {
+    pub(crate) const fn from_raw(raw: u32) -> Self {
         Ip(raw)
     }
 
@@ -54,18 +48,13 @@ impl Ip {
     }
 
     /// Allocates the `index`-th synthetic *private* address.
-    pub fn private(index: u32) -> Self {
+    pub(crate) fn private(index: u32) -> Self {
         Ip(PRIVATE_BASE.wrapping_add(index))
     }
 
     /// Raw 32-bit value.
-    pub const fn as_u32(self) -> u32 {
+    pub(crate) const fn as_u32(self) -> u32 {
         self.0
-    }
-
-    /// Returns `true` if the address lies in the synthetic private range.
-    pub const fn is_private_range(self) -> bool {
-        self.0 >= PRIVATE_BASE
     }
 }
 
@@ -79,6 +68,13 @@ impl fmt::Display for Ip {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Ip {
+        /// Returns `true` if the address lies in the synthetic private range.
+        pub(crate) const fn is_private_range(self) -> bool {
+            self.0 >= PRIVATE_BASE
+        }
+    }
 
     #[test]
     fn public_and_private_ranges_are_disjoint() {

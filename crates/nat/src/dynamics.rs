@@ -8,8 +8,6 @@
 //! an event into topology mutations; the experiments crate's `ScenarioExecutor` schedules
 //! events at round barriers and re-exports the enum for script authors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::filtering::FilteringPolicy;
 use crate::gateway::NatGatewayConfig;
 
@@ -19,7 +17,7 @@ use crate::gateway::NatGatewayConfig;
 /// The enum is `#[non_exhaustive]`: scripts are data, and new event kinds are added
 /// without a major version bump — downstream matches need a wildcard arm.
 #[non_exhaustive]
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NatDynamicsEvent {
     /// Power-cycles the gateway of each private node independently with probability
     /// `fraction`, wiping the whole mapping table (consumer-router reboot storm after a
@@ -67,7 +65,7 @@ pub enum NatDynamicsEvent {
     },
     /// Consolidates each private node independently with probability `fraction` behind
     /// one newly created shared carrier-grade gateway
-    /// ([`NatGatewayConfig::carrier_grade`]) with `pool_size` external addresses — an ISP
+    /// (`NatGatewayConfig::carrier_grade`) with `pool_size` external addresses — an ISP
     /// moving customers behind a CGN. Consolidated nodes share the gateway's pool;
     /// hairpinning stays on so they can still reach each other.
     CgnConsolidation {
@@ -158,14 +156,14 @@ impl NatDynamicsEvent {
 /// [`GatewayReconfig`](NatDynamicsEvent::GatewayReconfig) events (an enum rather than an
 /// inline [`NatGatewayConfig`] so scripts stay serialisable as compact tags).
 #[non_exhaustive]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GatewayProfile {
-    /// [`NatGatewayConfig::full_cone`]: endpoint-independent filtering, hairpinning on.
+    /// `NatGatewayConfig::full_cone`: endpoint-independent filtering, hairpinning on.
     FullCone,
     /// [`NatGatewayConfig::symmetric`]: address-and-port-dependent filtering, no
     /// hairpinning.
     Symmetric,
-    /// [`NatGatewayConfig::carrier_grade`] with a 4-address pool: address-dependent
+    /// `NatGatewayConfig::carrier_grade` with a 4-address pool: address-dependent
     /// filtering, hairpinning on.
     CarrierGrade,
 }
@@ -174,7 +172,7 @@ impl GatewayProfile {
     /// The configuration this profile expands to. Only the mapping timeout is inherited
     /// from `base` (it models the deployment-wide UDP timeout, not a per-device trait);
     /// every behavioural axis comes from the profile.
-    pub fn config(self, base: &NatGatewayConfig) -> NatGatewayConfig {
+    pub(crate) fn config(self, base: &NatGatewayConfig) -> NatGatewayConfig {
         let mut cfg = match self {
             GatewayProfile::FullCone => NatGatewayConfig::full_cone(),
             GatewayProfile::Symmetric => NatGatewayConfig::symmetric(),
@@ -201,7 +199,7 @@ pub struct AppliedEvent {
 
 impl AppliedEvent {
     /// An application with no follow-up obligations.
-    pub fn done() -> Self {
+    pub(crate) fn done() -> Self {
         AppliedEvent::default()
     }
 }

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How a NAT filters inbound packets addressed to an existing mapping.
 ///
 /// * [`EndpointIndependent`](FilteringPolicy::EndpointIndependent): once the internal host
@@ -20,18 +18,18 @@ use serde::{Deserialize, Serialize};
 ///   are accepted only from remote *endpoints* (IP and port) the internal host has
 ///   previously sent to. The most restrictive and the most common policy in the wild.
 ///
+/// The variants are declared from the most permissive to the most restrictive, so the
+/// derived [`Ord`] orders them by strictness.
+///
 /// # Examples
 ///
 /// ```
 /// use croupier_nat::FilteringPolicy;
 ///
-/// assert!(FilteringPolicy::AddressAndPortDependent.is_stricter_than(
-///     FilteringPolicy::EndpointIndependent));
+/// assert!(FilteringPolicy::AddressAndPortDependent > FilteringPolicy::EndpointIndependent);
 /// ```
 #[non_exhaustive]
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum FilteringPolicy {
     /// Accept inbound traffic from anyone once a mapping exists.
     EndpointIndependent,
@@ -49,25 +47,6 @@ impl FilteringPolicy {
         FilteringPolicy::AddressDependent,
         FilteringPolicy::AddressAndPortDependent,
     ];
-
-    /// Returns `true` if `self` rejects at least every packet `other` rejects.
-    pub fn is_stricter_than(self, other: FilteringPolicy) -> bool {
-        self.rank() > other.rank()
-    }
-
-    fn rank(self) -> u8 {
-        match self {
-            FilteringPolicy::EndpointIndependent => 0,
-            FilteringPolicy::AddressDependent => 1,
-            FilteringPolicy::AddressAndPortDependent => 2,
-        }
-    }
-
-    /// Returns `true` if an unsolicited packet (from an endpoint the internal host never
-    /// contacted) passes this filter, provided a mapping exists at all.
-    pub fn accepts_unsolicited(self) -> bool {
-        matches!(self, FilteringPolicy::EndpointIndependent)
-    }
 }
 
 impl fmt::Display for FilteringPolicy {
@@ -88,26 +67,43 @@ mod tests {
     #[test]
     fn strictness_is_a_total_order() {
         use FilteringPolicy::*;
-        assert!(AddressDependent.is_stricter_than(EndpointIndependent));
-        assert!(AddressAndPortDependent.is_stricter_than(AddressDependent));
-        assert!(AddressAndPortDependent.is_stricter_than(EndpointIndependent));
-        assert!(!EndpointIndependent.is_stricter_than(AddressDependent));
-        assert!(!EndpointIndependent.is_stricter_than(EndpointIndependent));
+        assert!(AddressDependent > EndpointIndependent);
+        assert!(AddressAndPortDependent > AddressDependent);
+        assert!(AddressAndPortDependent > EndpointIndependent);
+        assert!(EndpointIndependent <= AddressDependent);
+        assert!(EndpointIndependent <= EndpointIndependent);
     }
 
     #[test]
     fn only_endpoint_independent_accepts_unsolicited() {
-        assert!(FilteringPolicy::EndpointIndependent.accepts_unsolicited());
-        assert!(!FilteringPolicy::AddressDependent.accepts_unsolicited());
-        assert!(!FilteringPolicy::AddressAndPortDependent.accepts_unsolicited());
+        use crate::{Ip, NatGateway, NatGatewayConfig};
+        use croupier_simulator::{NodeId, SimTime};
+        let (inside, contacted, stranger) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+        for policy in FilteringPolicy::ALL {
+            let mut gateway =
+                NatGateway::new(Ip::public(1), NatGatewayConfig::with_filtering(policy));
+            gateway.record_outbound(inside, contacted, Ip::public(2), SimTime::ZERO);
+            let unsolicited =
+                gateway.accepts_inbound(inside, stranger, Ip::public(3), SimTime::ZERO);
+            assert_eq!(
+                unsolicited,
+                policy == FilteringPolicy::EndpointIndependent,
+                "{policy}"
+            );
+        }
     }
 
     #[test]
     fn all_lists_every_variant_in_order() {
-        assert_eq!(FilteringPolicy::ALL.len(), 3);
-        assert!(FilteringPolicy::ALL
-            .windows(2)
-            .all(|w| w[1].is_stricter_than(w[0])));
+        use FilteringPolicy::*;
+        assert_eq!(
+            FilteringPolicy::ALL,
+            [
+                EndpointIndependent,
+                AddressDependent,
+                AddressAndPortDependent
+            ]
+        );
     }
 
     #[test]

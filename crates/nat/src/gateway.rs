@@ -1,7 +1,6 @@
 //! A single NAT gateway (or firewall) and its UDP mapping table.
 
 use croupier_simulator::{FastHashMap, NodeId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::address::Ip;
 use crate::filtering::FilteringPolicy;
@@ -15,7 +14,7 @@ use crate::filtering::FilteringPolicy;
 /// whether UPnP makes the host public. The defaults — hairpinning supported, a single
 /// external address, no UPnP — are the baseline every seeded run is pinned against; the
 /// richer behaviours are opt-in per gateway profile.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NatGatewayConfig {
     /// Inbound filtering policy.
     pub filtering: FilteringPolicy,
@@ -84,7 +83,7 @@ impl NatGatewayConfig {
     /// The "full-cone" profile: endpoint-independent filtering with hairpinning — the
     /// friendliest NAT RFC 4787 describes (and the only one the paper's `ForwardTest`
     /// traverses unsolicited).
-    pub fn full_cone() -> Self {
+    pub(crate) fn full_cone() -> Self {
         NatGatewayConfig {
             filtering: FilteringPolicy::EndpointIndependent,
             ..NatGatewayConfig::default()
@@ -106,71 +105,12 @@ impl NatGatewayConfig {
     /// `pool_size` external addresses (paired, per RFC 4787 REQ-2), address-dependent
     /// filtering, hairpinning supported (customers of one CGN must still reach each
     /// other).
-    pub fn carrier_grade(pool_size: u8) -> Self {
+    pub(crate) fn carrier_grade(pool_size: u8) -> Self {
         NatGatewayConfig {
             filtering: FilteringPolicy::AddressDependent,
             pool_size: pool_size.max(1),
             ..NatGatewayConfig::default()
         }
-    }
-}
-
-/// One entry of a gateway's UDP mapping table: internal host `internal` has sent traffic to
-/// remote node `remote` (whose observed address is `remote_ip`), most recently at
-/// `last_refreshed`.
-///
-/// This is the table's read type, built by value from a stored slot (see
-/// [`NatGateway::bindings`]). The table itself stores each entry as two `u64`s: the
-/// `(internal, remote)` pair packed by `pair_key`, and `remote_ip << 32 | refreshed_ms`
-/// packed by `pack_binding` — a 16-byte slot. At the 100k-node tier every private node
-/// owns a gateway holding a dozen or so bindings, so the slot size is one of the largest
-/// per-node costs in the NAT layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Binding {
-    internal: u32,
-    remote: u32,
-    remote_ip: Ip,
-    last_refreshed: SimTime,
-}
-
-impl Binding {
-    /// Creates a mapping-table entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node identifier exceeds the table's `u32` key space.
-    pub fn new(internal: NodeId, remote: NodeId, remote_ip: Ip, last_refreshed: SimTime) -> Self {
-        Binding {
-            internal: id32(internal),
-            remote: id32(remote),
-            remote_ip,
-            last_refreshed,
-        }
-    }
-
-    /// The internal (private) node that created the mapping.
-    pub fn internal(&self) -> NodeId {
-        NodeId::new(self.internal as u64)
-    }
-
-    /// The remote node the mapping points at.
-    pub fn remote(&self) -> NodeId {
-        NodeId::new(self.remote as u64)
-    }
-
-    /// The remote node's publicly observable IP address.
-    pub fn remote_ip(&self) -> Ip {
-        self.remote_ip
-    }
-
-    /// Last time outbound traffic refreshed the mapping.
-    pub fn last_refreshed(&self) -> SimTime {
-        self.last_refreshed
-    }
-
-    /// Returns `true` if the binding has expired at time `now` under `timeout`.
-    pub fn is_expired(&self, now: SimTime, timeout: SimDuration) -> bool {
-        now.saturating_since(self.last_refreshed) > timeout
     }
 }
 
@@ -326,38 +266,32 @@ impl NatGateway {
         }
     }
 
-    /// The gateway's primary public IP address (what remote peers observe as the packet
-    /// source when the pool holds a single address).
-    pub fn public_ip(&self) -> Ip {
-        self.external_ips[0]
-    }
-
     /// The gateway's external address pool.
-    pub fn external_ips(&self) -> &[Ip] {
+    pub(crate) fn external_ips(&self) -> &[Ip] {
         &self.external_ips
     }
 
     /// Appends an address to the external pool (topology-side pool growth during a
     /// scripted gateway reconfiguration).
-    pub fn extend_pool(&mut self, ip: Ip) {
+    pub(crate) fn extend_pool(&mut self, ip: Ip) {
         self.external_ips.push(ip);
     }
 
     /// The pool address `internal` is *paired* with (RFC 4787 REQ-2): every packet it
-    /// sends surfaces from this address. With the default single-address pool this is
-    /// [`public_ip`](Self::public_ip) for every node, which is what keeps pre-pool seeded
+    /// sends surfaces from this address. With the default single-address pool this is the
+    /// gateway's one public address for every node, which is what keeps pre-pool seeded
     /// runs bit-identical.
     pub fn external_ip_for(&self, internal: NodeId) -> Ip {
         self.external_ips[id32(internal) as usize % self.external_ips.len()]
     }
 
     /// Whether the gateway loops traffic between two of its own internal hosts.
-    pub fn hairpinning(&self) -> bool {
+    pub(crate) fn hairpinning(&self) -> bool {
         self.config.hairpinning
     }
 
     /// The gateway's configuration.
-    pub fn config(&self) -> &NatGatewayConfig {
+    pub(crate) fn config(&self) -> &NatGatewayConfig {
         &self.config
     }
 
@@ -451,16 +385,11 @@ impl NatGateway {
         self.last_reboot = Some(now);
     }
 
-    /// Time of the most recent reboot, if the gateway ever rebooted.
-    pub fn last_reboot(&self) -> Option<SimTime> {
-        self.last_reboot
-    }
-
     /// Returns `true` if the gateway rebooted within one mapping-timeout before `now` —
     /// the window in which an inbound block is plausibly a *stale-binding* failure (the
     /// sender refreshed a mapping recently enough that it would still be alive had the
     /// reboot not wiped it).
-    pub fn rebooted_within_timeout(&self, now: SimTime) -> bool {
+    pub(crate) fn rebooted_within_timeout(&self, now: SimTime) -> bool {
         self.last_reboot
             .is_some_and(|at| now.saturating_since(at) <= self.config.mapping_timeout)
     }
@@ -494,7 +423,7 @@ impl NatGateway {
     /// policy queries is rebuilt from it (same soundness argument as
     /// [`set_filtering`](Self::set_filtering)). If the new config wants a larger address
     /// pool than the gateway owns, the caller (the topology) must
-    /// [`extend_pool`](Self::extend_pool) first — the gateway itself cannot allocate
+    /// `extend_pool` first — the gateway itself cannot allocate
     /// addresses.
     pub fn set_config(&mut self, config: NatGatewayConfig) {
         self.config = config;
@@ -532,21 +461,46 @@ impl NatGateway {
         }
         self.newest.retain(|&key, _| host_of(key) != internal);
     }
-
-    /// Iterates over the current mapping-table entries, each unpacked from its slot.
-    pub fn bindings(&self) -> impl Iterator<Item = Binding> + '_ {
-        self.bindings.iter().map(|(&pair, &value)| Binding {
-            internal: host_of(pair),
-            remote: pair as u32,
-            remote_ip: remote_ip_of(value),
-            last_refreshed: SimTime::from_millis(refreshed_ms(value).into()),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One mapping-table entry unpacked from its 16-byte slot: internal host `internal`
+    /// has sent traffic to remote node `remote` (observed at `remote_ip`), most recently
+    /// at `last_refreshed`. The table stores the `(internal, remote)` pair packed by
+    /// `pair_key` and `remote_ip << 32 | refreshed_ms` packed by `pack_binding`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct Binding {
+        internal: u32,
+        remote: u32,
+        remote_ip: Ip,
+        last_refreshed: SimTime,
+    }
+
+    impl Binding {
+        fn new(internal: NodeId, remote: NodeId, remote_ip: Ip, last_refreshed: SimTime) -> Self {
+            Binding {
+                internal: id32(internal),
+                remote: id32(remote),
+                remote_ip,
+                last_refreshed,
+            }
+        }
+    }
+
+    impl NatGateway {
+        /// The current mapping-table entries, each unpacked from its slot.
+        fn bindings(&self) -> impl Iterator<Item = Binding> + '_ {
+            self.bindings.iter().map(|(&pair, &value)| Binding {
+                internal: host_of(pair),
+                remote: pair as u32,
+                remote_ip: remote_ip_of(value),
+                last_refreshed: SimTime::from_millis(refreshed_ms(value).into()),
+            })
+        }
+    }
 
     fn gw(policy: FilteringPolicy) -> NatGateway {
         NatGateway::new(
@@ -674,7 +628,7 @@ mod tests {
                 "{policy}: a reboot must drop the reply path even though the binding \
                  would only have expired at t=30s"
             );
-            assert_eq!(g.last_reboot(), Some(SimTime::from_secs(2)));
+            assert_eq!(g.last_reboot, Some(SimTime::from_secs(2)));
         }
     }
 
@@ -803,9 +757,10 @@ mod tests {
 
     #[test]
     fn binding_expiry_is_inclusive_of_timeout() {
-        let b = Binding::new(INSIDE, PEER_A, Ip::public(1), SimTime::ZERO);
-        assert!(!b.is_expired(SimTime::from_secs(30), SimDuration::from_secs(30)));
-        assert!(b.is_expired(SimTime::from_millis(30_001), SimDuration::from_secs(30)));
+        let mut g = gw(FilteringPolicy::AddressAndPortDependent);
+        g.record_outbound(INSIDE, PEER_A, Ip::public(1), SimTime::ZERO);
+        assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(1), SimTime::from_secs(30)));
+        assert!(!g.accepts_inbound(INSIDE, PEER_A, Ip::public(1), SimTime::from_millis(30_001)));
     }
 
     #[test]
@@ -818,7 +773,7 @@ mod tests {
         g.record_outbound(INSIDE, PEER_A, Ip::public(7), SimTime::from_secs(3));
         g.record_outbound(top, top, Ip::from_raw(u32::MAX), last_ms);
         let mut read: Vec<Binding> = g.bindings().collect();
-        read.sort_by_key(|b| b.internal());
+        read.sort_by_key(|b| b.internal);
         assert_eq!(
             read,
             [

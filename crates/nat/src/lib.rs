@@ -57,14 +57,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod address;
-pub mod dynamics;
-pub mod filtering;
-pub mod gateway;
-pub mod topology;
+mod address;
+mod dynamics;
+mod filtering;
+mod gateway;
+mod topology;
 
 pub use address::Ip;
 pub use dynamics::{AppliedEvent, GatewayProfile, NatDynamicsEvent};
 pub use filtering::FilteringPolicy;
-pub use gateway::{Binding, NatGateway, NatGatewayConfig};
-pub use topology::{AddressInfo, NatProfile, NatTopology, NatTopologyBuilder, TopologyStats};
+pub use gateway::{NatGateway, NatGatewayConfig};
+pub use topology::{AddressInfo, GatewayId, NatTopology, NatTopologyBuilder, TopologyStats};

@@ -8,7 +8,6 @@ use croupier_simulator::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::address::Ip;
 use crate::dynamics::{AppliedEvent, NatDynamicsEvent};
@@ -16,12 +15,12 @@ use crate::filtering::FilteringPolicy;
 use crate::gateway::{NatGateway, NatGatewayConfig};
 
 /// Identifier of a NAT gateway inside a [`NatTopology`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct GatewayId(u64);
 
 /// The address situation of one node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NatProfile {
+pub(crate) enum NatProfile {
     /// The node owns a globally reachable address.
     Public {
         /// The node's public IP.
@@ -59,7 +58,7 @@ pub trait AddressInfo {
 }
 
 /// Aggregate statistics about a topology.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TopologyStats {
     /// Nodes with globally reachable addresses.
     pub public_nodes: usize,
@@ -857,11 +856,6 @@ impl NatTopology {
         })
     }
 
-    /// The profile of `node`, if registered.
-    pub fn profile(&self, node: NodeId) -> Option<NatProfile> {
-        self.lock().profile(node).copied()
-    }
-
     /// Aggregate statistics about the topology.
     pub fn stats(&self) -> TopologyStats {
         let inner = self.lock();
@@ -1076,6 +1070,13 @@ impl NatTopologyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NatTopology {
+        /// The profile of `node`, if registered.
+        fn profile(&self, node: NodeId) -> Option<NatProfile> {
+            self.lock().profile(node).copied()
+        }
+    }
 
     fn topo() -> NatTopology {
         NatTopologyBuilder::new(1)

@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use croupier_nat::topology::GatewayId;
+use croupier_nat::GatewayId;
 use croupier_nat::{
     AddressInfo, FilteringPolicy, Ip, NatDynamicsEvent, NatGateway, NatGatewayConfig, NatTopology,
     NatTopologyBuilder,

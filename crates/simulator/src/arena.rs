@@ -11,43 +11,21 @@
 //! node leaves a vacant slot that a later insert with the same index may reuse.
 
 /// A dense, index-addressed arena of slots.
-///
-/// # Examples
-///
-/// ```
-/// use croupier_simulator::arena::NodeArena;
-///
-/// let mut arena: NodeArena<&str> = NodeArena::new();
-/// arena.insert(2, "c");
-/// arena.insert(0, "a");
-/// assert_eq!(arena.len(), 2);
-/// assert_eq!(arena.get(2), Some(&"c"));
-/// assert_eq!(arena.remove(2), Some("c"));
-/// assert!(!arena.contains(2));
-/// ```
 #[derive(Clone, Debug)]
-pub struct NodeArena<T> {
+pub(crate) struct NodeArena<T> {
     slots: Vec<Option<T>>,
     live: usize,
 }
 
 /// Upper bound on arena indices; catches accidental use of hash-like (sparse) node ids,
 /// which would make the backing `Vec` allocation explode.
-pub const MAX_ARENA_INDEX: usize = 1 << 28;
+pub(crate) const MAX_ARENA_INDEX: usize = 1 << 28;
 
 impl<T> NodeArena<T> {
     /// Creates an empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NodeArena {
             slots: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Creates an empty arena with room for `capacity` slots before reallocating.
-    pub fn with_capacity(capacity: usize) -> Self {
-        NodeArena {
-            slots: Vec::with_capacity(capacity),
             live: 0,
         }
     }
@@ -58,7 +36,7 @@ impl<T> NodeArena<T> {
     ///
     /// Panics if `index` exceeds [`MAX_ARENA_INDEX`] — the arena is meant for dense,
     /// sequentially assigned indices, not hash-like identifiers.
-    pub fn insert(&mut self, index: usize, value: T) -> Option<T> {
+    pub(crate) fn insert(&mut self, index: usize, value: T) -> Option<T> {
         assert!(
             index <= MAX_ARENA_INDEX,
             "arena index {index} is too sparse; node ids must be assigned densely"
@@ -74,7 +52,7 @@ impl<T> NodeArena<T> {
     }
 
     /// Removes and returns the value at `index`, if any.
-    pub fn remove(&mut self, index: usize) -> Option<T> {
+    pub(crate) fn remove(&mut self, index: usize) -> Option<T> {
         let value = self.slots.get_mut(index).and_then(Option::take);
         if value.is_some() {
             self.live -= 1;
@@ -83,22 +61,22 @@ impl<T> NodeArena<T> {
     }
 
     /// Shared access to the value at `index`.
-    pub fn get(&self, index: usize) -> Option<&T> {
+    pub(crate) fn get(&self, index: usize) -> Option<&T> {
         self.slots.get(index).and_then(Option::as_ref)
     }
 
     /// Exclusive access to the value at `index`.
-    pub fn get_mut(&mut self, index: usize) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, index: usize) -> Option<&mut T> {
         self.slots.get_mut(index).and_then(Option::as_mut)
     }
 
     /// Returns `true` if the slot at `index` is occupied.
-    pub fn contains(&self, index: usize) -> bool {
+    pub(crate) fn contains(&self, index: usize) -> bool {
         matches!(self.slots.get(index), Some(Some(_)))
     }
 
     /// Number of occupied slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
     }
 
@@ -107,29 +85,16 @@ impl<T> NodeArena<T> {
     /// leave vacant slots), which makes it a stable size for dense index-addressed side
     /// tables — the metrics pipeline uses it to map node ids to array slots without any
     /// hashing.
-    pub fn slot_upper_bound(&self) -> usize {
+    pub(crate) fn slot_upper_bound(&self) -> usize {
         self.slots.len()
     }
 
-    /// Returns `true` when no slot is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// Iterates over `(index, &value)` pairs of occupied slots in ascending index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
         self.slots
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|v| (i, v)))
-    }
-
-    /// Iterates over `(index, &mut value)` pairs of occupied slots in ascending index order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_mut().map(|v| (i, v)))
     }
 }
 
@@ -144,9 +109,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn out_of_order_inserts_are_counted_and_removable() {
+        let mut arena: NodeArena<&str> = NodeArena::new();
+        arena.insert(2, "c");
+        arena.insert(0, "a");
+        assert_eq!(arena.len(), 2);
+        assert_eq!(arena.get(2), Some(&"c"));
+        assert_eq!(arena.remove(2), Some("c"));
+        assert!(!arena.contains(2));
+    }
+
+    #[test]
     fn insert_get_remove_roundtrip() {
         let mut arena = NodeArena::new();
-        assert!(arena.is_empty());
+        assert_eq!(arena.len(), 0);
         assert_eq!(arena.insert(3, 30), None);
         assert_eq!(arena.insert(1, 10), None);
         assert_eq!(arena.len(), 2);
@@ -180,10 +156,6 @@ mod tests {
             10,
             "the bound covers the highest index ever inserted, vacant or not"
         );
-        for (_, v) in arena.iter_mut() {
-            *v += 1;
-        }
-        assert_eq!(arena.get(2), Some(&21));
     }
 
     #[test]

@@ -35,29 +35,14 @@ impl BootstrapRegistry {
     }
 
     /// Removes `node` (it failed or left the system).
-    pub fn unregister(&mut self, node: NodeId) {
+    pub(crate) fn unregister(&mut self, node: NodeId) {
         if self.members.remove(&node) {
             self.public_nodes.retain(|n| *n != node);
         }
     }
 
-    /// Returns `true` if `node` is currently registered.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.members.contains(&node)
-    }
-
-    /// Number of registered public nodes.
-    pub fn len(&self) -> usize {
-        self.public_nodes.len()
-    }
-
-    /// Returns `true` when no public node is registered.
-    pub fn is_empty(&self) -> bool {
-        self.public_nodes.is_empty()
-    }
-
     /// Samples up to `count` distinct public nodes uniformly at random.
-    pub fn sample(&self, count: usize, rng: &mut SmallRng) -> Vec<NodeId> {
+    pub(crate) fn sample(&self, count: usize, rng: &mut SmallRng) -> Vec<NodeId> {
         let n = self.public_nodes.len();
         if n == 0 || count == 0 {
             return Vec::new();
@@ -70,7 +55,7 @@ impl BootstrapRegistry {
     }
 
     /// Samples up to `count` distinct public nodes, never returning `excluded`.
-    pub fn sample_excluding(
+    pub(crate) fn sample_excluding(
         &self,
         count: usize,
         excluded: NodeId,
@@ -82,11 +67,6 @@ impl BootstrapRegistry {
         candidates.retain(|n| *n != excluded);
         candidates.truncate(count);
         candidates
-    }
-
-    /// All registered public nodes, in registration order.
-    pub fn all(&self) -> &[NodeId] {
-        &self.public_nodes
     }
 }
 
@@ -105,11 +85,11 @@ mod tests {
         b.register(NodeId::new(1));
         b.register(NodeId::new(2));
         b.register(NodeId::new(1)); // duplicate ignored
-        assert_eq!(b.len(), 2);
-        assert!(b.contains(NodeId::new(1)));
+        assert_eq!(b.public_nodes.len(), 2);
+        assert!(b.members.contains(&NodeId::new(1)));
         b.unregister(NodeId::new(1));
-        assert!(!b.contains(NodeId::new(1)));
-        assert_eq!(b.len(), 1);
+        assert!(!b.members.contains(&NodeId::new(1)));
+        assert_eq!(b.public_nodes.len(), 1);
     }
 
     #[test]
@@ -125,7 +105,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 10, "samples must be distinct");
-        assert!(s.iter().all(|n| b.contains(*n)));
+        assert!(s.iter().all(|n| b.members.contains(n)));
     }
 
     #[test]
@@ -143,7 +123,7 @@ mod tests {
         let b = BootstrapRegistry::new();
         let mut r = rng();
         assert!(b.sample(3, &mut r).is_empty());
-        assert!(b.is_empty());
+        assert!(b.public_nodes.is_empty());
     }
 
     #[test]

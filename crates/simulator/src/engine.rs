@@ -91,12 +91,6 @@ impl SimulationConfig {
         self
     }
 
-    /// Enables or disables random initial round phase.
-    pub fn with_random_phase(mut self, random_phase: bool) -> Self {
-        self.random_phase = random_phase;
-        self
-    }
-
     /// Sets the number of worker threads for the sharded engine.
     pub fn with_engine_threads(mut self, threads: usize) -> Self {
         self.engine_threads = threads;
@@ -146,7 +140,7 @@ fn slot_index(id: NodeId) -> usize {
 /// The discrete-event simulation engine.
 ///
 /// The engine owns every node's protocol instance, the event queue, the network models and
-/// the traffic ledger. Node state lives in a flat dense [`NodeArena`] indexed by the raw
+/// the traffic ledger. Node state lives in a flat dense `NodeArena` indexed by the raw
 /// node id, so the per-event lookup on the hot path is a direct indexed load; node ids
 /// should therefore be assigned densely from zero (experiments already do). See the
 /// crate-level documentation for a full example.
@@ -202,11 +196,6 @@ impl<P: Protocol> Simulation<P> {
             hook_sampler: None,
             barriers_fired: 0,
         }
-    }
-
-    /// The bootstrap registry.
-    pub fn bootstrap(&self) -> &BootstrapRegistry {
-        &self.bootstrap
     }
 
     /// The traffic ledger (bytes and messages per node).
@@ -620,12 +609,12 @@ mod tests {
     }
 
     fn two_node_sim() -> Simulation<Buddy> {
-        let mut sim = Simulation::new(
-            SimulationConfig::default()
+        let mut sim = Simulation::new(SimulationConfig {
+            random_phase: false,
+            ..SimulationConfig::default()
                 .with_seed(3)
                 .with_round_jitter(0.0)
-                .with_random_phase(false),
-        );
+        });
         sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(10)));
         sim.add_node(NodeId::new(1), Buddy::new(Some(NodeId::new(2))));
         sim.add_node(NodeId::new(2), Buddy::new(Some(NodeId::new(1))));
@@ -761,12 +750,12 @@ mod tests {
     #[test]
     fn loss_model_drops_messages() {
         use crate::faults::FaultProfile;
-        let mut sim = Simulation::new(
-            SimulationConfig::default()
+        let mut sim = Simulation::new(SimulationConfig {
+            random_phase: false,
+            ..SimulationConfig::default()
                 .with_seed(4)
                 .with_round_jitter(0.0)
-                .with_random_phase(false),
-        );
+        });
         sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(1)));
         let plane = FaultPlane::new(Seed::new(4));
         plane.set_default_profile(FaultProfile::lossy(1.0));
@@ -866,12 +855,12 @@ mod tests {
             }
         }
 
-        let mut sim = Simulation::new(
-            SimulationConfig::default()
+        let mut sim = Simulation::new(SimulationConfig {
+            random_phase: false,
+            ..SimulationConfig::default()
                 .with_seed(3)
                 .with_round_jitter(0.0)
-                .with_random_phase(false),
-        );
+        });
         sim.add_node(NodeId::new(0), Tracer(Rc::clone(&trace)));
         sim.set_round_hook(Box::new(BarrierTracer(Rc::clone(&trace))));
         sim.run_until(SimTime::from_secs(2));
@@ -895,11 +884,10 @@ mod tests {
 
     #[test]
     fn round_hook_fires_on_an_empty_queue() {
-        let mut sim: Simulation<Buddy> = Simulation::new(
-            SimulationConfig::default()
-                .with_round_jitter(0.0)
-                .with_random_phase(false),
-        );
+        let mut sim: Simulation<Buddy> = Simulation::new(SimulationConfig {
+            random_phase: false,
+            ..SimulationConfig::default().with_round_jitter(0.0)
+        });
         let log = Rc::new(RefCell::new(Vec::new()));
         sim.set_round_hook(Box::new(Recorder(Rc::clone(&log))));
         sim.run_until(SimTime::from_secs(3));

@@ -117,11 +117,6 @@ impl CompositeRoundHook {
         self
     }
 
-    /// Number of child hooks.
-    pub fn len(&self) -> usize {
-        self.hooks.len()
-    }
-
     /// Returns `true` when no child hooks are installed.
     pub fn is_empty(&self) -> bool {
         self.hooks.is_empty()
@@ -232,7 +227,7 @@ pub trait SimulationEngine<P: Protocol> {
     /// strictly below this value, and the bound only grows over the engine's lifetime.
     ///
     /// This is the dense-index capture path: both engines store node state in
-    /// [`NodeArena`](crate::arena::NodeArena) stripes addressed by the raw id, so the
+    /// `NodeArena` stripes addressed by the raw id, so the
     /// bound is simply the arena's slot count (times the stripe count for the sharded
     /// engine). Snapshot capture and the CSR metrics pipeline use it to size dense
     /// id-indexed side tables, turning every `NodeId → index` resolution into one array
@@ -291,8 +286,7 @@ mod tests {
         let mut composite = CompositeRoundHook::new()
             .with(Box::new(Tag(1, Rc::clone(&log))))
             .with(Box::new(Tag(2, Rc::clone(&log))));
-        assert_eq!(composite.len(), 2);
-        assert!(!composite.is_empty());
+        assert_eq!(composite.hooks.len(), 2);
         composite.on_round_barrier(1, SimTime::from_secs(1));
         composite.on_round_barrier_with(2, SimTime::from_secs(2), &mut NoOps);
         assert_eq!(
@@ -307,7 +301,6 @@ mod tests {
     fn an_empty_composite_is_inert() {
         let mut composite = CompositeRoundHook::new();
         assert!(composite.is_empty());
-        assert_eq!(composite.len(), 0);
         composite.on_round_barrier_with(1, SimTime::from_secs(1), &mut NoOps);
     }
 }

@@ -46,15 +46,6 @@ impl<M> Event<M> {
             Event::Timer { node, key } => Event::Timer { node, key },
         }
     }
-
-    /// The node at which the event executes.
-    pub fn target(&self) -> NodeId {
-        match self {
-            Event::Deliver { to, .. } => *to,
-            Event::Round { node } => *node,
-            Event::Timer { node, .. } => *node,
-        }
-    }
 }
 
 /// An event stamped with its execution time and a monotone sequence number.
@@ -95,6 +86,17 @@ impl<M> Ord for ScheduledEvent<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<M> Event<M> {
+        /// The node at which the event executes.
+        pub(crate) fn target(&self) -> NodeId {
+            match self {
+                Event::Deliver { to, .. } => *to,
+                Event::Round { node } => *node,
+                Event::Timer { node, .. } => *node,
+            }
+        }
+    }
 
     fn deliver(at: u64, seq: u64) -> ScheduledEvent<u32> {
         ScheduledEvent {

@@ -95,7 +95,7 @@ impl<S> ExchangeTracker<S> {
     }
 
     /// Handles a retry timer: a key that is not the exchange in flight is
-    /// [`Stale`](Retry::Stale); once the [retry policy](Context::retry_policy)'s budget is
+    /// [`Stale`](Retry::Stale); once the retry policy's budget is
     /// spent the exchange ends as [`GaveUp`](Retry::GaveUp); otherwise the retry is
     /// counted, the next timer armed with the capped exponential backoff, and the caller
     /// told to [`Resend`](Retry::Resend).

@@ -17,7 +17,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Multiplier from FxHash (the golden-ratio-derived constant used by rustc's hasher).
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// An FxHash-style streaming hasher. See the module documentation.
+/// An FxHash-style streaming hasher (the module documentation of `fasthash.rs` gives the
+/// design).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FastHasher {
     hash: u64,
@@ -87,14 +88,14 @@ impl Hasher for FastHasher {
     }
 }
 
-/// The deterministic `BuildHasher` for [`FastHashMap`]/[`FastHashSet`].
+/// The deterministic `BuildHasher` for [`FastHashMap`]/`FastHashSet`.
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
-/// A `HashMap` keyed with [`FastHasher`].
+/// A `HashMap` keyed with `FastHasher`.
 pub type FastHashMap<K, V> = HashMap<K, V, FastBuildHasher>;
 
 /// A `HashSet` keyed with [`FastHasher`].
-pub type FastHashSet<T> = HashSet<T, FastBuildHasher>;
+pub(crate) type FastHashSet<T> = HashSet<T, FastBuildHasher>;
 
 #[cfg(test)]
 mod tests {

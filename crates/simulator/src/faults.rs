@@ -36,7 +36,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::fasthash::{FastHashMap, FastHashSet};
 use crate::rng::{Seed, Stream};
@@ -44,7 +43,7 @@ use crate::time::SimDuration;
 use crate::types::NodeId;
 
 /// The [`Stream::Custom`] tag from which the fault plane derives its RNG.
-pub const FAULT_RNG_STREAM: u64 = 0xFA17;
+pub(crate) const FAULT_RNG_STREAM: u64 = 0xFA17;
 
 /// Parameters of a Gilbert–Elliott two-state correlated-loss chain.
 ///
@@ -57,7 +56,7 @@ pub const FAULT_RNG_STREAM: u64 = 0xFA17;
 /// [`bad_loss`]: BurstLoss::bad_loss
 /// [`enter_probability`]: BurstLoss::enter_probability
 /// [`exit_probability`]: BurstLoss::exit_probability
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BurstLoss {
     /// Probability of transitioning good → bad per message.
     pub enter_probability: f64,
@@ -90,7 +89,7 @@ impl BurstLoss {
 /// The default profile injects nothing. The plane is the only way a message is lost:
 /// `lossy(p)` as the default profile is uniform loss, per-node
 /// [`set_link_profile`](FaultPlane::set_link_profile) overrides bias it by class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultProfile {
     /// Independent per-message drop probability.
     pub drop_probability: f64,
@@ -167,12 +166,6 @@ impl FaultProfile {
         self
     }
 
-    /// Sets the correlated-loss burst chain.
-    pub fn with_burst(mut self, burst: BurstLoss) -> Self {
-        self.burst = Some(burst);
-        self
-    }
-
     /// Panics if any probability lies outside `[0, 1]`.
     pub fn validate(&self) {
         for (name, p) in [
@@ -199,7 +192,7 @@ impl FaultProfile {
 /// `NetworkStats::lost` (they are losses), but NAT-filter drops never appear here, so the
 /// two failure planes stay distinguishable. The recovery counters (`retries_fired`,
 /// `exchanges_abandoned`) are summed from the protocol nodes by the experiment driver.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Messages dropped by the independent drop probability.
     pub injected_drops: u64,
@@ -458,7 +451,7 @@ impl FaultSession<'_> {
     /// The plane's RNG, for applying a corruption verdict
     /// ([`WireSize::fault_mutate`](crate::WireSize::fault_mutate)) with draws on the same
     /// deterministic stream.
-    pub fn rng(&mut self) -> &mut SmallRng {
+    pub(crate) fn rng(&mut self) -> &mut SmallRng {
         &mut self.state.rng
     }
 }
@@ -472,11 +465,9 @@ impl FaultSession<'_> {
 /// use croupier_simulator::{RetryPolicy, SimDuration};
 ///
 /// let policy = RetryPolicy::for_round_period(SimDuration::from_secs(1));
-/// assert_eq!(policy.backoff(0), SimDuration::from_millis(500));
-/// assert_eq!(policy.backoff(1), SimDuration::from_millis(1_000));
-/// assert_eq!(policy.backoff(10), policy.cap, "backoff is capped");
-/// assert!(!policy.exhausted(2));
-/// assert!(policy.exhausted(3));
+/// assert_eq!(policy.base, SimDuration::from_millis(500), "half a round");
+/// assert_eq!(policy.cap, SimDuration::from_secs(2), "two rounds");
+/// assert_eq!(policy.max_retries, 2);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -513,7 +504,7 @@ impl RetryPolicy {
 
     /// The timeout armed after `attempt` transmissions have already happened
     /// (`attempt = 0` is the initial send): `base * 2^attempt`, capped.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
+    pub(crate) fn backoff(&self, attempt: u32) -> SimDuration {
         let factor = 1u64 << attempt.min(32);
         SimDuration::from_millis(
             self.base
@@ -525,7 +516,7 @@ impl RetryPolicy {
 
     /// Returns `true` once `attempt` transmissions exceed the budget (initial send plus
     /// [`max_retries`](Self::max_retries) retransmissions).
-    pub fn exhausted(&self, attempt: u32) -> bool {
+    pub(crate) fn exhausted(&self, attempt: u32) -> bool {
         attempt > self.max_retries
     }
 }

@@ -13,8 +13,6 @@
 //! initialised with `T::default()`, which is free for the `Copy` payload element types and
 //! keeps the implementation trivially sound.
 
-use serde::{Deserialize, Serialize};
-
 /// The backing storage: inline array until the length exceeds `N`, then a heap `Vec`.
 #[derive(Clone, Debug)]
 enum Repr<T, const N: usize> {
@@ -34,7 +32,7 @@ enum Repr<T, const N: usize> {
 /// # Examples
 ///
 /// ```
-/// use croupier_simulator::inline::InlineVec;
+/// use croupier_simulator::InlineVec;
 ///
 /// let mut v: InlineVec<u32, 4> = InlineVec::new();
 /// for i in 0..6 {
@@ -42,7 +40,6 @@ enum Repr<T, const N: usize> {
 /// }
 /// assert_eq!(v.len(), 6);
 /// assert_eq!(&v[..3], &[0, 1, 2]);
-/// assert!(v.spilled());
 /// ```
 #[derive(Clone, Debug)]
 pub struct InlineVec<T, const N: usize> {
@@ -135,7 +132,7 @@ impl<T: Default + Clone, const N: usize> InlineVec<T, N> {
     }
 
     /// The live elements as a slice.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         match &self.repr {
             Repr::Inline { len, buf } => &buf[..*len],
             Repr::Heap(vec) => vec,
@@ -153,11 +150,6 @@ impl<T: Default + Clone, const N: usize> InlineVec<T, N> {
     /// Iterates over the live elements.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.as_slice().iter()
-    }
-
-    /// Returns `true` once the vector has spilled to the heap.
-    pub fn spilled(&self) -> bool {
-        matches!(self.repr, Repr::Heap(_))
     }
 }
 
@@ -275,14 +267,16 @@ impl<T: Default + Clone, const N: usize> IntoIterator for InlineVec<T, N> {
     }
 }
 
-// Wire-representability markers for the offline serde shim: payload types embed
-// `InlineVec` directly in `#[derive(Serialize, Deserialize)]` messages.
-impl<T: Serialize, const N: usize> Serialize for InlineVec<T, N> {}
-impl<'de, T: Deserialize<'de>, const N: usize> Deserialize<'de> for InlineVec<T, N> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Default + Clone, const N: usize> InlineVec<T, N> {
+        /// Returns `true` once the vector has spilled to the heap.
+        fn spilled(&self) -> bool {
+            matches!(self.repr, Repr::Heap(_))
+        }
+    }
 
     #[test]
     fn starts_empty_and_inline() {

@@ -91,13 +91,13 @@ const FLOOR_MS: f64 = 2.0;
 /// for gossip-convergence experiments, and bounds every delay by
 /// `(2 + 2·15 + 90·√2)·1.15 ≈ 183 ms`.
 #[derive(Clone, Debug, Default)]
-pub struct KingLatencyModel {
+pub(crate) struct KingLatencyModel {
     coords: HashMap<NodeId, (f64, f64, f64)>,
 }
 
 impl KingLatencyModel {
     /// Creates the model with an empty coordinate cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -9,8 +9,8 @@
 //! * a [`Simulation`] engine driving per-node [`Protocol`] state machines with periodic
 //!   gossip rounds, timers and point-to-point messages,
 //! * a [`ShardedSimulation`] engine executing the same protocols phase-parallel over
-//!   multiple worker threads (see the [`sharded`] module for the execution model), behind
-//!   the common [`SimulationEngine`] trait,
+//!   multiple worker threads (the module documentation of `sharded.rs` gives the
+//!   execution model), behind the common [`SimulationEngine`] trait,
 //! * pluggable [`LatencyModel`]s (constant and a synthetic King-data-set-like model) and
 //!   [`DeliveryFilter`]s (the NAT emulation in `croupier-nat` implements the latter), plus
 //!   a [`FaultPlane`] — the one way a message is lost, duplicated, delayed or corrupted,
@@ -80,38 +80,37 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arena;
-pub mod bootstrap;
+mod arena;
+mod bootstrap;
 mod delivery;
-pub mod engine;
-pub mod engine_api;
+mod engine;
+mod engine_api;
 pub mod event;
-pub mod exchange;
-pub mod fasthash;
-pub mod faults;
-pub mod inline;
-pub mod latency;
-pub mod network;
-pub mod protocol;
+mod exchange;
+mod fasthash;
+mod faults;
+mod inline;
+mod latency;
+mod network;
+mod protocol;
 pub mod rng;
 pub mod scheduler;
-pub mod sharded;
-pub mod time;
-pub mod traffic;
-pub mod types;
+mod sharded;
+mod time;
+mod traffic;
+mod types;
 
 pub use bootstrap::BootstrapRegistry;
 pub use engine::{NetworkStats, Simulation, SimulationConfig};
 pub use engine_api::{CompositeRoundHook, HookOps, RoundHook, SimulationEngine};
 pub use exchange::{ExchangeTracker, Retry};
-pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet};
+pub use fasthash::{FastBuildHasher, FastHashMap};
 pub use faults::{
     BurstLoss, FaultDecision, FaultPlane, FaultProfile, FaultReport, FaultSession, RetryPolicy,
-    FAULT_RNG_STREAM,
 };
 pub use inline::InlineVec;
-pub use latency::{ConstantLatency, KingLatencyModel, LatencyModel};
-pub use network::{BatchLink, DeliveryFilter, DeliveryVerdict, OpenInternet};
+pub use latency::{ConstantLatency, LatencyModel};
+pub use network::{BatchLink, DeliveryFilter, DeliveryVerdict};
 pub use protocol::{Context, ContextParams, Protocol, PssNode, TimerKey, WireSize};
 pub use rng::Seed;
 pub use sharded::ShardedSimulation;

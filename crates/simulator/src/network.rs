@@ -101,7 +101,7 @@ pub trait DeliveryFilter {
 
 /// A filter that lets every packet through: the open Internet without NATs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpenInternet;
+pub(crate) struct OpenInternet;
 
 impl DeliveryFilter for OpenInternet {
     fn on_send(&mut self, _from: NodeId, _to: NodeId, _now: SimTime) {}

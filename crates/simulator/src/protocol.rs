@@ -86,7 +86,7 @@ pub struct ContextParams<'a> {
     /// executed, on top of the network latencies. Zero on the event engine, which
     /// executes a message the instant it arrives; two round periods on the sharded
     /// engine, where a request and its reply each wait for a barrier (see
-    /// [`Context::retry_policy`]).
+    /// `Context::retry_policy`).
     pub reply_horizon: SimDuration,
     /// The node's private random stream.
     pub rng: &'a mut SmallRng,
@@ -113,7 +113,7 @@ pub struct Context<'a, M> {
 
 impl<'a, M> Context<'a, M> {
     /// Creates a context with fresh effect buffers. Used by protocol unit tests; the
-    /// engines recycle their buffers through [`Context::with_buffers`] instead.
+    /// engines recycle their buffers through `Context::with_buffers` instead.
     pub fn new(params: ContextParams<'a>) -> Self {
         Context::with_buffers(params, Vec::new(), Vec::new())
     }
@@ -121,7 +121,7 @@ impl<'a, M> Context<'a, M> {
     /// Creates a context that collects effects into caller-provided buffers.
     ///
     /// The buffers are cleared here, so passing a dirty buffer is harmless.
-    pub fn with_buffers(
+    pub(crate) fn with_buffers(
         params: ContextParams<'a>,
         mut outbox: Vec<Outgoing<M>>,
         mut timers: Vec<TimerRequest>,
@@ -150,16 +150,11 @@ impl<'a, M> Context<'a, M> {
         self.params.now
     }
 
-    /// The gossip round period configured on the engine.
-    pub fn round_period(&self) -> SimDuration {
-        self.params.round_period
-    }
-
     /// The timeout/retry schedule for a request sent now: the shared
     /// [`RetryPolicy::for_round_period`] schedule, shifted past the engine's
     /// [reply horizon](ContextParams::reply_horizon) so no retransmission is armed before
     /// a reply can exist.
-    pub fn retry_policy(&self) -> RetryPolicy {
+    pub(crate) fn retry_policy(&self) -> RetryPolicy {
         RetryPolicy::for_round_period(self.params.round_period)
             .after_reply_horizon(self.params.reply_horizon)
     }
@@ -268,21 +263,17 @@ pub trait PssNode: Protocol {
     }
 }
 
-/// Helper: draw a random subset of `count` distinct elements from `items`.
-///
-/// The order of the returned subset is random. If `count >= items.len()` a shuffled copy of
-/// the whole slice is returned. Implemented as a partial Fisher–Yates over indices, so it
-/// draws only `min(count, len)` random numbers and never clones elements beyond the
-/// returned subset.
-pub fn random_subset<T: Clone>(items: &[T], count: usize, rng: &mut SmallRng) -> Vec<T> {
-    let picked = rand::seq::index::sample(rng, items.len(), count.min(items.len()));
-    picked.into_iter().map(|i| items[i].clone()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl<M> Context<'_, M> {
+        /// The gossip round period configured on the engine.
+        pub(crate) fn round_period(&self) -> SimDuration {
+            self.params.round_period
+        }
+    }
 
     #[derive(Clone, Debug, PartialEq)]
     struct TestMsg(u32);
@@ -384,29 +375,6 @@ mod tests {
         let mut ctx: Context<'_, TestMsg> = Context::new(params(1, &mut rng, &bootstrap));
         let sample = ctx.bootstrap_sample(5);
         assert_eq!(sample, vec![NodeId::new(2)]);
-    }
-
-    #[test]
-    fn random_subset_respects_count_and_membership() {
-        let items: Vec<u32> = (0..20).collect();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let subset = random_subset(&items, 5, &mut rng);
-        assert_eq!(subset.len(), 5);
-        assert!(subset.iter().all(|v| items.contains(v)));
-        // Distinctness.
-        let mut sorted = subset.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 5);
-    }
-
-    #[test]
-    fn random_subset_larger_than_input_returns_all() {
-        let items = vec![1, 2, 3];
-        let mut rng = SmallRng::seed_from_u64(4);
-        let mut subset = random_subset(&items, 10, &mut rng);
-        subset.sort_unstable();
-        assert_eq!(subset, vec![1, 2, 3]);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::types::NodeId;
 
@@ -16,15 +15,16 @@ use crate::types::NodeId;
 /// # Examples
 ///
 /// ```
-/// use croupier_simulator::{NodeId, Seed};
+/// use croupier_simulator::rng::Stream;
+/// use croupier_simulator::Seed;
 ///
 /// let seed = Seed::new(42);
-/// let mut a = seed.node_rng(NodeId::new(1));
-/// let mut b = seed.node_rng(NodeId::new(1));
-/// // The same node always receives the same stream...
+/// let mut a = seed.stream_rng(Stream::Workload);
+/// let mut b = seed.stream_rng(Stream::Workload);
+/// // The same stream always yields the same draws.
 /// assert_eq!(rand::Rng::gen::<u64>(&mut a), rand::Rng::gen::<u64>(&mut b));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Seed(u64);
 
 /// Stable labels for engine-internal random streams.
@@ -75,12 +75,12 @@ impl Seed {
     }
 
     /// Derives a child seed for a named stream.
-    pub fn derive(self, stream: Stream) -> Seed {
+    pub(crate) fn derive(self, stream: Stream) -> Seed {
         Seed(splitmix64(self.0 ^ splitmix64(stream.tag())))
     }
 
     /// Derives a child seed for a node-specific stream.
-    pub fn derive_for_node(self, node: NodeId) -> Seed {
+    pub(crate) fn derive_for_node(self, node: NodeId) -> Seed {
         Seed(splitmix64(
             self.0 ^ splitmix64(node.as_u64().wrapping_add(0x4e4f_4445)),
         ))
@@ -92,7 +92,7 @@ impl Seed {
     }
 
     /// Builds the random number generator owned by a node's protocol instance.
-    pub fn node_rng(self, node: NodeId) -> SmallRng {
+    pub(crate) fn node_rng(self, node: NodeId) -> SmallRng {
         SmallRng::seed_from_u64(self.derive_for_node(node).0)
     }
 
@@ -102,7 +102,7 @@ impl Seed {
     /// (instead of the event engine's shared per-subsystem streams) so that the order in
     /// which nodes execute within a phase cannot perturb anyone else's randomness — the
     /// property that makes phase-parallel runs bit-identical across worker counts.
-    pub fn node_stream_rng(self, node: NodeId, stream: Stream) -> SmallRng {
+    pub(crate) fn node_stream_rng(self, node: NodeId, stream: Stream) -> SmallRng {
         SmallRng::seed_from_u64(self.derive_for_node(node).derive(stream).0)
     }
 
@@ -128,6 +128,14 @@ impl From<u64> for Seed {
 mod tests {
     use super::*;
     use rand::Rng;
+
+    #[test]
+    fn the_same_node_always_receives_the_same_stream() {
+        let seed = Seed::new(42);
+        let mut a = seed.node_rng(NodeId::new(1));
+        let mut b = seed.node_rng(NodeId::new(1));
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+    }
 
     #[test]
     fn same_seed_same_stream_is_deterministic() {

@@ -41,14 +41,14 @@
 //! count of deliveries in flight, near plus far. A caller that already holds the message
 //! where it wants it to wait — the sharded barrier, which moves each surviving payload
 //! from its sender's outbox straight into the destination's slab — parks it itself
-//! ([`park`](EventQueue::park)) and schedules the header later
-//! ([`schedule_parked`](EventQueue::schedule_parked)); [`schedule`](EventQueue::schedule)
+//! (`park`) and schedules the header later
+//! (`schedule_parked`); [`schedule`](EventQueue::schedule)
 //! is exactly those two steps.
 //!
 //! # Ordering contract
 //!
-//! Pop order is **bit-identical** to the retained heap implementation
-//! ([`reference::ReferenceEventQueue`]): ascending `(time, insertion sequence)`. The
+//! Pop order is **bit-identical** to the retained heap implementation (the test-only
+//! `reference::ReferenceEventQueue`): ascending `(time, insertion sequence)`. The
 //! equivalence is enforced by randomized tests in this module driving both queues through
 //! identical mixed schedule/pop workloads (same-tick bursts, far-future timers, window
 //! rotations). The one deliberate divergence: scheduling an event *before* the time of the
@@ -60,8 +60,6 @@ use std::collections::BTreeMap;
 use crate::event::{Event, ScheduledEvent};
 use crate::time::SimTime;
 use crate::types::NodeId;
-
-pub mod reference;
 
 /// Number of millisecond buckets in the near wheel (~8 s of virtual time).
 ///
@@ -392,6 +390,9 @@ impl<M> Default for EventQueue<M> {
         Self::new()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

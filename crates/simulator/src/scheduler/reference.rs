@@ -16,22 +16,8 @@ use crate::time::SimTime;
 
 /// A priority queue of [`ScheduledEvent`]s ordered by execution time, with deterministic
 /// FIFO tie-breaking for events scheduled at the same instant.
-///
-/// # Examples
-///
-/// ```
-/// use croupier_simulator::scheduler::reference::ReferenceEventQueue;
-/// use croupier_simulator::event::Event;
-/// use croupier_simulator::{NodeId, SimTime};
-///
-/// let mut q: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
-/// q.schedule(SimTime::from_millis(20), Event::Round { node: NodeId::new(1) });
-/// q.schedule(SimTime::from_millis(10), Event::Round { node: NodeId::new(2) });
-/// let first = q.pop().unwrap();
-/// assert_eq!(first.at, SimTime::from_millis(10));
-/// ```
 #[derive(Debug)]
-pub struct ReferenceEventQueue<M> {
+pub(crate) struct ReferenceEventQueue<M> {
     heap: BinaryHeap<Reverse<ScheduledEvent<M>>>,
     next_seq: u64,
     scheduled_total: u64,
@@ -39,7 +25,7 @@ pub struct ReferenceEventQueue<M> {
 
 impl<M> ReferenceEventQueue<M> {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ReferenceEventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -50,7 +36,7 @@ impl<M> ReferenceEventQueue<M> {
     /// Schedules `event` for execution at `at`.
     ///
     /// Events scheduled for the same instant execute in the order they were scheduled.
-    pub fn schedule(&mut self, at: SimTime, event: Event<M>) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: Event<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
@@ -58,27 +44,27 @@ impl<M> ReferenceEventQueue<M> {
     }
 
     /// Removes and returns the next event, or `None` when the queue is empty.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<M>> {
+    pub(crate) fn pop(&mut self) -> Option<ScheduledEvent<M>> {
         self.heap.pop().map(|Reverse(ev)| ev)
     }
 
     /// Execution time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(ev)| ev.at)
     }
 
     /// Number of events currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Returns `true` when no events are queued.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
     /// Total number of events that have ever been scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
+    pub(crate) fn scheduled_total(&self) -> u64 {
         self.scheduled_total
     }
 }
@@ -98,6 +84,25 @@ mod tests {
         Event::Round {
             node: NodeId::new(node),
         }
+    }
+
+    #[test]
+    fn earlier_event_pops_first() {
+        let mut q: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
+        q.schedule(
+            SimTime::from_millis(20),
+            Event::Round {
+                node: NodeId::new(1),
+            },
+        );
+        q.schedule(
+            SimTime::from_millis(10),
+            Event::Round {
+                node: NodeId::new(2),
+            },
+        );
+        let first = q.pop().unwrap();
+        assert_eq!(first.at, SimTime::from_millis(10));
     }
 
     #[test]

@@ -288,8 +288,8 @@ impl<P: Protocol> Shard<P> {
     }
 }
 
-/// The sharded, phase-parallel simulation engine. See the module documentation for the
-/// execution model and the determinism argument.
+/// The sharded, phase-parallel simulation engine. The module documentation of
+/// `sharded.rs` gives the execution model and the determinism argument.
 ///
 /// # Examples
 ///
@@ -394,16 +394,6 @@ where
             hook: None,
             hook_sampler: None,
         }
-    }
-
-    /// Number of worker shards (= worker threads) the engine runs with.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The bootstrap registry.
-    pub fn bootstrap(&self) -> &BootstrapRegistry {
-        &self.bootstrap
     }
 
     /// [`SimulationEngine::register_public`], callable without the trait in scope.
@@ -635,7 +625,7 @@ where
 {
     /// Draws a peer sample from `node` using the node's own random stream, following the
     /// protocol's sampling rule.
-    pub fn sample_from(&mut self, node: NodeId) -> Option<NodeId> {
+    pub(crate) fn sample_from(&mut self, node: NodeId) -> Option<NodeId> {
         let (shard, local) = self.locate(node);
         let state = self.shards[shard].nodes.get_mut(local)?;
         state.proto.draw_sample(&mut state.rng)
@@ -1089,18 +1079,18 @@ mod tests {
         let run = |threads: usize| {
             let mut sim = ring_sim(13, threads);
             let plane = FaultPlane::new(Seed::new(11));
-            plane.set_default_profile(
-                FaultProfile::default()
+            plane.set_default_profile(FaultProfile {
+                burst: Some(crate::faults::BurstLoss {
+                    enter_probability: 0.05,
+                    exit_probability: 0.3,
+                    good_loss: 0.0,
+                    bad_loss: 0.6,
+                }),
+                ..FaultProfile::default()
                     .with_drop(0.1)
                     .with_duplicate(0.1)
                     .with_reorder(0.2, SimDuration::from_millis(500))
-                    .with_burst(crate::faults::BurstLoss {
-                        enter_probability: 0.05,
-                        exit_probability: 0.3,
-                        good_loss: 0.0,
-                        bad_loss: 0.6,
-                    }),
-            );
+            });
             sim.set_fault_plane(plane);
             sim.run_for_rounds(25);
             (fingerprint(&sim), sim.fault_report())
@@ -1326,7 +1316,7 @@ mod tests {
         // The id lists seen after each membership step, checked on the way.
         let ids_under_churn = |threads: usize| {
             let mut sim = ring_sim(9, threads);
-            assert_eq!(sim.num_shards(), threads);
+            assert_eq!(sim.shards.len(), threads);
             let mut seen = Vec::new();
             let mut check = |sim: &ShardedSimulation<Ring>| {
                 let ids = sim.node_ids();

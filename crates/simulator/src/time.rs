@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, measured in milliseconds since the start of the run.
 ///
 /// # Examples
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_millis(), 2_000);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_millis(2_000));
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time in milliseconds.
@@ -34,11 +30,9 @@ pub struct SimTime(u64);
 ///
 /// let d = SimDuration::from_secs(1) + SimDuration::from_millis(500);
 /// assert_eq!(d.as_millis(), 1_500);
-/// assert_eq!(d.as_secs_f64(), 1.5);
+/// assert_eq!(d.to_string(), "1500ms");
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -61,7 +55,7 @@ impl SimTime {
     }
 
     /// Seconds since the start of the run, as a floating point number.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -93,7 +87,7 @@ impl SimDuration {
 
     /// Creates a span from a floating point number of milliseconds, rounding to the nearest
     /// whole millisecond and clamping negative values to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
+    pub(crate) fn from_millis_f64(ms: f64) -> Self {
         if ms.is_nan() || ms <= 0.0 {
             SimDuration(0)
         } else {
@@ -106,18 +100,8 @@ impl SimDuration {
         self.0
     }
 
-    /// The span in seconds, as a floating point number.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// Returns `true` if the span is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Multiplies the span by an integer factor, saturating on overflow.
-    pub const fn saturating_mul(self, factor: u64) -> SimDuration {
+    pub(crate) const fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
 }
@@ -194,8 +178,7 @@ mod tests {
     #[test]
     fn seconds_conversions() {
         assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
-        assert_eq!(SimDuration::from_secs(3).as_secs_f64(), 3.0);
-        assert!(SimDuration::ZERO.is_zero());
+        assert_eq!(SimDuration::ZERO.as_millis(), 0);
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! experiment (Fig. 7a of the paper) reads average bytes-per-second per connectivity class
 //! out of this ledger.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fasthash::FastHashMap;
 use crate::time::SimTime;
 use crate::types::NodeId;
 
 /// Cumulative traffic counters for one node.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeTraffic {
     /// Bytes this node has put on the wire.
     pub bytes_sent: u64,
@@ -30,17 +28,6 @@ impl NodeTraffic {
     /// Total bytes either sent or received by the node.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_sent + self.bytes_received
-    }
-
-    /// Average total load (sent + received) in bytes per second over `duration_secs`.
-    ///
-    /// Returns zero if `duration_secs` is not a positive finite number.
-    pub fn load_bytes_per_sec(&self, duration_secs: f64) -> f64 {
-        if duration_secs.is_finite() && duration_secs > 0.0 {
-            self.bytes_total() as f64 / duration_secs
-        } else {
-            0.0
-        }
     }
 }
 
@@ -75,7 +62,7 @@ impl TrafficLedger {
     }
 
     /// Records that a message sent by `node` was dropped before delivery.
-    pub fn record_dropped(&mut self, node: NodeId) {
+    pub(crate) fn record_dropped(&mut self, node: NodeId) {
         self.per_node.entry(node).or_default().messages_dropped += 1;
     }
 
@@ -104,16 +91,11 @@ impl TrafficLedger {
         self.per_node.is_empty()
     }
 
-    /// Instant at which the current measurement window started.
-    pub fn window_start(&self) -> SimTime {
-        self.window_start
-    }
-
     /// Clears all counters and restarts the measurement window at `now`.
     ///
     /// Overhead experiments call this once the overlay has reached steady state so that the
     /// reported bytes-per-second excludes the join phase.
-    pub fn reset_window(&mut self, now: SimTime) {
+    pub(crate) fn reset_window(&mut self, now: SimTime) {
         self.per_node.clear();
         self.window_start = now;
     }
@@ -124,7 +106,7 @@ impl TrafficLedger {
     /// accounting) so workers never contend on a shared map; merging the per-shard ledgers
     /// yields the same per-node totals as a single shared ledger would, because every
     /// counter is a commutative sum.
-    pub fn merge_from(&mut self, other: &TrafficLedger) {
+    pub(crate) fn merge_from(&mut self, other: &TrafficLedger) {
         for (node, t) in other.iter() {
             let entry = self.per_node.entry(node).or_default();
             entry.bytes_sent += t.bytes_sent;
@@ -150,6 +132,13 @@ impl TrafficLedger {
 mod tests {
     use super::*;
 
+    impl TrafficLedger {
+        /// Instant at which the current measurement window started.
+        pub(crate) fn window_start(&self) -> SimTime {
+            self.window_start
+        }
+    }
+
     #[test]
     fn records_sent_and_received_independently() {
         let mut ledger = TrafficLedger::new();
@@ -172,17 +161,6 @@ mod tests {
             ledger.node_or_default(NodeId::new(9)),
             NodeTraffic::default()
         );
-    }
-
-    #[test]
-    fn load_per_second_uses_duration() {
-        let mut ledger = TrafficLedger::new();
-        ledger.record_sent(NodeId::new(1), 500);
-        ledger.record_received(NodeId::new(1), 500);
-        let t = ledger.node_or_default(NodeId::new(1));
-        assert_eq!(t.load_bytes_per_sec(10.0), 100.0);
-        assert_eq!(t.load_bytes_per_sec(0.0), 0.0);
-        assert_eq!(t.load_bytes_per_sec(f64::NAN), 0.0);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Logical identity of a node participating in the simulation.
 ///
 /// `NodeId` is a plain 64-bit integer wrapped in a newtype so that node identities cannot
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.as_u64(), 3);
 /// assert_eq!(format!("{a}"), "n3");
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NodeId(u64);
 
 impl NodeId {
@@ -71,9 +67,7 @@ impl From<NodeId> for u64 {
 /// assert!(!NatClass::Private.is_public());
 /// assert_eq!(NatClass::Public.opposite(), NatClass::Private);
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum NatClass {
     /// The node has a globally reachable address (open IP or UPnP-mapped port).
     #[default]

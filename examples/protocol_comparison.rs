@@ -8,7 +8,7 @@
 //! ```
 
 use croupier_experiments::figures::{fig6_randomness, fig7_overhead};
-use croupier_experiments::output::Scale;
+use croupier_experiments::Scale;
 use croupier_metrics::indegree_histogram;
 
 fn main() {

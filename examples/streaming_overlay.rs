@@ -2,7 +2,7 @@
 //! video overlay the paper's introduction motivates and its conclusion plans to
 //! integrate with Croupier.
 //!
-//! This is a thin demo over the `croupier_experiments::workload` engine: a publisher
+//! This is a thin demo over the `croupier_experiments` workload engine: a publisher
 //! emits one chunk per round, holders *push* each chunk to a sampled fan-out the round
 //! after receiving it, and nodes missing chunks *pull* from one sampled holder per
 //! round. Every transfer is judged by the same NAT delivery filter the protocols' own
@@ -32,8 +32,8 @@
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_baselines::{BaselineConfig, CyclonNode};
 use croupier_experiments::runner::run_pss;
-use croupier_experiments::workload::{WorkloadReport, WorkloadSpec};
 use croupier_experiments::ExperimentParams;
+use croupier_experiments::{WorkloadReport, WorkloadSpec};
 
 const N_PUBLIC: usize = 40;
 const N_PRIVATE: usize = 160;

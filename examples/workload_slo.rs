@@ -16,9 +16,9 @@
 use croupier_experiments::matrix::{
     matrix_rounds, matrix_workload_spec, run_workload_matrix, WORKLOAD_TIER_NAMES,
 };
-use croupier_experiments::output::Scale;
 use croupier_experiments::protocols::ProtocolKind;
 use croupier_experiments::scenario::ScenarioScript;
+use croupier_experiments::Scale;
 
 fn main() {
     let scale = Scale::Quick;

@@ -43,11 +43,11 @@ use croupier::{CroupierConfig, CroupierNode};
 use croupier_metrics::{draw_path_sources, MetricsContext, NodeObservation, OverlaySnapshot};
 use croupier_nat::{Ip, NatGateway, NatGatewayConfig};
 use croupier_simulator::event::Event;
-use croupier_simulator::latency::ConstantLatency;
 use croupier_simulator::scheduler::EventQueue;
 use croupier_simulator::SimulationEngine;
 use croupier_simulator::{
-    NatClass, NodeId, ShardedSimulation, SimDuration, SimTime, Simulation, SimulationConfig,
+    ConstantLatency, NatClass, NodeId, ShardedSimulation, SimDuration, SimTime, Simulation,
+    SimulationConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -4,9 +4,9 @@
 use croupier_suite::experiments::figures::{
     fig1_stable_ratio, fig3_system_size, fig4_ratio_sweep, fig8_failure,
 };
-use croupier_suite::experiments::output::Scale;
 use croupier_suite::experiments::protocols::{run_kind, ProtocolConfigs, ProtocolKind};
 use croupier_suite::experiments::runner::ExperimentParams;
+use croupier_suite::experiments::Scale;
 
 #[test]
 fn figure_runs_are_bit_identical_across_repetitions() {
@@ -24,7 +24,7 @@ fn figure_runs_are_bit_identical_across_repetitions() {
 /// observationally invisible in the paper outputs.
 #[test]
 fn fig3_and_fig4_emit_byte_identical_json() {
-    let render = |figures: Vec<croupier_suite::experiments::output::FigureData>| {
+    let render = |figures: Vec<croupier_suite::experiments::FigureData>| {
         figures
             .iter()
             .map(|figure| figure.to_json())

@@ -3,11 +3,11 @@
 //! `EXPERIMENTS.md`.
 
 use croupier_suite::experiments::figures::{fig6_randomness, fig7_overhead};
-use croupier_suite::experiments::output::Scale;
 use croupier_suite::experiments::protocols::{
     run_failure_kind, run_kind, ProtocolConfigs, ProtocolKind,
 };
 use croupier_suite::experiments::runner::ExperimentParams;
+use croupier_suite::experiments::Scale;
 use croupier_suite::metrics::indegree_stats;
 
 fn nat_params(seed: u64) -> ExperimentParams {

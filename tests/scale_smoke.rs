@@ -7,8 +7,8 @@
 
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_suite::experiments::figures::fig3_system_size;
-use croupier_suite::experiments::output::Scale;
 use croupier_suite::experiments::runner::{run_pss, RunOutput};
+use croupier_suite::experiments::Scale;
 
 /// Peak resident set size of this process in MB (`VmHWM`), or `None` off Linux.
 fn peak_rss_mb() -> Option<f64> {

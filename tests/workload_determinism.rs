@@ -5,8 +5,8 @@
 use croupier_suite::croupier::{CroupierConfig, CroupierNode};
 use croupier_suite::experiments::runner::run_pss;
 use croupier_suite::experiments::scenario::{FaultEvent, ScenarioScript};
-use croupier_suite::experiments::workload::{WorkloadReport, WorkloadSpec};
 use croupier_suite::experiments::ExperimentParams;
+use croupier_suite::experiments::{WorkloadReport, WorkloadSpec};
 use croupier_suite::simulator::FaultProfile;
 
 const ROUNDS: u64 = 30;

@@ -124,6 +124,7 @@ fn run_matrix_bin(bin: &str, extra: &[String]) -> bool {
     let mut args = vec![
         "run",
         "--release",
+        "--locked",
         "-p",
         "croupier-experiments",
         "--bin",
@@ -574,7 +575,14 @@ fn write_outputs(out: &Path) -> Result<(), String> {
     };
     std::fs::create_dir_all(out)
         .map_err(|err| format!("cannot create {}: {err}", out.display()))?;
-    let build = ["build", "--release", "-p", "croupier-experiments", "--bins"];
+    let build = [
+        "build",
+        "--release",
+        "--locked",
+        "-p",
+        "croupier-experiments",
+        "--bins",
+    ];
     if !run_command(&cargo_bin(), &build, &[]) {
         return Err(String::from("cannot build the experiment binaries"));
     }
@@ -787,6 +795,7 @@ fn run_scale_smoke(cargo: &str, filter: &str, report: &str) -> bool {
         &[
             "test",
             "--release",
+            "--locked",
             "--test",
             "scale_smoke",
             "--",
@@ -813,6 +822,7 @@ fn ci_local_step(step: &str) -> bool {
             &cargo,
             &[
                 "clippy",
+                "--locked",
                 "--workspace",
                 "--all-targets",
                 "--",
@@ -823,7 +833,7 @@ fn ci_local_step(step: &str) -> bool {
         ),
         "doc" => run_command(
             &cargo,
-            &["doc", "--workspace", "--no-deps"],
+            &["doc", "--locked", "--workspace", "--no-deps"],
             &[("RUSTDOCFLAGS", "-D warnings")],
         ),
         "test" => {
@@ -883,6 +893,7 @@ fn ci_local_step(step: &str) -> bool {
                     &[
                         "run",
                         "--release",
+                        "--locked",
                         "--example",
                         "sharded_scale",
                         "--",
@@ -1140,6 +1151,34 @@ mod tests {
         );
         expected.sort_unstable();
         assert_eq!(jobs, expected, "ci.yml jobs and ci-local steps drifted");
+    }
+
+    /// Every `ci.yml` step that has cargo resolve the dependency graph (`build`, `test`,
+    /// `run`, `clippy`, `doc`) passes `--locked`, so a change that would rewrite
+    /// `Cargo.lock` fails in CI instead of resolving afresh there.
+    #[test]
+    fn ci_cargo_commands_pass_locked() {
+        let yml = Path::new(env!("CARGO_MANIFEST_DIR")).join("../.github/workflows/ci.yml");
+        let text = std::fs::read_to_string(&yml).expect("ci.yml is readable");
+        let unlocked: Vec<&str> = text
+            .lines()
+            .map(|line| line.trim_start().trim_start_matches("run: "))
+            .filter(|command| {
+                let mut words = command.split_whitespace();
+                words.next() == Some("cargo")
+                    && words
+                        .next()
+                        .is_some_and(|sub| ["build", "test", "run", "clippy", "doc"].contains(&sub))
+            })
+            .filter(|command| {
+                let cargo_args = command.split(" -- ").next().unwrap_or(command);
+                !cargo_args.split_whitespace().any(|word| word == "--locked")
+            })
+            .collect();
+        assert!(
+            unlocked.is_empty(),
+            "ci.yml cargo commands without --locked: {unlocked:#?}"
+        );
     }
 
     #[test]
