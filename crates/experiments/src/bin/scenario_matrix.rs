@@ -7,9 +7,11 @@
 //! ```
 //!
 //! One `SCENARIO_<name>.json` is written per scenario into `--out` (default
-//! `target/scenario-json`). The process exits non-zero when any protocol fails to
-//! recover connectivity after the scripted disruption — the CI `scenario-matrix` job's
-//! gate.
+//! `target/scenario-json`). The process exits non-zero when a report fails a gate
+//! ([`ScenarioReport::failed_gates`](croupier_experiments::matrix::ScenarioReport::failed_gates)):
+//! a protocol that does not recover connectivity after the scripted disruption, or on the
+//! fault tier croupier's in-degree Gini degrading more than the baselines'. CI runs it
+//! at `--scale quick` inside `xtask outputs --check`.
 
 use croupier_experiments::matrix::run_matrix;
 use croupier_experiments::scenario::ScenarioScript;
@@ -28,10 +30,6 @@ matrix_cli::matrix_main! {
     out: "target/scenario-json",
     scenarios: ScenarioScript::MATRIX_NAMES,
     run: run_matrix,
-    gates: [
-        all_recovered => "a protocol failed to recover connectivity",
-        croupier_gini_ok => "croupier's in-degree Gini degraded more than the baselines'",
-    ],
     pass: "scenario-matrix: every protocol recovered connectivity",
     fail: "scenario-matrix: at least one gate failed",
 }

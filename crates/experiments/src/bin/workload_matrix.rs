@@ -9,9 +9,10 @@
 //!
 //! One `SCENARIO_<name>.json` is written per scenario into `--out` (default
 //! `target/workload-json`). The process exits non-zero when croupier misses a declared
-//! SLO — chunk coverage within the seal window, absolute p95 delivery latency, or the
-//! p95 regression bound against the no-dynamics control — the CI `workload-matrix`
-//! job's gate.
+//! SLO ([`WorkloadScenarioReport::failed_gates`](croupier_experiments::matrix::WorkloadScenarioReport::failed_gates)):
+//! chunk coverage within the seal window, absolute p95 delivery latency, or the p95
+//! regression bound against the no-dynamics control. CI runs it at `--scale quick`
+//! inside `xtask outputs --check`.
 
 use croupier_experiments::matrix::{run_workload_matrix, WORKLOAD_TIER_NAMES};
 
@@ -28,7 +29,6 @@ matrix_cli::matrix_main! {
     out: "target/workload-json",
     scenarios: WORKLOAD_TIER_NAMES,
     run: run_workload_matrix,
-    gates: [croupier_slo_ok => "croupier missed a delivery SLO"],
     pass: "workload-matrix: croupier met every delivery SLO",
     fail: "workload-matrix: at least one SLO gate failed",
 }

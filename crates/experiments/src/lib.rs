@@ -22,8 +22,8 @@
 //! * [`figures`] — one module per paper figure.
 //! * [`matrix`] — the scenario-matrix runner: canned NAT-dynamics scripts × protocols,
 //!   with per-scenario JSON reports and a connectivity-recovery gate (the `scenario_matrix`
-//!   binary and the CI `scenario-matrix` job drive it), plus the workload tier (the
-//!   `workload_matrix` binary and the CI `workload-matrix` job).
+//!   binary drives it), plus the workload tier (the `workload_matrix` binary); CI runs
+//!   both at quick scale inside `xtask outputs --check`.
 //! * [`WorkloadSpec`] and [`WorkloadExecutor`] — the streaming-dissemination workload
 //!   engine: publishers, sampled push/pull chunk transfer through the NAT filter and fault
 //!   plane, the per-chunk delivery tracker and its SLO gates (`DESIGN.md` §16).

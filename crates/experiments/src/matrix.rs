@@ -9,9 +9,10 @@
 //! paper figures.
 //!
 //! One [`ScenarioReport`] per scenario (all protocol cells inside) serialises to the
-//! `SCENARIO_<name>.json` artifacts the CI `scenario-matrix` job uploads; the gate is
-//! [`ScenarioReport::all_recovered`] — every protocol must end the run with its overlay
-//! connected again.
+//! `SCENARIO_<name>.json` reports `xtask outputs` pins; its gates are
+//! [`ScenarioReport::failed_gates`] — every protocol must end the run with its overlay
+//! connected again, and on the fault tier croupier's in-degree Gini must not degrade more
+//! than the baselines'.
 //!
 //! [`run_matrix`] and [`run_workload_matrix`] hand their simulations to the crate's pool
 //! (`pool::run_all`) as one flat list, each reduced to its report on the worker that ran
@@ -57,8 +58,8 @@ pub(crate) fn recovery_threshold_for(script: &ScenarioScript) -> f64 {
     }
 }
 
-/// The paper-scale population anchoring the matrix (scaled down by [`Scale::nodes`]; the
-/// CI job runs `quick`, i.e. 100 nodes — well under its 1k-node budget).
+/// The paper-scale population anchoring the matrix (scaled down by [`Scale::nodes`]; CI
+/// runs `quick`, i.e. 100 nodes — well under its 1k-node budget).
 const MATRIX_PAPER_NODES: usize = 1_000;
 
 /// The paper-scale round count anchoring the matrix.
@@ -70,7 +71,7 @@ pub struct CellReport {
     /// Protocol name (figure-legend spelling).
     pub protocol: String,
     /// `true` when the final sample's largest component reaches
-    /// `RECOVERY_THRESHOLD` — the CI gate.
+    /// `RECOVERY_THRESHOLD` — the recovery gate.
     pub recovered: bool,
     /// Largest-component fraction at the final sample.
     pub final_largest_component: f64,
@@ -145,8 +146,22 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
+    /// The message of every gate this report fails, which the `scenario_matrix` binary
+    /// prints and exits non-zero on: recovery for every protocol, then (fault tier)
+    /// croupier's in-degree Gini bound. Empty when the scenario passes.
+    pub fn failed_gates(&self) -> Vec<&'static str> {
+        let mut failed = Vec::new();
+        if !self.all_recovered() {
+            failed.push("a protocol failed to recover connectivity");
+        }
+        if !self.croupier_gini_ok() {
+            failed.push("croupier's in-degree Gini degraded more than the baselines'");
+        }
+        failed
+    }
+
     /// Returns `true` when every protocol ends the run with a connected overlay.
-    pub fn all_recovered(&self) -> bool {
+    pub(crate) fn all_recovered(&self) -> bool {
         self.cells.iter().all(|c| c.recovered)
     }
 
@@ -155,7 +170,7 @@ impl ScenarioReport {
     /// `FAULT_GINI_MARGIN` worse than the best NAT-aware baseline's degradation (gozar
     /// or nylon). Vacuously `true` for clean-network scenarios or when either side is
     /// absent from the protocol selection.
-    pub fn croupier_gini_ok(&self) -> bool {
+    pub(crate) fn croupier_gini_ok(&self) -> bool {
         if !self.fault_tier {
             return true;
         }
@@ -434,7 +449,7 @@ pub fn matrix_rounds(scale: Scale) -> u64 {
 
 /// The scenarios of the workload tier: a dissemination stream rides each of these
 /// scripts for every protocol, and croupier's delivery is gated against the declared
-/// SLOs (the `workload-matrix` CI job).
+/// SLOs ([`WorkloadScenarioReport::failed_gates`]).
 pub const WORKLOAD_TIER_NAMES: [&str; 3] = ["reboot_storm", "mobility_wave", "lossy_10"];
 
 /// The dissemination workload a matrix run drives at `scale`: one chunk per round,
@@ -514,12 +529,23 @@ pub struct WorkloadScenarioReport {
 }
 
 impl WorkloadScenarioReport {
-    /// The workload-tier CI gate: croupier's cell must meet every declared SLO —
+    /// The message of every gate this report fails, which the `workload_matrix` binary
+    /// prints and exits non-zero on: croupier's delivery SLOs. Empty when the scenario
+    /// passes.
+    pub fn failed_gates(&self) -> Vec<&'static str> {
+        let mut failed = Vec::new();
+        if !self.croupier_slo_ok() {
+            failed.push("croupier missed a delivery SLO");
+        }
+        failed
+    }
+
+    /// The workload-tier gate: croupier's cell must meet every declared SLO —
     /// coverage, absolute p95 latency, and bounded p95 regression vs its control.
     /// Baseline cells are reported but not gated (their delivery profiles differ by
     /// design: cyclon runs all-public, nylon relays aggressively). Vacuously `true`
     /// when croupier is not in the protocol selection.
-    pub fn croupier_slo_ok(&self) -> bool {
+    pub(crate) fn croupier_slo_ok(&self) -> bool {
         self.cells
             .iter()
             .filter(|c| c.protocol == "croupier")
@@ -709,22 +735,6 @@ mod tests {
     use super::*;
     use croupier_metrics::EstimationErrors;
 
-    impl WorkloadScenarioReport {
-        /// The full CI gate for this scenario (currently just
-        /// [`croupier_slo_ok`](Self::croupier_slo_ok)).
-        pub(crate) fn gates_pass(&self) -> bool {
-            self.croupier_slo_ok()
-        }
-    }
-
-    impl ScenarioReport {
-        /// The full CI gate for this scenario: recovery for every protocol, plus the
-        /// croupier in-degree Gini bound on fault-tier cells.
-        pub(crate) fn gates_pass(&self) -> bool {
-            self.all_recovered() && self.croupier_gini_ok()
-        }
-    }
-
     fn sample(round: u64, component: f64) -> RoundSample {
         RoundSample {
             round,
@@ -841,7 +851,7 @@ mod tests {
             }],
         };
         assert!(report.all_recovered());
-        assert!(report.gates_pass());
+        assert!(report.failed_gates().is_empty());
         let json = report.to_json();
         assert!(json.contains("\"scenario\": \"reboot_storm\""));
         assert!(json.contains("\"all_recovered\": true"));
@@ -949,7 +959,10 @@ mod tests {
             report(0.9, false).croupier_gini_ok(),
             "clean-network scenarios skip the Gini gate"
         );
-        assert!(!report(0.43, true).gates_pass());
+        assert_eq!(
+            report(0.43, true).failed_gates(),
+            ["croupier's in-degree Gini degraded more than the baselines'"]
+        );
         let improved = report(0.30, true);
         assert!(
             improved.croupier_gini_ok(),
@@ -991,7 +1004,7 @@ mod tests {
             }],
         };
         assert!(report.croupier_slo_ok(), "the literal cell meets its SLOs");
-        assert!(report.gates_pass());
+        assert!(report.failed_gates().is_empty());
         let json = report.to_json();
         assert!(json.contains("\"scenario\": \"reboot_storm\""));
         assert!(json.contains("\"croupier_slo_ok\": true"));

@@ -23,7 +23,8 @@ use std::fmt::Write as _;
 pub enum Scale {
     /// A few dozen nodes, a few dozen rounds; used by doc tests and smoke tests.
     Tiny,
-    /// Roughly a tenth of the paper's populations; the scale the CI matrix jobs gate.
+    /// Roughly a tenth of the paper's populations; the scale `xtask outputs` gates the
+    /// matrices at.
     Quick,
     /// The paper's populations and durations.
     Paper,

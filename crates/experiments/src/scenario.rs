@@ -381,8 +381,9 @@ impl ScenarioScript {
     }
 }
 
-/// The canned scenario library behind the scenario-matrix runner. Disruptions land
-/// around the midpoint of a `rounds`-round run so every script leaves room to recover.
+/// The canned scenario library behind [`run_matrix`](crate::matrix::run_matrix).
+/// Disruptions land around the midpoint of a `rounds`-round run so every script leaves
+/// room to recover.
 impl ScenarioScript {
     /// Names of the scripts in the matrix order. The last three are the
     /// fault tier: they drive the engines' [`FaultPlane`] instead of the topology.

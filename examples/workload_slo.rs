@@ -1,5 +1,5 @@
 //! The workload-tier SLO table for croupier vs cyclon: the same streaming dissemination
-//! the CI `workload-matrix` job gates, run for both protocols under the tier's three
+//! the `workload_matrix` binary gates, run for both protocols under the tier's three
 //! scenarios (`reboot_storm`, `mobility_wave`, `lossy_10`) at quick scale.
 //!
 //! Each cell streams chunks through the scenario's dynamics and through a no-dynamics

@@ -4,21 +4,6 @@
 //!
 //! Commands:
 //!
-//! * `scenario-matrix` — runs the NAT-dynamics scenario matrix (the CI `scenario-matrix`
-//!   job): a thin wrapper around `cargo run --release -p croupier-experiments --bin
-//!   scenario_matrix`, forwarding every argument.
-//!
-//!   ```text
-//!   cargo run -p xtask -- scenario-matrix --scale quick --out target/scenario-json
-//!   ```
-//!
-//! * `workload-matrix` — runs the streaming-dissemination workload tier (the CI
-//!   `workload-matrix` job) the same way, wrapping the `workload_matrix` binary:
-//!
-//!   ```text
-//!   cargo run -p xtask -- workload-matrix --scale quick --out target/workload-json
-//!   ```
-//!
 //! * `public-api` — the API-stability gate: line-scans every workspace library crate for
 //!   `pub` items and compares the sorted list against the committed snapshot under
 //!   `ci/public-api/`. An undeclared addition, removal or signature change fails with a
@@ -30,10 +15,11 @@
 //!   ```
 //!
 //! * `loc` — the one definition of "non-test lines" for size claims in PR texts: per
-//!   crate, over the tracked `*.rs` files, total lines / lines before the first
-//!   `#[cfg(test)]` (files under a `tests/` directory count none) / of those, the ones
-//!   that are neither blank nor `//` comments; `e2e_bench/` and `vendor/` are listed but
-//!   kept out of the workspace sum. Not a CI step.
+//!   crate, over the tracked `*.rs` files, total lines / lines before the `#[cfg(test)]`
+//!   that gates an inline `mod … {` (files under a `tests/` directory, and files declared
+//!   by `#[cfg(test)] mod name;`, count none) / of those, the ones that are neither blank
+//!   nor `//` comments; `e2e_bench/` and `vendor/` are listed but kept out of the
+//!   workspace sum. Not a CI step.
 //!
 //!   ```text
 //!   cargo run -p xtask -- loc
@@ -53,21 +39,21 @@
 //!       [--workload cyclon_nat_wide] [--pairs 10]
 //!   ```
 //!
-//! * `outputs` — the evidence behind a byte-identity claim: builds the experiment
-//!   binaries of the checkout it runs in and writes into `--out` the 11 `scenario_matrix`
-//!   JSONs and the 3 `workload_matrix` JSONs (both `--scale quick`), the
-//!   `figures --scale tiny --json all` output, each binary's stdout, stderr and exit
-//!   status, and — when `e2e_bench/target/release/e2e` is built, as for `pairs` — the
-//!   seed-42 `digests <untraced> / <traced>` of every declared workload
+//! * `outputs` — the one gate over every seeded output: builds the experiment binaries
+//!   and `e2e_bench`'s `e2e` in the checkout it runs in, and writes into `--out` the 11
+//!   `scenario_matrix` JSONs and the 3 `workload_matrix` JSONs (both `--scale quick`), the
+//!   `figures --scale tiny --json all` output, each of those binaries' stdout and stderr,
+//!   and the seed-42 `digests <untraced> / <traced>` of every declared workload
 //!   (`--seconds 1 --trace 1`). The binaries run inside the output directory with
 //!   relative paths, so nothing written names it, and `diff -r` of two such directories
-//!   (one per checkout) is empty when no seeded output moved.
+//!   (one per checkout) is empty when no seeded output moved. Once everything is
+//!   written, the command fails naming each binary that exited non-zero — a matrix whose
+//!   gate failed, say.
 //!
 //!   `--check` writes the same outputs into `target/outputs` and compares them with the
 //!   committed `ci/outputs.manifest`: each file's path, byte length and 64-bit FNV-1a
-//!   hash, each binary's exit status and, when `e2e` is built, the four digests. Any
-//!   difference fails with a `-`/`+` line diff; `--update` rewrites the manifest (it
-//!   needs `e2e` built). The check runs in CI's `scenario-matrix` job and `ci-local`'s
+//!   hash, and the four digests. Any difference fails with a `-`/`+` line diff;
+//!   `--update` rewrites the manifest. The check is CI's `outputs` job and `ci-local`'s
 //!   step of the same name.
 //!
 //!   ```text
@@ -78,69 +64,35 @@
 //! * `ci-local` — mirrors every CI job offline so contributors can reproduce CI failures
 //!   before pushing: `fmt`, `clippy` (deny warnings), `doc` (deny warnings),
 //!   `public-api` (snapshot diff), `test` (release build + workspace tests + the
-//!   `quickstart` example), `scenario-matrix` (the clean-network scenarios, then
-//!   `outputs --check`), `fault-matrix`
-//!   (the fault-injection tier: `lossy_10`, `burst_loss`, `dup_reorder`) and
-//!   `workload-matrix` (the streaming-dissemination tier: `reboot_storm`,
-//!   `mobility_wave`, `lossy_10`), all three at `quick`, the scale CI gates them at,
-//!   `e2e-bench` (the unit tests and the `--smoke` run of the separate `e2e_bench/`
-//!   workspace, which compiles against the public API of every crate), `scale-smoke` (the
-//!   ignored 100k-node `scale_smoke` test plus the `sharded_scale` example) and
-//!   `huge-smoke` (the ignored million-node `scale_smoke` test), each the same commands
-//!   the CI job runs. The two smokes print the path of the metrics-timing report (with
-//!   the run's peak RSS) their CI jobs upload.
-//!   All steps run even when an earlier one fails; the summary lists every verdict and
-//!   the wall seconds the step took.
+//!   `quickstart` example), `outputs` (the unit tests and the `--smoke` run of the
+//!   separate `e2e_bench/` workspace, which compiles against the public API of every
+//!   crate, then `outputs --check`), `scale-smoke` (the ignored 100k-node `scale_smoke`
+//!   test plus the `sharded_scale` example) and `huge-smoke` (the ignored million-node
+//!   `scale_smoke` test), each the same commands the CI job runs. The two smokes print
+//!   the path of the metrics-timing report (with the run's peak RSS) their CI jobs
+//!   upload. All steps run even when an earlier one fails; the summary lists every
+//!   verdict and the wall seconds the step took.
 //!
 //!   ```text
-//!   cargo run -p xtask -- ci-local [--skip scenario-matrix,e2e-bench,huge-smoke]
+//!   cargo run -p xtask -- ci-local [--skip outputs,huge-smoke]
 //!   ```
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Output};
 use std::time::Instant;
 
-const USAGE: &str = "usage: xtask scenario-matrix [scenario_matrix args...]\n\
-                     xtask workload-matrix [workload_matrix args...]\n\
-                     xtask public-api [--update]\n\
+const USAGE: &str = "usage: xtask public-api [--update]\n\
                      xtask loc\n\
                      xtask pairs --parent <dir> --change <dir> [--workload <name>]... \
                      [--pairs 10]\n\
                      xtask outputs (--out <dir> | --check | --update)\n\
                      xtask ci-local [--skip \
-                     fmt,clippy,doc,public-api,test,scenario-matrix,fault-matrix,\
-                     workload-matrix,e2e-bench,scale-smoke,huge-smoke]";
+                     fmt,clippy,doc,public-api,test,outputs,scale-smoke,huge-smoke]";
 
 /// The cargo executable to shell out to (`$CARGO` when cargo invoked us, so nested calls
 /// use the same toolchain).
 fn cargo_bin() -> String {
     std::env::var("CARGO").unwrap_or_else(|_| String::from("cargo"))
-}
-
-/// Runs a matrix binary (`scenario_matrix` or `workload_matrix`) through cargo with
-/// `extra` appended — the single invocation site behind the `xtask` forwarding commands
-/// and the `ci-local` smoke steps.
-fn run_matrix_bin(bin: &str, extra: &[String]) -> bool {
-    let mut args = vec![
-        "run",
-        "--release",
-        "--locked",
-        "-p",
-        "croupier-experiments",
-        "--bin",
-        bin,
-        "--",
-    ];
-    args.extend(extra.iter().map(String::as_str));
-    run_command(&cargo_bin(), &args, &[])
-}
-
-fn run_scenario_matrix(extra: &[String]) -> bool {
-    run_matrix_bin("scenario_matrix", extra)
-}
-
-fn run_workload_matrix(extra: &[String]) -> bool {
-    run_matrix_bin("workload_matrix", extra)
 }
 
 /// Directory holding the committed public-API snapshots, one file per library crate.
@@ -311,16 +263,52 @@ fn public_api_gate(update: bool) -> ExitCode {
     }
 }
 
-/// Line counts of one source text: total, non-test (before the first `#[cfg(test)]`) and
-/// the non-test lines that are neither blank nor `//` comments.
+/// The module a `#[cfg(test)]` at `lines[at]` gates, as `(name, inline)`: `None` unless
+/// the next line that is not an attribute declares a module, inline (`mod name {`) or as
+/// a file of its own (`mod name;`).
+fn test_module(lines: &[&str], at: usize) -> Option<(String, bool)> {
+    if lines[at].trim() != "#[cfg(test)]" {
+        return None;
+    }
+    let item = lines[at + 1..]
+        .iter()
+        .map(|l| l.trim())
+        .find(|l| !l.starts_with("#["))?;
+    let item = item.strip_prefix("pub(crate) ").unwrap_or(item);
+    let rest = item.strip_prefix("mod ")?;
+    let (name, tail) = rest.split_at(rest.find(['{', ';'])?);
+    Some((name.trim().to_string(), tail.starts_with('{')))
+}
+
+/// Line counts of one source text: total, non-test (before the `#[cfg(test)]` that gates
+/// an inline module) and the non-test lines that are neither blank nor `//` comments.
 fn loc_of(text: &str) -> [usize; 3] {
-    let non_test = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
-    let (mut lines, mut code) = (0, 0);
-    for line in non_test.map(str::trim) {
-        lines += 1;
+    let lines: Vec<&str> = text.lines().collect();
+    let end =
+        (0..lines.len()).find(|&at| test_module(&lines, at).is_some_and(|(_, inline)| inline));
+    let (mut non_test, mut code) = (0, 0);
+    for line in lines[..end.unwrap_or(lines.len())].iter().map(|l| l.trim()) {
+        non_test += 1;
         code += usize::from(!line.is_empty() && !line.starts_with("//"));
     }
-    [text.lines().count(), lines, code]
+    [lines.len(), non_test, code]
+}
+
+/// The files of the modules the source at `path` declares by `#[cfg(test)] mod name;`:
+/// `name.rs` beside a `lib.rs`, `main.rs` or `mod.rs`, else in the directory named after
+/// the declaring file.
+fn test_module_files(path: &str, text: &str) -> Vec<String> {
+    let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+    let dir = match file.strip_suffix(".rs") {
+        Some("lib" | "main" | "mod") | None => dir.to_string(),
+        Some(stem) => format!("{dir}/{stem}"),
+    };
+    let lines: Vec<&str> = text.lines().collect();
+    (0..lines.len())
+        .filter_map(|at| test_module(&lines, at))
+        .filter(|(_, inline)| !inline)
+        .map(|(name, _)| format!("{dir}/{name}.rs"))
+        .collect()
 }
 
 /// The group a tracked file is counted under: `crates/<name>`, else its top directory.
@@ -341,13 +329,19 @@ fn loc_report() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Deleted in the working tree, not yet in the index: skipped.
+    let sources: Vec<(&str, String)> = listing
+        .lines()
+        .filter_map(|path| Some((path, std::fs::read_to_string(path).ok()?)))
+        .collect();
+    let test_files: Vec<String> = sources
+        .iter()
+        .flat_map(|(path, text)| test_module_files(path, text))
+        .collect();
     let mut groups = std::collections::BTreeMap::<&str, [usize; 3]>::new();
-    for path in listing.lines() {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            continue; // deleted in the working tree, not yet in the index
-        };
-        let mut counts = loc_of(&text);
-        if path.split('/').any(|dir| dir == "tests") {
+    for (path, text) in &sources {
+        let mut counts = loc_of(text);
+        if path.split('/').any(|dir| dir == "tests") || test_files.iter().any(|f| f == path) {
             counts[1..].fill(0);
         }
         let sums = groups.entry(loc_group(path)).or_default();
@@ -535,17 +529,25 @@ fn outputs(argv: impl Iterator<Item = String>) -> Result<(), String> {
         std::fs::remove_dir_all(&out)
             .map_err(|err| format!("cannot clear {}: {err}", out.display()))?;
     }
-    write_outputs(&out)?;
+    let build = ["build", "--release", "--offline", "--locked"];
+    let experiment_bins = ["-p", "croupier-experiments", "--bins"];
+    let e2e_bin = ["--manifest-path", E2E_MANIFEST, "--bin", "e2e"];
+    for target in [&experiment_bins[..], &e2e_bin] {
+        if !run_command(&cargo_bin(), &[&build[..], target].concat(), &[]) {
+            return Err(String::from("cannot build the binaries outputs runs"));
+        }
+    }
+    let root = std::env::current_dir().map_err(|err| format!("no working directory: {err}"))?;
+    let declared = std::fs::read_to_string("BENCHMARK.json")
+        .map_err(|err| format!("cannot read BENCHMARK.json: {err}"))?;
+    let bins = root.join("target/release");
+    let e2e = root.join("e2e_bench/target/release/e2e");
+    write_outputs(&out, &bins, &e2e, &declared_workloads(&declared))?;
     let Some(update) = gate else {
         return Ok(());
     };
     let fresh = manifest_of(&out)?;
     if update {
-        if !fresh.contains(DIGESTS_SECTION) {
-            return Err(String::from(
-                "outputs --update records the digests too: build e2e_bench first",
-            ));
-        }
         std::fs::write(OUTPUTS_MANIFEST, MANIFEST_HEADER.to_string() + &fresh)
             .map_err(|err| format!("cannot write {OUTPUTS_MANIFEST}: {err}"))?;
         println!("outputs: wrote {OUTPUTS_MANIFEST}");
@@ -567,74 +569,69 @@ fn outputs(argv: impl Iterator<Item = String>) -> Result<(), String> {
     ))
 }
 
-/// Builds the experiment binaries and writes every output the module documentation lists
-/// into `out`.
-fn write_outputs(out: &Path) -> Result<(), String> {
+/// The benchmark package's manifest; `outputs` builds its `e2e` binary.
+const E2E_MANIFEST: &str = "e2e_bench/Cargo.toml";
+
+/// Runs one binary `outputs` records and returns what it printed; one that exits
+/// non-zero is named in `failed`, so every output is still written before the step fails.
+fn run_recorded(
+    name: &str,
+    command: &mut Command,
+    failed: &mut Vec<String>,
+) -> Result<Output, String> {
+    let output = command
+        .output()
+        .map_err(|err| format!("cannot run {name}: {err}"))?;
+    if !output.status.success() {
+        failed.push(format!("{name} ({})", output.status));
+    }
+    Ok(output)
+}
+
+/// Runs the experiment binaries in `bins` inside `out` and `e2e` once per workload, writes
+/// every output the module documentation lists into `out`, then fails naming each binary
+/// that exited non-zero.
+fn write_outputs(out: &Path, bins: &Path, e2e: &Path, workloads: &[String]) -> Result<(), String> {
     let write = |name: &str, bytes: &[u8]| {
         std::fs::write(out.join(name), bytes).map_err(|err| format!("cannot write {name}: {err}"))
     };
     std::fs::create_dir_all(out)
         .map_err(|err| format!("cannot create {}: {err}", out.display()))?;
-    let build = [
-        "build",
-        "--release",
-        "--locked",
-        "-p",
-        "croupier-experiments",
-        "--bins",
-    ];
-    if !run_command(&cargo_bin(), &build, &[]) {
-        return Err(String::from("cannot build the experiment binaries"));
-    }
-    let bins = std::env::current_dir()
-        .map_err(|err| format!("no working directory: {err}"))?
-        .join("target/release");
     let runs = [
         ("scenario_matrix", "--scale quick --out scenario-json"),
         ("workload_matrix", "--scale quick --out workload-json"),
         ("figures", "--scale tiny --json all"),
     ];
-    let mut statuses = String::new();
+    let mut failed = Vec::new();
     for (bin, args) in runs {
         let mut command = Command::new(bins.join(bin));
-        let run = command.args(args.split(' ')).current_dir(out).output();
-        let run = run.map_err(|err| format!("cannot run {bin}: {err}"))?;
+        command.args(args.split(' ')).current_dir(out);
+        let run = run_recorded(bin, &mut command, &mut failed)?;
         write(&format!("{bin}.stdout"), &run.stdout)?;
         write(&format!("{bin}.stderr"), &run.stderr)?;
-        statuses += &format!("{bin}: {}\n", run.status);
     }
-    write(STATUS_FILE, statuses.as_bytes())?;
-    let e2e = Path::new("e2e_bench/target/release/e2e");
-    if !e2e.exists() {
-        println!("outputs: e2e_bench is not built, so no digests are written");
-        return Ok(());
-    }
-    let declared = std::fs::read_to_string("BENCHMARK.json")
-        .map_err(|err| format!("cannot read BENCHMARK.json: {err}"))?;
     let mut digests = String::new();
-    for workload in declared_workloads(&declared) {
+    for workload in workloads {
         let mut command = Command::new(e2e);
-        command.args(["--workload", &workload]);
-        let run = command
-            .args("--seed 42 --seconds 1 --trace 1".split(' '))
-            .output();
-        let run = run.map_err(|err| format!("cannot run {}: {err}", e2e.display()))?;
+        command.args(["--workload", workload]);
+        command.args("--seed 42 --seconds 1 --trace 1".split(' '));
+        let run = run_recorded(&format!("e2e {workload}"), &mut command, &mut failed)?;
         let stdout = String::from_utf8_lossy(&run.stdout);
-        let line = stdout.lines().find_map(|line| line.split_once("digests "));
-        let line = line.ok_or(format!("{workload}: no digests line"))?;
-        digests += &format!("{workload}: digests {}\n", line.1);
+        match stdout.lines().find_map(|line| line.split_once("digests ")) {
+            Some((_, digest)) => digests += &format!("{workload}: digests {digest}\n"),
+            None => failed.push(format!("e2e {workload} (no digests line)")),
+        }
     }
-    write(DIGESTS_FILE, digests.as_bytes())
+    write(DIGESTS_FILE, digests.as_bytes())?;
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("outputs: {} exited non-zero", failed.join(", ")))
+    }
 }
-
-/// The exit status of every binary `outputs` runs, one line each.
-const STATUS_FILE: &str = "status.txt";
 
 /// The seed-42 `digests <untraced> / <traced>` of every declared workload.
 const DIGESTS_FILE: &str = "digests.txt";
-
-/// The manifest section holding [`DIGESTS_FILE`]; absent when `e2e` is not built.
-const DIGESTS_SECTION: &str = "[digests]\n";
 
 /// The comment block `outputs --update` writes above the manifest; `#` lines are not
 /// compared.
@@ -642,8 +639,7 @@ const MANIFEST_HEADER: &str = "\
 # Byte identity of every seeded output of `cargo run -p xtask -- outputs`.
 # `outputs --check` reruns the binaries and fails on any difference from this file;
 # `outputs --update` rewrites it. [files]: path, byte length, 64-bit FNV-1a hash.
-# [status]: each binary's exit status. [digests]: the seed-42 e2e digests, checked
-# only when e2e_bench/target/release/e2e is built.
+# [digests]: the seed-42 e2e digests of every workload BENCHMARK.json declares.
 ";
 
 /// 64-bit FNV-1a hash of `bytes`.
@@ -654,8 +650,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The manifest of an `outputs` directory, without its header: one `[files]` line per
-/// output file other than the status and digest files, then those two files' lines under
-/// `[status]` and (if written) `[digests]`.
+/// output file other than the digest file, then that file's lines under `[digests]`.
 fn manifest_of(out: &Path) -> Result<String, String> {
     let read = |path: &Path| {
         std::fs::read(path).map_err(|err| format!("cannot read {}: {err}", path.display()))
@@ -666,35 +661,20 @@ fn manifest_of(out: &Path) -> Result<String, String> {
     for file in &files {
         let rel = file.strip_prefix(out).unwrap_or(file);
         let rel = rel.to_string_lossy().replace('\\', "/");
-        if rel != STATUS_FILE && rel != DIGESTS_FILE {
+        if rel != DIGESTS_FILE {
             let bytes = read(file)?;
             manifest += &format!("{rel} {} {:016x}\n", bytes.len(), fnv1a(&bytes));
         }
     }
-    manifest += "[status]\n";
-    manifest += &String::from_utf8_lossy(&read(&out.join(STATUS_FILE))?);
-    let digests = out.join(DIGESTS_FILE);
-    if digests.exists() {
-        manifest += DIGESTS_SECTION;
-        manifest += &String::from_utf8_lossy(&read(&digests)?);
-    }
+    manifest += "[digests]\n";
+    manifest += &String::from_utf8_lossy(&read(&out.join(DIGESTS_FILE))?);
     Ok(manifest)
 }
 
 /// The lines on which `committed` and `fresh` manifests differ, as `- committed` and
-/// `+ fresh`, ignoring `#` comments. A `fresh` manifest without digests is compared
-/// without the committed digests too.
+/// `+ fresh`, ignoring `#` comments.
 fn manifest_mismatches(committed: &str, fresh: &str) -> Vec<String> {
-    let mut committed: Vec<&str> = committed.lines().filter(|l| !l.starts_with('#')).collect();
-    if !fresh.contains(DIGESTS_SECTION) {
-        if let Some(at) = committed
-            .iter()
-            .position(|l| *l == DIGESTS_SECTION.trim_end())
-        {
-            println!("outputs: e2e_bench is not built, so the digests are not checked");
-            committed.truncate(at);
-        }
-    }
+    let committed: Vec<&str> = committed.lines().filter(|l| !l.starts_with('#')).collect();
     let fresh: Vec<&str> = fresh.lines().collect();
     let missing = committed.iter().filter(|l| !fresh.contains(l));
     let added = fresh.iter().filter(|l| !committed.contains(l));
@@ -722,38 +702,16 @@ fn run_command(program: &str, args: &[&str], envs: &[(&str, &str)]) -> bool {
 
 /// The CI jobs `ci-local` mirrors, in run order. `huge-smoke` is the million-node tier
 /// (the long pole by far — skip it with `--skip huge-smoke` when iterating).
-const CI_STEPS: [&str; 11] = [
+const CI_STEPS: [&str; 8] = [
     "fmt",
     "clippy",
     "doc",
     "public-api",
     "test",
-    "scenario-matrix",
-    "fault-matrix",
-    "workload-matrix",
-    "e2e-bench",
+    "outputs",
     "scale-smoke",
     "huge-smoke",
 ];
-
-/// The clean-network scenarios the `scenario-matrix` step runs; the fault tier runs
-/// separately under `fault-matrix` so the two gates fail independently (mirroring the
-/// split CI jobs).
-const CLEAN_SCENARIOS: &str = "reboot_storm,mobility_wave,nat_flux,flash_crowd,\
-                               regional_outage,croupier_stress,symmetric_shift,cgn_migration";
-
-/// The fault-tier scenarios the `fault-matrix` step runs.
-const FAULT_SCENARIOS: &str = "lossy_10,burst_loss,dup_reorder";
-
-/// The scenarios the `workload-matrix` step streams a dissemination workload under.
-const WORKLOAD_SCENARIOS: &str = "reboot_storm,mobility_wave,lossy_10";
-
-/// The arguments of a `ci-local` matrix step: the scale CI gates at (the tiny tier's 25
-/// nodes are too few for the fault tier's Gini-degradation gate), the step's scenarios
-/// and its report directory.
-fn matrix_step_args(scenarios: &str, out: &str) -> [String; 6] {
-    ["--scale", "quick", "--scenarios", scenarios, "--out", out].map(String::from)
-}
 
 /// Parses `ci-local`'s arguments: the set of steps to skip.
 fn parse_ci_local_args(mut argv: impl Iterator<Item = String>) -> Result<Vec<String>, String> {
@@ -849,25 +807,17 @@ fn ci_local_step(step: &str) -> bool {
                 )
         }
         "public-api" => public_api_gate(false) == ExitCode::SUCCESS,
-        "scenario-matrix" => {
-            run_scenario_matrix(&matrix_step_args(CLEAN_SCENARIOS, "target/scenario-json"))
-                && outputs(["--check".to_string()].into_iter())
-                    .map_err(|err| eprintln!("{err}"))
-                    .is_ok()
-        }
-        "fault-matrix" => {
-            run_scenario_matrix(&matrix_step_args(FAULT_SCENARIOS, "target/fault-json"))
-        }
-        "workload-matrix" => run_workload_matrix(&matrix_step_args(
-            WORKLOAD_SCENARIOS,
-            "target/workload-json",
-        )),
-        "e2e-bench" => {
+        "outputs" => {
             // Nothing else builds the benchmark package: it is a workspace of its own.
-            let manifest = "e2e_bench/Cargo.toml";
             run_command(
                 &cargo,
-                &["test", "--offline", "--locked", "--manifest-path", manifest],
+                &[
+                    "test",
+                    "--offline",
+                    "--locked",
+                    "--manifest-path",
+                    E2E_MANIFEST,
+                ],
                 &[],
             ) && run_command(
                 &cargo,
@@ -877,14 +827,16 @@ fn ci_local_step(step: &str) -> bool {
                     "--offline",
                     "--locked",
                     "--manifest-path",
-                    manifest,
+                    E2E_MANIFEST,
                     "--bin",
                     "e2e",
                     "--",
                     "--smoke",
                 ],
                 &[],
-            )
+            ) && outputs(["--check".to_string()].into_iter())
+                .map_err(|err| eprintln!("{err}"))
+                .is_ok()
         }
         "scale-smoke" => {
             run_scale_smoke(&cargo, "croupier_100k", "scale_smoke_metrics_timing.json")
@@ -970,23 +922,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("scenario-matrix") => {
-            // Thin forwarding wrapper so CI and contributors share one entry point.
-            let extra: Vec<String> = argv.collect();
-            if run_scenario_matrix(&extra) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Some("workload-matrix") => {
-            let extra: Vec<String> = argv.collect();
-            if run_workload_matrix(&extra) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
         Some("ci-local") => match parse_ci_local_args(argv) {
             Ok(skip) => ci_local(&skip),
             Err(err) => {
@@ -1033,21 +968,57 @@ mod tests {
         // Published FNV-1a 64 test vectors.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        let committed = "# header\n[files]\na.json 3 0001\n[status]\nfigures: exit status: 0\n\
-                         [digests]\nw: digests 1 / 1\n";
-        let fresh = "[files]\na.json 3 0001\n[status]\nfigures: exit status: 0\n\
-                     [digests]\nw: digests 1 / 1\n";
+        let committed = "# header\n[files]\na.json 3 0001\n[digests]\nw: digests 1 / 1\n";
+        let fresh = "[files]\na.json 3 0001\n[digests]\nw: digests 1 / 1\n";
         assert!(manifest_mismatches(committed, fresh).is_empty());
         let moved = fresh.replace("0001", "0002");
         assert_eq!(
             manifest_mismatches(committed, &moved),
             ["- a.json 3 0001", "+ a.json 3 0002"]
         );
-        // Without e2e the digests are skipped, not reported missing.
-        let undigested = &fresh[..fresh.find(DIGESTS_SECTION).unwrap()];
-        assert!(manifest_mismatches(committed, undigested).is_empty());
-        let failed = fresh.replace("exit status: 0", "exit status: 1");
-        assert_eq!(manifest_mismatches(committed, &failed).len(), 2);
+        let redigested = fresh.replace("1 / 1", "1 / 2");
+        assert_eq!(
+            manifest_mismatches(committed, &redigested),
+            ["- w: digests 1 / 1", "+ w: digests 1 / 2"]
+        );
+    }
+
+    /// Every binary runs and its output is written, then the step fails naming each one
+    /// that exited non-zero (here `scenario_matrix`, as when one of its gates fails).
+    #[test]
+    fn outputs_fail_naming_each_binary_that_exited_non_zero() {
+        let dir = std::env::temp_dir().join(format!("xtask-outputs-{}", std::process::id()));
+        let (bins, out) = (dir.join("bins"), dir.join("out"));
+        std::fs::create_dir_all(&bins).unwrap();
+        for (bin, body) in [
+            (
+                "scenario_matrix",
+                "echo table; echo '  GATE: g' >&2; exit 1",
+            ),
+            ("workload_matrix", "exit 0"),
+            ("figures", "exit 0"),
+            ("e2e", "echo \"digests 1 / 1\""),
+        ] {
+            let script = bins.join(bin);
+            std::fs::write(&script, format!("#!/bin/sh\n{body}\n")).unwrap();
+            let mode = std::os::unix::fs::PermissionsExt::from_mode(0o755);
+            std::fs::set_permissions(&script, mode).unwrap();
+        }
+        let workloads = [String::from("w")];
+        let err = write_outputs(&out, &bins, &bins.join("e2e"), &workloads).unwrap_err();
+        let read = |name: &str| std::fs::read_to_string(out.join(name)).unwrap();
+        let written = [
+            read("scenario_matrix.stdout"),
+            read("scenario_matrix.stderr"),
+        ];
+        let digests = read(DIGESTS_FILE);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            err,
+            "outputs: scenario_matrix (exit status: 1) exited non-zero"
+        );
+        assert_eq!(written, ["table\n", "  GATE: g\n"]);
+        assert_eq!(digests, "w: digests 1 / 1\n");
     }
 
     #[test]
@@ -1101,12 +1072,12 @@ mod tests {
     fn ci_local_args_accept_known_steps_only() {
         assert_eq!(
             parse_ci_local_args(
-                ["--skip", "e2e-bench,scenario-matrix"]
+                ["--skip", "outputs,huge-smoke"]
                     .map(String::from)
                     .into_iter()
             )
             .unwrap(),
-            vec![String::from("e2e-bench"), String::from("scenario-matrix")]
+            vec![String::from("outputs"), String::from("huge-smoke")]
         );
         assert!(parse_ci_local_args(std::iter::empty()).unwrap().is_empty());
         assert!(
@@ -1117,31 +1088,15 @@ mod tests {
     }
 
     /// `ci.yml` folds `fmt`/`clippy`/`doc`/`public-api` into its `lint` job and runs `test`
-    /// as `build-test`; every other `ci-local` step is a CI job of the same name, and a
-    /// matrix job passes the `--scenarios` list its step does.
+    /// as `build-test`; every other `ci-local` step is a CI job of the same name. No job
+    /// picks scenarios: the `outputs` job runs every one.
     #[test]
     fn ci_local_steps_mirror_the_ci_jobs() {
         let yml = Path::new(env!("CARGO_MANIFEST_DIR")).join("../.github/workflows/ci.yml");
         let text = std::fs::read_to_string(&yml).expect("ci.yml is readable");
-        let mut jobs = Vec::new();
-        let mut scenarios = Vec::new();
-        for line in text.lines().skip_while(|line| *line != "jobs:").skip(1) {
-            let id = line.strip_prefix("  ").and_then(|id| id.strip_suffix(':'));
-            if let Some(id) = id.filter(|id| !id.starts_with([' ', '#'])) {
-                jobs.push(id);
-            } else if let Some((_, list)) = line.split_once("--scenarios ") {
-                scenarios.push((jobs[jobs.len() - 1], list.trim_end_matches([' ', '\\'])));
-            }
-        }
-        assert_eq!(
-            scenarios,
-            [
-                ("scenario-matrix", CLEAN_SCENARIOS),
-                ("fault-matrix", FAULT_SCENARIOS),
-                ("workload-matrix", WORKLOAD_SCENARIOS),
-            ],
-            "ci.yml and ci-local run different scenario lists"
-        );
+        let lines = text.lines().skip_while(|line| *line != "jobs:").skip(1);
+        let ids = lines.filter_map(|line| line.strip_prefix("  ")?.strip_suffix(':'));
+        let mut jobs: Vec<&str> = ids.filter(|id| !id.starts_with([' ', '#'])).collect();
         jobs.sort_unstable();
         let mut expected = vec!["lint", "build-test"];
         expected.extend(
@@ -1151,6 +1106,10 @@ mod tests {
         );
         expected.sort_unstable();
         assert_eq!(jobs, expected, "ci.yml jobs and ci-local steps drifted");
+        assert!(
+            !text.contains("--scenarios"),
+            "a CI job runs a subset of the scenarios"
+        );
     }
 
     /// Every `ci.yml` step that has cargo resolve the dependency graph (`build`, `test`,
@@ -1211,6 +1170,20 @@ mod tests {
     fn loc_counts_stop_at_the_test_module_and_group_by_crate() {
         let text = "//! doc\n\nfn a() {}\n    // note\n#[cfg(test)]\nmod tests {}\n";
         assert_eq!(loc_of(text), [6, 4, 1]);
+        // Only a `#[cfg(test)]` on an inline module ends the count; the file of a
+        // `#[cfg(test)] mod name;` counts as test in whole.
+        let text =
+            "#[cfg(test)]\nmod reference;\npub use a::A;\n    #[cfg(test)]\n    fn probe() {}\n\
+                    #[cfg(test)]\n#[allow(dead_code)]\nmod tests {\n}\n";
+        assert_eq!(loc_of(text), [9, 5, 5]);
+        assert_eq!(
+            test_module_files("crates/metrics/src/lib.rs", text),
+            ["crates/metrics/src/reference.rs"]
+        );
+        assert_eq!(
+            test_module_files("crates/simulator/src/scheduler.rs", text),
+            ["crates/simulator/src/scheduler/reference.rs"]
+        );
         assert_eq!(loc_group("crates/nat/src/gateway.rs"), "crates/nat");
         assert_eq!(loc_group("xtask/src/main.rs"), "xtask");
         assert_eq!(loc_group("build.rs"), "build.rs");
