@@ -70,10 +70,10 @@ pub struct ExperimentParams {
     /// CSR + BFS pipeline. The value is bit-identical to the CSR one; at the million-node
     /// tier it is what populates the connectivity series without a CSR build per sample.
     pub incremental_components: bool,
-    /// Track the in-degree distribution incrementally (dense rank-indexed counts patched
-    /// from snapshot edge deltas) and report its Gini coefficient on every sample in
-    /// [`RoundSample::indegree_gini`]. The fast path costs O(delta) per sample instead of
-    /// O(edges) and is bit-identical to the full recount.
+    /// Track the in-degree distribution with the dense rank-indexed tracker (one
+    /// O(edges) counting pass per sample, no CSR build) and report its Gini coefficient
+    /// on every sample in [`RoundSample::indegree_gini`], bit-identical to the full
+    /// recount.
     pub incremental_indegree: bool,
     /// Number of metrics worker threads the driver overlaps full-graph analysis with the
     /// simulation on. `0` (the default) analyses every sample in place on the driver
@@ -181,8 +181,8 @@ impl ExperimentParams {
         self
     }
 
-    /// Enables incremental in-degree tracking: populates [`RoundSample::indegree_gini`]
-    /// on every sample from O(delta) count updates instead of a full O(edges) recount.
+    /// Enables in-degree tracking: populates [`RoundSample::indegree_gini`] on every
+    /// sample from the tracker's counting pass, without the CSR pipeline.
     pub fn with_incremental_indegree(mut self) -> Self {
         self.incremental_indegree = true;
         self
@@ -317,13 +317,12 @@ pub struct RunOutput {
     pub nat_stats: TopologyStats,
     /// `(full union passes, additions-only updates)` of the connectivity structure, when
     /// [`ExperimentParams::incremental_components`] was enabled; the two sum to the
-    /// sample count. A shuffling overlay removes edges every round, so a live run reads
-    /// `(samples, 0)` or close to it: the value of the structure is that each pass skips
-    /// the CSR build, not that passes are avoided.
+    /// sample count. The driver tracks no edge deltas, so a run reads `(samples, 0)`:
+    /// the value of the structure is that each pass skips the CSR build.
     pub incremental_component_updates: Option<(u64, u64)>,
     /// `(full rebuilds, delta fast-path updates)` of the incremental in-degree tracker,
-    /// when [`ExperimentParams::incremental_indegree`] was enabled. In a steady overlay
-    /// almost every sample should take the O(delta) fast path.
+    /// when [`ExperimentParams::incremental_indegree`] was enabled. The driver tracks no
+    /// edge deltas, so a run reads `(samples, 0)`.
     pub incremental_indegree_updates: Option<(u64, u64)>,
     /// Overlap accounting of the offloaded analysis, when
     /// [`ExperimentParams::metrics_workers`] was nonzero.
@@ -349,8 +348,8 @@ impl RunOutput {
 }
 
 /// Everything the driver thread must produce for one sample before the remaining
-/// analysis can run anywhere: the incremental trackers have consumed the snapshot's edge
-/// delta, the true ratio is read from the live bookkeeping, and the BFS sources are
+/// analysis can run anywhere: the incremental trackers have consumed the snapshot, the
+/// true ratio is read from the live bookkeeping, and the BFS sources are
 /// pre-drawn from the metric RNG (so the analysis stage consumes no randomness and the
 /// run is bit-identical wherever the analysis executes).
 #[derive(Debug)]
@@ -442,7 +441,7 @@ struct Driver<P: Protocol + PssNode, E: SimulationEngine<P>, F: FnMut(NodeId, Na
     /// Union-find largest-component tracker, fed every captured snapshot when
     /// [`ExperimentParams::incremental_components`] is set.
     components: IncrementalComponents,
-    /// Incremental in-degree tracker, fed by the same edge deltas when
+    /// In-degree tracker, fed every captured snapshot when
     /// [`ExperimentParams::incremental_indegree`] is set.
     indegree: IncrementalIndegree,
     /// Per-sample metrics timing, accumulated in sample order.
@@ -499,10 +498,6 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>, F: FnMut(NodeId, NatClass) -
         if !hooks.is_empty() {
             sim.set_sampled_round_hook(Box::new(hooks));
         }
-        let mut sample_snapshot = OverlaySnapshot::default();
-        if params.incremental_components || params.incremental_indegree {
-            sample_snapshot.enable_delta_tracking();
-        }
         Driver {
             params: params.clone(),
             sim,
@@ -515,7 +510,10 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>, F: FnMut(NodeId, NatClass) -
             churn_carry: 0.0,
             workload_rng: seed.stream_rng(croupier_simulator::rng::Stream::Workload),
             metric_rng: seed.stream_rng(croupier_simulator::rng::Stream::Custom(0xE7)),
-            sample_snapshot,
+            // No delta tracking: on a shuffling overlay the diff costs more than the
+            // trackers' one-pass updates it would save, and its three edge-list-sized
+            // buffers would be held on every sample (DESIGN §12.2).
+            sample_snapshot: OverlaySnapshot::default(),
             metrics: MetricsContext::new(params.engine_threads.max(1)),
             components: IncrementalComponents::new(),
             indegree: IncrementalIndegree::new(),
@@ -597,10 +595,9 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>, F: FnMut(NodeId, NatClass) -
         }
     }
 
-    /// The driver-thread half of one sample: captures the snapshot, feeds the
-    /// incremental trackers their edge delta (which must happen before the *next*
-    /// capture invalidates it) and pre-draws the BFS sources, so the metric RNG is
-    /// consumed in sample order whatever the analysis stage does.
+    /// The driver-thread half of one sample: captures the snapshot, feeds it to the
+    /// incremental trackers and pre-draws the BFS sources, so the metric RNG is consumed
+    /// in sample order whatever the analysis stage does.
     fn prepare_sample(&mut self, round: u64, mut sources: Vec<u32>) -> SamplePrep {
         let capture_start = Instant::now();
         self.sample_snapshot
@@ -673,8 +670,10 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>, F: FnMut(NodeId, NatClass) -
         let mut overhead = None;
         let metrics_overlap = self.run_rounds(round_ms, &events, &mut overhead, &mut samples);
 
-        let mut final_snapshot =
-            OverlaySnapshot::capture(&self.sim, self.params.min_rounds_for_metrics);
+        // The last capture refills the sample buffers rather than allocating a second
+        // snapshot at the run's memory high water.
+        let mut final_snapshot = std::mem::take(&mut self.sample_snapshot);
+        final_snapshot.capture_into(&self.sim, self.params.min_rounds_for_metrics);
         final_snapshot.retain_live_edges();
         // Plane counters say what the network did; node counters say what the protocols
         // did about it. Churned-out nodes take their counters with them, so the sums
@@ -686,10 +685,10 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>, F: FnMut(NodeId, NatClass) -
         });
         let workload = self.workload_state.as_ref().map(|state| {
             // Open chunks are force-sealed against the end-of-run live population, in
-            // the same canonical ascending-id order the hook itself uses.
+            // the same canonical ascending-id order the hook itself uses (the order
+            // `for_each_node` visits in).
             let mut live: Vec<NodeId> = Vec::with_capacity(self.sim.len());
             self.sim.for_each_node(&mut |id, _| live.push(id));
-            live.sort_unstable();
             WorkloadExecutor::report(state, &live)
         });
         RunOutput {
@@ -764,9 +763,9 @@ impl<P: Protocol + PssNode, E: SimulationEngine<P>, F: FnMut(NodeId, NatClass) -
     /// sample order.
     ///
     /// Soundness hinges on the split in [`prepare_sample`](Self::prepare_sample): the
-    /// capture and both incremental trackers stay on the driver thread (an edge delta is
-    /// only valid between *consecutive* captures, so its consumers can never skip a
-    /// snapshot), and the metric RNG is fully consumed during prepare. What a worker
+    /// capture and both incremental trackers stay on the driver thread (they read the
+    /// live simulation and mutate driver state, so only the driver may run them, in
+    /// sample order), and the metric RNG is fully consumed during prepare. What a worker
     /// computes is a pure function of its prep and snapshot, so the run is bit-identical
     /// for any worker count, zero included.
     fn run_rounds(
@@ -1035,11 +1034,12 @@ mod tests {
             );
             assert_eq!(a, b);
         }
+        // The driver tracks no edge deltas, so every sample is one counting pass; the
+        // delta fast path is pinned by the metrics crate's own tests.
         let (rebuilds, fast) = incremental.incremental_indegree_updates.unwrap();
-        assert_eq!(rebuilds + fast, incremental.samples.len() as u64);
         assert!(
-            fast > 0,
-            "a stable overlay must take the delta fast path ({rebuilds} rebuilds, {fast} fast)"
+            fast == 0 && rebuilds == incremental.samples.len() as u64,
+            "every sample recounts ({rebuilds} rebuilds, {fast} fast)"
         );
         assert!(full.incremental_indegree_updates.is_none());
     }

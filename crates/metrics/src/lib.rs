@@ -44,7 +44,9 @@
 //! scatter or traversal. Both are property-tested bit-identical to the full recount and
 //! both count their full and delta-only updates (`rebuild_count`, and
 //! `fast_update_count` / `sublinear_update_count`) so callers can see which path
-//! ran. A hand-built snapshot exercises the same code paths as an engine capture:
+//! ran. On a shuffling overlay the diff costs more than the updates it saves, so the
+//! experiment driver leaves tracking off and both trackers run their one-pass paths.
+//! A hand-built snapshot exercises the same code paths as an engine capture:
 //!
 //! ```
 //! use croupier_metrics::{

@@ -114,13 +114,13 @@ impl OverlaySnapshot {
                 ratio_estimate: proto.ratio_estimate(),
                 rounds_executed: proto.rounds_executed(),
             });
+            // Each row shares its source id, so sorting its 10-20 entries as they land
+            // keeps the whole list sorted while the nodes arrive in ascending id order.
+            let row = edges.len();
             proto.for_each_known_peer(&mut |peer| edges.push((id, peer)));
+            edges[row..].sort_unstable();
         });
-        // Engines iterate nodes in storage order; sort so snapshots (and every metric
-        // derived from them) are deterministic for a fixed seed and engine-agnostic.
-        // Ids are unique, so the unstable sorts are deterministic and allocation-free.
-        self.nodes.sort_unstable_by_key(|n| n.id);
-        self.edges.sort_unstable();
+        self.sort_unless_sorted();
         self.id_bound = sim.node_id_upper_bound();
         self.finish_tracked_capture(had_previous_capture);
     }
@@ -138,10 +138,23 @@ impl OverlaySnapshot {
         let had_previous_capture = self.begin_tracked_capture();
         self.nodes = nodes;
         self.edges = edges;
-        self.nodes.sort_unstable_by_key(|n| n.id);
-        self.edges.sort_unstable();
+        self.sort_unless_sorted();
         self.id_bound = 0;
         self.finish_tracked_capture(had_previous_capture);
+    }
+
+    /// Puts `nodes` and `edges` in ascending order, so snapshots (and every metric derived
+    /// from them) are deterministic for a fixed seed and engine-agnostic. An engine
+    /// capture arrives sorted (engines visit nodes in ascending id order), so the sorts
+    /// only run for parts handed in unsorted. Ids are unique, so the unstable sorts are
+    /// deterministic and allocation-free.
+    fn sort_unless_sorted(&mut self) {
+        if !self.nodes.is_sorted_by_key(|n| n.id) {
+            self.nodes.sort_unstable_by_key(|n| n.id);
+        }
+        if !self.edges.is_sorted() {
+            self.edges.sort_unstable();
+        }
     }
 
     /// Copies the observable state (nodes, edges) and capture caches (live ids, id
@@ -184,10 +197,12 @@ impl OverlaySnapshot {
     /// Turns on capture-to-capture diffing: every subsequent
     /// [`capture_into`](OverlaySnapshot::capture_into) records which directed edges
     /// appeared and disappeared (and whether membership changed) relative to the capture
-    /// before it, served by `edge_delta`. Costs one extra
-    /// edge-list-sized buffer and a two-pointer diff per capture; incremental metrics
-    /// (see [`IncrementalComponents`](crate::incremental::IncrementalComponents)) are
-    /// the consumer.
+    /// before it, served by `edge_delta`. Costs three extra edge-list-sized buffers (the
+    /// previous capture's edges and the added and removed edges), a previous live-id
+    /// buffer and a two-pointer diff per capture; incremental metrics (see
+    /// [`IncrementalComponents`](crate::incremental::IncrementalComponents)) are the
+    /// consumer. On a shuffling overlay the diff rarely pays for itself, so the
+    /// experiment driver leaves it off and the trackers take their one-pass paths.
     pub fn enable_delta_tracking(&mut self) {
         self.track_deltas = true;
     }

@@ -494,6 +494,7 @@ impl<P: Protocol> SimulationEngine<P> for Simulation<P> {
     }
 
     fn for_each_node(&self, f: &mut dyn FnMut(NodeId, &P)) {
+        // Slots are addressed by the raw node id, so slot order is ascending id order.
         for (id, proto) in self.nodes() {
             f(id, proto);
         }

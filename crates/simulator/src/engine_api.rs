@@ -216,9 +216,9 @@ pub trait SimulationEngine<P: Protocol> {
         self.run_for(self.config().round_period.saturating_mul(rounds));
     }
 
-    /// Invokes `f` once per live node, in ascending node-id order within each storage
-    /// stripe (the exact global order is unspecified; callers needing a canonical order
-    /// sort what they collect, as [`OverlaySnapshot`] does).
+    /// Invokes `f` once per live node, in strictly ascending node-id order on every
+    /// engine and worker count. [`OverlaySnapshot`] relies on this to capture rows that
+    /// arrive sorted, so it never sorts the whole edge list.
     ///
     /// [`OverlaySnapshot`]: https://docs.rs/croupier-metrics
     fn for_each_node(&self, f: &mut dyn FnMut(NodeId, &P));

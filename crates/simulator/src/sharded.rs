@@ -436,6 +436,25 @@ where
             .flat_map(|s| s.nodes.iter().map(|(_, st)| (st.id, &st.proto)))
     }
 
+    /// Visits every live node's state in ascending id order by walking the stripes in
+    /// lockstep: shard `s` stores id `local * stride + s` at slot `local`, so ascending
+    /// order falls out of the traversal and no sort is needed.
+    fn walk_in_id_order<'a>(&'a self, mut visit: impl FnMut(&'a NodeState<P>)) {
+        let max_slots = self
+            .shards
+            .iter()
+            .map(|s| s.nodes.slot_upper_bound())
+            .max()
+            .unwrap_or(0);
+        for local in 0..max_slots {
+            for shard in &self.shards {
+                if let Some(state) = shard.nodes.get(local) {
+                    visit(state);
+                }
+            }
+        }
+    }
+
     fn period_ms(&self) -> u64 {
         self.cfg.round_period.as_millis().max(1)
     }
@@ -647,23 +666,8 @@ where
         self.contains(node)
     }
 
-    /// Walks the stripes in lockstep: shard `s` stores id `local * stride + s` at slot
-    /// `local`, so ascending order falls out of the traversal and no sort is needed.
     fn live_node_ids_into(&self, out: &mut Vec<NodeId>) {
-        let stride = self.shards.len() as u64;
-        let max_slots = self
-            .shards
-            .iter()
-            .map(|s| s.nodes.slot_upper_bound())
-            .max()
-            .unwrap_or(0);
-        for local in 0..max_slots {
-            for (s, shard) in self.shards.iter().enumerate() {
-                if shard.nodes.contains(local) {
-                    out.push(NodeId::new(local as u64 * stride + s as u64));
-                }
-            }
-        }
+        self.walk_in_id_order(|state| out.push(state.id));
     }
 
     fn record_transfer(&mut self, from: NodeId, to: NodeId, bytes: usize) {
@@ -827,9 +831,7 @@ where
     }
 
     fn for_each_node(&self, f: &mut dyn FnMut(NodeId, &P)) {
-        for (id, proto) in self.nodes() {
-            f(id, proto);
-        }
+        self.walk_in_id_order(|state| f(state.id, &state.proto));
     }
 
     fn node_id_upper_bound(&self) -> u64 {

@@ -29,7 +29,8 @@
 //!
 //! The metrics pipeline makes the same promise for a sample: once a [`MetricsContext`]
 //! has analysed one snapshot, building and analysing another of the same size (path
-//! length over pre-drawn sources, clustering, components) allocates nothing.
+//! length over pre-drawn sources, clustering, components) allocates nothing, and neither
+//! does recapturing a warm [`OverlaySnapshot`].
 //!
 //! The same allocator counts the bytes each thread holds, which pins the NAT mapping
 //! table's per-binding footprint.
@@ -343,6 +344,27 @@ fn metrics_context_steady_state_sample_allocates_nothing() {
         "a second same-size metrics sample allocated {allocs} times"
     );
     assert!(apl.is_some() && cc > 0.0 && lcc > 0.0);
+}
+
+/// Snapshot capture makes the same promise: once a snapshot has captured a sharded run,
+/// capturing it again refills the node and edge buffers in place. Two shards exercise
+/// the lockstep stripe walk; the walk runs on the calling thread, so the thread-local
+/// counter sees all of it.
+#[test]
+fn snapshot_capture_steady_state_allocates_nothing() {
+    let mut sim = ShardedSimulation::new(periodic_config(2));
+    sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(150)));
+    populate(&mut sim);
+    sim.run_for_rounds(WARMUP_ROUNDS);
+    let mut snapshot = OverlaySnapshot::default();
+    snapshot.capture_into(&sim, 2);
+    let (allocs, ()) = allocations_during(|| snapshot.capture_into(&sim, 2));
+    assert_eq!(snapshot.node_count(), NODES as usize);
+    assert!(snapshot.edge_count() > NODES as usize, "views are full");
+    assert_eq!(
+        allocs, 0,
+        "a second capture into a warm snapshot allocated {allocs} times"
+    );
 }
 
 /// One gateway per private node (80 000 in the benchmark's `cyclon_nat_wide`), each

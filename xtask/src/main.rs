@@ -44,11 +44,13 @@
 //!   `scenario_matrix` JSONs and the 3 `workload_matrix` JSONs (both `--scale quick`), the
 //!   `figures --scale tiny --json all` output, each of those binaries' stdout and stderr,
 //!   and the seed-42 `digests <untraced> / <traced>` of every declared workload
-//!   (`--seconds 1 --trace 1`). The binaries run inside the output directory with
-//!   relative paths, so nothing written names it, and `diff -r` of two such directories
-//!   (one per checkout) is empty when no seeded output moved. Once everything is
-//!   written, the command fails naming each binary that exited non-zero — a matrix whose
-//!   gate failed, say.
+//!   (`--seconds 1 --trace 1`; `e2e`'s own result files go to a scratch build
+//!   directory that is removed after, so results saved under `target/bench` survive).
+//!   The binaries run inside the output directory with relative paths, so nothing
+//!   written names it, and `diff -r` of two such directories (one per checkout) is
+//!   empty when no seeded output moved. Once everything is written, the command fails
+//!   naming each binary that exited non-zero — a matrix whose gate failed, say. Only
+//!   argument errors print the usage text.
 //!
 //!   `--check` writes the same outputs into `target/outputs` and compares them with the
 //!   committed `ci/outputs.manifest`: each file's path, byte length and 64-bit FNV-1a
@@ -430,21 +432,51 @@ fn declared_workloads(declared: &str) -> Vec<String> {
         .collect()
 }
 
+/// Why `pairs` or `outputs` failed: a bad argument, answered with the usage text, or a
+/// run that failed past its arguments (a gate, a manifest mismatch, a binary that exited
+/// non-zero), answered with its one line.
+#[derive(Debug)]
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(err: String) -> Self {
+        Failure::Run(err)
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Usage(err) => write!(f, "{err}\n{USAGE}"),
+            Failure::Run(err) => f.write_str(err),
+        }
+    }
+}
+
 /// The `pairs` command; see the module documentation.
-fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
+fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), Failure> {
     let (mut dirs, mut workloads, mut pairs) = ([None, None], Vec::new(), 10);
     while let Some(flag) = argv.next() {
-        let value = argv.next().ok_or(format!("{flag} needs a value"))?;
+        let value = argv
+            .next()
+            .ok_or(Failure::Usage(format!("{flag} needs a value")))?;
         match flag.as_str() {
             "--parent" => dirs[0] = Some(value),
             "--change" => dirs[1] = Some(value),
             "--workload" => workloads.push(value),
-            "--pairs" => pairs = value.parse().map_err(|_| format!("bad count '{value}'"))?,
-            _ => return Err(format!("unknown argument '{flag}'")),
+            "--pairs" => {
+                let bad = || Failure::Usage(format!("bad count '{value}'"));
+                pairs = value.parse().map_err(|_| bad())?;
+            }
+            _ => return Err(Failure::Usage(format!("unknown argument '{flag}'"))),
         }
     }
     let ([Some(parent), Some(change)], 1..) = (dirs, pairs) else {
-        return Err(String::from("pairs needs --parent, --change and a pair"));
+        let err = "pairs needs --parent, --change and a pair";
+        return Err(Failure::Usage(err.to_string()));
     };
     // What the change's `BENCHMARK.json` declares: the workloads, then per end-to-end
     // metric its name, whether higher is better and its bound.
@@ -513,16 +545,15 @@ const OUTPUTS_DIR: &str = "target/outputs";
 const OUTPUTS_MANIFEST: &str = "ci/outputs.manifest";
 
 /// The `outputs` command; see the module documentation.
-fn outputs(argv: impl Iterator<Item = String>) -> Result<(), String> {
+fn outputs(argv: impl Iterator<Item = String>) -> Result<(), Failure> {
     let args: Vec<String> = argv.collect();
     let (out, gate) = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
         ["--out", out] => (PathBuf::from(out), None),
         ["--check"] => (PathBuf::from(OUTPUTS_DIR), Some(false)),
         ["--update"] => (PathBuf::from(OUTPUTS_DIR), Some(true)),
         _ => {
-            return Err(String::from(
-                "outputs needs --out <dir>, --check or --update",
-            ))
+            let err = "outputs needs --out <dir>, --check or --update";
+            return Err(Failure::Usage(err.to_string()));
         }
     };
     if gate.is_some() && out.exists() {
@@ -534,7 +565,8 @@ fn outputs(argv: impl Iterator<Item = String>) -> Result<(), String> {
     let e2e_bin = ["--manifest-path", E2E_MANIFEST, "--bin", "e2e"];
     for target in [&experiment_bins[..], &e2e_bin] {
         if !run_command(&cargo_bin(), &[&build[..], target].concat(), &[]) {
-            return Err(String::from("cannot build the binaries outputs runs"));
+            let err = "cannot build the binaries outputs runs";
+            return Err(Failure::Run(err.to_string()));
         }
     }
     let root = std::env::current_dir().map_err(|err| format!("no working directory: {err}"))?;
@@ -563,10 +595,10 @@ fn outputs(argv: impl Iterator<Item = String>) -> Result<(), String> {
     for line in &mismatches {
         println!("{line}");
     }
-    Err(format!(
+    Err(Failure::Run(format!(
         "outputs: {} manifest lines differ from {OUTPUTS_MANIFEST} (- committed, + this run)",
         mismatches.len()
-    ))
+    )))
 }
 
 /// The benchmark package's manifest; `outputs` builds its `e2e` binary.
@@ -610,9 +642,17 @@ fn write_outputs(out: &Path, bins: &Path, e2e: &Path, workloads: &[String]) -> R
         write(&format!("{bin}.stdout"), &run.stdout)?;
         write(&format!("{bin}.stderr"), &run.stderr)?;
     }
+    // `e2e` writes its result files under `$CARGO_TARGET_DIR/bench`. A scratch build
+    // directory outside the checkout's `target/` and `out` keeps the digest runs from
+    // replacing results saved there for `e2e --compare`, or from entering the manifest.
+    // It is keyed by process and `out`, so concurrent runs never share one.
+    let out_key = fnv1a(out.as_os_str().as_encoded_bytes());
+    let bench_target =
+        std::env::temp_dir().join(format!("xtask-e2e-{}-{out_key:x}", std::process::id()));
     let mut digests = String::new();
     for workload in workloads {
         let mut command = Command::new(e2e);
+        command.env("CARGO_TARGET_DIR", &bench_target);
         command.args(["--workload", workload]);
         command.args("--seed 42 --seconds 1 --trace 1".split(' '));
         let run = run_recorded(&format!("e2e {workload}"), &mut command, &mut failed)?;
@@ -622,6 +662,7 @@ fn write_outputs(out: &Path, bins: &Path, e2e: &Path, workloads: &[String]) -> R
             None => failed.push(format!("e2e {workload} (no digests line)")),
         }
     }
+    let _ = std::fs::remove_dir_all(&bench_target);
     write(DIGESTS_FILE, digests.as_bytes())?;
     if failed.is_empty() {
         Ok(())
@@ -917,7 +958,7 @@ fn main() -> ExitCode {
             match done {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(err) => {
-                    eprintln!("{err}\n{USAGE}");
+                    eprintln!("{err}");
                     ExitCode::FAILURE
                 }
             }
@@ -983,27 +1024,33 @@ mod tests {
         );
     }
 
-    /// Every binary runs and its output is written, then the step fails naming each one
-    /// that exited non-zero (here `scenario_matrix`, as when one of its gates fails).
-    #[test]
-    fn outputs_fail_naming_each_binary_that_exited_non_zero() {
-        let dir = std::env::temp_dir().join(format!("xtask-outputs-{}", std::process::id()));
-        let (bins, out) = (dir.join("bins"), dir.join("out"));
+    /// Writes `#!/bin/sh` stand-ins for the binaries `outputs` runs into `dir/bins`, the
+    /// experiment binaries with the given bodies and `e2e` with `e2e_body`.
+    fn fake_bins(dir: &Path, matrix_body: &str, e2e_body: &str) -> PathBuf {
+        let bins = dir.join("bins");
         std::fs::create_dir_all(&bins).unwrap();
         for (bin, body) in [
-            (
-                "scenario_matrix",
-                "echo table; echo '  GATE: g' >&2; exit 1",
-            ),
+            ("scenario_matrix", matrix_body),
             ("workload_matrix", "exit 0"),
             ("figures", "exit 0"),
-            ("e2e", "echo \"digests 1 / 1\""),
+            ("e2e", e2e_body),
         ] {
             let script = bins.join(bin);
             std::fs::write(&script, format!("#!/bin/sh\n{body}\n")).unwrap();
             let mode = std::os::unix::fs::PermissionsExt::from_mode(0o755);
             std::fs::set_permissions(&script, mode).unwrap();
         }
+        bins
+    }
+
+    /// Every binary runs and its output is written, then the step fails naming each one
+    /// that exited non-zero (here `scenario_matrix`, as when one of its gates fails).
+    #[test]
+    fn outputs_fail_naming_each_binary_that_exited_non_zero() {
+        let dir = std::env::temp_dir().join(format!("xtask-outputs-{}", std::process::id()));
+        let out = dir.join("out");
+        let matrix = "echo table; echo '  GATE: g' >&2; exit 1";
+        let bins = fake_bins(&dir, matrix, "echo \"digests 1 / 1\"");
         let workloads = [String::from("w")];
         let err = write_outputs(&out, &bins, &bins.join("e2e"), &workloads).unwrap_err();
         let read = |name: &str| std::fs::read_to_string(out.join(name)).unwrap();
@@ -1019,6 +1066,65 @@ mod tests {
         );
         assert_eq!(written, ["table\n", "  GATE: g\n"]);
         assert_eq!(digests, "w: digests 1 / 1\n");
+    }
+
+    /// The digest runs build nothing, but `e2e` writes its result files under
+    /// `$CARGO_TARGET_DIR/bench` (`target/bench` without it): they go to a scratch
+    /// directory that is neither the checkout's `target/` nor `--out`, and is gone after.
+    #[test]
+    fn outputs_keep_e2e_result_files_out_of_target_and_out() {
+        let dir = std::env::temp_dir().join(format!("xtask-bench-{}", std::process::id()));
+        let out = dir.join("out");
+        let marker = format!("e2e_w_traced-{}.json", std::process::id());
+        let e2e = format!(
+            "[ -n \"$CARGO_TARGET_DIR\" ] || exit 3\n\
+             mkdir -p \"$CARGO_TARGET_DIR/bench\" || exit 4\n\
+             echo saved > \"$CARGO_TARGET_DIR/bench/{marker}\"\n\
+             echo \"$CARGO_TARGET_DIR\" > \"{}\"\n\
+             echo \"digests 1 / 1\"",
+            dir.join("target-dir").display()
+        );
+        let bins = fake_bins(&dir, "exit 0", &e2e);
+        let workloads = [String::from("w")];
+        let done = write_outputs(&out, &bins, &bins.join("e2e"), &workloads);
+        let used = std::fs::read_to_string(dir.join("target-dir")).unwrap();
+        let used = PathBuf::from(used.trim());
+        let in_out = out.join("bench").exists();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(done, Ok(()));
+        assert!(!Path::new("target/bench").join(&marker).exists());
+        assert!(!in_out, "result files must stay out of the hashed outputs");
+        assert!(
+            !used.starts_with(&out) && !used.ends_with("target"),
+            "{used:?}"
+        );
+        assert!(!used.exists(), "the scratch build directory is removed");
+    }
+
+    /// Argument errors answer with the usage text; a run that fails past its arguments
+    /// prints its one line.
+    #[test]
+    fn only_argument_errors_print_the_usage() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        for err in [
+            outputs(args(&["--bogus"]).into_iter()).unwrap_err(),
+            pairs(args(&["--pairs", "x"]).into_iter()).unwrap_err(),
+            pairs(args(&["--parent"]).into_iter()).unwrap_err(),
+        ] {
+            assert!(matches!(err, Failure::Usage(_)), "{err}");
+            assert!(err.to_string().ends_with(USAGE), "{err}");
+        }
+        let missing = std::env::temp_dir().join("xtask-no-such-checkout");
+        let missing = missing.to_str().unwrap();
+        let run = pairs(args(&["--parent", missing, "--change", missing]).into_iter());
+        let err = run.unwrap_err().to_string();
+        assert!(
+            err.starts_with("cannot read the change's BENCHMARK.json"),
+            "{err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{err}");
+        let failed = Failure::from(String::from("outputs: e2e w (exit status: 1) exited"));
+        assert_eq!(failed.to_string().lines().count(), 1);
     }
 
     #[test]
