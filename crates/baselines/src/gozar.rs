@@ -198,10 +198,10 @@ const RELAY_SUSPECT_STRIKES: u32 = 2;
 /// A [`RelayCache`] slot that holds no relay.
 const NO_RELAY: u32 = u32::MAX;
 
-/// The relays advertised by the private nodes a node has heard of, packed to `u32` ids:
-/// the cache is never pruned and holds an entry for most private nodes of the population,
-/// so an entry takes 12 bytes where a `(NodeId, RelayList)` pair takes 56. A list keeps its
-/// order; unused slots hold [`NO_RELAY`].
+/// The relays advertised by the private nodes a node has heard of, packed to `u32` ids so
+/// an entry takes 12 bytes where a `(NodeId, RelayList)` pair takes 56. A list keeps its
+/// order; unused slots hold [`NO_RELAY`]. Every round ends by pruning the cache to the
+/// nodes whose relays the protocol can still read (see `GozarNode::prune_relay_cache`).
 #[derive(Clone, Debug, Default)]
 struct RelayCache(HashMap<u32, [u32; RELAY_REDUNDANCY]>);
 
@@ -234,9 +234,9 @@ impl RelayCache {
         )
     }
 
-    /// Whether relays were ever recorded for `node`.
-    fn contains(&self, node: NodeId) -> bool {
-        self.0.contains_key(&id32(node))
+    /// Keeps only the nodes `keep` accepts.
+    fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        self.0.retain(|&node, _| keep(NodeId::new(u64::from(node))));
     }
 }
 
@@ -442,19 +442,17 @@ impl GozarNode {
         }
     }
 
-    fn send_request(&mut self, target: NodeId, ctx: &mut Context<'_, GozarMessage>) {
+    /// Starts an exchange with `target`, which has already left the view, so the subset
+    /// drawn here never carries the target's own descriptor.
+    fn send_request(&mut self, target: Descriptor, ctx: &mut Context<'_, GozarMessage>) {
         let sent = self.view.random_subset(SHUFFLE_SIZE - 1, ctx.rng());
         let request = self.build_request(&sent);
-        let target_is_private = self
-            .view
-            .get(target)
-            .map(|d| d.class().is_private())
-            .unwrap_or_else(|| self.relay_cache.contains(target));
-        let relay = if target_is_private {
+        let peer = target.node();
+        let relay = if target.class().is_private() {
             let relay = Self::choose_relay(
                 &self.relay_cache,
                 &self.relay_suspect,
-                target,
+                peer,
                 None,
                 ctx.rng(),
             );
@@ -468,8 +466,19 @@ impl GozarNode {
         } else {
             None
         };
-        self.exchange.begin(target, (sent, relay), ctx);
-        Self::send_via(relay, target, request, ctx);
+        self.exchange.begin(peer, (sent, relay), ctx);
+        Self::send_via(relay, peer, request, ctx);
+    }
+
+    /// Forgets the relays of every node that is neither in the view nor the peer of the
+    /// exchange in flight. Those are the only relays read before the cache is next pruned:
+    /// `entries_from` describes view members, `send_request` routes to the view's oldest
+    /// entry, and a retry reroutes to the in-flight peer, which left the view when its
+    /// exchange began. So the cache holds at most `VIEW_SIZE + 1` nodes after a round.
+    fn prune_relay_cache(&mut self) {
+        let (view, in_flight) = (&self.view, self.exchange.peer());
+        self.relay_cache
+            .retain(|node| Some(node) == in_flight || view.contains(node));
     }
 
     fn handle_request(
@@ -520,15 +529,11 @@ impl Protocol for GozarNode {
         if self.view.is_empty() {
             // Re-contact the bootstrap server instead of staying isolated (see Cyclon).
             self.view.bootstrap(BOOTSTRAP_SIZE, ctx);
-            return;
+        } else if let Some(target) = self.view.oldest().copied() {
+            self.view.remove(target.node());
+            self.send_request(target, ctx);
         }
-        let Some(target) = self.view.oldest().map(|d| d.node()) else {
-            return;
-        };
-        // Keep the descriptor until we know the exchange can be routed; `send_request`
-        // consults it for the target's class.
-        self.send_request(target, ctx);
-        self.view.remove(target);
+        self.prune_relay_cache();
     }
 
     fn on_message(
@@ -591,8 +596,8 @@ impl Protocol for GozarNode {
                     );
                     *relay = Some(alternate.expect(
                         "a relayed exchange exists only for a target with a non-empty \
-                         relay_cache entry, entries are never removed, and choose_relay \
-                         falls back to the prior relay itself",
+                         relay_cache entry, pruning keeps the in-flight peer's entry, no \
+                         insert empties it, and choose_relay falls back to the prior relay",
                     ));
                 }
                 let relay = *relay;
@@ -639,7 +644,18 @@ impl PssNode for GozarNode {
 mod tests {
     use super::*;
     use croupier_nat::NatTopologyBuilder;
-    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
+    use croupier_simulator::{
+        BootstrapRegistry, ContextParams, FaultPlane, FaultProfile, SimDuration, SimTime,
+        Simulation, SimulationConfig, SimulationEngine,
+    };
+    use rand::SeedableRng;
+
+    impl RelayCache {
+        /// Number of nodes with recorded relays.
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
 
     impl GozarNode {
         /// The node's identity.
@@ -654,6 +670,17 @@ mod tests {
     }
 
     fn build_sim(n_public: u64, n_private: u64, seed: u64) -> Simulation<GozarNode> {
+        build_sim_of(n_public, n_private, seed, |id, class| {
+            GozarNode::new(id, class, BaselineConfig)
+        })
+    }
+
+    fn build_sim_of<P: Protocol>(
+        n_public: u64,
+        n_private: u64,
+        seed: u64,
+        node: impl Fn(NodeId, NatClass) -> P,
+    ) -> Simulation<P> {
         let topology = NatTopologyBuilder::new(seed).build();
         let mut sim = Simulation::new(SimulationConfig::default().with_seed(seed));
         sim.set_delivery_filter(topology.clone());
@@ -668,9 +695,132 @@ mod tests {
             if class.is_public() {
                 sim.register_public(id);
             }
-            sim.add_node(id, GozarNode::new(id, class, BaselineConfig));
+            sim.add_node(id, node(id, class));
         }
         sim
+    }
+
+    /// A Gozar node that checks, at the end of each of its rounds, that its relay cache
+    /// holds at most the view and the peer of the exchange in flight.
+    struct Bounded(GozarNode);
+
+    impl Protocol for Bounded {
+        type Message = GozarMessage;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, GozarMessage>) {
+            self.0.on_start(ctx);
+        }
+
+        fn on_round(&mut self, ctx: &mut Context<'_, GozarMessage>) {
+            self.0.on_round(ctx);
+            let cached = self.0.relay_cache.len();
+            assert!(
+                cached <= VIEW_SIZE + 1,
+                "node {} holds the relays of {cached} nodes after round {}",
+                self.0.id,
+                self.0.rounds
+            );
+        }
+
+        fn on_message(
+            &mut self,
+            from: NodeId,
+            msg: GozarMessage,
+            ctx: &mut Context<'_, GozarMessage>,
+        ) {
+            self.0.on_message(from, msg, ctx);
+        }
+
+        fn on_timer(&mut self, key: TimerKey, ctx: &mut Context<'_, GozarMessage>) {
+            self.0.on_timer(key, ctx);
+        }
+    }
+
+    #[test]
+    fn the_relay_cache_is_bounded_by_the_view_after_every_round() {
+        let mut sim = build_sim_of(10, 40, 6, |id, class| {
+            Bounded(GozarNode::new(id, class, BaselineConfig))
+        });
+        // Loss makes retries fire, so the in-flight peer's relays are read after the
+        // round that pruned the cache.
+        let plane = FaultPlane::new(sim.config().seed);
+        plane.set_default_profile(FaultProfile::lossy(0.2));
+        sim.set_fault_plane(plane);
+        sim.run_for_rounds(80);
+        let retries: u64 = sim.nodes().map(|(_, n)| n.0.retries_fired()).sum();
+        let relayed: u64 = sim.nodes().map(|(_, n)| n.0.messages_relayed).sum();
+        assert!(
+            retries > 0 && relayed > 0,
+            "{retries} retries, {relayed} relayed"
+        );
+    }
+
+    /// Runs `f` as a callback of `node` and returns the messages it sent and the keys of
+    /// the timers it armed.
+    fn effects(
+        node: NodeId,
+        rng: &mut SmallRng,
+        f: impl FnOnce(&mut Context<'_, GozarMessage>),
+    ) -> (Vec<(NodeId, GozarMessage)>, Vec<TimerKey>) {
+        let bootstrap = BootstrapRegistry::new();
+        let mut ctx = Context::new(ContextParams {
+            node,
+            now: SimTime::ZERO,
+            round_period: SimDuration::from_secs(1),
+            reply_horizon: SimDuration::ZERO,
+            rng,
+            bootstrap: &bootstrap,
+        });
+        f(&mut ctx);
+        let (outbox, timers) = ctx.into_effects();
+        (
+            outbox.into_iter().map(|out| (out.to, out.msg)).collect(),
+            timers.into_iter().map(|timer| timer.key).collect(),
+        )
+    }
+
+    #[test]
+    fn a_retry_reroutes_to_a_target_that_has_left_the_view() {
+        let me = NodeId::new(1);
+        let target = NodeId::new(9);
+        let relays: RelayList = [NodeId::new(2), NodeId::new(3)].into_iter().collect();
+        let stranger = NodeId::new(50);
+        let mut node = GozarNode::new(me, NatClass::Public, BaselineConfig);
+        node.view
+            .insert(Descriptor::with_age(target, NatClass::Private, 5));
+        node.view
+            .insert(Descriptor::new(NodeId::new(4), NatClass::Public));
+        node.relay_cache.insert(target, &relays);
+        node.relay_cache.insert(stranger, &relays);
+        let mut rng = SmallRng::seed_from_u64(3);
+
+        let (sent, timers) = effects(me, &mut rng, |ctx| node.on_round(ctx));
+        let [(first, GozarMessage::Relayed { dest, inner })] = sent.as_slice() else {
+            panic!("one relayed request expected, got {sent:?}");
+        };
+        assert_eq!(*dest, target);
+        assert!(relays.contains(first));
+        let GozarMessage::ShuffleRequest { entries, .. } = inner.as_ref() else {
+            panic!("a shuffle request expected, got {inner:?}");
+        };
+        let carried: Vec<NodeId> = entries.iter().map(|e| e.descriptor.node()).collect();
+        assert_eq!(
+            carried,
+            [NodeId::new(4), me],
+            "the rest of the view, then us"
+        );
+        assert!(!node.view.contains(target), "the target left the view");
+        assert_eq!(node.relay_cache.get(target), Some(relays.clone()));
+        assert_eq!(node.relay_cache.get(stranger), None, "pruned");
+        assert_eq!(node.relay_cache.len(), 1);
+
+        let (resent, _) = effects(me, &mut rng, |ctx| node.on_timer(timers[0], ctx));
+        let [(second, GozarMessage::Relayed { dest, .. })] = resent.as_slice() else {
+            panic!("one relayed retry expected, got {resent:?}");
+        };
+        assert_eq!(*dest, target);
+        assert!(relays.contains(second) && second != first, "rerouted");
+        assert_eq!(node.retries_fired(), 1);
     }
 
     #[test]
@@ -685,7 +835,6 @@ mod tests {
         assert_eq!(cache.get(NodeId::new(2)), Some(one));
         assert_eq!(cache.get(NodeId::new(5)), Some(RelayList::new()));
         assert_eq!(cache.get(NodeId::new(9)), None);
-        assert!(cache.contains(NodeId::new(5)) && !cache.contains(NodeId::new(9)));
         // A later advertisement replaces the earlier one, as a truncated list does.
         let truncated: RelayList = two.iter().copied().take(1).collect();
         cache.insert(NodeId::new(1), &truncated);

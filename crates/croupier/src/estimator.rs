@@ -89,6 +89,15 @@ impl EstimateRecord {
     }
 }
 
+/// Low bits of an `ingest` sort key that hold a record's position in its batch.
+const ARRIVAL_BITS: u32 = 4;
+/// Mask selecting a sort key's arrival bits.
+const ARRIVAL_MASK: u64 = (1 << ARRIVAL_BITS) - 1;
+const _: () = assert!(
+    ESTIMATE_INLINE_CAPACITY <= 1 << ARRIVAL_BITS && ORIGIN_BITS + ARRIVAL_BITS < 64,
+    "a batch position and an origin must fit one sort key below u64::MAX"
+);
+
 /// Mask of a birth stamp: the same 24 bits an [`EstimateRecord`] gives its age, so every
 /// age a record can carry fits a stamp.
 const STAMP_MASK: u64 = RECORD_AGE_MAX as u64;
@@ -99,7 +108,7 @@ const STAMP_MASK: u64 = RECORD_AGE_MAX as u64;
 /// no entry: the age is `current round − stamp` whenever somebody asks. Modular stamps
 /// are unambiguous because no cached age ever exceeds [`RECORD_AGE_MAX`] (see
 /// `RatioEstimator::max_cached_age`).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct CachedEstimate {
     packed: u64,
     ratio: f64,
@@ -284,32 +293,119 @@ impl RatioEstimator {
     }
 
     /// Ingests ratio estimates received from a peer, keeping for every origin the freshest
-    /// record and discarding records older than `γ` or produced by `self_node`.
+    /// record and discarding records older than `γ` or produced by `self_node`. Among
+    /// equally fresh records the cached one, then the earliest received, is kept.
     pub fn ingest(&mut self, records: &[EstimateRecord], self_node: NodeId) {
+        // Taking a batch in pieces keeps the record-by-record result, and a piece fits
+        // the stack buffers of `ingest_batch`.
+        for batch in records.chunks(ESTIMATE_INLINE_CAPACITY) {
+            self.ingest_batch(batch, self_node);
+        }
+    }
+
+    /// [`ingest`](Self::ingest) for at most [`ESTIMATE_INLINE_CAPACITY`] records, in one
+    /// ordered pass. The usable records are ordered by origin and, per origin, the first of
+    /// the freshest is kept: the record a record-by-record pass would keep. One forward walk
+    /// over the sorted cache finds every kept record's slot and overwrites a strictly
+    /// staler entry in place, and the new origins go in with one growth of the vector and
+    /// one move of each tail segment, from the back.
+    fn ingest_batch(&mut self, records: &[EstimateRecord], self_node: NodeId) {
         let (round, max_age) = (self.round, self.max_cached_age());
-        for record in records {
+        // Each usable record as its origin above its arrival index, so that sorted keys
+        // list an origin's records together and in arrival order. Unused keys stay at
+        // `u64::MAX`, behind every real one.
+        let mut keys = [u64::MAX; ESTIMATE_INLINE_CAPACITY];
+        let mut n = 0;
+        for (arrival, record) in records.iter().enumerate() {
             if record.origin() == self_node || record.age() > max_age {
                 continue;
             }
             if !record.ratio.is_finite() || !(0.0..=1.0).contains(&record.ratio) {
                 continue;
             }
+            keys[n] = (record.origin().as_u64() << ARRIVAL_BITS) | arrival as u64;
+            n += 1;
+        }
+        // Odd-even transposition sort: it never branches on the keys, so a batch in random
+        // order costs no mispredicted branches, which an insertion sort pays at every step.
+        for pass in 0..ESTIMATE_INLINE_CAPACITY {
+            for i in (pass % 2..ESTIMATE_INLINE_CAPACITY - 1).step_by(2) {
+                let (a, b) = (keys[i], keys[i + 1]);
+                keys[i] = a.min(b);
+                keys[i + 1] = a.max(b);
+            }
+        }
+
+        // The walk reads the cache in order, which the hardware prefetches: a binary
+        // search per record would wait on a chain of cache misses each, as the cache of a
+        // node that last ran a while ago is cold.
+        let cache = &mut self.neighbour_estimates;
+        let mut slot = 0;
+        let mut inserts = [(0, CachedEstimate::default()); ESTIMATE_INLINE_CAPACITY];
+        let mut m = 0;
+        let mut k = 0;
+        while k < n {
+            let origin = keys[k] >> ARRIVAL_BITS;
+            let mut record = records[(keys[k] & ARRIVAL_MASK) as usize];
+            k += 1;
+            while k < n && keys[k] >> ARRIVAL_BITS == origin {
+                let later = records[(keys[k] & ARRIVAL_MASK) as usize];
+                if later.age() < record.age() {
+                    record = later;
+                }
+                k += 1;
+            }
             let fresh = CachedEstimate::new(record.origin(), record.ratio, record.age(), round);
-            match self
-                .neighbour_estimates
-                .binary_search_by_key(&record.origin(), |cached| cached.origin())
+            while cache
+                .get(slot)
+                .is_some_and(|c| c.origin() < record.origin())
             {
-                Ok(i) => {
-                    if self.neighbour_estimates[i].age(round) <= record.age() {
+                slot += 1;
+            }
+            match cache.get_mut(slot) {
+                Some(cached) if cached.origin() == record.origin() => {
+                    if cached.age(round) <= record.age() {
                         continue;
                     }
-                    self.neighbour_estimates[i] = fresh;
+                    *cached = fresh;
                 }
-                Err(i) => self.neighbour_estimates.insert(i, fresh),
+                _ => {
+                    inserts[m] = (slot, fresh);
+                    m += 1;
+                }
             }
+            // Only records that went into the cache move the bound; it stays below every
+            // live entry's expiry, so `advance_round` drops what it always dropped.
             self.next_expiry = self
                 .next_expiry
                 .min(round + (max_age - record.age()) as u64 + 1);
+        }
+        if m > 0 {
+            self.insert_at_slots(&inserts[..m]);
+        }
+    }
+
+    /// Inserts `(slot, entry)` pairs, slots ascending and taken in the cache as it stands,
+    /// so that the cache stays sorted. The vector ends with the capacity `Vec`'s own
+    /// growth reaches one insert at a time (doubling, and at least 4), so the cache's
+    /// memory does not depend on how its records were batched.
+    fn insert_at_slots(&mut self, inserts: &[(usize, CachedEstimate)]) {
+        let cache = &mut self.neighbour_estimates;
+        let old_len = cache.len();
+        let new_len = old_len + inserts.len();
+        let mut capacity = cache.capacity();
+        while capacity < new_len {
+            capacity = (capacity * 2).max(4);
+        }
+        cache.reserve_exact(capacity - old_len);
+        cache.resize(new_len, CachedEstimate::default());
+        // Entry `j` goes in front of the old entry at its slot, so the old entries from
+        // that slot up to the next insert's slot move right by `j + 1`.
+        let mut end = old_len;
+        for (j, &(slot, entry)) in inserts.iter().enumerate().rev() {
+            cache.copy_within(slot..end, slot + j + 1);
+            cache[slot + j] = entry;
+            end = slot;
         }
     }
 
@@ -386,6 +482,12 @@ impl RatioEstimator {
     /// Number of cached neighbour estimates.
     pub fn cached_count(&self) -> usize {
         self.neighbour_estimates.len()
+    }
+
+    /// The capacity of the cache's vector.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.neighbour_estimates.capacity()
     }
 
     /// The cache as records, in ascending origin order.
@@ -666,10 +768,33 @@ mod tests {
                     "{at}"
                 );
                 assert_eq!(fast.cached_count(), slow.cached_count(), "{at}");
+                assert_eq!(fast.capacity(), slow.capacity(), "{at}");
                 assert_eq!(fast.local_estimate(), slow.local_estimate(), "{at}");
                 assert_eq!(fast.hits_ratio(), slow.hits_ratio(), "{at}");
                 assert_eq!(bits(&fast.contents()), bits(&slow.contents()), "{at}");
             }
+        }
+    }
+
+    #[test]
+    fn a_batch_longer_than_the_inline_capacity_matches_the_reference() {
+        let me = NodeId::new(0);
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut fast = RatioEstimator::new(NatClass::Private, 5, 20);
+        let mut slow = ReferenceEstimator::new(NatClass::Private, 5, 20);
+        for len in [13, 24, 40, 100] {
+            let batch: Vec<EstimateRecord> = (0..len)
+                .map(|_| {
+                    let origin = NodeId::new(rng.gen_range(0..60));
+                    EstimateRecord::with_age(origin, rng.gen_range(0.0..=1.0), rng.gen_range(0..25))
+                })
+                .collect();
+            fast.ingest(&batch, me);
+            slow.ingest(&batch, me);
+            assert_eq!(bits(&fast.contents()), bits(&slow.contents()), "{len}");
+            assert_eq!(fast.capacity(), slow.capacity(), "{len}");
+            fast.advance_round();
+            slow.advance_round();
         }
     }
 

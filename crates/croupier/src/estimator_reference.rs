@@ -135,6 +135,11 @@ impl ReferenceEstimator {
         self.neighbour_estimates.len()
     }
 
+    /// The capacity the one-at-a-time inserts left the cache's vector with.
+    pub(crate) fn capacity(&self) -> usize {
+        self.neighbour_estimates.capacity()
+    }
+
     /// The cache as records, in ascending origin order.
     pub(crate) fn contents(&self) -> Vec<EstimateRecord> {
         self.neighbour_estimates

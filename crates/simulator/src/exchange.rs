@@ -87,6 +87,11 @@ impl<S> ExchangeTracker<S> {
         self.pending.take().map(|pending| pending.sent)
     }
 
+    /// The peer of the exchange in flight, if any.
+    pub fn peer(&self) -> Option<NodeId> {
+        self.pending.as_ref().map(|pending| pending.peer)
+    }
+
     /// Drops the exchange in flight, if any, and counts it abandoned.
     pub fn abandon(&mut self) {
         if self.pending.take().is_some() {
@@ -219,9 +224,12 @@ mod tests {
     #[test]
     fn a_reply_from_the_wrong_peer_keeps_the_exchange() {
         let mut tracker = ExchangeTracker::default();
+        assert_eq!(tracker.peer(), None, "idle");
         begin(&mut tracker, PEER, 4);
         assert_eq!(tracker.complete_with(OTHER), None);
+        assert_eq!(tracker.peer(), Some(PEER));
         assert_eq!(tracker.complete_with(PEER), Some(4));
+        assert_eq!(tracker.peer(), None, "answered");
         assert_eq!(tracker.complete_with(PEER), None, "answered once");
         begin(&mut tracker, PEER, 6);
         assert_eq!(tracker.complete(), Some(6), "complete() asks no peer");

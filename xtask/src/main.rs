@@ -31,8 +31,10 @@
 //!   alternating, and prints per end-to-end metric both medians with their quartiles,
 //!   how many pairs the change won, any failed operations and the verdict the metric's
 //!   `BENCHMARK.json` bound gives: `worse`, `unresolved` or `ok`, or `gain` where the
-//!   change meets the rule for claiming one. It times nothing itself and is not a CI
-//!   step.
+//!   change meets the rule for claiming one. A last line gives the core count and the
+//!   share of CPU time stolen from the host between the first pair and the last (from
+//!   `/proc/stat`; `n/a` where there is none), so a report shows a contended host. It
+//!   times nothing itself and is not a CI step.
 //!
 //!   ```text
 //!   cargo run -p xtask -- pairs --parent /root/scratch/parent --change . \
@@ -416,6 +418,36 @@ fn verdict(parent: &[f64], change: &[f64], bound: f64, higher_is_better: bool) -
     }
 }
 
+/// The aggregate `cpu` line of a `/proc/stat` text as `(steal, total)` clock ticks, the
+/// total summing user, nice, system, idle, iowait, irq, softirq and steal (guest time is
+/// already counted in user and nice). `None` when the line or its steal field is missing.
+fn cpu_steal_and_total(stat: &str) -> Option<(u64, u64)> {
+    let line = stat.lines().find(|line| line.starts_with("cpu "))?;
+    let ticks: Vec<u64> = line
+        .split_whitespace()
+        .skip(1)
+        .take(8)
+        .map(|field| field.parse().ok())
+        .collect::<Option<_>>()?;
+    let steal = *ticks.get(7)?;
+    Some((steal, ticks.iter().sum()))
+}
+
+/// The host line `pairs` prints: the core count and the share of CPU time the hypervisor
+/// stole between two `/proc/stat` readings, or `n/a` where either reading is missing.
+fn host_line(cores: usize, before: Option<(u64, u64)>, after: Option<(u64, u64)>) -> String {
+    let steal = match (before, after) {
+        (Some((s0, t0)), Some((s1, t1))) if t1 > t0 => {
+            format!(
+                "{:.1} %",
+                100.0 * s1.saturating_sub(s0) as f64 / (t1 - t0) as f64
+            )
+        }
+        _ => String::from("n/a"),
+    };
+    format!("host: {cores} cores, CPU steal {steal} from the first pair to the last")
+}
+
 /// The names between `"<key>": "` and the closing quote, wherever `text` has them.
 fn quoted_after<'a>(text: &'a str, key: &str) -> Vec<&'a str> {
     let opening = format!("\"{key}\": \"");
@@ -492,6 +524,11 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), Failure> {
     if workloads.is_empty() {
         workloads = declared_workloads(&declared);
     }
+    let cpu_stat = || {
+        let stat = std::fs::read_to_string("/proc/stat").ok()?;
+        cpu_steal_and_total(&stat)
+    };
+    let before = cpu_stat();
     for workload in &workloads {
         // Per side (parent, change) and pair: failed operations, then the metrics.
         let mut runs = [Vec::new(), Vec::new()];
@@ -535,6 +572,8 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), Failure> {
             println!("  {name}: {m0:.3} [{a0:.3}, {b0:.3}] -> {m1:.3} [{a1:.3}, {b1:.3}], {ratio:.3}x, won {wins}/{pairs}, {verdict}");
         }
     }
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("{}", host_line(cores, before, cpu_stat()));
     Ok(())
 }
 
@@ -1002,6 +1041,35 @@ mod tests {
         let declared = r#""end_to_end": [{"name": "wall_s", "bound": 0.25}, {"bound": 0.05
     }]"#;
         assert_eq!(numbers_after(declared, "bound"), [0.25, 0.05]);
+    }
+
+    #[test]
+    fn pairs_reads_the_cpu_steal_share_from_proc_stat() {
+        let at = |steal: u64, idle: u64| {
+            format!(
+                "cpu  100 5 50 {idle} 10 0 5 {steal} 0 0\n\
+                 cpu0 50 2 25 400 5 0 3 15 0 0\n\
+                 intr 12345 0 0\nctxt 999\n"
+            )
+        };
+        let before = cpu_steal_and_total(&at(30, 800));
+        assert_eq!(before, Some((30, 1000)));
+        // 1 000 more ticks, 100 of them stolen.
+        let after = cpu_steal_and_total(&at(130, 1700));
+        assert_eq!(
+            host_line(2, before, after),
+            "host: 2 cores, CPU steal 10.0 % from the first pair to the last"
+        );
+        // Before Linux 2.6.11 the line has no steal field; elsewhere there is no file.
+        assert_eq!(cpu_steal_and_total("cpu  1 2 3 4 5 6 7\n"), None);
+        assert_eq!(cpu_steal_and_total(""), None);
+        assert!(
+            host_line(4, None, after).ends_with("CPU steal n/a from the first pair to the last")
+        );
+        assert!(
+            host_line(4, before, before).contains("n/a"),
+            "no time passed"
+        );
     }
 
     #[test]
