@@ -38,12 +38,7 @@
 //! The far wheel holds the same headers, so a message is *parked* in the slab once, when
 //! it is scheduled, near or far, and stays in its slot until the delivery pops: a far
 //! tick's migration moves headers only. The slab's length is therefore the high-water
-//! count of deliveries in flight, near plus far. A caller that already holds the message
-//! where it wants it to wait — the sharded barrier, which moves each surviving payload
-//! from its sender's outbox straight into the destination's slab — parks it itself
-//! (`park`) and schedules the header later
-//! (`schedule_parked`); [`schedule`](EventQueue::schedule)
-//! is exactly those two steps.
+//! count of deliveries in flight, near plus far.
 //!
 //! # Ordering contract
 //!
@@ -59,7 +54,6 @@ use std::collections::BTreeMap;
 
 use crate::event::{Event, ScheduledEvent};
 use crate::time::SimTime;
-use crate::types::NodeId;
 
 /// Number of millisecond buckets in the near wheel (~8 s of virtual time).
 ///
@@ -165,10 +159,8 @@ impl<M> EventQueue<M> {
     }
 
     /// Parks a delivery's message in the payload slab, in a recycled slot when one is
-    /// free, and returns the slot for [`schedule_parked`](Self::schedule_parked). The
-    /// slot stays taken until the delivery pops, so every parked message must be
-    /// scheduled.
-    pub(crate) fn park(&mut self, msg: M) -> u32 {
+    /// free, and returns the slot its header carries until the delivery pops.
+    fn park(&mut self, msg: M) -> u32 {
         if let Some(slot) = self.free_payloads.pop() {
             self.payloads[slot as usize] = Some(msg);
             return slot;
@@ -254,26 +246,7 @@ impl<M> EventQueue<M> {
     /// do) executes the event at the current instant instead, preserving the original
     /// timestamp.
     pub fn schedule(&mut self, at: SimTime, event: Event<M>) {
-        let header = event.map_msg(|msg| self.park(msg));
-        self.schedule_header(at, header);
-    }
-
-    /// Schedules the delivery of the message parked in `slot` (see [`park`](Self::park))
-    /// from `from` to `to` at `at`: the same as [`schedule`](Self::schedule), without
-    /// touching the payload.
-    pub(crate) fn schedule_parked(&mut self, at: SimTime, from: NodeId, to: NodeId, slot: u32) {
-        self.schedule_header(
-            at,
-            Event::Deliver {
-                from,
-                to,
-                msg: slot,
-            },
-        );
-    }
-
-    /// Takes the next sequence number for `event` and links it near or far.
-    fn schedule_header(&mut self, at: SimTime, event: Event<u32>) {
+        let event = event.map_msg(|msg| self.park(msg));
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
@@ -522,9 +495,7 @@ mod tests {
 
     /// Drives the wheel and the reference heap through an identical randomized workload of
     /// schedules and pops — same-tick bursts, far-future timers and deliveries, pop runs
-    /// that force window rotations — and asserts bit-identical pop sequences. Deliveries
-    /// alternate between [`EventQueue::schedule`] and [`EventQueue::park`] +
-    /// [`EventQueue::schedule_parked`], which must be the same thing.
+    /// that force window rotations — and asserts bit-identical pop sequences.
     #[test]
     fn randomized_equivalence_with_reference_heap() {
         for seed in 0..8u64 {
@@ -538,28 +509,13 @@ mod tests {
             let mut deliver =
                 |wheel: &mut EventQueue<u32>, heap: &mut ReferenceEventQueue<u32>, at| {
                     let (from, to) = (NodeId::new(0), NodeId::new(u64::from(payload)));
-                    let at = SimTime::from_millis(at);
-                    if payload.is_multiple_of(2) {
-                        wheel.schedule(
-                            at,
-                            Event::Deliver {
-                                from,
-                                to,
-                                msg: payload,
-                            },
-                        );
-                    } else {
-                        let slot = wheel.park(payload);
-                        wheel.schedule_parked(at, from, to, slot);
-                    }
-                    heap.schedule(
-                        at,
-                        Event::Deliver {
-                            from,
-                            to,
-                            msg: payload,
-                        },
-                    );
+                    let event = Event::Deliver {
+                        from,
+                        to,
+                        msg: payload,
+                    };
+                    wheel.schedule(SimTime::from_millis(at), event.clone());
+                    heap.schedule(SimTime::from_millis(at), event);
                     payload += 1;
                 };
             for _ in 0..4_000 {
@@ -750,7 +706,7 @@ mod tests {
     /// The slab hands each payload out with its popped event and keeps no copy; dropping
     /// the queue drops what is still queued, near or far; and the slab never holds more
     /// slots than the most deliveries ever queued at once, near plus far, through
-    /// same-tick bursts, far-wheel migrations and payloads parked ahead of their header.
+    /// same-tick bursts and far-wheel migrations.
     #[test]
     fn the_payload_slab_owns_exactly_the_queued_deliveries() {
         const MAX_QUEUED: usize = 400;
@@ -760,16 +716,9 @@ mod tests {
         let mut q: EventQueue<Rc<()>> = EventQueue::new();
         let (mut now, mut deliveries, mut peak, mut migrations) = (0u64, 0usize, 0usize, 0u32);
         let mut draining = false;
-        // Schedules one delivery at `at`, parking its payload first when `parked`.
-        let deliver = |q: &mut EventQueue<Rc<()>>, at: u64, parked: bool| {
-            let at = SimTime::from_millis(at);
-            if parked {
-                let slot = q.park(Rc::clone(&token));
-                q.schedule_parked(at, from, to, slot);
-            } else {
-                let msg = Rc::clone(&token);
-                q.schedule(at, Event::Deliver { from, to, msg });
-            }
+        let deliver = |q: &mut EventQueue<Rc<()>>, at: u64| {
+            let msg = Rc::clone(&token);
+            q.schedule(SimTime::from_millis(at), Event::Deliver { from, to, msg });
         };
         while now < 30 * WHEEL_SLOTS {
             let room = MAX_QUEUED - q.len();
@@ -779,7 +728,7 @@ mod tests {
                 0..=3 => {
                     let at = now + rng.gen_range(0..40u64);
                     for _ in 0..rng.gen_range(1..=30usize).min(room) {
-                        deliver(&mut q, at, !deliveries.is_multiple_of(2));
+                        deliver(&mut q, at);
                         deliveries += 1;
                     }
                 }
@@ -793,7 +742,7 @@ mod tests {
                 // migrates.
                 _ => {
                     let at = now + rng.gen_range(WHEEL_SLOTS..3 * WHEEL_SLOTS);
-                    deliver(&mut q, at, !deliveries.is_multiple_of(2));
+                    deliver(&mut q, at);
                     deliveries += 1;
                 }
             }

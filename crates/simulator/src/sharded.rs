@@ -11,14 +11,13 @@
 //! delivery plane (`delivery.rs`) judge the merged batch — the fault plane
 //! sequentially, then the delivery filter over the whole batch, which a filter with
 //! partitioned state (`croupier-nat`: one table per gateway) splits over worker threads
-//! — and reads the outcomes back, parking each survivor's payload in its destination
-//! shard's slab and staging a header for it; each shard then inserts its own staged
-//! headers into its own event queue (in parallel for large batches). A payload crosses
-//! the barrier once: the merge reads it in its outbox (where a corrupting fault plane
-//! mutates it) and the outcome pass moves it from there into the slab it is delivered
-//! from. What stays on one thread is the k-way merge, the fault plane's draws (one
-//! stream, consumed in canonical order) and the outcome pass (drop accounting and the
-//! payload moves); the sort, the filter and the insertion scale with the worker count.
+//! — and reads the outcomes back in one pass that schedules each survivor on its
+//! destination shard's event queue. A payload crosses the barrier once: the merge reads
+//! it in its outbox (where a corrupting fault plane mutates it) and the outcome pass
+//! moves it from there into the queue it is delivered from. What stays on one thread is
+//! the k-way merge, the fault plane's draws (one stream, consumed in canonical order)
+//! and the outcome pass (drop accounting and queue insertion); the sort and the filter
+//! scale with the worker count.
 //!
 //! # Determinism across worker counts
 //!
@@ -278,14 +277,6 @@ impl<P: Protocol> Shard<P> {
         self.outbox
             .sort_unstable_by_key(|m| std::cmp::Reverse((m.sent_at, m.from, m.seq)));
     }
-
-    /// Schedules the barrier's staged delivery headers for this shard, in list order;
-    /// their payloads are already parked in this shard's slab.
-    fn insert_staged(&mut self, stage: &mut Vec<(SimTime, NodeId, NodeId, u32)>) {
-        for (at, from, to, slot) in stage.drain(..) {
-            self.queue.schedule_parked(at, from, to, slot);
-        }
-    }
 }
 
 /// The sharded, phase-parallel simulation engine. The module documentation of
@@ -355,12 +346,6 @@ pub struct ShardedSimulation<P: Protocol> {
     /// Recycled backing store for the k-way merge's head heap: one entry per unfinished
     /// run.
     heap_buf: Vec<MergeHead>,
-    /// Recycled per-destination-shard staging lists for the barrier's partitioned queue
-    /// insertion: the sequential outcome pass parks each survivor's payload in its
-    /// destination shard's slab and appends its header `(arrival, from, to, slot)` here
-    /// in canonical order, then every shard drains its own list into its own queue — in
-    /// parallel when the batch is large enough to pay for the threads.
-    delivery_bufs: Vec<Vec<(SimTime, NodeId, NodeId, u32)>>,
     /// Round-barrier hook, if installed; runs on the coordinating thread right after each
     /// phase's canonical merge, so its effects are worker-count independent.
     hook: Option<Box<dyn RoundHook>>,
@@ -390,7 +375,6 @@ where
             bootstrap: BootstrapRegistry::new(),
             merge_order: Vec::new(),
             heap_buf: Vec::new(),
-            delivery_bufs: (0..workers).map(|_| Vec::new()).collect(),
             hook: None,
             hook_sampler: None,
         }
@@ -555,8 +539,7 @@ where
         self.heap_buf = heap.into_vec();
     }
 
-    /// The barrier: judges the staged batch and schedules the surviving deliveries —
-    /// partitioned by destination shard, in parallel when the batch is large.
+    /// The barrier: judges the staged batch and schedules the surviving deliveries.
     ///
     /// The judgment is the [delivery plane](crate::delivery)'s: the fault draws happened
     /// at staging; here the filter gets the whole batch (on
@@ -564,22 +547,16 @@ where
     /// then one sequential pass reads each outcome back, which counts the drops, and
     /// moves each payload exactly once. Message `k` is the next pop of run
     /// `merge_order[k]`: the merge consumed every run from its end, in the order this
-    /// pass replays. A survivor's payload goes straight into its destination shard's
-    /// slab ([`EventQueue::park`]; a duplicate parks its own clone), and only a 32-byte
-    /// header is staged for insertion; a dead message's payload is dropped here.
-    /// Canonical order in, per-message outcomes out: that is what makes runs
-    /// bit-identical across worker counts. Queue insertion
-    /// ([`EventQueue::schedule_parked`]) is freely partitionable — each staged list holds
-    /// one destination shard's deliveries in canonical relative order, and scheduling
-    /// them list-order into that shard's queue reproduces the exact `(time, insertion
-    /// order)` tie-breaking of a sequential interleaved insertion, because messages for
-    /// different shards never share a queue.
+    /// pass replays. A survivor goes straight into its destination shard's event queue
+    /// (a duplicate first, as its own clone, then the original); a dead message's payload
+    /// is dropped here. Canonical order in, per-message outcomes out: each queue receives
+    /// its deliveries in canonical relative order, so its `(time, insertion order)`
+    /// tie-breaking — and with it every run — is the same for any worker count.
     fn merge_batch(&mut self) {
         if self.merge_order.is_empty() {
             return;
         }
         let stride = self.shards.len() as u64;
-        let mut staged = std::mem::take(&mut self.delivery_bufs);
         let workers = if self.merge_order.len() >= PARALLEL_BARRIER_THRESHOLD {
             self.barrier_workers
         } else {
@@ -598,44 +575,26 @@ where
                 arrive_at,
                 ..
             } = link;
-            let dest = (to.as_u64() % stride) as usize;
-            let queue = &mut self.shards[dest].queue;
+            let queue = &mut self.shards[(to.as_u64() % stride) as usize].queue;
             if departure.duplicate {
                 // The duplicate travels at the base latency; only the original can
                 // additionally be held back by a reordering spike.
-                let slot = queue.park(msg.clone());
-                staged[dest].push((arrive_at, from, to, slot));
+                let msg = msg.clone();
+                queue.schedule(arrive_at, Event::Deliver { from, to, msg });
             }
-            let slot = queue.park(msg);
-            staged[dest].push((arrive_at + departure.extra_delay, from, to, slot));
+            let at = arrive_at + departure.extra_delay;
+            queue.schedule(at, Event::Deliver { from, to, msg });
         }
         self.merge_order.clear();
-        let total: usize = staged.iter().map(Vec::len).sum();
-        if self.shards.len() > 1 && total >= PARALLEL_BARRIER_THRESHOLD {
-            std::thread::scope(|scope| {
-                for (shard, stage) in self.shards.iter_mut().zip(staged.iter_mut()) {
-                    if !stage.is_empty() {
-                        scope.spawn(move || shard.insert_staged(stage));
-                    }
-                }
-            });
-        } else {
-            for (shard, stage) in self.shards.iter_mut().zip(staged.iter_mut()) {
-                shard.insert_staged(stage);
-            }
-        }
-        self.delivery_bufs = staged;
     }
 }
 
-/// Smallest per-barrier message count for which the barrier's two partitionable steps —
-/// the filter's batch judgment and the queue insertion — use worker threads; smaller
-/// batches stay on the coordinating thread, since spawning the scoped threads costs more
-/// than judging or scheduling a few thousand messages. Measured on the NAT filter's
-/// batch (2 cores): one thread wins through 4k links and ties at 8k, two take 0.6–0.7x
-/// the time from 16k up. The choice only affects wall-clock, never outcomes: the
-/// filter's verdicts and every per-queue insertion sequence are the same on both sides
-/// of it.
+/// Smallest per-barrier message count for which the delivery filter judges the batch on
+/// worker threads; smaller batches stay on the coordinating thread, since spawning the
+/// scoped threads costs more than judging a few thousand messages. Measured on the NAT
+/// filter's batch (2 cores): one thread wins through 4k links and ties at 8k, two take
+/// 0.6–0.7x the time from 16k up. The choice only affects wall-clock, never outcomes:
+/// the filter's verdicts are those of the per-message sequence on both sides of it.
 const PARALLEL_BARRIER_THRESHOLD: usize = 16_384;
 
 impl<P: PssNode + Send> ShardedSimulation<P>
@@ -1354,31 +1313,6 @@ mod tests {
         }
     }
 
-    /// A staged delivery is a header whatever the message: the payload waits in the
-    /// destination's slab from the outcome pass on.
-    #[test]
-    fn staged_deliveries_are_32_byte_headers_whatever_the_message() {
-        #[derive(Clone, Debug)]
-        struct Wide([u8; 256]);
-        impl WireSize for Wide {
-            fn wire_size(&self) -> usize {
-                self.0.len()
-            }
-        }
-        struct Mute;
-        impl Protocol for Mute {
-            type Message = Wide;
-            fn on_start(&mut self, _ctx: &mut Context<'_, Wide>) {}
-            fn on_round(&mut self, _ctx: &mut Context<'_, Wide>) {}
-            fn on_message(&mut self, _from: NodeId, _msg: Wide, _ctx: &mut Context<'_, Wide>) {}
-        }
-        fn entry_bytes<C>(_: &[Vec<C>]) -> usize {
-            std::mem::size_of::<C>()
-        }
-        let sim: ShardedSimulation<Mute> = ShardedSimulation::new(SimulationConfig::default());
-        assert!(entry_bytes(&sim.delivery_bufs) <= 32);
-    }
-
     /// Counts the live payloads of a run and the clones among them.
     #[derive(Debug, Default)]
     struct Ledger {
@@ -1472,9 +1406,9 @@ mod tests {
         sim
     }
 
-    /// Payloads live only in the event queues between barriers: no outbox keeps one and
-    /// no staging buffer copies one, whatever the filter refuses and the plane drops or
-    /// duplicates; the only clones are the plane's duplicates.
+    /// Payloads live only in the event queues between barriers: no outbox keeps one,
+    /// whatever the filter refuses and the plane drops or duplicates; the only clones
+    /// are the plane's duplicates.
     #[test]
     fn between_barriers_every_payload_waits_in_a_queue() {
         use crate::faults::FaultProfile;
@@ -1558,11 +1492,12 @@ mod tests {
         assert_eq!(one, run(4), "1 vs 4 workers diverged");
     }
 
-    /// Every barrier of this run stages more survivors than
-    /// [`PARALLEL_BARRIER_THRESHOLD`], so with several shards each one inserts on worker
-    /// threads; the runs must still be bit-identical to the one-shard run.
+    /// Every barrier of this run schedules more survivors than
+    /// [`PARALLEL_BARRIER_THRESHOLD`], the batch size from which the filter is offered
+    /// worker threads; runs on 2 and 4 shards must still be bit-identical to the
+    /// one-shard run.
     #[test]
-    fn threaded_insertion_on_every_barrier_is_bit_identical() {
+    fn large_barriers_are_bit_identical_across_worker_counts() {
         let run = |threads: usize| {
             let mut sim = ring_sim(20_000, threads);
             for _ in 0..3 {

@@ -68,11 +68,12 @@
 //! * `ci-local` — mirrors every CI job offline so contributors can reproduce CI failures
 //!   before pushing: `fmt`, `clippy` (deny warnings), `doc` (deny warnings),
 //!   `public-api` (snapshot diff), `test` (release build + workspace tests + the
-//!   `quickstart` example), `outputs` (the unit tests and the `--smoke` run of the
-//!   separate `e2e_bench/` workspace, which compiles against the public API of every
-//!   crate, then `outputs --check`), `scale-smoke` (the ignored 100k-node `scale_smoke`
-//!   test plus the `sharded_scale` example) and `huge-smoke` (the ignored million-node
-//!   `scale_smoke` test), each the same commands the CI job runs. The two smokes print
+//!   `quickstart`, `nat_identification` and `streaming_overlay` examples), `outputs`
+//!   (the unit tests and the `--smoke` run of the separate `e2e_bench/` workspace, which
+//!   compiles against the public API of every crate, then `outputs --check`),
+//!   `scale-smoke` (the ignored 100k-node `scale_smoke` test plus the `sharded_scale`
+//!   example) and `huge-smoke` (the ignored million-node `scale_smoke` test), each the
+//!   same commands the CI job runs. The two smokes print
 //!   the path of the metrics-timing report (with the run's peak RSS) their CI jobs
 //!   upload. All steps run even when an earlier one fails; the summary lists every
 //!   verdict and the wall seconds the step took.
@@ -793,6 +794,11 @@ const CI_STEPS: [&str; 8] = [
     "huge-smoke",
 ];
 
+/// The examples the `test` step (CI's `build-test` job) runs after the workspace tests:
+/// every example small enough to run on each push (`sharded_scale` runs in
+/// `scale-smoke`; `fault_overhead_check` is a timing A/B, not a smoke).
+const CI_EXAMPLES: [&str; 3] = ["quickstart", "nat_identification", "streaming_overlay"];
+
 /// Parses `ci-local`'s arguments: the set of steps to skip.
 fn parse_ci_local_args(mut argv: impl Iterator<Item = String>) -> Result<Vec<String>, String> {
     let mut skip = Vec::new();
@@ -880,11 +886,13 @@ fn ci_local_step(step: &str) -> bool {
                 &["build", "--release", "--locked", "--workspace"],
                 &[],
             ) && run_command(&cargo, &["test", "-q", "--locked", "--workspace"], &[])
-                && run_command(
-                    &cargo,
-                    &["run", "--release", "--locked", "--example", "quickstart"],
-                    &[],
-                )
+                && CI_EXAMPLES.iter().all(|example| {
+                    run_command(
+                        &cargo,
+                        &["run", "--release", "--locked", "--example", example],
+                        &[],
+                    )
+                })
         }
         "public-api" => public_api_gate(false) == ExitCode::SUCCESS,
         "outputs" => {
@@ -1280,6 +1288,13 @@ mod tests {
         );
         expected.sort_unstable();
         assert_eq!(jobs, expected, "ci.yml jobs and ci-local steps drifted");
+        for example in CI_EXAMPLES {
+            let run = format!("run: cargo run --release --locked --example {example}\n");
+            assert!(
+                text.contains(&run),
+                "ci.yml's build-test job skips {example}"
+            );
+        }
         assert!(
             !text.contains("--scenarios"),
             "a CI job runs a subset of the scenarios"
