@@ -173,10 +173,6 @@ impl PssNode for CyclonNode {
         NatClass::Public
     }
 
-    fn known_peers(&self) -> Vec<NodeId> {
-        self.view.nodes()
-    }
-
     fn for_each_known_peer(&self, visit: &mut dyn FnMut(NodeId)) {
         for descriptor in self.view.iter() {
             visit(descriptor.node());
@@ -290,8 +286,11 @@ mod tests {
 
     #[test]
     fn message_sizes_scale_with_descriptors() {
-        let small =
-            CyclonMessage::Request(vec![Descriptor::new(NodeId::new(1), NatClass::Public)].into());
+        let small = CyclonMessage::Request(
+            [Descriptor::new(NodeId::new(1), NatClass::Public)]
+                .into_iter()
+                .collect(),
+        );
         let large = CyclonMessage::Request(
             (0..5u64)
                 .map(|i| Descriptor::new(NodeId::new(i), NatClass::Public))

@@ -43,19 +43,14 @@ const RELAY_REDUNDANCY: usize = 2;
 /// for three periods is dropped.
 const KEEPALIVE_ROUNDS: u64 = 5;
 
-/// Inline capacity of relay lists: double the relay redundancy.
-pub(crate) const RELAY_INLINE_CAPACITY: usize = 2 * RELAY_REDUNDANCY;
-
 /// The relay addresses carried inside a Gozar view entry, stored inline so entries clone
-/// without heap allocation on the shuffle hot path.
-pub type RelayList = InlineVec<NodeId, RELAY_INLINE_CAPACITY>;
+/// without heap allocation on the shuffle hot path. A node keeps at most
+/// [`RELAY_REDUNDANCY`] relays, and corruption only truncates or clears a list.
+pub type RelayList = InlineVec<NodeId, RELAY_REDUNDANCY>;
 
-/// Inline capacity of a shuffle's entry list: `SHUFFLE_SIZE + 1` with headroom, the same as
-/// [`croupier::DESCRIPTOR_INLINE_CAPACITY`].
-pub(crate) const ENTRY_INLINE_CAPACITY: usize = DESCRIPTOR_INLINE_CAPACITY;
-
-/// The entry list carried in Gozar shuffle messages.
-pub type EntryBatch = InlineVec<GozarEntry, ENTRY_INLINE_CAPACITY>;
+/// The entry list carried in Gozar shuffle messages: at most `SHUFFLE_SIZE` entries, so
+/// the capacity of a [`DescriptorBatch`] holds it.
+pub type EntryBatch = InlineVec<GozarEntry, DESCRIPTOR_INLINE_CAPACITY>;
 
 /// A view entry as exchanged by Gozar: a descriptor plus, for private nodes, the addresses
 /// of their relay nodes.
@@ -199,22 +194,15 @@ const RELAY_SUSPECT_STRIKES: u32 = 2;
 const NO_RELAY: u32 = u32::MAX;
 
 /// The relays advertised by the private nodes a node has heard of, packed to `u32` ids so
-/// an entry takes 12 bytes where a `(NodeId, RelayList)` pair takes 56. A list keeps its
+/// an entry takes 12 bytes where a `(NodeId, RelayList)` pair takes 32. A list keeps its
 /// order; unused slots hold [`NO_RELAY`]. Every round ends by pruning the cache to the
 /// nodes whose relays the protocol can still read (see `GozarNode::prune_relay_cache`).
 #[derive(Clone, Debug, Default)]
 struct RelayCache(HashMap<u32, [u32; RELAY_REDUNDANCY]>);
 
 impl RelayCache {
-    /// Records `relays` (at most [`RELAY_REDUNDANCY`], as every advertised list is: a
-    /// node's own relays never exceed it and corruption only truncates or clears a list)
-    /// as `node`'s.
+    /// Records `relays` as `node`'s.
     fn insert(&mut self, node: NodeId, relays: &RelayList) {
-        assert!(
-            relays.len() <= RELAY_REDUNDANCY,
-            "{} relays advertised for {node:?}, more than the redundancy {RELAY_REDUNDANCY}",
-            relays.len()
-        );
         let mut packed = [NO_RELAY; RELAY_REDUNDANCY];
         for (slot, relay) in packed.iter_mut().zip(relays.iter()) {
             *slot = id32(*relay);
@@ -613,10 +601,6 @@ impl PssNode for GozarNode {
         self.class
     }
 
-    fn known_peers(&self) -> Vec<NodeId> {
-        self.view.nodes()
-    }
-
     fn for_each_known_peer(&self, visit: &mut dyn FnMut(NodeId)) {
         for descriptor in self.view.iter() {
             visit(descriptor.node());
@@ -842,13 +826,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more than the redundancy")]
-    fn relay_cache_rejects_lists_above_the_redundancy() {
-        let three: RelayList = (0..=RELAY_REDUNDANCY as u64).map(NodeId::new).collect();
-        RelayCache::default().insert(NodeId::new(1), &three);
-    }
-
-    #[test]
     #[should_panic(expected = "u32 key space")]
     fn relay_cache_rejects_ids_outside_u32() {
         let relays: RelayList = [NodeId::new(u64::from(u32::MAX))].into_iter().collect();
@@ -924,13 +901,13 @@ mod tests {
         };
         let relayed = GozarEntry {
             descriptor: Descriptor::new(NodeId::new(2), NatClass::Private),
-            relays: vec![NodeId::new(3), NodeId::new(4)].into(),
+            relays: [NodeId::new(3), NodeId::new(4)].into_iter().collect(),
         };
         let req_plain = GozarMessage::ShuffleResponse {
-            entries: vec![plain].into(),
+            entries: [plain].into_iter().collect(),
         };
         let req_relayed = GozarMessage::ShuffleResponse {
-            entries: vec![relayed].into(),
+            entries: [relayed].into_iter().collect(),
         };
         assert_eq!(
             req_relayed.wire_size() - req_plain.wire_size(),

@@ -45,11 +45,15 @@ mod tests {
     use super::*;
 
     /// Per-node state is what `peak_rss_mb` is made of at 100k nodes and beyond: a field
-    /// added to a node shows up there times the population.
+    /// added to a node shows up there times the population. A message is copied at every
+    /// hop of the message plane.
     #[test]
     fn node_state_stays_compact() {
-        assert!(std::mem::size_of::<CyclonNode>() <= 176);
-        assert!(std::mem::size_of::<GozarNode>() <= 408);
-        assert!(std::mem::size_of::<NylonNode>() <= 328);
+        assert!(std::mem::size_of::<CyclonNode>() <= 160);
+        assert!(std::mem::size_of::<GozarNode>() <= 352);
+        assert!(std::mem::size_of::<NylonNode>() <= 320);
+        assert!(std::mem::size_of::<CyclonMessage>() <= 64);
+        assert!(std::mem::size_of::<GozarMessage>() <= 240);
+        assert!(std::mem::size_of::<NylonMessage>() <= 72);
     }
 }

@@ -469,10 +469,6 @@ impl PssNode for NylonNode {
         self.class
     }
 
-    fn known_peers(&self) -> Vec<NodeId> {
-        self.view.nodes()
-    }
-
     fn for_each_known_peer(&self, visit: &mut dyn FnMut(NodeId)) {
         for descriptor in self.view.iter() {
             visit(descriptor.node());

@@ -12,6 +12,10 @@ pub const SHUFFLE_SIZE: usize = 5;
 /// Number of public nodes a joining node requests from the bootstrap server.
 pub const BOOTSTRAP_SIZE: usize = 10;
 
+/// Maximum number of cached ratio estimates piggy-backed on one shuffle message (paper
+/// §VI: 10). The sender's own estimate, if it has one, is added on top of it.
+pub(crate) const ESTIMATE_SHARE_SIZE: usize = 10;
+
 /// The configurable part of a [`CroupierNode`](crate::CroupierNode): the two estimation
 /// windows that Figs. 1, 2 and 7 of the paper vary. Everything else the paper fixes is a
 /// constant ([`VIEW_SIZE`], [`SHUFFLE_SIZE`], [`BOOTSTRAP_SIZE`]).

@@ -9,20 +9,20 @@ use crate::config::SHUFFLE_SIZE;
 /// encodings used in the paper's overhead accounting.
 pub const DESCRIPTOR_WIRE_BYTES: usize = 12;
 
-/// Inline capacity of [`DescriptorBatch`]: the largest descriptor list a shuffle
-/// produces, with headroom. A Croupier shuffle ships `ceil(SHUFFLE_SIZE / 2) + 1`
-/// descriptors per view (subset plus the sender's own entry → 4), and the single-view
-/// baselines ship `SHUFFLE_SIZE + 1` (→ 6).
-pub const DESCRIPTOR_INLINE_CAPACITY: usize = 8;
-
-const _: () = assert!(SHUFFLE_SIZE < DESCRIPTOR_INLINE_CAPACITY);
+/// Capacity of [`DescriptorBatch`]: the longest descriptor list a shuffle produces, the
+/// [`SHUFFLE_SIZE`] view descriptors plus the sender's own. A Croupier request carries
+/// `ceil(SHUFFLE_SIZE / 2) + SHUFFLE_SIZE / 2 + 1` = 6 over its two lists, and one list can
+/// receive all of them, as a corrupted descriptor can change class. The single-view
+/// baselines ship at most `SHUFFLE_SIZE` (a request's `SHUFFLE_SIZE − 1` plus the
+/// sender's own, or a reply's `SHUFFLE_SIZE`).
+pub const DESCRIPTOR_INLINE_CAPACITY: usize = SHUFFLE_SIZE + 1;
 
 /// A bounded descriptor list as carried in shuffle messages and exchange bookkeeping.
 ///
 /// Backed by [`InlineVec`], so shuffle payloads live inline in the message and the
 /// shuffle hot path performs no heap allocation (the `Vec`-based payloads this replaced
 /// were the dominant allocation source per exchange). With the packed 8-byte
-/// [`Descriptor`] the inline storage is 64 bytes per batch, half its former footprint.
+/// [`Descriptor`] a batch is 56 bytes: six descriptors and the length.
 pub type DescriptorBatch = InlineVec<Descriptor, DESCRIPTOR_INLINE_CAPACITY>;
 
 /// Number of low bits of the packed word holding the node identifier.

@@ -13,14 +13,16 @@ use croupier_simulator::{InlineVec, NatClass, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::config::ESTIMATE_SHARE_SIZE;
+
 /// Serialized size of one piggy-backed estimate, in bytes: two bytes of node identifier,
 /// one byte each for the public and private request counts and one byte of timestamp —
 /// exactly the encoding the paper charges 5 bytes for (§VII, protocol overhead).
 pub(crate) const ESTIMATE_WIRE_BYTES: usize = 5;
 
-/// Inline capacity of [`EstimateBatch`]: the paper's share size (10 estimates per message)
-/// plus the sender's own estimate, with one slot of headroom.
-pub const ESTIMATE_INLINE_CAPACITY: usize = 12;
+/// Capacity of [`EstimateBatch`]: the paper's share size (10 estimates per message) plus
+/// the sender's own estimate.
+pub const ESTIMATE_INLINE_CAPACITY: usize = ESTIMATE_SHARE_SIZE + 1;
 
 /// A bounded list of piggy-backed ratio estimates as carried in shuffle messages.
 pub type EstimateBatch = InlineVec<EstimateRecord, ESTIMATE_INLINE_CAPACITY>;
@@ -328,6 +330,7 @@ impl RatioEstimator {
         }
         // Odd-even transposition sort: it never branches on the keys, so a batch in random
         // order costs no mispredicted branches, which an insertion sort pays at every step.
+        // Over the 11 slots of a full message it is 55 comparators.
         for pass in 0..ESTIMATE_INLINE_CAPACITY {
             for i in (pass % 2..ESTIMATE_INLINE_CAPACITY - 1).step_by(2) {
                 let (a, b) = (keys[i], keys[i + 1]);

@@ -18,7 +18,7 @@ const SHUFFLE_FRAMING_BYTES: usize = 6;
 /// All three lists are [`InlineVec`](croupier_simulator::InlineVec)s sized to the paper's
 /// view-subset bounds, so filling, reading and clearing a payload touches
 /// no heap memory. The payload itself travels **boxed** inside [`CroupierMessage`]: the
-/// inline lists make the struct ~380 bytes even with the bit-packed 8-byte
+/// inline lists make the struct 304 bytes even with the bit-packed 8-byte
 /// [`Descriptor`](crate::Descriptor)s and 16-byte
 /// [`EstimateRecord`](crate::EstimateRecord)s (it was ~600 before packing), and shipping
 /// that by value through the
@@ -173,18 +173,20 @@ mod tests {
 
     #[test]
     fn packed_payload_stays_compact() {
-        // The bit-packed descriptor (8 bytes) and estimate record (16 bytes) keep the
-        // pooled payload under 450 bytes; the pre-packing layout was ~600. A regression
-        // here silently doubles the per-message memcpy cost at the 1M-node tier.
+        // The bit-packed descriptor (8 bytes) and estimate record (16 bytes) in lists
+        // sized to the paper's bounds keep the pooled payload at 304 bytes; the
+        // pre-packing layout was ~600. A regression here silently doubles the per-message
+        // memcpy cost at the 1M-node tier.
         assert_eq!(std::mem::size_of::<crate::Descriptor>(), 8);
         assert_eq!(std::mem::size_of::<EstimateRecord>(), 16);
+        assert_eq!(std::mem::size_of::<crate::DescriptorBatch>(), 56);
         assert!(
-            std::mem::size_of::<ShufflePayload>() <= 450,
+            std::mem::size_of::<ShufflePayload>() <= 304,
             "ShufflePayload grew to {} bytes",
             std::mem::size_of::<ShufflePayload>()
         );
         // Per-node state times the population is `peak_rss_mb` at 100k nodes and beyond.
-        assert!(std::mem::size_of::<crate::CroupierNode>() <= 456);
+        assert!(std::mem::size_of::<crate::CroupierNode>() <= 416);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //!    timeout classifies the client as **private**.
 
 use std::fmt;
-use std::sync::Arc;
 
-use croupier_nat::{AddressInfo, Ip};
+use croupier_nat::{Ip, NatTopology};
 use croupier_simulator::{Context, NatClass, NodeId, Protocol, SimDuration, TimerKey, WireSize};
 
 use crate::messages::UDP_IP_HEADER_BYTES;
@@ -106,7 +105,7 @@ impl fmt::Display for ClassificationEvidence {
 /// nodes created with [`NatIdentificationNode::new_client`] actively probe their own type.
 pub struct NatIdentificationNode {
     id: NodeId,
-    address_info: Arc<dyn AddressInfo + Send + Sync>,
+    topology: NatTopology,
     is_client: bool,
     conclusion: Option<(NatClass, ClassificationEvidence)>,
 }
@@ -123,10 +122,10 @@ impl fmt::Debug for NatIdentificationNode {
 
 impl NatIdentificationNode {
     /// Creates a node that actively determines its own NAT type at start-up.
-    pub fn new_client(id: NodeId, address_info: Arc<dyn AddressInfo + Send + Sync>) -> Self {
+    pub fn new_client(id: NodeId, topology: NatTopology) -> Self {
         NatIdentificationNode {
             id,
-            address_info,
+            topology,
             is_client: true,
             conclusion: None,
         }
@@ -134,10 +133,10 @@ impl NatIdentificationNode {
 
     /// Creates a helper node that only answers other nodes' probes (an already-joined
     /// public node).
-    pub fn new_helper(id: NodeId, address_info: Arc<dyn AddressInfo + Send + Sync>) -> Self {
+    pub fn new_helper(id: NodeId, topology: NatTopology) -> Self {
         NatIdentificationNode {
             id,
-            address_info,
+            topology,
             is_client: false,
             conclusion: None,
         }
@@ -173,7 +172,7 @@ impl Protocol for NatIdentificationNode {
             return;
         }
         // UPnP IGD short-circuit (Algorithm 1, lines 4–5).
-        if self.address_info.supports_upnp(self.id) {
+        if self.topology.supports_upnp(self.id) {
             self.conclude(NatClass::Public, ClassificationEvidence::UpnpMapping);
             return;
         }
@@ -204,7 +203,7 @@ impl Protocol for NatIdentificationNode {
             NatIdMessage::MatchingIpTest { client, excluded } => {
                 // A real deployment reads the source address off the UDP packet; the
                 // emulation asks the address oracle for the same observable fact.
-                let Some(observed) = self.address_info.observed_ip(client) else {
+                let Some(observed) = self.topology.observed_ip(client) else {
                     return;
                 };
                 // Pick a forwarder the client has not contacted: not the client, not one of
@@ -239,7 +238,7 @@ impl Protocol for NatIdentificationNode {
                 if !self.is_client || self.is_concluded() {
                     return;
                 }
-                match self.address_info.local_ip(self.id) {
+                match self.topology.local_ip(self.id) {
                     Some(local) if local == observed_ip => {
                         self.conclude(NatClass::Public, ClassificationEvidence::MatchingAddress)
                     }
@@ -261,7 +260,7 @@ impl Protocol for NatIdentificationNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use croupier_nat::{FilteringPolicy, NatTopology, NatTopologyBuilder};
+    use croupier_nat::{FilteringPolicy, NatTopologyBuilder};
     use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
 
     /// Builds a world with `n_helpers` established public nodes plus one client with the
@@ -270,7 +269,6 @@ mod tests {
         let topology: NatTopology = NatTopologyBuilder::new(11)
             .default_filtering(FilteringPolicy::AddressAndPortDependent)
             .build();
-        let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
         let mut sim = Simulation::new(SimulationConfig::default().with_seed(13));
         sim.set_delivery_filter(topology.clone());
 
@@ -279,7 +277,7 @@ mod tests {
             let id = NodeId::new(i);
             topology.add_public_node(id);
             sim.register_public(id);
-            sim.add_node(id, NatIdentificationNode::new_helper(id, Arc::clone(&info)));
+            sim.add_node(id, NatIdentificationNode::new_helper(id, topology.clone()));
         }
 
         let client = NodeId::new(100);
@@ -302,7 +300,7 @@ mod tests {
         }
         sim.add_node(
             client,
-            NatIdentificationNode::new_client(client, Arc::clone(&info)),
+            NatIdentificationNode::new_client(client, topology.clone()),
         );
         sim.run_for(SimDuration::from_secs(10));
         let node = sim.node(client).unwrap();
@@ -341,20 +339,19 @@ mod tests {
     fn protocol_costs_three_messages_per_successful_run() {
         // Each probe is one chain: MatchingIpTest + ForwardTest + ForwardResponse.
         let topology = NatTopologyBuilder::new(3).build();
-        let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
         let mut sim = Simulation::new(SimulationConfig::default().with_seed(17));
         sim.set_delivery_filter(topology.clone());
         for i in 0..4u64 {
             let id = NodeId::new(i);
             topology.add_public_node(id);
             sim.register_public(id);
-            sim.add_node(id, NatIdentificationNode::new_helper(id, Arc::clone(&info)));
+            sim.add_node(id, NatIdentificationNode::new_helper(id, topology.clone()));
         }
         let client = NodeId::new(50);
         topology.add_public_node(client);
         sim.add_node(
             client,
-            NatIdentificationNode::new_client(client, Arc::clone(&info)),
+            NatIdentificationNode::new_client(client, topology.clone()),
         );
         sim.run_for(SimDuration::from_secs(10));
         assert_eq!(
@@ -368,14 +365,13 @@ mod tests {
     #[test]
     fn client_without_helpers_times_out_to_private() {
         let topology = NatTopologyBuilder::new(5).build();
-        let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
         let mut sim = Simulation::new(SimulationConfig::default().with_seed(19));
         sim.set_delivery_filter(topology.clone());
         let client = NodeId::new(0);
         topology.add_public_node(client);
         sim.add_node(
             client,
-            NatIdentificationNode::new_client(client, Arc::clone(&info)),
+            NatIdentificationNode::new_client(client, topology.clone()),
         );
         sim.run_for(SimDuration::from_secs(10));
         let node = sim.node(client).unwrap();

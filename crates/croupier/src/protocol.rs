@@ -9,7 +9,7 @@ use croupier_simulator::{
 };
 use rand::rngs::SmallRng;
 
-use crate::config::{CroupierConfig, BOOTSTRAP_SIZE, SHUFFLE_SIZE, VIEW_SIZE};
+use crate::config::{CroupierConfig, BOOTSTRAP_SIZE, ESTIMATE_SHARE_SIZE, SHUFFLE_SIZE, VIEW_SIZE};
 use crate::descriptor::{Descriptor, DescriptorBatch};
 use crate::estimator::RatioEstimator;
 use crate::messages::{CroupierMessage, ShufflePayload};
@@ -21,9 +21,6 @@ use crate::view::View;
 /// request's box into its response), so the pool only has to absorb transient imbalance
 /// from lost or late messages.
 const PAYLOAD_POOL_LIMIT: usize = 4;
-
-/// Maximum number of ratio estimates piggy-backed on one shuffle message (paper: 10).
-const ESTIMATE_SHARE_SIZE: usize = 10;
 
 /// The public view's share of the [`SHUFFLE_SIZE`] descriptor budget.
 ///
@@ -305,12 +302,6 @@ impl Protocol for CroupierNode {
 impl PssNode for CroupierNode {
     fn nat_class(&self) -> NatClass {
         self.class
-    }
-
-    fn known_peers(&self) -> Vec<NodeId> {
-        let mut peers = self.public_view.nodes();
-        peers.extend(self.private_view.nodes());
-        peers
     }
 
     fn for_each_known_peer(&self, visit: &mut dyn FnMut(NodeId)) {

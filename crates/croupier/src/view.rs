@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::descriptor::{Descriptor, DescriptorBatch};
+use crate::descriptor::{Descriptor, DescriptorBatch, DESCRIPTOR_INLINE_CAPACITY};
 
 /// A bounded partial view: an ordered set of [`Descriptor`]s with at most `capacity`
 /// entries and at most one entry per node.
@@ -152,7 +152,16 @@ impl View {
     /// front of the view; entry order carries no protocol meaning (membership, ages and
     /// capacity are unaffected), it only breaks ties in [`oldest`](View::oldest)
     /// deterministically.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds [`DESCRIPTOR_INLINE_CAPACITY`], the most a
+    /// [`DescriptorBatch`] holds.
     pub fn random_subset(&mut self, count: usize, rng: &mut SmallRng) -> DescriptorBatch {
+        assert!(
+            count <= DESCRIPTOR_INLINE_CAPACITY,
+            "a subset of {count} exceeds the batch capacity of {DESCRIPTOR_INLINE_CAPACITY}"
+        );
         let len = self.entries.len();
         let count = count.min(len);
         let mut subset = DescriptorBatch::new();
@@ -366,9 +375,29 @@ mod tests {
         nodes.sort();
         nodes.dedup();
         assert_eq!(nodes.len(), 4);
-        assert!(v.random_subset(20, &mut r).len() == 10);
         assert!(View::new(3).random_subset(2, &mut r).is_empty());
         assert_eq!(v.len(), 10, "in-place selection must not change membership");
+
+        let mut small = View::new(3);
+        for i in 0..3 {
+            small.insert(d(i, 0));
+        }
+        let all = small.random_subset(5, &mut r);
+        assert_eq!(
+            all.len(),
+            3,
+            "a count above the view's length takes the whole view"
+        );
+        let mut nodes: Vec<_> = all.iter().map(|x| x.node()).collect();
+        nodes.sort();
+        assert_eq!(nodes, [0, 1, 2].map(NodeId::new));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the batch capacity")]
+    fn random_subset_rejects_counts_above_the_batch_capacity() {
+        let mut v = View::new(10);
+        v.random_subset(DESCRIPTOR_INLINE_CAPACITY + 1, &mut rng());
     }
 
     #[test]

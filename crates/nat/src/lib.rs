@@ -16,8 +16,10 @@
 //! * [`NatTopology`] — the assignment of every node to either a public address or a private
 //!   address behind a gateway. It implements the simulator's
 //!   [`DeliveryFilter`](croupier_simulator::DeliveryFilter) so the engine consults it for
-//!   every packet, and [`AddressInfo`] so protocols can observe source addresses the way a
-//!   real UDP socket would.
+//!   every packet, and its [`local_ip`](NatTopology::local_ip),
+//!   [`observed_ip`](NatTopology::observed_ip) and
+//!   [`supports_upnp`](NatTopology::supports_upnp) let protocols observe addresses the
+//!   way a real UDP socket would.
 //!
 //! The emulation is deliberately behavioural: protocols can only observe reachability,
 //! source addresses and binding expiry — exactly the observables a deployed protocol has —
@@ -67,4 +69,4 @@ pub use address::Ip;
 pub use dynamics::{AppliedEvent, GatewayProfile, NatDynamicsEvent};
 pub use filtering::FilteringPolicy;
 pub use gateway::{NatGateway, NatGatewayConfig};
-pub use topology::{AddressInfo, GatewayId, NatTopology, NatTopologyBuilder, TopologyStats};
+pub use topology::{GatewayId, NatTopology, NatTopologyBuilder, TopologyStats};

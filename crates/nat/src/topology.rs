@@ -41,22 +41,6 @@ impl NatProfile {
     }
 }
 
-/// Exposes the addressing facts a deployed protocol could observe through its sockets:
-/// its own local address, the source address a remote peer sees, and whether its gateway
-/// answers UPnP IGD requests.
-///
-/// The NAT-type identification protocol of the paper (§V) is written against this trait.
-pub trait AddressInfo {
-    /// The address the node itself is bound to (a private address behind a NAT).
-    fn local_ip(&self, node: NodeId) -> Option<Ip>;
-
-    /// The source address a remote peer observes on packets sent by `node`.
-    fn observed_ip(&self, node: NodeId) -> Option<Ip>;
-
-    /// Whether the node can establish a port mapping through UPnP IGD.
-    fn supports_upnp(&self, node: NodeId) -> bool;
-}
-
 /// Aggregate statistics about a topology.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TopologyStats {
@@ -885,21 +869,25 @@ impl NatTopology {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl AddressInfo for NatTopology {
-    fn local_ip(&self, node: NodeId) -> Option<Ip> {
+    // The addressing facts a deployed node could observe through its sockets, which the
+    // NAT-type identification protocol of the paper (§V) reads.
+
+    /// The address the node itself is bound to (a private address behind a NAT).
+    pub fn local_ip(&self, node: NodeId) -> Option<Ip> {
         match *self.lock().profile(node)? {
             NatProfile::Public { ip } => Some(ip),
             NatProfile::Private { local_ip, .. } => Some(local_ip),
         }
     }
 
-    fn observed_ip(&self, node: NodeId) -> Option<Ip> {
+    /// The source address a remote peer observes on packets sent by `node`.
+    pub fn observed_ip(&self, node: NodeId) -> Option<Ip> {
         self.lock().observed_ip(node)
     }
 
-    fn supports_upnp(&self, node: NodeId) -> bool {
+    /// Whether the node can establish a port mapping through UPnP IGD.
+    pub fn supports_upnp(&self, node: NodeId) -> bool {
         let inner = self.lock();
         inner.profile(node).is_some_and(|p| inner.behind_upnp(p))
     }

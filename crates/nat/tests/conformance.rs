@@ -7,8 +7,8 @@
 //! gateway-profile dynamics that reach these behaviours from scenario scripts.
 
 use croupier_nat::{
-    AddressInfo, FilteringPolicy, GatewayProfile, Ip, NatDynamicsEvent, NatGateway,
-    NatGatewayConfig, NatTopologyBuilder,
+    FilteringPolicy, GatewayProfile, Ip, NatDynamicsEvent, NatGateway, NatGatewayConfig,
+    NatTopologyBuilder,
 };
 use croupier_simulator::{DeliveryFilter, DeliveryVerdict, NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 
 use croupier_nat::GatewayId;
 use croupier_nat::{
-    AddressInfo, FilteringPolicy, Ip, NatDynamicsEvent, NatGateway, NatGatewayConfig, NatTopology,
+    FilteringPolicy, Ip, NatDynamicsEvent, NatGateway, NatGatewayConfig, NatTopology,
     NatTopologyBuilder,
 };
 use croupier_simulator::{

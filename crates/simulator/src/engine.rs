@@ -596,8 +596,8 @@ mod tests {
             NatClass::Public
         }
 
-        fn known_peers(&self) -> Vec<NodeId> {
-            self.buddy.into_iter().collect()
+        fn for_each_known_peer(&self, visit: &mut dyn FnMut(NodeId)) {
+            self.buddy.into_iter().for_each(visit);
         }
 
         fn draw_sample(&mut self, _rng: &mut SmallRng) -> Option<NodeId> {

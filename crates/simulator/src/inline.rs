@@ -1,33 +1,21 @@
-//! A small-buffer vector for allocation-free message payloads.
+//! A fixed-capacity vector for allocation-free message payloads.
 //!
 //! Every shuffle payload in the workspace — Croupier's descriptor subsets and piggy-backed
-//! estimates, Cyclon/Gozar/Nylon's descriptor lists — is bounded by the paper's
-//! view-subset parameters (a handful of entries), yet used to be a heap-allocated `Vec`
-//! living for exactly one delivery. [`InlineVec`] stores up to `N` elements inline in the
-//! containing message and only *spills* to a heap `Vec` when a payload exceeds the inline
-//! capacity (oversized experiment configurations), so the steady-state message plane
-//! performs zero allocations per exchange.
+//! estimates, Cyclon/Gozar/Nylon's descriptor lists, Gozar's relay lists — is bounded by
+//! one of the paper's compile-time constants (a handful of entries), yet used to be a
+//! heap-allocated `Vec` living for exactly one delivery. [`InlineVec`] stores up to `N`
+//! elements inline in the containing message, with `N` derived from the bound the
+//! protocol actually has, so the message plane performs zero allocations per exchange.
 //!
-//! The build environment has no crates.io access (no `smallvec`/`arrayvec`), so the type
-//! is hand-rolled — deliberately without `unsafe`: the inline buffer is a plain `[T; N]`
+//! The build environment has no crates.io access (no `arrayvec`), so the type is
+//! hand-rolled — deliberately without `unsafe`: the buffer is a plain `[T; N]`
 //! initialised with `T::default()`, which is free for the `Copy` payload element types and
 //! keeps the implementation trivially sound.
 
-/// The backing storage: inline array until the length exceeds `N`, then a heap `Vec`.
-#[derive(Clone, Debug)]
-enum Repr<T, const N: usize> {
-    /// Up to `N` live elements in `buf[..len]`; the rest hold `T::default()` filler.
-    Inline { len: usize, buf: [T; N] },
-    /// Spilled: all elements on the heap. A spilled vector never moves back inline, so
-    /// repeated push/clear cycles at spilled size reuse one heap allocation.
-    Heap(Vec<T>),
-}
-
-/// A vector storing up to `N` elements inline, spilling to the heap beyond that.
+/// A vector of at most `N` elements, stored inline.
 ///
 /// Dereferences to `[T]`, so slice-based call sites (`&payload.descriptors`) work
-/// unchanged. The element type must implement [`Default`] (used as inline filler) and
-/// [`Clone`].
+/// unchanged. The element type must implement [`Default`] (used as filler) and [`Clone`].
 ///
 /// # Examples
 ///
@@ -35,116 +23,81 @@ enum Repr<T, const N: usize> {
 /// use croupier_simulator::InlineVec;
 ///
 /// let mut v: InlineVec<u32, 4> = InlineVec::new();
-/// for i in 0..6 {
-///     v.push(i); // spills to the heap at the fifth push
+/// for i in 0..4 {
+///     v.push(i);
 /// }
-/// assert_eq!(v.len(), 6);
+/// assert_eq!(v.len(), 4);
 /// assert_eq!(&v[..3], &[0, 1, 2]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct InlineVec<T, const N: usize> {
-    repr: Repr<T, N>,
+    /// Number of live elements, at the front of `buf`.
+    len: usize,
+    /// `buf[..len]` is live; the rest holds `T::default()` filler.
+    buf: [T; N],
 }
 
 impl<T: Default + Clone, const N: usize> InlineVec<T, N> {
-    /// Creates an empty vector (no heap allocation).
+    /// Creates an empty vector.
     pub fn new() -> Self {
         InlineVec {
-            repr: Repr::Inline {
-                len: 0,
-                buf: std::array::from_fn(|_| T::default()),
-            },
+            len: 0,
+            buf: std::array::from_fn(|_| T::default()),
         }
     }
 
-    /// Appends an element, spilling to the heap when the inline capacity is exceeded.
+    /// Appends an element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector already holds `N` elements: `N` is the payload's bound, so
+    /// exceeding it is a protocol bug, not an input to accommodate.
     pub fn push(&mut self, value: T) {
-        match &mut self.repr {
-            Repr::Inline { len, buf } => {
-                if *len < N {
-                    buf[*len] = value;
-                    *len += 1;
-                } else {
-                    let mut heap = Vec::with_capacity(N * 2);
-                    for slot in buf.iter_mut() {
-                        heap.push(std::mem::take(slot));
-                    }
-                    heap.push(value);
-                    self.repr = Repr::Heap(heap);
-                }
-            }
-            Repr::Heap(vec) => vec.push(value),
-        }
+        assert!(self.len < N, "InlineVec is full at its capacity of {N}");
+        self.buf[self.len] = value;
+        self.len += 1;
     }
 
     /// Removes and returns the last element, or `None` when empty.
     pub fn pop(&mut self) -> Option<T> {
-        match &mut self.repr {
-            Repr::Inline { len, buf } => {
-                if *len == 0 {
-                    None
-                } else {
-                    *len -= 1;
-                    Some(std::mem::take(&mut buf[*len]))
-                }
-            }
-            Repr::Heap(vec) => vec.pop(),
+        if self.len == 0 {
+            return None;
         }
+        self.len -= 1;
+        Some(std::mem::take(&mut self.buf[self.len]))
     }
 
     /// Number of live elements.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Inline { len, .. } => *len,
-            Repr::Heap(vec) => vec.len(),
-        }
+        self.len
     }
 
     /// Returns `true` when the vector holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Removes every element. A spilled vector keeps its heap capacity.
+    /// Removes every element.
     pub fn clear(&mut self) {
-        match &mut self.repr {
-            Repr::Inline { len, buf } => {
-                for slot in buf[..*len].iter_mut() {
-                    *slot = T::default();
-                }
-                *len = 0;
-            }
-            Repr::Heap(vec) => vec.clear(),
-        }
+        self.truncate(0);
     }
 
     /// Shortens the vector to at most `new_len` elements.
     pub fn truncate(&mut self, new_len: usize) {
-        match &mut self.repr {
-            Repr::Inline { len, buf } => {
-                while *len > new_len {
-                    *len -= 1;
-                    buf[*len] = T::default();
-                }
-            }
-            Repr::Heap(vec) => vec.truncate(new_len),
+        while self.len > new_len {
+            self.len -= 1;
+            self.buf[self.len] = T::default();
         }
     }
 
     /// The live elements as a slice.
     pub(crate) fn as_slice(&self) -> &[T] {
-        match &self.repr {
-            Repr::Inline { len, buf } => &buf[..*len],
-            Repr::Heap(vec) => vec,
-        }
+        &self.buf[..self.len]
     }
 
     /// The live elements as a mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        match &mut self.repr {
-            Repr::Inline { len, buf } => &mut buf[..*len],
-            Repr::Heap(vec) => vec,
-        }
+        &mut self.buf[..self.len]
     }
 
     /// Iterates over the live elements.
@@ -190,9 +143,7 @@ impl<T: Default + Clone + Eq, const N: usize> Eq for InlineVec<T, N> {}
 impl<T: Default + Clone, const N: usize> FromIterator<T> for InlineVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut v = InlineVec::new();
-        for item in iter {
-            v.push(item);
-        }
+        v.extend(iter);
         v
     }
 }
@@ -201,18 +152,6 @@ impl<T: Default + Clone, const N: usize> Extend<T> for InlineVec<T, N> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for item in iter {
             self.push(item);
-        }
-    }
-}
-
-impl<T: Default + Clone, const N: usize> From<Vec<T>> for InlineVec<T, N> {
-    fn from(vec: Vec<T>) -> Self {
-        if vec.len() > N {
-            InlineVec {
-                repr: Repr::Heap(vec),
-            }
-        } else {
-            vec.into_iter().collect()
         }
     }
 }
@@ -226,44 +165,12 @@ impl<'a, T: Default + Clone, const N: usize> IntoIterator for &'a InlineVec<T, N
     }
 }
 
-/// Owned iterator over an [`InlineVec`].
-pub struct IntoIter<T, const N: usize> {
-    inner: IntoIterRepr<T, N>,
-}
-
-enum IntoIterRepr<T, const N: usize> {
-    Inline(std::iter::Take<std::array::IntoIter<T, N>>),
-    Heap(std::vec::IntoIter<T>),
-}
-
-impl<T, const N: usize> Iterator for IntoIter<T, N> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        match &mut self.inner {
-            IntoIterRepr::Inline(iter) => iter.next(),
-            IntoIterRepr::Heap(iter) => iter.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            IntoIterRepr::Inline(iter) => iter.size_hint(),
-            IntoIterRepr::Heap(iter) => iter.size_hint(),
-        }
-    }
-}
-
 impl<T: Default + Clone, const N: usize> IntoIterator for InlineVec<T, N> {
     type Item = T;
-    type IntoIter = IntoIter<T, N>;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        let inner = match self.repr {
-            Repr::Inline { len, buf } => IntoIterRepr::Inline(buf.into_iter().take(len)),
-            Repr::Heap(vec) => IntoIterRepr::Heap(vec.into_iter()),
-        };
-        IntoIter { inner }
+        self.buf.into_iter().take(self.len)
     }
 }
 
@@ -271,19 +178,11 @@ impl<T: Default + Clone, const N: usize> IntoIterator for InlineVec<T, N> {
 mod tests {
     use super::*;
 
-    impl<T: Default + Clone, const N: usize> InlineVec<T, N> {
-        /// Returns `true` once the vector has spilled to the heap.
-        fn spilled(&self) -> bool {
-            matches!(self.repr, Repr::Heap(_))
-        }
-    }
-
     #[test]
     fn starts_empty_and_inline() {
         let v: InlineVec<u32, 4> = InlineVec::new();
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
-        assert!(!v.spilled());
         assert_eq!(v.as_slice(), &[] as &[u32]);
     }
 
@@ -294,18 +193,14 @@ mod tests {
             v.push(i);
         }
         assert_eq!(v.len(), 4);
-        assert!(!v.spilled());
         assert_eq!(v.as_slice(), &[0, 1, 2, 3]);
     }
 
     #[test]
-    fn spills_beyond_capacity_and_preserves_order() {
-        let mut v: InlineVec<u32, 4> = InlineVec::new();
-        for i in 0..10 {
-            v.push(i);
-        }
-        assert!(v.spilled());
-        assert_eq!(v.as_slice(), &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+    #[should_panic(expected = "capacity of 4")]
+    fn a_push_past_the_capacity_panics() {
+        let mut v: InlineVec<u32, 4> = (0..4).collect();
+        v.push(4);
     }
 
     #[test]
@@ -320,19 +215,19 @@ mod tests {
 
     #[test]
     fn clear_and_truncate_work_in_both_representations() {
-        let mut inline: InlineVec<u32, 4> = (0..3).collect();
-        inline.truncate(1);
-        assert_eq!(inline.as_slice(), &[0]);
-        inline.clear();
-        assert!(inline.is_empty());
-
-        let mut heap: InlineVec<u32, 4> = (0..8).collect();
-        assert!(heap.spilled());
-        heap.truncate(6);
-        assert_eq!(heap.len(), 6);
-        heap.clear();
-        assert!(heap.is_empty());
-        assert!(heap.spilled(), "a spilled vector keeps its heap buffer");
+        let mut v: InlineVec<u32, 4> = (0..4).collect();
+        v.truncate(6);
+        assert_eq!(
+            v.len(),
+            4,
+            "truncating to a longer length keeps every element"
+        );
+        v.truncate(1);
+        assert_eq!(v.as_slice(), &[0]);
+        v.clear();
+        assert!(v.is_empty());
+        v.extend(5..9);
+        assert_eq!(v.as_slice(), &[5, 6, 7, 8], "a cleared vector refills to N");
     }
 
     #[test]
@@ -346,51 +241,41 @@ mod tests {
 
     #[test]
     fn equality_ignores_representation() {
-        let inline: InlineVec<u32, 8> = (0..5).collect();
-        let spilled: InlineVec<u32, 4> = (0..5).collect();
-        assert_eq!(inline.as_slice(), spilled.as_slice());
-        let a: InlineVec<u32, 4> = (0..3).collect();
+        let mut a: InlineVec<u32, 4> = (0..4).collect();
+        a.truncate(3);
         let b: InlineVec<u32, 4> = (0..3).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn from_vec_keeps_large_inputs_on_the_heap() {
-        let v: InlineVec<u32, 2> = vec![1, 2, 3].into();
-        assert!(v.spilled());
-        assert_eq!(v.as_slice(), &[1, 2, 3]);
-        let w: InlineVec<u32, 4> = vec![1, 2].into();
-        assert!(!w.spilled());
-        assert_eq!(w.as_slice(), &[1, 2]);
+        assert_eq!(a, b, "filler behind the live elements does not compare");
+        let wider: InlineVec<u32, 8> = (0..3).collect();
+        assert_eq!(a.as_slice(), wider.as_slice());
     }
 
     #[test]
     fn owned_iteration_yields_every_element() {
-        let inline: InlineVec<String, 4> = ["a", "b"].into_iter().map(String::from).collect();
-        assert_eq!(inline.into_iter().collect::<Vec<_>>(), vec!["a", "b"]);
-        let spilled: InlineVec<u32, 2> = (0..5).collect();
-        assert_eq!(spilled.into_iter().sum::<u32>(), 10);
+        let strings: InlineVec<String, 4> = ["a", "b"].into_iter().map(String::from).collect();
+        assert_eq!(strings.into_iter().collect::<Vec<_>>(), vec!["a", "b"]);
+        let full: InlineVec<u32, 5> = (0..5).collect();
+        assert_eq!(full.into_iter().sum::<u32>(), 10);
     }
 
     #[test]
     fn extend_and_clone_round_trip() {
-        let mut v: InlineVec<u32, 4> = InlineVec::new();
+        let mut v: InlineVec<u32, 8> = InlineVec::new();
         v.extend(0..3);
         let clone = v.clone();
         assert_eq!(v, clone);
-        v.extend(3..9);
-        assert!(v.spilled());
-        assert_eq!(v.len(), 9);
+        v.extend(3..8);
+        assert_eq!(v.len(), 8);
         assert_eq!(clone.len(), 3, "clone is independent");
     }
 
     #[test]
     fn non_copy_elements_are_supported() {
-        let mut v: InlineVec<Vec<u32>, 2> = InlineVec::new();
+        let mut v: InlineVec<Vec<u32>, 3> = InlineVec::new();
         v.push(vec![1]);
         v.push(vec![2, 2]);
-        v.push(vec![3, 3, 3]); // spills
+        v.push(vec![3, 3, 3]);
         assert_eq!(v.len(), 3);
         assert_eq!(v[2], vec![3, 3, 3]);
+        assert_eq!(v.pop(), Some(vec![3, 3, 3]));
     }
 }

@@ -221,20 +221,17 @@ pub trait PssNode: Protocol {
     /// The node's connectivity class.
     fn nat_class(&self) -> NatClass;
 
-    /// The node identifiers currently present in the node's partial view(s); these are the
-    /// outgoing edges of the overlay graph.
-    fn known_peers(&self) -> Vec<NodeId>;
+    /// Invokes `visit` once per node identifier present in the node's partial view(s);
+    /// these are the outgoing edges of the overlay graph. Snapshot capture calls this once
+    /// per node per metrics sample, so it visits the views in place.
+    fn for_each_known_peer(&self, visit: &mut dyn FnMut(NodeId));
 
-    /// Invokes `visit` once per known peer, in the same order as
-    /// [`known_peers`](PssNode::known_peers) but without materialising a `Vec`.
-    ///
-    /// Snapshot capture calls this once per node per metrics sample, so protocols whose
-    /// views can be iterated in place should override the default (which delegates to
-    /// `known_peers` and therefore still allocates).
-    fn for_each_known_peer(&self, visit: &mut dyn FnMut(NodeId)) {
-        for peer in self.known_peers() {
-            visit(peer);
-        }
+    /// The peers [`for_each_known_peer`](PssNode::for_each_known_peer) visits, collected
+    /// in the same order.
+    fn known_peers(&self) -> Vec<NodeId> {
+        let mut peers = Vec::new();
+        self.for_each_known_peer(&mut |peer| peers.push(peer));
+        peers
     }
 
     /// The node's current estimate of the public/private ratio, if the protocol computes

@@ -921,8 +921,8 @@ mod tests {
             NatClass::Public
         }
 
-        fn known_peers(&self) -> Vec<NodeId> {
-            self.received.iter().map(|(from, _)| *from).collect()
+        fn for_each_known_peer(&self, visit: &mut dyn FnMut(NodeId)) {
+            self.received.iter().for_each(|(from, _)| visit(*from));
         }
 
         fn draw_sample(&mut self, _rng: &mut SmallRng) -> Option<NodeId> {

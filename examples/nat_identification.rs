@@ -6,10 +6,8 @@
 //! cargo run --example nat_identification
 //! ```
 
-use std::sync::Arc;
-
 use croupier::NatIdentificationNode;
-use croupier_nat::{AddressInfo, FilteringPolicy, NatGatewayConfig, NatTopologyBuilder};
+use croupier_nat::{FilteringPolicy, NatGatewayConfig, NatTopologyBuilder};
 use croupier_simulator::{NodeId, SimDuration, Simulation, SimulationConfig, SimulationEngine};
 
 /// A named gateway profile: the label printed per row and the topology setup for the node
@@ -18,7 +16,6 @@ type GatewayProfile<'a> = (&'a str, Box<dyn Fn(NodeId) + 'a>);
 
 fn main() {
     let topology = NatTopologyBuilder::new(7).build();
-    let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
     let mut sim = Simulation::new(SimulationConfig::default().with_seed(7));
     sim.set_delivery_filter(topology.clone());
 
@@ -27,7 +24,7 @@ fn main() {
         let id = NodeId::new(i);
         topology.add_public_node(id);
         sim.register_public(id);
-        sim.add_node(id, NatIdentificationNode::new_helper(id, Arc::clone(&info)));
+        sim.add_node(id, NatIdentificationNode::new_helper(id, topology.clone()));
     }
 
     // Nodes under test, one per gateway configuration of interest.
@@ -73,7 +70,7 @@ fn main() {
     for (index, (label, setup)) in profiles.iter().enumerate() {
         let id = NodeId::new(100 + index as u64);
         setup(id);
-        sim.add_node(id, NatIdentificationNode::new_client(id, Arc::clone(&info)));
+        sim.add_node(id, NatIdentificationNode::new_client(id, topology.clone()));
         clients.push((id, *label));
     }
 

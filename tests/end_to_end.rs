@@ -3,10 +3,8 @@
 //! service with the class the protocol determined — exactly the deployment flow the paper
 //! describes.
 
-use std::sync::Arc;
-
 use croupier_suite::croupier::{CroupierConfig, CroupierNode, NatIdentificationNode};
-use croupier_suite::nat::{AddressInfo, FilteringPolicy, NatTopologyBuilder};
+use croupier_suite::nat::{FilteringPolicy, NatTopologyBuilder};
 use croupier_suite::simulator::SimulationEngine;
 use croupier_suite::simulator::{
     NatClass, NodeId, PssNode, SimDuration, Simulation, SimulationConfig,
@@ -26,7 +24,6 @@ fn nat_identification_then_peer_sampling() {
             (FilteringPolicy::AddressAndPortDependent, 0.5),
         ])
         .build();
-    let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
 
     let mut ident_sim = Simulation::new(SimulationConfig::default().with_seed(0xE2E));
     ident_sim.set_delivery_filter(topology.clone());
@@ -49,7 +46,7 @@ fn nat_identification_then_peer_sampling() {
     }
     for i in 0..total {
         let id = NodeId::new(i);
-        ident_sim.add_node(id, NatIdentificationNode::new_client(id, Arc::clone(&info)));
+        ident_sim.add_node(id, NatIdentificationNode::new_client(id, topology.clone()));
     }
     ident_sim.run_for(SimDuration::from_secs(15));
 

@@ -8,7 +8,7 @@
 //! failure, so a failing case reproduces exactly.
 
 use croupier_suite::croupier::{
-    sample_from_views, Descriptor, EstimateRecord, RatioEstimator, View,
+    sample_from_views, Descriptor, EstimateRecord, RatioEstimator, View, DESCRIPTOR_INLINE_CAPACITY,
 };
 use croupier_suite::metrics::{MetricsContext, NodeObservation, OverlaySnapshot};
 use croupier_suite::nat::{FilteringPolicy, Ip, NatGateway, NatGatewayConfig};
@@ -302,7 +302,8 @@ fn parallel_multi_source_bfs_matches_single_threaded() {
 }
 
 /// `View::random_subset` (the in-place partial Fisher–Yates) always returns distinct
-/// members of the view, never mutates membership or ages, and honours the count bound.
+/// members of the view, never mutates membership or ages, and honours the count bound, for
+/// every count a `DescriptorBatch` can hold.
 #[test]
 fn random_subset_is_a_distinct_membership_preserving_sample() {
     for_each_case("random_subset_partial_fisher_yates", |rng| {
@@ -312,7 +313,7 @@ fn random_subset_is_a_distinct_membership_preserving_sample() {
             view.insert(arb_descriptor(rng));
         }
         let mut before: Vec<Descriptor> = view.iter().copied().collect();
-        let count = rng.gen_range(0usize..16);
+        let count = rng.gen_range(0..=DESCRIPTOR_INLINE_CAPACITY);
         let subset = view.random_subset(count, rng);
         assert_eq!(subset.len(), count.min(before.len()));
         let mut nodes: Vec<NodeId> = subset.iter().map(|d| d.node()).collect();

@@ -29,7 +29,7 @@
 //!   already-built `e2e_bench/target/release/e2e` of two checkouts alternately, `--pairs`
 //!   times per workload with a fresh seed per pair and the side that goes first
 //!   alternating, and prints per end-to-end metric both medians with their quartiles,
-//!   how many pairs the change won, any failed operations and the verdict the metric's
+//!   their ratio where the parent's is not 0, how many pairs the change won, any failed operations and the verdict the metric's
 //!   `BENCHMARK.json` bound gives: `worse`, `unresolved` or `ok`, or `gain` where the
 //!   change meets the rule for claiming one. A last line gives the core count and the
 //!   share of CPU time stolen from the host between the first pair and the last (from
@@ -419,6 +419,16 @@ fn verdict(parent: &[f64], change: &[f64], bound: f64, higher_is_better: bool) -
     }
 }
 
+/// The `, <change / parent>x` part of a `pairs` row, or nothing when the parent's median
+/// is 0 (the `failed` row when neither side failed has no ratio to give).
+fn ratio_text(parent: f64, change: f64) -> String {
+    if parent == 0.0 {
+        String::new()
+    } else {
+        format!(", {:.3}x", change / parent)
+    }
+}
+
 /// The aggregate `cpu` line of a `/proc/stat` text as `(steal, total)` clock ticks, the
 /// total summing user, nice, system, idle, iowait, irq, softirq and steal (guest time is
 /// already counted in user and nice). `None` when the line or its steal field is missing.
@@ -569,8 +579,8 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), Failure> {
             let wins = old.iter().zip(&new).filter(won).count();
             let [m0, a0, b0] = median_and_quartiles(&old);
             let [m1, a1, b1] = median_and_quartiles(&new);
-            let ratio = m1 / m0;
-            println!("  {name}: {m0:.3} [{a0:.3}, {b0:.3}] -> {m1:.3} [{a1:.3}, {b1:.3}], {ratio:.3}x, won {wins}/{pairs}, {verdict}");
+            let ratio = ratio_text(m0, m1);
+            println!("  {name}: {m0:.3} [{a0:.3}, {b0:.3}] -> {m1:.3} [{a1:.3}, {b1:.3}]{ratio}, won {wins}/{pairs}, {verdict}");
         }
     }
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -1220,6 +1230,14 @@ mod tests {
         // Failed operations are judged with a zero bound.
         assert_eq!(verdict(&[0.0; 3], &[0.0; 3], 0.0, false), "ok");
         assert_eq!(verdict(&[0.0; 3], &[1.0; 3], 0.0, false), "worse");
+    }
+
+    #[test]
+    fn pairs_prints_a_ratio_only_against_a_non_zero_parent() {
+        assert_eq!(ratio_text(2.0, 1.0), ", 0.500x");
+        assert_eq!(ratio_text(4.0, 5.0), ", 1.250x");
+        assert_eq!(ratio_text(0.0, 0.0), "", "no NaNx when neither side failed");
+        assert_eq!(ratio_text(0.0, 3.0), "", "no infx either");
     }
 
     #[test]
