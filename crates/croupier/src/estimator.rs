@@ -421,12 +421,21 @@ impl RatioEstimator {
     /// remembered (inline), so the cost is `min(count, len)` random numbers and as many
     /// cache reads whatever the cache's size, with no copy of the cache and no allocation.
     /// The result is a uniformly random subset in uniformly random order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds `ESTIMATE_SHARE_SIZE`: an [`EstimateBatch`] holds that
+    /// many cached records and the node's own estimate.
     pub(crate) fn share(
         &mut self,
         count: usize,
         self_node: NodeId,
         rng: &mut SmallRng,
     ) -> EstimateBatch {
+        assert!(
+            count <= ESTIMATE_SHARE_SIZE,
+            "a share of {count} exceeds the batch's room for {ESTIMATE_SHARE_SIZE} cached records"
+        );
         let len = self.neighbour_estimates.len();
         let mut records = EstimateBatch::new();
         // `(position, the position whose entry now stands there)` for every position a
@@ -665,6 +674,13 @@ mod tests {
         assert!(shared
             .iter()
             .any(|rec| rec.origin() == NodeId::new(0) && rec.age() == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the batch's room for 10 cached records")]
+    fn share_rejects_counts_above_the_share_size() {
+        let mut est = RatioEstimator::new(NatClass::Private, 5, 50);
+        est.share(ESTIMATE_SHARE_SIZE + 1, NodeId::new(0), &mut rng());
     }
 
     #[test]

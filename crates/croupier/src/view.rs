@@ -75,11 +75,6 @@ impl View {
         self.entries.iter()
     }
 
-    /// The node identifiers currently in the view.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.entries.iter().map(|d| d.node()).collect()
-    }
-
     /// Ages every descriptor by one round.
     pub fn increment_ages(&mut self) {
         for d in &mut self.entries {
@@ -283,7 +278,7 @@ mod tests {
         // A server that knows only the caller and one other node yields that one node.
         let mut v = View::new(10);
         with_ctx(0, 1, &registry(2), |ctx| v.bootstrap(5, ctx));
-        assert_eq!(v.nodes(), vec![NodeId::new(1)]);
+        assert!(v.iter().map(|d| d.node()).eq([NodeId::new(1)]));
     }
 
     #[test]
@@ -306,7 +301,7 @@ mod tests {
                 for i in 0..prefill {
                     v.insert(d(200 + i, 0));
                 }
-                let before: Vec<NodeId> = v.nodes();
+                let before: Vec<NodeId> = v.iter().map(|d| d.node()).collect();
                 let ((), next) = with_ctx(5, seed, &server, |ctx| v.bootstrap(count, ctx));
                 let (sample, twin_next) = with_ctx(5, seed, &server, |ctx| {
                     ctx.bootstrap_sample(count.min(capacity))
@@ -314,7 +309,8 @@ mod tests {
                 assert_eq!(next, twin_next, "the twin streams diverged (seed {seed})");
                 let mut expected = before;
                 expected.extend(sample.into_iter().take(capacity - prefill as usize));
-                assert_eq!(v.nodes(), expected, "seed {seed}");
+                let after: Vec<NodeId> = v.iter().map(|d| d.node()).collect();
+                assert_eq!(after, expected, "seed {seed}");
             }
         }
     }
@@ -471,7 +467,7 @@ mod tests {
         let mut v = View::new(3);
         v.insert(d(5, 0));
         v.insert(d(6, 0));
-        let nodes = v.nodes();
+        let nodes: Vec<NodeId> = v.iter().map(|d| d.node()).collect();
         assert!(nodes.contains(&NodeId::new(5)));
         assert!(nodes.contains(&NodeId::new(6)));
         assert_eq!(nodes.len(), 2);

@@ -51,11 +51,6 @@ impl Ip {
     pub(crate) fn private(index: u32) -> Self {
         Ip(PRIVATE_BASE.wrapping_add(index))
     }
-
-    /// Raw 32-bit value.
-    pub(crate) const fn as_u32(self) -> u32 {
-        self.0
-    }
 }
 
 impl fmt::Display for Ip {

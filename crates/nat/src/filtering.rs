@@ -76,15 +76,15 @@ mod tests {
 
     #[test]
     fn only_endpoint_independent_accepts_unsolicited() {
-        use crate::{Ip, NatGateway, NatGatewayConfig};
+        use crate::{HostBindings, Ip, NatGateway, NatGatewayConfig};
         use croupier_simulator::{NodeId, SimTime};
-        let (inside, contacted, stranger) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+        let (contacted, stranger) = (NodeId::new(2), NodeId::new(3));
         for policy in FilteringPolicy::ALL {
-            let mut gateway =
-                NatGateway::new(Ip::public(1), NatGatewayConfig::with_filtering(policy));
-            gateway.record_outbound(inside, contacted, Ip::public(2), SimTime::ZERO);
+            let gateway = NatGateway::new(Ip::public(1), NatGatewayConfig::with_filtering(policy));
+            let mut inside = HostBindings::default();
+            gateway.record_outbound(&mut inside, contacted, Ip::public(2), SimTime::ZERO);
             let unsolicited =
-                gateway.accepts_inbound(inside, stranger, Ip::public(3), SimTime::ZERO);
+                gateway.accepts_inbound(&inside, stranger, Ip::public(3), SimTime::ZERO);
             assert_eq!(
                 unsolicited,
                 policy == FilteringPolicy::EndpointIndependent,

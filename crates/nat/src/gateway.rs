@@ -1,6 +1,6 @@
-//! A single NAT gateway (or firewall) and its UDP mapping table.
+//! A NAT gateway (or firewall) and the UDP bindings of each private host behind it.
 
-use croupier_simulator::{FastHashMap, NodeId, SimDuration, SimTime};
+use croupier_simulator::{NodeId, SimDuration, SimTime};
 
 use crate::address::Ip;
 use crate::filtering::FilteringPolicy;
@@ -136,109 +136,83 @@ fn ms32(time: SimTime) -> u32 {
     raw as u32
 }
 
-/// Packs an `(internal, remote)` node pair into the exact-match table's `u64` key.
-#[inline]
-fn pair_key(internal: u32, remote: u32) -> u64 {
-    ((internal as u64) << 32) | remote as u64
+/// One binding of a private host: the host sent to `remote` (observed at `remote_ip`),
+/// most recently at `refreshed_ms`. 12 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Binding {
+    remote: u32,
+    remote_ip: Ip,
+    refreshed_ms: u32,
 }
 
-/// The internal host of a `pair_key` or [`index_key`](NatGatewayConfig::index_key): the
-/// high half of either.
-#[inline]
-fn host_of(key: u64) -> u32 {
-    (key >> 32) as u32
+/// The UDP bindings of one private host, which it owns and hands to its gateway's
+/// [`record_outbound`](NatGateway::record_outbound) and
+/// [`accepts_inbound`](NatGateway::accepts_inbound).
+///
+/// One entry per remote, sorted by remote id, so the default address-and-port-dependent
+/// filter is a binary search over the host's own list. Expired entries are dropped when
+/// a full list would otherwise grow. The list records the reboot epoch of the gateway it
+/// was filled under: a reboot bumps the gateway's epoch, and a list from an older one
+/// counts as empty, which wipes every host behind the gateway at once.
+#[derive(Clone, Debug, Default)]
+pub struct HostBindings {
+    epoch: u32,
+    /// Index of the gateway the host sits behind, kept here by the topology (it fills
+    /// what would be padding); the gateway's own methods never read it.
+    pub(crate) gateway: u32,
+    entries: Vec<Binding>,
 }
 
-/// Packs a binding's remote address and refresh time into the exact-match table's value.
-#[inline]
-fn pack_binding(remote_ip: Ip, refreshed_ms: u32) -> u64 {
-    ((remote_ip.as_u32() as u64) << 32) | refreshed_ms as u64
-}
-
-/// The refresh time (`u32` milliseconds) of a packed binding value.
-#[inline]
-fn refreshed_ms(value: u64) -> u32 {
-    value as u32
-}
-
-/// The remote address of a packed binding value.
-#[inline]
-fn remote_ip_of(value: u64) -> Ip {
-    Ip::from_raw((value >> 32) as u32)
-}
-
-impl NatGatewayConfig {
-    /// The newest-binding index key the configured filtering policy files a binding of
-    /// `internal` towards `remote_ip` under: the internal host alone
-    /// (endpoint-independent), the host and the remote address (address-dependent), or
-    /// none — the exact table decides (address-and-port-dependent). The host is the high
-    /// half of either key.
-    #[inline]
-    fn index_key(&self, internal: u32, remote_ip: Ip) -> Option<u64> {
-        let remote = match self.filtering {
-            FilteringPolicy::EndpointIndependent => 0,
-            FilteringPolicy::AddressDependent => remote_ip.as_u32(),
-            FilteringPolicy::AddressAndPortDependent => return None,
-        };
-        Some(pair_key(internal, remote))
+impl HostBindings {
+    /// An empty list for a host behind the gateway with index `gateway`.
+    pub(crate) fn behind(gateway: u32) -> Self {
+        HostBindings {
+            gateway,
+            ..HostBindings::default()
+        }
     }
 }
 
-/// How many mapping-table operations a gateway absorbs between opportunistic purges of
-/// expired bindings. Purging is a memory bound, not a correctness mechanism (expiry is
-/// checked against timestamps on every query), so the cadence only trades table size
-/// against purge work. The counter is per gateway because a sweep over every gateway in
-/// the topology dominates the barrier's per-message cost at 100k nodes (one gateway per
-/// private node).
-const PURGE_EVERY_OPS: u32 = 256;
-
-/// A NAT gateway: a public IP address plus a mapping table shared by the private nodes that
-/// sit behind it.
+/// A NAT gateway: a pool of public IP addresses, a configuration and a reboot epoch,
+/// shared by the private hosts that sit behind it. The bindings are the hosts' own
+/// ([`HostBindings`]), so a gateway fronting many hosts holds no table of its own and a
+/// host's lookups scan only its own list:
 ///
-/// Inbound-filtering decisions are O(1) for every policy: besides the exact
-/// `(internal, remote)` table, the gateway maintains a *newest-binding* index — the most
-/// recent refresh time per internal node or per `(internal, remote ip)` pair, whichever
-/// the configured policy asks about. "Some unexpired binding exists" is equivalent to
-/// "the newest such binding is unexpired" because expiry is monotone in the refresh
-/// time, so the endpoint-independent/address-dependent policies query one index entry
-/// instead of scanning the table. The address-dependent index additionally relies on
-/// addresses never being *reused*, which [`NatTopology`](crate::NatTopology) guarantees
-/// (IPs are allocated monotonically, even across scripted profile changes and node
-/// migrations — a node that moves or is promoted gets a fresh address, so an index entry
-/// keyed on an old observed IP can only ever go stale and expire, never silently
-/// authorise a different peer).
+/// * address-and-port-dependent filtering is a binary search by remote id;
+/// * endpoint-independent filtering asks for any unexpired entry;
+/// * address-dependent filtering scans the host's list for the address. It relies on
+///   addresses never being *reused*, which [`NatTopology`](crate::NatTopology)
+///   guarantees (IPs are allocated monotonically, even across scripted profile changes
+///   and node migrations — a node that moves or is promoted gets a fresh address, so an
+///   entry naming an old observed IP can only ever go stale and expire, never silently
+///   authorise a different peer).
 ///
 /// # Examples
 ///
 /// ```
-/// use croupier_nat::{FilteringPolicy, Ip, NatGateway, NatGatewayConfig};
+/// use croupier_nat::{FilteringPolicy, HostBindings, Ip, NatGateway, NatGatewayConfig};
 /// use croupier_simulator::{NodeId, SimDuration, SimTime};
 ///
 /// let cfg = NatGatewayConfig::with_filtering(FilteringPolicy::AddressAndPortDependent)
 ///     .mapping_timeout(SimDuration::from_secs(30));
-/// let mut gw = NatGateway::new(Ip::public(9), cfg);
-/// let inside = NodeId::new(1);
+/// let gw = NatGateway::new(Ip::public(9), cfg);
+/// let mut inside = HostBindings::default();
 /// let outside = NodeId::new(2);
 ///
 /// // Unsolicited inbound traffic is dropped.
-/// assert!(!gw.accepts_inbound(inside, outside, Ip::public(3), SimTime::ZERO));
-/// // After the internal node sends out, the reverse path opens until the mapping expires.
-/// gw.record_outbound(inside, outside, Ip::public(3), SimTime::ZERO);
-/// assert!(gw.accepts_inbound(inside, outside, Ip::public(3), SimTime::from_secs(10)));
-/// assert!(!gw.accepts_inbound(inside, outside, Ip::public(3), SimTime::from_secs(100)));
+/// assert!(!gw.accepts_inbound(&inside, outside, Ip::public(3), SimTime::ZERO));
+/// // After the internal host sends out, the reverse path opens until the mapping expires.
+/// gw.record_outbound(&mut inside, outside, Ip::public(3), SimTime::ZERO);
+/// assert!(gw.accepts_inbound(&inside, outside, Ip::public(3), SimTime::from_secs(10)));
+/// assert!(!gw.accepts_inbound(&inside, outside, Ip::public(3), SimTime::from_secs(100)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct NatGateway {
     /// External address pool; `[0]` is the primary address ([`public_ip`](Self::public_ip)).
     external_ips: Vec<Ip>,
     config: NatGatewayConfig,
-    /// Exact-match table: `pair_key` to `pack_binding` (remote address and refresh time).
-    bindings: FastHashMap<u64, u64>,
-    /// Newest refresh time (`u32` milliseconds) per
-    /// [`index_key`](NatGatewayConfig::index_key) of the configured policy, and of no
-    /// other: a policy change rebuilds it.
-    newest: FastHashMap<u64, u32>,
-    ops_since_purge: u32,
+    /// Bumped by every [`reboot`](Self::reboot).
+    epoch: u32,
     /// Time of the most recent [`reboot`](Self::reboot), if any.
     last_reboot: Option<SimTime>,
 }
@@ -259,9 +233,7 @@ impl NatGateway {
         NatGateway {
             external_ips: pool,
             config,
-            bindings: FastHashMap::default(),
-            newest: FastHashMap::default(),
-            ops_since_purge: 0,
+            epoch: 0,
             last_reboot: None,
         }
     }
@@ -295,45 +267,71 @@ impl NatGateway {
         &self.config
     }
 
-    /// Number of mapping-table entries (including expired ones not yet purged).
-    pub fn binding_count(&self) -> usize {
-        self.bindings.len()
+    /// The entries of `host` this gateway still holds: none if the gateway rebooted since
+    /// they were made.
+    fn live<'h>(&self, host: &'h HostBindings) -> &'h [Binding] {
+        if host.epoch == self.epoch {
+            &host.entries
+        } else {
+            &[]
+        }
     }
 
-    /// Records outbound traffic from `internal` towards `remote`, creating or refreshing the
-    /// corresponding mapping. Refreshing only ever extends a mapping's lifetime: a packet
-    /// carrying an older timestamp (which cannot happen on the engine's monotonic clock but
-    /// can in hand-written tests) never shortens it.
+    /// Number of bindings `host` holds at this gateway (including expired ones not yet
+    /// dropped).
+    pub fn binding_count(&self, host: &HostBindings) -> usize {
+        self.live(host).len()
+    }
+
+    /// Records outbound traffic from the internal `host` towards `remote`, creating or
+    /// refreshing the corresponding mapping. Refreshing only ever extends a mapping's
+    /// lifetime: a packet carrying an older timestamp (which cannot happen on the engine's
+    /// monotonic clock but can in hand-written tests) never shortens it.
+    ///
+    /// A full list drops the entries that have expired at `now` before it grows, so a
+    /// query must not ask about a time before a packet recorded earlier (both engines
+    /// query at arrival times no earlier than any send they have recorded).
     pub fn record_outbound(
-        &mut self,
-        internal: NodeId,
+        &self,
+        host: &mut HostBindings,
         remote: NodeId,
         remote_ip: Ip,
         now: SimTime,
     ) {
-        let (internal, remote, at) = (id32(internal), id32(remote), ms32(now));
-        let slot = self
-            .bindings
-            .entry(pair_key(internal, remote))
-            .or_insert(pack_binding(remote_ip, at));
-        *slot = pack_binding(remote_ip, refreshed_ms(*slot).max(at));
-        // Maintain the newest-binding index the configured policy queries (monotone max,
-        // so the same never-shortens rule applies).
-        if let Some(key) = self.config.index_key(internal, remote_ip) {
-            let newest = self.newest.entry(key).or_insert(at);
-            *newest = (*newest).max(at);
+        let (remote, at) = (id32(remote), ms32(now));
+        if host.epoch != self.epoch {
+            host.entries.clear();
+            host.epoch = self.epoch;
         }
-        self.ops_since_purge += 1;
-        if self.ops_since_purge >= PURGE_EVERY_OPS {
-            self.purge_expired(now);
+        let entries = &mut host.entries;
+        if let Ok(i) = entries.binary_search_by_key(&remote, |b| b.remote) {
+            let binding = &mut entries[i];
+            binding.remote_ip = remote_ip;
+            binding.refreshed_ms = binding.refreshed_ms.max(at);
+            return;
         }
+        if entries.len() == entries.capacity() {
+            // Expiry is checked on every query, so dropping what has expired changes no
+            // later answer; doing it only here bounds the list by its live entries.
+            let fresh = self.fresh_at(now);
+            entries.retain(|b| fresh(b.refreshed_ms));
+        }
+        let at_slot = entries.partition_point(|b| b.remote < remote);
+        entries.insert(
+            at_slot,
+            Binding {
+                remote,
+                remote_ip,
+                refreshed_ms: at,
+            },
+        );
     }
 
     /// Decides whether an inbound packet from `from` (with observed source address
-    /// `from_ip`) addressed to the internal node `internal` passes the gateway at `now`.
+    /// `from_ip`) addressed to the internal `host` passes the gateway at `now`.
     pub fn accepts_inbound(
         &self,
-        internal: NodeId,
+        host: &HostBindings,
         from: NodeId,
         from_ip: Ip,
         now: SimTime,
@@ -343,13 +341,15 @@ impl NatGateway {
             return true;
         }
         let fresh = self.fresh_at(now);
-        let internal = id32(internal);
-        match self.config.index_key(internal, from_ip) {
-            Some(key) => self.newest.get(&key).is_some_and(|&t| fresh(t)),
-            None => self
-                .bindings
-                .get(&pair_key(internal, id32(from)))
-                .is_some_and(|&v| fresh(refreshed_ms(v))),
+        let entries = self.live(host);
+        match self.config.filtering {
+            FilteringPolicy::EndpointIndependent => entries.iter().any(|b| fresh(b.refreshed_ms)),
+            FilteringPolicy::AddressDependent => entries
+                .iter()
+                .any(|b| b.remote_ip == from_ip && fresh(b.refreshed_ms)),
+            FilteringPolicy::AddressAndPortDependent => entries
+                .binary_search_by_key(&id32(from), |b| b.remote)
+                .is_ok_and(|i| fresh(entries[i].refreshed_ms)),
         }
     }
 
@@ -360,28 +360,16 @@ impl NatGateway {
         move |refreshed| now.saturating_sub(refreshed.into()) <= timeout
     }
 
-    /// Removes every binding that has expired at `now`. Called opportunistically to bound
-    /// the size of the mapping table in long simulations.
-    pub fn purge_expired(&mut self, now: SimTime) {
-        let fresh = self.fresh_at(now);
-        self.bindings.retain(|_, v| fresh(refreshed_ms(*v)));
-        self.newest.retain(|_, t| fresh(*t));
-        self.ops_since_purge = 0;
-    }
-
-    /// Power-cycles the gateway at `now`: the entire mapping table — and with it the
-    /// newest-binding index — is lost, exactly as on a consumer router reboot. The
-    /// configuration and the public address survive (ISPs commonly hand the same lease
-    /// back; a reboot that also changes the address is modelled as a reboot followed by
+    /// Power-cycles the gateway at `now`: every host's bindings are lost, exactly as on a
+    /// consumer router reboot. The configuration and the public address survive (ISPs
+    /// commonly hand the same lease back; a reboot that also changes the address is
+    /// modelled as a reboot followed by
     /// [`NatTopology::migrate_node`](crate::NatTopology::migrate_node)).
     ///
-    /// Clearing the index together with the table keeps the O(1)-filter invariant —
-    /// "the newest entry decides" — trivially intact: both sides are empty, so every
-    /// inbound packet is unsolicited until new outbound traffic re-creates mappings.
+    /// The wipe is one epoch bump: a host's list made under an older epoch counts as
+    /// empty, and its next outbound packet clears it.
     pub fn reboot(&mut self, now: SimTime) {
-        self.bindings.clear();
-        self.newest.clear();
-        self.ops_since_purge = 0;
+        self.epoch += 1;
         self.last_reboot = Some(now);
     }
 
@@ -395,71 +383,19 @@ impl NatGateway {
     }
 
     /// Changes the inbound filtering policy at runtime (scripted NAT-dynamics: firmware
-    /// update, config change, or the ISP swapping CPE behaviour).
-    ///
-    /// The newest-binding index is policy-specific — [`record_outbound`] files a binding
-    /// under the key the *configured* policy queries — so a policy change rebuilds the
-    /// index from the exact mapping table. The rebuild carries
-    /// expired entries along unfiltered (it has no clock): that is sound because every
-    /// index entry records the *newest* refresh time of its key, expiry is monotone in
-    /// the refresh time, and [`accepts_inbound`](Self::accepts_inbound) re-checks expiry
-    /// against the query instant — an expired newest entry answers exactly as no entry
-    /// would.
-    ///
-    /// [`record_outbound`]: Self::record_outbound
+    /// update, config change, or the ISP swapping CPE behaviour). The hosts' bindings
+    /// survive and are read under the new policy from the next query on.
     pub fn set_filtering(&mut self, policy: FilteringPolicy) {
-        if policy == self.config.filtering {
-            return;
-        }
         self.config.filtering = policy;
-        self.rebuild_newest_index();
     }
 
     /// Replaces the whole configuration at runtime (scripted gateway reconfiguration:
-    /// firmware swap, CPE replacement, consolidation behind a carrier-grade NAT).
-    ///
-    /// The exact binding table — and therefore the filtering behaviour towards flows the
-    /// new policy still admits — survives, and the newest-binding index the new filtering
-    /// policy queries is rebuilt from it (same soundness argument as
-    /// [`set_filtering`](Self::set_filtering)). If the new config wants a larger address
-    /// pool than the gateway owns, the caller (the topology) must
-    /// `extend_pool` first — the gateway itself cannot allocate
-    /// addresses.
+    /// firmware swap, CPE replacement, consolidation behind a carrier-grade NAT). The
+    /// hosts' bindings survive, as with [`set_filtering`](Self::set_filtering). If the new
+    /// config wants a larger address pool than the gateway owns, the caller (the
+    /// topology) must `extend_pool` first — the gateway itself cannot allocate addresses.
     pub fn set_config(&mut self, config: NatGatewayConfig) {
         self.config = config;
-        self.rebuild_newest_index();
-    }
-
-    /// Rebuilds the newest-binding index the configured filtering policy queries from the
-    /// exact binding table; see [`set_filtering`](Self::set_filtering) for why carrying
-    /// expired entries along unfiltered is sound.
-    fn rebuild_newest_index(&mut self) {
-        self.newest.clear();
-        for (&pair, &value) in &self.bindings {
-            // No key for one binding is no key for any: the policy keeps no index.
-            let Some(key) = self.config.index_key(host_of(pair), remote_ip_of(value)) else {
-                return;
-            };
-            let refreshed = refreshed_ms(value);
-            let newest = self.newest.entry(key).or_insert(refreshed);
-            *newest = (*newest).max(refreshed);
-        }
-    }
-
-    /// Removes every binding owned by `internal` (the node left the system).
-    pub fn remove_internal(&mut self, internal: NodeId) {
-        let internal = id32(internal);
-        self.bindings.retain(|&pair, _| host_of(pair) != internal);
-        if self.bindings.is_empty() {
-            // `retain` keeps capacity, and the topology keeps a gateway after its last
-            // host left (gateway ids are dense and never reused): hand the allocations
-            // back instead of stranding them for the rest of the run. Every index entry
-            // is derived from a binding, so an empty table means an empty index.
-            self.bindings = FastHashMap::default();
-            self.newest = FastHashMap::default();
-            return;
-        }
-        self.newest.retain(|&key, _| host_of(key) != internal);
     }
 }
 
@@ -467,38 +403,10 @@ impl NatGateway {
 mod tests {
     use super::*;
 
-    /// One mapping-table entry unpacked from its 16-byte slot: internal host `internal`
-    /// has sent traffic to remote node `remote` (observed at `remote_ip`), most recently
-    /// at `last_refreshed`. The table stores the `(internal, remote)` pair packed by
-    /// `pair_key` and `remote_ip << 32 | refreshed_ms` packed by `pack_binding`.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    struct Binding {
-        internal: u32,
-        remote: u32,
-        remote_ip: Ip,
-        last_refreshed: SimTime,
-    }
-
-    impl Binding {
-        fn new(internal: NodeId, remote: NodeId, remote_ip: Ip, last_refreshed: SimTime) -> Self {
-            Binding {
-                internal: id32(internal),
-                remote: id32(remote),
-                remote_ip,
-                last_refreshed,
-            }
-        }
-    }
-
-    impl NatGateway {
-        /// The current mapping-table entries, each unpacked from its slot.
-        fn bindings(&self) -> impl Iterator<Item = Binding> + '_ {
-            self.bindings.iter().map(|(&pair, &value)| Binding {
-                internal: host_of(pair),
-                remote: pair as u32,
-                remote_ip: remote_ip_of(value),
-                last_refreshed: SimTime::from_millis(refreshed_ms(value).into()),
-            })
+    impl HostBindings {
+        /// How many entries the list has room for without growing.
+        pub(crate) fn capacity(&self) -> usize {
+            self.entries.capacity()
         }
     }
 
@@ -509,7 +417,14 @@ mod tests {
         )
     }
 
-    const INSIDE: NodeId = NodeId::new(1);
+    fn binding(remote: NodeId, remote_ip: Ip, refreshed: SimTime) -> Binding {
+        Binding {
+            remote: id32(remote),
+            remote_ip,
+            refreshed_ms: ms32(refreshed),
+        }
+    }
+
     const PEER_A: NodeId = NodeId::new(10);
     const PEER_B: NodeId = NodeId::new(11);
 
@@ -518,7 +433,12 @@ mod tests {
         for policy in FilteringPolicy::ALL {
             let g = gw(policy);
             assert!(
-                !g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO),
+                !g.accepts_inbound(
+                    &HostBindings::default(),
+                    PEER_A,
+                    Ip::public(2),
+                    SimTime::ZERO
+                ),
                 "{policy} must block unsolicited traffic"
             );
         }
@@ -526,152 +446,218 @@ mod tests {
 
     #[test]
     fn endpoint_independent_opens_to_everyone_after_any_outbound() {
-        let mut g = gw(FilteringPolicy::EndpointIndependent);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO);
-        assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(1)));
+        let g = gw(FilteringPolicy::EndpointIndependent);
+        let mut inside = HostBindings::default();
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::ZERO);
+        assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(1)));
         // A completely different peer can also get through.
-        assert!(g.accepts_inbound(INSIDE, PEER_B, Ip::public(3), SimTime::from_secs(1)));
+        assert!(g.accepts_inbound(&inside, PEER_B, Ip::public(3), SimTime::from_secs(1)));
     }
 
     #[test]
     fn address_dependent_requires_matching_remote_ip() {
-        let mut g = gw(FilteringPolicy::AddressDependent);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO);
+        let g = gw(FilteringPolicy::AddressDependent);
+        let mut inside = HostBindings::default();
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::ZERO);
         // Same IP (e.g. another node behind the same remote gateway) passes.
-        assert!(g.accepts_inbound(INSIDE, PEER_B, Ip::public(2), SimTime::from_secs(1)));
+        assert!(g.accepts_inbound(&inside, PEER_B, Ip::public(2), SimTime::from_secs(1)));
         // A different IP does not.
-        assert!(!g.accepts_inbound(INSIDE, PEER_B, Ip::public(3), SimTime::from_secs(1)));
+        assert!(!g.accepts_inbound(&inside, PEER_B, Ip::public(3), SimTime::from_secs(1)));
     }
 
     #[test]
     fn address_and_port_dependent_requires_exact_peer() {
-        let mut g = gw(FilteringPolicy::AddressAndPortDependent);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO);
-        assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(1)));
-        assert!(!g.accepts_inbound(INSIDE, PEER_B, Ip::public(2), SimTime::from_secs(1)));
+        let g = gw(FilteringPolicy::AddressAndPortDependent);
+        let mut inside = HostBindings::default();
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::ZERO);
+        assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(1)));
+        assert!(!g.accepts_inbound(&inside, PEER_B, Ip::public(2), SimTime::from_secs(1)));
     }
 
     #[test]
     fn mappings_expire_after_timeout() {
-        let mut g = gw(FilteringPolicy::AddressAndPortDependent);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO);
-        assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(30)));
-        assert!(!g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(31)));
+        let g = gw(FilteringPolicy::AddressAndPortDependent);
+        let mut inside = HostBindings::default();
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::ZERO);
+        assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(30)));
+        assert!(!g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(31)));
     }
 
     #[test]
     fn refreshing_outbound_extends_the_mapping() {
-        let mut g = gw(FilteringPolicy::AddressAndPortDependent);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(25));
-        assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(50)));
+        let g = gw(FilteringPolicy::AddressAndPortDependent);
+        let mut inside = HostBindings::default();
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::ZERO);
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::from_secs(25));
+        assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(50)));
     }
 
     #[test]
     fn upnp_gateways_accept_everything() {
-        let mut g = NatGateway::new(Ip::public(100), NatGatewayConfig::default().upnp(true));
-        assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO));
-        g.purge_expired(SimTime::from_secs(1_000));
-        assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(2_000)));
+        let g = NatGateway::new(Ip::public(100), NatGatewayConfig::default().upnp(true));
+        let inside = HostBindings::default();
+        assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::ZERO));
+        assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(2_000)));
     }
 
+    /// Expired entries leave a list only when it is full and about to grow: until then
+    /// they sit there answering "expired", and a full list with nothing expired grows.
     #[test]
-    fn purge_and_remove_internal_clean_the_table() {
-        let mut g = gw(FilteringPolicy::AddressAndPortDependent);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO);
-        g.record_outbound(
-            NodeId::new(2),
-            PEER_A,
-            Ip::public(2),
-            SimTime::from_secs(100),
-        );
-        assert_eq!(g.binding_count(), 2);
-        g.purge_expired(SimTime::from_secs(100));
-        assert_eq!(g.binding_count(), 1);
-        g.remove_internal(NodeId::new(2));
-        assert_eq!(g.binding_count(), 0);
-    }
-
-    #[test]
-    fn a_gateway_whose_last_host_left_hands_its_tables_back() {
-        let other = NodeId::new(2);
-        for policy in FilteringPolicy::ALL {
-            let mut g = gw(policy);
-            for remote in 10..40u64 {
-                let ip = Ip::public(remote as u32);
-                g.record_outbound(INSIDE, NodeId::new(remote), ip, SimTime::ZERO);
-            }
-            g.record_outbound(other, PEER_A, Ip::public(10), SimTime::ZERO);
-            // A shared gateway that still fronts another host keeps that host's entries.
-            g.remove_internal(INSIDE);
-            assert_eq!(g.binding_count(), 1, "{policy}");
-            assert!(g.accepts_inbound(other, PEER_A, Ip::public(10), SimTime::from_secs(1)));
-            assert!(!g.accepts_inbound(INSIDE, PEER_A, Ip::public(10), SimTime::from_secs(1)));
-            // Once the last host is gone, so are the allocations.
-            g.remove_internal(other);
-            assert_eq!(g.bindings.capacity(), 0, "{policy}");
-            assert_eq!(g.newest.capacity(), 0, "{policy}");
-            assert!(!g.accepts_inbound(other, PEER_A, Ip::public(10), SimTime::from_secs(1)));
+    fn expired_entries_are_dropped_before_a_full_list_grows() {
+        let g = gw(FilteringPolicy::AddressAndPortDependent);
+        let mut inside = HostBindings::default();
+        let peer = |k: u64| (NodeId::new(100 + k), Ip::public(k as u32 + 1));
+        for k in 0..4 {
+            let (remote, ip) = peer(k);
+            g.record_outbound(&mut inside, remote, ip, SimTime::from_secs(k * 20));
         }
+        let capacity = inside.capacity();
+        assert_eq!((g.binding_count(&inside), capacity), (4, 4));
+        // At t=60 s the first two (t=0, t=20 s) have expired: the fifth entry takes the
+        // room they leave instead of growing the list.
+        let (remote, ip) = peer(4);
+        g.record_outbound(&mut inside, remote, ip, SimTime::from_secs(60));
+        assert_eq!((g.binding_count(&inside), inside.capacity()), (3, capacity));
+        let remotes: Vec<u32> = inside.entries.iter().map(|b| b.remote).collect();
+        assert_eq!(remotes, [102, 103, 104], "still sorted by remote id");
+        // A refresh never grows the list; a new remote into a full list of live entries
+        // does.
+        g.record_outbound(&mut inside, remote, ip, SimTime::from_secs(61));
+        let (remote, ip) = peer(0);
+        g.record_outbound(&mut inside, remote, ip, SimTime::from_secs(61));
+        assert_eq!(g.binding_count(&inside), 4);
+        let (remote, ip) = peer(5);
+        g.record_outbound(&mut inside, remote, ip, SimTime::from_secs(62));
+        assert_eq!(g.binding_count(&inside), 5);
+        assert!(inside.capacity() > capacity);
     }
 
+    /// A reboot empties every host behind the gateway, whatever the policy; only what a
+    /// host sends afterwards opens a path again.
     #[test]
     fn reboot_wipes_bindings_for_every_policy() {
         for policy in FilteringPolicy::ALL {
             let mut g = gw(policy);
-            g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO);
-            assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(1)));
+            let (mut inside, mut other) = (HostBindings::default(), HostBindings::default());
+            g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::ZERO);
+            g.record_outbound(&mut other, PEER_B, Ip::public(3), SimTime::from_secs(5));
+            assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(1)));
             g.reboot(SimTime::from_secs(2));
-            assert_eq!(g.binding_count(), 0);
-            assert!(
-                !g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(3)),
-                "{policy}: a reboot must drop the reply path even though the binding \
-                 would only have expired at t=30s"
-            );
+            assert_eq!((g.binding_count(&inside), g.binding_count(&other)), (0, 0));
+            for (host, from, ip) in [(&inside, PEER_A, 2), (&other, PEER_B, 3)] {
+                assert!(
+                    !g.accepts_inbound(host, from, Ip::public(ip), SimTime::from_secs(6)),
+                    "{policy}: a reboot must drop the reply path even though the binding \
+                     would only have expired at t=30s"
+                );
+            }
             assert_eq!(g.last_reboot, Some(SimTime::from_secs(2)));
+            // Only the re-created mapping opens up again.
+            g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::from_secs(11));
+            assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(12)));
+            assert!(!g.accepts_inbound(&other, PEER_B, Ip::public(3), SimTime::from_secs(12)));
+            assert_eq!((g.binding_count(&inside), g.binding_count(&other)), (1, 0));
         }
     }
 
+    /// The bindings are the hosts' own, so a host that leaves takes its allocation with
+    /// it, a host sharing the gateway keeps its entries, and once the last host is gone
+    /// the gateway holds nothing but its address pool.
     #[test]
-    fn newest_binding_index_is_consistent_after_a_reboot() {
-        // The reboot-vs-expiry interaction the O(1) filter rework must survive: a wiped
-        // index must not remember pre-reboot refresh times, and post-reboot outbound
-        // traffic must rebuild it from scratch with post-reboot times only.
-        for policy in [
-            FilteringPolicy::EndpointIndependent,
-            FilteringPolicy::AddressDependent,
-        ] {
-            let mut g = gw(policy);
-            // Refresh generously before the reboot: without the wipe these mappings
-            // would stay alive until t=55s.
-            g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(25));
-            g.reboot(SimTime::from_secs(26));
-            // Rebuild with a single early outbound; the newest binding is now t=27s, so
-            // the reply path must close at t=57s — NOT at the pre-reboot t=55s horizon,
-            // and NOT stay open because a stale index entry survived the wipe.
-            g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(27));
-            assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(57)));
-            assert!(
-                !g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(58)),
-                "{policy}: expiry must be measured from the post-reboot refresh"
+    fn a_gateway_whose_last_host_left_hands_its_tables_back() {
+        for policy in FilteringPolicy::ALL {
+            let g = gw(policy);
+            let (mut inside, mut other) = (HostBindings::default(), HostBindings::default());
+            for remote in 20..50u64 {
+                let ip = Ip::public(remote as u32);
+                g.record_outbound(&mut inside, NodeId::new(remote), ip, SimTime::ZERO);
+            }
+            g.record_outbound(&mut other, PEER_A, Ip::public(10), SimTime::ZERO);
+            assert_eq!(g.binding_count(&inside), 30, "{policy}");
+            assert!(inside.capacity() >= 30, "{policy}");
+            // A shared gateway that still fronts another host keeps that host's entries.
+            drop(std::mem::take(&mut inside));
+            assert_eq!(
+                (inside.capacity(), g.binding_count(&inside)),
+                (0, 0),
+                "{policy}"
             );
+            assert_eq!(g.binding_count(&other), 1, "{policy}");
+            assert!(g.accepts_inbound(&other, PEER_A, Ip::public(10), SimTime::from_secs(1)));
+            assert!(!g.accepts_inbound(&inside, PEER_A, Ip::public(10), SimTime::from_secs(1)));
+            // Once the last host is gone, so are the allocations; a newcomer starts empty.
+            drop(std::mem::take(&mut other));
+            assert_eq!(other.capacity(), 0, "{policy}");
+            assert_eq!(g.external_ips().len(), 1, "{policy}");
+            let newcomer = HostBindings::default();
+            assert!(!g.accepts_inbound(&newcomer, PEER_A, Ip::public(10), SimTime::from_secs(1)));
         }
     }
 
+    /// After a reboot, the first outbound packet clears the host's pre-reboot entries
+    /// before it records its own, and dropping expired entries from a full list right
+    /// after the wipe leaves only post-reboot ones.
     #[test]
     fn reboot_then_purge_then_refresh_keeps_table_and_index_in_lockstep() {
         let mut g = gw(FilteringPolicy::EndpointIndependent);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO);
-        g.record_outbound(NodeId::new(2), PEER_B, Ip::public(3), SimTime::from_secs(5));
+        let (mut inside, mut other) = (HostBindings::default(), HostBindings::default());
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::ZERO);
+        g.record_outbound(&mut other, PEER_B, Ip::public(3), SimTime::from_secs(5));
         g.reboot(SimTime::from_secs(10));
-        // A purge right after the wipe must be a no-op on an empty table.
-        g.purge_expired(SimTime::from_secs(10));
-        assert_eq!(g.binding_count(), 0);
-        assert!(!g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(10)));
-        // Only the re-created mapping opens up again.
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(11));
-        assert!(g.accepts_inbound(INSIDE, PEER_B, Ip::public(9), SimTime::from_secs(12)));
-        assert_eq!(g.binding_count(), 1);
+        assert_eq!((g.binding_count(&inside), g.binding_count(&other)), (0, 0));
+        assert!(!g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(10)));
+        assert!(!g.accepts_inbound(&other, PEER_B, Ip::public(3), SimTime::from_secs(10)));
+        // Only the re-created mapping opens up again, and the stale entry is gone from
+        // the list, not merely hidden.
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::from_secs(11));
+        assert!(g.accepts_inbound(&inside, PEER_B, Ip::public(9), SimTime::from_secs(12)));
+        assert!(!g.accepts_inbound(&other, PEER_B, Ip::public(3), SimTime::from_secs(12)));
+        assert_eq!((g.binding_count(&inside), g.binding_count(&other)), (1, 0));
+        assert_eq!(
+            inside.entries,
+            [binding(PEER_A, Ip::public(2), SimTime::from_secs(11))]
+        );
+        // Fill the list to capacity after the wipe, then add a peer once all of them have
+        // expired: the purge keeps exactly the live post-reboot entries.
+        let mut k = 0u64;
+        while g.binding_count(&inside) < inside.capacity() {
+            let remote = NodeId::new(100 + k);
+            g.record_outbound(&mut inside, remote, Ip::public(50), SimTime::from_secs(11));
+            k += 1;
+        }
+        g.record_outbound(&mut inside, PEER_B, Ip::public(3), SimTime::from_secs(42));
+        g.record_outbound(
+            &mut inside,
+            NodeId::new(200),
+            Ip::public(4),
+            SimTime::from_secs(43),
+        );
+        let remotes: Vec<u32> = inside.entries.iter().map(|b| b.remote).collect();
+        assert_eq!(remotes, [11, 200]);
+        assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(9), SimTime::from_secs(43)));
+    }
+
+    #[test]
+    fn a_reboot_forgets_pre_reboot_refresh_times() {
+        // A wiped list must not remember pre-reboot refresh times, and post-reboot
+        // outbound traffic must rebuild it from scratch with post-reboot times only.
+        for policy in FilteringPolicy::ALL {
+            let mut g = gw(policy);
+            let mut inside = HostBindings::default();
+            // Refresh generously before the reboot: without the wipe this mapping would
+            // stay alive until t=55s.
+            g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::from_secs(25));
+            g.reboot(SimTime::from_secs(26));
+            // Rebuild with a single packet carrying an older timestamp; the reply path
+            // must close at t=50s — NOT at the pre-reboot t=55s horizon, which the
+            // never-shortens rule would keep if the stale entry survived the wipe.
+            g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::from_secs(20));
+            assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(50)));
+            assert!(
+                !g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(51)),
+                "{policy}: expiry must be measured from the post-reboot refresh"
+            );
+        }
     }
 
     #[test]
@@ -688,35 +674,35 @@ mod tests {
     }
 
     #[test]
-    fn policy_change_rebuilds_the_index_the_new_policy_needs() {
-        // Start port-dependent: record_outbound maintains no newest index at all.
+    fn a_policy_change_reads_the_bindings_made_before_it() {
         let mut g = gw(FilteringPolicy::AddressAndPortDependent);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::ZERO);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(10));
-        assert!(!g.accepts_inbound(INSIDE, PEER_B, Ip::public(2), SimTime::from_secs(11)));
-        // Relax to address-dependent: the (internal, remote ip) index must be rebuilt
-        // from the table, carrying the *newest* refresh time (t=10s, not t=0).
+        let mut inside = HostBindings::default();
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::ZERO);
+        g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::from_secs(10));
+        assert!(!g.accepts_inbound(&inside, PEER_B, Ip::public(2), SimTime::from_secs(11)));
+        // Relax to address-dependent: the binding to the address answers, with its
+        // *newest* refresh time (t=10s, not t=0).
         g.set_filtering(FilteringPolicy::AddressDependent);
         assert_eq!(g.config().filtering, FilteringPolicy::AddressDependent);
-        assert!(g.accepts_inbound(INSIDE, PEER_B, Ip::public(2), SimTime::from_secs(40)));
-        assert!(!g.accepts_inbound(INSIDE, PEER_B, Ip::public(2), SimTime::from_secs(41)));
+        assert!(g.accepts_inbound(&inside, PEER_B, Ip::public(2), SimTime::from_secs(40)));
+        assert!(!g.accepts_inbound(&inside, PEER_B, Ip::public(2), SimTime::from_secs(41)));
         // Relax further to endpoint-independent: any remote passes until expiry.
         g.set_filtering(FilteringPolicy::EndpointIndependent);
-        assert!(g.accepts_inbound(INSIDE, PEER_B, Ip::public(9), SimTime::from_secs(40)));
+        assert!(g.accepts_inbound(&inside, PEER_B, Ip::public(9), SimTime::from_secs(40)));
         // Tighten back to port-dependent: only the exact (internal, remote) binding
-        // decides again, and the stale relaxed indexes must not leak through.
+        // decides again.
         g.set_filtering(FilteringPolicy::AddressAndPortDependent);
-        assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(40)));
-        assert!(!g.accepts_inbound(INSIDE, PEER_B, Ip::public(2), SimTime::from_secs(12)));
+        assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(2), SimTime::from_secs(40)));
+        assert!(!g.accepts_inbound(&inside, PEER_B, Ip::public(2), SimTime::from_secs(12)));
     }
 
-    /// The two policies' index keys share one map: a flip must leave nothing of the old
-    /// policy's keys behind and file every live binding under the new one's.
+    /// A flip must answer from the same bindings as a gateway that had the new policy all
+    /// along.
     #[test]
     fn a_flipped_gateway_answers_as_a_twin_built_under_the_new_policy() {
-        let other = NodeId::new(2);
         let mut trace = Vec::new();
         let mut flipped = gw(FilteringPolicy::EndpointIndependent);
+        let mut hosts = [HostBindings::default(), HostBindings::default()];
         let flips = [
             FilteringPolicy::EndpointIndependent,
             FilteringPolicy::AddressDependent,
@@ -727,27 +713,26 @@ mod tests {
             flipped.set_filtering(policy);
             let at = SimTime::from_secs(10 * round as u64);
             let sent = [
-                (INSIDE, PEER_A, Ip::public(2), at),
-                (other, PEER_B, Ip::public(3), at + SimDuration::from_secs(4)),
+                (0, PEER_A, Ip::public(2), at),
+                (1, PEER_B, Ip::public(3), at + SimDuration::from_secs(4)),
             ];
-            for (internal, remote, ip, at) in sent {
-                flipped.record_outbound(internal, remote, ip, at);
-                trace.push((internal, remote, ip, at));
+            for (host, remote, ip, at) in sent {
+                flipped.record_outbound(&mut hosts[host], remote, ip, at);
+                trace.push((host, remote, ip, at));
             }
-            let mut twin = gw(policy);
-            for &(internal, remote, ip, at) in &trace {
-                twin.record_outbound(internal, remote, ip, at);
+            let twin = gw(policy);
+            let mut twin_hosts = [HostBindings::default(), HostBindings::default()];
+            for &(host, remote, ip, at) in &trace {
+                twin.record_outbound(&mut twin_hosts[host], remote, ip, at);
             }
-            assert_eq!(flipped.newest.len(), twin.newest.len(), "{policy}");
-            // `Ip::default()` packs to the key an endpoint-independent entry has.
             for from_ip in [Ip::public(2), Ip::public(3), Ip::default()] {
-                for (internal, from) in [(INSIDE, PEER_A), (INSIDE, PEER_B), (other, PEER_A)] {
+                for (host, from) in [(0, PEER_A), (0, PEER_B), (1, PEER_A)] {
                     for secs in [9, 31, 35, 70] {
                         let now = at + SimDuration::from_secs(secs);
                         assert_eq!(
-                            flipped.accepts_inbound(internal, from, from_ip, now),
-                            twin.accepts_inbound(internal, from, from_ip, now),
-                            "{policy}: {internal}<-{from}@{from_ip} at {now:?}"
+                            flipped.accepts_inbound(&hosts[host], from, from_ip, now),
+                            twin.accepts_inbound(&twin_hosts[host], from, from_ip, now),
+                            "{policy}: host {host}<-{from}@{from_ip} at {now:?}"
                         );
                     }
                 }
@@ -757,28 +742,29 @@ mod tests {
 
     #[test]
     fn binding_expiry_is_inclusive_of_timeout() {
-        let mut g = gw(FilteringPolicy::AddressAndPortDependent);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(1), SimTime::ZERO);
-        assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(1), SimTime::from_secs(30)));
-        assert!(!g.accepts_inbound(INSIDE, PEER_A, Ip::public(1), SimTime::from_millis(30_001)));
+        let g = gw(FilteringPolicy::AddressAndPortDependent);
+        let mut inside = HostBindings::default();
+        g.record_outbound(&mut inside, PEER_A, Ip::public(1), SimTime::ZERO);
+        assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(1), SimTime::from_secs(30)));
+        let late = SimTime::from_millis(30_001);
+        assert!(!g.accepts_inbound(&inside, PEER_A, Ip::public(1), late));
     }
 
     #[test]
     fn bindings_round_trip_their_packed_fields() {
-        let mut g = gw(FilteringPolicy::AddressDependent);
-        // Extremes of every packed field: the top node id, the top address, the last
-        // millisecond the `u32` clock holds.
+        let g = gw(FilteringPolicy::AddressDependent);
+        let mut inside = HostBindings::default();
+        // Extremes of every field: the top node id, the top address, the last millisecond
+        // the `u32` clock holds.
         let top = NodeId::new(u32::MAX as u64);
         let last_ms = SimTime::from_millis(u32::MAX as u64);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(7), SimTime::from_secs(3));
-        g.record_outbound(top, top, Ip::from_raw(u32::MAX), last_ms);
-        let mut read: Vec<Binding> = g.bindings().collect();
-        read.sort_by_key(|b| b.internal);
+        g.record_outbound(&mut inside, top, Ip::from_raw(u32::MAX), last_ms);
+        g.record_outbound(&mut inside, PEER_A, Ip::public(7), SimTime::from_secs(3));
         assert_eq!(
-            read,
+            inside.entries,
             [
-                Binding::new(INSIDE, PEER_A, Ip::public(7), SimTime::from_secs(3)),
-                Binding::new(top, top, Ip::from_raw(u32::MAX), last_ms),
+                binding(PEER_A, Ip::public(7), SimTime::from_secs(3)),
+                binding(top, Ip::from_raw(u32::MAX), last_ms),
             ]
         );
     }
@@ -786,50 +772,52 @@ mod tests {
     #[test]
     fn an_older_refresh_never_shortens_a_binding_but_updates_its_address() {
         for policy in FilteringPolicy::ALL {
-            let mut g = gw(policy);
-            g.record_outbound(INSIDE, PEER_A, Ip::public(2), SimTime::from_secs(20));
+            let g = gw(policy);
+            let mut inside = HostBindings::default();
+            g.record_outbound(&mut inside, PEER_A, Ip::public(2), SimTime::from_secs(20));
             // A stale timestamp, and the peer now surfaces from a new address.
-            g.record_outbound(INSIDE, PEER_A, Ip::public(5), SimTime::from_secs(5));
-            let only: Vec<Binding> = g.bindings().collect();
+            g.record_outbound(&mut inside, PEER_A, Ip::public(5), SimTime::from_secs(5));
             assert_eq!(
-                only,
-                [Binding::new(
-                    INSIDE,
-                    PEER_A,
-                    Ip::public(5),
-                    SimTime::from_secs(20)
-                )],
+                inside.entries,
+                [binding(PEER_A, Ip::public(5), SimTime::from_secs(20))],
                 "{policy}"
             );
-            if policy == FilteringPolicy::AddressAndPortDependent {
-                // The exact table decides: open until t=50s, as the t=20s refresh promised.
-                let at = SimTime::from_secs;
-                assert!(g.accepts_inbound(INSIDE, PEER_A, Ip::public(5), at(50)));
-                assert!(!g.accepts_inbound(INSIDE, PEER_A, Ip::public(5), at(51)));
-            }
+            // Open until t=50s, as the t=20s refresh promised.
+            let at = SimTime::from_secs;
+            assert!(g.accepts_inbound(&inside, PEER_A, Ip::public(5), at(50)));
+            assert!(!g.accepts_inbound(&inside, PEER_A, Ip::public(5), at(51)));
         }
     }
 
-    /// One gateway per private node: a field nobody reads shows up in `peak_rss_mb` times
-    /// the private population (80 000 gateways in the benchmark's `cyclon_nat_wide`).
+    /// One gateway and one host list per private node: a field nobody reads shows up in
+    /// `peak_rss_mb` times the private population (80 000 in the benchmark's
+    /// `cyclon_nat_wide`), and a byte of a binding times its 1.2 M bindings.
     #[test]
     fn gateway_state_stays_compact() {
-        assert!(std::mem::size_of::<NatGateway>() <= 128);
+        assert!(std::mem::size_of::<NatGateway>() <= 64);
         assert!(std::mem::size_of::<NatGatewayConfig>() <= 16);
+        assert_eq!(std::mem::size_of::<HostBindings>(), 32);
+        assert_eq!(std::mem::size_of::<Binding>(), 12);
     }
 
     #[test]
     #[should_panic(expected = "u32 key space")]
     fn oversized_node_ids_are_rejected_by_the_mapping_table() {
-        let mut g = gw(FilteringPolicy::EndpointIndependent);
-        g.record_outbound(NodeId::new(1 << 32), PEER_A, Ip::public(2), SimTime::ZERO);
+        let g = gw(FilteringPolicy::EndpointIndependent);
+        let huge = NodeId::new(1 << 32);
+        g.record_outbound(
+            &mut HostBindings::default(),
+            huge,
+            Ip::public(2),
+            SimTime::ZERO,
+        );
     }
 
     #[test]
     #[should_panic(expected = "u32 clock")]
     fn refresh_times_past_the_u32_clock_are_rejected_by_the_mapping_table() {
-        let mut g = gw(FilteringPolicy::AddressAndPortDependent);
+        let g = gw(FilteringPolicy::AddressAndPortDependent);
         let late = SimTime::from_millis(u32::MAX as u64 + 1);
-        g.record_outbound(INSIDE, PEER_A, Ip::public(2), late);
+        g.record_outbound(&mut HostBindings::default(), PEER_A, Ip::public(2), late);
     }
 }

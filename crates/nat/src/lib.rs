@@ -8,8 +8,9 @@
 //! networks observable to the simulated protocols:
 //!
 //! * [`NatGateway`] — a NAT device with a pool of public IPs (one by default, each
-//!   internal host paired with one of them), a UDP binding table that only outbound
-//!   traffic refreshes and that expires after a configurable timeout, a
+//!   internal host paired with one of them), UDP bindings that only outbound traffic
+//!   refreshes and that expire after a configurable timeout (each host keeps its own,
+//!   [`HostBindings`]), a
 //!   [`FilteringPolicy`] (endpoint-independent, address-dependent or
 //!   address-and-port-dependent, following the NATCracker classification cited by the
 //!   paper), hairpinning on or off, and optional UPnP IGD support.
@@ -68,5 +69,5 @@ mod topology;
 pub use address::Ip;
 pub use dynamics::{AppliedEvent, GatewayProfile, NatDynamicsEvent};
 pub use filtering::FilteringPolicy;
-pub use gateway::{NatGateway, NatGatewayConfig};
+pub use gateway::{HostBindings, NatGateway, NatGatewayConfig};
 pub use topology::{GatewayId, NatTopology, NatTopologyBuilder, TopologyStats};

@@ -1,5 +1,10 @@
 //! Assignment of nodes to public addresses or NAT gateways, and the resulting
 //! network-reachability filter.
+//!
+//! A private node is a *host*: a slot in one dense table of [`HostBindings`], allocated
+//! with its local address and never reused. Its bindings live in that slot, not in its
+//! gateway, so a public node carries no binding state and a gateway fronting many hosts
+//! holds no table. A batch is judged by host-slot range on worker threads.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -12,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use crate::address::Ip;
 use crate::dynamics::{AppliedEvent, NatDynamicsEvent};
 use crate::filtering::FilteringPolicy;
-use crate::gateway::{NatGateway, NatGatewayConfig};
+use crate::gateway::{HostBindings, NatGateway, NatGatewayConfig};
 
 /// Identifier of a NAT gateway inside a [`NatTopology`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -28,10 +33,10 @@ pub(crate) enum NatProfile {
     },
     /// The node sits behind a NAT gateway.
     Private {
-        /// The gateway in front of the node.
-        gateway: GatewayId,
-        /// The node's RFC1918-like local address.
-        local_ip: Ip,
+        /// Index of the node's [`HostBindings`], which name its gateway. Host slots are
+        /// allocated one per local address and never reused, so the slot is also the
+        /// node's RFC1918-like local address, `Ip::private(host)`.
+        host: u32,
     },
 }
 
@@ -86,11 +91,13 @@ struct Inner {
     profile_count: usize,
     /// Gateways indexed by their sequentially allocated [`GatewayId`].
     gateways: Vec<NatGateway>,
+    /// The private hosts' bindings, indexed by host slot (see [`NatProfile::Private`]).
+    /// A slot whose node left, moved or turned public keeps an empty list.
+    hosts: Vec<HostBindings>,
     default_config: NatGatewayConfig,
     filtering_mix: Vec<(FilteringPolicy, f64)>,
     rng: SmallRng,
     next_public_ip: u32,
-    next_private_ip: u32,
     blocked_messages: u64,
     /// Blocked messages attributable to a recent gateway reboot (see
     /// [`TopologyStats::stale_binding_failures`]).
@@ -103,42 +110,44 @@ struct Inner {
     offline: Vec<bool>,
     /// Number of `true` entries in `offline`.
     offline_count: usize,
-    /// Recycled scratch of [`DeliveryFilter::judge_batch`]: the resolved gateway
+    /// Recycled scratch of [`DeliveryFilter::judge_batch`]: the resolved host
     /// operations of the batch.
     batch_ops: Vec<LinkOps>,
 }
 
-/// What one link of a batch asks of which gateways, resolved from the node tables (which
-/// no link of the batch changes) before any gateway state is touched. 16 bytes a link.
+/// What one link of a batch asks of which hosts' bindings, resolved from the node tables
+/// and the gateways (which no link of the batch changes) before any binding is touched.
+/// 16 bytes a link.
 #[derive(Clone, Copy)]
 struct LinkOps {
-    /// Index of the gateway that records the outbound packet: the online sender's, or
-    /// [`NO_GATEWAY`] for a public or offline sender.
-    sender_gateway: u32,
-    /// Index of the gateway that filters the inbound packet, or [`NO_GATEWAY`] when no
-    /// gateway has a say in the verdict.
-    receiver_gateway: u32,
-    /// The destination's observed address, which the sender's gateway binds towards.
+    /// Slot of the host whose bindings record the outbound packet: the online sender's,
+    /// or [`NO_HOST`] for a public or offline sender.
+    sender_host: u32,
+    /// Slot of the host whose gateway filters the inbound packet against its bindings,
+    /// or [`NO_HOST`] when no binding has a say in the verdict.
+    receiver_host: u32,
+    /// The destination's observed address, which the sender binds towards.
     to_ip: Ip,
     /// The sender's observed address, which the receiver's gateway filters on.
     from_ip: Ip,
 }
 
-/// Gateway indexes fit `u32` with room to spare: a gateway owns at least one public
-/// address, and those come out of a 32-bit space that ends below the private range.
-const NO_GATEWAY: u32 = u32::MAX;
+/// Host slots and gateway indexes fit `u32` with room to spare: a host slot is a private
+/// address and a gateway owns at least one public one, and both ranges lie inside one
+/// 32-bit space.
+const NO_HOST: u32 = u32::MAX;
 
 impl LinkOps {
-    /// A link that asks nothing of any gateway.
+    /// A link that asks nothing of any host.
     const NONE: LinkOps = LinkOps {
-        sender_gateway: NO_GATEWAY,
-        receiver_gateway: NO_GATEWAY,
+        sender_host: NO_HOST,
+        receiver_host: NO_HOST,
         to_ip: Ip::from_raw(0),
         from_ip: Ip::from_raw(0),
     };
 }
 
-/// The blocked-message counters one gateway range adds up over a batch.
+/// The blocked-message counters a batch adds up.
 #[derive(Clone, Copy, Default)]
 struct BlockTally {
     blocked: u64,
@@ -154,44 +163,38 @@ impl std::ops::AddAssign for BlockTally {
     }
 }
 
-/// Applies, in batch order, every gateway operation of the batch that falls on
-/// `gateways` — the contiguous range that starts at gateway index `base` — and reports
-/// the index of every link one of them refused to `refuse`. A gateway's operations are
-/// all in one range, so the ranges can run concurrently and each gateway still sees
-/// exactly the per-message sequence: a link's `record_outbound` before its inbound
-/// check, links in order. `records_sends` is `false` only for an arrival whose send the
-/// sender's gateway has heard of already ([`DeliveryFilter::can_deliver`]).
-fn judge_gateway_range(
-    gateways: &mut [NatGateway],
+/// Applies, in batch order, every binding operation of the batch that falls on `hosts` —
+/// the contiguous range that starts at host slot `base` — and reports the index of every
+/// link one of them refused to `refuse`. A host's bindings change only through its own
+/// operations and the gateways only between batches, so the ranges can run concurrently
+/// and each host still sees exactly the per-message sequence: a link's `record_outbound`
+/// before its inbound check, links in order. `records_sends` is `false` only for an
+/// arrival whose send the sender's gateway has heard of already
+/// ([`DeliveryFilter::can_deliver`]).
+fn judge_host_range(
+    hosts: &mut [HostBindings],
     base: usize,
+    gateways: &[NatGateway],
     links: &[BatchLink],
     ops: &[LinkOps],
     records_sends: bool,
     mut refuse: impl FnMut(usize),
 ) -> BlockTally {
-    let owned = base as u32..(base + gateways.len()) as u32;
+    let owned = base as u32..(base + hosts.len()) as u32;
     let mut tally = BlockTally::default();
     for (k, (link, op)) in links.iter().zip(ops).enumerate() {
-        if records_sends && owned.contains(&op.sender_gateway) {
-            gateways[op.sender_gateway as usize - base].record_outbound(
-                link.from,
-                link.to,
-                op.to_ip,
-                link.sent_at,
-            );
+        if records_sends && owned.contains(&op.sender_host) {
+            let host = &mut hosts[op.sender_host as usize - base];
+            let gw = &gateways[host.gateway as usize];
+            gw.record_outbound(host, link.to, op.to_ip, link.sent_at);
         }
-        if owned.contains(&op.receiver_gateway) {
-            let gw = &gateways[op.receiver_gateway as usize - base];
-            // Hairpinning (RFC 4787 REQ-9): traffic between two hosts behind the same
-            // gateway arrives at the gateway's own external address. A hairpin-capable
-            // gateway loops it back through the normal filter (the sender's outbound
-            // binding towards the shared external IP is what opens it); an incapable
-            // one drops it outright.
-            if op.sender_gateway == op.receiver_gateway && !gw.hairpinning() {
-                tally.hairpin += 1;
-            } else if gw.accepts_inbound(link.to, link.from, op.from_ip, link.arrive_at) {
+        if owned.contains(&op.receiver_host) {
+            let host = &hosts[op.receiver_host as usize - base];
+            let gw = &gateways[host.gateway as usize];
+            if gw.accepts_inbound(host, link.from, op.from_ip, link.arrive_at) {
                 continue;
-            } else if gw.rebooted_within_timeout(link.arrive_at) {
+            }
+            if gw.rebooted_within_timeout(link.arrive_at) {
                 tally.stale += 1;
             }
             tally.blocked += 1;
@@ -216,27 +219,29 @@ fn on_threads<T: Send>(mut jobs: impl Iterator<Item = impl FnOnce() -> T + Send>
 }
 
 impl Inner {
-    /// Resolves a range of a batch: writes each link's gateway operations and every
-    /// verdict no gateway has a say in — an unknown destination, an offline endpoint
-    /// (returned as a count: those are blocked messages), a public destination, a link
-    /// that wants none. The rest read `Deliver` until a gateway refuses them. Read-only,
-    /// so ranges of one batch resolve concurrently.
+    /// Resolves a range of a batch: writes each link's binding operations and every
+    /// verdict no binding has a say in — an unknown destination, an offline endpoint, a
+    /// hairpin-incapable gateway between two of its own hosts (those two are blocked
+    /// messages, returned as a tally), a public destination, a link that wants none. The
+    /// rest read `Deliver` until a gateway refuses them. Read-only, so ranges of one
+    /// batch resolve concurrently.
     fn resolve_links(
         &self,
         links: &[BatchLink],
         ops: &mut [LinkOps],
         verdicts: &mut [DeliveryVerdict],
-    ) -> u64 {
-        let mut offline_blocked = 0;
+    ) -> BlockTally {
+        let mut tally = BlockTally::default();
         for ((link, slot), verdict) in links.iter().zip(ops).zip(verdicts) {
             let sender_offline = self.is_offline(link.from);
-            let mut op = LinkOps::NONE;
+            let (mut op, mut sender_gateway) = (LinkOps::NONE, None);
             // An offline sender's packets never leave its network, so they cannot
             // create or refresh bindings at its gateway.
-            if let (false, Some(NatProfile::Private { gateway, .. })) =
+            if let (false, Some(&NatProfile::Private { host })) =
                 (sender_offline, self.profile(link.from))
             {
-                op.sender_gateway = gateway.0 as u32;
+                op.sender_host = host;
+                sender_gateway = Some(self.hosts[host as usize].gateway);
                 op.to_ip = self.observed_ip(link.to).unwrap_or_default();
             }
             *verdict = match self.profile(link.to) {
@@ -245,19 +250,33 @@ impl Inner {
                 // A scripted partition: one of the endpoints is cut off. Blocked, not
                 // gone — the node still exists and will come back.
                 Some(_) if sender_offline || self.is_offline(link.to) => {
-                    offline_blocked += 1;
+                    tally.blocked += 1;
                     DeliveryVerdict::BlockedByNat
                 }
                 Some(NatProfile::Public { .. }) => DeliveryVerdict::Deliver,
-                Some(NatProfile::Private { gateway, .. }) => {
-                    op.receiver_gateway = gateway.0 as u32;
-                    op.from_ip = self.observed_ip(link.from).unwrap_or_default();
-                    DeliveryVerdict::Deliver
+                Some(&NatProfile::Private { host }) => {
+                    let gateway = self.hosts[host as usize].gateway;
+                    // Hairpinning (RFC 4787 REQ-9): traffic between two hosts behind the
+                    // same gateway arrives at the gateway's own external address. A
+                    // hairpin-capable gateway loops it back through the normal filter
+                    // (the sender's outbound binding towards the shared external IP is
+                    // what opens it); an incapable one drops it outright.
+                    if sender_gateway == Some(gateway)
+                        && !self.gateways[gateway as usize].hairpinning()
+                    {
+                        tally.hairpin += 1;
+                        tally.blocked += 1;
+                        DeliveryVerdict::BlockedByNat
+                    } else {
+                        op.receiver_host = host;
+                        op.from_ip = self.observed_ip(link.from).unwrap_or_default();
+                        DeliveryVerdict::Deliver
+                    }
                 }
             };
             *slot = op;
         }
-        offline_blocked
+        tally
     }
 
     /// The one-link batch behind the per-message methods, on the calling thread: a send
@@ -279,12 +298,10 @@ impl Inner {
         let (mut op, mut verdict) = (LinkOps::NONE, DeliveryVerdict::Deliver);
         let links = std::slice::from_ref(&link);
         let verdicts = std::slice::from_mut(&mut verdict);
-        let mut tally = BlockTally {
-            blocked: self.resolve_links(links, std::slice::from_mut(&mut op), verdicts),
-            ..BlockTally::default()
-        };
+        let mut tally = self.resolve_links(links, std::slice::from_mut(&mut op), verdicts);
         let ops = std::slice::from_ref(&op);
-        tally += judge_gateway_range(&mut self.gateways, 0, links, ops, !arrival, |_| {
+        let (hosts, gateways) = (&mut self.hosts, &self.gateways);
+        tally += judge_host_range(hosts, 0, gateways, links, ops, !arrival, |_| {
             verdict = DeliveryVerdict::BlockedByNat;
         });
         self.count_blocked(tally);
@@ -303,10 +320,12 @@ impl Inner {
         ip
     }
 
-    fn allocate_private_ip(&mut self) -> Ip {
-        let ip = Ip::private(self.next_private_ip);
-        self.next_private_ip += 1;
-        ip
+    /// Allocates the host slot, and with it the local address, of a node placed behind
+    /// `gateway`, with no bindings yet.
+    fn allocate_host(&mut self, gateway: GatewayId) -> u32 {
+        let host = self.hosts.len() as u32;
+        self.hosts.push(HostBindings::behind(gateway.0 as u32));
+        host
     }
 
     fn pick_filtering(&mut self) -> FilteringPolicy {
@@ -335,8 +354,8 @@ impl Inner {
             ..self.default_config
         });
         let gateway = self.add_gateway(config);
-        let local_ip = self.allocate_private_ip();
-        self.set_profile(node, NatProfile::Private { gateway, local_ip });
+        let host = self.allocate_host(gateway);
+        self.set_profile(node, NatProfile::Private { host });
     }
 
     fn add_gateway(&mut self, config: NatGatewayConfig) -> GatewayId {
@@ -370,12 +389,13 @@ impl Inner {
     }
 
     fn observed_ip(&self, node: NodeId) -> Option<Ip> {
-        match self.profile(node)? {
-            NatProfile::Public { ip } => Some(*ip),
+        match *self.profile(node)? {
+            NatProfile::Public { ip } => Some(ip),
             // The paired pool address: with the default one-address pool this is the
             // gateway's public IP for every node.
-            NatProfile::Private { gateway, .. } => {
-                self.gateway(*gateway).map(|gw| gw.external_ip_for(node))
+            NatProfile::Private { host } => {
+                let gateway = self.hosts[host as usize].gateway;
+                Some(self.gateways[gateway as usize].external_ip_for(node))
             }
         }
     }
@@ -409,21 +429,24 @@ impl Inner {
         known
     }
 
-    /// Detaches a private node from its gateway, dropping its bindings there. The (now
-    /// possibly empty) gateway stays allocated: gateway ids are dense indexes and other
-    /// state (address-dependent indexes on *other* gateways keyed by its public IP) may
-    /// still reference it until expiry.
-    fn detach_from_gateway(&mut self, node: NodeId, gateway: GatewayId) {
-        if let Some(gw) = self.gateway_mut(gateway) {
-            gw.remove_internal(node);
+    /// Takes a host's bindings out of its slot, leaving an empty list with no allocation
+    /// behind: the node left, moved or turned public. Its (possibly now hostless) gateway
+    /// stays allocated: gateway ids are dense indexes, and bindings at *other* hosts may
+    /// still name its public IP until they expire.
+    fn take_host(&mut self, host: u32) -> HostBindings {
+        std::mem::take(&mut self.hosts[host as usize])
+    }
+
+    fn host_of(&self, node: NodeId) -> Option<u32> {
+        match *self.profile(node)? {
+            NatProfile::Private { host } => Some(host),
+            NatProfile::Public { .. } => None,
         }
     }
 
     fn gateway_of(&self, node: NodeId) -> Option<GatewayId> {
-        match self.profile(node)? {
-            NatProfile::Private { gateway, .. } => Some(*gateway),
-            NatProfile::Public { .. } => None,
-        }
+        let host = self.host_of(node)?;
+        Some(GatewayId(self.hosts[host as usize].gateway.into()))
     }
 
     fn gateway_of_mut(&mut self, node: NodeId) -> Option<&mut NatGateway> {
@@ -434,11 +457,11 @@ impl Inner {
     /// Whether `profile` sits behind a UPnP-enabled gateway, which makes the node
     /// effectively public: it can map a port on its gateway.
     fn behind_upnp(&self, profile: &NatProfile) -> bool {
-        let NatProfile::Private { gateway, .. } = profile else {
+        let &NatProfile::Private { host } = profile else {
             return false;
         };
-        self.gateway(*gateway)
-            .is_some_and(|gw| gw.config().upnp_enabled)
+        let gateway = self.hosts[host as usize].gateway;
+        self.gateways[gateway as usize].config().upnp_enabled
     }
 
     /// Identifiers of the registered nodes whose profile passes `keep`, ascending.
@@ -459,19 +482,19 @@ impl Inner {
     }
 
     fn migrate_node(&mut self, node: NodeId) -> bool {
-        let Some(gateway) = self.gateway_of(node) else {
+        let Some(host) = self.host_of(node) else {
             return false;
         };
-        self.detach_from_gateway(node, gateway);
+        self.take_host(host);
         self.place_behind_new_gateway(node, None);
         true
     }
 
     fn promote_to_public(&mut self, node: NodeId) -> bool {
-        let Some(gateway) = self.gateway_of(node) else {
+        let Some(host) = self.host_of(node) else {
             return false;
         };
-        self.detach_from_gateway(node, gateway);
+        self.take_host(host);
         let ip = self.allocate_public_ip();
         self.set_profile(node, NatProfile::Public { ip });
         true
@@ -509,14 +532,16 @@ impl Inner {
     }
 
     fn move_node_behind(&mut self, node: NodeId, gateway: GatewayId) -> bool {
-        let (Some(old_gateway), Some(_)) = (self.gateway_of(node), self.gateway(gateway)) else {
+        let (Some(old_host), Some(_)) = (self.host_of(node), self.gateway(gateway)) else {
             return false;
         };
-        if old_gateway != gateway {
-            self.detach_from_gateway(node, old_gateway);
+        let bindings = self.take_host(old_host);
+        let host = self.allocate_host(gateway);
+        // Behind the same gateway the node keeps its bindings under its new address.
+        if GatewayId(bindings.gateway.into()) == gateway {
+            self.hosts[host as usize] = bindings;
         }
-        let local_ip = self.allocate_private_ip();
-        self.set_profile(node, NatProfile::Private { gateway, local_ip });
+        self.set_profile(node, NatProfile::Private { host });
         true
     }
 
@@ -668,8 +693,8 @@ impl NatTopology {
         if inner.gateway(gateway).is_none() {
             return false;
         }
-        let local_ip = inner.allocate_private_ip();
-        inner.set_profile(node, NatProfile::Private { gateway, local_ip });
+        let host = inner.allocate_host(gateway);
+        inner.set_profile(node, NatProfile::Private { host });
         true
     }
 
@@ -699,8 +724,8 @@ impl NatTopology {
             inner.profile_count -= 1;
         }
         inner.set_offline(node, false);
-        if let Some(NatProfile::Private { gateway, .. }) = removed {
-            inner.detach_from_gateway(node, gateway);
+        if let Some(NatProfile::Private { host }) = removed {
+            inner.take_host(host);
         }
     }
 
@@ -716,8 +741,8 @@ impl NatTopology {
         self.lock().gateways.len()
     }
 
-    /// Power-cycles the gateway in front of `node` at `now`, wiping its whole mapping
-    /// table (see [`NatGateway::reboot`]). Returns `false` if the node is unknown or
+    /// Power-cycles the gateway in front of `node` at `now`, wiping the bindings of every
+    /// host behind it (see [`NatGateway::reboot`]). Returns `false` if the node is unknown or
     /// public.
     pub fn reboot_gateway_of(&self, node: NodeId, now: SimTime) -> bool {
         self.lock().reboot_gateway_of(node, now)
@@ -877,7 +902,7 @@ impl NatTopology {
     pub fn local_ip(&self, node: NodeId) -> Option<Ip> {
         match *self.lock().profile(node)? {
             NatProfile::Public { ip } => Some(ip),
-            NatProfile::Private { local_ip, .. } => Some(local_ip),
+            NatProfile::Private { host } => Some(Ip::private(host)),
         }
     }
 
@@ -903,13 +928,14 @@ impl DeliveryFilter for NatTopology {
     }
 
     /// The per-message sequence with its two halves pulled apart: what a link asks of
-    /// which gateway depends only on the node tables, which no link changes, and what a
-    /// gateway answers depends only on the operations that reached *that* gateway, in
-    /// order. So the batch is resolved first (read-only, split over link ranges), then
-    /// every worker owns a contiguous range of gateways and walks the whole batch
-    /// applying the operations that fall on its range. One lock per batch instead of two
-    /// per message; with one worker both steps run on the calling thread over one range,
-    /// as they do for the one link of `on_send` and `can_deliver`.
+    /// which host depends only on the node tables and the gateways, which no link
+    /// changes, and what a host's gateway answers depends only on the operations that
+    /// reached *that* host's bindings, in order. So the batch is resolved first
+    /// (read-only, split over link ranges), then every worker owns a contiguous range of
+    /// host slots and walks the whole batch applying the operations that fall on its
+    /// range; a gateway fronting many hosts is split like any other. One lock per batch
+    /// instead of two per message; with one worker both steps run on the calling thread
+    /// over one range, as they do for the one link of `on_send` and `can_deliver`.
     fn judge_batch(
         &mut self,
         links: &[BatchLink],
@@ -923,17 +949,18 @@ impl DeliveryFilter for NatTopology {
         ops.resize(links.len(), LinkOps::NONE);
         verdicts.resize(links.len(), DeliveryVerdict::Deliver);
         let mut tally = BlockTally::default();
-        // A worker without a gateway or a link of its own would only cost its spawn.
-        let workers = workers.min(inner.gateways.len()).min(links.len());
+        // A worker without a host or a link of its own would only cost its spawn.
+        let workers = workers.min(inner.hosts.len()).min(links.len());
         if workers <= 1 {
-            tally.blocked = inner.resolve_links(links, &mut ops, verdicts);
-            tally += judge_gateway_range(&mut inner.gateways, 0, links, &ops, true, |k| {
+            tally += inner.resolve_links(links, &mut ops, verdicts);
+            let (hosts, gateways) = (&mut inner.hosts, &inner.gateways);
+            tally += judge_host_range(hosts, 0, gateways, links, &ops, true, |k| {
                 verdicts[k] = DeliveryVerdict::BlockedByNat;
             });
         } else {
             let per_worker = links.len().div_ceil(workers);
             let tables: &Inner = inner;
-            let offline_blocked = on_threads(
+            let resolved = on_threads(
                 links
                     .chunks(per_worker)
                     .zip(ops.chunks_mut(per_worker))
@@ -942,16 +969,19 @@ impl DeliveryFilter for NatTopology {
                         move || tables.resolve_links(links, ops, verdicts)
                     }),
             );
-            tally.blocked = offline_blocked.into_iter().sum();
-            let per_worker = inner.gateways.len().div_ceil(workers);
-            let ops = ops.as_slice();
-            let judged = on_threads(inner.gateways.chunks_mut(per_worker).enumerate().map(
-                |(w, gateways)| {
+            for range_tally in resolved {
+                tally += range_tally;
+            }
+            let per_worker = inner.hosts.len().div_ceil(workers);
+            let (ops, gateways) = (ops.as_slice(), &inner.gateways);
+            let judged = on_threads(inner.hosts.chunks_mut(per_worker).enumerate().map(
+                |(w, hosts)| {
                     move || {
                         let mut blocked = Vec::new();
                         let base = w * per_worker;
                         let refuse = |k| blocked.push(k);
-                        let tally = judge_gateway_range(gateways, base, links, ops, true, refuse);
+                        let tally =
+                            judge_host_range(hosts, base, gateways, links, ops, true, refuse);
                         (tally, blocked)
                     }
                 },
@@ -1042,8 +1072,8 @@ impl NatTopologyBuilder {
                 default_config: self.default_config,
                 filtering_mix: self.filtering_mix,
                 rng: SmallRng::seed_from_u64(self.seed),
+                hosts: Vec::new(),
                 next_public_ip: 0,
-                next_private_ip: 0,
                 blocked_messages: 0,
                 stale_binding_failures: 0,
                 hairpin_blocked: 0,
@@ -1187,6 +1217,9 @@ mod tests {
         assert!(t.supports_upnp(NodeId::new(3)));
     }
 
+    /// A node that leaves, moves or turns public hands its list's allocation back (its
+    /// gateway stays, and slots are never reused); a host sharing its gateway keeps its
+    /// own bindings.
     #[test]
     fn removing_a_node_forgets_its_profile_and_bindings() {
         let t = populated();
@@ -1198,6 +1231,25 @@ mod tests {
             f.can_deliver(PUB, PRIV, SimTime::from_secs(1)),
             DeliveryVerdict::NoSuchDestination
         );
+        let shared = t.add_shared_gateway(NatGatewayConfig::default());
+        let (left, right, mover) = (NodeId::new(4), NodeId::new(5), NodeId::new(6));
+        for node in [left, right, mover] {
+            assert!(t.add_private_node_behind(node, shared));
+            for remote in [PUB, OTHER_PUB] {
+                f.on_send(node, remote, SimTime::ZERO);
+            }
+        }
+        let held = |t: &NatTopology| -> Vec<usize> {
+            t.lock().hosts.iter().map(HostBindings::capacity).collect()
+        };
+        assert_eq!(held(&t), [0, 4, 4, 4]);
+        t.remove_node(left);
+        let reply = |f: &mut NatTopology, to| f.can_deliver(PUB, to, SimTime::from_secs(1));
+        assert_eq!(reply(&mut f, right), DeliveryVerdict::Deliver);
+        assert!(t.promote_to_public(right));
+        assert!(t.migrate_node(mover));
+        assert_eq!(reply(&mut f, mover), DeliveryVerdict::BlockedByNat);
+        assert_eq!(held(&t), [0; 5]);
     }
 
     #[test]
@@ -1405,9 +1457,9 @@ mod tests {
         let (left, right) = (NodeId::new(4), NodeId::new(5));
         assert!(t.add_private_node_behind(left, cgn) && t.add_private_node_behind(right, cgn));
         let bindings = |node| {
-            let gateway = t.gateway_of(node).unwrap();
-            let inner = t.inner.lock().unwrap();
-            inner.gateway(gateway).unwrap().binding_count()
+            let inner = t.lock();
+            let host = &inner.hosts[inner.host_of(node).unwrap() as usize];
+            inner.gateways[host.gateway as usize].binding_count(host)
         };
         let mut f = t.clone();
         for (from, to) in [(PRIV, other_priv), (left, right), (PRIV, PUB)] {
@@ -1490,6 +1542,62 @@ mod tests {
             outage_rounds: 1,
         };
         populated().apply(&event, 1, SimTime::ZERO, &mut SmallRng::seed_from_u64(0));
+    }
+
+    /// Flat memory over long runs: 200 private hosts and 50 public nodes, of which 100
+    /// drawn a 1 s round each ask a random peer, which answers, under a 60 s mapping
+    /// timeout. A host's live bindings level off within one timeout (at about 45 of its
+    /// 249 peers), so its list must too: the lists' total capacity at round 4R = 400
+    /// stays within 5 % of round R = 100. A list that kept its expired entries would keep
+    /// growing towards every peer it ever met (about 70 at R, 180 at 4R).
+    #[test]
+    fn host_lists_stay_flat_over_a_long_run() {
+        const NODES: u64 = 250;
+        const ROUNDS: u64 = 100;
+        let t = NatTopologyBuilder::new(21)
+            .mapping_timeout(SimDuration::from_secs(60))
+            .build();
+        for id in 0..NODES {
+            let class = if id % 5 == 0 {
+                NatClass::Public
+            } else {
+                NatClass::Private
+            };
+            t.add_node(NodeId::new(id), class);
+        }
+        let capacity = || -> usize { t.lock().hosts.iter().map(HostBindings::capacity).sum() };
+        let mut rng = SmallRng::seed_from_u64(21);
+        let (mut f, mut links, mut verdicts) = (t.clone(), Vec::new(), Vec::new());
+        let mut at_r = 0;
+        for round in 1..=4 * ROUNDS {
+            links.clear();
+            for _ in 0..NODES * 2 / 5 {
+                let from = rng.gen_range(0..NODES);
+                let to = (from + rng.gen_range(1..NODES)) % NODES;
+                let sent_at = SimTime::from_millis(round * 1_000 + rng.gen_range(0..800u64));
+                let reply_at = sent_at + SimDuration::from_millis(100);
+                for (from, to, sent_at) in [(from, to, sent_at), (to, from, reply_at)] {
+                    links.push(BatchLink {
+                        from: NodeId::new(from),
+                        to: NodeId::new(to),
+                        sent_at,
+                        arrive_at: sent_at + SimDuration::from_millis(50),
+                        wants_verdict: true,
+                    });
+                }
+            }
+            links.sort_by_key(|link| link.sent_at);
+            f.judge_batch(&links, &mut verdicts, 2);
+            if round == ROUNDS {
+                at_r = capacity();
+            }
+        }
+        let at_4r = capacity();
+        assert!(
+            at_4r as f64 <= 1.05 * at_r as f64,
+            "host lists grew from {at_r} entries of room at round {ROUNDS} to {at_4r} at {}",
+            4 * ROUNDS
+        );
     }
 
     /// Ids 0–5 public, 6–19 private behind own gateways (policy mix), 20–21 behind one

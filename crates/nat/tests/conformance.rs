@@ -7,8 +7,8 @@
 //! gateway-profile dynamics that reach these behaviours from scenario scripts.
 
 use croupier_nat::{
-    FilteringPolicy, GatewayProfile, Ip, NatDynamicsEvent, NatGateway, NatGatewayConfig,
-    NatTopologyBuilder,
+    FilteringPolicy, GatewayProfile, HostBindings, Ip, NatDynamicsEvent, NatGateway,
+    NatGatewayConfig, NatTopologyBuilder,
 };
 use croupier_simulator::{DeliveryFilter, DeliveryVerdict, NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;
@@ -35,11 +35,11 @@ fn rfc4787_conformance_matrix() {
 
 /// RFC 4787 §5: which inbound packets pass an established mapping?
 fn check_filtering_axis(config: NatGatewayConfig, combo: &str) {
-    let mut gw = NatGateway::new(Ip::public(1), config);
-    let internal = NodeId::new(1);
+    let gw = NatGateway::new(Ip::public(1), config);
+    let mut internal = HostBindings::default();
     let (a, a_ip) = (NodeId::new(10), Ip::public(10));
-    gw.record_outbound(internal, a, a_ip, T0);
-    let now = t(10);
+    gw.record_outbound(&mut internal, a, a_ip, T0);
+    let (internal, now) = (&internal, t(10));
 
     // The contacted endpoint always gets back in.
     assert!(
@@ -97,25 +97,25 @@ fn check_hairpin_axis(config: NatGatewayConfig, combo: &str) {
 #[test]
 fn binding_refresh_is_asymmetric() {
     let config = NatGatewayConfig::default().mapping_timeout(SimDuration::from_secs(60));
-    let mut gw = NatGateway::new(Ip::public(1), config);
-    let internal = NodeId::new(1);
+    let gw = NatGateway::new(Ip::public(1), config);
+    let mut internal = HostBindings::default();
     let (remote, remote_ip) = (NodeId::new(10), Ip::public(10));
-    gw.record_outbound(internal, remote, remote_ip, T0);
+    gw.record_outbound(&mut internal, remote, remote_ip, T0);
 
     // Inbound checks just before expiry succeed but must not extend the binding.
-    assert!(gw.accepts_inbound(internal, remote, remote_ip, t(59_000)));
+    assert!(gw.accepts_inbound(&internal, remote, remote_ip, t(59_000)));
     assert!(
-        !gw.accepts_inbound(internal, remote, remote_ip, t(61_000)),
+        !gw.accepts_inbound(&internal, remote, remote_ip, t(61_000)),
         "inbound traffic must not have refreshed the binding"
     );
 
     // Outbound traffic does refresh...
-    gw.record_outbound(internal, remote, remote_ip, T0);
-    gw.record_outbound(internal, remote, remote_ip, t(50_000));
-    assert!(gw.accepts_inbound(internal, remote, remote_ip, t(100_000)));
+    gw.record_outbound(&mut internal, remote, remote_ip, T0);
+    gw.record_outbound(&mut internal, remote, remote_ip, t(50_000));
+    assert!(gw.accepts_inbound(&internal, remote, remote_ip, t(100_000)));
     // ...and an out-of-order older timestamp never shortens the lifetime.
-    gw.record_outbound(internal, remote, remote_ip, t(10_000));
-    assert!(gw.accepts_inbound(internal, remote, remote_ip, t(100_000)));
+    gw.record_outbound(&mut internal, remote, remote_ip, t(10_000));
+    assert!(gw.accepts_inbound(&internal, remote, remote_ip, t(100_000)));
 }
 
 /// RFC 4787 REQ-2: with a pool of external addresses, every internal host is paired with

@@ -1,32 +1,36 @@
-//! Differential oracle for the NAT layer's two load-bearing invariants.
+//! Differential oracle for the NAT layer's load-bearing invariants.
 //!
-//! [`NatGateway`] answers every inbound-filtering query in O(1) from *newest-binding*
-//! indexes, which is sound only because "expiry is monotone in the refresh time" and
-//! because the indexes are cleared or rebuilt wherever the exact table changes under
-//! them. The first test drives seeded random traces through the gateway and through a
-//! deliberately naive model — one `Vec` of entries, a linear scan and a timestamp
-//! comparison on every lookup, no indexes, no purging — and demands identical verdicts
-//! after every step.
+//! [`NatGateway`] answers inbound-filtering queries from each host's own
+//! [`HostBindings`]: a list sorted by remote id that drops expired entries only when it
+//! would otherwise grow, and that a reboot empties by bumping the gateway's epoch rather
+//! than by touching the list. Both are sound only because "expiry is monotone in the
+//! refresh time" and because a list from an older epoch answers as an empty one. The
+//! first test drives seeded random traces through one gateway with three hosts and
+//! through a deliberately naive model — one `Vec` of entries for the whole gateway, a
+//! linear scan and a timestamp comparison on every lookup, nothing sorted, nothing
+//! dropped, a reboot that clears the `Vec` — and demands identical verdicts after every
+//! step.
 //!
-//! The address-dependent index additionally relies on [`NatTopology`] never handing an
+//! Address-dependent filtering additionally relies on [`NatTopology`] never handing an
 //! address to a second owner; the second test pins that over random topology dynamics.
 //!
-//! The third test is the oracle for [`NatTopology`]'s `judge_batch` override, which
-//! judges a batch per gateway range on worker threads: a twin driven message by message
-//! through `on_send`/`can_deliver` must return the same verdicts and end in the same
-//! state, for every worker count.
+//! The third and fourth tests are the oracle for [`NatTopology`]'s `judge_batch`
+//! override, which judges a batch per host-slot range on worker threads: a twin driven
+//! message by message through `on_send`/`can_deliver` must return the same verdicts and
+//! end in the same state, for every worker count — also when one gateway fronts hosts
+//! in every worker's range and reboots between two batches.
 //!
-//! What the traces hold fixed, because the gateway's contract does: a remote keeps its
-//! address for a whole trace (re-addressing is the topology's business, test two), the
-//! clock queries, purges and reboots read is monotone (only outbound packets may carry an
-//! older timestamp, which `record_outbound` documents as never shortening a mapping), and
-//! the mapping timeout survives reconfiguration.
+//! What the traces hold fixed, because the gateway's contract does: the clock queries
+//! and reboots read is monotone (only outbound packets may carry an older timestamp,
+//! which `record_outbound` documents as never shortening a mapping), and the mapping
+//! timeout survives reconfiguration. A remote may change its address mid-trace: the
+//! binding then names the new one only, in the model as in the gateway.
 
 use std::collections::HashMap;
 
 use croupier_nat::GatewayId;
 use croupier_nat::{
-    FilteringPolicy, Ip, NatDynamicsEvent, NatGateway, NatGatewayConfig, NatTopology,
+    FilteringPolicy, HostBindings, Ip, NatDynamicsEvent, NatGateway, NatGatewayConfig, NatTopology,
     NatTopologyBuilder,
 };
 use croupier_simulator::{
@@ -93,15 +97,18 @@ impl NaiveGateway {
 #[derive(Debug)]
 enum Op {
     Outbound {
-        internal: NodeId,
+        internal: usize,
         remote: NodeId,
         at: SimTime,
     },
-    Purge,
+    Readdress {
+        remote: usize,
+        ip: Ip,
+    },
     Reboot,
     SetFiltering(FilteringPolicy),
     SetConfig(NatGatewayConfig),
-    RemoveInternal(NodeId),
+    RemoveInternal(usize),
 }
 
 const INTERNALS: [NodeId; 3] = [NodeId::new(1), NodeId::new(2), NodeId::new(3)];
@@ -116,9 +123,9 @@ const POOL: u8 = 3;
 const TRACES: u64 = 240;
 const STEPS: usize = 450;
 
-/// Five remotes on three addresses, so address-dependent policies see both "same address,
-/// other node" and "other address".
-fn ip_of(remote: NodeId) -> Ip {
+/// Five remotes on three addresses to start with, so address-dependent policies see both
+/// "same address, other node" and "other address"; `Readdress` moves one within 50–53.
+fn first_ip_of(remote: NodeId) -> Ip {
     Ip::public(50 + (remote.as_u64() as u32 - 10) * 3 / 5)
 }
 
@@ -134,15 +141,18 @@ fn random_config(rng: &mut SmallRng, timeout: SimDuration) -> NatGatewayConfig {
         .upnp(rng.gen_bool(0.1))
 }
 
-/// Draws the next operation. Every third trace never purges or reboots, so the gateway's
-/// own every-256-operations purge gets to fire against a model that never purges.
+/// Draws the next operation. Every third trace never reboots, so its lists live on
+/// through every drop of expired entries a full list makes.
 fn random_op(rng: &mut SmallRng, housekeeping: bool, now: SimTime, timeout: SimDuration) -> Op {
     match rng.gen_range(0..100) {
-        0..=2 if housekeeping => Op::Purge,
+        0..=2 => Op::Readdress {
+            remote: rng.gen_range(0..REMOTES.len()),
+            ip: Ip::public(rng.gen_range(50..54)),
+        },
         3..=5 if housekeeping => Op::Reboot,
         6..=13 => Op::SetFiltering(pick(rng, &FilteringPolicy::ALL)),
         14..=18 => Op::SetConfig(random_config(rng, timeout)),
-        19..=21 => Op::RemoveInternal(pick(rng, &INTERNALS)),
+        19..=21 => Op::RemoveInternal(rng.gen_range(0..INTERNALS.len())),
         _ => {
             // One packet in five carries a timestamp from the past.
             let lag = if rng.gen_bool(0.2) {
@@ -151,7 +161,7 @@ fn random_op(rng: &mut SmallRng, housekeeping: bool, now: SimTime, timeout: SimD
                 0
             };
             Op::Outbound {
-                internal: pick(rng, &INTERNALS),
+                internal: rng.gen_range(0..INTERNALS.len()),
                 remote: pick(rng, &REMOTES),
                 at: SimTime::from_millis(now.as_millis().saturating_sub(lag)),
             }
@@ -172,10 +182,13 @@ fn gateway_agrees_with_a_naive_table_walk_on_the_full_policy_grid() {
             .pool(POOL);
         let pool = (0..POOL as u32).map(|i| Ip::public(100 + i)).collect();
         let mut real = NatGateway::with_pool(pool, config);
+        let mut hosts = INTERNALS.map(|_| HostBindings::default());
         let mut naive = NaiveGateway {
             config,
             entries: Vec::new(),
         };
+        let mut addresses = REMOTES.map(first_ip_of);
+        let ip_of = |addresses: &[Ip; 5], remote: NodeId| addresses[remote.as_u64() as usize - 10];
         let mut now = SimTime::ZERO;
         for step in 0..STEPS {
             // Mostly second-scale steps, now and then a leap past the timeout.
@@ -192,12 +205,11 @@ fn gateway_agrees_with_a_naive_table_walk_on_the_full_policy_grid() {
                     remote,
                     at,
                 } => {
-                    real.record_outbound(internal, remote, ip_of(remote), at);
-                    naive.record_outbound(internal, remote, ip_of(remote), at);
+                    let ip = ip_of(&addresses, remote);
+                    real.record_outbound(&mut hosts[internal], remote, ip, at);
+                    naive.record_outbound(INTERNALS[internal], remote, ip, at);
                 }
-                // Purging bounds memory and must never change an answer: the model
-                // ignores it.
-                Op::Purge => real.purge_expired(now),
+                Op::Readdress { remote, ip } => addresses[remote] = ip,
                 Op::Reboot => {
                     real.reboot(now);
                     naive.entries.clear();
@@ -211,8 +223,8 @@ fn gateway_agrees_with_a_naive_table_walk_on_the_full_policy_grid() {
                     naive.config = config;
                 }
                 Op::RemoveInternal(internal) => {
-                    real.remove_internal(internal);
-                    naive.entries.retain(|e| e.internal != internal);
+                    hosts[internal] = HostBindings::default();
+                    naive.entries.retain(|e| e.internal != INTERNALS[internal]);
                 }
             }
             let context = |what: &str| {
@@ -221,12 +233,13 @@ fn gateway_agrees_with_a_naive_table_walk_on_the_full_policy_grid() {
                     naive.config
                 )
             };
-            for internal in INTERNALS {
+            for (host, internal) in hosts.iter().zip(INTERNALS) {
                 for remote in REMOTES {
                     // The sender's own address and, as a stranger, its neighbour's.
-                    for from_ip in [ip_of(remote), ip_of(REMOTES[(step + 1) % REMOTES.len()])] {
+                    let neighbour = REMOTES[(step + 1) % REMOTES.len()];
+                    for from_ip in [ip_of(&addresses, remote), ip_of(&addresses, neighbour)] {
                         assert_eq!(
-                            real.accepts_inbound(internal, remote, from_ip, now),
+                            real.accepts_inbound(host, remote, from_ip, now),
                             naive.accepts_inbound(internal, remote, from_ip, now),
                             "{}",
                             context(&format!("verdict {internal}<-{remote}@{from_ip}"))
@@ -360,8 +373,8 @@ fn batch_dynamics(
 }
 
 fn random_batch(now: SimTime, rng: &mut SmallRng) -> Vec<BatchLink> {
-    // Empty, fewer links than workers, and enough to overflow the 256-operation purge
-    // cadence of a busy gateway several times over a trace.
+    // Empty, fewer links than workers, and enough to fill a busy host's list several
+    // times over a trace.
     let len = pick(rng, &[0, 1, 2, 9, 60, 400]);
     let mut links: Vec<BatchLink> = (0..len)
         .map(|_| {
@@ -445,4 +458,93 @@ fn judge_batch_equals_the_per_message_sequence_for_every_worker_count() {
         hairpin_refusals > 100 && stale_bindings > 100,
         "the traces must exercise both: {hairpin_refusals} / {stale_bindings}"
     );
+}
+
+/// The two cases the host-range split and the lazy reboot wipe must get right together:
+/// one gateway fronting many hosts, whose slots the workers split between them, and a
+/// reboot of that gateway between two batches, which each of its hosts must see
+/// whichever worker owns it. Every batch opens with the late replies to the previous
+/// batch's requests (they pass only if the bindings survived), then each host asks a
+/// public node and one of its neighbours behind the gateway, and both answer.
+#[test]
+fn judge_batch_splits_a_shared_gateway_and_wipes_it_on_a_reboot() {
+    const PUBLIC: u64 = 4;
+    const HOSTS: u64 = 60;
+    const REBOOT_BEFORE: u64 = 6;
+    let build = |policy| {
+        let topology = NatTopologyBuilder::new(3)
+            .mapping_timeout(BATCH_TIMEOUT)
+            .build();
+        for id in 0..PUBLIC {
+            topology.add_public_node(NodeId::new(id));
+        }
+        let config = NatGatewayConfig::with_filtering(policy)
+            .mapping_timeout(BATCH_TIMEOUT)
+            .pool(3);
+        let shared = topology.add_shared_gateway(config);
+        for id in PUBLIC..PUBLIC + HOSTS {
+            assert!(topology.add_private_node_behind(NodeId::new(id), shared));
+        }
+        topology
+    };
+    let link = |from: u64, to: u64, sent_at: SimTime, flight: u64| BatchLink {
+        from: NodeId::new(from),
+        to: NodeId::new(to),
+        sent_at,
+        arrive_at: sent_at + SimDuration::from_millis(flight),
+        wants_verdict: true,
+    };
+    for workers in [1usize, 2, 4] {
+        for policy in FilteringPolicy::ALL {
+            let (sequential, batched) = (build(policy), build(policy));
+            let (mut one_by_one, mut in_batches) = (sequential.clone(), batched.clone());
+            let mut rng = SmallRng::seed_from_u64(0x5EA7 ^ workers as u64);
+            let (mut verdicts, mut late) = (Vec::new(), Vec::new());
+            let mut delivered_after_reboot = 0;
+            for batch in 0..12u64 {
+                let now = SimTime::from_secs(batch + 1);
+                if batch == REBOOT_BEFORE {
+                    for topology in [&sequential, &batched] {
+                        assert!(topology.reboot_gateway_of(NodeId::new(PUBLIC), now));
+                    }
+                }
+                let mut links: Vec<BatchLink> = late
+                    .drain(..)
+                    .map(|(from, to)| link(from, to, now, rng.gen_range(1..50)))
+                    .collect();
+                for host in PUBLIC..PUBLIC + HOSTS {
+                    let sent_at = now + SimDuration::from_millis(rng.gen_range(50..500));
+                    let public = rng.gen_range(0..PUBLIC);
+                    let neighbour = PUBLIC + (host - PUBLIC + rng.gen_range(1..HOSTS)) % HOSTS;
+                    for to in [public, neighbour] {
+                        links.push(link(host, to, sent_at, rng.gen_range(1..100)));
+                        let answer_at = sent_at + SimDuration::from_millis(200);
+                        links.push(link(to, host, answer_at, rng.gen_range(1..100)));
+                        late.push((to, host));
+                    }
+                }
+                links.sort_by_key(|link| link.sent_at);
+                let expected: Vec<DeliveryVerdict> = links
+                    .iter()
+                    .map(|link| {
+                        one_by_one.on_send(link.from, link.to, link.sent_at);
+                        one_by_one.can_deliver(link.from, link.to, link.arrive_at)
+                    })
+                    .collect();
+                in_batches.judge_batch(&links, &mut verdicts, workers);
+                let context = format!("{policy}, {workers} workers, batch {batch}");
+                assert_eq!(verdicts, expected, "verdicts: {context}");
+                assert_eq!(batched.stats(), sequential.stats(), "stats: {context}");
+                if batch >= REBOOT_BEFORE {
+                    delivered_after_reboot += verdicts.iter().filter(|v| v.is_delivered()).count();
+                }
+            }
+            let stats = batched.stats();
+            assert!(
+                stats.stale_binding_failures > HOSTS && delivered_after_reboot > 0,
+                "{policy}, {workers} workers: the reboot must refuse late replies and the \
+                 fresh requests must reopen the paths: {stats:?}"
+            );
+        }
+    }
 }

@@ -61,7 +61,10 @@ fn main() {
     );
     println!(
         "node {witness}: public view = {:?}",
-        node.public_view().nodes()
+        node.public_view()
+            .iter()
+            .map(|d| d.node())
+            .collect::<Vec<_>>()
     );
 
     print!("ten peer samples drawn by node {witness}: ");

@@ -42,7 +42,7 @@ use std::cell::Cell;
 
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_metrics::{draw_path_sources, MetricsContext, NodeObservation, OverlaySnapshot};
-use croupier_nat::{Ip, NatGateway, NatGatewayConfig};
+use croupier_nat::{HostBindings, Ip, NatGateway, NatGatewayConfig};
 use croupier_simulator::event::Event;
 use croupier_simulator::scheduler::EventQueue;
 use croupier_simulator::SimulationEngine;
@@ -367,26 +367,25 @@ fn snapshot_capture_steady_state_allocates_nothing() {
     );
 }
 
-/// One gateway per private node (80 000 in the benchmark's `cyclon_nat_wide`), each
-/// holding a dozen or so bindings: the mapping table's slot size is paid per binding per
-/// private node. 28 bindings is the most a 32-bucket table holds: 512 bytes of 16-byte
-/// slots, 48 control bytes and the 4-byte address pool make 564 bytes.
+/// One host list per private node (80 000 in the benchmark's `cyclon_nat_wide`), each
+/// holding a dozen or so bindings: a binding's size is paid per binding per private node.
+/// 32 bindings fill a list of capacity 32 exactly: 384 bytes of 12-byte entries, and the
+/// gateway's 4-byte address pool makes 388.
 #[test]
-fn a_gateway_holds_its_bindings_in_16_byte_slots() {
-    const BINDINGS: u64 = 28;
-    let (bytes, gateway) = live_bytes_after(|| {
-        // Symmetric: address-and-port-dependent filtering keeps no newest-binding index,
-        // so the exact table is the only one.
-        let mut gateway = NatGateway::new(Ip::public(0), NatGatewayConfig::symmetric());
+fn a_host_holds_its_bindings_in_12_byte_entries() {
+    const BINDINGS: u64 = 32;
+    let (bytes, (gateway, host)) = live_bytes_after(|| {
+        let gateway = NatGateway::new(Ip::public(0), NatGatewayConfig::symmetric());
+        let mut host = HostBindings::default();
         for remote in 0..BINDINGS {
             let (to, ip) = (NodeId::new(100 + remote), Ip::public(remote as u32 + 1));
-            gateway.record_outbound(NodeId::new(1), to, ip, SimTime::ZERO);
+            gateway.record_outbound(&mut host, to, ip, SimTime::ZERO);
         }
-        gateway
+        (gateway, host)
     });
-    assert_eq!(gateway.binding_count() as u64, BINDINGS);
+    assert_eq!(gateway.binding_count(&host) as u64, BINDINGS);
     assert!(
-        bytes <= 600,
-        "a gateway with {BINDINGS} live bindings holds {bytes} heap bytes"
+        bytes <= 388,
+        "a host with {BINDINGS} live bindings holds {bytes} heap bytes"
     );
 }

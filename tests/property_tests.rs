@@ -11,7 +11,7 @@ use croupier_suite::croupier::{
     sample_from_views, Descriptor, EstimateRecord, RatioEstimator, View, DESCRIPTOR_INLINE_CAPACITY,
 };
 use croupier_suite::metrics::{MetricsContext, NodeObservation, OverlaySnapshot};
-use croupier_suite::nat::{FilteringPolicy, Ip, NatGateway, NatGatewayConfig};
+use croupier_suite::nat::{FilteringPolicy, HostBindings, Ip, NatGateway, NatGatewayConfig};
 use croupier_suite::simulator::{NatClass, NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -71,7 +71,7 @@ fn view_invariants_hold_under_arbitrary_exchanges() {
 
             assert!(view.len() <= capacity, "capacity exceeded: {}", view.len());
             assert!(!view.contains(owner), "owner must never enter its own view");
-            let mut nodes: Vec<_> = view.nodes();
+            let mut nodes: Vec<_> = view.iter().map(|d| d.node()).collect();
             nodes.sort();
             let before = nodes.len();
             nodes.dedup();
@@ -174,21 +174,26 @@ fn gateway_admission_requires_a_matching_binding() {
     for_each_case("gateway_admission", |rng| {
         let policy = policies[rng.gen_range(0..policies.len())];
         let timeout_secs = rng.gen_range(1u64..120);
-        let outbound: Vec<(u64, u64)> = (0..rng.gen_range(0usize..30))
+        let mut outbound: Vec<(u64, u64)> = (0..rng.gen_range(0usize..30))
             .map(|_| (rng.gen_range(0u64..8), rng.gen_range(0u64..600)))
             .collect();
         let probe_peer = rng.gen_range(0u64..8);
         let probe_at = rng.gen_range(0u64..700);
+        // The probe is the gateway's present: packets stamped after it are not sent yet.
+        // (The ones before it arrive in any order; a full list drops what has expired at
+        // the time of the packet that would grow it, which only a probe from an earlier
+        // time could tell.)
+        outbound.retain(|&(_, at)| at <= probe_at);
 
-        let internal = NodeId::new(100);
-        let mut gateway = NatGateway::new(
+        let mut internal = HostBindings::default();
+        let gateway = NatGateway::new(
             Ip::public(1),
             NatGatewayConfig::with_filtering(policy)
                 .mapping_timeout(SimDuration::from_secs(timeout_secs)),
         );
         for (peer, at) in &outbound {
             gateway.record_outbound(
-                internal,
+                &mut internal,
                 NodeId::new(*peer),
                 Ip::public(*peer as u32 + 10),
                 SimTime::from_secs(*at),
@@ -197,7 +202,7 @@ fn gateway_admission_requires_a_matching_binding() {
         let now = SimTime::from_secs(probe_at);
         let sender = NodeId::new(probe_peer);
         let sender_ip = Ip::public(probe_peer as u32 + 10);
-        let accepted = gateway.accepts_inbound(internal, sender, sender_ip, now);
+        let accepted = gateway.accepts_inbound(&internal, sender, sender_ip, now);
 
         let fresh = |peer: u64| {
             outbound

@@ -36,9 +36,16 @@
 //!   `/proc/stat`; `n/a` where there is none), so a report shows a contended host. It
 //!   times nothing itself and is not a CI step.
 //!
+//!   `--record <label>` also appends one JSON line per (workload, metric) to
+//!   `BENCH_pairs.jsonl` in the current directory: the label, both checkouts' `git
+//!   describe`, both medians with their quartiles, the pairs won, the verdict and the
+//!   host line. `--history <workload> <metric>` prints that file's series for one metric,
+//!   oldest first; it runs nothing.
+//!
 //!   ```text
-//!   cargo run -p xtask -- pairs --parent /root/scratch/parent --change . \
-//!       [--workload cyclon_nat_wide] [--pairs 10]
+//!   cargo run -p xtask -- pairs --parent ../parent --change . \
+//!       [--workload cyclon_nat_wide] [--pairs 10] [--record <label>]
+//!   cargo run -p xtask -- pairs --history cyclon_nat_wide peak_rss_mb
 //!   ```
 //!
 //! * `outputs` — the one gate over every seeded output: builds the experiment binaries
@@ -89,7 +96,8 @@ use std::time::Instant;
 const USAGE: &str = "usage: xtask public-api [--update]\n\
                      xtask loc\n\
                      xtask pairs --parent <dir> --change <dir> [--workload <name>]... \
-                     [--pairs 10]\n\
+                     [--pairs 10] [--record <label>]\n\
+                     xtask pairs --history <workload> <metric>\n\
                      xtask outputs (--out <dir> | --check | --update)\n\
                      xtask ci-local [--skip \
                      fmt,clippy,doc,public-api,test,outputs,scale-smoke,huge-smoke]";
@@ -475,6 +483,113 @@ fn declared_workloads(declared: &str) -> Vec<String> {
         .collect()
 }
 
+/// Where `pairs --record` appends and `pairs --history` reads, in the current directory.
+const PAIRS_HISTORY: &str = "BENCH_pairs.jsonl";
+
+/// One (workload, metric) row of a `pairs` run: a line of `BENCH_pairs.jsonl`.
+#[derive(Clone, Debug, PartialEq)]
+struct PairsRecord {
+    label: String,
+    workload: String,
+    metric: String,
+    /// `git describe --always --dirty` of the parent and the change checkout.
+    revisions: [String; 2],
+    /// Median, q1 and q3 of the parent's and of the change's runs.
+    medians: [[f64; 3]; 2],
+    won: usize,
+    pairs: usize,
+    verdict: String,
+    host: String,
+}
+
+/// A number as JSON writes it: `null` for what is not finite.
+fn json_number(value: f64) -> String {
+    if value.is_finite() {
+        value.to_string()
+    } else {
+        String::from("null")
+    }
+}
+
+impl PairsRecord {
+    /// The record as one line of flat JSON. Its strings hold no quote or backslash
+    /// (`pairs` refuses such a label; names, revisions and the host line have none).
+    fn to_json(&self) -> String {
+        let [[m0, a0, b0], [m1, a1, b1]] = self.medians.map(|side| side.map(json_number));
+        format!(
+            "{{\"label\": \"{}\", \"workload\": \"{}\", \"metric\": \"{}\", \
+             \"parent_rev\": \"{}\", \"change_rev\": \"{}\", \"parent_median\": {m0}, \
+             \"parent_q1\": {a0}, \"parent_q3\": {b0}, \"change_median\": {m1}, \
+             \"change_q1\": {a1}, \"change_q3\": {b1}, \"won\": {}, \"pairs\": {}, \
+             \"verdict\": \"{}\", \"host\": \"{}\"}}",
+            self.label,
+            self.workload,
+            self.metric,
+            self.revisions[0],
+            self.revisions[1],
+            self.won,
+            self.pairs,
+            self.verdict,
+            self.host
+        )
+    }
+
+    /// Reads back a line [`to_json`](Self::to_json) wrote; `None` if a field is missing.
+    fn from_json(line: &str) -> Option<PairsRecord> {
+        let text = |key: &str| quoted_after(line, key).first().map(|s| s.to_string());
+        let number = |key: &str| numbers_after(line, key).first().copied();
+        let side = |side: &str| -> Option<[f64; 3]> {
+            let [m, a, b] = ["median", "q1", "q3"].map(|at| number(&format!("{side}_{at}")));
+            Some([m?, a?, b?])
+        };
+        Some(PairsRecord {
+            label: text("label")?,
+            workload: text("workload")?,
+            metric: text("metric")?,
+            revisions: [text("parent_rev")?, text("change_rev")?],
+            medians: [side("parent")?, side("change")?],
+            won: number("won")? as usize,
+            pairs: number("pairs")? as usize,
+            verdict: text("verdict")?,
+            host: text("host")?,
+        })
+    }
+
+    /// The row `pairs` prints for the record, after its metric's name.
+    fn row(&self) -> String {
+        let [[m0, a0, b0], [m1, a1, b1]] = self.medians;
+        let ratio = ratio_text(m0, m1);
+        let (won, pairs, verdict) = (self.won, self.pairs, &self.verdict);
+        format!("{m0:.3} [{a0:.3}, {b0:.3}] -> {m1:.3} [{a1:.3}, {b1:.3}]{ratio}, won {won}/{pairs}, {verdict}")
+    }
+}
+
+/// The `pairs --history` series: every record of `workload` and `metric` in `history`
+/// (the text of a `BENCH_pairs.jsonl`), one line each, oldest first.
+fn pairs_history(history: &str, workload: &str, metric: &str) -> Vec<String> {
+    history
+        .lines()
+        .filter_map(PairsRecord::from_json)
+        .filter(|record| record.workload == workload && record.metric == metric)
+        .map(|record| {
+            let [parent, change] = &record.revisions;
+            let (label, row, host) = (&record.label, record.row(), &record.host);
+            format!("{label} ({parent} -> {change}): {row}; {host}")
+        })
+        .collect()
+}
+
+/// `git describe --always --dirty` of a checkout, or `unknown` where git cannot say.
+fn git_describe(dir: &str) -> String {
+    let output = Command::new("git")
+        .args(["-C", dir, "describe", "--always", "--dirty"])
+        .output();
+    let described = output.ok().filter(|out| out.status.success());
+    described.map_or(String::from("unknown"), |out| {
+        String::from_utf8_lossy(&out.stdout).trim().to_string()
+    })
+}
+
 /// Why `pairs` or `outputs` failed: a bad argument, answered with the usage text, or a
 /// run that failed past its arguments (a gate, a manifest mismatch, a binary that exited
 /// non-zero), answered with its one line.
@@ -501,7 +616,7 @@ impl std::fmt::Display for Failure {
 
 /// The `pairs` command; see the module documentation.
 fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), Failure> {
-    let (mut dirs, mut workloads, mut pairs) = ([None, None], Vec::new(), 10);
+    let (mut dirs, mut workloads, mut pairs, mut label) = ([None, None], Vec::new(), 10, None);
     while let Some(flag) = argv.next() {
         let value = argv
             .next()
@@ -513,6 +628,21 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), Failure> {
             "--pairs" => {
                 let bad = || Failure::Usage(format!("bad count '{value}'"));
                 pairs = value.parse().map_err(|_| bad())?;
+            }
+            "--record" if value.contains(['"', '\\']) => {
+                let err = format!("a label holds no quote or backslash: '{value}'");
+                return Err(Failure::Usage(err));
+            }
+            "--record" => label = Some(value),
+            "--history" => {
+                let metric = argv.next().ok_or(Failure::Usage(String::from(
+                    "--history needs a workload and a metric",
+                )))?;
+                let history = std::fs::read_to_string(PAIRS_HISTORY).unwrap_or_default();
+                for line in pairs_history(&history, &value, &metric) {
+                    println!("{line}");
+                }
+                return Ok(());
             }
             _ => return Err(Failure::Usage(format!("unknown argument '{flag}'"))),
         }
@@ -540,6 +670,8 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), Failure> {
         cpu_steal_and_total(&stat)
     };
     let before = cpu_stat();
+    let revisions = [git_describe(&parent), git_describe(&change)];
+    let mut records = Vec::new();
     for workload in &workloads {
         // Per side (parent, change) and pair: failed operations, then the metrics.
         let mut runs = [Vec::new(), Vec::new()];
@@ -576,15 +708,44 @@ fn pairs(mut argv: impl Iterator<Item = String>) -> Result<(), Failure> {
             let verdict = verdict(&old, &new, bound.unwrap_or(0.0), higher);
             let sign = if higher { -1.0 } else { 1.0 };
             let won = |(o, n): &(&f64, &f64)| sign * (*n - *o) < 0.0;
-            let wins = old.iter().zip(&new).filter(won).count();
-            let [m0, a0, b0] = median_and_quartiles(&old);
-            let [m1, a1, b1] = median_and_quartiles(&new);
-            let ratio = ratio_text(m0, m1);
-            println!("  {name}: {m0:.3} [{a0:.3}, {b0:.3}] -> {m1:.3} [{a1:.3}, {b1:.3}]{ratio}, won {wins}/{pairs}, {verdict}");
+            let record = PairsRecord {
+                label: label.clone().unwrap_or_default(),
+                workload: workload.clone(),
+                metric: name.to_string(),
+                revisions: revisions.clone(),
+                medians: [median_and_quartiles(&old), median_and_quartiles(&new)],
+                won: old.iter().zip(&new).filter(won).count(),
+                pairs,
+                verdict: verdict.to_string(),
+                host: String::new(),
+            };
+            println!("  {name}: {}", record.row());
+            records.push(record);
         }
     }
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("{}", host_line(cores, before, cpu_stat()));
+    let host = host_line(cores, before, cpu_stat());
+    println!("{host}");
+    if label.is_some() {
+        let lines: String = records
+            .into_iter()
+            .map(|record| {
+                PairsRecord {
+                    host: host.clone(),
+                    ..record
+                }
+                .to_json()
+                    + "\n"
+            })
+            .collect();
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(PAIRS_HISTORY)
+            .map_err(|err| format!("cannot open {PAIRS_HISTORY}: {err}"))?;
+        std::io::Write::write_all(&mut file, lines.as_bytes())
+            .map_err(|err| format!("cannot append to {PAIRS_HISTORY}: {err}"))?;
+    }
     Ok(())
 }
 
@@ -1196,6 +1357,8 @@ mod tests {
             outputs(args(&["--bogus"]).into_iter()).unwrap_err(),
             pairs(args(&["--pairs", "x"]).into_iter()).unwrap_err(),
             pairs(args(&["--parent"]).into_iter()).unwrap_err(),
+            pairs(args(&["--record", "a \"b\""]).into_iter()).unwrap_err(),
+            pairs(args(&["--history", "cyclon_nat_wide"]).into_iter()).unwrap_err(),
         ] {
             assert!(matches!(err, Failure::Usage(_)), "{err}");
             assert!(err.to_string().ends_with(USAGE), "{err}");
@@ -1211,6 +1374,55 @@ mod tests {
         assert_eq!(err.lines().count(), 1, "{err}");
         let failed = Failure::from(String::from("outputs: e2e w (exit status: 1) exited"));
         assert_eq!(failed.to_string().lines().count(), 1);
+    }
+
+    /// A recorded line reads back as the record that wrote it, and the history lists the
+    /// records of one workload and metric in file order.
+    #[test]
+    fn pairs_records_round_trip_through_the_history_file() {
+        let record = PairsRecord {
+            label: String::from("host lists"),
+            workload: String::from("cyclon_nat_wide"),
+            metric: String::from("peak_rss_mb"),
+            revisions: [String::from("04419f9"), String::from("04419f9-dirty")],
+            medians: [[206.0, 205.5, 206.8], [189.25, 188.9, 190.1]],
+            won: 10,
+            pairs: 10,
+            verdict: String::from("gain"),
+            host: host_line(2, Some((0, 100)), Some((1, 200))),
+        };
+        let line = record.to_json();
+        assert!(!line.contains('\n'));
+        assert_eq!(PairsRecord::from_json(&line), Some(record.clone()));
+        let failed = PairsRecord {
+            metric: String::from("failed"),
+            medians: [[0.0; 3], [f64::NAN; 3]],
+            ..record.clone()
+        };
+        assert!(failed.to_json().contains("\"change_median\": null"));
+        let read = PairsRecord::from_json(&failed.to_json()).unwrap();
+        assert!(read.medians[1].iter().all(|m| m.is_nan()));
+        let later = PairsRecord {
+            label: String::from("next"),
+            medians: [[189.25, 188.9, 190.1], [180.0, 179.0, 181.0]],
+            ..record.clone()
+        };
+        let history = [&record, &failed, &later]
+            .map(PairsRecord::to_json)
+            .join("\n");
+        let series = pairs_history(&history, "cyclon_nat_wide", "peak_rss_mb");
+        assert_eq!(
+            series,
+            [
+                "host lists (04419f9 -> 04419f9-dirty): 206.000 [205.500, 206.800] -> \
+                 189.250 [188.900, 190.100], 0.919x, won 10/10, gain; host: 2 cores, \
+                 CPU steal 1.0 % from the first pair to the last",
+                "next (04419f9 -> 04419f9-dirty): 189.250 [188.900, 190.100] -> \
+                 180.000 [179.000, 181.000], 0.951x, won 10/10, gain; host: 2 cores, \
+                 CPU steal 1.0 % from the first pair to the last",
+            ]
+        );
+        assert!(pairs_history(&history, "croupier_steady", "peak_rss_mb").is_empty());
     }
 
     #[test]
